@@ -119,7 +119,7 @@ def run_single(ctx: RunContext, run_idx: int) -> RunRecord:
         ms_est = MeasurementSet(list(ms.measurements) + extra, ms.corrupt_indices) \
             if extra else ms
 
-        est = _dispatch(sc, ctx, ms_est)
+        est = run_estimator(sc.family, ctx.grid, ms_est, ctx.params)
         record.metrics = compute_metrics(ctx.grid, est.v, est.theta, truth.state)
         record.iterations = est.iterations
         record.converged = est.converged
@@ -129,9 +129,8 @@ def run_single(ctx: RunContext, run_idx: int) -> RunRecord:
                                dict(it.t_regions)) for it in est.timing]
         record.trace = list(est.packet_trace)
         if ms_est.corrupt_indices:
-            resid = est.residual_map()
-            if resid:
-                worst = max(resid, key=lambda i: abs(resid[i]))
+            worst = est.dominant_reading()
+            if worst is not None:
                 record.corrupt_dominant = worst in ms_est.corrupt_indices
     except (PowerFlowError, RuntimeError, ValueError) as exc:
         record.error = f"{type(exc).__name__}: {exc}"
@@ -139,14 +138,15 @@ def run_single(ctx: RunContext, run_idx: int) -> RunRecord:
     return record
 
 
-def _dispatch(sc: Scenario, ctx: RunContext, ms: MeasurementSet) -> SystemEstimate:
-    family = sc.family
+def run_estimator(family: str, grid: GridModel, ms: MeasurementSet,
+                  params: CoordinationParams) -> SystemEstimate:
+    """Run one estimator family ("cwls", "dwls" or "drse") on a measurement set."""
     if family == "cwls":
-        return run_cwls(ctx.grid, ms, nr_test=ctx.params.nr_test,
-                        nr_threshold=ctx.params.nr_threshold)
+        return run_cwls(grid, ms, nr_test=params.nr_test,
+                        nr_threshold=params.nr_threshold)
     if family == "dwls":
-        return run_dwls(ctx.grid, ms, ctx.params)
-    return run_drse(ctx.grid, ms, ctx.params)
+        return run_dwls(grid, ms, params)
+    return run_drse(grid, ms, params)
 
 
 _WORKER_CTX: RunContext | None = None
@@ -246,8 +246,7 @@ def write_artifacts(result: BenchResult, scenario: Scenario, out: Path) -> None:
 
     blines = ["run,iteration,converter,side,p_vsc,q_vsc,p_loss,v_pcc"]
     for r in result.records:
-        for k, pkt in enumerate(r.trace):
-            side = "ac" if k % 2 == 0 else "dc"
-            blines.append(f"{r.run},{pkt.iteration},{pkt.converter},{side},"
+        for pkt in r.trace:
+            blines.append(f"{r.run},{pkt.iteration},{pkt.converter},{pkt.side},"
                           f"{pkt.p_vsc!r},{pkt.q_vsc!r},{pkt.p_loss!r},{pkt.v_pcc!r}")
     (out / "trace_boundary.csv").write_text("\n".join(blines) + "\n")

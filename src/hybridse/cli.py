@@ -15,9 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import load_scenario, run_montecarlo
-from .bench.scenario import ScenarioError
-from .coordination import CoordinationParams, run_cwls, run_drse, run_dwls
+from .bench import ScenarioError, load_scenario, run_estimator, run_montecarlo
+from .coordination import CoordinationParams
 from .estimation import EstimationError, LpError
 from .grid import GridError, load_grid
 from .injection import (InjectionModel, gen_load_profiles, generated_measurements,
@@ -130,13 +129,7 @@ def cmd_estimate(args) -> int:
             extra = prior_measurements(model, grid, t, pct=args.pseudo_pct / 100.0)
         ms = MeasurementSet(list(ms.measurements) + extra, ms.corrupt_indices)
 
-    family = args.method.split("_")[0]
-    if family == "cwls":
-        est = run_cwls(grid, ms, nr_test=params.nr_test)
-    elif family == "dwls":
-        est = run_dwls(grid, ms, params)
-    else:
-        est = run_drse(grid, ms, params)
+    est = run_estimator(args.method.split("_")[0], grid, ms, params)
 
     print(f"method {args.method}: iterations {est.iterations}, "
           f"converged {est.converged}, max boundary mismatch "

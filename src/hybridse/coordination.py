@@ -16,26 +16,26 @@ from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .estimation import (BadDataReport, BoundaryTerm, EstimationResult, lnr_test,
-                         solve_wlav_region, solve_wls)
-from .grid import AC, DC, GridModel
+from .estimation import (BoundaryTerm, EstimationResult, lnr_test, solve_wlav_region,
+                         solve_wls)
+from .grid import AC, DC, OWNS_AC, GridModel
 from .measmodel import NonlinearModel, build_region_model, build_system_model
 from .powerflow import ac_branch_flow, converter_loss
-from .telemetry import MeasurementKind, MeasurementSet, build_region_H
+from .telemetry import MeasurementKind, MeasurementSet, build_region_H, converter_spec
 
 
 @dataclass(frozen=True)
 class BoundaryPacket:
-    """The only data a region shares: its view of one converter's operating
-    point at one iteration."""
+    """The only data a region shares: its view (``side`` "ac" or "dc") of one
+    converter's operating point at one iteration."""
 
     converter: int
+    side: str
     p_vsc: float
     q_vsc: float
     p_loss: float
@@ -103,15 +103,19 @@ class SystemEstimate:
             w = csv.writer(f)
             w.writerow(["iteration", "converter", "side", "p_vsc", "q_vsc",
                         "p_loss", "v_pcc"])
-            for side, pkt in _trace_sides(self.packet_trace):
-                w.writerow([pkt.iteration, pkt.converter, side, repr(pkt.p_vsc),
+            for pkt in self.packet_trace:
+                w.writerow([pkt.iteration, pkt.converter, pkt.side, repr(pkt.p_vsc),
                             repr(pkt.q_vsc), repr(pkt.p_loss), repr(pkt.v_pcc)])
 
-
-def _trace_sides(trace):
-    # packets are appended AC-side then DC-side per converter per iteration
-    for k, pkt in enumerate(trace):
-        yield ("ac" if k % 2 == 0 else "dc"), pkt
+    def dominant_reading(self) -> int | None:
+        """Global index of the reading the estimate blames most: the one the
+        normalized-residual test flagged with the largest normalized residual,
+        else the one with the largest final residual."""
+        flagged = [f for rep in self.bad_data.values() for f in rep.flagged]
+        if flagged:
+            return max(flagged, key=lambda f: abs(f[1]))[0]
+        resid = self.residual_map()
+        return max(resid, key=lambda i: abs(resid[i])) if resid else None
 
 
 # -- bootstrap ----------------------------------------------------------------
@@ -135,9 +139,8 @@ def _bootstrap_packets(grid: GridModel, ms: MeasurementSet):
         q = conv_q.get(conv.id, conv.control.q_set)
         v = v_pcc.get(conv.aux_node, 1.0)
         loss, _ = converter_loss(p, q, v, (conv.d1, conv.d2, conv.d3))
-        pkt = BoundaryPacket(conv.id, p, q, loss, v, 0)
-        ac_pkts[conv.id] = pkt
-        dc_pkts[conv.id] = pkt
+        ac_pkts[conv.id] = BoundaryPacket(conv.id, "ac", p, q, loss, v, 0)
+        dc_pkts[conv.id] = BoundaryPacket(conv.id, "dc", p, q, loss, v, 0)
     return ac_pkts, dc_pkts
 
 
@@ -155,68 +158,49 @@ def _boundary_terms(grid, region, lambdas, ac_pkts, dc_pkts):
     return terms
 
 
-# -- DRSE ----------------------------------------------------------------------
+# -- the coordination loop ----------------------------------------------------
 
 
-def _solve_drse_region(model, terms, basis):
-    """Regional WLAV solve; sees only its own model and BoundaryTerm values."""
-    return solve_wlav_region(model, terms, basis=basis)
+def _coordinate(grid: GridModel, ms: MeasurementSet, params: CoordinationParams,
+                method: str, solve_region, boundary_power) -> SystemEstimate:
+    """Jacobi coordination shared by the distributed estimators.
 
-
-def run_drse(grid: GridModel, ms: MeasurementSet,
-             params: CoordinationParams = CoordinationParams(),
-             parallel: bool = False) -> SystemEstimate:
-    """Distributed robust estimation: regional WLAV LPs under Lagrangian
-    boundary coordination.  Non-convergence at the iteration cap is reported
-    through the mismatch trace, not as a failure."""
-    by_region = ms.by_region(grid)
-    models = {r.id: build_region_H(grid, r, by_region[r.id]) for r in grid.regions}
+    ``solve_region(region, terms)`` estimates one region against the
+    BoundaryTerm of each of its converters.  ``boundary_power(conv, ac_result,
+    dc_result, p_loss)`` reads the converter's AC-side (p_vsc, q_vsc) and
+    DC-side p_vsc off the two regional estimates, given the loss the DC region
+    was told last.
+    """
     ac_regions = [r.id for r in grid.regions if r.kind == AC]
     dc_regions = [r.id for r in grid.regions if r.kind == DC]
-
     lambdas = {c.id: params.lambda0 for c in grid.converters}
     ac_pkts, dc_pkts = _bootstrap_packets(grid, ms)
     mismatch_hist: dict[int, list[float]] = {c.id: [] for c in grid.converters}
     timing: list[IterationTiming] = []
     trace: list[BoundaryPacket] = []
     results: dict[int, EstimationResult] = {}
-    bases: dict[int, tuple | None] = {r.id: None for r in grid.regions}
     converged = not grid.converters
     iteration = 0
 
     for iteration in range(1, params.max_iterations + 1):
         t_regions: dict[int, float] = {}
-
-        def solve_one(region):
+        for region in grid.regions:
             terms = _boundary_terms(grid, region, lambdas, ac_pkts, dc_pkts)
             t0 = time.perf_counter()
-            result, sol = _solve_drse_region(models[region.id], terms,
-                                             bases[region.id])
-            return region.id, result, sol, time.perf_counter() - t0
-
-        if parallel:
-            with ThreadPoolExecutor(max_workers=len(grid.regions)) as pool:
-                solved = list(pool.map(solve_one, grid.regions))
-        else:
-            solved = [solve_one(r) for r in grid.regions]
-        for rid, result, sol, dt in solved:
-            results[rid] = result
-            bases[rid] = sol.basis
-            t_regions[rid] = dt
+            results[region.id] = solve_region(region, terms)
+            t_regions[region.id] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         new_ac, new_dc = {}, {}
         for conv in grid.converters:
-            ac_rid = grid.node(conv.aux_node).region
-            dc_rid = grid.node(conv.dc_node).region
-            ac_res, dc_res = results[ac_rid], results[dc_rid]
-            p_ac = ac_res.boundary_p[conv.id]
-            q_ac = float(models[ac_rid].boundary_q[conv.id] @ ac_res.x)
+            ac_res = results[grid.node(conv.aux_node).region]
+            dc_res = results[grid.node(conv.dc_node).region]
+            p_loss = ac_pkts[conv.id].p_loss
+            p_ac, q_ac, p_dc = boundary_power(conv, ac_res, dc_res, p_loss)
             v_ac = ac_res.v[conv.aux_node]
             loss, _ = converter_loss(p_ac, q_ac, v_ac, (conv.d1, conv.d2, conv.d3))
-            pkt_ac = BoundaryPacket(conv.id, p_ac, q_ac, loss, v_ac, iteration)
-            pkt_dc = BoundaryPacket(conv.id, dc_res.boundary_p[conv.id],
-                                    conv.control.q_set, ac_pkts[conv.id].p_loss,
+            pkt_ac = BoundaryPacket(conv.id, "ac", p_ac, q_ac, loss, v_ac, iteration)
+            pkt_dc = BoundaryPacket(conv.id, "dc", p_dc, conv.control.q_set, p_loss,
                                     dc_res.v[conv.dc_node], iteration)
             new_ac[conv.id], new_dc[conv.id] = pkt_ac, pkt_dc
             trace += [pkt_ac, pkt_dc]
@@ -237,39 +221,67 @@ def run_drse(grid: GridModel, ms: MeasurementSet,
             break
 
     v, theta = _merge_states(grid, results)
-    return SystemEstimate(method="drse", v=v, theta=theta, regions=results,
+    return SystemEstimate(method=method, v=v, theta=theta, regions=results,
                           mismatch_history=mismatch_hist, lambdas=lambdas,
                           iterations=iteration, converged=converged,
                           timing=timing, packet_trace=trace)
+
+
+# -- DRSE ----------------------------------------------------------------------
+
+
+def _solve_drse_region(model, terms, basis):
+    """Regional WLAV solve; sees only its own model and BoundaryTerm values."""
+    return solve_wlav_region(model, terms, basis=basis)
+
+
+def run_drse(grid: GridModel, ms: MeasurementSet,
+             params: CoordinationParams = CoordinationParams()) -> SystemEstimate:
+    """Distributed robust estimation: regional WLAV LPs under Lagrangian
+    boundary coordination.  Non-convergence at the iteration cap is reported
+    through the mismatch trace, not as a failure."""
+    by_region = ms.by_region(grid)
+    models = {r.id: build_region_H(grid, r, by_region[r.id]) for r in grid.regions}
+    bases: dict[int, tuple] = {}
+
+    def solve_region(region, terms):
+        result, sol = _solve_drse_region(models[region.id], terms, bases.get(region.id))
+        bases[region.id] = sol.basis
+        return result
+
+    def boundary_power(conv, ac_res, dc_res, p_loss):
+        ac_model = models[grid.node(conv.aux_node).region]
+        return (ac_res.boundary_p[conv.id],
+                float(ac_model.boundary_q[conv.id] @ ac_res.x),
+                dc_res.boundary_p[conv.id])
+
+    return _coordinate(grid, ms, params, "drse", solve_region, boundary_power)
 
 
 # -- DWLS ----------------------------------------------------------------------
 
 
 def run_dwls(grid: GridModel, ms: MeasurementSet,
-             params: CoordinationParams = CoordinationParams(),
-             parallel: bool = False) -> SystemEstimate:
+             params: CoordinationParams = CoordinationParams()) -> SystemEstimate:
     """Distributed nonlinear WLS under the same partition and packet exchange,
     with a quadratic boundary penalty and a per-region normalized-residual
     test; any rejection triggers one full re-run on the cleaned set."""
-    estimate, reports = _dwls_pass(grid, ms, params, parallel)
-    estimate.bad_data = reports
+    estimate = _dwls_pass(grid, ms, params)
+    reports = estimate.bad_data
     if params.nr_test and any(rep.any_flagged for rep in reports.values()):
         flagged = {idx for rep in reports.values() for idx, _ in rep.flagged}
-        kept = [m for i, m in enumerate(ms.measurements) if i not in flagged]
         # keep global indices stable for downstream scoring
         keep_idx = [i for i in range(len(ms.measurements)) if i not in flagged]
-        cleaned = MeasurementSet(kept, ms.corrupt_indices)
-        cleaned_pairs = {new: old for new, old in enumerate(keep_idx)}
-        second, _ = _dwls_pass(grid, cleaned, params, parallel,
-                               index_map=cleaned_pairs)
+        cleaned = MeasurementSet([ms.measurements[i] for i in keep_idx],
+                                 ms.corrupt_indices)
+        second = _dwls_pass(grid, cleaned, params, index_map=keep_idx)
         second.bad_data = reports
         second.rerun = True
         return second
     return estimate
 
 
-def _dwls_pass(grid, ms, params, parallel, index_map=None):
+def _dwls_pass(grid, ms, params, index_map=None):
     by_region = ms.by_region(grid)
     models: dict[int, NonlinearModel] = {}
     boundary_rows: dict[int, dict[int, int]] = {}
@@ -280,104 +292,41 @@ def _dwls_pass(grid, ms, params, parallel, index_map=None):
         model = build_region_model(grid, region, pairs)
         rows = {}
         for cid, orient in region.boundary:
-            conv = grid.converter(cid)
-            if orient == "owns-ac-side":
-                spec = ("ac_flow", conv.aux_node, conv.ac_node,
-                        conv.coupling_r, conv.coupling_x, "p")
-            else:
-                spec = ("var", "pdjc", cid)
+            side = "ac" if orient == OWNS_AC else "dc"
             rows[cid] = len(model.rows)
-            model.append_row(spec, 0.0, 1.0, "boundary")
+            model.append_row(converter_spec(grid.converter(cid), side), 0.0, 1.0,
+                             "boundary")
         models[region.id] = model
         boundary_rows[region.id] = rows
+    warm: dict[int, np.ndarray] = {}
 
-    ac_regions = [r.id for r in grid.regions if r.kind == AC]
-    dc_regions = [r.id for r in grid.regions if r.kind == DC]
-    lambdas = {c.id: params.lambda0 for c in grid.converters}
-    ac_pkts, dc_pkts = _bootstrap_packets(grid, ms)
-    mismatch_hist: dict[int, list[float]] = {c.id: [] for c in grid.converters}
-    timing: list[IterationTiming] = []
-    trace: list[BoundaryPacket] = []
-    results: dict[int, EstimationResult] = {}
-    warm: dict[int, np.ndarray | None] = {r.id: None for r in grid.regions}
-    converged = not grid.converters
-    iteration = 0
+    def solve_region(region, terms):
+        model = models[region.id]
+        overrides = {}
+        for cid, term in terms.items():
+            row = boundary_rows[region.id][cid]
+            model.z[row] = term.neighbor_p + term.loss_const
+            overrides[row] = term.lam
+        result = solve_wls(model, x0=warm.get(region.id), weight_overrides=overrides)
+        warm[region.id] = result.x
+        return result
 
-    for iteration in range(1, params.max_iterations + 1):
-        t_regions: dict[int, float] = {}
+    def boundary_power(conv, ac_res, dc_res, p_loss):
+        p_ac, q_ac = ac_branch_flow(
+            ac_res.v[conv.aux_node], ac_res.theta[conv.aux_node],
+            ac_res.v[conv.ac_node], ac_res.theta[conv.ac_node],
+            conv.coupling_r, conv.coupling_x)
+        return p_ac, q_ac, dc_res.conv_vars[("pdjc", conv.id)] - p_loss
 
-        def solve_one(region):
-            model = models[region.id]
-            terms = _boundary_terms(grid, region, lambdas, ac_pkts, dc_pkts)
-            overrides = {}
-            for cid, term in terms.items():
-                row = boundary_rows[region.id][cid]
-                model.z[row] = term.neighbor_p + term.loss_const
-                overrides[row] = term.lam
-            t0 = time.perf_counter()
-            result = solve_wls(model, x0=warm[region.id],
-                               weight_overrides=overrides)
-            return region.id, result, time.perf_counter() - t0
-
-        if parallel:
-            with ThreadPoolExecutor(max_workers=len(grid.regions)) as pool:
-                solved = list(pool.map(solve_one, grid.regions))
-        else:
-            solved = [solve_one(r) for r in grid.regions]
-        for rid, result, dt in solved:
-            results[rid] = result
-            warm[rid] = result.x
-            t_regions[rid] = dt
-
-        t0 = time.perf_counter()
-        new_ac, new_dc = {}, {}
-        for conv in grid.converters:
-            ac_rid = grid.node(conv.aux_node).region
-            dc_rid = grid.node(conv.dc_node).region
-            ac_res, dc_res = results[ac_rid], results[dc_rid]
-            p_ac, q_ac = ac_branch_flow(
-                ac_res.v[conv.aux_node], ac_res.theta[conv.aux_node],
-                ac_res.v[conv.ac_node], ac_res.theta[conv.ac_node],
-                conv.coupling_r, conv.coupling_x)
-            v_ac = ac_res.v[conv.aux_node]
-            loss, _ = converter_loss(p_ac, q_ac, v_ac, (conv.d1, conv.d2, conv.d3))
-            pkt_ac = BoundaryPacket(conv.id, p_ac, q_ac, loss, v_ac, iteration)
-            p_dc = dc_res.conv_vars[("pdjc", conv.id)] - ac_pkts[conv.id].p_loss
-            pkt_dc = BoundaryPacket(conv.id, p_dc, conv.control.q_set,
-                                    ac_pkts[conv.id].p_loss,
-                                    dc_res.v[conv.dc_node], iteration)
-            new_ac[conv.id], new_dc[conv.id] = pkt_ac, pkt_dc
-            trace += [pkt_ac, pkt_dc]
-            mismatch = abs(pkt_ac.p_vsc - pkt_dc.p_vsc)
-            mismatch_hist[conv.id].append(mismatch)
-            lambdas[conv.id] += params.xi * mismatch
-        ac_pkts, dc_pkts = new_ac, new_dc
-        t_algebra = time.perf_counter() - t0
-
-        t_ac = max((t_regions[r] for r in ac_regions), default=0.0)
-        t_dc = max((t_regions[r] for r in dc_regions), default=0.0)
-        timing.append(IterationTiming(iteration, t_ac + t_dc + t_algebra,
-                                      t_regions, t_algebra))
-
-        worst = max((mismatch_hist[c.id][-1] for c in grid.converters), default=0.0)
-        if worst <= params.tau:
-            converged = True
-            break
-
-    reports: dict[int, BadDataReport] = {}
+    estimate = _coordinate(grid, ms, params, "dwls", solve_region, boundary_power)
     if params.nr_test:
         for region in grid.regions:
-            out = lnr_test(models[region.id], results[region.id],
+            out = lnr_test(models[region.id], estimate.regions[region.id],
                            threshold=params.nr_threshold)
-            reports[region.id] = out.report
-            results[region.id] = out.result
-
-    v, theta = _merge_states(grid, results)
-    estimate = SystemEstimate(method="dwls", v=v, theta=theta, regions=results,
-                              mismatch_history=mismatch_hist, lambdas=lambdas,
-                              iterations=iteration, converged=converged,
-                              timing=timing, packet_trace=trace)
-    return estimate, reports
+            estimate.bad_data[region.id] = out.report
+            estimate.regions[region.id] = out.result
+        estimate.v, estimate.theta = _merge_states(grid, estimate.regions)
+    return estimate
 
 
 # -- CWLS ----------------------------------------------------------------------

@@ -133,6 +133,29 @@ class GridModel:
         object.__setattr__(self, "_node_by_id", {n.id: n for n in self.nodes})
         object.__setattr__(self, "_region_by_id", {r.id: r for r in self.regions})
         object.__setattr__(self, "_conv_by_id", {c.id: c for c in self.converters})
+        # branch lookups; the first branch listed between two nodes wins and
+        # incident branches keep file order (lines, then converter couplings)
+        ac_branch, dc_branch = {}, {}
+        incident_ac: dict[int, list] = {}
+        incident_dc: dict[int, list] = {}
+        for a, b, r, x in ([(ln.from_node, ln.to_node, ln.r, ln.x) for ln in self.ac_lines]
+                           + [(c.aux_node, c.ac_node, c.coupling_r, c.coupling_x)
+                              for c in self.converters]):
+            ac_branch.setdefault(frozenset((a, b)), (r, x))
+            incident_ac.setdefault(a, []).append((b, r, x))
+            incident_ac.setdefault(b, []).append((a, r, x))
+        for ln in self.dc_lines:
+            dc_branch.setdefault(frozenset((ln.from_node, ln.to_node)), ln.g)
+            incident_dc.setdefault(ln.from_node, []).append((ln.to_node, ln.g))
+            incident_dc.setdefault(ln.to_node, []).append((ln.from_node, ln.g))
+        conv_at_aux, convs_at_dc = {}, {}
+        for c in self.converters:
+            conv_at_aux.setdefault(c.aux_node, c)
+            convs_at_dc.setdefault(c.dc_node, []).append(c)
+        for name, value in (("_ac_branch", ac_branch), ("_dc_branch", dc_branch),
+                            ("_incident_ac", incident_ac), ("_incident_dc", incident_dc),
+                            ("_conv_at_aux", conv_at_aux), ("_convs_at_dc", convs_at_dc)):
+            object.__setattr__(self, name, value)
 
     # -- lookups -----------------------------------------------------------
 
@@ -167,37 +190,26 @@ class GridModel:
                 for cid, orient in self.region(region_id).boundary]
 
     def converter_at_aux(self, node_id: int) -> Converter | None:
-        for c in self.converters:
-            if c.aux_node == node_id:
-                return c
-        return None
+        return self._conv_at_aux.get(node_id)
 
     def converters_at_dc_node(self, node_id: int) -> list[Converter]:
-        return [c for c in self.converters if c.dc_node == node_id]
+        return list(self._convs_at_dc.get(node_id, ()))
 
     def incident_ac_branches(self, node_id: int) -> list[tuple[int, float, float]]:
         """(other end, r, x) of every AC branch at a node, couplings included."""
-        out = []
-        for ln in self.ac_lines:
-            if ln.from_node == node_id:
-                out.append((ln.to_node, ln.r, ln.x))
-            elif ln.to_node == node_id:
-                out.append((ln.from_node, ln.r, ln.x))
-        for c in self.converters:
-            if c.aux_node == node_id:
-                out.append((c.ac_node, c.coupling_r, c.coupling_x))
-            elif c.ac_node == node_id:
-                out.append((c.aux_node, c.coupling_r, c.coupling_x))
-        return out
+        return list(self._incident_ac.get(node_id, ()))
 
     def incident_dc_branches(self, node_id: int) -> list[tuple[int, float]]:
-        out = []
-        for ln in self.dc_lines:
-            if ln.from_node == node_id:
-                out.append((ln.to_node, ln.g))
-            elif ln.to_node == node_id:
-                out.append((ln.from_node, ln.g))
-        return out
+        return list(self._incident_dc.get(node_id, ()))
+
+    def ac_branch(self, a: int, b: int) -> tuple[float, float] | None:
+        """(r, x) of the AC branch (line or converter coupling) between two
+        nodes, or None."""
+        return self._ac_branch.get(frozenset((a, b)))
+
+    def dc_branch(self, a: int, b: int) -> float | None:
+        """Conductance of the DC line between two nodes, or None."""
+        return self._dc_branch.get(frozenset((a, b)))
 
     def angle_reference(self, region_id: int) -> int:
         """Angle datum of an AC region.

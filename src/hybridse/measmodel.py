@@ -16,35 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import AC, GridModel, Region
-from .powerflow import SystemState
-from .telemetry import (CONV_KINDS, Measurement, MeasurementKind, TelemetryError,
-                        _branch_params_ac, _branch_params_dc, _flow_ends)
+from .grid import AC, OWNS_DC, GridModel, Region
+from .powerflow import SystemState, ac_branch_flow_partials
+from .telemetry import Measurement, TelemetryError, converter_spec, row_spec
 
 SOURCE_VIRTUAL_COUPLING = "virtual_coupling"
 VIRTUAL_SIGMA = 1e-6
-
-
-def _ac_flow_partials(vf, thf, vt, tht, r, x):
-    """(p, q) and their partials w.r.t. (vf, thf, vt, tht) on a series branch."""
-    y = 1.0 / complex(r, x)
-    g, b = y.real, y.imag
-    dth = thf - tht
-    cs, sn = math.cos(dth), math.sin(dth)
-    gc_bs = g * cs + b * sn
-    gs_bc = g * sn - b * cs
-    p = g * vf * vf - vf * vt * gc_bs
-    q = -b * vf * vf - vf * vt * gs_bc
-    dp = (2 * g * vf - vt * gc_bs, vf * vt * gs_bc, -vf * gc_bs, -vf * vt * gs_bc)
-    dq = (-2 * b * vf - vt * gs_bc, -vf * vt * gc_bs, -vf * gs_bc, vf * vt * gc_bs)
-    return p, q, dp, dq
 
 
 @dataclass
 class NonlinearModel:
     labels: list[tuple[str, int]]
     index: dict[tuple[str, int], int]
-    rows: list[tuple]                 # row specs, see _eval_row
+    rows: list[tuple]                 # telemetry.row_spec specs and couple_* rows
     z: np.ndarray
     sigma: np.ndarray
     sources: list[str]
@@ -153,27 +137,27 @@ class NonlinearModel:
 
     # -- row evaluation ---------------------------------------------------------
 
-    def _flow_term(self, x, jrow, f, t, r, x_, which, sign=1.0):
+    def _flow_term(self, x, jrow, f, t, r, x_, which):
         vf, vt = self._v(x, f), self._v(x, t)
         thf, tht = self._th(x, f), self._th(x, t)
-        p, q, dp, dq = _ac_flow_partials(vf, thf, vt, tht, r, x_)
+        p, q, dp, dq = ac_branch_flow_partials(vf, thf, vt, tht, r, x_)
         val, d = (p, dp) if which == "p" else (q, dq)
         if jrow is not None:
-            jrow[self._vcol(f)] += sign * d[0]
-            jrow[self._vcol(t)] += sign * d[2]
+            jrow[self._vcol(f)] += d[0]
+            jrow[self._vcol(t)] += d[2]
             cf, ct = self._thcol(f), self._thcol(t)
             if cf is not None:
-                jrow[cf] += sign * d[1]
+                jrow[cf] += d[1]
             if ct is not None:
-                jrow[ct] += sign * d[3]
-        return sign * val
+                jrow[ct] += d[3]
+        return val
 
-    def _dc_flow_term(self, x, jrow, f, t, g, sign=1.0):
+    def _dc_flow_term(self, x, jrow, f, t, g):
         vf, vt = self._v(x, f), self._v(x, t)
         if jrow is not None:
-            jrow[self._vcol(f)] += sign * (2 * vf - vt) * g
-            jrow[self._vcol(t)] += sign * (-vf * g)
-        return sign * vf * (vf - vt) * g
+            jrow[self._vcol(f)] += (2 * vf - vt) * g
+            jrow[self._vcol(t)] += -vf * g
+        return vf * (vf - vt) * g
 
     def _eval_row(self, row, x, jrow):
         op = row[0]
@@ -208,21 +192,12 @@ class NonlinearModel:
             if jrow is not None:
                 jrow[col] = 1.0
             return x[col]
-        if op == "couple_p":  # aux->i flow minus p_vsc
+        if op in ("couple_p", "couple_q"):  # aux->i flow minus p_vsc / q_vsc
             _, cid = row
-            conv = self.grid.converter(cid)
-            val = self._flow_term(x, jrow, conv.aux_node, conv.ac_node,
-                                  conv.coupling_r, conv.coupling_x, "p")
-            col = self.index[("pvsc", cid)]
-            if jrow is not None:
-                jrow[col] -= 1.0
-            return val - x[col]
-        if op == "couple_q":
-            _, cid = row
-            conv = self.grid.converter(cid)
-            val = self._flow_term(x, jrow, conv.aux_node, conv.ac_node,
-                                  conv.coupling_r, conv.coupling_x, "q")
-            col = self.index[("qvsc", cid)]
+            which = op[-1]
+            val = self._eval_row(converter_spec(self.grid.converter(cid), "ac", which),
+                                 x, jrow)
+            col = self.index[(which + "vsc", cid)]
             if jrow is not None:
                 jrow[col] -= 1.0
             return val - x[col]
@@ -249,53 +224,6 @@ class NonlinearModel:
                 jrow[cd] -= 1.0
             return p + loss - x[cd]
         raise TelemetryError(f"unknown row op {op}")
-
-
-def _row_for(grid: GridModel, m: Measurement, region_nodes: set[int] | None,
-             has_conv_vars: bool):
-    """Row spec for one measurement; region_nodes=None means whole system."""
-    k = m.kind
-
-    def check(node):
-        if region_nodes is not None and node not in region_nodes:
-            raise TelemetryError(f"measurement at node {node} outside region")
-
-    if k in (MeasurementKind.AC_V_MAG, MeasurementKind.DC_V_MAG):
-        check(m.location[0])
-        return ("vmag", m.location[0])
-    if k in (MeasurementKind.AC_P_FLOW, MeasurementKind.AC_Q_FLOW):
-        f, t = _flow_ends(m)
-        check(f), check(t)
-        r, x = _branch_params_ac(grid, f, t)
-        return ("ac_flow", f, t, r, x, "p" if k is MeasurementKind.AC_P_FLOW else "q")
-    if k is MeasurementKind.DC_P_FLOW:
-        f, t = _flow_ends(m)
-        check(f), check(t)
-        return ("dc_flow", f, t, _branch_params_dc(grid, f, t))
-    if k in (MeasurementKind.AC_P_INJ, MeasurementKind.AC_Q_INJ,
-             MeasurementKind.ZERO_P_INJ, MeasurementKind.ZERO_Q_INJ,
-             MeasurementKind.DC_P_INJ):
-        node = m.location[0]
-        check(node)
-        if grid.node(node).kind == AC:
-            which = "p" if k in (MeasurementKind.AC_P_INJ, MeasurementKind.ZERO_P_INJ) else "q"
-            return ("ac_inj", node, tuple(grid.incident_ac_branches(node)), which)
-        if k in (MeasurementKind.AC_Q_INJ, MeasurementKind.ZERO_Q_INJ):
-            raise TelemetryError(f"reactive injection at DC node {node}")
-        convs = tuple(c.id for c in grid.converters_at_dc_node(node))
-        return ("dc_inj", node, tuple(grid.incident_dc_branches(node)), convs)
-    if k in CONV_KINDS:
-        conv = grid.converter(m.location[0])
-        if m.direction == "dc":
-            if k is MeasurementKind.CONV_Q:
-                raise TelemetryError("CONV_Q has no DC side")
-            return ("var", "pdjc", conv.id)
-        if has_conv_vars:
-            return ("var", "pvsc" if k is MeasurementKind.CONV_P else "qvsc", conv.id)
-        check(conv.aux_node)
-        return ("ac_flow", conv.aux_node, conv.ac_node, conv.coupling_r,
-                conv.coupling_x, "p" if k is MeasurementKind.CONV_P else "q")
-    raise TelemetryError(f"unsupported kind {k}")
 
 
 def build_system_model(grid: GridModel,
@@ -341,18 +269,18 @@ def build_region_model(grid: GridModel, region: Region,
     else:
         labels += [("v", n) for n in nodes]
         for cid, orient in region.boundary:
-            if orient == "owns-dc-side":
+            if orient == OWNS_DC:
                 labels.append(("pdjc", cid))
-    model = _assemble(grid, labels, angle_refs, measurements, set(region.nodes), False)
+    model = _assemble(grid, labels, angle_refs, measurements, region, False)
     model.scope = f"region:{region.id}"
     return model
 
 
-def _assemble(grid, labels, angle_refs, measurements, region_nodes, has_conv_vars):
+def _assemble(grid, labels, angle_refs, measurements, region, conv_vars):
     index = {lab: k for k, lab in enumerate(labels)}
     rows, z, sigma, sources, midx, mlist = [], [], [], [], [], []
     for gidx, m in measurements:
-        rows.append(_row_for(grid, m, region_nodes, has_conv_vars))
+        rows.append(row_spec(grid, m, region, conv_vars))
         z.append(m.value)
         sigma.append(m.sigma)
         sources.append(m.source)

@@ -130,15 +130,27 @@ def converter_loss(p_c: float, q_c: float, v_c: float,
     return d1 + d2 * i_c + d3 * i_c * i_c, i_c
 
 
-def ac_branch_flow(v_f: float, th_f: float, v_t: float, th_t: float,
-                   r: float, x: float) -> tuple[float, float]:
-    """Sending-end (P, Q) on a series r+jx branch, no shunts."""
+def ac_branch_flow_partials(v_f: float, th_f: float, v_t: float, th_t: float,
+                            r: float, x: float):
+    """Sending-end (P, Q) on a series r+jx branch, no shunts, and their
+    partials with respect to (v_f, th_f, v_t, th_t)."""
     y = 1.0 / complex(r, x)
     g, b = y.real, y.imag
     dth = th_f - th_t
-    p = g * v_f * v_f - v_f * v_t * (g * math.cos(dth) + b * math.sin(dth))
-    q = -b * v_f * v_f - v_f * v_t * (g * math.sin(dth) - b * math.cos(dth))
-    return p, q
+    cs, sn = math.cos(dth), math.sin(dth)
+    gc_bs = g * cs + b * sn
+    gs_bc = g * sn - b * cs
+    p = g * v_f * v_f - v_f * v_t * gc_bs
+    q = -b * v_f * v_f - v_f * v_t * gs_bc
+    dp = (2 * g * v_f - v_t * gc_bs, v_f * v_t * gs_bc, -v_f * gc_bs, -v_f * v_t * gs_bc)
+    dq = (-2 * b * v_f - v_t * gs_bc, -v_f * v_t * gc_bs, -v_f * gs_bc, v_f * v_t * gc_bs)
+    return p, q, dp, dq
+
+
+def ac_branch_flow(v_f: float, th_f: float, v_t: float, th_t: float,
+                   r: float, x: float) -> tuple[float, float]:
+    """Sending-end (P, Q) on a series r+jx branch, no shunts."""
+    return ac_branch_flow_partials(v_f, th_f, v_t, th_t, r, x)[:2]
 
 
 def dc_branch_flow(v_f: float, v_t: float, g: float) -> float:
@@ -474,7 +486,10 @@ def conservation_residual(grid: GridModel, profile: InjectionProfile,
                           result: PowerFlowResult) -> float:
     """Generation minus load, line losses and converter losses (p.u.).
 
-    Should be below the power-flow tolerance for any converged solve.
+    For a converged solve it is, up to the regional Newton tolerances, the
+    sum of the converters' balance gaps between p_vsc + loss and p_djc, each
+    of which the solve keeps within its ``tol``.  It can therefore exceed ``tol``
+    on a grid with more than one converter.
     """
     st = result.state
     line_losses = 0.0

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import AC, DC, Converter, GridModel, Region
+from .grid import AC, DC, OWNS_AC, OWNS_DC, Converter, GridModel, Region
 from .powerflow import (ConverterSolution, SystemState, ac_branch_flow,
                         converter_loss, dc_branch_flow)
 
@@ -145,24 +145,7 @@ class MeasurementSet:
         return cls(out)
 
 
-# -- nonlinear evaluation -----------------------------------------------------
-
-
-def _branch_params_ac(grid: GridModel, a: int, b: int) -> tuple[float, float]:
-    for ln in grid.ac_lines:
-        if {ln.from_node, ln.to_node} == {a, b}:
-            return ln.r, ln.x
-    for c in grid.converters:
-        if {c.aux_node, c.ac_node} == {a, b}:
-            return c.coupling_r, c.coupling_x
-    raise TelemetryError(f"no AC branch between {a} and {b}")
-
-
-def _branch_params_dc(grid: GridModel, a: int, b: int) -> float:
-    for ln in grid.dc_lines:
-        if {ln.from_node, ln.to_node} == {a, b}:
-            return ln.g
-    raise TelemetryError(f"no DC branch between {a} and {b}")
+# -- row specs: the one map from a measurement kind to its physics ---------------
 
 
 def _flow_ends(m: Measurement) -> tuple[int, int]:
@@ -170,78 +153,112 @@ def _flow_ends(m: Measurement) -> tuple[int, int]:
     return (a, b) if m.direction != "rev" else (b, a)
 
 
-def _conv_flow(grid: GridModel, state: SystemState, conv: Converter) -> tuple[float, float]:
-    return ac_branch_flow(state.v[conv.aux_node], state.theta[conv.aux_node],
-                          state.v[conv.ac_node], state.theta[conv.ac_node],
-                          conv.coupling_r, conv.coupling_x)
+def converter_spec(conv: Converter, side: str, which: str = "p") -> tuple:
+    """Row spec of a converter's power seen from one side: the AC-side output
+    is the flow on its aux->ac coupling branch, the DC side is the draw
+    variable of the region that owns it."""
+    if side == "dc":
+        return ("var", "pdjc", conv.id)
+    return ("ac_flow", conv.aux_node, conv.ac_node, conv.coupling_r,
+            conv.coupling_x, which)
 
 
-def _node_injection(grid: GridModel, state: SystemState, node: int) -> tuple[float, float]:
-    n = grid.node(node)
-    if n.kind == AC:
-        p = q = 0.0
-        for other, r, x in grid.incident_ac_branches(node):
-            fp, fq = ac_branch_flow(state.v[node], state.theta[node],
-                                    state.v[other], state.theta[other], r, x)
-            p += fp
-            q += fq
-        return p, q
-    p = sum(dc_branch_flow(state.v[node], state.v[other], g)
-            for other, g in grid.incident_dc_branches(node))
-    # local injection at a converter terminal excludes the converter draw
-    for conv in grid.converters_at_dc_node(node):
-        fp, fq = _conv_flow(grid, state, conv)
-        loss, _ = converter_loss(fp, fq, state.v[conv.aux_node],
-                                 (conv.d1, conv.d2, conv.d3))
-        p += fp + loss
-    return p, 0.0
+def row_spec(grid: GridModel, m: Measurement, region: Region | None = None,
+             conv_vars: bool = False) -> tuple:
+    """Row spec of one measurement; the only place a kind becomes physics.
+
+    Specs are ``("vmag", node)``, ``("ac_flow", f, t, r, x, "p"|"q")``,
+    ``("dc_flow", f, t, g)``, ``("ac_inj", node, branches, "p"|"q")``,
+    ``("dc_inj", node, branches, converter ids)`` and ``("var", tag, id)``
+    for a converter variable.  ``region`` confines the locations to one
+    region; ``conv_vars`` reads AC-side converter readings from the explicit
+    (pvsc, qvsc) variables of a whole-system model.
+    """
+    k = m.kind
+
+    def check(node, kind=None):
+        if kind is not None and grid.node(node).kind != kind:
+            raise TelemetryError(f"{k.name} at non-{kind.upper()} node {node}")
+        if region is not None and node not in region.nodes:
+            raise TelemetryError(
+                f"measurement at node {node} outside region {region.id}")
+
+    if k in (MeasurementKind.AC_V_MAG, MeasurementKind.DC_V_MAG):
+        check(m.location[0], AC if k is MeasurementKind.AC_V_MAG else DC)
+        return ("vmag", m.location[0])
+    if k in (MeasurementKind.AC_P_FLOW, MeasurementKind.AC_Q_FLOW):
+        f, t = _flow_ends(m)
+        check(f), check(t)
+        params = grid.ac_branch(f, t)
+        if params is None:
+            raise TelemetryError(f"no AC branch between {f} and {t}")
+        return ("ac_flow", f, t, *params, "p" if k is MeasurementKind.AC_P_FLOW else "q")
+    if k is MeasurementKind.DC_P_FLOW:
+        f, t = _flow_ends(m)
+        check(f), check(t)
+        g = grid.dc_branch(f, t)
+        if g is None:
+            raise TelemetryError(f"no DC branch between {f} and {t}")
+        return ("dc_flow", f, t, g)
+    if k in CONV_KINDS:
+        conv = grid.converter(m.location[0])
+        which = "p" if k is MeasurementKind.CONV_P else "q"
+        if m.direction == "dc":
+            if which == "q":
+                raise TelemetryError("CONV_Q has no DC side")
+            return converter_spec(conv, "dc")
+        if conv_vars:
+            return ("var", which + "vsc", conv.id)
+        check(conv.aux_node)
+        return converter_spec(conv, "ac", which)
+    # nodal injections
+    node = m.location[0]
+    check(node, DC if k is MeasurementKind.DC_P_INJ else None)
+    which = "p" if k in (MeasurementKind.AC_P_INJ, MeasurementKind.ZERO_P_INJ,
+                         MeasurementKind.DC_P_INJ) else "q"
+    if grid.node(node).kind == AC:
+        return ("ac_inj", node, tuple(grid.incident_ac_branches(node)), which)
+    if which == "q":
+        raise TelemetryError(f"reactive injection at DC node {node}")
+    convs = tuple(c.id for c in grid.converters_at_dc_node(node))
+    return ("dc_inj", node, tuple(grid.incident_dc_branches(node)), convs)
 
 
 def eval_h_nonlinear(grid: GridModel, state: SystemState, m: Measurement) -> float:
-    """Physical value of a measurement at a state, powerflow-consistent."""
-    k = m.kind
-    if k is MeasurementKind.AC_V_MAG:
-        node = m.location[0]
-        if grid.node(node).kind != AC:
-            raise TelemetryError(f"AC_V_MAG at non-AC node {node}")
-        return state.v[node]
-    if k is MeasurementKind.DC_V_MAG:
-        node = m.location[0]
-        if grid.node(node).kind != DC:
-            raise TelemetryError(f"DC_V_MAG at non-DC node {node}")
-        return state.v[node]
-    if k in (MeasurementKind.AC_P_FLOW, MeasurementKind.AC_Q_FLOW):
-        f, t = _flow_ends(m)
-        r, x = _branch_params_ac(grid, f, t)
+    """Physical value of a measurement at a state, powerflow-consistent: its
+    row spec evaluated at the state."""
+    return _spec_value(grid, state, row_spec(grid, m))
+
+
+def _spec_value(grid: GridModel, state: SystemState, spec: tuple) -> float:
+    op = spec[0]
+    if op == "vmag":
+        return state.v[spec[1]]
+    if op == "ac_flow":
+        _, f, t, r, x, which = spec
         p, q = ac_branch_flow(state.v[f], state.theta[f], state.v[t], state.theta[t], r, x)
-        return p if k is MeasurementKind.AC_P_FLOW else q
-    if k is MeasurementKind.DC_P_FLOW:
-        f, t = _flow_ends(m)
-        g = _branch_params_dc(grid, f, t)
+        return p if which == "p" else q
+    if op == "ac_inj":
+        _, node, branches, which = spec
+        return sum(_spec_value(grid, state, ("ac_flow", node, other, r, x, which))
+                   for other, r, x in branches)
+    if op == "dc_flow":
+        _, f, t, g = spec
         return dc_branch_flow(state.v[f], state.v[t], g)
-    if k in (MeasurementKind.AC_P_INJ, MeasurementKind.ZERO_P_INJ):
-        return _node_injection(grid, state, m.location[0])[0]
-    if k in (MeasurementKind.AC_Q_INJ, MeasurementKind.ZERO_Q_INJ):
-        node = m.location[0]
-        if grid.node(node).kind != AC:
-            raise TelemetryError(f"reactive injection at non-AC node {node}")
-        return _node_injection(grid, state, node)[1]
-    if k is MeasurementKind.DC_P_INJ:
-        node = m.location[0]
-        if grid.node(node).kind != DC:
-            raise TelemetryError(f"DC_P_INJ at non-DC node {node}")
-        return _node_injection(grid, state, node)[0]
-    if k in CONV_KINDS:
-        conv = grid.converter(m.location[0])
-        p, q = _conv_flow(grid, state, conv)
-        if m.direction == "dc":
-            if k is MeasurementKind.CONV_Q:
-                raise TelemetryError("CONV_Q has no DC side")
-            loss, _ = converter_loss(p, q, state.v[conv.aux_node],
-                                     (conv.d1, conv.d2, conv.d3))
-            return p + loss
-        return p if k is MeasurementKind.CONV_P else q
-    raise TelemetryError(f"unsupported kind {k}")
+    if op == "dc_inj":
+        _, node, branches, convs = spec
+        total = sum(dc_branch_flow(state.v[node], state.v[other], g)
+                    for other, g in branches)
+        for cid in convs:
+            total += _spec_value(grid, state, ("var", "pdjc", cid))
+        return total
+    # ("var", "pdjc", id): the draw that feeds the converter's AC-side output
+    conv = grid.converter(spec[2])
+    a, c = conv.aux_node, conv.ac_node
+    p, q = ac_branch_flow(state.v[a], state.theta[a], state.v[c], state.theta[c],
+                          conv.coupling_r, conv.coupling_x)
+    loss, _ = converter_loss(p, q, state.v[a], (conv.d1, conv.d2, conv.d3))
+    return p + loss
 
 
 # -- linear model ---------------------------------------------------------------
@@ -346,9 +363,9 @@ class LinearRegionModel:
                 x[col] = state.theta[key]
             elif tag == "v":
                 x[col] = state.v[key]
-            elif tag == "pconv":
+            elif tag == "pdjc":
                 if converters is None:
-                    raise TelemetryError("converter solution needed for pconv truth")
+                    raise TelemetryError("converter solution needed for pdjc truth")
                 x[col] = converters[key].p_djc
         return x
 
@@ -356,7 +373,7 @@ class LinearRegionModel:
         """x -> (v by node, theta by node, converter draw by id)."""
         v: dict[int, float] = {}
         theta: dict[int, float] = {}
-        pconv: dict[int, float] = {}
+        pdjc: dict[int, float] = {}
         for (tag, key), col in self.index.items():
             if tag == "u":
                 v[key] = math.sqrt(max(float(x[col]), 1e-12))
@@ -364,11 +381,11 @@ class LinearRegionModel:
                 theta[key] = float(x[col])
             elif tag == "v":
                 v[key] = float(x[col])
-            elif tag == "pconv":
-                pconv[key] = float(x[col])
+            elif tag == "pdjc":
+                pdjc[key] = float(x[col])
         if self.kind == AC and self.angle_ref is not None:
             theta[self.angle_ref] = 0.0
-        return v, theta, pconv
+        return v, theta, pdjc
 
 
 def _ac_labels(grid: GridModel, region: Region) -> tuple[list, int]:
@@ -382,14 +399,15 @@ def _ac_labels(grid: GridModel, region: Region) -> tuple[list, int]:
 def _dc_labels(grid: GridModel, region: Region) -> list:
     labels = [("v", n) for n in sorted(region.nodes)]
     for cid, orient in region.boundary:
-        if orient == "owns-dc-side":
-            labels.append(("pconv", cid))
+        if orient == OWNS_DC:
+            labels.append(("pdjc", cid))
     return labels
 
 
 def build_region_H(grid: GridModel, region: Region,
                    measurements: list[tuple[int, Measurement]]) -> LinearRegionModel:
-    """Assemble the constant regional matrix, one row per measurement.
+    """Assemble the constant regional matrix: the linear coefficients of each
+    measurement's row spec.
 
     Voltage-magnitude readings are mapped to U-space (value squared, sigma
     by first-order propagation).  Injection rows are sums of their incident
@@ -402,126 +420,81 @@ def build_region_H(grid: GridModel, region: Region,
     index = {lab: k for k, lab in enumerate(labels)}
     n = len(labels)
 
-    def u_col(node):
-        return index.get(("u", node))
-
-    def th_col(node):
-        return index.get(("th", node))
-
-    def add_ac_flow(row, f, t, r, x, which, sign=1.0):
-        a, c = linear_row_ac_flow(r, x)
-        if which == "p":
-            cu, cth = a, c
-        else:
-            d = r * r + x * x
-            cu, cth = x / (2.0 * d), -r / d
-        for node, s in ((f, sign), (t, -sign)):
-            row[u_col(node)] += s * cu
-            tc = th_col(node)
-            if tc is not None:
-                row[tc] += s * cth
-
-    def add_dc_flow(row, f, t, g, sign=1.0):
-        row[index[("v", f)]] += sign * g
-        row[index[("v", t)]] -= sign * g
-
-    def check_node(node):
-        if node not in region.nodes:
-            raise TelemetryError(f"measurement at node {node} outside region {region.id}")
-
-    rows = []
-    z = []
-    sig = []
-    sources = []
-    zero = []
-    midx = []
-    mlist = []
-    for gidx, m in measurements:
+    def linear_row(spec):
         row = np.zeros(n)
-        value, sigma = m.value, m.sigma
-        k = m.kind
-        if k is MeasurementKind.AC_V_MAG:
-            check_node(m.location[0])
-            row[u_col(m.location[0])] = 1.0
-            value = m.value * m.value
-            sigma = 2.0 * abs(m.value) * m.sigma
-        elif k is MeasurementKind.DC_V_MAG:
-            check_node(m.location[0])
-            row[index[("v", m.location[0])]] = 1.0
-        elif k in (MeasurementKind.AC_P_FLOW, MeasurementKind.AC_Q_FLOW):
-            f, t = _flow_ends(m)
-            check_node(f), check_node(t)
-            r, x = _branch_params_ac(grid, f, t)
-            add_ac_flow(row, f, t, r, x, "p" if k is MeasurementKind.AC_P_FLOW else "q")
-        elif k is MeasurementKind.DC_P_FLOW:
-            f, t = _flow_ends(m)
-            check_node(f), check_node(t)
-            add_dc_flow(row, f, t, _branch_params_dc(grid, f, t))
-        elif k in (MeasurementKind.AC_P_INJ, MeasurementKind.AC_Q_INJ,
-                   MeasurementKind.ZERO_P_INJ, MeasurementKind.ZERO_Q_INJ,
-                   MeasurementKind.DC_P_INJ):
-            node = m.location[0]
-            check_node(node)
-            if region.kind == AC:
-                which = "p" if k in (MeasurementKind.AC_P_INJ, MeasurementKind.ZERO_P_INJ) else "q"
-                for other, r, x in grid.incident_ac_branches(node):
-                    add_ac_flow(row, node, other, r, x, which)
-            else:
-                if k in (MeasurementKind.AC_Q_INJ, MeasurementKind.ZERO_Q_INJ):
-                    raise TelemetryError(f"reactive injection at DC node {node}")
-                for other, g in grid.incident_dc_branches(node):
-                    add_dc_flow(row, node, other, g)
-                for conv in grid.converters_at_dc_node(node):
-                    row[index[("pconv", conv.id)]] += 1.0
-        elif k in CONV_KINDS:
-            conv = grid.converter(m.location[0])
-            if m.direction == "dc":
-                if k is MeasurementKind.CONV_Q:
-                    raise TelemetryError("CONV_Q has no DC side")
-                if ("pconv", conv.id) not in index:
-                    raise TelemetryError(
-                        f"converter {conv.id} not on region {region.id} boundary")
-                row[index[("pconv", conv.id)]] = 1.0
-            else:
-                check_node(conv.aux_node)
-                add_ac_flow(row, conv.aux_node, conv.ac_node,
-                            conv.coupling_r, conv.coupling_x,
-                            "p" if k is MeasurementKind.CONV_P else "q")
+        _add_linear(row, index, spec)
+        return row
+
+    measurements = list(measurements)
+    rows, z, sig = [], [], []
+    for _, m in measurements:
+        spec = row_spec(grid, m, region)
+        rows.append(linear_row(spec))
+        if spec[0] == "vmag" and region.kind == AC:
+            z.append(m.value * m.value)
+            sig.append(2.0 * abs(m.value) * m.sigma)
         else:
-            raise TelemetryError(f"unsupported kind {k}")
-        rows.append(row)
-        z.append(value)
-        sig.append(sigma)
-        sources.append(m.source)
-        zero.append(m.source == SOURCE_VIRTUAL_ZERO)
-        midx.append(gidx)
-        mlist.append(m)
+            z.append(m.value)
+            sig.append(m.sigma)
 
     boundary: dict[int, np.ndarray] = {}
     boundary_q: dict[int, np.ndarray] = {}
     for cid, orient in region.boundary:
         conv = grid.converter(cid)
-        brow = np.zeros(n)
-        if orient == "owns-ac-side":
-            add_ac_flow(brow, conv.aux_node, conv.ac_node,
-                        conv.coupling_r, conv.coupling_x, "p")
-            qrow = np.zeros(n)
-            add_ac_flow(qrow, conv.aux_node, conv.ac_node,
-                        conv.coupling_r, conv.coupling_x, "q")
-            boundary_q[cid] = qrow
-        else:
-            brow[index[("pconv", cid)]] = 1.0
-        boundary[cid] = brow
+        side = "ac" if orient == OWNS_AC else "dc"
+        boundary[cid] = linear_row(converter_spec(conv, side))
+        if side == "ac":
+            boundary_q[cid] = linear_row(converter_spec(conv, side, "q"))
 
-    m_count = len(rows)
     return LinearRegionModel(
         region_id=region.id, kind=region.kind, labels=labels, index=index,
         H=np.vstack(rows) if rows else np.zeros((0, n)),
-        const=np.zeros(m_count), z=np.asarray(z, dtype=float),
-        sigma=np.asarray(sig, dtype=float), sources=sources,
-        zero_mask=np.asarray(zero, dtype=bool), meas_indices=midx,
-        measurements=mlist, angle_ref=ref, boundary=boundary,
+        const=np.zeros(len(rows)), z=np.asarray(z, dtype=float),
+        sigma=np.asarray(sig, dtype=float), sources=[m.source for _, m in measurements],
+        zero_mask=np.asarray([m.source == SOURCE_VIRTUAL_ZERO for _, m in measurements],
+                             dtype=bool),
+        meas_indices=[gidx for gidx, _ in measurements],
+        measurements=[m for _, m in measurements], angle_ref=ref, boundary=boundary,
         boundary_q=boundary_q)
+
+
+def _add_linear(row: np.ndarray, index: dict, spec: tuple) -> None:
+    """Add a row spec's linear coefficients: AC flows over (U, theta), DC
+    flows over V, converter variables with coefficient one."""
+    op = spec[0]
+    if op == "vmag":
+        node = spec[1]
+        row[index[("u", node)] if ("u", node) in index else index[("v", node)]] = 1.0
+    elif op == "ac_flow":
+        _, f, t, r, x, which = spec
+        if which == "p":
+            cu, cth = linear_row_ac_flow(r, x)
+        else:
+            d = r * r + x * x
+            cu, cth = x / (2.0 * d), -r / d
+        for node, s in ((f, 1.0), (t, -1.0)):
+            row[index[("u", node)]] += s * cu
+            tc = index.get(("th", node))
+            if tc is not None:
+                row[tc] += s * cth
+    elif op == "ac_inj":
+        _, node, branches, which = spec
+        for other, r, x in branches:
+            _add_linear(row, index, ("ac_flow", node, other, r, x, which))
+    elif op == "dc_flow":
+        _, f, t, g = spec
+        row[index[("v", f)]] += g
+        row[index[("v", t)]] -= g
+    elif op == "dc_inj":
+        _, node, branches, convs = spec
+        for other, g in branches:
+            _add_linear(row, index, ("dc_flow", node, other, g))
+        for cid in convs:
+            row[index[("pdjc", cid)]] += 1.0
+    else:
+        if spec[1:] not in index:
+            raise TelemetryError(f"converter {spec[2]} not on the region's boundary")
+        row[index[spec[1:]]] = 1.0
 
 
 # -- telemetry synthesis --------------------------------------------------------

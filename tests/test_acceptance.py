@@ -331,7 +331,7 @@ def test_criterion_6_injection_accuracy_vs_baseline(case33, case33_loads, model3
            "of a pair and swamps the injection-driven profile differences "
            "(~2e-4..1e-3); the paired win rate therefore plateaus near 60-80% "
            "for any injection quality.  The DNN benefit shows cleanly in the "
-           "angle dimension (reported below).  See notes/decisions.md.")
+           "angle dimension (reported below).")
 def test_criterion_6_paired_v_magnitude_wins(model33):
     path, _ = model33
     all_ok = True
@@ -380,10 +380,9 @@ def test_criterion_8_boundary_consistency(case33, case33_loads, toy5, toy5_loads
         assert est.converged
         assert est.max_mismatch() <= TAU, tag
         final = {}
-        for k, pkt in enumerate(est.packet_trace):
-            side = "ac" if k % 2 == 0 else "dc"
+        for pkt in est.packet_trace:
             if pkt.iteration == est.iterations:
-                final.setdefault(pkt.converter, {})[side] = pkt
+                final.setdefault(pkt.converter, {})[pkt.side] = pkt
         for cid, pair in final.items():
             # DC packets carry the AC-side loss, so the converter draw is
             # p_dc + loss; the balance compares it against p_ac + loss

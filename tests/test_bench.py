@@ -131,6 +131,17 @@ class TestMonteCarlo:
         result = run_montecarlo(sc)
         assert [r.seed for r in result.records] == [4242, 4243, 4244]
 
+    def test_corrupt_dominant_counts_lnr_rejection(self):
+        # LNR drops the doubled converter reading before the final residuals
+        # are taken; the rejection itself is what makes it dominant
+        sc = Scenario(grid=str(data.path(data.CASE33_HYBRID)), method="cwls", runs=3,
+                      seed=20240, base_profile=str(data.path(data.CASE33_HYBRID_LOADS)),
+                      test_days=5, bad_data_case=2)
+        result = run_montecarlo(sc)
+        for rec in result.records:
+            assert not rec.error
+            assert rec.corrupt_dominant is True
+
 
 class TestCli:
     def test_pf_and_simulate_and_estimate(self, tmp_path):
