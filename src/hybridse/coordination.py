@@ -230,11 +230,6 @@ def _coordinate(grid: GridModel, ms: MeasurementSet, params: CoordinationParams,
 # -- DRSE ----------------------------------------------------------------------
 
 
-def _solve_drse_region(model, terms, basis):
-    """Regional WLAV solve; sees only its own model and BoundaryTerm values."""
-    return solve_wlav_region(model, terms, basis=basis)
-
-
 def run_drse(grid: GridModel, ms: MeasurementSet,
              params: CoordinationParams = CoordinationParams()) -> SystemEstimate:
     """Distributed robust estimation: regional WLAV LPs under Lagrangian
@@ -245,7 +240,8 @@ def run_drse(grid: GridModel, ms: MeasurementSet,
     bases: dict[int, tuple] = {}
 
     def solve_region(region, terms):
-        result, sol = _solve_drse_region(models[region.id], terms, bases.get(region.id))
+        # the regional solve sees only its own model and BoundaryTerm values
+        result, sol = solve_wlav_region(models[region.id], terms, basis=bases.get(region.id))
         bases[region.id] = sol.basis
         return result
 

@@ -6,14 +6,23 @@ Dantzig's rule with a switch to Bland's rule after a run of degenerate pivots,
 which guarantees termination.  Tie-breaking is by lowest index everywhere, so
 solves are deterministic.
 
+A cold start begins from a crash basis.  Rows are sign-flipped so that
+b >= 0; each row then takes the first bounded column that is a unit column
+in that row (for the regional WLAV LP, the residual slack u or l and the
+boundary slack a or b), and only the rows left uncovered (exact zero
+injections) get an artificial column for phase 1.  The starting tableau is
+[A | I_art | b] itself, so a cold start factors nothing.
+
 The returned basis can be passed back to warm-start a later solve of a
 problem with identical constraint structure (only costs / right-hand sides
-changed); an unusable basis silently falls back to a cold start.
+changed).  A warm basis that does not fit, is singular or is primal
+infeasible for the new b raises ``LpError`` inside the solve, and
+:func:`lp_solve` then does one cold start.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +45,6 @@ class LpProblem:
     a_eq: np.ndarray
     b_eq: np.ndarray
     free_mask: np.ndarray                  # True where the variable is unbounded below
-    tags: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -60,23 +68,23 @@ _DEGENERATE_STREAK = 30
 
 
 def lp_solve(problem: LpProblem, basis: tuple[int, ...] | None = None,
-             basis_hint: list[int | None] | None = None,
              tol: float = 1e-9, max_iter: int = 20000) -> LpSolution:
     """Solve an equality-form LP; optimal basic solution, deterministic.
 
-    A stale warm-start basis can leave the reduced tableau numerically
-    degenerate; any solver failure under a warm start falls back to a cold
-    start before being reported.
+    Without ``basis`` the solve starts cold from the crash basis.  With it,
+    the solve starts from that basis; if the basis is unusable for this
+    problem, or the solve from it fails in any way, the problem is solved
+    once more from a cold start before a failure is reported.
     """
     if basis is not None:
         try:
-            return _lp_solve(problem, basis, basis_hint, tol, max_iter)
+            return _lp_solve(problem, basis, tol, max_iter)
         except LpError:
             pass
-    return _lp_solve(problem, None, basis_hint, tol, max_iter)
+    return _lp_solve(problem, None, tol, max_iter)
 
 
-def _lp_solve(problem: LpProblem, basis, basis_hint, tol, max_iter) -> LpSolution:
+def _lp_solve(problem: LpProblem, basis, tol, max_iter) -> LpSolution:
     m, n = problem.a_eq.shape
 
     # split free variables: column map entry (original index, sign)
@@ -104,54 +112,15 @@ def _lp_solve(problem: LpProblem, basis, basis_hint, tol, max_iter) -> LpSolutio
     b[neg] *= -1.0
 
     iterations = 0
-
-    def reduce_with(bas: list[int], cols: np.ndarray, rhs: np.ndarray):
-        mat = cols[:, bas]
-        try:
-            t = np.linalg.solve(mat, np.column_stack([cols, rhs]))
-        except np.linalg.LinAlgError:
-            return None
-        if t[:, -1].min() < -1e-9:
-            return None
-        return t
-
-    t = None
-    cols_basis: list[int] = []
-    # warm start: previous optimal basis on the same constraint structure
-    if basis is not None and len(basis) == m and max(basis, default=-1) < n_int:
-        t = reduce_with(list(basis), a, b)
-        if t is not None:
-            cols_basis = list(basis)
-
-    art_cols: list[int] = []
-    if t is None:
-        hint = basis_hint if basis_hint is not None else [None] * m
-        if len(hint) != m:
-            raise ValueError("basis hint length must match row count")
-        need_art = [i for i, hcol in enumerate(hint) if hcol is None]
-        n_art = len(need_art)
-        full = np.empty((m, n_int + n_art))
-        full[:, :n_int] = a
-        full[:, n_int:] = 0.0
-        art_of_row = {}
-        for k, i in enumerate(need_art):
-            full[i, n_int + k] = 1.0
-            art_of_row[i] = n_int + k
-        cols_basis = [hint[i] if hint[i] is not None else art_of_row[i]
-                      for i in range(m)]
-        t = reduce_with(cols_basis, full, b)
-        if t is None:
-            # cold start: all-artificial basis
-            n_art = m
-            full = np.empty((m, n_int + n_art))
-            full[:, :n_int] = a
-            full[:, n_int:] = np.eye(m)
-            cols_basis = list(range(n_int, n_int + n_art))
-            t = reduce_with(cols_basis, full, b)
-        art_cols = list(range(n_int, full.shape[1]))
-
-        if art_cols:
-            c1 = np.zeros(full.shape[1])
+    if basis is not None:
+        t, cols_basis = _warm_tableau(a, b, basis)
+    else:
+        bounded = np.zeros(n_int, dtype=bool)
+        bounded[:n] = ~problem.free_mask
+        t, cols_basis = _crash_tableau(a, b, bounded)
+        n_art = t.shape[1] - 1 - n_int
+        if n_art:
+            c1 = np.zeros(n_int + n_art)
             c1[n_int:] = 1.0
             # price only real columns; artificials may leave but never re-enter
             iterations += _optimize(t, cols_basis, c1, n_int, tol, max_iter)
@@ -164,7 +133,7 @@ def _lp_solve(problem: LpProblem, basis, basis_hint, tol, max_iter) -> LpSolutio
                 rows = np.array(keep, dtype=int)
                 t = t[rows]
                 cols_basis = [cols_basis[i] for i in keep]
-        t = t[:, list(range(n_int)) + [t.shape[1] - 1]]
+            t = t[:, list(range(n_int)) + [t.shape[1] - 1]]
 
     iterations += _optimize(t, cols_basis, c_int, n_int, tol, max_iter - iterations)
 
@@ -174,6 +143,38 @@ def _lp_solve(problem: LpProblem, basis, basis_hint, tol, max_iter) -> LpSolutio
         x[j] += sign * val
     return LpSolution(x=x, objective=float(problem.c @ x),
                       iterations=iterations, basis=tuple(cols_basis))
+
+
+def _warm_tableau(a, b, basis) -> tuple[np.ndarray, list[int]]:
+    """Tableau B^-1 [A | b] of a previous basis; LpError if it is unusable."""
+    cols_basis = list(basis)
+    if len(cols_basis) != a.shape[0] or max(cols_basis, default=-1) >= a.shape[1]:
+        raise LpError("warm basis does not fit the problem")
+    try:
+        t = np.linalg.solve(a[:, cols_basis], np.column_stack([a, b]))
+    except np.linalg.LinAlgError as exc:
+        raise LpError("singular warm basis") from exc
+    if t[:, -1].min() < -1e-9:
+        raise LpError("warm basis is infeasible for this right-hand side")
+    return t, cols_basis
+
+
+def _crash_tableau(a, b, bounded) -> tuple[np.ndarray, list[int]]:
+    """Tableau [A | I_art | b] of the crash basis: per row the first bounded
+    unit column, an artificial column for each row without one."""
+    m, n_int = a.shape
+    unit = bounded & (np.count_nonzero(a, axis=0) == 1) & (a.max(axis=0, initial=0.0) == 1.0)
+    cols_basis: list[int | None] = [None] * m
+    for j in np.flatnonzero(unit)[::-1]:
+        cols_basis[int(np.argmax(a[:, j]))] = int(j)
+    uncovered = [i for i, col in enumerate(cols_basis) if col is None]
+    t = np.zeros((m, n_int + len(uncovered) + 1))
+    t[:, :n_int] = a
+    t[:, -1] = b
+    for k, i in enumerate(uncovered):
+        t[i, n_int + k] = 1.0
+        cols_basis[i] = n_int + k
+    return t, cols_basis
 
 
 def _optimize(t, cols_basis, c, n_cols, tol, max_iter) -> int:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..telemetry import SOURCE_VIRTUAL_ZERO
 from .lp import LpProblem, LpSolution, lp_solve
 from .result import EstimationResult
 
@@ -32,70 +33,45 @@ class BoundaryTerm:
     loss_const: float = 0.0
 
 
-@dataclass
-class WlavMeta:
-    n_states: int
-    u_col: dict[int, int]
-    l_col: dict[int, int]
-    ab_cols: dict[int, tuple[int, int]]
-    row_of_meas: dict[int, int]
-    boundary_rows: dict[int, int]
-    basis_hint: list[int | None]
+def build_regional_wlav_lp(model, boundary: dict[int, BoundaryTerm]) -> LpProblem:
+    """Assemble the regional LP from a constant linear measurement model.
 
-
-def build_regional_wlav_lp(model, boundary: dict[int, BoundaryTerm]) -> tuple[LpProblem, WlavMeta]:
-    """Assemble the regional LP from a constant linear measurement model."""
+    Columns are the states, a (u, l) pair per measurement row that is not an
+    exact zero injection, then an (a, b) pair per boundary converter.
+    """
     m = len(model.z)
     if m == 0:
         raise ValueError(f"region {model.region_id} has no measurements")
     n = model.n_states
-    slack_rows = [i for i in range(m) if not model.zero_mask[i]]
+    slack_rows = [i for i, src in enumerate(model.sources) if src != SOURCE_VIRTUAL_ZERO]
     convs = sorted(boundary)
-
-    n_cols = n + 2 * len(slack_rows) + 2 * len(convs)
-    u_col = {row: n + 2 * k for k, row in enumerate(slack_rows)}
-    l_col = {row: n + 2 * k + 1 for k, row in enumerate(slack_rows)}
     ab0 = n + 2 * len(slack_rows)
-    ab_cols = {cid: (ab0 + 2 * k, ab0 + 2 * k + 1) for k, cid in enumerate(convs)}
 
-    n_rows = m + len(convs)
+    n_rows, n_cols = m + len(convs), ab0 + 2 * len(convs)
     a = np.zeros((n_rows, n_cols))
     b = np.zeros(n_rows)
     c = np.zeros(n_cols)
-    tags = ["state"] * n + ["u", "l"] * len(slack_rows) + ["a", "b"] * len(convs)
-    hint: list[int | None] = [None] * n_rows
 
     a[:m, :n] = model.H
-    b[:m] = model.z - model.const
-    for row in slack_rows:
-        a[row, u_col[row]] = 1.0
-        a[row, l_col[row]] = -1.0
-        weight = 1.0 / model.sigma[row]
-        c[u_col[row]] = weight
-        c[l_col[row]] = weight
-        hint[row] = u_col[row] if b[row] >= 0 else l_col[row]
+    b[:m] = model.z
+    for k, row in enumerate(slack_rows):
+        u = n + 2 * k
+        a[row, u] = 1.0
+        a[row, u + 1] = -1.0
+        c[u] = c[u + 1] = 1.0 / model.sigma[row]
 
-    boundary_rows = {}
     for k, cid in enumerate(convs):
         term = boundary[cid]
-        row = m + k
-        boundary_rows[cid] = row
+        row, acol = m + k, ab0 + 2 * k
         a[row, :n] = model.boundary[cid]
-        acol, bcol = ab_cols[cid]
         a[row, acol] = -1.0
-        a[row, bcol] = 1.0
+        a[row, acol + 1] = 1.0
         b[row] = term.neighbor_p + term.loss_const
-        c[acol] = term.lam
-        c[bcol] = term.lam
-        hint[row] = bcol if b[row] >= 0 else acol
+        c[acol] = c[acol + 1] = term.lam
 
     free = np.zeros(n_cols, dtype=bool)
     free[:n] = True
-    problem = LpProblem(c=c, a_eq=a, b_eq=b, free_mask=free, tags=tags)
-    meta = WlavMeta(n_states=n, u_col=u_col, l_col=l_col, ab_cols=ab_cols,
-                    row_of_meas={model.meas_indices[i]: i for i in range(m)},
-                    boundary_rows=boundary_rows, basis_hint=hint)
-    return problem, meta
+    return LpProblem(c=c, a_eq=a, b_eq=b, free_mask=free)
 
 
 def solve_wlav_region(model, boundary: dict[int, BoundaryTerm] | None = None,
@@ -105,12 +81,12 @@ def solve_wlav_region(model, boundary: dict[int, BoundaryTerm] | None = None,
     solution (whose basis warm-starts the next coordination iteration)."""
     t0 = time.perf_counter()
     boundary = boundary or {}
-    problem, meta = build_regional_wlav_lp(model, boundary)
-    sol = lp_solve(problem, basis=basis, basis_hint=meta.basis_hint)
+    problem = build_regional_wlav_lp(model, boundary)
+    sol = lp_solve(problem, basis=basis)
 
-    x = sol.x[:meta.n_states]
+    x = sol.x[:model.n_states]
     v, theta, pconv = model.extract_state(x)
-    residuals = model.z - model.evaluate(x)
+    residuals = model.z - model.h(x)
     boundary_p = {}
     for cid, term in boundary.items():
         boundary_p[cid] = float(model.boundary[cid] @ x - term.loss_const)

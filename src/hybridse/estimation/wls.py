@@ -14,55 +14,6 @@ ZERO_INJ_SIGMA = 1e-6
 REMOVABLE_SOURCES = ("scada", "smart_meter", "pseudo", "dnn")
 
 
-class MatrixModel:
-    """Plain linear model z = H x + e with the shared estimator interface."""
-
-    def __init__(self, h_mat, z, sigma, sources=None, meas_indices=None,
-                 scope: str = "linear"):
-        self.H = np.atleast_2d(np.asarray(h_mat, dtype=float))
-        self.z = np.asarray(z, dtype=float)
-        self.sigma = np.asarray(sigma, dtype=float)
-        m = self.z.size
-        self.sources = list(sources) if sources is not None else ["scada"] * m
-        self.meas_indices = list(meas_indices) if meas_indices is not None else list(range(m))
-        self.measurements = [None] * m
-        self.scope = scope
-
-    @property
-    def n_states(self):
-        return self.H.shape[1]
-
-    def x0(self):
-        return np.zeros(self.n_states)
-
-    def h(self, x):
-        return self.H @ x
-
-    def jac(self, x):
-        return self.H
-
-    def h_jac(self, x, with_jac=True):
-        return self.H @ x, (self.H if with_jac else None)
-
-    def evaluate(self, x):
-        return self.H @ x
-
-    def extract_state(self, x):
-        return {}, {}, {}
-
-    def clone(self):
-        return MatrixModel(self.H.copy(), self.z.copy(), self.sigma.copy(),
-                           list(self.sources), list(self.meas_indices), self.scope)
-
-    def drop_row(self, i):
-        self.H = np.delete(self.H, i, axis=0)
-        self.z = np.delete(self.z, i)
-        self.sigma = np.delete(self.sigma, i)
-        self.sources = self.sources[:i] + self.sources[i + 1:]
-        self.meas_indices = self.meas_indices[:i] + self.meas_indices[i + 1:]
-        self.measurements = self.measurements[:i] + self.measurements[i + 1:]
-
-
 def effective_sigma(model) -> np.ndarray:
     """Measurement sigmas with exact-zero rows pinned to a tight weight."""
     sigma = np.asarray(model.sigma, dtype=float).copy()

@@ -185,10 +185,6 @@ class GridModel:
         nodes = self.region(region_id).nodes
         return [c for c in self.converters if c.aux_node in nodes]
 
-    def boundary_converters(self, region_id: int) -> list[tuple[Converter, str]]:
-        return [(self.converter(cid), orient)
-                for cid, orient in self.region(region_id).boundary]
-
     def converter_at_aux(self, node_id: int) -> Converter | None:
         return self._conv_at_aux.get(node_id)
 
@@ -413,10 +409,6 @@ def serialize(grid: GridModel) -> str:
         "slack": grid.slack,
     }
     return json.dumps(doc, sort_keys=True, indent=1)
-
-
-def save_grid(grid: GridModel, path: str | Path) -> None:
-    Path(path).write_text(serialize(grid) + "\n")
 
 
 # -- validation ------------------------------------------------------------

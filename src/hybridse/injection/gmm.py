@@ -33,12 +33,6 @@ class GmmModel:
         second = self.weights @ (self.variances + self.means ** 2)
         return second - mu ** 2
 
-    def log_pdf(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        comp = _component_log_pdf(x, self.means, self.variances)
-        comp = comp + np.log(self.weights)[None, :]
-        return _logsumexp(comp)
-
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         comp = rng.choice(self.k, size=n, p=self.weights)
         out = rng.normal(self.means[comp], np.sqrt(self.variances[comp]))

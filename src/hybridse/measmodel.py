@@ -80,9 +80,6 @@ class NonlinearModel:
     def h(self, x: np.ndarray) -> np.ndarray:
         return self.h_jac(x, with_jac=False)[0]
 
-    def jac(self, x: np.ndarray) -> np.ndarray:
-        return self.h_jac(x)[1]
-
     def h_jac(self, x: np.ndarray, with_jac: bool = True):
         m = len(self.rows)
         h = np.zeros(m)

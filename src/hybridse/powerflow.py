@@ -70,14 +70,6 @@ def load_profile(path: str | Path) -> InjectionProfile:
     return prof
 
 
-def save_profile(profile: InjectionProfile, path: str | Path) -> None:
-    lines = ["node_id,P,Q"]
-    for node in sorted(profile.p):
-        q = repr(profile.q[node]) if node in profile.q else ""
-        lines.append(f"{node},{profile.p[node]!r},{q}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 @dataclass
 class SystemState:
     """Voltage magnitude per node (p.u.) and angle per AC node (rad)."""

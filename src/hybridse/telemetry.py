@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
@@ -96,9 +96,7 @@ class MeasurementSet:
         return self.measurements[idx]
 
     def region_of(self, m: Measurement, grid: GridModel) -> int:
-        if m.kind in NODE_KINDS:
-            return grid.node(m.location[0]).region
-        if m.kind in FLOW_KINDS:
+        if m.kind in NODE_KINDS or m.kind in FLOW_KINDS:
             return grid.node(m.location[0]).region
         conv = grid.converter(m.location[0])
         if m.direction == "dc":
@@ -267,7 +265,7 @@ def _spec_value(grid: GridModel, state: SystemState, spec: tuple) -> float:
 def linear_row_ac_flow(r: float, x: float) -> tuple[float, float]:
     """Coefficients of the linear P-flow row: ``a`` on (U_f - U_t), ``c`` on
     (theta_f - theta_t), with P = a dU + c dth.  The Q row reuses them as
-    Q = (x-coefficient) dU - (r-coefficient) dth; see :func:`_add_flow_row`.
+    Q = (x-coefficient) dU - (r-coefficient) dth; see :func:`_add_linear`.
     """
     d = r * r + x * x
     return r / (2.0 * d), x / d
@@ -280,45 +278,52 @@ def linear_row_dc_flow(g: float) -> float:
 
 @dataclass
 class LinearRegionModel:
-    """Constant measurement matrix of one region: z ~ H x + const.
+    """Constant linear measurement model z ~ H x, of one region or of a bare
+    matrix: only ``H, z, sigma`` are required.
 
     AC regions: x = [U per node, theta per non-reference node].
     DC regions: x = [V per node, draw per boundary converter].
+    Rows whose source is ``SOURCE_VIRTUAL_ZERO`` are exact zero injections.
     """
 
-    region_id: int
-    kind: str
-    labels: list[tuple[str, int]]
-    index: dict[tuple[str, int], int]
     H: np.ndarray
-    const: np.ndarray
     z: np.ndarray
     sigma: np.ndarray
-    sources: list[str]
-    zero_mask: np.ndarray
-    meas_indices: list[int]          # positions in the parent MeasurementSet
-    measurements: list[Measurement]
-    angle_ref: int | None
-    boundary: dict[int, np.ndarray]    # converter id -> row of its AC-side power
-    boundary_q: dict[int, np.ndarray]  # reactive companion (AC regions only)
+    sources: list[str] | None = None         # default: every row SCADA
+    meas_indices: list[int] | None = None    # positions in the parent MeasurementSet
+    measurements: list[Measurement | None] | None = None
+    region_id: int = -1
+    kind: str = AC
+    labels: list[tuple[str, int]] = field(default_factory=list)
+    index: dict[tuple[str, int], int] = field(default_factory=dict)
+    angle_ref: int | None = None
+    # converter id -> row of its AC-side power, and the reactive companion
+    # (AC regions only)
+    boundary: dict[int, np.ndarray] = field(default_factory=dict)
+    boundary_q: dict[int, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.H = np.atleast_2d(np.asarray(self.H, dtype=float))
+        self.z = np.asarray(self.z, dtype=float)
+        self.sigma = np.asarray(self.sigma, dtype=float)
+        m = self.z.size
+        self.sources = [SOURCE_SCADA] * m if self.sources is None else list(self.sources)
+        self.meas_indices = (list(range(m)) if self.meas_indices is None
+                             else list(self.meas_indices))
+        self.measurements = ([None] * m if self.measurements is None
+                             else list(self.measurements))
 
     @property
     def n_states(self) -> int:
-        return len(self.labels)
+        return self.H.shape[1]
 
     @property
     def scope(self) -> str:
         return f"region:{self.region_id}"
 
-    def evaluate(self, x: np.ndarray) -> np.ndarray:
-        return self.H @ x + self.const
-
     # estimator-facing interface, shared with the nonlinear model
     def h(self, x: np.ndarray) -> np.ndarray:
-        return self.H @ x + self.const
-
-    def jac(self, x: np.ndarray) -> np.ndarray:
-        return self.H
+        return self.H @ x
 
     def h_jac(self, x: np.ndarray, with_jac: bool = True):
         return self.h(x), (self.H if with_jac else None)
@@ -331,24 +336,12 @@ class LinearRegionModel:
         return x
 
     def clone(self) -> "LinearRegionModel":
-        import copy
-        out = copy.copy(self)
-        out.H = np.array(self.H)
-        out.const = np.array(self.const)
-        out.z = np.array(self.z)
-        out.sigma = np.array(self.sigma)
-        out.sources = list(self.sources)
-        out.zero_mask = np.array(self.zero_mask)
-        out.meas_indices = list(self.meas_indices)
-        out.measurements = list(self.measurements)
-        return out
+        return replace(self, H=self.H.copy(), z=self.z.copy(), sigma=self.sigma.copy())
 
     def drop_row(self, i: int) -> None:
         self.H = np.delete(self.H, i, axis=0)
-        self.const = np.delete(self.const, i)
         self.z = np.delete(self.z, i)
         self.sigma = np.delete(self.sigma, i)
-        self.zero_mask = np.delete(self.zero_mask, i)
         self.sources = self.sources[:i] + self.sources[i + 1:]
         self.meas_indices = self.meas_indices[:i] + self.meas_indices[i + 1:]
         self.measurements = self.measurements[:i] + self.measurements[i + 1:]
@@ -411,7 +404,7 @@ def build_region_H(grid: GridModel, region: Region,
 
     Voltage-magnitude readings are mapped to U-space (value squared, sigma
     by first-order propagation).  Injection rows are sums of their incident
-    flow rows; zero-injection rows are flagged exact.
+    flow rows.
     """
     if region.kind == AC:
         labels, ref = _ac_labels(grid, region)
@@ -447,15 +440,12 @@ def build_region_H(grid: GridModel, region: Region,
             boundary_q[cid] = linear_row(converter_spec(conv, side, "q"))
 
     return LinearRegionModel(
-        region_id=region.id, kind=region.kind, labels=labels, index=index,
-        H=np.vstack(rows) if rows else np.zeros((0, n)),
-        const=np.zeros(len(rows)), z=np.asarray(z, dtype=float),
-        sigma=np.asarray(sig, dtype=float), sources=[m.source for _, m in measurements],
-        zero_mask=np.asarray([m.source == SOURCE_VIRTUAL_ZERO for _, m in measurements],
-                             dtype=bool),
+        H=np.vstack(rows) if rows else np.zeros((0, n)), z=z, sigma=sig,
+        sources=[m.source for _, m in measurements],
         meas_indices=[gidx for gidx, _ in measurements],
-        measurements=[m for _, m in measurements], angle_ref=ref, boundary=boundary,
-        boundary_q=boundary_q)
+        measurements=[m for _, m in measurements], region_id=region.id,
+        kind=region.kind, labels=labels, index=index, angle_ref=ref,
+        boundary=boundary, boundary_q=boundary_q)
 
 
 def _add_linear(row: np.ndarray, index: dict, spec: tuple) -> None:
@@ -644,7 +634,7 @@ def linearize_measurements(grid: GridModel, ms: MeasurementSet,
     values: dict[int, float] = {}
     for region in grid.regions:
         model = models[region.id]
-        z_lin = model.evaluate(model.truth_vector(state, draws))
+        z_lin = model.h(model.truth_vector(state, draws))
         for row, gidx in enumerate(model.meas_indices):
             m = model.measurements[row]
             if m.kind is MeasurementKind.AC_V_MAG:

@@ -15,7 +15,7 @@ import pytest
 from hybridse import data
 from hybridse.bench import Scenario, prepare_context, run_single
 from hybridse.coordination import CoordinationParams, run_drse
-from hybridse.estimation import MatrixModel, solve_wlav_region, solve_wls
+from hybridse.estimation import solve_wlav_region, solve_wls
 from hybridse.grid import grid_from_dict
 from hybridse.injection import (fit_gmm, gen_load_profiles, infer_injections,
                                 init_model, loss_and_grads, scada_vector,
@@ -23,8 +23,9 @@ from hybridse.injection import (fit_gmm, gen_load_profiles, infer_injections,
 from hybridse.measmodel import build_region_model, build_system_model
 from hybridse.powerflow import (InjectionProfile, conservation_residual,
                                 solve_powerflow)
-from hybridse.telemetry import (Measurement, MeasurementKind, ScheduleConfig,
-                                linearize_measurements, simulate_measurements)
+from hybridse.telemetry import (LinearRegionModel, Measurement, MeasurementKind,
+                                ScheduleConfig, linearize_measurements,
+                                simulate_measurements)
 
 GRID = str(data.path(data.CASE33_HYBRID))
 LOADS = str(data.path(data.CASE33_HYBRID_LOADS))
@@ -205,11 +206,7 @@ def weighted_median(values, weights):
 
 
 def scalar_wlav(values, weights):
-    model = MatrixModel(np.ones((len(values), 1)), values, 1.0 / np.asarray(weights))
-    model.region_id = -1
-    model.const = np.zeros(len(values))
-    model.zero_mask = np.zeros(len(values), dtype=bool)
-    model.boundary = {}
+    model = LinearRegionModel(np.ones((len(values), 1)), values, 1.0 / np.asarray(weights))
     result, sol = solve_wlav_region(model)
     return float(result.x[0]), sol.objective
 

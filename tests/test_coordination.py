@@ -81,13 +81,13 @@ class TestDrse:
     def test_message_discipline(self, toy5, toy5_loads, monkeypatch):
         _, ms = noisy_set(toy5, toy5_loads, seed=4)
         calls = []
-        real = coord._solve_drse_region
+        real = coord.solve_wlav_region
 
         def spy(model, terms, basis):
             calls.append((model, terms))
-            return real(model, terms, basis)
+            return real(model, terms, basis=basis)
 
-        monkeypatch.setattr(coord, "_solve_drse_region", spy)
+        monkeypatch.setattr(coord, "solve_wlav_region", spy)
         run_drse(toy5, ms, PARAMS)
         assert calls
         for model, terms in calls:

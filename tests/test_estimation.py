@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from hybridse import measmodel
-from hybridse.estimation import (BoundaryTerm, LpProblem, MatrixModel,
-                                 UnobservableError, build_regional_wlav_lp,
-                                 lnr_test, lp_solve, solve_wlav_region, solve_wls)
+from hybridse.estimation import (BoundaryTerm, LpError, LpProblem, UnobservableError,
+                                 build_regional_wlav_lp, lnr_test, lp_solve,
+                                 solve_wlav_region, solve_wls)
+from hybridse.estimation import lp as lp_module
 from hybridse.powerflow import SystemState, solve_ac_region
-from hybridse.telemetry import (Measurement, MeasurementKind, build_region_H,
-                                eval_h_nonlinear)
+from hybridse.telemetry import (LinearRegionModel, Measurement, MeasurementKind,
+                                build_region_H, eval_h_nonlinear)
 
 
 def weighted_median(values, weights):
@@ -27,11 +28,7 @@ def lav_objective(x, values, weights):
 
 def scalar_wlav(values, weights):
     """Solve min sum w|z - x| through the LP kernel."""
-    model = MatrixModel(np.ones((len(values), 1)), values, 1.0 / np.asarray(weights))
-    model.region_id = -1
-    model.const = np.zeros(len(values))
-    model.zero_mask = np.zeros(len(values), dtype=bool)
-    model.boundary = {}
+    model = LinearRegionModel(np.ones((len(values), 1)), values, 1.0 / np.asarray(weights))
     result, sol = solve_wlav_region(model)
     return float(result.x[0]), sol.objective
 
@@ -71,16 +68,99 @@ class TestLpKernel:
         rng = np.random.default_rng(3)
         h = rng.normal(size=(8, 2))
         z = h @ np.array([0.5, -0.25]) + rng.normal(0, 0.05, size=8)
-        model = MatrixModel(h, z, np.full(8, 0.1))
-        model.region_id = -1
-        model.const = np.zeros(8)
-        model.zero_mask = np.zeros(8, dtype=bool)
-        model.boundary = {}
-        prob, meta = build_regional_wlav_lp(model, {})
-        cold = lp_solve(prob, basis_hint=meta.basis_hint)
+        model = LinearRegionModel(h, z, np.full(8, 0.1))
+        prob = build_regional_wlav_lp(model, {})
+        cold = lp_solve(prob)
         warm = lp_solve(prob, basis=cold.basis)
         assert warm.iterations == 0
         assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+
+
+class TestLpOracle:
+    """Random multi-variable regional WLAV LPs against an independent solver,
+    scipy's HiGHS: exact zero-injection rows, priced boundary terms and
+    degenerate ties from duplicate readings, solved cold and warm."""
+
+    REL_TOL = 1e-9
+
+    @staticmethod
+    def _highs(problem):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        bounds = [(None, None) if free else (0, None) for free in problem.free_mask]
+        ref = linprog(problem.c, A_eq=problem.a_eq, b_eq=problem.b_eq, bounds=bounds,
+                      method="highs")
+        assert ref.status == 0, ref.message
+        return ref.fun
+
+    @staticmethod
+    def _case(rng, x_true):
+        n = x_true.size
+        m = int(rng.integers(n + 2, 3 * n + 3))
+        h = rng.normal(size=(m, n))
+        z = h @ x_true + rng.normal(0.0, 0.05, size=m)
+        sigma = rng.uniform(0.05, 0.5, size=m)
+        # duplicate readings: one repeated exactly, one with a different value
+        dup = rng.choice(m, size=2, replace=False)
+        h = np.vstack([h, h[dup]])
+        z = np.concatenate([z, [z[dup[0]], z[dup[1]] + 0.3]])
+        sigma = np.concatenate([sigma, sigma[dup]])
+        sources = ["scada"] * len(z)
+        # exact zero injections the true state satisfies, at random rows
+        for _ in range(int(rng.integers(1, 3))):
+            row = rng.normal(size=n)
+            row[0] -= (row @ x_true) / x_true[0]
+            pos = int(rng.integers(len(z) + 1))
+            h = np.insert(h, pos, row, axis=0)
+            z = np.insert(z, pos, 0.0)
+            sigma = np.insert(sigma, pos, 0.0)
+            sources.insert(pos, "virtual_zero")
+        boundary = {cid: rng.normal(size=n) for cid in range(int(rng.integers(1, 3)))}
+        return LinearRegionModel(h, z, sigma, sources=sources, boundary=boundary)
+
+    def test_cold_and_warm_match_highs(self, monkeypatch):
+        # count warm bases that start the solve and ones that fall back cold
+        warm_starts = {"used": 0, "unusable": 0}
+        real = lp_module._warm_tableau
+
+        def counted(*args):
+            try:
+                out = real(*args)
+            except LpError:
+                warm_starts["unusable"] += 1
+                raise
+            warm_starts["used"] += 1
+            return out
+
+        monkeypatch.setattr(lp_module, "_warm_tableau", counted)
+        rng = np.random.default_rng(20240)
+        for _ in range(60):
+            x_true = rng.normal(size=int(rng.integers(2, 6)))
+            x_true[0] = 1.0 + abs(x_true[0])
+            model = self._case(rng, x_true)
+            terms = {cid: BoundaryTerm(lam=float(rng.uniform(0.01, 5.0)),
+                                       neighbor_p=float(row @ x_true + rng.normal(0, 0.1)),
+                                       loss_const=float(rng.uniform(0.0, 0.01)))
+                     for cid, row in model.boundary.items()}
+            prob = build_regional_wlav_lp(model, terms)
+
+            # the same structure with a perturbed right-hand side
+            moved = model.clone()
+            moved.z = np.where(np.array(model.sources) == "virtual_zero", 0.0,
+                               model.z + rng.normal(0.0, 0.002, size=model.z.size))
+            moved_terms = {cid: BoundaryTerm(t.lam, t.neighbor_p + 0.002, t.loss_const)
+                           for cid, t in terms.items()}
+            prob_moved = build_regional_wlav_lp(moved, moved_terms)
+
+            ref = self._highs(prob)
+            scale = max(1.0, abs(ref))
+            cold = lp_solve(prob)
+            assert abs(cold.objective - ref) <= self.REL_TOL * scale
+            warm = lp_solve(prob, basis=lp_solve(prob_moved).basis)
+            assert abs(warm.objective - ref) <= self.REL_TOL * scale
+            ref_moved = self._highs(prob_moved)
+            assert abs(lp_solve(prob_moved, basis=cold.basis).objective - ref_moved) \
+                <= self.REL_TOL * max(1.0, abs(ref_moved))
+        assert warm_starts["used"] > 0 and warm_starts["unusable"] > 0
 
 
 class TestScalarLavIsWeightedMedian:
@@ -98,18 +178,18 @@ class TestScalarLavIsWeightedMedian:
 
 class TestWls:
     def test_consistent_scalar(self):
-        model = MatrixModel([[1.0], [1.0]], [1.0, 1.0], [0.1, 0.1])
+        model = LinearRegionModel([[1.0], [1.0]], [1.0, 1.0], [0.1, 0.1])
         res = solve_wls(model)
         assert res.x[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_weighted_mean(self):
         # weights [1, 3] of z=[1, 2] -> 1.75; sigma = 1/sqrt(w)
-        model = MatrixModel([[1.0], [1.0]], [1.0, 2.0], [1.0, 1.0 / np.sqrt(3.0)])
+        model = LinearRegionModel([[1.0], [1.0]], [1.0, 2.0], [1.0, 1.0 / np.sqrt(3.0)])
         res = solve_wls(model)
         assert res.x[0] == pytest.approx(1.75, abs=1e-12)
 
     def test_unobservable_names_rank(self):
-        model = MatrixModel([[1.0, 0.0]], [1.0], [0.1])
+        model = LinearRegionModel([[1.0, 0.0]], [1.0], [0.1])
         with pytest.raises(UnobservableError, match="rank 1 < 2"):
             solve_wls(model)
 
@@ -140,7 +220,7 @@ class TestWls:
         h = rng.normal(size=(12, 3))
         sigma = rng.uniform(1e-3, 0.05, size=12)
         z = h @ np.array([1.0, -0.5, 0.25]) + rng.normal(0, 1e-3, size=12)
-        model = MatrixModel(h, z, sigma)
+        model = LinearRegionModel(h, z, sigma)
         res = solve_wls(model)
         w = 1.0 / sigma ** 2
         grad = h.T @ (w * res.residuals)
@@ -171,8 +251,8 @@ class TestWls:
 
 class TestLnr:
     def _scalar_model(self, values, sigma=0.02):
-        return MatrixModel(np.ones((len(values), 1)), values,
-                           np.full(len(values), sigma))
+        return LinearRegionModel(np.ones((len(values), 1)), values,
+                                 np.full(len(values), sigma))
 
     def test_clean_data_no_flag(self):
         out = lnr_test(self._scalar_model([1.0, 1.0, 1.0]))
@@ -187,7 +267,7 @@ class TestLnr:
     def test_critical_measurement_untestable(self):
         # two states, one measured once: that row has zero residual variance
         h = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        model = MatrixModel(h, [1.0, 1.0, 1.0, 5.0], np.full(4, 0.02))
+        model = LinearRegionModel(h, [1.0, 1.0, 1.0, 5.0], np.full(4, 0.02))
         out = lnr_test(model)
         assert 3 in out.report.untestable
         assert all(i != 3 for i, _ in out.report.flagged)
@@ -220,7 +300,7 @@ class TestWlavRegion:
         model = build_region_H(toy2, toy2.regions[0], list(enumerate(meas)))
         # overwrite readings with linear-consistent values of the solved state
         x_true = model.truth_vector(st)
-        z = model.evaluate(x_true)
+        z = model.h(x_true)
         model.z = z + rng.normal(0.0, noise, size=z.size)
         return model, x_true
 
@@ -336,5 +416,5 @@ class TestRobustnessVsWls:
                                     sigma, "scada"))
         model = build_region_H(toy2, toy2.regions[0], list(enumerate(meas)))
         x_true = model.truth_vector(st)
-        model.z = model.evaluate(x_true) + rng.normal(0.0, 0.1 * sigma, size=len(model.z))
+        model.z = model.h(x_true) + rng.normal(0.0, 0.1 * sigma, size=len(model.z))
         return model, x_true
