@@ -5,7 +5,9 @@ boundary packets (Jacobi style, so regions can run in parallel), AC regions
 recompute their converters' losses from the fresh estimate, and per-converter
 Lagrange multipliers grow by xi * |boundary mismatch|.  The loop exits when
 every converter's AC-side and DC-side power claims agree within tau, or after
-the iteration cap.  Only BoundaryPacket fields ever cross a region boundary.
+the iteration cap; the estimate's ``stop_reason`` says which, and calls a cap
+reached with every packet equal to the previous iteration's "stalled".  Only
+BoundaryPacket fields ever cross a region boundary.
 
 Per-iteration wall times are recorded as t_l = max over AC regions + max over
 DC regions + algebra time, the parallel-execution accounting of the
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +78,9 @@ class SystemEstimate:
     iterations: int
     converged: bool
     timing: list[IterationTiming]
+    # "converged"; "stalled" (iteration cap, the last packets equal the
+    # previous iteration's field by field) or "cap" (iteration cap otherwise)
+    stop_reason: str
     packet_trace: list[BoundaryPacket] = field(default_factory=list)
     bad_data: dict = field(default_factory=dict)
     rerun: bool = False           # WLS loop repeated after bad-data removal
@@ -207,6 +212,7 @@ def _coordinate(grid: GridModel, ms: MeasurementSet, params: CoordinationParams,
             mismatch = abs(pkt_ac.p_vsc - pkt_dc.p_vsc)
             mismatch_hist[conv.id].append(mismatch)
             lambdas[conv.id] += params.xi * mismatch
+        prev_ac, prev_dc = ac_pkts, dc_pkts
         ac_pkts, dc_pkts = new_ac, new_dc
         t_algebra = time.perf_counter() - t0
 
@@ -221,10 +227,22 @@ def _coordinate(grid: GridModel, ms: MeasurementSet, params: CoordinationParams,
             break
 
     v, theta = _merge_states(grid, results)
+    if converged:
+        stop_reason = "converged"
+    elif _repeats(ac_pkts, prev_ac) and _repeats(dc_pkts, prev_dc):
+        stop_reason = "stalled"
+    else:
+        stop_reason = "cap"
     return SystemEstimate(method=method, v=v, theta=theta, regions=results,
                           mismatch_history=mismatch_hist, lambdas=lambdas,
                           iterations=iteration, converged=converged,
-                          timing=timing, packet_trace=trace)
+                          timing=timing, stop_reason=stop_reason, packet_trace=trace)
+
+
+def _repeats(new: dict[int, BoundaryPacket], old: dict[int, BoundaryPacket]) -> bool:
+    """True when every packet equals the previous iteration's, field by field."""
+    return all(replace(pkt, iteration=old[cid].iteration) == old[cid]
+               for cid, pkt in new.items())
 
 
 # -- DRSE ----------------------------------------------------------------------
@@ -348,7 +366,8 @@ def run_cwls(grid: GridModel, ms: MeasurementSet, nr_test: bool = True,
         method="cwls", v=v, theta=theta, regions={-1: result},
         mismatch_history={}, lambdas={}, iterations=result.iterations,
         converged=result.converged,
-        timing=[IterationTiming(1, wall, {-1: wall}, 0.0)])
+        timing=[IterationTiming(1, wall, {-1: wall}, 0.0)],
+        stop_reason="converged" if result.converged else "cap")
     if report is not None:
         estimate.bad_data = {-1: report}
     return estimate

@@ -15,9 +15,26 @@ injections) get an artificial column for phase 1.  The starting tableau is
 
 The returned basis can be passed back to warm-start a later solve of a
 problem with identical constraint structure (only costs / right-hand sides
-changed).  A warm basis that does not fit, is singular or is primal
-infeasible for the new b raises ``LpError`` inside the solve, and
-:func:`lp_solve` then does one cold start.
+changed).  A warm start computes the tableau B^-1 [A | b] with one dense
+solve.  A warm basis that does not fit, is singular or is primal infeasible
+for the new b raises ``LpError`` inside the solve, and :func:`lp_solve` then
+does one cold start.
+
+A family of problems that share A and the free columns and differ only in c
+and b comes from one :class:`LpTemplate`.  The template's A and free mask are
+read-only, and the kernel keeps two things on the template:
+
+- the free-column split (internal matrix, column map), made once and valid
+  for as long as the template lives, plus the split matrix with the rows of
+  the last sign pattern of b negated;
+- the tableau of the last dense warm start, keyed by its basis and the bytes
+  of b.  A warm start with the same basis and the same b bytes copies it
+  instead of solving again; the same inputs give the same tableau, and c only
+  enters through the reduced costs, which are recomputed.  Any other basis
+  or b replaces it.
+
+A problem whose ``a_eq`` or ``free_mask`` was rebound after the template made
+it, and every hand-built ``LpProblem``, is split afresh and solved densely.
 """
 
 from __future__ import annotations
@@ -84,40 +101,77 @@ def lp_solve(problem: LpProblem, basis: tuple[int, ...] | None = None,
     return _lp_solve(problem, None, tol, max_iter)
 
 
+class LpTemplate:
+    """Constraint data shared by a family of LPs that differ only in c and b,
+    with what the kernel derives from it; see the module docstring."""
+
+    def __init__(self, a_eq, free_mask):
+        self.a_eq = np.atleast_2d(np.array(a_eq, dtype=float))
+        self.free_mask = np.array(free_mask, dtype=bool)
+        self.a_eq.flags.writeable = False
+        self.free_mask.flags.writeable = False
+        self.split = _Split(self.a_eq, self.free_mask)
+        self.dense: tuple | None = None     # ((basis, b bytes), B^-1 [A | b])
+
+    def problem(self, c, b_eq) -> LpProblem:
+        problem = LpProblem(c=c, a_eq=self.a_eq, b_eq=b_eq, free_mask=self.free_mask)
+        problem._template = self
+        return problem
+
+
+class _Split:
+    """Free variables split into positive and negative parts: internal column
+    k is ``sign[k]`` times original column ``orig[k]``."""
+
+    def __init__(self, a_eq, free_mask):
+        n = a_eq.shape[1]
+        self.free = np.flatnonzero(free_mask)
+        self.orig = np.concatenate([np.arange(n), self.free])
+        self.sign = np.concatenate([np.ones(n), -np.ones(self.free.size)])
+        self.bounded = np.concatenate([~free_mask, np.zeros(self.free.size, dtype=bool)])
+        self.a = np.concatenate([a_eq, -a_eq[:, self.free]], axis=1)
+        self.a.flags.writeable = False
+        self.flipped: tuple[bytes, np.ndarray] | None = None
+
+    def matrix(self, neg) -> np.ndarray:
+        """The split matrix with the rows in ``neg`` negated (read only)."""
+        if not neg.any():
+            return self.a
+        key = neg.tobytes()
+        if self.flipped is None or self.flipped[0] != key:
+            a = self.a.copy()
+            a[neg] *= -1.0
+            a.flags.writeable = False
+            self.flipped = (key, a)
+        return self.flipped[1]
+
+
 def _lp_solve(problem: LpProblem, basis, tol, max_iter) -> LpSolution:
-    m, n = problem.a_eq.shape
-
-    # split free variables: column map entry (original index, sign)
-    colmap: list[tuple[int, float]] = []
-    for j in range(n):
-        colmap.append((j, 1.0))
-    for j in range(n):
-        if problem.free_mask[j]:
-            colmap.append((j, -1.0))
-    n_int = len(colmap)
-    a = np.empty((m, n_int))
-    a[:, :n] = problem.a_eq
-    c_int = np.empty(n_int)
-    c_int[:n] = problem.c
-    extra = 0
-    for j in range(n):
-        if problem.free_mask[j]:
-            a[:, n + extra] = -problem.a_eq[:, j]
-            c_int[n + extra] = -problem.c[j]
-            extra += 1
-
+    template = getattr(problem, "_template", None)
+    if template is not None and not (problem.a_eq is template.a_eq
+                                     and problem.free_mask is template.free_mask):
+        template = None
+    split = template.split if template is not None else _Split(problem.a_eq,
+                                                               problem.free_mask)
+    n_int = split.orig.size
+    c_int = np.concatenate([problem.c, -problem.c[split.free]])
     b = problem.b_eq.copy()
     neg = b < 0
-    a[neg] *= -1.0
+    a = split.matrix(neg)
     b[neg] *= -1.0
 
     iterations = 0
     if basis is not None:
-        t, cols_basis = _warm_tableau(a, b, basis)
+        key = (tuple(basis), problem.b_eq.tobytes())
+        dense = template.dense if template is not None else None
+        if dense is not None and dense[0] == key:
+            t, cols_basis = dense[1].copy(), list(basis)
+        else:
+            t, cols_basis = _warm_tableau(a, b, basis)
+            if template is not None:
+                template.dense = (key, t.copy())
     else:
-        bounded = np.zeros(n_int, dtype=bool)
-        bounded[:n] = ~problem.free_mask
-        t, cols_basis = _crash_tableau(a, b, bounded)
+        t, cols_basis = _crash_tableau(a, b, split.bounded)
         n_art = t.shape[1] - 1 - n_int
         if n_art:
             c1 = np.zeros(n_int + n_art)
@@ -137,10 +191,9 @@ def _lp_solve(problem: LpProblem, basis, tol, max_iter) -> LpSolution:
 
     iterations += _optimize(t, cols_basis, c_int, n_int, tol, max_iter - iterations)
 
-    x = np.zeros(n)
-    for col, val in zip(cols_basis, t[:, -1]):
-        j, sign = colmap[col]
-        x[j] += sign * val
+    x = np.zeros(problem.a_eq.shape[1])
+    cols = np.array(cols_basis, dtype=int)
+    np.add.at(x, split.orig[cols], split.sign[cols] * t[:, -1])
     return LpSolution(x=x, objective=float(problem.c @ x),
                       iterations=iterations, basis=tuple(cols_basis))
 
@@ -213,7 +266,7 @@ def _optimize(t, cols_basis, c, n_cols, tol, max_iter) -> int:
         t[p] /= piv
         other = col.copy()
         other[p] = 0.0
-        t -= np.outer(other, t[p])
+        _eliminate(t, other, p)
         basic[cols_basis[p]] = False
         basic[q] = True
         cols_basis[p] = q
@@ -233,5 +286,12 @@ def _drive_out_artificials(t, cols_basis, n_int, tol):
         t[row] /= piv
         other = t[:, q].copy()
         other[row] = 0.0
-        t -= np.outer(other, t[row])
+        _eliminate(t, other, row)
         cols_basis[row] = q
+
+
+def _eliminate(t, other, p):
+    """t -= outer(other, t[p]) on the rows where ``other`` is nonzero; the
+    other rows would only lose 0 * t[p]."""
+    rows = np.flatnonzero(other)
+    t[rows] -= np.outer(other[rows], t[p])

@@ -5,6 +5,19 @@ The residual of every measurement row is split into non-negative slacks
 and each boundary converter contributes a pair (a, b) priced at the current
 Lagrange multiplier: a - b = P_conv(x) - P_neighbor.  State variables are
 free and split inside the LP kernel.  WLAV weights are 1/sigma.
+
+Within one estimate only the boundary rows of b and the (a, b) costs change
+between coordination iterations.  So the constant part (A, the free mask,
+the slack costs 1/sigma and z) is built once per model and converter set as
+an :class:`~.lp.LpTemplate`, kept in the private attribute ``_wlav_lp`` of
+the model itself: it lives and dies with the model, and ``clone()`` starts
+without one.  Every call compares the model's H, z, sigma, sources and
+boundary rows (by content) and the converter set with the ones the template
+was built from and builds a new template on any difference, so rebinding
+(``drop_row``) and in-place edits both invalidate it.  The problem of each
+call shares the template's read-only A and carries fresh b and c, patched on
+the boundary rows and the (a, b) columns; the LP kernel keeps its
+free-column split and last warm tableau on the template.
 """
 
 from __future__ import annotations
@@ -15,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..telemetry import SOURCE_VIRTUAL_ZERO
-from .lp import LpProblem, LpSolution, lp_solve
+from .lp import LpProblem, LpSolution, LpTemplate, lp_solve
 from .result import EstimationResult
 
 
@@ -39,39 +52,66 @@ def build_regional_wlav_lp(model, boundary: dict[int, BoundaryTerm]) -> LpProble
     Columns are the states, a (u, l) pair per measurement row that is not an
     exact zero injection, then an (a, b) pair per boundary converter.
     """
-    m = len(model.z)
-    if m == 0:
+    if len(model.z) == 0:
         raise ValueError(f"region {model.region_id} has no measurements")
-    n = model.n_states
-    slack_rows = [i for i, src in enumerate(model.sources) if src != SOURCE_VIRTUAL_ZERO]
-    convs = sorted(boundary)
-    ab0 = n + 2 * len(slack_rows)
+    convs = tuple(sorted(boundary))
+    key = _template_key(model, convs)
+    template = getattr(model, "_wlav_lp", None)
+    if template is None or template.key != key:
+        template = _RegionalLp(model, convs, key)
+        model._wlav_lp = template
+    return template.problem(boundary)
 
-    n_rows, n_cols = m + len(convs), ab0 + 2 * len(convs)
-    a = np.zeros((n_rows, n_cols))
-    b = np.zeros(n_rows)
-    c = np.zeros(n_cols)
 
-    a[:m, :n] = model.H
-    b[:m] = model.z
-    for k, row in enumerate(slack_rows):
-        u = n + 2 * k
-        a[row, u] = 1.0
-        a[row, u + 1] = -1.0
-        c[u] = c[u + 1] = 1.0 / model.sigma[row]
+def _template_key(model, convs) -> tuple:
+    """Everything the constant part of the LP is built from."""
+    def raw(arr):
+        arr = np.asarray(arr, dtype=float)
+        return arr.shape, arr.tobytes()
+    return (raw(model.H), raw(model.z), raw(model.sigma), tuple(model.sources), convs,
+            tuple(raw(model.boundary[cid]) for cid in convs))
 
-    for k, cid in enumerate(convs):
-        term = boundary[cid]
-        row, acol = m + k, ab0 + 2 * k
-        a[row, :n] = model.boundary[cid]
-        a[row, acol] = -1.0
-        a[row, acol + 1] = 1.0
-        b[row] = term.neighbor_p + term.loss_const
-        c[acol] = c[acol + 1] = term.lam
 
-    free = np.zeros(n_cols, dtype=bool)
-    free[:n] = True
-    return LpProblem(c=c, a_eq=a, b_eq=b, free_mask=free)
+class _RegionalLp:
+    """The part of a region's WLAV LP that is constant within an estimate."""
+
+    def __init__(self, model, convs, key):
+        self.key = key
+        self.convs = convs
+        m, n = len(model.z), model.n_states
+        slack_rows = [i for i, src in enumerate(model.sources) if src != SOURCE_VIRTUAL_ZERO]
+        self.m, self.ab0 = m, n + 2 * len(slack_rows)
+
+        n_rows, n_cols = m + len(convs), self.ab0 + 2 * len(convs)
+        a = np.zeros((n_rows, n_cols))
+        self.b = np.zeros(n_rows)
+        self.c = np.zeros(n_cols)
+
+        a[:m, :n] = model.H
+        self.b[:m] = model.z
+        for k, row in enumerate(slack_rows):
+            u = n + 2 * k
+            a[row, u] = 1.0
+            a[row, u + 1] = -1.0
+            self.c[u] = self.c[u + 1] = 1.0 / model.sigma[row]
+        for k, cid in enumerate(convs):
+            row, acol = m + k, self.ab0 + 2 * k
+            a[row, :n] = model.boundary[cid]
+            a[row, acol] = -1.0
+            a[row, acol + 1] = 1.0
+
+        free = np.zeros(n_cols, dtype=bool)
+        free[:n] = True
+        self.lp = LpTemplate(a, free)
+
+    def problem(self, boundary: dict[int, BoundaryTerm]) -> LpProblem:
+        b, c = self.b.copy(), self.c.copy()
+        for k, cid in enumerate(self.convs):
+            term = boundary[cid]
+            acol = self.ab0 + 2 * k
+            b[self.m + k] = term.neighbor_p + term.loss_const
+            c[acol] = c[acol + 1] = term.lam
+        return self.lp.problem(c, b)
 
 
 def solve_wlav_region(model, boundary: dict[int, BoundaryTerm] | None = None,

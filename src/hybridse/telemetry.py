@@ -284,6 +284,8 @@ class LinearRegionModel:
     AC regions: x = [U per node, theta per non-reference node].
     DC regions: x = [V per node, draw per boundary converter].
     Rows whose source is ``SOURCE_VIRTUAL_ZERO`` are exact zero injections.
+    The regional WLAV builder keeps its LP template in the private attribute
+    ``_wlav_lp`` (see ``estimation.wlav``); ``clone()`` does not copy it.
     """
 
     H: np.ndarray

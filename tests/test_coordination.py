@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import pytest
 
 import hybridse.coordination as coord
+import hybridse.estimation.wlav as wlav
 from hybridse.coordination import (CoordinationParams, run_cwls, run_drse,
                                    run_dwls)
 from hybridse.estimation import BoundaryTerm, UnobservableError
@@ -77,6 +81,50 @@ class TestDrse:
         for t in est.timing:
             assert t.t_total >= max(t.t_regions.values()) - 1e-12 or True
             assert t.t_total >= t.t_algebra
+
+    def test_stop_reason_stalled_on_noisy_case33(self, case33, case33_loads):
+        _, ms = noisy_set(case33, case33_loads, seed=7,
+                          sched=ScheduleConfig(scada_ac_branches=((1, 2), (2, 19),
+                                                                  (3, 23), (6, 26))))
+        est = run_drse(case33, ms, PARAMS)
+        assert est.stop_reason == "stalled"
+        assert not est.converged and est.iterations == PARAMS.max_iterations
+        n = 2 * len(case33.converters)
+        last, previous = est.packet_trace[-n:], est.packet_trace[-2 * n:-n]
+        for a, b in zip(last, previous):
+            assert (a.converter, a.side, a.p_vsc, a.q_vsc, a.p_loss, a.v_pcc) \
+                == (b.converter, b.side, b.p_vsc, b.q_vsc, b.p_loss, b.v_pcc)
+
+    def test_stop_reason_cap_while_packets_move(self, case33, case33_loads):
+        _, ms = noisy_set(case33, case33_loads, seed=7)
+        est = run_drse(case33, ms, CoordinationParams(max_iterations=2))
+        assert est.stop_reason == "cap"
+        assert not est.converged and est.iterations == 2
+
+    def test_stop_reason_converged_zero_noise(self, toy5, toy5_loads):
+        res, ms = exact_set(toy5, toy5_loads)
+        est = run_drse(toy5, linearize_measurements(toy5, ms, res.state), PARAMS)
+        assert est.converged and est.stop_reason == "converged"
+
+    def test_region_lps_freed_with_the_estimate(self, case33, case33_loads, monkeypatch):
+        # each region's LP matrix is built once per estimate and lives only
+        # as long as the estimate's region models
+        _, ms = noisy_set(case33, case33_loads, seed=3)
+        refs, ids = [], set()
+        real = wlav.lp_solve
+
+        def spy(problem, basis=None):
+            refs.append(weakref.ref(problem.a_eq))
+            ids.add(id(problem.a_eq))
+            return real(problem, basis=basis)
+
+        monkeypatch.setattr(wlav, "lp_solve", spy)
+        est = run_drse(case33, ms, PARAMS)
+        assert len(refs) == len(case33.regions) * est.iterations
+        assert len(ids) == len(case33.regions)
+        del est
+        gc.collect()
+        assert all(ref() is None for ref in refs)
 
     def test_message_discipline(self, toy5, toy5_loads, monkeypatch):
         _, ms = noisy_set(toy5, toy5_loads, seed=4)
@@ -171,6 +219,7 @@ class TestCwls:
     def test_noise_free_truth(self, toy5, toy5_loads):
         res, ms = exact_set(toy5, toy5_loads)
         est = run_cwls(toy5, ms)
+        assert est.converged and est.stop_reason == "converged"
         for node, v in res.state.v.items():
             assert est.v[node] == pytest.approx(v, abs=1e-6)
         for node, th in res.state.theta.items():

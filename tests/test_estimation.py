@@ -163,6 +163,88 @@ class TestLpOracle:
         assert warm_starts["used"] > 0 and warm_starts["unusable"] > 0
 
 
+class TestRegionalLpReuse:
+    """The per-model LP template, the free-column split made once per template
+    and the reused warm tableau change no bit of any solve: every step of a
+    coordination-like sequence matches a solve of a hand-built copy."""
+
+    @staticmethod
+    def _fresh(model, terms, basis):
+        """The same LP from a clone's template, copied into a hand-built
+        ``LpProblem``: nothing cached is shared with the model."""
+        twin = build_regional_wlav_lp(model.clone(), terms)
+        problem = LpProblem(c=twin.c.copy(), a_eq=twin.a_eq.copy(), b_eq=twin.b_eq.copy(),
+                            free_mask=twin.free_mask.copy())
+        return problem, lp_solve(problem, basis=basis)
+
+    def _sequence(self, model, steps, counts, basis=None):
+        """Solve each step's terms warm from the previous basis, against the
+        fresh solve warm from the fresh previous basis."""
+        ref_basis = basis
+        for terms in steps:
+            problem = build_regional_wlav_lp(model, terms)
+            dense = counts["dense"]
+            sol = lp_solve(problem, basis=basis)
+            if basis is not None:
+                counts["warm"] += 1
+                counts["reused"] += counts["dense"] == dense
+            ref_problem, ref = self._fresh(model, terms, ref_basis)
+            for name in ("c", "a_eq", "b_eq", "free_mask"):
+                assert getattr(problem, name).tobytes() == getattr(ref_problem, name).tobytes()
+            assert sol.x.tobytes() == ref.x.tobytes()
+            assert repr(sol.objective) == repr(ref.objective)
+            assert sol.iterations == ref.iterations
+            assert sol.basis == ref.basis
+            basis, ref_basis = sol.basis, ref.basis
+        return basis
+
+    @staticmethod
+    def _steps(rng, model, x_true, n_repeat):
+        """Boundary terms of a stalled coordination loop: neighbor powers
+        repeat while the multipliers rise, then move, then repeat again."""
+        lam = {cid: float(rng.uniform(0.0, 0.5)) for cid in model.boundary}
+        steps = []
+        for move in range(3):
+            claim = {cid: float(row @ x_true + rng.normal(0, 0.05))
+                     for cid, row in model.boundary.items()}
+            for _ in range(n_repeat):
+                steps.append({cid: BoundaryTerm(lam[cid], claim[cid], 0.001 * move)
+                              for cid in model.boundary})
+                for cid in lam:
+                    lam[cid] += float(rng.uniform(0.0, 1e-3))
+        return steps
+
+    def test_bit_identical_to_fresh_solves(self, monkeypatch):
+        counts = {"dense": 0, "warm": 0, "reused": 0}
+        real = lp_module._warm_tableau
+
+        def counted(*args):
+            counts["dense"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(lp_module, "_warm_tableau", counted)
+        rng = np.random.default_rng(611)
+        for _ in range(12):
+            x_true = rng.normal(size=int(rng.integers(2, 6)))
+            x_true[0] = 1.0 + abs(x_true[0])
+            model = TestLpOracle._case(rng, x_true)
+            basis = self._sequence(model, self._steps(rng, model, x_true, 5), counts)
+
+            # a rebound z, an in-place edit of z and a clone with another z
+            # must each solve like a fresh build
+            scada = np.array(model.sources) != "virtual_zero"
+            model.z = np.where(scada, model.z + rng.normal(0.0, 0.01, model.z.size), 0.0)
+            basis = self._sequence(model, self._steps(rng, model, x_true, 2), counts, basis)
+            model.z[int(np.flatnonzero(scada)[0])] += 0.05
+            basis = self._sequence(model, self._steps(rng, model, x_true, 2), counts, basis)
+            other = model.clone()
+            other.z = np.where(scada, other.z - 0.02, 0.0)
+            self._sequence(other, self._steps(rng, other, x_true, 2), counts, basis)
+            self._sequence(model, self._steps(rng, model, x_true, 2), counts, basis)
+        # repeated right-hand sides reuse the tableau instead of solving again
+        assert 0 < counts["reused"] < counts["warm"]
+
+
 class TestScalarLavIsWeightedMedian:
     def test_randomized_against_oracle(self):
         rng = np.random.default_rng(12345)

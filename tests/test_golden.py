@@ -26,6 +26,7 @@ ARTIFACTS = ("runs.csv", "aggregate.csv", "trace_boundary.csv")
 MATRIX = {
     "case33_drse_0": (data.CASE33_HYBRID, data.CASE33_HYBRID_LOADS, "drse", 0),
     "case33_drse_2": (data.CASE33_HYBRID, data.CASE33_HYBRID_LOADS, "drse", 2),
+    "case33_drse_pseudo_2": (data.CASE33_HYBRID, data.CASE33_HYBRID_LOADS, "drse_pseudo", 2),
     "case33_dwls_0": (data.CASE33_HYBRID, data.CASE33_HYBRID_LOADS, "dwls", 0),
     "case33_dwls_2": (data.CASE33_HYBRID, data.CASE33_HYBRID_LOADS, "dwls", 2),
     "case33_cwls_0": (data.CASE33_HYBRID, data.CASE33_HYBRID_LOADS, "cwls", 0),
@@ -65,6 +66,14 @@ GOLDEN = {
             '5b17ead5d5ef0521262a8f64b461e0ba9f87cc30c4d3ef169176e6b7084d79c9',
         'trace_boundary.csv':
             'b269f3d5c77c31d77635ac3f8cc59ec5d3060805bb5c6ebd2b13cd8bad3f1f17',
+    },
+    'case33_drse_pseudo_2': {
+        'runs.csv':
+            '35da1b83e78bc0961a21bc163213ae90bebc47d32439b9312c7553b4713c1a00',
+        'aggregate.csv':
+            '975ee4ff3b6752e2689ac097761f5f66c489c3bf072af058910c88dcc00ad99d',
+        'trace_boundary.csv':
+            '7508e013e96d1ddbf0385f73c5e046c69a8b2bdbe0b13f912ed6500afffcae67',
     },
     'case33_dwls_0': {
         'runs.csv':
