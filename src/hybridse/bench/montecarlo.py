@@ -58,6 +58,7 @@ class RunRecord:
     corrupt_indices: tuple[int, ...] = ()
     corrupt_dominant: bool | None = None
     se_ms: float = 0.0
+    wall_ms: float = 0.0
     inj_ms: float = 0.0
     total_ms: float = 0.0
     timing_rows: list = field(default_factory=list)
@@ -125,6 +126,7 @@ def run_single(ctx: RunContext, run_idx: int) -> RunRecord:
         record.converged = est.converged
         record.max_mismatch = est.max_mismatch()
         record.se_ms = est.se_time * 1000.0
+        record.wall_ms = est.wall_time * 1000.0
         record.timing_rows = [(it.iteration, it.t_total, it.t_algebra,
                                dict(it.t_regions)) for it in est.timing]
         record.trace = list(est.packet_trace)
@@ -233,14 +235,16 @@ def write_artifacts(result: BenchResult, scenario: Scenario, out: Path) -> None:
                  + ",".join(repr(result.aggregate[k]) for k in keys)]
     (out / "aggregate.csv").write_text("\n".join(agg_lines) + "\n")
 
-    tlines = ["run,iteration,t_total_ms,t_algebra_ms,t_region_max_ms,se_ms,inj_ms,total_ms"]
+    tlines = ["run,iteration,t_total_ms,t_algebra_ms,t_region_max_ms,se_ms,wall_ms,inj_ms,"
+              "total_ms"]
     for r in result.records:
         for iteration, t_total, t_algebra, t_regions in r.timing_rows:
             t_rmax = max(t_regions.values()) if t_regions else 0.0
             tlines.append(f"{r.run},{iteration},{t_total * 1e3!r},{t_algebra * 1e3!r},"
-                          f"{t_rmax * 1e3!r},{r.se_ms!r},{r.inj_ms!r},{r.total_ms!r}")
+                          f"{t_rmax * 1e3!r},{r.se_ms!r},{r.wall_ms!r},{r.inj_ms!r},"
+                          f"{r.total_ms!r}")
         if not r.timing_rows:
-            tlines.append(f"{r.run},1,{r.se_ms!r},0.0,0.0,{r.se_ms!r},"
+            tlines.append(f"{r.run},1,{r.se_ms!r},0.0,0.0,{r.se_ms!r},{r.wall_ms!r},"
                           f"{r.inj_ms!r},{r.total_ms!r}")
     (out / "timing.csv").write_text("\n".join(tlines) + "\n")
 

@@ -84,6 +84,9 @@ class SystemEstimate:
     packet_trace: list[BoundaryPacket] = field(default_factory=list)
     bad_data: dict = field(default_factory=dict)
     rerun: bool = False           # WLS loop repeated after bad-data removal
+    # wall time of the whole estimator call: model assembly, every pass and the
+    # bad-data test included (se_time is the parallel accounting of the loop)
+    wall_time: float = 0.0
 
     @property
     def se_time(self) -> float:
@@ -253,6 +256,7 @@ def run_drse(grid: GridModel, ms: MeasurementSet,
     """Distributed robust estimation: regional WLAV LPs under Lagrangian
     boundary coordination.  Non-convergence at the iteration cap is reported
     through the mismatch trace, not as a failure."""
+    t_start = time.perf_counter()
     by_region = ms.by_region(grid)
     models = {r.id: build_region_H(grid, r, by_region[r.id]) for r in grid.regions}
     bases: dict[int, tuple] = {}
@@ -269,7 +273,9 @@ def run_drse(grid: GridModel, ms: MeasurementSet,
                 float(ac_model.boundary_q[conv.id] @ ac_res.x),
                 dc_res.boundary_p[conv.id])
 
-    return _coordinate(grid, ms, params, "drse", solve_region, boundary_power)
+    estimate = _coordinate(grid, ms, params, "drse", solve_region, boundary_power)
+    estimate.wall_time = time.perf_counter() - t_start
+    return estimate
 
 
 # -- DWLS ----------------------------------------------------------------------
@@ -280,6 +286,7 @@ def run_dwls(grid: GridModel, ms: MeasurementSet,
     """Distributed nonlinear WLS under the same partition and packet exchange,
     with a quadratic boundary penalty and a per-region normalized-residual
     test; any rejection triggers one full re-run on the cleaned set."""
+    t_start = time.perf_counter()
     estimate = _dwls_pass(grid, ms, params)
     reports = estimate.bad_data
     if params.nr_test and any(rep.any_flagged for rep in reports.values()):
@@ -291,7 +298,8 @@ def run_dwls(grid: GridModel, ms: MeasurementSet,
         second = _dwls_pass(grid, cleaned, params, index_map=keep_idx)
         second.bad_data = reports
         second.rerun = True
-        return second
+        estimate = second
+    estimate.wall_time = time.perf_counter() - t_start
     return estimate
 
 
@@ -350,6 +358,7 @@ def run_cwls(grid: GridModel, ms: MeasurementSet, nr_test: bool = True,
              nr_threshold: float = 3.0) -> SystemEstimate:
     """Centralized nonlinear WLS over all regions jointly, with the converter
     balance enforced by high-weight virtual rows and a global NR test."""
+    t_start = time.perf_counter()
     model = build_system_model(grid, list(enumerate(ms.measurements)))
     t0 = time.perf_counter()
     result = solve_wls(model)
@@ -370,6 +379,7 @@ def run_cwls(grid: GridModel, ms: MeasurementSet, nr_test: bool = True,
         stop_reason="converged" if result.converged else "cap")
     if report is not None:
         estimate.bad_data = {-1: report}
+    estimate.wall_time = time.perf_counter() - t_start
     return estimate
 
 

@@ -7,6 +7,36 @@ variable per boundary converter (the power it feeds the converter).  The
 whole-system model also carries explicit converter outputs (p_vsc, q_vsc)
 and converter draw (p_djc) tied together by three high-weight virtual rows:
 aux-node flow equals output (P and Q) and output plus loss equals draw.
+
+``h`` and its Jacobian are evaluated from a compiled form of the rows (the
+``telemetry.row_spec`` specs plus the couple rows), built on first use:
+
+* terms: every AC branch flow (an ``ac_flow`` row, each branch of an
+  ``ac_inj`` row, the flow part of a ``couple_p``/``couple_q`` row) as its
+  v_f, th_f, v_t, th_t columns, P or Q, and g + jb = 1 / (r + jx); every DC
+  branch flow as its columns and g; every converter variable a row adds or
+  subtracts (the draws of a ``dc_inj`` row, the -p_vsc/-q_vsc of a couple row)
+  as its column and sign.  Each term also carries its row and its slot, its
+  position within the row.  The angle of a datum node reads a 0.0 appended
+  to x and has no Jacobian column.
+* ``vmag`` and ``var`` rows read one column; the three ``couple_loss`` rows
+  per converter are evaluated in scalars.
+
+One call evaluates all branch terms at once with
+``powerflow.branch_flow_terms``, the arithmetic of the scalar
+``ac_branch_flow_partials``, so each term has the bits of the scalar call.
+Terms are then added slot by slot (term 0 of every row, then term 1, ...),
+so each row sums its terms in row order, as the built-in ``sum()`` does.  A
+row that is one value rather than a sum starts from -0.0 instead of 0.0: -0.0
+is the exact identity of addition, so that value keeps its bits, a -0.0
+included.  The result is bit for bit that of evaluating the rows one at a
+time.
+
+The compiled form is kept in the private, non-field attribute ``_compiled``
+of the model.  It is rebuilt whenever the model's rows or index differ by
+content from the copies it was built from, so ``append_row``, ``drop_row``,
+the couple rows of :func:`build_system_model` and in-place edits of ``rows``
+all take effect; ``clone()`` starts without one.
 """
 
 from __future__ import annotations
@@ -17,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import AC, OWNS_DC, GridModel, Region
-from .powerflow import SystemState, ac_branch_flow_partials
+from .powerflow import SystemState, branch_flow_terms, dc_branch_flow
 from .telemetry import Measurement, TelemetryError, converter_spec, row_spec
 
 SOURCE_VIRTUAL_COUPLING = "virtual_coupling"
@@ -51,6 +81,7 @@ class NonlinearModel:
         out.sources = list(self.sources)
         out.meas_indices = list(self.meas_indices)
         out.measurements = list(self.measurements)
+        out.__dict__.pop("_compiled", None)
         return out
 
     def drop_row(self, i: int) -> None:
@@ -81,27 +112,11 @@ class NonlinearModel:
         return self.h_jac(x, with_jac=False)[0]
 
     def h_jac(self, x: np.ndarray, with_jac: bool = True):
-        m = len(self.rows)
-        h = np.zeros(m)
-        jac = np.zeros((m, self.n_states)) if with_jac else None
-        for i, row in enumerate(self.rows):
-            h[i] = self._eval_row(row, x, jac[i] if with_jac else None)
-        return h, jac
-
-    # -- state access ---------------------------------------------------------
-
-    def _v(self, x, node):
-        return x[self.index[("v", node)]]
-
-    def _th(self, x, node):
-        col = self.index.get(("th", node))
-        return 0.0 if col is None else x[col]
-
-    def _vcol(self, node):
-        return self.index[("v", node)]
-
-    def _thcol(self, node):
-        return self.index.get(("th", node))
+        compiled = getattr(self, "_compiled", None)
+        if compiled is None or compiled.rows != self.rows or compiled.index != self.index:
+            compiled = _CompiledRows(self)
+            self._compiled = compiled
+        return compiled.evaluate(x, with_jac)
 
     def extract_state(self, x: np.ndarray):
         """x -> (v by node, theta by node, converter vars by (tag, id))."""
@@ -132,95 +147,155 @@ class NonlinearModel:
                           "pdjc": sol.p_djc}[tag]
         return x
 
-    # -- row evaluation ---------------------------------------------------------
 
-    def _flow_term(self, x, jrow, f, t, r, x_, which):
-        vf, vt = self._v(x, f), self._v(x, t)
-        thf, tht = self._th(x, f), self._th(x, t)
-        p, q, dp, dq = ac_branch_flow_partials(vf, thf, vt, tht, r, x_)
-        val, d = (p, dp) if which == "p" else (q, dq)
-        if jrow is not None:
-            jrow[self._vcol(f)] += d[0]
-            jrow[self._vcol(t)] += d[2]
-            cf, ct = self._thcol(f), self._thcol(t)
-            if cf is not None:
-                jrow[cf] += d[1]
-            if ct is not None:
-                jrow[ct] += d[3]
-        return val
+class _CompiledRows:
+    """A model's rows as index arrays over all their terms (see the module
+    docstring); ``rows`` and ``index`` are copies of what it was built from."""
 
-    def _dc_flow_term(self, x, jrow, f, t, g):
-        vf, vt = self._v(x, f), self._v(x, t)
-        if jrow is not None:
-            jrow[self._vcol(f)] += (2 * vf - vt) * g
-            jrow[self._vcol(t)] += -vf * g
-        return vf * (vf - vt) * g
+    def __init__(self, model: NonlinearModel):
+        self.rows = list(model.rows)
+        self.index = index = dict(model.index)
+        m, n = len(self.rows), model.n_states
+        self.shape = (m, n)
+        self.h0 = np.zeros(m)
+        flows = []     # (row, slot, v_f, th_f, v_t, th_t columns, is P, g, b)
+        dc = []        # (row, slot, v_f, v_t columns, g)
+        conv = []      # (row, slot, column, sign)
+        reads = []     # (row, column)
+        self.losses = []  # (row, p_vsc, q_vsc, v_c, p_djc columns, converter)
 
-    def _eval_row(self, row, x, jrow):
-        op = row[0]
-        if op == "vmag":
-            _, node = row
-            if jrow is not None:
-                jrow[self._vcol(node)] = 1.0
-            return self._v(x, node)
-        if op == "ac_flow":
-            _, f, t, r, x_, which = row
-            return self._flow_term(x, jrow, f, t, r, x_, which)
-        if op == "dc_flow":
-            _, f, t, g = row
-            return self._dc_flow_term(x, jrow, f, t, g)
-        if op == "ac_inj":
-            _, node, branches, which = row
-            return sum(self._flow_term(x, jrow, node, other, r, x_, which)
-                       for other, r, x_ in branches)
-        if op == "dc_inj":
-            _, node, branches, convs = row
-            total = sum(self._dc_flow_term(x, jrow, node, other, g)
-                        for other, g in branches)
-            for cid in convs:
-                col = self.index[("pdjc", cid)]
-                if jrow is not None:
-                    jrow[col] += 1.0
-                total += x[col]
-            return total
-        if op == "var":
-            _, tag, key = row
-            col = self.index[(tag, key)]
-            if jrow is not None:
-                jrow[col] = 1.0
-            return x[col]
-        if op in ("couple_p", "couple_q"):  # aux->i flow minus p_vsc / q_vsc
-            _, cid = row
-            which = op[-1]
-            val = self._eval_row(converter_spec(self.grid.converter(cid), "ac", which),
-                                 x, jrow)
-            col = self.index[(which + "vsc", cid)]
-            if jrow is not None:
-                jrow[col] -= 1.0
-            return val - x[col]
-        if op == "couple_loss":  # p_vsc + loss(p_vsc, q_vsc, v_c) - p_djc
-            _, cid = row
-            conv = self.grid.converter(cid)
-            cp, cq = self.index[("pvsc", cid)], self.index[("qvsc", cid)]
-            cd = self.index[("pdjc", cid)]
-            cv = self._vcol(conv.aux_node)
-            p, q, vc = x[cp], x[cq], x[cv]
-            s = math.hypot(p, q)
-            i_c = s / (math.sqrt(3.0) * vc)
-            loss = conv.d1 + conv.d2 * i_c + conv.d3 * i_c * i_c
-            if jrow is not None:
-                dloss_di = conv.d2 + 2.0 * conv.d3 * i_c
-                if s > 1e-12:
-                    di_dp = p / (math.sqrt(3.0) * vc * s)
-                    di_dq = q / (math.sqrt(3.0) * vc * s)
-                else:
-                    di_dp = di_dq = 0.0
-                jrow[cp] += 1.0 + dloss_di * di_dp
-                jrow[cq] += dloss_di * di_dq
-                jrow[cv] += dloss_di * (-i_c / vc)
-                jrow[cd] -= 1.0
-            return p + loss - x[cd]
-        raise TelemetryError(f"unknown row op {op}")
+        def flow(i, slot, f, t, r, x, which):
+            y = 1.0 / complex(r, x)
+            flows.append((i, slot, index[("v", f)], index.get(("th", f), n),
+                          index[("v", t)], index.get(("th", t), n), which == "p",
+                          y.real, y.imag))
+
+        for i, row in enumerate(self.rows):
+            op = row[0]
+            if op in ("ac_flow", "dc_flow", "couple_p", "couple_q"):
+                self.h0[i] = -0.0     # one value, not a sum (module docstring)
+            if op == "vmag":
+                reads.append((i, index[("v", row[1])]))
+            elif op == "var":
+                reads.append((i, index[row[1:]]))
+            elif op == "ac_flow":
+                flow(i, 0, *row[1:])
+            elif op == "dc_flow":
+                _, f, t, g = row
+                dc.append((i, 0, index[("v", f)], index[("v", t)], g))
+            elif op == "ac_inj":
+                _, node, branches, which = row
+                for slot, (other, r, x) in enumerate(branches):
+                    flow(i, slot, node, other, r, x, which)
+            elif op == "dc_inj":
+                _, node, branches, convs = row
+                for slot, (other, g) in enumerate(branches):
+                    dc.append((i, slot, index[("v", node)], index[("v", other)], g))
+                for slot, cid in enumerate(convs, len(branches)):
+                    conv.append((i, slot, index[("pdjc", cid)], 1.0))
+            elif op in ("couple_p", "couple_q"):  # aux->i flow minus p_vsc / q_vsc
+                which, cid = op[-1], row[1]
+                flow(i, 0, *converter_spec(model.grid.converter(cid), "ac", which)[1:])
+                conv.append((i, 1, index[(which + "vsc", cid)], -1.0))
+            elif op == "couple_loss":
+                cid = row[1]
+                c = model.grid.converter(cid)
+                self.losses.append((i, index[("pvsc", cid)], index[("qvsc", cid)],
+                                    index[("v", c.aux_node)], index[("pdjc", cid)], c))
+            else:
+                raise TelemetryError(f"unknown row op {op}")
+
+        f_row, f_slot, *f_cols, is_p, self.g, self.b = _fields(flows, 7, 2)
+        d_row, d_slot, *d_cols, self.dc_g = _fields(dc, 4, 1)
+        c_row, c_slot, self.conv_col, self.sign = _fields(conv, 3, 1)
+        self.read_row, self.read_col = _fields(reads, 2, 0)
+        self.flow_cols, self.dc_cols = np.array(f_cols), np.array(d_cols)
+        self.is_p = is_p.astype(bool)
+
+        # h: the values of the flow, DC and converter terms in that order
+        self.h_sum = _SlotSum(np.concatenate((f_row, d_row, c_row)),
+                              np.concatenate((f_slot, d_slot, c_slot)))
+        # J: the flow partials by (v_f, th_f, v_t, th_t), then the DC partials
+        # by (v_f, v_t); a datum angle (column n) has no Jacobian column
+        f_cells = np.where(self.flow_cols < n, f_row * n + self.flow_cols, -1)
+        d_cells = d_row * n + self.dc_cols
+        self.j_sum = _SlotSum(np.concatenate((f_cells.ravel(), d_cells.ravel())),
+                              np.concatenate((np.tile(f_slot, 4), np.tile(d_slot, 2))))
+        # cells with one term each, set directly: readings and converter variables
+        self.const_cells = np.concatenate((self.read_row * n + self.read_col,
+                                           c_row * n + self.conv_col))
+        self.const_vals = np.concatenate((np.ones(len(reads)), self.sign))
+
+    def evaluate(self, x: np.ndarray, with_jac: bool):
+        xe = np.append(x, 0.0)        # column n reads 0.0: the angle of a datum node
+        vf, thf, vt, tht = xe[self.flow_cols]
+        dth = thf - tht
+        p, q, dp, dq = branch_flow_terms(self.g, self.b, vf, vt, np.cos(dth), np.sin(dth))
+        uf, ut = xe[self.dc_cols]
+
+        h = self.h0.copy()
+        h[self.read_row] = xe[self.read_col]
+        self.h_sum.add(h, np.concatenate((np.where(self.is_p, p, q),
+                                          dc_branch_flow(uf, ut, self.dc_g),
+                                          self.sign * xe[self.conv_col])))
+        jac = None
+        if with_jac:
+            jac = np.zeros(self.shape)
+            flat = jac.reshape(-1)
+            flat[self.const_cells] = self.const_vals
+            partials = (np.where(self.is_p, dp, dq).ravel(),
+                        (2 * uf - ut) * self.dc_g, -uf * self.dc_g)
+            self.j_sum.add(flat, np.concatenate(partials))
+        for i, *cols, conv in self.losses:
+            h[i] = _couple_loss(xe, None if jac is None else jac[i], *cols, conv)
+        return h, jac
+
+
+def _fields(terms: list[tuple], n_int: int, n_float: int) -> list[np.ndarray]:
+    """Equal-length tuples as one array per field: the first ``n_int`` fields
+    as indices, the rest as floats."""
+    table = np.array(terms, dtype=float).reshape(-1, n_int + n_float).T
+    return [*table[:n_int].astype(np.intp), *table[n_int:].copy()]
+
+
+class _SlotSum:
+    """Adds term values into targets slot by slot: term k of every row at
+    once, k = 0, 1, ...  Each target so receives its terms in row order, and
+    no target repeats within one slot.  Negative targets are skipped."""
+
+    def __init__(self, targets: np.ndarray, slots: np.ndarray):
+        keep = np.flatnonzero(targets >= 0)
+        self.order = keep[np.argsort(slots[keep], kind="stable")]
+        ordered = slots[self.order]
+        bounds = np.searchsorted(ordered, np.arange(ordered.max(initial=-1) + 2))
+        targets = targets[self.order]
+        self.parts = [(targets[lo:hi], lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    def add(self, out: np.ndarray, values: np.ndarray) -> None:
+        values = values[self.order]
+        for targets, lo, hi in self.parts:
+            out[targets] += values[lo:hi]
+
+
+def _couple_loss(x, jrow, cp, cq, cv, cd, conv):
+    """p_vsc + loss(p_vsc, q_vsc, v_c) - p_djc, with its partials added into
+    ``jrow`` unless it is None."""
+    p, q, vc = x[cp], x[cq], x[cv]
+    s = math.hypot(p, q)
+    i_c = s / (math.sqrt(3.0) * vc)
+    loss = conv.d1 + conv.d2 * i_c + conv.d3 * i_c * i_c
+    if jrow is not None:
+        dloss_di = conv.d2 + 2.0 * conv.d3 * i_c
+        if s > 1e-12:
+            di_dp = p / (math.sqrt(3.0) * vc * s)
+            di_dq = q / (math.sqrt(3.0) * vc * s)
+        else:
+            di_dp = di_dq = 0.0
+        jrow[cp] += 1.0 + dloss_di * di_dp
+        jrow[cq] += dloss_di * di_dq
+        jrow[cv] += dloss_di * (-i_c / vc)
+        jrow[cd] -= 1.0
+    return p + loss - x[cd]
 
 
 def build_system_model(grid: GridModel,

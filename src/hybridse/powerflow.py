@@ -127,9 +127,14 @@ def ac_branch_flow_partials(v_f: float, th_f: float, v_t: float, th_t: float,
     """Sending-end (P, Q) on a series r+jx branch, no shunts, and their
     partials with respect to (v_f, th_f, v_t, th_t)."""
     y = 1.0 / complex(r, x)
-    g, b = y.real, y.imag
     dth = th_f - th_t
-    cs, sn = math.cos(dth), math.sin(dth)
+    return branch_flow_terms(y.real, y.imag, v_f, v_t, math.cos(dth), math.sin(dth))
+
+
+def branch_flow_terms(g, b, v_f, v_t, cs, sn):
+    """(P, Q, dP, dQ) of :func:`ac_branch_flow_partials` from the series
+    admittance g + jb and the cosine and sine of the angle difference.  Plain
+    arithmetic, so it also runs elementwise on arrays with the same bits."""
     gc_bs = g * cs + b * sn
     gs_bc = g * sn - b * cs
     p = g * v_f * v_f - v_f * v_t * gc_bs

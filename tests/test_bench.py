@@ -126,6 +126,14 @@ class TestMonteCarlo:
                 assert t_total >= max(t_regions.values()) - 1e-12
                 assert t_total >= t_algebra - 1e-12
 
+    def test_timing_csv_wall_ms(self, tmp_path):
+        result = run_montecarlo(toy_scenario(runs=2), out_dir=tmp_path)
+        with open(tmp_path / "timing.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert rows and all(float(r["wall_ms"]) >= float(r["se_ms"]) > 0.0 for r in rows)
+        assert [r.wall_ms for r in result.records] == [
+            float(r["wall_ms"]) for r in rows if r["iteration"] == "1"]
+
     def test_per_run_seed_derivation(self):
         sc = toy_scenario(runs=3)
         result = run_montecarlo(sc)

@@ -205,6 +205,14 @@ class TestDwls:
         err = max(abs(est.v[n] - clean.v[n]) for n in est.v)
         assert err <= 5e-4
 
+    def test_wall_time_covers_the_first_pass(self, case33, case33_loads):
+        # se_time is the parallel accounting of the second pass alone
+        sched = ScheduleConfig(scada_ac_branches=((1, 2), (2, 19), (3, 23), (6, 26)))
+        _, ms = noisy_set(case33, case33_loads, seed=11, sched=sched)
+        est = run_dwls(case33, inject_bad_data(ms, 2), PARAMS)
+        assert est.rerun
+        assert est.wall_time > est.se_time > 0.0
+
     def test_unmeasured_region_unobservable(self, toy5, toy5_loads):
         _, ms = noisy_set(toy5, toy5_loads, seed=5)
         kept = [m for m in ms

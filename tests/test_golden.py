@@ -29,8 +29,10 @@ MATRIX = {
     "case33_drse_pseudo_2": (data.CASE33_HYBRID, data.CASE33_HYBRID_LOADS, "drse_pseudo", 2),
     "case33_dwls_0": (data.CASE33_HYBRID, data.CASE33_HYBRID_LOADS, "dwls", 0),
     "case33_dwls_2": (data.CASE33_HYBRID, data.CASE33_HYBRID_LOADS, "dwls", 2),
+    "case33_dwls_pseudo_2": (data.CASE33_HYBRID, data.CASE33_HYBRID_LOADS, "dwls_pseudo", 2),
     "case33_cwls_0": (data.CASE33_HYBRID, data.CASE33_HYBRID_LOADS, "cwls", 0),
     "case33_cwls_2": (data.CASE33_HYBRID, data.CASE33_HYBRID_LOADS, "cwls", 2),
+    "toy5_cwls_0": (data.TOY5_HYBRID, data.TOY5_HYBRID_LOADS, "cwls", 0),
     "toy5_drse_0": (data.TOY5_HYBRID, data.TOY5_HYBRID_LOADS, "drse", 0),
 }
 
@@ -90,6 +92,22 @@ GOLDEN = {
             '899ae8d0c511adb60465178c4429582e355e48f403fc82b90951a933999faca9',
         'trace_boundary.csv':
             '86471d726bb1470ab4130c9cbfaa2a1b51b426ef37c22728f1804373d2c105fd',
+    },
+    'case33_dwls_pseudo_2': {
+        'runs.csv':
+            '27bf741b8eb34467a74138ae271091b840d28daa51f2434e0442a4e6b47c8a82',
+        'aggregate.csv':
+            'bcc50372dbe832f1092bed37b8fc385cd5de4aa2ad5015661ce26da63ee43cb7',
+        'trace_boundary.csv':
+            '04ac5c7c3cc352616ee12893e9f4228a841ccdf946606c363a8e830a55643092',
+    },
+    'toy5_cwls_0': {
+        'runs.csv':
+            '41d614226f511bdce068500bcd22230d6e2399ff39f0d9c0ec64a8f21393a17f',
+        'aggregate.csv':
+            'c03fd511ebe184eed1f2142954c3490fcfb34454b478b3171c2eed6b4a23b766',
+        'trace_boundary.csv':
+            'a5a167877507525c739b2d6f00dba5a75a3542e3955ba06aeccf96b7b8db8c08',
     },
     'toy5_drse_0': {
         'runs.csv':

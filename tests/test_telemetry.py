@@ -1,13 +1,18 @@
+import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from hybridse import measmodel
-from hybridse.powerflow import SystemState, ac_branch_flow, solve_powerflow
+from hybridse.grid import DC, OWNS_AC
+from hybridse.powerflow import (SystemState, ac_branch_flow, ac_branch_flow_partials,
+                                solve_powerflow)
 from hybridse.telemetry import (Measurement, MeasurementKind, MeasurementSet,
                                 ScheduleConfig, TelemetryError, build_region_H,
-                                eval_h_nonlinear, inject_bad_data,
+                                converter_spec, eval_h_nonlinear, inject_bad_data,
                                 linear_row_ac_flow, linear_row_dc_flow,
                                 simulate_measurements)
 
@@ -302,3 +307,219 @@ class TestNonlinearModelJacobian:
                     fd = (model.h(xp) - model.h(xm)) / (2 * step)
                     scale = np.maximum(np.abs(jac[:, col]), 1.0)
                     assert np.allclose(jac[:, col] / scale, fd / scale, atol=1e-5)
+
+
+def reference_h_jac(model, x, with_jac=True):
+    """A measurement model evaluated row by row in scalars: every branch term
+    from ``ac_branch_flow_partials``, the terms of a row added in row order as
+    ``sum()`` adds them, the converter loss with ``math.hypot``."""
+    idx = model.index
+    h = np.zeros(len(model.rows))
+    jac = np.zeros((len(model.rows), model.n_states))
+
+    def flow(jrow, f, t, r, x_, which):
+        cols = (idx[("v", f)], idx.get(("th", f)), idx[("v", t)], idx.get(("th", t)))
+        vf, thf, vt, tht = (0.0 if c is None else x[c] for c in cols)
+        p, q, dp, dq = ac_branch_flow_partials(vf, thf, vt, tht, r, x_)
+        for c, d in zip(cols, dp if which == "p" else dq):
+            if c is not None:
+                jrow[c] += d
+        return p if which == "p" else q
+
+    def dc_flow(jrow, f, t, g):
+        vf, vt = x[idx[("v", f)]], x[idx[("v", t)]]
+        jrow[idx[("v", f)]] += (2 * vf - vt) * g
+        jrow[idx[("v", t)]] += -vf * g
+        return vf * (vf - vt) * g
+
+    for i, row in enumerate(model.rows):
+        op, jrow = row[0], jac[i]
+        if op in ("vmag", "var"):
+            col = idx[("v", row[1])] if op == "vmag" else idx[row[1:]]
+            jrow[col] = 1.0
+            h[i] = x[col]
+        elif op == "ac_flow":
+            h[i] = flow(jrow, *row[1:])
+        elif op == "dc_flow":
+            h[i] = dc_flow(jrow, *row[1:])
+        elif op == "ac_inj":
+            _, node, branches, which = row
+            h[i] = sum(flow(jrow, node, other, r, x_, which) for other, r, x_ in branches)
+        elif op == "dc_inj":
+            _, node, branches, convs = row
+            total = sum(dc_flow(jrow, node, other, g) for other, g in branches)
+            for cid in convs:
+                jrow[idx[("pdjc", cid)]] += 1.0
+                total += x[idx[("pdjc", cid)]]
+            h[i] = total
+        elif op in ("couple_p", "couple_q"):
+            which, cid = op[-1], row[1]
+            col = idx[(which + "vsc", cid)]
+            jrow[col] -= 1.0
+            spec = converter_spec(model.grid.converter(cid), "ac", which)
+            h[i] = flow(jrow, *spec[1:]) - x[col]
+        else:
+            assert op == "couple_loss"
+            conv = model.grid.converter(row[1])
+            cp, cq = idx[("pvsc", conv.id)], idx[("qvsc", conv.id)]
+            cv, cd = idx[("v", conv.aux_node)], idx[("pdjc", conv.id)]
+            s = math.hypot(x[cp], x[cq])
+            i_c = s / (math.sqrt(3.0) * x[cv])
+            dloss = conv.d2 + 2.0 * conv.d3 * i_c
+            di_dp, di_dq = ((x[cp] / (math.sqrt(3.0) * x[cv] * s),
+                             x[cq] / (math.sqrt(3.0) * x[cv] * s)) if s > 1e-12 else (0.0, 0.0))
+            jrow[cp] += 1.0 + dloss * di_dp
+            jrow[cq] += dloss * di_dq
+            jrow[cv] += dloss * (-i_c / x[cv])
+            jrow[cd] -= 1.0
+            h[i] = x[cp] + (conv.d1 + conv.d2 * i_c + conv.d3 * i_c * i_c) - x[cd]
+    return h, (jac if with_jac else None)
+
+
+def assert_bytes_equal(got, want):
+    (h, jac), (h_ref, jac_ref) = got, want
+    assert h.shape == h_ref.shape and h.tobytes() == h_ref.tobytes()
+    if jac_ref is None:
+        assert jac is None
+    else:
+        assert jac.shape == jac_ref.shape and jac.tobytes() == jac_ref.tobytes()
+
+
+def wls_models(grid, loads, sched, seed=11):
+    """The truth and the models CWLS and DWLS evaluate: the system model
+    (couple rows included) and every region model with its boundary rows."""
+    res = solve_powerflow(grid, loads)
+    ms = simulate_measurements(grid, res.state, sched, t=3600.0, seed=seed)
+    models = [measmodel.build_system_model(grid, list(enumerate(ms)))]
+    by_region = ms.by_region(grid)
+    for region in grid.regions:
+        model = measmodel.build_region_model(grid, region, by_region[region.id])
+        for cid, orient in region.boundary:
+            side = "ac" if orient == OWNS_AC else "dc"
+            model.append_row(converter_spec(grid.converter(cid), side), 0.0, 1.0, "boundary")
+        models.append(model)
+    return res, models
+
+
+def signed_zero_state(model):
+    """Flat AC voltages, every other state -0.0: DC flows evaluate to -0.0."""
+    x = model.x0()
+    for (tag, key), col in model.index.items():
+        if tag != "v" or model.grid.node(key).kind == DC:
+            x[col] = -0.0
+    return x
+
+
+class TestCompiledModelExact:
+    """``h_jac`` gives the bits of the scalar row-by-row evaluation."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, case33, case33_loads, toy5, toy5_loads):
+        return [wls_models(case33, case33_loads, case33_schedule()),
+                wls_models(toy5, toy5_loads, ScheduleConfig())]
+
+    def test_every_row_kind_is_covered(self, cases):
+        ops = {row[0] for _, models in cases for model in models for row in model.rows}
+        assert ops == {"vmag", "var", "ac_flow", "dc_flow", "ac_inj", "dc_inj",
+                       "couple_p", "couple_q", "couple_loss"}
+
+    def test_bytes_match_the_scalar_reference(self, cases):
+        rng = np.random.default_rng(23)
+        for res, models in cases:
+            for model in models:
+                truth = model.truth_vector(res.state, res.converters)
+                states = [truth, signed_zero_state(model)]
+                states += [model.x0() + rng.normal(0.0, 2e-2, model.n_states) for _ in range(4)]
+                states += [truth + rng.normal(0.0, 1e-3, model.n_states) for _ in range(4)]
+                for x in states:
+                    for with_jac in (True, False):
+                        assert_bytes_equal(model.h_jac(x, with_jac),
+                                           reference_h_jac(model, x, with_jac))
+
+    def test_single_term_rows_keep_negative_zero(self, cases):
+        _, (model, *_) = cases[0]
+        h, _ = model.h_jac(signed_zero_state(model))
+        dc_flows = [i for i, row in enumerate(model.rows) if row[0] == "dc_flow"]
+        assert dc_flows and all(h[i] == 0.0 and math.copysign(1.0, h[i]) < 0 for i in dc_flows)
+
+    def test_truth_matches_eval_h_nonlinear(self, cases):
+        # an independent physics path; a DC injection that reads a converter
+        # draw variable agrees to the power-flow balance tolerance only
+        for res, models in cases:
+            for model in models:
+                grid = model.grid
+                h = model.h(model.truth_vector(res.state, res.converters))
+                for i, m in enumerate(model.measurements):
+                    row = model.rows[i]
+                    if m is None or row[0] == "var":
+                        continue
+                    want = eval_h_nonlinear(grid, res.state, m)
+                    if row[0] == "dc_inj" and row[3]:
+                        assert h[i] == pytest.approx(want, abs=1e-6)
+                    else:
+                        assert h[i] == want
+
+
+class TestCompiledModelLifetime:
+    """The compiled form follows the model's rows and dies with the model."""
+
+    @pytest.fixture
+    def setup(self, case33, case33_loads):
+        res, models = wls_models(case33, case33_loads, case33_schedule())
+        rng = np.random.default_rng(5)
+        return [(m, m.truth_vector(res.state, res.converters)
+                 + rng.normal(0.0, 1e-3, m.n_states)) for m in models]
+
+    @staticmethod
+    def assert_as_fresh(model, x):
+        fresh = dataclasses.replace(model)     # same fields, never evaluated
+        for with_jac in (True, False):
+            assert_bytes_equal(model.h_jac(x, with_jac), fresh.h_jac(x, with_jac))
+
+    @staticmethod
+    def flipped(row):
+        return row[:-1] + ("q" if row[-1] == "p" else "p",)
+
+    def test_append_row(self, setup):
+        for model, x in setup:
+            model.h_jac(x)
+            model.append_row(model.rows[len(model.rows) // 3], 0.0, 1.0, "boundary")
+            self.assert_as_fresh(model, x)
+
+    def test_drop_row(self, setup):
+        for model, x in setup:
+            model.h_jac(x)
+            model.drop_row(len(model.rows) // 2)
+            self.assert_as_fresh(model, x)
+
+    def test_row_replaced_in_place(self, setup):
+        model, x = setup[0]
+        before = model.h(x)
+        i = next(k for k, row in enumerate(model.rows) if row[0] == "ac_inj")
+        model.rows[i] = self.flipped(model.rows[i])
+        self.assert_as_fresh(model, x)
+        assert model.h(x)[i] != before[i]
+
+    def test_clone_then_edit(self, setup):
+        model, x = setup[0]
+        before = model.h_jac(x)
+        twin = model.clone()
+        i = next(k for k, row in enumerate(twin.rows) if row[0] == "ac_flow")
+        twin.rows[i] = self.flipped(twin.rows[i])
+        self.assert_as_fresh(twin, x)
+        assert twin.h(x)[i] != before[0][i]
+        assert_bytes_equal(model.h_jac(x), before)
+
+    def test_compiled_arrays_freed_with_the_model(self, case33, case33_loads):
+        res, (model, *_) = wls_models(case33, case33_loads, case33_schedule())
+        model.h_jac(model.truth_vector(res.state, res.converters))
+        fields = {f.name for f in dataclasses.fields(model)}
+        extra = [k for k in vars(model) if k not in fields]
+        assert extra, "h_jac keeps its compiled form on the model"
+        assert not set(extra) & set(vars(model.clone()))
+        refs = [weakref.ref(vars(model)[k]) for k in extra]
+        refs += [weakref.ref(a) for k in extra for a in vars(vars(model)[k]).values()
+                 if isinstance(a, np.ndarray)]
+        del model
+        gc.collect()
+        assert all(ref() is None for ref in refs)
