@@ -22,7 +22,7 @@ does one cold start.
 
 A family of problems that share A and the free columns and differ only in c
 and b comes from one :class:`LpTemplate`.  The template's A and free mask are
-read-only, and the kernel keeps two things on the template:
+read-only, and the kernel keeps three things on the template:
 
 - the free-column split (internal matrix, column map), made once and valid
   for as long as the template lives, plus the split matrix with the rows of
@@ -31,7 +31,20 @@ read-only, and the kernel keeps two things on the template:
   of b.  A warm start with the same basis and the same b bytes copies it
   instead of solving again; the same inputs give the same tableau, and c only
   enters through the reduced costs, which are recomputed.  Any other basis
-  or b replaces it.
+  or b replaces it;
+- the key (basis, b bytes) of the last solve, if that solve was a warm start
+  that copied the stored tableau and returned it with 0 pivots.  Any other
+  outcome clears it: a pivot, a new tableau, an error or a cold start.
+
+After such a solve, the solution depends only on the recorded key: x is read
+off the stored tableau, and c only decides whether the first pricing pass
+finds an entering column.  :func:`lp_unchanged` answers, without solving,
+whether ``lp_solve(problem, basis)`` would return that same x again with 0
+pivots: the key must match, and the first pricing pass, run on the stored
+tableau with the problem's costs by the same function the solve uses, must
+find no entering column.  This is the optimality test of a basis under a
+change of c alone (reduced costs non-negative), made with the solve's own
+arithmetic, so the answer is exact rather than approximate.
 
 A problem whose ``a_eq`` or ``free_mask`` was rebound after the template made
 it, and every hand-built ``LpProblem``, is split afresh and solved densely.
@@ -82,10 +95,11 @@ class LpSolution:
 
 
 _DEGENERATE_STREAK = 30
+_TOL = 1e-9                 # pricing and ratio-test tolerance
 
 
 def lp_solve(problem: LpProblem, basis: tuple[int, ...] | None = None,
-             tol: float = 1e-9, max_iter: int = 20000) -> LpSolution:
+             tol: float = _TOL, max_iter: int = 20000) -> LpSolution:
     """Solve an equality-form LP; optimal basic solution, deterministic.
 
     Without ``basis`` the solve starts cold from the crash basis.  With it,
@@ -112,6 +126,7 @@ class LpTemplate:
         self.free_mask.flags.writeable = False
         self.split = _Split(self.a_eq, self.free_mask)
         self.dense: tuple | None = None     # ((basis, b bytes), B^-1 [A | b])
+        self.settled: tuple | None = None   # key of a 0-pivot solve from dense
 
     def problem(self, c, b_eq) -> LpProblem:
         problem = LpProblem(c=c, a_eq=self.a_eq, b_eq=b_eq, free_mask=self.free_mask)
@@ -146,26 +161,57 @@ class _Split:
         return self.flipped[1]
 
 
-def _lp_solve(problem: LpProblem, basis, tol, max_iter) -> LpSolution:
+def _template_of(problem: LpProblem) -> LpTemplate | None:
+    """The problem's template, unless its A or free mask was rebound since."""
     template = getattr(problem, "_template", None)
     if template is not None and not (problem.a_eq is template.a_eq
                                      and problem.free_mask is template.free_mask):
-        template = None
+        return None
+    return template
+
+
+def _internal_costs(problem: LpProblem, split: _Split) -> np.ndarray:
+    return np.concatenate([problem.c, -problem.c[split.free]])
+
+
+def lp_unchanged(problem: LpProblem, basis: tuple[int, ...] | None) -> bool:
+    """True when ``lp_solve(problem, basis)`` would return, with 0
+    pivots, the same x as the last solve of the problem's template; see the
+    module docstring.  False whenever that cannot be told without solving."""
+    template = _template_of(problem)
+    if (basis is None or template is None
+            or template.settled != (tuple(basis), problem.b_eq.tobytes())):
+        return False
+    t = template.dense[1]
+    n = t.shape[1] - 1
+    cols = np.array(basis, dtype=np.intp)
+    basic = np.zeros(n, dtype=bool)
+    basic[cols] = True
+    c = _internal_costs(problem, template.split)
+    return _entering(_reduced_costs(c[:n], t[:, :n], c[cols], basic), 0, _TOL) is None
+
+
+def _lp_solve(problem: LpProblem, basis, tol, max_iter) -> LpSolution:
+    template = _template_of(problem)
+    if template is not None:
+        template.settled = None
     split = template.split if template is not None else _Split(problem.a_eq,
                                                                problem.free_mask)
     n_int = split.orig.size
-    c_int = np.concatenate([problem.c, -problem.c[split.free]])
+    c_int = _internal_costs(problem, split)
     b = problem.b_eq.copy()
     neg = b < 0
     a = split.matrix(neg)
     b[neg] *= -1.0
 
     iterations = 0
+    stored = False
     if basis is not None:
         key = (tuple(basis), problem.b_eq.tobytes())
         dense = template.dense if template is not None else None
-        if dense is not None and dense[0] == key:
-            t, cols_basis = dense[1].copy(), list(basis)
+        stored = dense is not None and dense[0] == key
+        if stored:
+            t, cols_basis = dense[1].copy(), np.array(basis, dtype=np.intp)
         else:
             t, cols_basis = _warm_tableau(a, b, basis)
             if template is not None:
@@ -182,26 +228,27 @@ def _lp_solve(problem: LpProblem, basis, tol, max_iter) -> LpSolution:
             if obj1 > 1e-7:
                 raise LpInfeasible(f"phase-1 objective {obj1:.3e}")
             _drive_out_artificials(t, cols_basis, n_int, tol)
-            keep = [i for i, col in enumerate(cols_basis) if col < n_int]
-            if len(keep) != len(cols_basis):
-                rows = np.array(keep, dtype=int)
-                t = t[rows]
-                cols_basis = [cols_basis[i] for i in keep]
+            keep = np.flatnonzero(cols_basis < n_int)
+            if keep.size != cols_basis.size:
+                t = t[keep]
+                cols_basis = cols_basis[keep]
             t = t[:, list(range(n_int)) + [t.shape[1] - 1]]
 
-    iterations += _optimize(t, cols_basis, c_int, n_int, tol, max_iter - iterations)
+    pivots = _optimize(t, cols_basis, c_int, n_int, tol, max_iter - iterations)
+    iterations += pivots
+    if stored and pivots == 0:
+        template.settled = key
 
     x = np.zeros(problem.a_eq.shape[1])
-    cols = np.array(cols_basis, dtype=int)
-    np.add.at(x, split.orig[cols], split.sign[cols] * t[:, -1])
+    np.add.at(x, split.orig[cols_basis], split.sign[cols_basis] * t[:, -1])
     return LpSolution(x=x, objective=float(problem.c @ x),
-                      iterations=iterations, basis=tuple(cols_basis))
+                      iterations=iterations, basis=tuple(cols_basis.tolist()))
 
 
-def _warm_tableau(a, b, basis) -> tuple[np.ndarray, list[int]]:
+def _warm_tableau(a, b, basis) -> tuple[np.ndarray, np.ndarray]:
     """Tableau B^-1 [A | b] of a previous basis; LpError if it is unusable."""
-    cols_basis = list(basis)
-    if len(cols_basis) != a.shape[0] or max(cols_basis, default=-1) >= a.shape[1]:
+    cols_basis = np.array(basis, dtype=np.intp)
+    if cols_basis.size != a.shape[0] or max(basis, default=-1) >= a.shape[1]:
         raise LpError("warm basis does not fit the problem")
     try:
         t = np.linalg.solve(a[:, cols_basis], np.column_stack([a, b]))
@@ -212,7 +259,7 @@ def _warm_tableau(a, b, basis) -> tuple[np.ndarray, list[int]]:
     return t, cols_basis
 
 
-def _crash_tableau(a, b, bounded) -> tuple[np.ndarray, list[int]]:
+def _crash_tableau(a, b, bounded) -> tuple[np.ndarray, np.ndarray]:
     """Tableau [A | I_art | b] of the crash basis: per row the first bounded
     unit column, an artificial column for each row without one."""
     m, n_int = a.shape
@@ -227,39 +274,50 @@ def _crash_tableau(a, b, bounded) -> tuple[np.ndarray, list[int]]:
     for k, i in enumerate(uncovered):
         t[i, n_int + k] = 1.0
         cols_basis[i] = n_int + k
-    return t, cols_basis
+    return t, np.array(cols_basis, dtype=np.intp)
+
+
+def _reduced_costs(c_n, t_n, cb, basic_n) -> np.ndarray:
+    """Reduced costs of the first len(c_n) columns, zero on basic columns."""
+    reduced = c_n - cb @ t_n
+    reduced[basic_n] = 0.0
+    return reduced
+
+
+def _entering(reduced, degenerate, tol) -> int | None:
+    """Entering column by Dantzig's rule, or Bland's after a long run of
+    degenerate pivots; None when no reduced cost is below -tol."""
+    if degenerate < _DEGENERATE_STREAK:
+        q = int(reduced.argmin())
+        return None if reduced[q] >= -tol else q
+    candidates = (reduced < -tol).nonzero()[0]
+    return int(candidates[0]) if candidates.size else None
 
 
 def _optimize(t, cols_basis, c, n_cols, tol, max_iter) -> int:
-    """Primal simplex sweep on a reduced tableau.  Mutates t, cols_basis."""
-    m = t.shape[0]
-    it = 0
-    degenerate = 0
+    """Primal simplex sweep on a reduced tableau.  Mutates t and the index
+    array cols_basis."""
+    c_n, t_n, rhs = c[:n_cols], t[:, :n_cols], t[:, -1]
     basic = np.zeros(t.shape[1] - 1, dtype=bool)
     basic[cols_basis] = True
+    basic_n = basic[:n_cols]
+    ratios = np.empty(t.shape[0])
+    it = 0
+    degenerate = 0
     while it < max_iter:
-        cb = c[cols_basis]
-        reduced = c[:n_cols] - cb @ t[:, :n_cols]
-        reduced[basic[:n_cols]] = 0.0
-        if degenerate < _DEGENERATE_STREAK:
-            q = int(np.argmin(reduced))
-            if reduced[q] >= -tol:
-                return it
-        else:
-            candidates = np.nonzero(reduced < -tol)[0]
-            if candidates.size == 0:
-                return it
-            q = int(candidates[0])
+        q = _entering(_reduced_costs(c_n, t_n, c[cols_basis], basic_n), degenerate, tol)
+        if q is None:
+            return it
 
         col = t[:, q]
         pos = col > tol
         if not pos.any():
             raise LpUnbounded("no blocking ratio for entering column")
-        ratios = np.full(m, np.inf)
-        ratios[pos] = t[pos, -1] / col[pos]
+        ratios.fill(np.inf)
+        np.divide(rhs, col, out=ratios, where=pos)
         best = ratios.min()
-        tie_rows = np.nonzero(ratios <= best + tol * max(1.0, best))[0]
-        p = min(tie_rows, key=lambda i: cols_basis[i])
+        tie_rows = (ratios <= best + tol * max(1.0, best)).nonzero()[0]
+        p = tie_rows[0] if tie_rows.size == 1 else tie_rows[cols_basis[tie_rows].argmin()]
         degenerate = degenerate + 1 if best <= tol else 0
 
         piv = t[p, q]
@@ -292,6 +350,7 @@ def _drive_out_artificials(t, cols_basis, n_int, tol):
 
 def _eliminate(t, other, p):
     """t -= outer(other, t[p]) on the rows where ``other`` is nonzero; the
-    other rows would only lose 0 * t[p]."""
-    rows = np.flatnonzero(other)
-    t[rows] -= np.outer(other[rows], t[p])
+    other rows would only lose 0 * t[p].  The outer product is broadcast,
+    the same products as ``np.outer`` without its Python wrapper."""
+    rows = other.nonzero()[0]
+    t[rows] -= other[rows, None] * t[p]

@@ -103,8 +103,12 @@ def lnr_test(model, result: EstimationResult | None = None, threshold: float = 3
     substitutes with the model-implied value) the worst offender above the
     threshold, repeating up to ``max_cycles`` times.  Rows whose residual
     variance is numerically zero are critical and reported untestable.
+
+    ``model`` is never modified: the first removal or substitution happens
+    on a clone, so a clean pass reuses the model (and its compiled form) as
+    it is, and the returned model is ``model`` itself when nothing changed.
     """
-    work = model.clone()
+    work = model
     if result is None:
         result = solve_wls(work, tol=tol)
     flagged: list[tuple[int, float]] = []
@@ -144,6 +148,8 @@ def lnr_test(model, result: EstimationResult | None = None, threshold: float = 3
             break
         gidx = work.meas_indices[best_idx]
         flagged.append((gidx, float(best_nr)))
+        if work is model:
+            work = model.clone()
         if interpolate:
             # corrected-measurement substitution: subtracting the gross error's
             # own influence share reproduces the clean reading in the linear case

@@ -1,10 +1,15 @@
 import gc
+import re
+import struct
 import weakref
 
 import pytest
 
+import hybridse.bench.montecarlo as montecarlo
 import hybridse.coordination as coord
 import hybridse.estimation.wlav as wlav
+from hybridse import data
+from hybridse.bench import Scenario, prepare_context, run_single
 from hybridse.coordination import (CoordinationParams, run_cwls, run_drse,
                                    run_dwls)
 from hybridse.estimation import BoundaryTerm, UnobservableError
@@ -119,8 +124,13 @@ class TestDrse:
             return real(problem, basis=basis)
 
         monkeypatch.setattr(wlav, "lp_solve", spy)
+        events = record_tests(monkeypatch)
         est = run_drse(case33, ms, PARAMS)
-        assert len(refs) == len(case33.regions) * est.iterations
+        n = len(case33.regions)
+        skipped = fast_forwarded(events, n)
+        assert skipped > 0
+        # one solve per region in every iteration that was not fast-forwarded
+        assert len(refs) == n * (est.iterations - skipped)
         assert len(ids) == len(case33.regions)
         del est
         gc.collect()
@@ -177,6 +187,116 @@ class TestDrse:
 
 def coord_region_nodes(grid, region_id):
     return set(grid.region(region_id).nodes)
+
+
+def record_tests(monkeypatch, solves=False):
+    """Log each regional no-change test of DRSE as "T" or "F" and, with
+    ``solves``, each regional LP solve as "S", in call order."""
+    events = []
+    real_test, real_solve = coord.lp_unchanged, wlav.lp_solve
+
+    def test(problem, basis):
+        out = real_test(problem, basis)
+        events.append("T" if out else "F")
+        return out
+
+    def solve(problem, basis=None):
+        events.append("S")
+        return real_solve(problem, basis=basis)
+
+    monkeypatch.setattr(coord, "lp_unchanged", test)
+    if solves:
+        monkeypatch.setattr(wlav, "lp_solve", solve)
+    return events
+
+
+def fast_forwarded(events, n_regions):
+    """Iterations fast-forwarded: the tests of an iteration stop at the first
+    "F", so each run of "T"s is whole fast-forwarded iterations followed by
+    fewer than n_regions passes of an iteration that solved."""
+    return "".join(events).count("T" * n_regions)
+
+
+def estimate_bits(est):
+    """Every output of an estimate, floats as their bytes."""
+    def bits(*values):
+        return struct.pack(f"{len(values)}d", *values)
+    return (
+        [(p.converter, p.side, p.iteration, bits(p.p_vsc, p.q_vsc, p.p_loss, p.v_pcc))
+         for p in est.packet_trace],
+        {node: bits(v) for node, v in est.v.items()},
+        {node: bits(th) for node, th in est.theta.items()},
+        {cid: bits(lam) for cid, lam in est.lambdas.items()},
+        {cid: bits(*hist) for cid, hist in est.mismatch_history.items()},
+        {rid: (res.x.tobytes(), bits(res.objective), res.iterations,
+               res.residuals.tobytes())
+         for rid, res in est.regions.items()},
+        est.iterations, est.converged, est.stop_reason)
+
+
+class TestFastForward:
+    """A stalled DRSE loop that skips the solves whose outcome is known gives
+    every bit of the same loop with the no-change test always False."""
+
+    @staticmethod
+    def check(monkeypatch, grid, estimates):
+        """Run ``estimates()`` both ways; the fast run's test/solve events."""
+        events = record_tests(monkeypatch, solves=True)
+        fast = estimates()
+        events = "".join(events)
+        monkeypatch.setattr(coord, "lp_unchanged", lambda problem, basis: False)
+        reference = estimates()
+        assert len(fast) == len(reference) > 0
+        for a, b in zip(fast, reference):
+            assert estimate_bits(a) == estimate_bits(b)
+        return events
+
+    @staticmethod
+    def montecarlo_estimates(monkeypatch, method, case, runs=3):
+        ctx = prepare_context(Scenario(
+            grid=str(data.path(data.CASE33_HYBRID)), method=method, runs=runs,
+            seed=20240, base_profile=str(data.path(data.CASE33_HYBRID_LOADS)),
+            test_days=5, bad_data_case=case,
+            schedule={"scada_ac_branches": [[1, 2], [2, 19], [3, 23], [6, 26]]}))
+        out = []
+        real = montecarlo.run_drse
+
+        def keep(*args):
+            out.append(real(*args))
+            return out[-1]
+
+        def estimates():
+            out.clear()
+            for i in range(runs):
+                assert not run_single(ctx, i).error
+            return list(out)
+
+        monkeypatch.setattr(montecarlo, "run_drse", keep)
+        return estimates
+
+    @pytest.mark.parametrize("method", ["drse", "drse_pseudo"])
+    @pytest.mark.parametrize("case", [0, 2])
+    def test_case33_montecarlo(self, monkeypatch, case33, method, case):
+        estimates = self.montecarlo_estimates(monkeypatch, method, case)
+        events = self.check(monkeypatch, case33, estimates)
+        assert fast_forwarded(events, len(case33.regions)) > 0
+
+    def test_toy5(self, monkeypatch, toy5, toy5_loads):
+        sets = [noisy_set(toy5, toy5_loads, seed=seed)[1] for seed in range(6)]
+        self.check(monkeypatch, toy5, lambda: [run_drse(toy5, ms, PARAMS) for ms in sets])
+
+    def test_large_xi_falls_back_to_solves(self, monkeypatch, case33, case33_loads):
+        # with a steep multiplier step the costs soon leave the stalled
+        # basis's optimality range: a test fails after whole fast-forwarded
+        # iterations, and the loop solves again
+        sched = ScheduleConfig(scada_ac_branches=((1, 2), (2, 19), (3, 23), (6, 26)))
+        sets = [noisy_set(case33, case33_loads, seed=seed, sched=sched)[1]
+                for seed in range(6)]
+        params = CoordinationParams(xi=1e5)
+        events = self.check(monkeypatch, case33,
+                            lambda: [run_drse(case33, ms, params) for ms in sets])
+        n = len(case33.regions)
+        assert re.search("T" * n + "T*F" + "S" * n, events)
 
 
 class TestDwls:

@@ -245,6 +245,193 @@ class TestRegionalLpReuse:
         assert 0 < counts["reused"] < counts["warm"]
 
 
+def _reference_optimize(t, cols_basis, c, n_cols, tol, max_iter, seen):
+    """The simplex sweep as it was before its loop was trimmed, kept as the
+    reference for bit equality; ``seen`` counts Bland pivots and ratio ties."""
+    m = t.shape[0]
+    it = 0
+    degenerate = 0
+    basic = np.zeros(t.shape[1] - 1, dtype=bool)
+    basic[cols_basis] = True
+    while it < max_iter:
+        cb = c[cols_basis]
+        reduced = c[:n_cols] - cb @ t[:, :n_cols]
+        reduced[basic[:n_cols]] = 0.0
+        if degenerate < 30:
+            q = int(np.argmin(reduced))
+            if reduced[q] >= -tol:
+                return it
+        else:
+            seen["bland"] += 1
+            candidates = np.nonzero(reduced < -tol)[0]
+            if candidates.size == 0:
+                return it
+            q = int(candidates[0])
+
+        col = t[:, q]
+        pos = col > tol
+        if not pos.any():
+            raise lp_module.LpUnbounded("no blocking ratio for entering column")
+        ratios = np.full(m, np.inf)
+        ratios[pos] = t[pos, -1] / col[pos]
+        best = ratios.min()
+        tie_rows = np.nonzero(ratios <= best + tol * max(1.0, best))[0]
+        seen["ties"] += len(tie_rows) > 1
+        p = min(tie_rows, key=lambda i: cols_basis[i])
+        degenerate = degenerate + 1 if best <= tol else 0
+
+        piv = t[p, q]
+        t[p] /= piv
+        other = col.copy()
+        other[p] = 0.0
+        rows = np.flatnonzero(other)
+        t[rows] -= np.outer(other[rows], t[p])
+        basic[cols_basis[p]] = False
+        basic[q] = True
+        cols_basis[p] = q
+        it += 1
+    raise LpError("simplex iteration limit reached")
+
+
+class TestOptimizeBitExact:
+    """The trimmed simplex sweep leaves the same tableau bytes, basis and pivot
+    count as the reference sweep, or fails at the same pivot the same way."""
+
+    @staticmethod
+    def _case(rng, kind):
+        """Tableau [A | I | b] on the slack basis.  Kind 0: integer data with
+        mostly zero b (long degenerate runs, Bland's rule); 1: real data;
+        2: small integers (ratio ties); 3: a phase-1 sweep pricing only A."""
+        m = int(rng.integers(4, 36))
+        n = int(rng.integers(m, 3 * m))
+        if kind == 1:
+            a, b = rng.normal(size=(m, n)), rng.uniform(0.0, 1.0, size=m)
+            c = rng.normal(size=n)
+        else:
+            a = rng.integers(-2, 3, size=(m, n)).astype(float)
+            b = rng.integers(0, 3, size=m).astype(float)
+            if kind == 0:
+                b[rng.random(m) < 0.7] = 0.0
+            c = rng.integers(-3, 3, size=n).astype(float)
+        t = np.hstack([a, np.eye(m), b[:, None]])
+        if kind == 3:
+            return t, np.arange(n, n + m), np.concatenate([np.zeros(n), np.ones(m)]), n
+        return t, np.arange(n, n + m), np.concatenate([c, np.zeros(m)]), n + m
+
+    def test_bit_equal_to_reference(self, monkeypatch):
+        bland = []
+        real = lp_module._entering
+
+        def entering(reduced, degenerate, tol):
+            bland.append(degenerate >= lp_module._DEGENERATE_STREAK)
+            return real(reduced, degenerate, tol)
+
+        monkeypatch.setattr(lp_module, "_entering", entering)
+        seen = {"bland": 0, "ties": 0, "unbounded": 0, "optimal": 0}
+        rng = np.random.default_rng(4242)
+        for trial in range(240):
+            t, basis, c, n_cols = self._case(rng, trial % 4)
+            t_ref, basis_ref = t.copy(), [int(j) for j in basis]
+            outcome = []
+            for sweep, args in ((lp_module._optimize, (t, basis)),
+                                (_reference_optimize, (t_ref, basis_ref))):
+                extra = (seen,) if sweep is _reference_optimize else ()
+                try:
+                    outcome.append(("optimal", sweep(*args, c, n_cols, 1e-9, 20000, *extra)))
+                except lp_module.LpUnbounded:
+                    outcome.append(("unbounded", None))
+            assert outcome[0] == outcome[1]
+            seen[outcome[0][0]] += 1
+            assert t.tobytes() == t_ref.tobytes()
+            assert basis.tolist() == basis_ref
+        assert seen["bland"] > 0 and seen["ties"] > 0
+        assert seen["unbounded"] > 0 and seen["optimal"] > 0
+        assert any(bland)
+
+
+class TestLpUnchanged:
+    """``lp_unchanged`` answers without solving whether ``lp_solve`` would
+    return the recorded solution with 0 pivots, on the regional LPs of a
+    stalled case33 DRSE estimate with their multiplier costs moved."""
+
+    @staticmethod
+    def _final_terms(case33, case33_loads, monkeypatch):
+        from hybridse import coordination as coord
+        from hybridse.coordination import CoordinationParams, run_drse
+        from hybridse.powerflow import solve_powerflow
+        from hybridse.telemetry import ScheduleConfig, simulate_measurements
+        last = {}
+        real = coord.solve_wlav_region
+
+        def spy(model, terms, basis):
+            last[model.region_id] = (model, terms)
+            return real(model, terms, basis=basis)
+
+        monkeypatch.setattr(coord, "solve_wlav_region", spy)
+        sched = ScheduleConfig(scada_ac_branches=((1, 2), (2, 19), (3, 23), (6, 26)))
+        truth = solve_powerflow(case33, case33_loads)
+        out = []
+        for seed in (3, 7):
+            ms = simulate_measurements(case33, truth.state, sched, t=900.0, seed=seed)
+            run_drse(case33, ms, CoordinationParams())
+            out += last.values()
+        return out
+
+    @staticmethod
+    def _settle(problem):
+        """A basis that solves ``problem`` warm with 0 pivots, and the solve
+        of it that copies the stored tableau (which records its key)."""
+        basis = lp_solve(problem).basis
+        while (sol := lp_solve(problem, basis=basis)).iterations:
+            basis = sol.basis
+        settled = lp_solve(problem, basis=basis)
+        assert settled.iterations == 0 and settled.x.tobytes() == sol.x.tobytes()
+        return basis, settled
+
+    def test_true_exactly_when_the_solve_repeats(self, case33, case33_loads, monkeypatch):
+        answers = set()
+        for model, terms in self._final_terms(case33, case33_loads, monkeypatch):
+            problem = build_regional_wlav_lp(model, terms)
+            regional = model._wlav_lp
+            basis, settled = self._settle(problem)
+            assert lp_module.lp_unchanged(problem, basis)
+            ab = slice(regional.ab0, None)
+            for scale in (1.0 + 1e-12, 1.001, 1.5, 3.0, 10.0, 1e2, 1e4, 1e6, 0.5, 0.0):
+                c = problem.c.copy()
+                c[ab] = c[ab] * scale + (1e-3 if scale == 0.0 else 0.0)
+                moved = regional.lp.problem(c, problem.b_eq)
+                predicted = lp_module.lp_unchanged(moved, basis)
+                sol = lp_solve(moved, basis=basis)
+                assert predicted == (sol.iterations == 0
+                                     and sol.x.tobytes() == settled.x.tobytes())
+                answers.add(predicted)
+                if sol.iterations:
+                    # a solve that pivots clears the record
+                    assert not lp_module.lp_unchanged(problem, basis)
+                assert lp_solve(problem, basis=basis).iterations == 0
+                assert lp_module.lp_unchanged(problem, basis)
+
+            # another right-hand side or another basis is never answered
+            b = problem.b_eq.copy()
+            b[-1] += 1e-3
+            assert not lp_module.lp_unchanged(regional.lp.problem(problem.c, b), basis)
+            assert not lp_module.lp_unchanged(problem, basis[1:] + basis[:1])
+            assert not lp_module.lp_unchanged(problem, None)
+            # nor a hand-built copy of the problem, which has no template
+            copy = LpProblem(problem.c, problem.a_eq, problem.b_eq, problem.free_mask)
+            assert not lp_module.lp_unchanged(copy, basis)
+
+            # a warm basis that does not fit falls back to a cold start,
+            # which clears the record; the next stored-tableau solve sets it
+            lp_solve(problem, basis=basis[:-1])
+            assert not lp_module.lp_unchanged(problem, basis)
+            lp_solve(problem, basis=basis)
+            assert lp_module.lp_unchanged(problem, basis)
+            lp_solve(problem)
+            assert not lp_module.lp_unchanged(problem, basis)
+        assert answers == {True, False}
+
+
 class TestScalarLavIsWeightedMedian:
     def test_randomized_against_oracle(self):
         rng = np.random.default_rng(12345)
@@ -359,6 +546,62 @@ class TestLnr:
         out = lnr_test(model, interpolate=True)
         assert 3 in out.replaced
         assert out.replaced[3] == pytest.approx(1.0, abs=1e-6)
+
+
+class TestLnrLeavesTheModel:
+    """``lnr_test`` works on a clone only once it removes or substitutes a
+    reading, so a clean CWLS estimate compiles its system model once, and the
+    caller's model never changes."""
+
+    @staticmethod
+    def _case33_set(case33, case33_loads, seed):
+        from hybridse.powerflow import solve_powerflow
+        from hybridse.telemetry import ScheduleConfig, simulate_measurements
+        truth = solve_powerflow(case33, case33_loads)
+        sched = ScheduleConfig(scada_ac_branches=((1, 2), (2, 19), (3, 23), (6, 26)))
+        return simulate_measurements(case33, truth.state, sched, t=3600.0, seed=seed)
+
+    def test_clean_cwls_compiles_once(self, case33, case33_loads, monkeypatch):
+        from hybridse.coordination import run_cwls
+        built = []
+        real = measmodel._CompiledRows
+
+        def counted(model):
+            built.append(model)
+            return real(model)
+
+        monkeypatch.setattr(measmodel, "_CompiledRows", counted)
+        for seed in range(3):
+            built.clear()
+            est = run_cwls(case33, self._case33_set(case33, case33_loads, seed))
+            assert not est.bad_data[-1].flagged
+            assert len(built) == 1
+
+    @staticmethod
+    def _snapshot(model):
+        fields = {name: getattr(model, name) for name in
+                  ("rows", "H", "z", "sigma", "sources", "meas_indices", "measurements")
+                  if hasattr(model, name)}
+        return {name: value.tobytes() if isinstance(value, np.ndarray) else list(value)
+                for name, value in fields.items()}
+
+    @pytest.mark.parametrize("interpolate", [False, True])
+    def test_model_unchanged(self, case33, case33_loads, interpolate):
+        from hybridse.measmodel import build_system_model
+        from hybridse.telemetry import inject_bad_data
+        ms = inject_bad_data(self._case33_set(case33, case33_loads, 11), 1)
+        models = [build_system_model(case33, list(enumerate(ms.measurements)))]
+        by_region = ms.by_region(case33)
+        models += [build_region_H(case33, region, by_region[region.id])
+                   for region in case33.regions]
+        flagged = 0
+        for model in models:
+            before = self._snapshot(model)
+            out = lnr_test(model, interpolate=interpolate)
+            flagged += len(out.report.flagged)
+            assert self._snapshot(model) == before
+            assert (out.model is model) == (not out.report.flagged)
+        assert flagged > 0
 
 
 class TestWlavRegion:
