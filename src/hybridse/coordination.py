@@ -33,16 +33,14 @@ iteration's timing is the measured time of the tests and the algebra.
 
 from __future__ import annotations
 
-import csv
 import struct
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .estimation import (BoundaryTerm, EstimationResult, build_regional_wlav_lp,
-                         lnr_test, lp_unchanged, solve_wlav_region, solve_wls)
+from .estimation import (BoundaryTerm, EstimationResult, RegionalLp, lnr_test,
+                         lp_unchanged, solve_wlav_region, solve_wls)
 from .grid import AC, DC, OWNS_AC, GridModel
 from .measmodel import NonlinearModel, build_region_model, build_system_model
 from .powerflow import ac_branch_flow, converter_loss
@@ -123,15 +121,6 @@ class SystemEstimate:
         if not self.mismatch_history:
             return 0.0
         return max(hist[-1] for hist in self.mismatch_history.values())
-
-    def dump_boundary_trace(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["iteration", "converter", "side", "p_vsc", "q_vsc",
-                        "p_loss", "v_pcc"])
-            for pkt in self.packet_trace:
-                w.writerow([pkt.iteration, pkt.converter, pkt.side, repr(pkt.p_vsc),
-                            repr(pkt.q_vsc), repr(pkt.p_loss), repr(pkt.v_pcc)])
 
     def dominant_reading(self) -> int | None:
         """Global index of the reading the estimate blames most: the one the
@@ -312,17 +301,20 @@ def run_drse(grid: GridModel, ms: MeasurementSet,
     t_start = time.perf_counter()
     by_region = ms.by_region(grid)
     models = {r.id: build_region_H(grid, r, by_region[r.id]) for r in grid.regions}
+    # each region's LP, constant within the estimate, built once
+    lps = {r.id: RegionalLp(models[r.id], sorted(cid for cid, _ in r.boundary))
+           for r in grid.regions}
     bases: dict[int, tuple] = {}
 
     def solve_region(region, terms):
         # the regional solve sees only its own model and BoundaryTerm values
-        result, sol = solve_wlav_region(models[region.id], terms, basis=bases.get(region.id))
+        result, sol = solve_wlav_region(models[region.id], terms, basis=bases.get(region.id),
+                                        lp=lps[region.id])
         bases[region.id] = sol.basis
         return result
 
     def unchanged(region, terms):
-        problem = build_regional_wlav_lp(models[region.id], terms)
-        return lp_unchanged(problem, bases.get(region.id))
+        return lp_unchanged(lps[region.id].problem(terms), bases.get(region.id))
 
     def boundary_power(conv, ac_res, dc_res, p_loss):
         ac_model = models[grid.node(conv.aux_node).region]

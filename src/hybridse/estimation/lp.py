@@ -21,8 +21,9 @@ for the new b raises ``LpError`` inside the solve, and :func:`lp_solve` then
 does one cold start.
 
 A family of problems that share A and the free columns and differ only in c
-and b comes from one :class:`LpTemplate`.  The template's A and free mask are
-read-only, and the kernel keeps three things on the template:
+and b comes from one :class:`LpTemplate`, and each problem it makes names it
+in ``LpProblem.template``.  The template's A and free mask are read-only, and
+the kernel keeps three things on the template:
 
 - the free-column split (internal matrix, column map), made once and valid
   for as long as the template lives, plus the split matrix with the rows of
@@ -32,27 +33,26 @@ read-only, and the kernel keeps three things on the template:
   instead of solving again; the same inputs give the same tableau, and c only
   enters through the reduced costs, which are recomputed.  Any other basis
   or b replaces it;
-- the key (basis, b bytes) of the last solve, if that solve was a warm start
-  that copied the stored tableau and returned it with 0 pivots.  Any other
-  outcome clears it: a pivot, a new tableau, an error or a cold start.
+- ``settled``: whether the last solve was a warm start that copied that
+  stored tableau and returned it with 0 pivots.  Any other outcome clears
+  it: a pivot, a new tableau, an error or a cold start.
 
-After such a solve, the solution depends only on the recorded key: x is read
-off the stored tableau, and c only decides whether the first pricing pass
-finds an entering column.  :func:`lp_unchanged` answers, without solving,
-whether ``lp_solve(problem, basis)`` would return that same x again with 0
-pivots: the key must match, and the first pricing pass, run on the stored
-tableau with the problem's costs by the same function the solve uses, must
-find no entering column.  This is the optimality test of a basis under a
-change of c alone (reduced costs non-negative), made with the solve's own
-arithmetic, so the answer is exact rather than approximate.
+After such a solve, x is read off the stored tableau, and c only decides
+whether the first pricing pass finds an entering column.  So
+:func:`lp_unchanged` answers exactly, without solving, whether
+``lp_solve(problem, basis)`` would return the same x again with 0 pivots:
+the template must be settled with the stored key (basis, b bytes), and the
+first pricing pass, run on the stored tableau with the problem's costs by
+the solve's own function, must find no entering column (the optimality test
+of a basis under a change of c alone).
 
-A problem whose ``a_eq`` or ``free_mask`` was rebound after the template made
-it, and every hand-built ``LpProblem``, is split afresh and solved densely.
+A hand-built ``LpProblem`` has no template; it is split afresh and solved
+densely, and :func:`lp_unchanged` always answers False for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,6 +75,7 @@ class LpProblem:
     a_eq: np.ndarray
     b_eq: np.ndarray
     free_mask: np.ndarray                  # True where the variable is unbounded below
+    template: LpTemplate | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -126,12 +127,11 @@ class LpTemplate:
         self.free_mask.flags.writeable = False
         self.split = _Split(self.a_eq, self.free_mask)
         self.dense: tuple | None = None     # ((basis, b bytes), B^-1 [A | b])
-        self.settled: tuple | None = None   # key of a 0-pivot solve from dense
+        self.settled = False                # last solve: 0 pivots from dense
 
     def problem(self, c, b_eq) -> LpProblem:
-        problem = LpProblem(c=c, a_eq=self.a_eq, b_eq=b_eq, free_mask=self.free_mask)
-        problem._template = self
-        return problem
+        return LpProblem(c=c, a_eq=self.a_eq, b_eq=b_eq, free_mask=self.free_mask,
+                         template=self)
 
 
 class _Split:
@@ -161,15 +161,6 @@ class _Split:
         return self.flipped[1]
 
 
-def _template_of(problem: LpProblem) -> LpTemplate | None:
-    """The problem's template, unless its A or free mask was rebound since."""
-    template = getattr(problem, "_template", None)
-    if template is not None and not (problem.a_eq is template.a_eq
-                                     and problem.free_mask is template.free_mask):
-        return None
-    return template
-
-
 def _internal_costs(problem: LpProblem, split: _Split) -> np.ndarray:
     return np.concatenate([problem.c, -problem.c[split.free]])
 
@@ -178,9 +169,9 @@ def lp_unchanged(problem: LpProblem, basis: tuple[int, ...] | None) -> bool:
     """True when ``lp_solve(problem, basis)`` would return, with 0
     pivots, the same x as the last solve of the problem's template; see the
     module docstring.  False whenever that cannot be told without solving."""
-    template = _template_of(problem)
-    if (basis is None or template is None
-            or template.settled != (tuple(basis), problem.b_eq.tobytes())):
+    template = problem.template
+    if (basis is None or template is None or not template.settled
+            or template.dense[0] != (tuple(basis), problem.b_eq.tobytes())):
         return False
     t = template.dense[1]
     n = t.shape[1] - 1
@@ -192,9 +183,9 @@ def lp_unchanged(problem: LpProblem, basis: tuple[int, ...] | None) -> bool:
 
 
 def _lp_solve(problem: LpProblem, basis, tol, max_iter) -> LpSolution:
-    template = _template_of(problem)
+    template = problem.template
     if template is not None:
-        template.settled = None
+        template.settled = False
     split = template.split if template is not None else _Split(problem.a_eq,
                                                                problem.free_mask)
     n_int = split.orig.size
@@ -237,7 +228,7 @@ def _lp_solve(problem: LpProblem, basis, tol, max_iter) -> LpSolution:
     pivots = _optimize(t, cols_basis, c_int, n_int, tol, max_iter - iterations)
     iterations += pivots
     if stored and pivots == 0:
-        template.settled = key
+        template.settled = True
 
     x = np.zeros(problem.a_eq.shape[1])
     np.add.at(x, split.orig[cols_basis], split.sign[cols_basis] * t[:, -1])

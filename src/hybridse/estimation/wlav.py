@@ -8,16 +8,14 @@ free and split inside the LP kernel.  WLAV weights are 1/sigma.
 
 Within one estimate only the boundary rows of b and the (a, b) costs change
 between coordination iterations.  So the constant part (A, the free mask,
-the slack costs 1/sigma and z) is built once per model and converter set as
-an :class:`~.lp.LpTemplate`, kept in the private attribute ``_wlav_lp`` of
-the model itself: it lives and dies with the model, and ``clone()`` starts
-without one.  Every call compares the model's H, z, sigma, sources and
-boundary rows (by content) and the converter set with the ones the template
-was built from and builds a new template on any difference, so rebinding
-(``drop_row``) and in-place edits both invalidate it.  The problem of each
-call shares the template's read-only A and carries fresh b and c, patched on
-the boundary rows and the (a, b) columns; the LP kernel keeps its
-free-column split and last warm tableau on the template.
+the slack costs 1/sigma and z) is built once as a :class:`RegionalLp`, which
+holds it as an :class:`~.lp.LpTemplate`.  Its owner is whoever builds it:
+DRSE builds one per region per estimate and passes it to every solve and
+no-change test, and a call without one builds a throwaway one for itself, so
+the model carries no LP state.  The problem of each call shares the
+template's read-only A and carries fresh b and c, patched on the boundary
+rows and the (a, b) columns; the LP kernel keeps its free-column split and
+last warm tableau on the template.
 """
 
 from __future__ import annotations
@@ -46,38 +44,28 @@ class BoundaryTerm:
     loss_const: float = 0.0
 
 
-def build_regional_wlav_lp(model, boundary: dict[int, BoundaryTerm]) -> LpProblem:
+def build_regional_wlav_lp(model, boundary: dict[int, BoundaryTerm],
+                           lp: RegionalLp | None = None) -> LpProblem:
     """Assemble the regional LP from a constant linear measurement model.
 
     Columns are the states, a (u, l) pair per measurement row that is not an
-    exact zero injection, then an (a, b) pair per boundary converter.
+    exact zero injection, then an (a, b) pair per boundary converter.  ``lp``
+    is the model's :class:`RegionalLp` for the converters of ``boundary``;
+    without it a throwaway one is built.  The problem is the same either way.
     """
-    if len(model.z) == 0:
-        raise ValueError(f"region {model.region_id} has no measurements")
-    convs = tuple(sorted(boundary))
-    key = _template_key(model, convs)
-    template = getattr(model, "_wlav_lp", None)
-    if template is None or template.key != key:
-        template = _RegionalLp(model, convs, key)
-        model._wlav_lp = template
-    return template.problem(boundary)
+    if lp is None:
+        lp = RegionalLp(model, sorted(boundary))
+    return lp.problem(boundary)
 
 
-def _template_key(model, convs) -> tuple:
-    """Everything the constant part of the LP is built from."""
-    def raw(arr):
-        arr = np.asarray(arr, dtype=float)
-        return arr.shape, arr.tobytes()
-    return (raw(model.H), raw(model.z), raw(model.sigma), tuple(model.sources), convs,
-            tuple(raw(model.boundary[cid]) for cid in convs))
+class RegionalLp:
+    """The part of a region's WLAV LP that is constant within an estimate:
+    the model's rows and the boundary rows of the converters ``convs``."""
 
-
-class _RegionalLp:
-    """The part of a region's WLAV LP that is constant within an estimate."""
-
-    def __init__(self, model, convs, key):
-        self.key = key
-        self.convs = convs
+    def __init__(self, model, convs):
+        if len(model.z) == 0:
+            raise ValueError(f"region {model.region_id} has no measurements")
+        self.convs = tuple(convs)
         m, n = len(model.z), model.n_states
         slack_rows = [i for i, src in enumerate(model.sources) if src != SOURCE_VIRTUAL_ZERO]
         self.m, self.ab0 = m, n + 2 * len(slack_rows)
@@ -115,13 +103,14 @@ class _RegionalLp:
 
 
 def solve_wlav_region(model, boundary: dict[int, BoundaryTerm] | None = None,
-                      basis: tuple[int, ...] | None = None
+                      basis: tuple[int, ...] | None = None, lp: RegionalLp | None = None
                       ) -> tuple[EstimationResult, LpSolution]:
     """Solve one region's WLAV problem; returns the estimate and the LP
-    solution (whose basis warm-starts the next coordination iteration)."""
+    solution (whose basis warm-starts the next coordination iteration).
+    ``lp`` is passed on to :func:`build_regional_wlav_lp`."""
     t0 = time.perf_counter()
     boundary = boundary or {}
-    problem = build_regional_wlav_lp(model, boundary)
+    problem = build_regional_wlav_lp(model, boundary, lp=lp)
     sol = lp_solve(problem, basis=basis)
 
     x = sol.x[:model.n_states]

@@ -33,11 +33,6 @@ class GmmModel:
         second = self.weights @ (self.variances + self.means ** 2)
         return second - mu ** 2
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        comp = rng.choice(self.k, size=n, p=self.weights)
-        out = rng.normal(self.means[comp], np.sqrt(self.variances[comp]))
-        return out
-
     def sample_coupled(self, u: float, g: np.ndarray, g_own: np.ndarray,
                        rho: float) -> np.ndarray:
         """One draw with an externally shared component quantile ``u`` and

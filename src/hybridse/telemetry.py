@@ -284,8 +284,8 @@ class LinearRegionModel:
     AC regions: x = [U per node, theta per non-reference node].
     DC regions: x = [V per node, draw per boundary converter].
     Rows whose source is ``SOURCE_VIRTUAL_ZERO`` are exact zero injections.
-    The regional WLAV builder keeps its LP template in the private attribute
-    ``_wlav_lp`` (see ``estimation.wlav``); ``clone()`` does not copy it.
+    The model holds no LP state: the regional WLAV LP built from it is owned
+    by its caller (``estimation.wlav.RegionalLp``).
     """
 
     H: np.ndarray

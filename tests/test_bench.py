@@ -101,11 +101,18 @@ class TestMonteCarlo:
     def test_artifacts_and_determinism(self, tmp_path):
         sc = toy_scenario(runs=3)
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        run_montecarlo(sc, out_dir=out1)
+        result = run_montecarlo(sc, out_dir=out1)
         run_montecarlo(sc, out_dir=out2)
         for name in ("runs.csv", "aggregate.csv", "trace_boundary.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
         assert (out1 / "timing.csv").exists()
+        # an ac and a dc packet per iteration of each run (toy5 has one converter)
+        lines = (out1 / "trace_boundary.csv").read_text().strip().splitlines()
+        assert lines[0] == "run,iteration,converter,side,p_vsc,q_vsc,p_loss,v_pcc"
+        for rec in result.records:
+            rows = [ln.split(",") for ln in lines[1:] if ln.split(",")[0] == str(rec.run)]
+            assert len(rows) == 2 * rec.iterations > 0
+            assert [row[3] for row in rows] == ["ac", "dc"] * rec.iterations
 
     def test_aggregate_recomputable_from_runs(self, tmp_path):
         sc = toy_scenario(runs=4)

@@ -84,7 +84,7 @@ class TestDrse:
         assert est.converged == (est.max_mismatch() <= PARAMS.tau)
         assert len(est.timing) == est.iterations
         for t in est.timing:
-            assert t.t_total >= max(t.t_regions.values()) - 1e-12 or True
+            assert t.t_total >= max(t.t_regions.values()) - 1e-12
             assert t.t_total >= t.t_algebra
 
     def test_stop_reason_stalled_on_noisy_case33(self, case33, case33_loads):
@@ -141,9 +141,9 @@ class TestDrse:
         calls = []
         real = coord.solve_wlav_region
 
-        def spy(model, terms, basis):
+        def spy(model, terms, basis, **kwargs):
             calls.append((model, terms))
-            return real(model, terms, basis=basis)
+            return real(model, terms, basis=basis, **kwargs)
 
         monkeypatch.setattr(coord, "solve_wlav_region", spy)
         run_drse(toy5, ms, PARAMS)
@@ -159,16 +159,6 @@ class TestDrse:
                 for loc in m.location:
                     if m.kind.value.startswith(("ac", "dc", "zero")):
                         assert loc in region_nodes
-
-    def test_boundary_trace_dump(self, tmp_path, toy5, toy5_loads):
-        _, ms = noisy_set(toy5, toy5_loads, seed=6)
-        est = run_drse(toy5, ms, PARAMS)
-        path = tmp_path / "trace.csv"
-        est.dump_boundary_trace(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "iteration,converter,side,p_vsc,q_vsc,p_loss,v_pcc"
-        assert len(lines) == 1 + 2 * est.iterations  # ac and dc packet per iter
-        assert [ln.split(",")[2] for ln in lines[1:]] == ["ac", "dc"] * est.iterations
 
     def test_case2_corruption_contained(self, toy5, toy5_loads):
         res, ms = exact_set(toy5, toy5_loads)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from hybridse import measmodel
-from hybridse.estimation import (BoundaryTerm, LpError, LpProblem, UnobservableError,
-                                 build_regional_wlav_lp, lnr_test, lp_solve,
-                                 solve_wlav_region, solve_wls)
+from hybridse.estimation import (BoundaryTerm, LpError, LpProblem, RegionalLp,
+                                 UnobservableError, build_regional_wlav_lp, lnr_test,
+                                 lp_solve, solve_wlav_region, solve_wls)
 from hybridse.estimation import lp as lp_module
 from hybridse.powerflow import SystemState, solve_ac_region
 from hybridse.telemetry import (LinearRegionModel, Measurement, MeasurementKind,
@@ -164,25 +164,28 @@ class TestLpOracle:
 
 
 class TestRegionalLpReuse:
-    """The per-model LP template, the free-column split made once per template
-    and the reused warm tableau change no bit of any solve: every step of a
-    coordination-like sequence matches a solve of a hand-built copy."""
+    """A region's LP built once (``RegionalLp``), the free-column split made
+    once per template and the reused warm tableau change no bit of any solve:
+    every step of a coordination-like sequence matches a solve of a
+    hand-built copy."""
 
     @staticmethod
     def _fresh(model, terms, basis):
-        """The same LP from a clone's template, copied into a hand-built
-        ``LpProblem``: nothing cached is shared with the model."""
+        """The same LP built afresh from a clone, copied into a hand-built
+        ``LpProblem``: nothing built is shared with the sequence."""
         twin = build_regional_wlav_lp(model.clone(), terms)
         problem = LpProblem(c=twin.c.copy(), a_eq=twin.a_eq.copy(), b_eq=twin.b_eq.copy(),
                             free_mask=twin.free_mask.copy())
         return problem, lp_solve(problem, basis=basis)
 
     def _sequence(self, model, steps, counts, basis=None):
-        """Solve each step's terms warm from the previous basis, against the
-        fresh solve warm from the fresh previous basis."""
+        """Solve each step's terms warm from the previous basis through one
+        ``RegionalLp`` of the model, against the fresh solve warm from the
+        fresh previous basis."""
+        lp = RegionalLp(model, sorted(model.boundary))
         ref_basis = basis
         for terms in steps:
-            problem = build_regional_wlav_lp(model, terms)
+            problem = build_regional_wlav_lp(model, terms, lp=lp)
             dense = counts["dense"]
             sol = lp_solve(problem, basis=basis)
             if basis is not None:
@@ -230,8 +233,8 @@ class TestRegionalLpReuse:
             model = TestLpOracle._case(rng, x_true)
             basis = self._sequence(model, self._steps(rng, model, x_true, 5), counts)
 
-            # a rebound z, an in-place edit of z and a clone with another z
-            # must each solve like a fresh build
+            # a rebound z, an in-place edit of z and a clone with another z,
+            # each with its own RegionalLp, solve like a fresh build
             scada = np.array(model.sources) != "virtual_zero"
             model.z = np.where(scada, model.z + rng.normal(0.0, 0.01, model.z.size), 0.0)
             basis = self._sequence(model, self._steps(rng, model, x_true, 2), counts, basis)
@@ -363,9 +366,9 @@ class TestLpUnchanged:
         last = {}
         real = coord.solve_wlav_region
 
-        def spy(model, terms, basis):
+        def spy(model, terms, basis, **kwargs):
             last[model.region_id] = (model, terms)
-            return real(model, terms, basis=basis)
+            return real(model, terms, basis=basis, **kwargs)
 
         monkeypatch.setattr(coord, "solve_wlav_region", spy)
         sched = ScheduleConfig(scada_ac_branches=((1, 2), (2, 19), (3, 23), (6, 26)))
@@ -391,8 +394,8 @@ class TestLpUnchanged:
     def test_true_exactly_when_the_solve_repeats(self, case33, case33_loads, monkeypatch):
         answers = set()
         for model, terms in self._final_terms(case33, case33_loads, monkeypatch):
-            problem = build_regional_wlav_lp(model, terms)
-            regional = model._wlav_lp
+            regional = RegionalLp(model, sorted(terms))
+            problem = build_regional_wlav_lp(model, terms, lp=regional)
             basis, settled = self._settle(problem)
             assert lp_module.lp_unchanged(problem, basis)
             ab = slice(regional.ab0, None)
