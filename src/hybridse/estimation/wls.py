@@ -53,9 +53,8 @@ def solve_wls(model, x0: np.ndarray | None = None, tol: float = 1e-6,
     it = 0
     for it in range(1, max_iter + 1):
         h, jac = model.h_jac(x)
-        r = z - h
         a = jac * sw[:, None]
-        rhs = r * sw
+        rhs = (z - h) * sw
         dx, _, rank, _ = np.linalg.lstsq(a, rhs, rcond=None)
         if rank < n:
             raise UnobservableError(rank, n, scope=getattr(model, "scope", ""))
@@ -63,21 +62,20 @@ def solve_wls(model, x0: np.ndarray | None = None, tol: float = 1e-6,
         step = 1.0
         for _ in range(10):
             trial = x + step * dx
-            trial_obj, _ = objective(trial)
+            trial_obj, trial_r = objective(trial)
             if trial_obj <= obj + 1e-12:
                 break
             step *= 0.5
         else:
             break  # no improving step: treat as stalled
-        x = x + step * dx
-        obj, r = objective(x)
+        x, obj, r = trial, trial_obj, trial_r
         if np.abs(step * dx).max() < tol:
             converged = True
             break
 
     v, theta, conv = model.extract_state(x)
     result = EstimationResult(scope=getattr(model, "scope", "wls"), v=v, theta=theta,
-                              conv_vars=conv, residuals=z - model.h(x),
+                              conv_vars=conv, residuals=r,
                               objective=obj, iterations=it, converged=converged,
                               wall_time=time.perf_counter() - t0,
                               meas_indices=list(model.meas_indices))
