@@ -16,7 +16,7 @@ class UnobservableError(EstimationError):
 
     def __init__(self, rank: int, n_states: int, scope: str = ""):
         where = f" in {scope}" if scope else ""
-        super().__init__(f"unobservable{where}: gain matrix rank {rank} < {n_states}")
+        super().__init__(f"unobservable{where}: weighted Jacobian rank {rank} < {n_states}")
         self.rank = rank
         self.n_states = n_states
 

@@ -1,4 +1,11 @@
-"""Gauss-Newton weighted least squares and the normalized-residual test."""
+"""Gauss-Newton weighted least squares and the normalized-residual test.
+
+Both work on the weighted Jacobian A = W^(1/2) J through its Householder QR
+factorization A = QR, never through the gain matrix G = A^T A = R^T R: the
+zero-injection rows carry a weight of 1/ZERO_INJ_SIGMA^2 = 1e12, and forming
+G would square A's condition number (Abur & Exposito, Power System State
+Estimation, 2004, ch. 3).
+"""
 
 from __future__ import annotations
 
@@ -23,14 +30,43 @@ def effective_sigma(model) -> np.ndarray:
     return sigma
 
 
+def _qr_step(a: np.ndarray, rhs: np.ndarray, scope: str = "") -> np.ndarray:
+    """Least-squares solution of ``a @ dx = rhs`` by Householder QR.
+
+    ``a`` counts as rank deficient when a diagonal entry of R is at most
+    max|diag R| * max(m, n) * eps, the scale of lstsq's default cutoff; the
+    UnobservableError then reports the SVD rank of ``a``.
+    """
+    m, n = a.shape
+    q, r = np.linalg.qr(a)
+    d = np.abs(np.diag(r))
+    if m < n or not np.all(d > d.max() * max(m, n) * np.finfo(float).eps):
+        raise UnobservableError(int(np.linalg.matrix_rank(a)), n, scope=scope)
+    return np.linalg.solve(r, q.T @ rhs)
+
+
+def _residual_variance(jac: np.ndarray, a: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Diagonal of the residual covariance Omega = R_z - J G^-1 J^T.
+
+    With ``a`` the weighted Jacobian and R its QR factor, G = R^T R, so
+    Omega_ii = sigma_i^2 - ||R^-T J_i^T||^2 with J_i the unweighted row.
+    Raises LinAlgError when R is singular.
+    """
+    r = np.linalg.qr(a, mode="r")
+    y = np.linalg.solve(r.T, jac.T)
+    return sigma * sigma - np.einsum("ij,ij->j", y, y)
+
+
 def solve_wls(model, x0: np.ndarray | None = None, tol: float = 1e-6,
               max_iter: int = 50,
               weight_overrides: dict[int, float] | None = None) -> EstimationResult:
     """Iterate Gauss-Newton until max |dx| < tol, with step halving.
 
-    ``weight_overrides`` maps row index to an explicit weight (used for
-    boundary penalty rows whose weight is a multiplier, not 1/sigma^2).
-    Raises UnobservableError when the weighted Jacobian is rank deficient.
+    Each step solves W^(1/2) J dx = W^(1/2) (z - h(x)) by Householder QR, and
+    each accepted step evaluates h once.  ``weight_overrides`` maps row index
+    to an explicit weight (used for boundary penalty rows whose weight is a
+    multiplier, not 1/sigma^2).  Raises UnobservableError when the weighted
+    Jacobian is rank deficient.
     """
     t0 = time.perf_counter()
     sigma = effective_sigma(model)
@@ -55,9 +91,7 @@ def solve_wls(model, x0: np.ndarray | None = None, tol: float = 1e-6,
         h, jac = model.h_jac(x)
         a = jac * sw[:, None]
         rhs = (z - h) * sw
-        dx, _, rank, _ = np.linalg.lstsq(a, rhs, rcond=None)
-        if rank < n:
-            raise UnobservableError(rank, n, scope=getattr(model, "scope", ""))
+        dx = _qr_step(a, rhs, scope=getattr(model, "scope", ""))
 
         step = 1.0
         for _ in range(10):
@@ -97,7 +131,8 @@ def lnr_test(model, result: EstimationResult | None = None, threshold: float = 3
     """Largest-normalized-residual bad-data cycle.
 
     Solves, normalizes residuals by sqrt of their covariance
-    Omega = R - H G^-1 H^T, and removes (or, with ``interpolate=True``,
+    Omega = R_z - J G^-1 J^T (taken from a QR factor of the weighted Jacobian
+    at each cycle's state, see ``_residual_variance``), and removes (or, with ``interpolate=True``,
     substitutes with the model-implied value) the worst offender above the
     threshold, repeating up to ``max_cycles`` times.  Rows whose residual
     variance is numerically zero are critical and reported untestable.
@@ -122,12 +157,10 @@ def lnr_test(model, result: EstimationResult | None = None, threshold: float = 3
         w = 1.0 / (sigma * sigma)
         r = work.z - h
         a = jac * np.sqrt(w)[:, None]
-        gain = a.T @ a
         try:
-            ginv_ht = np.linalg.solve(gain, jac.T)
+            omega_diag = _residual_variance(jac, a, sigma)
         except np.linalg.LinAlgError as exc:
-            raise UnobservableError(int(np.linalg.matrix_rank(gain)), x.size) from exc
-        omega_diag = sigma * sigma - np.einsum("ij,ji->i", jac, ginv_ht)
+            raise UnobservableError(int(np.linalg.matrix_rank(a)), x.size) from exc
 
         best_idx, best_nr = -1, 0.0
         untestable_now = []
