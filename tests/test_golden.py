@@ -39,17 +39,17 @@ MATRIX = {
 GOLDEN = {
     'case33_cwls_0': {
         'runs.csv':
-            '11f2fb6b12226bba777506b789a80ad5d39ae32722a37c5a8279aa344995a132',
+            '61440ab63ac492589f2278f9e4d2e2afe5f8664d95f84a4a62bb6c9f875a3113',
         'aggregate.csv':
-            '193f4d80c4a0ebf0a3c067f7dfa4945791808a8bf7cc7ba6a1b54cbd76a6abbc',
+            '36a97d4df5f7f53f64bd4af4593c541de744f105b0adf57afd55584712c86aa6',
         'trace_boundary.csv':
             'a5a167877507525c739b2d6f00dba5a75a3542e3955ba06aeccf96b7b8db8c08',
     },
     'case33_cwls_2': {
         'runs.csv':
-            '97b564ce4e1294681d2b94430a58f6a2c5b15063760da8ebc3d53b8131918b57',
+            'b9d10b3e5bac89e14b04d87f28bfa94cb5de1d697113680cc2db404d7b1bec55',
         'aggregate.csv':
-            '51ae6f5fc65f4e11b33075c1a5a7920c3d48429e5eb55e342d5899dbbfd03512',
+            '75049ad89c68fa4249926c5b456bd4f86ee579004421a1bec0b0547b848bb6b9',
         'trace_boundary.csv':
             'a5a167877507525c739b2d6f00dba5a75a3542e3955ba06aeccf96b7b8db8c08',
     },
@@ -79,33 +79,33 @@ GOLDEN = {
     },
     'case33_dwls_0': {
         'runs.csv':
-            '8b516dcb5d69d64ad41f64715a3fb6c24d82931c98a3a9a043de4628787ae79f',
+            'fa699511f43ed8eb1bdcf2c720d0e2c54dbab1a39fe70e8b86bf7709212c23e5',
         'aggregate.csv':
-            '1e6d1177ed88baf906575cb3c71aeb8f1a91f599a987032faf7466003d116f2b',
+            '05d916346a0a1a20e3e6beeac240dbc1a4f1bc5db904505673651025cd210e42',
         'trace_boundary.csv':
-            '9933b3de75d0180e9ff9ae8ddc1f14665372a17f7d5cbfb66dfb7e36805384d6',
+            '20046eadd3de37e3160f19ecd25d5c0c1785c9a45127a858178954621044740a',
     },
     'case33_dwls_2': {
         'runs.csv':
-            '422cc4788d2df9a206ceb8daa0737e3699e6ab08bb31da188a4e5bfb04fba8fe',
+            '6570bd025caa1f26db0d21269835a3c9f40daa689860f73c02e4219a1e33109d',
         'aggregate.csv':
-            '899ae8d0c511adb60465178c4429582e355e48f403fc82b90951a933999faca9',
+            'e2a79f9c5bacf84546599c583a621a676d0fa6cb299bad3a3b98809d95db2c0c',
         'trace_boundary.csv':
-            '86471d726bb1470ab4130c9cbfaa2a1b51b426ef37c22728f1804373d2c105fd',
+            '4e7b7a68c807f81db198c7e67afb87ddab73d1ed603c31f5942eb3c703f8cdec',
     },
     'case33_dwls_pseudo_2': {
         'runs.csv':
-            '27bf741b8eb34467a74138ae271091b840d28daa51f2434e0442a4e6b47c8a82',
+            '63fa09424387775ce9d8f44b80347f98ed48aadbde78e3ea85d4d863dce099b4',
         'aggregate.csv':
-            'bcc50372dbe832f1092bed37b8fc385cd5de4aa2ad5015661ce26da63ee43cb7',
+            'd2b2f3622a3201dd57cf4cb10c586610f263da1a5b9b5586fcf6a0df700744a0',
         'trace_boundary.csv':
-            '04ac5c7c3cc352616ee12893e9f4228a841ccdf946606c363a8e830a55643092',
+            'a3a2558c504e204aab65797d74e0fb64d5c47cb67fc55735d6bf0325c5487e80',
     },
     'toy5_cwls_0': {
         'runs.csv':
-            '41d614226f511bdce068500bcd22230d6e2399ff39f0d9c0ec64a8f21393a17f',
+            '7c9f28fa74273135120123bd66cae6580a29430f2678b795207d20bfda1b5f4d',
         'aggregate.csv':
-            'c03fd511ebe184eed1f2142954c3490fcfb34454b478b3171c2eed6b4a23b766',
+            '712c6db64b2babe503eb24c8883929ad810590d4c74df24020022bbb6fb80313',
         'trace_boundary.csv':
             'a5a167877507525c739b2d6f00dba5a75a3542e3955ba06aeccf96b7b8db8c08',
     },
