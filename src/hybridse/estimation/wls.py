@@ -78,7 +78,6 @@ def solve_wls(model, x0: np.ndarray | None = None, tol: float = 1e-6,
     z = model.z
 
     x = model.x0() if x0 is None else np.asarray(x0, dtype=float).copy()
-    n = x.size
 
     def objective(xv):
         r = z - model.h(xv)
@@ -131,11 +130,12 @@ def lnr_test(model, result: EstimationResult | None = None, threshold: float = 3
     """Largest-normalized-residual bad-data cycle.
 
     Solves, normalizes residuals by sqrt of their covariance
-    Omega = R_z - J G^-1 J^T (taken from a QR factor of the weighted Jacobian
-    at each cycle's state, see ``_residual_variance``), and removes (or, with ``interpolate=True``,
-    substitutes with the model-implied value) the worst offender above the
-    threshold, repeating up to ``max_cycles`` times.  Rows whose residual
-    variance is numerically zero are critical and reported untestable.
+    Omega = R_z - J G^-1 J^T, taken from the QR factor of the weighted
+    Jacobian at each cycle's state (``_residual_variance``), and removes (or,
+    with ``interpolate=True``, substitutes with the model-implied value) the
+    worst offender above the threshold, repeating up to ``max_cycles`` times.
+    Rows whose residual variance is numerically zero are critical and
+    reported untestable.
 
     ``model`` is never modified: the first removal or substitution happens
     on a clone, so a clean pass reuses the model (and its compiled form) as

@@ -295,6 +295,33 @@ def test_criterion_5c_corrupted_dominates_residual(robustness_runs):
     assert all_ok
 
 
+@pytest.mark.xfail(
+    strict=False,
+    reason="WLS LNR flags both readings of the negated P/Q pair in 1 of 30 "
+           "case33 CWLS runs (master seed 20240); in the others it removes "
+           "good readings until max_cycles, so a run costs about 20x a clean one.")
+def test_criterion_5_cwls_lnr_flags_negated_pair(monkeypatch):
+    from hybridse.bench import montecarlo
+    real = montecarlo.run_cwls
+    seen = []
+
+    def spy(grid, ms, **kwargs):
+        est = real(grid, ms, **kwargs)
+        seen.append((set(ms.corrupt_indices),
+                     {idx for rep in est.bad_data.values() for idx, _ in rep.flagged}))
+        return est
+
+    monkeypatch.setattr(montecarlo, "run_cwls", spy)
+    mc_records("cwls", runs=30, case=3)
+    frac = np.mean([corrupt <= flagged for corrupt, flagged in seen])
+    ok = frac >= 0.95
+    report("5 (cwls LNR, case 3)", ok,
+           f"WLS LNR flags the negated P/Q pair in {frac * 100:.0f}% of "
+           f"{len(seen)} runs (>= 95%)")
+    assert len(seen) == 30
+    assert frac >= 0.95
+
+
 # -- criterion 6 ---------------------------------------------------------------
 
 

@@ -6,6 +6,7 @@ from hybridse.estimation import (BoundaryTerm, LpError, LpProblem, RegionalLp,
                                  UnobservableError, build_regional_wlav_lp, lnr_test,
                                  lp_solve, solve_wlav_region, solve_wls)
 from hybridse.estimation import lp as lp_module
+from hybridse.estimation import wls as wls_module
 from hybridse.powerflow import SystemState, solve_ac_region
 from hybridse.telemetry import (LinearRegionModel, Measurement, MeasurementKind,
                                 build_region_H, eval_h_nonlinear)
@@ -605,6 +606,124 @@ class TestLnrLeavesTheModel:
             assert self._snapshot(model) == before
             assert (out.model is model) == (not out.report.flagged)
         assert flagged > 0
+
+
+class TestQrFactor:
+    """Gauss-Newton steps and the residual variances of the normalized-residual
+    test come from a Householder QR of the weighted Jacobian A = W^(1/2) J."""
+
+    SCHED = ((1, 2), (2, 19), (3, 23), (6, 26))
+
+    @classmethod
+    def _models(cls, grid, loads, sched):
+        """The system model and a DWLS model of the AC region with its
+        boundary rows, each with its weight overrides, plus the true x."""
+        from hybridse.grid import AC, OWNS_AC
+        from hybridse.powerflow import solve_powerflow
+        from hybridse.telemetry import ScheduleConfig, converter_spec, simulate_measurements
+        truth = solve_powerflow(grid, loads)
+        ms = simulate_measurements(grid, truth.state, ScheduleConfig(scada_ac_branches=sched),
+                                   t=3600.0, seed=3)
+        system = measmodel.build_system_model(grid, list(enumerate(ms.measurements)))
+        ac = next(r for r in grid.regions if r.kind == AC)
+        region = measmodel.build_region_model(grid, ac, ms.by_region(grid)[ac.id])
+        overrides = {}
+        for k, (cid, orient) in enumerate(ac.boundary):
+            overrides[len(region.rows)] = (0.0, 1e-2)[k % 2]
+            side = "ac" if orient == OWNS_AC else "dc"
+            region.append_row(converter_spec(grid.converter(cid), side), 0.0, 1.0,
+                              "boundary")
+        return [(model, over, model.truth_vector(truth.state, truth.converters))
+                for model, over in ((system, {}), (region, overrides))]
+
+    @staticmethod
+    def _weighted(model, overrides, x):
+        """(J, A, A-weighted residual) as solve_wls forms them at x."""
+        sigma = wls_module.effective_sigma(model)
+        w = 1.0 / (sigma * sigma)
+        for i, wi in overrides.items():
+            w[i] = wi
+        sw = np.sqrt(w)
+        h, jac = model.h_jac(x)
+        return jac, jac * sw[:, None], (model.z - h) * sw
+
+    @pytest.mark.parametrize("grid_name", ["case33", "toy5"])
+    def test_step_matches_lstsq(self, grid_name, request):
+        grid = request.getfixturevalue(grid_name)
+        loads = request.getfixturevalue(f"{grid_name}_loads")
+        sched = self.SCHED if grid_name == "case33" else None
+        for model, overrides, x_true in self._models(grid, loads, sched):
+            for x in (model.x0(), x_true):
+                _, a, rhs = self._weighted(model, overrides, x)
+                dx = wls_module._qr_step(a, rhs)
+                ref = np.linalg.lstsq(a, rhs, rcond=None)[0]
+                assert np.abs(dx - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    def test_omega_matches_gain_inverse(self):
+        # well-conditioned linear models, where the gain-inverse formula
+        # sigma^2 - diag(H (A^T A)^-1 H^T) is itself accurate to 1e-9
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            m, n = int(rng.integers(6, 40)), int(rng.integers(1, 6))
+            h = rng.normal(size=(m, n))
+            sigma = rng.uniform(1e-3, 0.05, size=m)
+            a = h / sigma[:, None]
+            omega = wls_module._residual_variance(h, a, sigma)
+            ref = sigma ** 2 - np.einsum("ij,ji->i", h, np.linalg.solve(a.T @ a, h.T))
+            assert np.abs(omega - ref).max() <= 1e-9 * (sigma ** 2).max()
+
+    def test_omega_matches_svd_on_case33(self, case33, case33_loads):
+        # with the 1e12 zero-injection weights the gain matrix is too badly
+        # conditioned to serve as the reference: take G^-1 = V S^-2 V^T from
+        # the SVD of A instead, and check that QR is the closer of the two
+        for model, overrides, x_true in self._models(case33, case33_loads, self.SCHED):
+            sigma = wls_module.effective_sigma(model)
+            for x in (model.x0(), x_true):
+                jac, a, _ = self._weighted(model, overrides, x)
+                omega = wls_module._residual_variance(jac, a, sigma)
+                _, s, vt = np.linalg.svd(a, full_matrices=False)
+                y = (vt @ jac.T) / s[:, None]
+                ref = sigma ** 2 - np.einsum("ij,ij->j", y, y)
+                gain = sigma ** 2 - np.einsum("ij,ji->i", jac,
+                                              np.linalg.solve(a.T @ a, jac.T))
+                rows = np.isin(model.sources, wls_module.REMOVABLE_SOURCES)
+                err_qr = (np.abs(omega - ref) / sigma ** 2)[rows].max()
+                err_gain = (np.abs(gain - ref) / sigma ** 2)[rows].max()
+                assert err_qr <= 1e-8
+                assert err_qr < err_gain
+
+    def test_lnr_normalized_residual_analytic(self):
+        # mean of m equal-sigma readings: Omega_ii = sigma^2 (1 - 1/m)
+        values, sigma = [1.0, 1.0, 1.0, 1.6], 0.02
+        model = LinearRegionModel(np.ones((4, 1)), values, np.full(4, sigma))
+        out = lnr_test(model)
+        r = 1.6 - np.mean(values)
+        assert out.report.flagged[0][0] == 3
+        assert out.report.flagged[0][1] == pytest.approx(
+            r / (sigma * np.sqrt(1.0 - 1.0 / 4)), rel=1e-9)
+
+    def test_unobservable_rank_unchanged(self, case33, case33_loads):
+        # SCADA-only tick without injections: the SVD rank keeps being reported
+        from hybridse.coordination import run_cwls
+        from hybridse.powerflow import solve_powerflow
+        from hybridse.telemetry import ScheduleConfig, simulate_measurements
+        truth = solve_powerflow(case33, case33_loads)
+        ms = simulate_measurements(case33, truth.state, ScheduleConfig(), t=900.0, seed=0)
+        with pytest.raises(UnobservableError,
+                           match="weighted Jacobian rank 28 < 68") as info:
+            run_cwls(case33, ms)
+        assert (info.value.rank, info.value.n_states) == (28, 68)
+
+    def test_dependent_column_unobservable(self):
+        # a column that combines the others leaves a rounding-sized, not an
+        # exactly zero, diagonal entry in R
+        rng = np.random.default_rng(5)
+        h = rng.normal(size=(10, 3))
+        h = np.column_stack([h, h @ np.array([0.3, -1.7, 0.9])])
+        model = LinearRegionModel(h, rng.normal(size=10), np.full(10, 0.01))
+        assert np.abs(np.diag(np.linalg.qr(h, mode="r"))).min() > 0.0
+        with pytest.raises(UnobservableError, match="rank 3 < 4"):
+            solve_wls(model)
 
 
 class TestWlavRegion:
