@@ -168,10 +168,6 @@ class GridModel:
     def converter(self, conv_id: int) -> Converter:
         return self._conv_by_id[conv_id]
 
-    @property
-    def root_region(self) -> Region:
-        return self.region(self.node(self.slack).region)
-
     def ac_lines_in(self, region_id: int) -> list[AcLine]:
         nodes = self.region(region_id).nodes
         return [ln for ln in self.ac_lines if ln.from_node in nodes]

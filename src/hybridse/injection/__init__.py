@@ -4,8 +4,7 @@ injections from slow smart-meter history."""
 from .gmm import GmmModel, fit_gmm
 from .mlp import MlpModel, TrainReport, TrainingError, init_model, loss_and_grads, train_mlp
 from .pipeline import (InjectionModel, TrainingSet, build_training_set,
-                       drift_check, estimated_injections, fit_error_gmm,
-                       fit_injection_gmms, generated_measurements,
+                       fit_error_gmm, fit_injection_gmms, generated_measurements,
                        infer_injections, injection_components,
                        profile_from_components, prior_measurements, pseudo_measurements,
                        sample_injections, sanitize_scada, scada_channels,
@@ -16,9 +15,9 @@ from .profiles import (LoadProfiles, ProfileParams, daily_shape,
 __all__ = [
     "GmmModel", "InjectionModel", "LoadProfiles", "MlpModel", "ProfileParams",
     "TrainReport", "TrainingError", "TrainingSet", "build_training_set",
-    "daily_shape", "default_solar_caps", "drift_check", "estimated_injections",
-    "fit_error_gmm", "fit_gmm", "fit_injection_gmms", "gen_load_profiles",
-    "generated_measurements", "infer_injections", "init_model",
+    "daily_shape", "default_solar_caps", "fit_error_gmm", "fit_gmm",
+    "fit_injection_gmms", "gen_load_profiles", "generated_measurements",
+    "infer_injections", "init_model",
     "injection_components", "loss_and_grads", "profile_from_components",
     "prior_measurements", "pseudo_measurements", "sample_injections", "sanitize_scada",
     "scada_channels", "scada_vector", "solar_shape", "train_injection_model",

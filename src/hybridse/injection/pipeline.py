@@ -25,11 +25,10 @@ import numpy as np
 
 from ..estimation import lnr_test
 from ..grid import AC, GridModel
-from ..powerflow import (InjectionProfile, PowerFlowError, SystemState,
-                         solve_powerflow)
+from ..powerflow import InjectionProfile, PowerFlowError, solve_powerflow
 from ..telemetry import (Measurement, MeasurementKind, MeasurementSet,
                          ScheduleConfig, SOURCE_DNN, SOURCE_PSEUDO,
-                         build_region_H, eval_h_nonlinear, simulate_measurements)
+                         build_region_H, simulate_measurements)
 from .gmm import GmmModel, fit_gmm
 from .mlp import MlpModel, TrainReport, train_mlp
 from .profiles import LoadProfiles
@@ -409,40 +408,3 @@ def sanitize_scada(grid: GridModel, ms: MeasurementSet, model: InjectionModel,
                          m.source, m.timestamp)
              for i, m in enumerate(ms.measurements)]
     return MeasurementSet(fixed, ms.corrupt_indices)
-
-
-# -- drift ---------------------------------------------------------------------------
-
-
-def estimated_injections(grid: GridModel, v: dict[int, float],
-                         theta: dict[int, float]) -> dict[str, float]:
-    """Nodal injections implied by an estimated state (for drift checks)."""
-    state = SystemState(v=v, theta=theta)
-    out: dict[str, float] = {}
-    for node in grid.injection_nodes():
-        probe = Measurement(MeasurementKind.AC_P_INJ if node.kind == AC
-                            else MeasurementKind.DC_P_INJ,
-                            (node.id,), "", 0.0, 1.0, "scada")
-        out[f"p:{node.id}"] = eval_h_nonlinear(grid, state, probe)
-        if node.kind == AC:
-            probe = Measurement(MeasurementKind.AC_Q_INJ, (node.id,), "", 0.0,
-                                1.0, "scada")
-            out[f"q:{node.id}"] = eval_h_nonlinear(grid, state, probe)
-    return out
-
-
-def drift_check(se_injections: dict[str, float], generated: dict[str, float],
-                threshold: float | None = None,
-                model: InjectionModel | None = None) -> bool:
-    """True when the offline stage should be re-run: the average absolute
-    deviation between SE-implied and generated injections exceeds the
-    threshold (default: five times the mean error sigma)."""
-    keys = sorted(set(se_injections) & set(generated))
-    if not keys:
-        raise ValueError("no common injection components")
-    if threshold is None:
-        if model is None:
-            raise ValueError("need a model to derive the default threshold")
-        threshold = 5.0 * float(np.mean([model.error_sigma[k] for k in keys]))
-    aae = float(np.mean([abs(se_injections[k] - generated[k]) for k in keys]))
-    return aae > threshold

@@ -17,8 +17,7 @@ def test_toy2_loads(toy2):
 
 
 def test_case33_structure(case33):
-    root = case33.root_region
-    assert root.kind == AC
+    assert case33.region(case33.node(case33.slack).region).kind == AC
     dc_regions = [r for r in case33.regions if r.kind == DC]
     assert len(dc_regions) == 2
     # every converter ties one AC region to one DC region

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hybridse.injection import (GmmModel, ProfileParams, TrainingError,
-                                build_training_set, drift_check, fit_error_gmm,
+                                build_training_set, fit_error_gmm,
                                 fit_gmm, fit_injection_gmms, gen_load_profiles,
                                 init_model, loss_and_grads, scada_vector,
                                 train_mlp)
@@ -202,19 +202,3 @@ class TestErrorGmm:
         r = np.concatenate([half, other])[:, None]
         sigma = fit_error_gmm(r, ["p:1"])
         assert sigma["p:1"] == pytest.approx(0.01, rel=0.05)
-
-
-class TestDrift:
-    def test_identical_no_retrain(self):
-        inj = {"p:1": 0.1, "q:1": 0.05}
-        assert drift_check(inj, dict(inj), threshold=0.01) is False
-
-    def test_large_deviation_flags(self):
-        a = {"p:1": 0.1}
-        b = {"p:1": 0.2}
-        assert drift_check(a, b, threshold=0.01) is True
-
-    def test_boundary_is_strict(self):
-        a = {"p:1": 0.0}
-        b = {"p:1": 0.01}
-        assert drift_check(a, b, threshold=0.01) is False

@@ -6,8 +6,7 @@ import pytest
 from hybridse.injection import (InjectionModel, gen_load_profiles,
                                 generated_measurements, infer_injections,
                                 prior_measurements, pseudo_measurements,
-                                sanitize_scada, train_injection_model,
-                                drift_check, estimated_injections)
+                                sanitize_scada, train_injection_model)
 from hybridse.powerflow import solve_powerflow
 from hybridse.telemetry import (MeasurementKind, ScheduleConfig,
                                 inject_bad_data, simulate_measurements)
@@ -116,17 +115,3 @@ class TestSanitizer:
         for i, m in enumerate(fixed.measurements):
             if i != idx:
                 assert m == bad.measurements[i]
-
-
-class TestDrift:
-    def test_default_threshold_from_model(self, toy5, toy5_loads, toy_model):
-        res, ms = toy_measurements(toy5, toy5_loads)
-        rows = generated_measurements(toy_model, ms, toy5, t=900.0)
-        generated = {}
-        for r in rows:
-            tag = "q" if r.kind is MeasurementKind.AC_Q_INJ else "p"
-            generated[f"{tag}:{r.location[0]}"] = r.value
-        se_inj = estimated_injections(toy5, res.state.v, res.state.theta)
-        assert drift_check(se_inj, generated, model=toy_model) is False
-        shifted = {k: v + 1.0 for k, v in generated.items()}
-        assert drift_check(se_inj, shifted, model=toy_model) is True
