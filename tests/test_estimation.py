@@ -614,8 +614,8 @@ class TestQrFactor:
 
     SCHED = ((1, 2), (2, 19), (3, 23), (6, 26))
 
-    @classmethod
-    def _models(cls, grid, loads, sched):
+    @staticmethod
+    def _models(grid, loads, sched):
         """The system model and a DWLS model of the AC region with its
         boundary rows, each with its weight overrides, plus the true x."""
         from hybridse.grid import AC, OWNS_AC
