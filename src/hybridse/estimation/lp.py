@@ -15,39 +15,39 @@ injections) get an artificial column for phase 1.  The starting tableau is
 
 The returned basis can be passed back to warm-start a later solve of a
 problem with identical constraint structure (only costs / right-hand sides
-changed).  A warm start computes the tableau B^-1 [A | b] with one dense
-solve.  A warm basis that does not fit, is singular or is primal infeasible
-for the new b raises ``LpError`` inside the solve, and :func:`lp_solve` then
-does one cold start.
+changed).  A warm start from a basis other than the stored one (below)
+computes B^-1 [A | b] with one dense solve.  A warm basis that does not
+fit, is singular or is primal infeasible for the new b raises ``LpError``
+inside the solve, and :func:`lp_solve` then does one cold start.
 
 A family of problems that share A and the free columns and differ only in c
 and b comes from one :class:`LpTemplate`, and each problem it makes names it
 in ``LpProblem.template``.  The template's A and free mask are read-only, and
-the kernel keeps three things on the template:
+the kernel keeps two things on the template:
 
 - the free-column split (internal matrix, column map), made once and valid
   for as long as the template lives, plus the split matrix with the rows of
   the last sign pattern of b negated;
-- the tableau of the last dense warm start, keyed by its basis and the bytes
-  of b.  A warm start with the same basis and the same b bytes copies it
-  instead of solving again; the same inputs give the same tableau, and c only
-  enters through the reduced costs, which are recomputed.  Any other basis
-  or b replaces it;
-- ``settled``: whether the last solve was a warm start that copied that
-  stored tableau and returned it with 0 pivots.  Any other outcome clears
-  it: a pivot, a new tableau, an error or a cold start.
+- the final tableau of the last solve, keyed by its basis and the bytes of
+  b.  A warm start from that basis copies it instead of solving densely;
+  B^-1 A does not depend on the row sign flips, so only B^-1 b is solved
+  again, when the b bytes differ.  A negative B^-1 b is re-optimized by
+  dual simplex pivots when no reduced cost under the new c is negative
+  (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*, 4.5);
+  otherwise, or after more dual pivots than rows, ``LpError`` is raised as
+  for any unusable warm basis.
 
-After such a solve, x is read off the stored tableau, and c only decides
-whether the first pricing pass finds an entering column.  So
-:func:`lp_unchanged` answers exactly, without solving, whether
-``lp_solve(problem, basis)`` would return the same x again with 0 pivots:
-the template must be settled with the stored key (basis, b bytes), and the
+With the same basis and b bytes the stored tableau is used as it is, so x
+is read off it again, and c only decides whether the first pricing pass
+finds an entering column.  So :func:`lp_unchanged` answers exactly, without
+solving, whether ``lp_solve(problem, basis)`` would return the last solve's
+x again with 0 pivots: the stored key must be (basis, b bytes), and the
 first pricing pass, run on the stored tableau with the problem's costs by
 the solve's own function, must find no entering column (the optimality test
 of a basis under a change of c alone).
 
-A hand-built ``LpProblem`` has no template; it is split afresh and solved
-densely, and :func:`lp_unchanged` always answers False for it.
+A hand-built ``LpProblem`` has no template; it is solved with a throwaway
+one, and :func:`lp_unchanged` always answers False for it.
 """
 
 from __future__ import annotations
@@ -126,8 +126,7 @@ class LpTemplate:
         self.a_eq.flags.writeable = False
         self.free_mask.flags.writeable = False
         self.split = _Split(self.a_eq, self.free_mask)
-        self.dense: tuple | None = None     # ((basis, b bytes), B^-1 [A | b])
-        self.settled = False                # last solve: 0 pivots from dense
+        self.last: tuple | None = None      # ((basis, b bytes), final tableau)
 
     def problem(self, c, b_eq) -> LpProblem:
         return LpProblem(c=c, a_eq=self.a_eq, b_eq=b_eq, free_mask=self.free_mask,
@@ -170,10 +169,10 @@ def lp_unchanged(problem: LpProblem, basis: tuple[int, ...] | None) -> bool:
     pivots, the same x as the last solve of the problem's template; see the
     module docstring.  False whenever that cannot be told without solving."""
     template = problem.template
-    if (basis is None or template is None or not template.settled
-            or template.dense[0] != (tuple(basis), problem.b_eq.tobytes())):
+    if (basis is None or template is None or template.last is None
+            or template.last[0] != (tuple(basis), problem.b_eq.tobytes())):
         return False
-    t = template.dense[1]
+    t = template.last[1]
     n = t.shape[1] - 1
     cols = np.array(basis, dtype=np.intp)
     basic = np.zeros(n, dtype=bool)
@@ -183,30 +182,27 @@ def lp_unchanged(problem: LpProblem, basis: tuple[int, ...] | None) -> bool:
 
 
 def _lp_solve(problem: LpProblem, basis, tol, max_iter) -> LpSolution:
-    template = problem.template
-    if template is not None:
-        template.settled = False
-    split = template.split if template is not None else _Split(problem.a_eq,
-                                                               problem.free_mask)
+    template = problem.template or LpTemplate(problem.a_eq, problem.free_mask)
+    split, last = template.split, template.last
     n_int = split.orig.size
     c_int = _internal_costs(problem, split)
     b = problem.b_eq.copy()
     neg = b < 0
     a = split.matrix(neg)
     b[neg] *= -1.0
+    b_key = problem.b_eq.tobytes()
 
     iterations = 0
-    stored = False
-    if basis is not None:
-        key = (tuple(basis), problem.b_eq.tobytes())
-        dense = template.dense if template is not None else None
-        stored = dense is not None and dense[0] == key
-        if stored:
-            t, cols_basis = dense[1].copy(), np.array(basis, dtype=np.intp)
-        else:
-            t, cols_basis = _warm_tableau(a, b, basis)
-            if template is not None:
-                template.dense = (key, t.copy())
+    if basis is not None and last is not None and last[0][0] == tuple(basis):
+        t, cols_basis = last[1].copy(), np.array(basis, dtype=np.intp)
+        if last[0][1] != b_key:
+            try:
+                t[:, -1] = np.linalg.solve(a[:, cols_basis], b)
+            except np.linalg.LinAlgError as exc:
+                raise LpError("singular warm basis") from exc
+            iterations += _dual_optimize(t, cols_basis, c_int, tol)
+    elif basis is not None:
+        t, cols_basis = _warm_tableau(a, b, basis)
     else:
         t, cols_basis = _crash_tableau(a, b, split.bounded)
         n_art = t.shape[1] - 1 - n_int
@@ -225,15 +221,14 @@ def _lp_solve(problem: LpProblem, basis, tol, max_iter) -> LpSolution:
                 cols_basis = cols_basis[keep]
             t = t[:, list(range(n_int)) + [t.shape[1] - 1]]
 
-    pivots = _optimize(t, cols_basis, c_int, n_int, tol, max_iter - iterations)
-    iterations += pivots
-    if stored and pivots == 0:
-        template.settled = True
+    iterations += _optimize(t, cols_basis, c_int, n_int, tol, max_iter - iterations)
+    result_basis = tuple(cols_basis.tolist())
+    template.last = ((result_basis, b_key), t)
 
     x = np.zeros(problem.a_eq.shape[1])
     np.add.at(x, split.orig[cols_basis], split.sign[cols_basis] * t[:, -1])
     return LpSolution(x=x, objective=float(problem.c @ x),
-                      iterations=iterations, basis=tuple(cols_basis.tolist()))
+                      iterations=iterations, basis=result_basis)
 
 
 def _warm_tableau(a, b, basis) -> tuple[np.ndarray, np.ndarray]:
@@ -321,6 +316,39 @@ def _optimize(t, cols_basis, c, n_cols, tol, max_iter) -> int:
         cols_basis[p] = q
         it += 1
     raise LpError("simplex iteration limit reached")
+
+
+def _dual_optimize(t, cols_basis, c, tol) -> int:
+    """Dual simplex sweep until no right-hand side is below -tol: the most
+    negative one leaves, the dual ratio test enters (lowest index on ties).
+    Mutates t and cols_basis.  LpError if the basis is not dual feasible
+    under c, the row has no entry below -tol, or more pivots than rows."""
+    rhs = t[:, -1]
+    p = int(rhs.argmin())
+    if rhs[p] >= -tol:
+        return 0
+    n = t.shape[1] - 1
+    basic = np.zeros(n, dtype=bool)
+    basic[cols_basis] = True
+    reduced = _reduced_costs(c[:n], t[:, :n], c[cols_basis], basic)
+    if reduced.min() < -tol:
+        raise LpError("warm basis is neither primal nor dual feasible")
+    for it in range(1, t.shape[0] + 1):
+        cand = (t[p, :n] < -tol).nonzero()[0]
+        if not cand.size:
+            raise LpInfeasible("no entering column for a negative right-hand side")
+        q = int(cand[np.argmin(reduced[cand] / -t[p, cand])])
+
+        t[p] /= t[p, q]
+        other = t[:, q].copy()
+        other[p] = 0.0
+        _eliminate(t, other, p)
+        reduced -= reduced[q] * t[p, :n]
+        cols_basis[p] = q
+        p = int(rhs.argmin())
+        if rhs[p] >= -tol:
+            return it
+    raise LpError("dual simplex pivot limit reached")
 
 
 def _drive_out_artificials(t, cols_basis, n_int, tol):

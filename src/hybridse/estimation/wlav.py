@@ -15,7 +15,8 @@ no-change test, and a call without one builds a throwaway one for itself, so
 the model carries no LP state.  The problem of each call shares the
 template's read-only A and carries fresh b and c, patched on the boundary
 rows and the (a, b) columns; the LP kernel keeps its free-column split and
-last warm tableau on the template.
+the final tableau of the last solve on the template, from which the next
+solve re-optimizes when only the boundary rows of b and the costs moved.
 """
 
 from __future__ import annotations
