@@ -55,27 +55,27 @@ GOLDEN = {
     },
     'case33_drse_0': {
         'runs.csv':
-            'fc2eb717574db8ae68b8a0b1df6110d386c06c5e817dca8f78f539f29b258509',
+            '71677d6013e305f98cd21b8c6d5abad562949ab751006e3528776c0c750bfa3d',
         'aggregate.csv':
-            '60b4a081fc3119dda0f05b704016f91e16b69fd418e1f8b04495668c63657f8f',
+            'c9186e14524c178d64b0b7b4eabff32bc89cfd81f48e9fc559535b96e192091a',
         'trace_boundary.csv':
-            'a83e8ba8111cbcef2324edb0d81a40804f0efb94f686583473d4cf55649b0897',
+            'ad4f10c0a409305418997e278804e9695ca48d9db9db7b601e043ae3bf72c5b9',
     },
     'case33_drse_2': {
         'runs.csv':
-            '9446aaedb12bd7f9636da048ecee5d333c2e5e1cde5133679d337834b492c186',
+            '93242f3b11cf4fc45736fd19218c1c5d91af21c79c2bb74cf16f03acc7b89dcd',
         'aggregate.csv':
-            '5b17ead5d5ef0521262a8f64b461e0ba9f87cc30c4d3ef169176e6b7084d79c9',
+            '3cb4a068de685f6ed8e46138a07b81f1b776d5f26d8f84ffcb2a65387f984d49',
         'trace_boundary.csv':
-            'b269f3d5c77c31d77635ac3f8cc59ec5d3060805bb5c6ebd2b13cd8bad3f1f17',
+            '9fc7eb22a66555fc9da7ac7696ca3c07df37a56a3e6faac1ee250daf3556522b',
     },
     'case33_drse_pseudo_2': {
         'runs.csv':
-            '35da1b83e78bc0961a21bc163213ae90bebc47d32439b9312c7553b4713c1a00',
+            'c029cee667a79533fe85ba04813b7bd7a26c6b19081e5adff4630b93448c0040',
         'aggregate.csv':
-            '975ee4ff3b6752e2689ac097761f5f66c489c3bf072af058910c88dcc00ad99d',
+            'c7f921cb59343a66febddb5dff4d3839709c33b2184401959781e7da18a9e944',
         'trace_boundary.csv':
-            '7508e013e96d1ddbf0385f73c5e046c69a8b2bdbe0b13f912ed6500afffcae67',
+            '4aeec6258770707fac328ec4f05ef7a4768d78584fbc4dfad9b89d033c89349f',
     },
     'case33_dwls_0': {
         'runs.csv':
@@ -111,11 +111,11 @@ GOLDEN = {
     },
     'toy5_drse_0': {
         'runs.csv':
-            '0525d1dcd0606290878b88d4b65980af6837b64adbd815a6984103e36701e7b9',
+            '5264941e1b67a03568d22058094eca06750fb232c1403a39326f7ee6ac14381d',
         'aggregate.csv':
-            '36f28eb9de31e2cd8f8776048805d39e3de34c55365a12d191344cf76b2ec96c',
+            '12c1568b4b9db547515b598a8d8e2a02634face1fc60328ff0498a20d07dd09c',
         'trace_boundary.csv':
-            '392268c0e3cd2db782615564c70596719fd5b3ccfe818911e107d09bfbf59e2e',
+            'ee449d669eecabb45a9bfdbd51fa82d3e571036a0cfa1c21caafb593efa07f32',
     },
 }
 
