@@ -14,10 +14,10 @@ DC regions + algebra time, the parallel-execution accounting of the
 coordination scheme.
 
 A stalled loop is fast-forwarded, exactly.  DRSE passes a per-region test
-``unchanged(region, terms)``: the region's LP kernel, which keeps the final
-tableau of the region's last solve, says without solving that the solve
-would return that solve's x again with 0 pivots (see
-:func:`~.estimation.lp.lp_unchanged`), whether the last solve pivoted or not.  An iteration is recorded without
+``unchanged(region, terms)``: the region's LP kernel says, without solving,
+that the solve would return the region's last solution again with 0 pivots
+(see :func:`~.estimation.lp.lp_unchanged`, which prices the final tableau of
+that solve, however many pivots it made).  An iteration is recorded without
 any regional solve when the last packets repeat the ones before them bit for
 bit and ``unchanged`` holds for every region.  Then every regional x equals
 the one its packets were computed from, and so do the packets' other inputs

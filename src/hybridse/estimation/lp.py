@@ -37,14 +37,14 @@ the kernel keeps two things on the template:
   otherwise, or after more dual pivots than rows, ``LpError`` is raised as
   for any unusable warm basis.
 
-With the same basis and b bytes the stored tableau is used as it is, so x
-is read off it again, and c only decides whether the first pricing pass
-finds an entering column.  So :func:`lp_unchanged` answers exactly, without
-solving, whether ``lp_solve(problem, basis)`` would return the last solve's
-x again with 0 pivots: the stored key must be (basis, b bytes), and the
-first pricing pass, run on the stored tableau with the problem's costs by
-the solve's own function, must find no entering column (the optimality test
-of a basis under a change of c alone).
+With the same basis and b bytes the stored tableau is used as it is, and c
+only decides whether the first pricing pass finds an entering column.  So
+:func:`lp_unchanged` answers exactly, without solving, whether
+``lp_solve(problem, basis)`` would return the last solve's x again with 0
+pivots: the stored key must be (basis, b bytes), and the first pricing pass,
+run on the stored tableau with the problem's costs by the solve's own
+function, must find no entering column (the optimality test of a basis under
+a change of c alone).
 
 A hand-built ``LpProblem`` has no template; it is solved with a throwaway
 one, and :func:`lp_unchanged` always answers False for it.
@@ -190,12 +190,11 @@ def _lp_solve(problem: LpProblem, basis, tol, max_iter) -> LpSolution:
     neg = b < 0
     a = split.matrix(neg)
     b[neg] *= -1.0
-    b_key = problem.b_eq.tobytes()
 
     iterations = 0
     if basis is not None and last is not None and last[0][0] == tuple(basis):
         t, cols_basis = last[1].copy(), np.array(basis, dtype=np.intp)
-        if last[0][1] != b_key:
+        if last[0][1] != problem.b_eq.tobytes():
             try:
                 t[:, -1] = np.linalg.solve(a[:, cols_basis], b)
             except np.linalg.LinAlgError as exc:
@@ -223,7 +222,7 @@ def _lp_solve(problem: LpProblem, basis, tol, max_iter) -> LpSolution:
 
     iterations += _optimize(t, cols_basis, c_int, n_int, tol, max_iter - iterations)
     result_basis = tuple(cols_basis.tolist())
-    template.last = ((result_basis, b_key), t)
+    template.last = ((result_basis, problem.b_eq.tobytes()), t)
 
     x = np.zeros(problem.a_eq.shape[1])
     np.add.at(x, split.orig[cols_basis], split.sign[cols_basis] * t[:, -1])
@@ -322,7 +321,8 @@ def _dual_optimize(t, cols_basis, c, tol) -> int:
     """Dual simplex sweep until no right-hand side is below -tol: the most
     negative one leaves, the dual ratio test enters (lowest index on ties).
     Mutates t and cols_basis.  LpError if the basis is not dual feasible
-    under c, the row has no entry below -tol, or more pivots than rows."""
+    under c, the leaving row has no entry below -tol, or it takes more
+    pivots than rows (a cold start is then about as cheap)."""
     rhs = t[:, -1]
     p = int(rhs.argmin())
     if rhs[p] >= -tol:
