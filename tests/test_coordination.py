@@ -7,12 +7,14 @@ import pytest
 
 import hybridse.bench.montecarlo as montecarlo
 import hybridse.coordination as coord
+import hybridse.estimation.lp as lp_module
 import hybridse.estimation.wlav as wlav
 from hybridse import data
 from hybridse.bench import Scenario, prepare_context, run_single
 from hybridse.coordination import (CoordinationParams, run_cwls, run_drse,
                                    run_dwls)
 from hybridse.estimation import BoundaryTerm, UnobservableError
+from hybridse.grid import AC
 from hybridse.powerflow import solve_powerflow
 from hybridse.telemetry import (MeasurementKind, MeasurementSet,
                                 ScheduleConfig, inject_bad_data,
@@ -135,6 +137,37 @@ class TestDrse:
         del est
         gc.collect()
         assert all(ref() is None for ref in refs)
+
+    def test_one_cold_lp_start_per_region(self, case33, case33_loads, monkeypatch):
+        # the boundary rows of b move between iterations, yet each region's
+        # LP starts cold once per estimate: its last basis re-optimizes by
+        # dual simplex pivots, a few in the AC region's second solve where a
+        # cold start takes about 75
+        sched = ScheduleConfig(scada_ac_branches=((1, 2), (2, 19), (3, 23), (6, 26)))
+        cold, solves = [], []
+        real_crash, real_solve = lp_module._crash_tableau, coord.solve_wlav_region
+
+        def crash(*args):
+            cold.append(args)
+            return real_crash(*args)
+
+        def spy(model, terms, basis, **kwargs):
+            result, sol = real_solve(model, terms, basis=basis, **kwargs)
+            solves.append((model.region_id, sol.iterations))
+            return result, sol
+
+        monkeypatch.setattr(lp_module, "_crash_tableau", crash)
+        monkeypatch.setattr(coord, "solve_wlav_region", spy)
+        ac = [r.id for r in case33.regions if r.kind == AC]
+        for seed in (3, 7):
+            _, ms = noisy_set(case33, case33_loads, seed=seed, t=900.0, sched=sched)
+            cold.clear()
+            solves.clear()
+            run_drse(case33, ms, PARAMS)
+            assert len(cold) == len(case33.regions)
+            for rid in ac:
+                pivots = [k for r, k in solves if r == rid]
+                assert len(pivots) >= 2 and pivots[1] < 10
 
     def test_message_discipline(self, toy5, toy5_loads, monkeypatch):
         _, ms = noisy_set(toy5, toy5_loads, seed=4)
