@@ -45,7 +45,7 @@ from .estimation import (BoundaryTerm, EstimationResult, RegionalLp, lnr_test,
 from .grid import AC, DC, OWNS_AC, GridModel
 from .measmodel import NonlinearModel, build_region_model, build_system_model
 from .powerflow import ac_branch_flow, converter_loss
-from .telemetry import MeasurementKind, MeasurementSet, build_region_H, converter_spec
+from .telemetry import MeasurementKind, MeasurementSet, build_region_H
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ def _boundary_terms(grid, region, lambdas, ac_pkts, dc_pkts):
     """BoundaryTerm per converter of a region, from neighbor packets only."""
     terms: dict[int, BoundaryTerm] = {}
     for cid, orient in region.boundary:
-        if orient == "owns-ac-side":
+        if orient == OWNS_AC:
             terms[cid] = BoundaryTerm(lam=lambdas[cid],
                                       neighbor_p=dc_pkts[cid].p_vsc)
         else:
@@ -362,15 +362,10 @@ def _dwls_pass(grid, ms, params, index_map=None):
         pairs = by_region[region.id]
         if index_map is not None:
             pairs = [(index_map[i], m) for i, m in pairs]
-        model = build_region_model(grid, region, pairs)
-        rows = {}
-        for cid, orient in region.boundary:
-            side = "ac" if orient == OWNS_AC else "dc"
-            rows[cid] = len(model.rows)
-            model.append_row(converter_spec(grid.converter(cid), side), 0.0, 1.0,
-                             "boundary")
-        models[region.id] = model
-        boundary_rows[region.id] = rows
+        models[region.id] = build_region_model(grid, region, pairs)
+        # the model's boundary rows follow its measurement rows
+        boundary_rows[region.id] = {cid: len(pairs) + k
+                                    for k, (cid, _) in enumerate(region.boundary)}
     warm: dict[int, np.ndarray] = {}
 
     def solve_region(region, terms):

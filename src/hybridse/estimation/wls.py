@@ -138,8 +138,9 @@ def lnr_test(model, result: EstimationResult | None = None, threshold: float = 3
     reported untestable.
 
     ``model`` is never modified: the first removal or substitution happens
-    on a clone, so a clean pass reuses the model (and its compiled form) as
-    it is, and the returned model is ``model`` itself when nothing changed.
+    on a clone, and the returned model is ``model`` itself when nothing
+    changed.  A clone shares the compiled form of a nonlinear model, so a
+    nonlinear model is compiled again only once per removed row.
     """
     work = model
     if result is None:

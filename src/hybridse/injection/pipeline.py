@@ -25,9 +25,9 @@ import numpy as np
 
 from ..estimation import lnr_test
 from ..grid import AC, GridModel
-from ..powerflow import InjectionProfile, PowerFlowError, solve_powerflow
+from ..powerflow import InjectionProfile, PowerFlowError, SystemState, solve_powerflow
 from ..telemetry import (Measurement, MeasurementKind, MeasurementSet,
-                         ScheduleConfig, SOURCE_DNN, SOURCE_PSEUDO,
+                         ScheduleConfig, SOURCE_DNN, SOURCE_PSEUDO, SOURCE_SCADA,
                          build_region_H, simulate_measurements)
 from .gmm import GmmModel, fit_gmm
 from .mlp import MlpModel, TrainReport, train_mlp
@@ -40,24 +40,11 @@ SIGMA_FLOOR = 1e-4
 
 
 def scada_channels(grid: GridModel, schedule: ScheduleConfig) -> list[str]:
-    """Stable channel keys matching the telemetry synthesis order."""
-    from ..telemetry import default_scada_branches
-    branches = schedule.scada_ac_branches
-    if branches is None:
-        branches = default_scada_branches(grid)
-    keys = [f"vmag_ac:{grid.slack}"]
-    keys += [f"vmag_ac:{c.aux_node}" for c in grid.converters]
-    keys += [f"vmag_dc:{c.dc_node}" for c in grid.converters]
-    for f, t in branches:
-        keys.append(f"pflow_ac:{f}-{t}")
-        keys.append(f"qflow_ac:{f}-{t}")
-    keys += [f"pflow_dc:{l.from_node}-{l.to_node}" for l in grid.dc_lines]
-    keys += [f"convp:{c.id}" for c in grid.converters]
-    keys += [f"convq:{c.id}" for c in grid.converters]
-    for c in grid.converters:
-        keys.append(f"pflow_ac:{c.ac_node}-{c.aux_node}")
-        keys.append(f"qflow_ac:{c.ac_node}-{c.aux_node}")
-    return keys
+    """Channel keys of the SCADA readings, in the order telemetry synthesis
+    emits them."""
+    ms = simulate_measurements(grid, SystemState.flat(grid), schedule,
+                               t=schedule.scada_period)
+    return [_channel_of(m) for m in ms if m.source == SOURCE_SCADA]
 
 
 def _channel_of(m: Measurement) -> str | None:
@@ -125,14 +112,6 @@ class TrainingSet:
     components: list[str]
     seed: int
     dropped: int = 0
-
-    def to_csv(self, path: str | Path) -> None:
-        header = ",".join([f"z.{c}" for c in self.channels]
-                          + [f"y.{c}" for c in self.components])
-        lines = [f"# seed={self.seed} dropped={self.dropped}", header]
-        for zrow, yrow in zip(self.z, self.y):
-            lines.append(",".join(repr(float(v)) for v in list(zrow) + list(yrow)))
-        Path(path).write_text("\n".join(lines) + "\n")
 
 
 def fit_injection_gmms(grid: GridModel, profiles: LoadProfiles, k: int = 2,

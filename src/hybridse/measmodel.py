@@ -32,21 +32,20 @@ is the exact identity of addition, so that value keeps its bits, a -0.0
 included.  The result is bit for bit that of evaluating the rows one at a
 time.
 
-The compiled form is kept in the private, non-field attribute ``_compiled``
-of the model.  It is rebuilt whenever the model's rows or index differ by
-content from the copies it was built from, so ``append_row``, ``drop_row``,
-the couple rows of :func:`build_system_model` and in-place edits of ``rows``
-all take effect; ``clone()`` starts without one.
+A model is built with its final rows, a tuple, and compiles them once on
+construction into the field ``_compiled``.  ``drop_row`` is the one place the
+rows change afterwards, and it compiles the shorter rows again; ``clone()``
+shares the compiled form with its original.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import AC, OWNS_DC, GridModel, Region
+from .grid import AC, OWNS_AC, OWNS_DC, GridModel, Region
 from .powerflow import SystemState, branch_flow_terms, dc_branch_flow
 from .telemetry import Measurement, TelemetryError, converter_spec, row_spec
 
@@ -58,7 +57,7 @@ VIRTUAL_SIGMA = 1e-6
 class NonlinearModel:
     labels: list[tuple[str, int]]
     index: dict[tuple[str, int], int]
-    rows: list[tuple]                 # telemetry.row_spec specs and couple_* rows
+    rows: tuple[tuple, ...]           # telemetry.row_spec specs and couple_* rows
     z: np.ndarray
     sigma: np.ndarray
     sources: list[str]
@@ -67,21 +66,22 @@ class NonlinearModel:
     grid: GridModel
     angle_refs: dict[int, int]        # region id -> datum node
     scope: str = "nonlinear"
+    _compiled: "_CompiledRows" = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.rows = tuple(self.rows)
+        self._compiled = _CompiledRows(self)
 
     @property
     def n_states(self) -> int:
         return len(self.labels)
 
     def clone(self) -> "NonlinearModel":
-        import copy
-        out = copy.copy(self)
-        out.rows = list(self.rows)
-        out.z = np.array(self.z)
-        out.sigma = np.array(self.sigma)
-        out.sources = list(self.sources)
-        out.meas_indices = list(self.meas_indices)
-        out.measurements = list(self.measurements)
-        out.__dict__.pop("_compiled", None)
+        """A copy whose z and sigma can be edited apart from this model's.  It
+        shares the rows, a tuple, their compiled form and the lists, which
+        ``drop_row`` rebinds rather than edits."""
+        out = object.__new__(NonlinearModel)
+        vars(out).update(vars(self), z=self.z.copy(), sigma=self.sigma.copy())
         return out
 
     def drop_row(self, i: int) -> None:
@@ -91,15 +91,7 @@ class NonlinearModel:
         self.sources = self.sources[:i] + self.sources[i + 1:]
         self.meas_indices = self.meas_indices[:i] + self.meas_indices[i + 1:]
         self.measurements = self.measurements[:i] + self.measurements[i + 1:]
-
-    def append_row(self, row: tuple, z: float, sigma: float, source: str,
-                   meas_index: int = -1) -> None:
-        self.rows.append(row)
-        self.z = np.append(self.z, z)
-        self.sigma = np.append(self.sigma, sigma)
-        self.sources.append(source)
-        self.meas_indices.append(meas_index)
-        self.measurements.append(None)
+        self._compiled = _CompiledRows(self)
 
     def x0(self) -> np.ndarray:
         x = np.zeros(self.n_states)
@@ -112,11 +104,7 @@ class NonlinearModel:
         return self.h_jac(x, with_jac=False)[0]
 
     def h_jac(self, x: np.ndarray, with_jac: bool = True):
-        compiled = getattr(self, "_compiled", None)
-        if compiled is None or compiled.rows != self.rows or compiled.index != self.index:
-            compiled = _CompiledRows(self)
-            self._compiled = compiled
-        return compiled.evaluate(x, with_jac)
+        return self._compiled.evaluate(x, with_jac)
 
     def extract_state(self, x: np.ndarray):
         """x -> (v by node, theta by node, converter vars by (tag, id))."""
@@ -150,12 +138,11 @@ class NonlinearModel:
 
 class _CompiledRows:
     """A model's rows as index arrays over all their terms (see the module
-    docstring); ``rows`` and ``index`` are copies of what it was built from."""
+    docstring)."""
 
     def __init__(self, model: NonlinearModel):
-        self.rows = list(model.rows)
-        self.index = index = dict(model.index)
-        m, n = len(self.rows), model.n_states
+        index = model.index
+        m, n = len(model.rows), model.n_states
         self.shape = (m, n)
         self.h0 = np.zeros(m)
         flows = []     # (row, slot, v_f, th_f, v_t, th_t columns, is P, g, b)
@@ -170,7 +157,7 @@ class _CompiledRows:
                           index[("v", t)], index.get(("th", t), n), which == "p",
                           y.real, y.imag))
 
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(model.rows):
             op = row[0]
             if op in ("ac_flow", "dc_flow", "couple_p", "couple_q"):
                 self.h0[i] = -0.0     # one value, not a sum (module docstring)
@@ -312,24 +299,18 @@ def build_system_model(grid: GridModel,
         labels += [("v", n) for n in nodes]
     for conv in grid.converters:
         labels += [("pvsc", conv.id), ("qvsc", conv.id), ("pdjc", conv.id)]
-    model = _assemble(grid, labels, angle_refs, measurements, None, True)
-    model.scope = "system"
-
-    for conv in grid.converters:
-        for op in ("couple_p", "couple_q", "couple_loss"):
-            model.rows.append((op, conv.id))
-            model.meas_indices.append(-1)
-            model.measurements.append(None)
-            model.sources.append(SOURCE_VIRTUAL_COUPLING)
-    model.z = np.concatenate([model.z, np.zeros(3 * len(grid.converters))])
-    model.sigma = np.concatenate([model.sigma,
-                                  np.full(3 * len(grid.converters), VIRTUAL_SIGMA)])
-    return model
+    couple = [((op, conv.id), 0.0, VIRTUAL_SIGMA, SOURCE_VIRTUAL_COUPLING)
+              for conv in grid.converters
+              for op in ("couple_p", "couple_q", "couple_loss")]
+    return _assemble(grid, labels, angle_refs, measurements, None, couple, "system")
 
 
 def build_region_model(grid: GridModel, region: Region,
                        measurements: list[tuple[int, Measurement]]) -> NonlinearModel:
-    """Single-region model (theta/V for AC; V plus converter draws for DC)."""
+    """Single-region model (theta/V for AC; V plus converter draws for DC),
+    its measurement rows followed by one ``"boundary"`` row per converter of
+    ``region.boundary`` (z 0, sigma 1): the converter power on the region's
+    side, which DWLS ties to the neighbour's claim."""
     nodes = sorted(region.nodes)
     labels: list[tuple[str, int]] = []
     angle_refs: dict[int, int] = {}
@@ -343,23 +324,24 @@ def build_region_model(grid: GridModel, region: Region,
         for cid, orient in region.boundary:
             if orient == OWNS_DC:
                 labels.append(("pdjc", cid))
-    model = _assemble(grid, labels, angle_refs, measurements, region, False)
-    model.scope = f"region:{region.id}"
-    return model
+    boundary = [(converter_spec(grid.converter(cid), "ac" if orient == OWNS_AC else "dc"),
+                 0.0, 1.0, "boundary") for cid, orient in region.boundary]
+    return _assemble(grid, labels, angle_refs, measurements, region, boundary,
+                     f"region:{region.id}")
 
 
-def _assemble(grid, labels, angle_refs, measurements, region, conv_vars):
+def _assemble(grid, labels, angle_refs, measurements, region, extra, scope):
+    """The model of ``measurements`` followed by the ``extra`` rows, given as
+    (row, z, sigma, source); a region model reads converter powers through
+    the region's boundary variables, the system model through its own."""
     index = {lab: k for k, lab in enumerate(labels)}
-    rows, z, sigma, sources, midx, mlist = [], [], [], [], [], []
-    for gidx, m in measurements:
-        rows.append(row_spec(grid, m, region, conv_vars))
-        z.append(m.value)
-        sigma.append(m.sigma)
-        sources.append(m.source)
-        midx.append(gidx)
-        mlist.append(m)
-    return NonlinearModel(labels=labels, index=index, rows=rows,
-                          z=np.asarray(z, dtype=float),
-                          sigma=np.asarray(sigma, dtype=float), sources=sources,
-                          meas_indices=midx, measurements=mlist, grid=grid,
-                          angle_refs=angle_refs)
+    rows = [row_spec(grid, m, region, region is None) for _, m in measurements]
+    rows += [row for row, *_ in extra]
+    return NonlinearModel(
+        labels=labels, index=index, rows=rows,
+        z=np.array([m.value for _, m in measurements] + [e[1] for e in extra], dtype=float),
+        sigma=np.array([m.sigma for _, m in measurements] + [e[2] for e in extra], dtype=float),
+        sources=[m.source for _, m in measurements] + [e[3] for e in extra],
+        meas_indices=[gidx for gidx, _ in measurements] + [-1] * len(extra),
+        measurements=[m for _, m in measurements] + [None] * len(extra),
+        grid=grid, angle_refs=angle_refs, scope=scope)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import (AC, DC, MODE_DC_SLACK, MODE_PQ, GridModel, Region,
+from .grid import (AC, DC, MODE_DC_SLACK, MODE_PQ, OWNS_DC, GridModel, Region,
                    ROLE_CONVERTER_AUX, ROLE_JUNCTION, build_admittance)
 
 
@@ -314,7 +314,7 @@ def solve_powerflow(grid: GridModel, profile: InjectionProfile,
     dc_regions = [r for r in grid.regions if r.kind == DC]
     for region in dc_regions:
         slack_convs = [grid.converter(cid) for cid, orient in region.boundary
-                       if orient == "owns-dc-side"
+                       if orient == OWNS_DC
                        and grid.converter(cid).control.mode == MODE_DC_SLACK]
         if len(slack_convs) != 1:
             raise PowerFlowError(
@@ -369,7 +369,7 @@ def solve_powerflow(grid: GridModel, profile: InjectionProfile,
             ref_conv = None
             for cid, orient in region.boundary:
                 conv = grid.converter(cid)
-                if orient == "owns-dc-side" and conv.control.mode == MODE_DC_SLACK:
+                if orient == OWNS_DC and conv.control.mode == MODE_DC_SLACK:
                     ref_conv = conv
                 else:
                     inj[conv.dc_node] = inj.get(conv.dc_node, 0.0) - p_djc[conv.id]

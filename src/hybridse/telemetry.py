@@ -1,8 +1,7 @@
 """Measurement definitions and measurement functions.
 
 Covers the nonlinear measurement functions (branch flows, injections, voltage
-magnitudes, converter powers), their analytic Jacobians for nonlinear
-estimation, the linear measurement rows over squared AC voltage magnitudes /
+magnitudes, converter powers), the linear measurement rows over squared AC voltage magnitudes /
 DC voltages used by the robust regional estimator, telemetry synthesis on the
 SCADA / smart-meter timescales, and gross-error injection for the bad-data
 case studies.
@@ -109,11 +108,6 @@ class MeasurementSet:
         for idx, m in enumerate(self.measurements):
             out[self.region_of(m, grid)].append((idx, m))
         return out
-
-    def replaced(self, idx: int, value: float) -> "MeasurementSet":
-        ms = list(self.measurements)
-        ms[idx] = replace(ms[idx], value=value)
-        return MeasurementSet(ms, self.corrupt_indices)
 
     # -- CSV ----------------------------------------------------------------
 
@@ -262,18 +256,14 @@ def _spec_value(grid: GridModel, state: SystemState, spec: tuple) -> float:
 # -- linear model ---------------------------------------------------------------
 
 
-def linear_row_ac_flow(r: float, x: float) -> tuple[float, float]:
-    """Coefficients of the linear P-flow row: ``a`` on (U_f - U_t), ``c`` on
-    (theta_f - theta_t), with P = a dU + c dth.  The Q row reuses them as
-    Q = (x-coefficient) dU - (r-coefficient) dth; see :func:`_add_linear`.
+def linear_row_ac_flow(r: float, x: float, which: str = "p") -> tuple[float, float]:
+    """Coefficients of a linear flow row: ``a`` on (U_f - U_t) and ``c`` on
+    (theta_f - theta_t), with P (``which="p"``) or Q (``"q"``) = a dU + c dth.
     """
     d = r * r + x * x
-    return r / (2.0 * d), x / d
-
-
-def linear_row_dc_flow(g: float) -> float:
-    """First-order DC flow about V=1: P = g (V_f - V_t)."""
-    return g
+    if which == "p":
+        return r / (2.0 * d), x / d
+    return x / (2.0 * d), -r / d
 
 
 @dataclass
@@ -459,11 +449,7 @@ def _add_linear(row: np.ndarray, index: dict, spec: tuple) -> None:
         row[index[("u", node)] if ("u", node) in index else index[("v", node)]] = 1.0
     elif op == "ac_flow":
         _, f, t, r, x, which = spec
-        if which == "p":
-            cu, cth = linear_row_ac_flow(r, x)
-        else:
-            d = r * r + x * x
-            cu, cth = x / (2.0 * d), -r / d
+        cu, cth = linear_row_ac_flow(r, x, which)
         for node, s in ((f, 1.0), (t, -1.0)):
             row[index[("u", node)]] += s * cu
             tc = index.get(("th", node))

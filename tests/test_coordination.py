@@ -9,6 +9,7 @@ import hybridse.bench.montecarlo as montecarlo
 import hybridse.coordination as coord
 import hybridse.estimation.lp as lp_module
 import hybridse.estimation.wlav as wlav
+import hybridse.measmodel as measmodel
 from hybridse import data
 from hybridse.bench import Scenario, prepare_context, run_single
 from hybridse.coordination import (CoordinationParams, run_cwls, run_drse,
@@ -364,6 +365,47 @@ class TestDwls:
                         and m.location[0] in (4, 5))]
         with pytest.raises(UnobservableError):
             run_dwls(toy5, MeasurementSet(kept), PARAMS)
+
+
+class TestModelCompiles:
+    def test_once_per_model_and_removed_row(self, case33, case33_loads, monkeypatch):
+        # a nonlinear model compiles its rows when it is built and once more
+        # per row the normalized-residual test removes; solves and clones
+        # reuse the compiled form
+        compiles, removals = [], []
+        real_compile, real_lnr = measmodel._CompiledRows, coord.lnr_test
+
+        def compile_rows(model):
+            compiles.append(model.scope)
+            return real_compile(model)
+
+        def lnr(*args, **kwargs):
+            out = real_lnr(*args, **kwargs)
+            removals.append(len(out.report.flagged))
+            return out
+
+        monkeypatch.setattr(measmodel, "_CompiledRows", compile_rows)
+        monkeypatch.setattr(coord, "lnr_test", lnr)
+        sched = ScheduleConfig(scada_ac_branches=((1, 2), (2, 19), (3, 23), (6, 26)))
+        _, ms = noisy_set(case33, case33_loads, seed=11, sched=sched)
+        n = len(case33.regions)
+        removed = 0
+        for case in (0, 1, 2):
+            bad = ms if case == 0 else inject_bad_data(ms, case)
+            compiles.clear()
+            removals.clear()
+            est = run_cwls(case33, bad)
+            assert compiles.count("system") == len(compiles) == 1 + sum(removals)
+            assert sum(removals) == len(est.bad_data[-1].flagged)
+            removed += sum(removals)
+            compiles.clear()
+            removals.clear()
+            est = run_dwls(case33, bad, PARAMS)
+            # one compile per region per pass
+            assert len(compiles) == n * (1 + est.rerun) + sum(removals)
+            assert len(removals) == n * (1 + est.rerun)
+            removed += sum(removals)
+        assert removed > 0
 
 
 class TestCwls:

@@ -713,21 +713,17 @@ class TestQrFactor:
     def _models(grid, loads, sched):
         """The system model and a DWLS model of the AC region with its
         boundary rows, each with its weight overrides, plus the true x."""
-        from hybridse.grid import AC, OWNS_AC
+        from hybridse.grid import AC
         from hybridse.powerflow import solve_powerflow
-        from hybridse.telemetry import ScheduleConfig, converter_spec, simulate_measurements
+        from hybridse.telemetry import ScheduleConfig, simulate_measurements
         truth = solve_powerflow(grid, loads)
         ms = simulate_measurements(grid, truth.state, ScheduleConfig(scada_ac_branches=sched),
                                    t=3600.0, seed=3)
         system = measmodel.build_system_model(grid, list(enumerate(ms.measurements)))
         ac = next(r for r in grid.regions if r.kind == AC)
-        region = measmodel.build_region_model(grid, ac, ms.by_region(grid)[ac.id])
-        overrides = {}
-        for k, (cid, orient) in enumerate(ac.boundary):
-            overrides[len(region.rows)] = (0.0, 1e-2)[k % 2]
-            side = "ac" if orient == OWNS_AC else "dc"
-            region.append_row(converter_spec(grid.converter(cid), side), 0.0, 1.0,
-                              "boundary")
+        pairs = ms.by_region(grid)[ac.id]
+        region = measmodel.build_region_model(grid, ac, pairs)
+        overrides = {len(pairs) + k: (0.0, 1e-2)[k % 2] for k in range(len(ac.boundary))}
         return [(model, over, model.truth_vector(truth.state, truth.converters))
                 for model, over in ((system, {}), (region, overrides))]
 
