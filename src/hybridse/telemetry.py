@@ -1,10 +1,10 @@
 """Measurement definitions and measurement functions.
 
 Covers the nonlinear measurement functions (branch flows, injections, voltage
-magnitudes, converter powers), the linear measurement rows over squared AC voltage magnitudes /
-DC voltages used by the robust regional estimator, telemetry synthesis on the
-SCADA / smart-meter timescales, and gross-error injection for the bad-data
-case studies.
+magnitudes, converter powers), the linear measurement rows over squared AC
+voltage magnitudes / DC voltages used by the robust regional estimator,
+telemetry synthesis on the SCADA / smart-meter timescales, and gross-error
+injection for the bad-data case studies.
 
 The linear AC model works in ``(U, theta)`` with ``U = V^2``; voltage
 magnitude readings are squared on entry and their sigma mapped by first-order
