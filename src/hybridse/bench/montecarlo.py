@@ -112,7 +112,7 @@ def run_single(ctx: RunContext, run_idx: int) -> RunRecord:
         t_inj = time.perf_counter()
         extra = []
         if sc.method.endswith("_dnn"):
-            extra = generated_measurements(ctx.model, ms, ctx.grid, t, sanitize=True)
+            extra = generated_measurements(ctx.model, ms, ctx.grid, t)
         elif sc.method.endswith("_pseudo"):
             extra = pseudo_measurements(ctx.grid, profile, t,
                                         pct=sc.pseudo_pct / 100.0, rng=rng)
@@ -174,11 +174,9 @@ class BenchResult:
 
 
 def run_montecarlo(scenario: Scenario, out_dir: str | Path | None = None,
-                   model_path: str | Path | None = None,
-                   ctx: RunContext | None = None) -> BenchResult:
+                   model_path: str | Path | None = None) -> BenchResult:
     """Execute the scenario; aborts when more than 10% of runs fail."""
-    if ctx is None:
-        ctx = prepare_context(scenario, model_path=model_path)
+    ctx = prepare_context(scenario, model_path=model_path)
     workers = int(os.environ.get("HYBRIDSE_WORKERS", "1"))
     indices = list(range(scenario.runs))
     if workers > 1:

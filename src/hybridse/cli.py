@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import ScenarioError, load_scenario, run_estimator, run_montecarlo
+from .bench import METHODS, ScenarioError, load_scenario, run_estimator, run_montecarlo
 from .coordination import CoordinationParams
 from .estimation import EstimationError, LpError
 from .grid import GridError, load_grid
@@ -205,9 +205,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("estimate", help="run one estimation method")
-    p.add_argument("--method", required=True,
-                   choices=["cwls", "cwls_dnn", "cwls_pseudo", "dwls", "dwls_dnn",
-                            "dwls_pseudo", "drse", "drse_dnn", "drse_pseudo"])
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--grid", required=True)
     p.add_argument("--meas", required=True)
     p.add_argument("--model", help="injection model for *_dnn / *_pseudo")

@@ -13,29 +13,23 @@ boundary slack a or b), and only the rows left uncovered (exact zero
 injections) get an artificial column for phase 1.  The starting tableau is
 [A | I_art | b] itself, so a cold start factors nothing.
 
-The returned basis can be passed back to warm-start a later solve of a
-problem with identical constraint structure (only costs / right-hand sides
-changed).  A warm start from a basis other than the stored one (below)
-computes B^-1 [A | b] with one dense solve.  A warm basis that does not
-fit, is singular or is primal infeasible for the new b raises ``LpError``
-inside the solve, and :func:`lp_solve` then does one cold start.
-
 A family of problems that share A and the free columns and differ only in c
 and b comes from one :class:`LpTemplate`, and each problem it makes names it
-in ``LpProblem.template``.  The template's A and free mask are read-only, and
-the kernel keeps two things on the template:
+in ``LpProblem.template``.  The template's A and free mask are read-only; the
+kernel keeps on the template the free-column split, made once, and the final
+tableau of the last solve, keyed by its basis and the bytes of b.
 
-- the free-column split (internal matrix, column map), made once and valid
-  for as long as the template lives, plus the split matrix with the rows of
-  the last sign pattern of b negated;
-- the final tableau of the last solve, keyed by its basis and the bytes of
-  b.  A warm start from that basis copies it instead of solving densely;
-  B^-1 A does not depend on the row sign flips, so only B^-1 b is solved
-  again, when the b bytes differ.  A negative B^-1 b is re-optimized by
-  dual simplex pivots when no reduced cost under the new c is negative
-  (Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*, 4.5);
-  otherwise, or after more dual pivots than rows, ``LpError`` is raised as
-  for any unusable warm basis.
+The one warm start is from that basis: the returned basis of the template's
+last solve, cold or warm, passed back to the next solve of a problem from
+the same template.  The solve copies the stored tableau.  B^-1 A does not
+depend on the row sign flips of a cold start, and neither does B^-1 b, so
+when the b bytes differ only B^-1 b is solved again, from the unflipped
+split matrix and b.  A negative B^-1 b is re-optimized by dual simplex
+pivots when no reduced cost under the new c is negative (Bertsimas &
+Tsitsiklis, *Introduction to Linear Optimization*, 4.5).  Any other basis,
+a singular one, one neither primal nor dual feasible, or more dual pivots
+than rows raise ``LpError`` inside the solve, and :func:`lp_solve` then does
+one cold start.
 
 With the same basis and b bytes the stored tableau is used as it is, and c
 only decides whether the first pricing pass finds an entering column.  So
@@ -46,8 +40,8 @@ run on the stored tableau with the problem's costs by the solve's own
 function, must find no entering column (the optimality test of a basis under
 a change of c alone).
 
-A hand-built ``LpProblem`` has no template; it is solved with a throwaway
-one, and :func:`lp_unchanged` always answers False for it.
+A hand-built ``LpProblem`` has no template; it is solved cold with a
+throwaway one, and :func:`lp_unchanged` always answers False for it.
 """
 
 from __future__ import annotations
@@ -97,35 +91,44 @@ class LpSolution:
 
 _DEGENERATE_STREAK = 30
 _TOL = 1e-9                 # pricing and ratio-test tolerance
+_MAX_ITER = 20000           # simplex pivots per solve
 
 
-def lp_solve(problem: LpProblem, basis: tuple[int, ...] | None = None,
-             tol: float = _TOL, max_iter: int = 20000) -> LpSolution:
+def lp_solve(problem: LpProblem, basis: tuple[int, ...] | None = None) -> LpSolution:
     """Solve an equality-form LP; optimal basic solution, deterministic.
 
     Without ``basis`` the solve starts cold from the crash basis.  With it,
-    the solve starts from that basis; if the basis is unusable for this
-    problem, or the solve from it fails in any way, the problem is solved
-    once more from a cold start before a failure is reported.
+    the solve starts warm from the template's last solve; if ``basis`` is not
+    that solve's basis, or the solve from it fails in any way, the problem is
+    solved once more from a cold start before a failure is reported.
     """
     if basis is not None:
         try:
-            return _lp_solve(problem, basis, tol, max_iter)
+            return _lp_solve(problem, basis)
         except LpError:
             pass
-    return _lp_solve(problem, None, tol, max_iter)
+    return _lp_solve(problem, None)
 
 
 class LpTemplate:
     """Constraint data shared by a family of LPs that differ only in c and b,
-    with what the kernel derives from it; see the module docstring."""
+    with what the kernel derives from it; see the module docstring.  Free
+    variables are split into positive and negative parts: internal column k
+    of ``a_split`` is ``sign[k]`` times original column ``orig[k]``."""
 
     def __init__(self, a_eq, free_mask):
         self.a_eq = np.atleast_2d(np.array(a_eq, dtype=float))
         self.free_mask = np.array(free_mask, dtype=bool)
         self.a_eq.flags.writeable = False
         self.free_mask.flags.writeable = False
-        self.split = _Split(self.a_eq, self.free_mask)
+        n = self.a_eq.shape[1]
+        self.free = np.flatnonzero(self.free_mask)
+        self.orig = np.concatenate([np.arange(n), self.free])
+        self.sign = np.concatenate([np.ones(n), -np.ones(self.free.size)])
+        self.bounded = np.concatenate([~self.free_mask,
+                                       np.zeros(self.free.size, dtype=bool)])
+        self.a_split = np.concatenate([self.a_eq, -self.a_eq[:, self.free]], axis=1)
+        self.a_split.flags.writeable = False
         self.last: tuple | None = None      # ((basis, b bytes), final tableau)
 
     def problem(self, c, b_eq) -> LpProblem:
@@ -133,35 +136,8 @@ class LpTemplate:
                          template=self)
 
 
-class _Split:
-    """Free variables split into positive and negative parts: internal column
-    k is ``sign[k]`` times original column ``orig[k]``."""
-
-    def __init__(self, a_eq, free_mask):
-        n = a_eq.shape[1]
-        self.free = np.flatnonzero(free_mask)
-        self.orig = np.concatenate([np.arange(n), self.free])
-        self.sign = np.concatenate([np.ones(n), -np.ones(self.free.size)])
-        self.bounded = np.concatenate([~free_mask, np.zeros(self.free.size, dtype=bool)])
-        self.a = np.concatenate([a_eq, -a_eq[:, self.free]], axis=1)
-        self.a.flags.writeable = False
-        self.flipped: tuple[bytes, np.ndarray] | None = None
-
-    def matrix(self, neg) -> np.ndarray:
-        """The split matrix with the rows in ``neg`` negated (read only)."""
-        if not neg.any():
-            return self.a
-        key = neg.tobytes()
-        if self.flipped is None or self.flipped[0] != key:
-            a = self.a.copy()
-            a[neg] *= -1.0
-            a.flags.writeable = False
-            self.flipped = (key, a)
-        return self.flipped[1]
-
-
-def _internal_costs(problem: LpProblem, split: _Split) -> np.ndarray:
-    return np.concatenate([problem.c, -problem.c[split.free]])
+def _internal_costs(problem: LpProblem, template: LpTemplate) -> np.ndarray:
+    return np.concatenate([problem.c, -problem.c[template.free]])
 
 
 def lp_unchanged(problem: LpProblem, basis: tuple[int, ...] | None) -> bool:
@@ -177,76 +153,61 @@ def lp_unchanged(problem: LpProblem, basis: tuple[int, ...] | None) -> bool:
     cols = np.array(basis, dtype=np.intp)
     basic = np.zeros(n, dtype=bool)
     basic[cols] = True
-    c = _internal_costs(problem, template.split)
+    c = _internal_costs(problem, template)
     return _entering(_reduced_costs(c[:n], t[:, :n], c[cols], basic), 0, _TOL) is None
 
 
-def _lp_solve(problem: LpProblem, basis, tol, max_iter) -> LpSolution:
+def _lp_solve(problem: LpProblem, basis) -> LpSolution:
     template = problem.template or LpTemplate(problem.a_eq, problem.free_mask)
-    split, last = template.split, template.last
-    n_int = split.orig.size
-    c_int = _internal_costs(problem, split)
-    b = problem.b_eq.copy()
-    neg = b < 0
-    a = split.matrix(neg)
-    b[neg] *= -1.0
+    last = template.last
+    n_int = template.orig.size
+    c_int = _internal_costs(problem, template)
 
     iterations = 0
-    if basis is not None and last is not None and last[0][0] == tuple(basis):
+    if basis is not None:
+        if last is None or last[0][0] != tuple(basis):
+            raise LpError("warm basis is not the one of the template's last solve")
         t, cols_basis = last[1].copy(), np.array(basis, dtype=np.intp)
         if last[0][1] != problem.b_eq.tobytes():
             try:
-                t[:, -1] = np.linalg.solve(a[:, cols_basis], b)
+                t[:, -1] = np.linalg.solve(template.a_split[:, cols_basis], problem.b_eq)
             except np.linalg.LinAlgError as exc:
                 raise LpError("singular warm basis") from exc
-            iterations += _dual_optimize(t, cols_basis, c_int, tol)
-    elif basis is not None:
-        t, cols_basis = _warm_tableau(a, b, basis)
+            iterations += _dual_optimize(t, cols_basis, c_int)
     else:
-        t, cols_basis = _crash_tableau(a, b, split.bounded)
+        t, cols_basis = _crash_tableau(template.a_split, problem.b_eq, template.bounded)
         n_art = t.shape[1] - 1 - n_int
         if n_art:
             c1 = np.zeros(n_int + n_art)
             c1[n_int:] = 1.0
             # price only real columns; artificials may leave but never re-enter
-            iterations += _optimize(t, cols_basis, c1, n_int, tol, max_iter)
+            iterations += _optimize(t, cols_basis, c1, n_int, _TOL, _MAX_ITER)
             obj1 = c1[cols_basis] @ t[:, -1]
             if obj1 > 1e-7:
                 raise LpInfeasible(f"phase-1 objective {obj1:.3e}")
-            _drive_out_artificials(t, cols_basis, n_int, tol)
+            _drive_out_artificials(t, cols_basis, n_int)
             keep = np.flatnonzero(cols_basis < n_int)
             if keep.size != cols_basis.size:
                 t = t[keep]
                 cols_basis = cols_basis[keep]
             t = t[:, list(range(n_int)) + [t.shape[1] - 1]]
 
-    iterations += _optimize(t, cols_basis, c_int, n_int, tol, max_iter - iterations)
+    iterations += _optimize(t, cols_basis, c_int, n_int, _TOL, _MAX_ITER - iterations)
     result_basis = tuple(cols_basis.tolist())
     template.last = ((result_basis, problem.b_eq.tobytes()), t)
 
     x = np.zeros(problem.a_eq.shape[1])
-    np.add.at(x, split.orig[cols_basis], split.sign[cols_basis] * t[:, -1])
+    np.add.at(x, template.orig[cols_basis], template.sign[cols_basis] * t[:, -1])
     return LpSolution(x=x, objective=float(problem.c @ x),
                       iterations=iterations, basis=result_basis)
 
 
-def _warm_tableau(a, b, basis) -> tuple[np.ndarray, np.ndarray]:
-    """Tableau B^-1 [A | b] of a previous basis; LpError if it is unusable."""
-    cols_basis = np.array(basis, dtype=np.intp)
-    if cols_basis.size != a.shape[0] or max(basis, default=-1) >= a.shape[1]:
-        raise LpError("warm basis does not fit the problem")
-    try:
-        t = np.linalg.solve(a[:, cols_basis], np.column_stack([a, b]))
-    except np.linalg.LinAlgError as exc:
-        raise LpError("singular warm basis") from exc
-    if t[:, -1].min() < -1e-9:
-        raise LpError("warm basis is infeasible for this right-hand side")
-    return t, cols_basis
-
-
 def _crash_tableau(a, b, bounded) -> tuple[np.ndarray, np.ndarray]:
-    """Tableau [A | I_art | b] of the crash basis: per row the first bounded
-    unit column, an artificial column for each row without one."""
+    """Tableau [A | I_art | b] of the crash basis, with the rows where b < 0
+    negated: per row the first bounded unit column, an artificial column for
+    each row without one."""
+    sign = np.where(b < 0, -1.0, 1.0)
+    a, b = a * sign[:, None], b * sign
     m, n_int = a.shape
     unit = bounded & (np.count_nonzero(a, axis=0) == 1) & (a.max(axis=0, initial=0.0) == 1.0)
     cols_basis: list[int | None] = [None] * m
@@ -305,11 +266,7 @@ def _optimize(t, cols_basis, c, n_cols, tol, max_iter) -> int:
         p = tie_rows[0] if tie_rows.size == 1 else tie_rows[cols_basis[tie_rows].argmin()]
         degenerate = degenerate + 1 if best <= tol else 0
 
-        piv = t[p, q]
-        t[p] /= piv
-        other = col.copy()
-        other[p] = 0.0
-        _eliminate(t, other, p)
+        _pivot(t, p, q)
         basic[cols_basis[p]] = False
         basic[q] = True
         cols_basis[p] = q
@@ -317,59 +274,56 @@ def _optimize(t, cols_basis, c, n_cols, tol, max_iter) -> int:
     raise LpError("simplex iteration limit reached")
 
 
-def _dual_optimize(t, cols_basis, c, tol) -> int:
-    """Dual simplex sweep until no right-hand side is below -tol: the most
+def _dual_optimize(t, cols_basis, c) -> int:
+    """Dual simplex sweep until no right-hand side is below -_TOL: the most
     negative one leaves, the dual ratio test enters (lowest index on ties).
     Mutates t and cols_basis.  LpError if the basis is not dual feasible
-    under c, the leaving row has no entry below -tol, or it takes more
-    pivots than rows (a cold start is then about as cheap)."""
+    under c, the leaving row has no negative entry, or it takes more pivots
+    than rows (a cold start is then about as cheap)."""
     rhs = t[:, -1]
     p = int(rhs.argmin())
-    if rhs[p] >= -tol:
+    if rhs[p] >= -_TOL:
         return 0
     n = t.shape[1] - 1
     basic = np.zeros(n, dtype=bool)
     basic[cols_basis] = True
     reduced = _reduced_costs(c[:n], t[:, :n], c[cols_basis], basic)
-    if reduced.min() < -tol:
+    if reduced.min() < -_TOL:
         raise LpError("warm basis is neither primal nor dual feasible")
     for it in range(1, t.shape[0] + 1):
-        cand = (t[p, :n] < -tol).nonzero()[0]
+        cand = (t[p, :n] < -_TOL).nonzero()[0]
         if not cand.size:
             raise LpInfeasible("no entering column for a negative right-hand side")
         q = int(cand[np.argmin(reduced[cand] / -t[p, cand])])
 
-        t[p] /= t[p, q]
-        other = t[:, q].copy()
-        other[p] = 0.0
-        _eliminate(t, other, p)
+        _pivot(t, p, q)
         reduced -= reduced[q] * t[p, :n]
         cols_basis[p] = q
         p = int(rhs.argmin())
-        if rhs[p] >= -tol:
+        if rhs[p] >= -_TOL:
             return it
     raise LpError("dual simplex pivot limit reached")
 
 
-def _drive_out_artificials(t, cols_basis, n_int, tol):
+def _drive_out_artificials(t, cols_basis, n_int):
     for row, col in enumerate(cols_basis):
         if col < n_int:
             continue
-        nz = np.nonzero(np.abs(t[row, :n_int]) > tol)[0]
+        nz = np.nonzero(np.abs(t[row, :n_int]) > _TOL)[0]
         if nz.size == 0:
             continue  # redundant row, caller drops it
         q = int(nz[0])
-        piv = t[row, q]
-        t[row] /= piv
-        other = t[:, q].copy()
-        other[row] = 0.0
-        _eliminate(t, other, row)
+        _pivot(t, row, q)
         cols_basis[row] = q
 
 
-def _eliminate(t, other, p):
-    """t -= outer(other, t[p]) on the rows where ``other`` is nonzero; the
-    other rows would only lose 0 * t[p].  The outer product is broadcast,
+def _pivot(t, p, q):
+    """Pivot on t[p, q]: scale row p to a unit entry in column q, then
+    subtract its multiples from the rows where column q is nonzero (the
+    other rows would only lose 0 * t[p]).  The outer product is broadcast,
     the same products as ``np.outer`` without its Python wrapper."""
+    t[p] /= t[p, q]
+    other = t[:, q].copy()
+    other[p] = 0.0
     rows = other.nonzero()[0]
     t[rows] -= other[rows, None] * t[p]

@@ -16,7 +16,8 @@ the model carries no LP state.  The problem of each call shares the
 template's read-only A and carries fresh b and c, patched on the boundary
 rows and the (a, b) columns; the LP kernel keeps its free-column split and
 the final tableau of the last solve on the template, from which the next
-solve re-optimizes when only the boundary rows of b and the costs moved.
+solve given that solve's basis re-optimizes when only the boundary rows of b
+and the costs moved.  A basis from another template starts cold.
 """
 
 from __future__ import annotations
@@ -107,8 +108,8 @@ def solve_wlav_region(model, boundary: dict[int, BoundaryTerm] | None = None,
                       basis: tuple[int, ...] | None = None, lp: RegionalLp | None = None
                       ) -> tuple[EstimationResult, LpSolution]:
     """Solve one region's WLAV problem; returns the estimate and the LP
-    solution (whose basis warm-starts the next coordination iteration).
-    ``lp`` is passed on to :func:`build_regional_wlav_lp`."""
+    solution (whose basis warm-starts the next solve through the same
+    ``lp``).  ``lp`` is passed on to :func:`build_regional_wlav_lp`."""
     t0 = time.perf_counter()
     boundary = boundary or {}
     problem = build_regional_wlav_lp(model, boundary, lp=lp)

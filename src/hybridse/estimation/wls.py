@@ -18,6 +18,8 @@ from ..telemetry import SOURCE_VIRTUAL_ZERO
 from .result import BadDataReport, EstimationResult, UnobservableError
 
 ZERO_INJ_SIGMA = 1e-6
+_GN_MAX_ITER = 50           # Gauss-Newton iterations per solve
+_LNR_MAX_CYCLES = 5         # removals or substitutions per bad-data test
 REMOVABLE_SOURCES = ("scada", "smart_meter", "pseudo", "dnn")
 
 
@@ -58,7 +60,6 @@ def _residual_variance(jac: np.ndarray, a: np.ndarray, sigma: np.ndarray) -> np.
 
 
 def solve_wls(model, x0: np.ndarray | None = None, tol: float = 1e-6,
-              max_iter: int = 50,
               weight_overrides: dict[int, float] | None = None) -> EstimationResult:
     """Iterate Gauss-Newton until max |dx| < tol, with step halving.
 
@@ -86,7 +87,7 @@ def solve_wls(model, x0: np.ndarray | None = None, tol: float = 1e-6,
     obj, r = objective(x)
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _GN_MAX_ITER + 1):
         h, jac = model.h_jac(x)
         a = jac * sw[:, None]
         rhs = (z - h) * sw
@@ -125,15 +126,14 @@ class _NrOutcome:
 
 
 def lnr_test(model, result: EstimationResult | None = None, threshold: float = 3.0,
-             max_cycles: int = 5, interpolate: bool = False,
-             tol: float = 1e-6) -> _NrOutcome:
+             interpolate: bool = False, tol: float = 1e-6) -> _NrOutcome:
     """Largest-normalized-residual bad-data cycle.
 
     Solves, normalizes residuals by sqrt of their covariance
     Omega = R_z - J G^-1 J^T, taken from the QR factor of the weighted
     Jacobian at each cycle's state (``_residual_variance``), and removes (or,
     with ``interpolate=True``, substitutes with the model-implied value) the
-    worst offender above the threshold, repeating up to ``max_cycles`` times.
+    worst offender above the threshold, repeating up to ``_LNR_MAX_CYCLES`` times.
     Rows whose residual variance is numerically zero are critical and
     reported untestable.
 
@@ -150,7 +150,7 @@ def lnr_test(model, result: EstimationResult | None = None, threshold: float = 3
     replaced: dict[int, float] = {}
     cycles = 0
 
-    for _ in range(max_cycles):
+    for _ in range(_LNR_MAX_CYCLES):
         cycles += 1
         x = result.x
         h, jac = work.h_jac(x)

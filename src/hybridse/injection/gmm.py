@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 VAR_FLOOR = 1e-8
+_EM_MAX_ITER = 500
 
 
 @dataclass
@@ -61,8 +62,8 @@ def _logsumexp(a):
     return (m + np.log(np.exp(a - m).sum(axis=1, keepdims=True))).ravel()
 
 
-def fit_gmm(samples: np.ndarray, k: int, seed: int = 0, tol: float = 1e-7,
-            max_iter: int = 500) -> tuple[GmmModel, list[float]]:
+def fit_gmm(samples: np.ndarray, k: int, seed: int = 0,
+            tol: float = 1e-7) -> tuple[GmmModel, list[float]]:
     """EM fit with k-means++-style seeding; returns the model and the
     log-likelihood trace (non-decreasing by construction of EM).
 
@@ -84,7 +85,7 @@ def fit_gmm(samples: np.ndarray, k: int, seed: int = 0, tol: float = 1e-7,
 
     trace: list[float] = []
     prev = -np.inf
-    for _ in range(max_iter):
+    for _ in range(_EM_MAX_ITER):
         comp = _component_log_pdf(x, means, variances) + np.log(weights)[None, :]
         norm = _logsumexp(comp)
         ll = float(norm.sum())

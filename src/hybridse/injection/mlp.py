@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+_MOMENTUM = 0.9
+
 
 class TrainingError(RuntimeError):
     pass
@@ -109,7 +111,7 @@ def loss_and_grads(model: MlpModel, x_std: np.ndarray, y_std: np.ndarray):
 
 
 def train_mlp(x: np.ndarray, y: np.ndarray, hidden: list[int] = [64, 64],
-              lr: float = 0.01, momentum: float = 0.9, batch: int = 32,
+              lr: float = 0.01, batch: int = 32,
               epochs: int = 300, seed: int = 0,
               holdout: float = 0.1) -> tuple[MlpModel, TrainReport]:
     """Train on a 90/10 split; the returned report carries both losses.
@@ -149,8 +151,8 @@ def train_mlp(x: np.ndarray, y: np.ndarray, hidden: list[int] = [64, 64],
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
             for layer in range(len(model.weights)):
-                vel_w[layer] = momentum * vel_w[layer] - lr * gw[layer]
-                vel_b[layer] = momentum * vel_b[layer] - lr * gb[layer]
+                vel_w[layer] = _MOMENTUM * vel_w[layer] - lr * gw[layer]
+                vel_b[layer] = _MOMENTUM * vel_b[layer] - lr * gb[layer]
                 model.weights[layer] += vel_w[layer]
                 model.biases[layer] += vel_b[layer]
 

@@ -284,14 +284,10 @@ def infer_injections(model: InjectionModel, z_now: np.ndarray) -> dict[str, floa
 
 
 def generated_measurements(model: InjectionModel, ms: MeasurementSet,
-                           grid: GridModel, t: float,
-                           sanitize: bool = True) -> list[Measurement]:
+                           grid: GridModel, t: float) -> list[Measurement]:
     """DNN-generated injection rows for the current tick, weighted by the
-    error-mixture sigmas.  The SCADA input is screened first when asked."""
-    source = ms
-    if sanitize:
-        source = sanitize_scada(grid, ms, model)
-    z = scada_vector(source, model.channels)
+    error-mixture sigmas.  The SCADA input is screened first."""
+    z = scada_vector(sanitize_scada(grid, ms, model), model.channels)
     values = infer_injections(model, z)
     return _injection_rows(grid, values,
                            {k: model.error_sigma[k] for k in values},

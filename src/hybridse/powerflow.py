@@ -24,6 +24,11 @@ import numpy as np
 from .grid import (AC, DC, MODE_DC_SLACK, MODE_PQ, OWNS_DC, GridModel, Region,
                    ROLE_CONVERTER_AUX, ROLE_JUNCTION, build_admittance)
 
+_AC_TOL = 1e-8              # regional Newton mismatch tolerances (p.u.)
+_DC_TOL = 1e-10
+_NEWTON_MAX_ITER = 30       # Newton iterations per regional solve
+_MAX_OUTER = 20             # alternating AC/DC passes per power flow
+
 
 class PowerFlowError(RuntimeError):
     pass
@@ -160,13 +165,13 @@ def dc_branch_flow(v_f: float, v_t: float, g: float) -> float:
 
 def solve_ac_region(grid: GridModel, region: Region,
                     injections: dict[int, tuple[float, float]],
-                    ref_node: int | None = None, v_ref: float = 1.0,
-                    tol: float = 1e-8, max_iter: int = 30) -> dict[int, tuple[float, float]]:
+                    ref_node: int | None = None, v_ref: float = 1.0
+                    ) -> dict[int, tuple[float, float]]:
     """Newton-Raphson solve of one AC region.
 
     ``injections`` maps node -> (P, Q) for non-reference nodes (missing
     nodes inject zero).  Returns node -> (V, theta).  Raises
-    PowerFlowDivergence if mismatches stay above ``tol``.
+    PowerFlowDivergence if mismatches stay above ``_AC_TOL``.
     """
     if region.kind != AC:
         raise ValueError(f"region {region.id} is not AC")
@@ -195,7 +200,7 @@ def solve_ac_region(grid: GridModel, region: Region,
         return {ref_node: (v_ref, 0.0)}
 
     mism = np.inf
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         dth = th[:, None] - th[None, :]
         cs, sn = np.cos(dth), np.sin(dth)
         a1 = g * cs + b * sn
@@ -205,7 +210,7 @@ def solve_ac_region(grid: GridModel, region: Region,
         dp = (p_spec - p_calc)[free]
         dq = (q_spec - q_calc)[free]
         mism = max(np.abs(dp).max(), np.abs(dq).max())
-        if mism < tol:
+        if mism < _AC_TOL:
             break
 
         vv = np.outer(v, v)
@@ -231,14 +236,14 @@ def solve_ac_region(grid: GridModel, region: Region,
             raise PowerFlowDivergence(f"AC region {region.id} diverged", float(mism))
     else:
         raise PowerFlowDivergence(
-            f"AC region {region.id} did not converge in {max_iter} iterations", float(mism))
+            f"AC region {region.id} did not converge in {_NEWTON_MAX_ITER} iterations",
+            float(mism))
 
     return {node: (float(v[adm.index[node]]), float(th[adm.index[node]])) for node in nodes}
 
 
 def solve_dc_region(grid: GridModel, region: Region, injections: dict[int, float],
-                    ref_node: int, v_ref: float = 1.0,
-                    tol: float = 1e-10, max_iter: int = 30) -> dict[int, float]:
+                    ref_node: int, v_ref: float = 1.0) -> dict[int, float]:
     """Newton-Raphson solve of one DC region with a held reference voltage."""
     if region.kind != DC:
         raise ValueError(f"region {region.id} is not DC")
@@ -260,12 +265,12 @@ def solve_dc_region(grid: GridModel, region: Region, injections: dict[int, float
         return {ref_node: v_ref}
 
     mism = np.inf
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         flows = y @ v
         p_calc = v * flows
         dp = (p_spec - p_calc)[free]
         mism = np.abs(dp).max()
-        if mism < tol:
+        if mism < _DC_TOL:
             break
         jac = v[:, None] * y
         np.fill_diagonal(jac, flows + v * y.diagonal())
@@ -278,7 +283,8 @@ def solve_dc_region(grid: GridModel, region: Region, injections: dict[int, float
             raise PowerFlowDivergence(f"DC region {region.id} diverged", float(mism))
     else:
         raise PowerFlowDivergence(
-            f"DC region {region.id} did not converge in {max_iter} iterations", float(mism))
+            f"DC region {region.id} did not converge in {_NEWTON_MAX_ITER} iterations",
+            float(mism))
 
     return {node: float(v[adm.index[node]]) for node in nodes}
 
@@ -301,8 +307,7 @@ def _check_profile(grid: GridModel, profile: InjectionProfile) -> None:
 
 
 def solve_powerflow(grid: GridModel, profile: InjectionProfile,
-                    tol: float = 1e-6, max_outer: int = 20,
-                    ac_tol: float = 1e-8, dc_tol: float = 1e-10) -> PowerFlowResult:
+                    tol: float = 1e-6) -> PowerFlowResult:
     """Alternating AC/DC solve with converter loss propagation.
 
     Converges when every converter satisfies the power balance
@@ -330,10 +335,9 @@ def solve_powerflow(grid: GridModel, profile: InjectionProfile,
 
     ac_states: dict[int, dict[int, tuple[float, float]]] = {}
     dc_states: dict[int, dict[int, float]] = {}
-    max_mism = 0.0
     coupling = math.inf
 
-    for outer in range(1, max_outer + 1):
+    for outer in range(1, _MAX_OUTER + 1):
         # AC pass
         for region in ac_regions:
             inj: dict[int, tuple[float, float]] = {}
@@ -346,17 +350,12 @@ def solve_powerflow(grid: GridModel, profile: InjectionProfile,
                     continue
                 inj[conv.aux_node] = (p_vsc[conv.id], q_vsc[conv.id])
             inj.pop(ref, None)
-            ac_states[region.id] = solve_ac_region(grid, region, inj, ref_node=ref,
-                                                   tol=ac_tol)
+            ac_states[region.id] = solve_ac_region(grid, region, inj, ref_node=ref)
 
         for conv in grid.converters:
-            region = grid.region(grid.node(conv.aux_node).region)
-            st = ac_states[region.id]
-            vc, thc = st[conv.aux_node]
-            vi, thi = st[conv.ac_node]
-            p_ci, q_ci = ac_branch_flow(vc, thc, vi, thi, conv.coupling_r, conv.coupling_x)
+            p_ci, q_ci, vc = _coupling_flow(grid, ac_states, conv)
             v_c[conv.id] = vc
-            if grid.angle_reference(region.id) == conv.aux_node:
+            if grid.angle_reference(grid.node(conv.aux_node).region) == conv.aux_node:
                 p_vsc[conv.id], q_vsc[conv.id] = p_ci, q_ci
             loss[conv.id], _ = converter_loss(p_vsc[conv.id], q_vsc[conv.id],
                                               vc, (conv.d1, conv.d2, conv.d3))
@@ -375,7 +374,7 @@ def solve_powerflow(grid: GridModel, profile: InjectionProfile,
                     inj[conv.dc_node] = inj.get(conv.dc_node, 0.0) - p_djc[conv.id]
             inj.pop(ref_conv.dc_node, None)
             sol = solve_dc_region(grid, region, inj, ref_node=ref_conv.dc_node,
-                                  v_ref=ref_conv.control.v_dc_set, tol=dc_tol)
+                                  v_ref=ref_conv.control.v_dc_set)
             dc_states[region.id] = sol
             # balance at the held terminal fixes the converter draw
             flow_sum = sum(dc_branch_flow(sol[ref_conv.dc_node], sol[other], g)
@@ -397,18 +396,14 @@ def solve_powerflow(grid: GridModel, profile: InjectionProfile,
         # coupling residual against the latest AC solution
         coupling = 0.0
         for conv in grid.converters:
-            region_id = grid.node(conv.aux_node).region
-            st = ac_states[region_id]
-            vc, thc = st[conv.aux_node]
-            vi, thi = st[conv.ac_node]
-            p_ci, q_ci = ac_branch_flow(vc, thc, vi, thi, conv.coupling_r, conv.coupling_x)
+            p_ci, q_ci, vc = _coupling_flow(grid, ac_states, conv)
             l, _ = converter_loss(p_ci, q_ci, vc, (conv.d1, conv.d2, conv.d3))
             coupling = max(coupling, abs(p_ci + l - p_djc[conv.id]))
         if coupling <= tol:
             break
     else:
         raise PowerFlowDivergence(
-            f"outer AC/DC loop did not converge in {max_outer} iterations", coupling)
+            f"outer AC/DC loop did not converge in {_MAX_OUTER} iterations", coupling)
 
     v: dict[int, float] = {}
     theta: dict[int, float] = {}
@@ -420,28 +415,34 @@ def solve_powerflow(grid: GridModel, profile: InjectionProfile,
 
     converters: dict[int, ConverterSolution] = {}
     for conv in grid.converters:
-        vc, thc = v[conv.aux_node], theta[conv.aux_node]
-        vi, thi = v[conv.ac_node], theta[conv.ac_node]
-        p_ci, q_ci = ac_branch_flow(vc, thc, vi, thi, conv.coupling_r, conv.coupling_x)
+        p_ci, q_ci, vc = _coupling_flow(grid, ac_states, conv)
         l, i_c = converter_loss(p_ci, q_ci, vc, (conv.d1, conv.d2, conv.d3))
         converters[conv.id] = ConverterSolution(p_vsc=p_ci, q_vsc=q_ci, p_loss=l,
                                                 i_c=i_c, v_c=vc, p_djc=p_djc[conv.id])
 
-    result = PowerFlowResult(state=SystemState(v=v, theta=theta), converters=converters,
-                             outer_iterations=outer, max_mismatch=max_mism,
-                             coupling_residual=coupling)
-    result.max_mismatch = mismatch_residual(grid, profile, result)
-    return result
+    state = SystemState(v=v, theta=theta)
+    return PowerFlowResult(state=state, converters=converters, outer_iterations=outer,
+                           max_mismatch=mismatch_residual(grid, profile, state, converters),
+                           coupling_residual=coupling)
 
 
-def mismatch_residual(grid: GridModel, profile: InjectionProfile,
-                      result: PowerFlowResult) -> float:
+def _coupling_flow(grid: GridModel, ac_states, conv) -> tuple[float, float, float]:
+    """A converter's aux -> ac coupling-branch flow (P, Q) and its aux
+    voltage, read from the state of the AC region holding its aux node."""
+    st = ac_states[grid.node(conv.aux_node).region]
+    vc, thc = st[conv.aux_node]
+    vi, thi = st[conv.ac_node]
+    p_ci, q_ci = ac_branch_flow(vc, thc, vi, thi, conv.coupling_r, conv.coupling_x)
+    return p_ci, q_ci, vc
+
+
+def mismatch_residual(grid: GridModel, profile: InjectionProfile, st: SystemState,
+                      converters: dict[int, ConverterSolution]) -> float:
     """Back-substitution audit: recompute every nodal injection from the state
     and compare with the specified profile plus converter terms.  Reference
     nodes (slack, held DC terminals, forming aux nodes) are excluded since
     their injection is an output of the solve.
     """
-    st = result.state
     skip = {grid.slack}
     for region in grid.regions:
         if region.kind == AC:
@@ -466,15 +467,15 @@ def mismatch_residual(grid: GridModel, profile: InjectionProfile,
                     p_exp += conv.control.p_set
                     q_exp += conv.control.q_set
                 else:
-                    p_exp += result.converters[conv.id].p_vsc
-                    q_exp += result.converters[conv.id].q_vsc
+                    p_exp += converters[conv.id].p_vsc
+                    q_exp += converters[conv.id].q_vsc
             worst = max(worst, abs(p_net - p_exp), abs(q_net - q_exp))
         else:
             p_net = sum(dc_branch_flow(st.v[node.id], st.v[other], g)
                         for other, g in grid.incident_dc_branches(node.id))
             p_exp = profile.p_at(node.id)
             for conv in grid.converters_at_dc_node(node.id):
-                p_exp -= result.converters[conv.id].p_djc
+                p_exp -= converters[conv.id].p_djc
             worst = max(worst, abs(p_net - p_exp))
     return worst
 

@@ -119,20 +119,26 @@ class TestLpOracle:
         return LinearRegionModel(h, z, sigma, sources=sources, boundary=boundary)
 
     def test_cold_and_warm_match_highs(self, monkeypatch):
-        # count warm bases that start the solve and ones that fall back cold
-        warm_starts = {"used": 0, "unusable": 0}
-        real = lp_module._warm_tableau
+        # a basis from another template starts cold exactly once, unless it
+        # equals the basis of this template's last solve, whose tableau is reused
+        cold, warm_starts = [], {"cold": 0, "reused": 0}
+        real = lp_module._crash_tableau
 
         def counted(*args):
-            try:
-                out = real(*args)
-            except LpError:
-                warm_starts["unusable"] += 1
-                raise
-            warm_starts["used"] += 1
-            return out
+            cold.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(lp_module, "_warm_tableau", counted)
+        def solve(problem, basis=None):
+            last = problem.template.last
+            reused = basis is not None and last is not None and last[0][0] == basis
+            cold.clear()
+            sol = lp_solve(problem, basis=basis)
+            assert len(cold) == (0 if reused else 1)
+            if basis is not None:
+                warm_starts["reused" if reused else "cold"] += 1
+            return sol
+
+        monkeypatch.setattr(lp_module, "_crash_tableau", counted)
         rng = np.random.default_rng(20240)
         for _ in range(60):
             x_true = rng.normal(size=int(rng.integers(2, 6)))
@@ -154,53 +160,53 @@ class TestLpOracle:
 
             ref = self._highs(prob)
             scale = max(1.0, abs(ref))
-            cold = lp_solve(prob)
-            assert abs(cold.objective - ref) <= self.REL_TOL * scale
-            warm = lp_solve(prob, basis=lp_solve(prob_moved).basis)
+            cold_sol = solve(prob)
+            assert abs(cold_sol.objective - ref) <= self.REL_TOL * scale
+            warm = solve(prob, basis=solve(prob_moved).basis)
             assert abs(warm.objective - ref) <= self.REL_TOL * scale
             ref_moved = self._highs(prob_moved)
-            assert abs(lp_solve(prob_moved, basis=cold.basis).objective - ref_moved) \
+            assert abs(solve(prob_moved, basis=cold_sol.basis).objective - ref_moved) \
                 <= self.REL_TOL * max(1.0, abs(ref_moved))
-        assert warm_starts["used"] > 0 and warm_starts["unusable"] > 0
+        assert warm_starts["cold"] > 0 and warm_starts["reused"] > 0
 
 
 class TestRegionalLpReuse:
     """A region's LP built once (``RegionalLp``), the free-column split made
     once per template and the stored final tableau give the same problems
     and the same optima: every step of a coordination-like sequence builds
-    the bytes of a hand-built copy and reaches its optimal objective within
-    1e-9 relative (WLAV LPs often have several optimal vertices, and the
-    stored tableau may take another pivot path to one of them)."""
+    the bytes of a hand-built copy and reaches the optimal objective of its
+    cold solve within 1e-9 relative (WLAV LPs often have several optimal
+    vertices, and the stored tableau may take another pivot path to one of
+    them)."""
 
     REL_TOL = 1e-9
 
     @staticmethod
-    def _fresh(model, terms, basis):
+    def _fresh(model, terms):
         """The same LP built afresh from a clone, copied into a hand-built
-        ``LpProblem``: nothing built is shared with the sequence."""
+        ``LpProblem`` and solved cold: nothing built is shared with the
+        sequence."""
         twin = build_regional_wlav_lp(model.clone(), terms)
         problem = LpProblem(c=twin.c.copy(), a_eq=twin.a_eq.copy(), b_eq=twin.b_eq.copy(),
                             free_mask=twin.free_mask.copy())
-        return problem, lp_solve(problem, basis=basis)
+        return problem, lp_solve(problem)
 
     def _sequence(self, model, steps, counts, basis=None):
         """Solve each step's terms warm from the previous basis through one
-        ``RegionalLp`` of the model, against the fresh solve warm from the
-        fresh previous basis."""
+        ``RegionalLp`` of the model, against the cold solve of a fresh copy."""
         lp = RegionalLp(model, sorted(model.boundary))
-        ref_basis = basis
         for terms in steps:
             problem = build_regional_wlav_lp(model, terms, lp=lp)
-            dense = counts["dense"]
+            cold = counts["cold"]
             sol = lp_solve(problem, basis=basis)
             if basis is not None:
                 counts["warm"] += 1
-                counts["reused"] += counts["dense"] == dense
-            ref_problem, ref = self._fresh(model, terms, ref_basis)
+                counts["reused"] += counts["cold"] == cold
+            ref_problem, ref = self._fresh(model, terms)
             for name in ("c", "a_eq", "b_eq", "free_mask"):
                 assert getattr(problem, name).tobytes() == getattr(ref_problem, name).tobytes()
             assert abs(sol.objective - ref.objective) <= self.REL_TOL * max(1.0, abs(ref.objective))
-            basis, ref_basis = sol.basis, ref.basis
+            basis = sol.basis
         return basis
 
     @staticmethod
@@ -220,14 +226,14 @@ class TestRegionalLpReuse:
         return steps
 
     def test_same_optimum_as_fresh_solves(self, monkeypatch):
-        counts = {"dense": 0, "warm": 0, "reused": 0}
-        real = lp_module._warm_tableau
+        counts = {"cold": 0, "warm": 0, "reused": 0}
+        real = lp_module._crash_tableau
 
         def counted(*args):
-            counts["dense"] += 1
+            counts["cold"] += 1
             return real(*args)
 
-        monkeypatch.setattr(lp_module, "_warm_tableau", counted)
+        monkeypatch.setattr(lp_module, "_crash_tableau", counted)
         rng = np.random.default_rng(611)
         for _ in range(12):
             x_true = rng.normal(size=int(rng.integers(2, 6)))
@@ -246,7 +252,8 @@ class TestRegionalLpReuse:
             other.z = np.where(scada, other.z - 0.02, 0.0)
             self._sequence(other, self._steps(rng, other, x_true, 2), counts, basis)
             self._sequence(model, self._steps(rng, model, x_true, 2), counts, basis)
-        # warm starts from the last basis reuse the tableau instead of solving again
+        # warm starts from the template's last basis reuse its tableau; the
+        # first of each sequence, from another template's basis, starts cold
         assert 0 < counts["reused"] < counts["warm"]
 
 
@@ -479,9 +486,11 @@ class TestLpUnchanged:
         return out
 
     @staticmethod
-    def _settle(problem):
-        """A basis that solves ``problem`` warm with 0 pivots, and that solve."""
-        basis = lp_solve(problem).basis
+    def _settle(problem, basis=None):
+        """A basis that solves ``problem`` warm with 0 pivots, and that solve,
+        reached along the template's own bases from ``basis`` (from a cold
+        start without it)."""
+        basis = lp_solve(problem, basis=basis).basis
         while (sol := lp_solve(problem, basis=basis)).iterations:
             basis = sol.basis
         return basis, sol
@@ -507,8 +516,7 @@ class TestLpUnchanged:
                 if sol.basis != basis:
                     # the record moved to the basis that solve ended at
                     assert not lp_module.lp_unchanged(problem, basis)
-                last = lp_solve(problem, basis=basis)
-                assert last.iterations == 0
+                basis, last = self._settle(problem, sol.basis)
                 assert lp_module.lp_unchanged(problem, basis)
 
             # another right-hand side or another basis is never answered
