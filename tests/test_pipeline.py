@@ -115,3 +115,39 @@ class TestSanitizer:
         for i, m in enumerate(fixed.measurements):
             if i != idx:
                 assert m == bad.measurements[i]
+
+
+class TestScreenDigest:
+    """The SCADA screen (``sanitize_scada``: ``lnr_test(interpolate=True)`` on
+    the regional linear models) pinned bit for bit on case33.  The screen
+    reads only ``gmm_means`` of the injection model, so a stub whose means
+    are the base loads stands in for a trained one."""
+
+    SCHED = ScheduleConfig(scada_ac_branches=((1, 2), (2, 19), (3, 23), (6, 26)))
+    TICKS = range(0, 48, 4)         # 12 ticks of a 2-day profile
+    CORRECTIONS = 21
+    DIGEST = "38e5c2f64ad4f958abf92deacb603c96af0442c20a07b3cea1946bd4dbb8caf0"
+
+    def test_screened_values_digest(self, case33, case33_loads):
+        import hashlib
+        from types import SimpleNamespace
+        from hybridse.injection import injection_components
+        stub = SimpleNamespace(gmm_means={
+            key: (case33_loads.p_at if key[0] == "p" else case33_loads.q_at)(
+                int(key.split(":")[1]))
+            for key in injection_components(case33)})
+        profiles = gen_load_profiles(case33, days=2, seed=15, base=case33_loads)
+        digest, screens, corrections = hashlib.sha256(), 0, 0
+        for tick in self.TICKS:
+            state = solve_powerflow(case33, profiles.at(tick)).state
+            ms = simulate_measurements(case33, state, self.SCHED, t=900.0, seed=tick)
+            for case in (1, 2, 3):
+                bad = inject_bad_data(ms, case)
+                fixed = sanitize_scada(case33, bad, stub)
+                values = np.array([m.value for m in fixed])
+                digest.update(values.tobytes())
+                screens += 1
+                corrections += int(np.count_nonzero(
+                    values != np.array([m.value for m in bad])))
+        assert screens == 36
+        assert (corrections, digest.hexdigest()) == (self.CORRECTIONS, self.DIGEST)
