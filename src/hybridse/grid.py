@@ -282,39 +282,41 @@ def build_admittance(grid: GridModel, region: Region) -> AcAdmittance | DcAdmitt
             b[bidx, bidx] += y.imag
             b[a, bidx] -= y.imag
             b[bidx, a] -= y.imag
-        _check_connected(nodes, [(fr, to) for fr, to, _, _ in branches], region.id)
-        return AcAdmittance(index=index, g=g, b=b)
+        edges = [(fr, to) for fr, to, _, _ in branches]
+        adm = AcAdmittance(index=index, g=g, b=b)
+    else:
+        y = np.zeros((n, n))
+        lines = grid.dc_lines_in(region.id)
+        for ln in lines:
+            a, bidx = index[ln.from_node], index[ln.to_node]
+            y[a, a] += ln.g
+            y[bidx, bidx] += ln.g
+            y[a, bidx] -= ln.g
+            y[bidx, a] -= ln.g
+        edges = [(ln.from_node, ln.to_node) for ln in lines]
+        adm = DcAdmittance(index=index, y=y)
+    missing = _unreached(nodes, edges)
+    if missing:
+        raise GridValidationError(
+            f"region {region.id} is disconnected (unreached nodes {missing})")
+    return adm
 
-    y = np.zeros((n, n))
-    lines = grid.dc_lines_in(region.id)
-    for ln in lines:
-        a, bidx = index[ln.from_node], index[ln.to_node]
-        y[a, a] += ln.g
-        y[bidx, bidx] += ln.g
-        y[a, bidx] -= ln.g
-        y[bidx, a] -= ln.g
-    _check_connected(nodes, [(ln.from_node, ln.to_node) for ln in lines], region.id)
-    return DcAdmittance(index=index, y=y)
 
-
-def _check_connected(nodes, edges, region_id):
-    if len(nodes) <= 1:
-        return
-    adj: dict[int, list[int]] = {n: [] for n in nodes}
-    for fr, to in edges:
-        adj[fr].append(to)
-        adj[to].append(fr)
-    seen = {nodes[0]}
-    stack = [nodes[0]]
+def _unreached(items: list, edges) -> list:
+    """The items that the undirected ``edges`` do not join to the first item,
+    sorted."""
+    adj: dict = {item: [] for item in items}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = set(items[:1])
+    stack = list(seen)
     while stack:
         for m in adj[stack.pop()]:
             if m not in seen:
                 seen.add(m)
                 stack.append(m)
-    if len(seen) != len(nodes):
-        missing = sorted(set(nodes) - seen)
-        raise GridValidationError(
-            f"region {region_id} is disconnected (unreached nodes {missing})")
+    return sorted(set(items) - seen)
 
 
 # -- load / serialize ------------------------------------------------------
@@ -522,20 +524,5 @@ def validate_grid(grid: GridModel) -> None:
         build_admittance(grid, r)
 
     # region adjacency through converters must connect every region
-    if len(grid.regions) > 1:
-        adj: dict[int, list[int]] = {r.id: [] for r in grid.regions}
-        for c in grid.converters:
-            pair = sorted(bound[c.id])
-            a, b = pair[0][0], pair[1][0]
-            adj[a].append(b)
-            adj[b].append(a)
-        start = grid.regions[0].id
-        seen_r = {start}
-        stack = [start]
-        while stack:
-            for m in adj[stack.pop()]:
-                if m not in seen_r:
-                    seen_r.add(m)
-                    stack.append(m)
-        if len(seen_r) != len(grid.regions):
-            raise GridValidationError("region adjacency graph is disconnected")
+    if _unreached(rids, [(a, b) for (a, _), (b, _) in bound.values()]):
+        raise GridValidationError("region adjacency graph is disconnected")
