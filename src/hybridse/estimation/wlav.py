@@ -116,14 +116,14 @@ def solve_wlav_region(model, boundary: dict[int, BoundaryTerm] | None = None,
     sol = lp_solve(problem, basis=basis)
 
     x = sol.x[:model.n_states]
-    v, theta, pconv = model.extract_state(x)
+    v, theta, conv = model.extract_state(x)
     residuals = model.z - model.h(x)
     boundary_p = {}
     for cid, term in boundary.items():
         boundary_p[cid] = float(model.boundary[cid] @ x - term.loss_const)
 
-    result = EstimationResult(scope=f"region:{model.region_id}", v=v, theta=theta,
-                              conv_vars={("pdjc", cid): val for cid, val in pconv.items()},
+    result = EstimationResult(scope=model.scope, v=v, theta=theta,
+                              conv_vars=conv,
                               residuals=residuals, objective=sol.objective,
                               iterations=sol.iterations, converged=True,
                               wall_time=time.perf_counter() - t0,

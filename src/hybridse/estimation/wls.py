@@ -91,7 +91,7 @@ def solve_wls(model, x0: np.ndarray | None = None, tol: float = 1e-6,
         h, jac = model.h_jac(x)
         a = jac * sw[:, None]
         rhs = (z - h) * sw
-        dx = _qr_step(a, rhs, scope=getattr(model, "scope", ""))
+        dx = _qr_step(a, rhs, scope=model.scope)
 
         step = 1.0
         for _ in range(10):
@@ -108,7 +108,7 @@ def solve_wls(model, x0: np.ndarray | None = None, tol: float = 1e-6,
             break
 
     v, theta, conv = model.extract_state(x)
-    result = EstimationResult(scope=getattr(model, "scope", "wls"), v=v, theta=theta,
+    result = EstimationResult(scope=model.scope, v=v, theta=theta,
                               conv_vars=conv, residuals=r,
                               objective=obj, iterations=it, converged=converged,
                               wall_time=time.perf_counter() - t0,

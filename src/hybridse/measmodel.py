@@ -32,10 +32,15 @@ is the exact identity of addition, so that value keeps its bits, a -0.0
 included.  The result is bit for bit that of evaluating the rows one at a
 time.
 
-A model is built with its final rows, a tuple, and compiles them once on
-construction into the field ``_compiled``.  ``drop_row`` is the one place the
-rows change afterwards, and it compiles the shorter rows again; ``clone()``
-shares the compiled form with its original.
+The model derives from ``telemetry.MeasurementModel``, the base of the linear
+model too: the base owns the state read-out (``x0``, ``truth_vector``,
+``extract_state``), ``clone()`` and the row lists, and
+``telemetry.region_labels`` lays out each region's columns (theta before V
+here).  A model is built with its final rows, a tuple, and compiles them once
+on construction into the field ``_compiled``.  ``drop_row`` is the one place
+the rows change afterwards: the base drops the row's entries and the model
+compiles the shorter rows again.  ``clone()`` shares the compiled form with
+its original.
 """
 
 from __future__ import annotations
@@ -45,17 +50,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import AC, OWNS_AC, OWNS_DC, GridModel, Region
-from .powerflow import SystemState, branch_flow_terms, dc_branch_flow
-from .telemetry import Measurement, TelemetryError, converter_spec, row_spec
+from .grid import OWNS_AC, GridModel, Region
+from .powerflow import branch_flow_terms, dc_branch_flow
+from .telemetry import (Measurement, MeasurementModel, TelemetryError, converter_spec,
+                        region_labels, row_spec)
 
 SOURCE_VIRTUAL_COUPLING = "virtual_coupling"
 VIRTUAL_SIGMA = 1e-6
 
 
 @dataclass
-class NonlinearModel:
-    labels: list[tuple[str, int]]
+class NonlinearModel(MeasurementModel):
     index: dict[tuple[str, int], int]
     rows: tuple[tuple, ...]           # telemetry.row_spec specs and couple_* rows
     z: np.ndarray
@@ -72,68 +77,16 @@ class NonlinearModel:
         self.rows = tuple(self.rows)
         self._compiled = _CompiledRows(self)
 
-    @property
-    def n_states(self) -> int:
-        return len(self.labels)
-
-    def clone(self) -> "NonlinearModel":
-        """A copy whose z and sigma can be edited apart from this model's.  It
-        shares the rows, a tuple, their compiled form and the lists, which
-        ``drop_row`` rebinds rather than edits."""
-        out = object.__new__(NonlinearModel)
-        vars(out).update(vars(self), z=self.z.copy(), sigma=self.sigma.copy())
-        return out
-
     def drop_row(self, i: int) -> None:
         self.rows = self.rows[:i] + self.rows[i + 1:]
-        self.z = np.delete(self.z, i)
-        self.sigma = np.delete(self.sigma, i)
-        self.sources = self.sources[:i] + self.sources[i + 1:]
-        self.meas_indices = self.meas_indices[:i] + self.meas_indices[i + 1:]
-        self.measurements = self.measurements[:i] + self.measurements[i + 1:]
+        super().drop_row(i)
         self._compiled = _CompiledRows(self)
-
-    def x0(self) -> np.ndarray:
-        x = np.zeros(self.n_states)
-        for (tag, _), col in self.index.items():
-            if tag == "v":
-                x[col] = 1.0
-        return x
 
     def h(self, x: np.ndarray) -> np.ndarray:
         return self.h_jac(x, with_jac=False)[0]
 
     def h_jac(self, x: np.ndarray, with_jac: bool = True):
         return self._compiled.evaluate(x, with_jac)
-
-    def extract_state(self, x: np.ndarray):
-        """x -> (v by node, theta by node, converter vars by (tag, id))."""
-        v: dict[int, float] = {}
-        theta: dict[int, float] = {}
-        conv: dict[tuple[str, int], float] = {}
-        for (tag, key), col in self.index.items():
-            if tag == "v":
-                v[key] = float(x[col])
-            elif tag == "th":
-                theta[key] = float(x[col])
-            else:
-                conv[(tag, key)] = float(x[col])
-        for ref in self.angle_refs.values():
-            theta[ref] = 0.0
-        return v, theta, conv
-
-    def truth_vector(self, state: SystemState, converters=None) -> np.ndarray:
-        x = np.zeros(self.n_states)
-        for (tag, key), col in self.index.items():
-            if tag == "v":
-                x[col] = state.v[key]
-            elif tag == "th":
-                x[col] = state.theta[key]
-            elif converters is not None:
-                sol = converters[key]
-                x[col] = {"pvsc": sol.p_vsc, "qvsc": sol.q_vsc,
-                          "pdjc": sol.p_djc}[tag]
-        return x
 
 
 class _CompiledRows:
@@ -291,12 +244,9 @@ def build_system_model(grid: GridModel,
     labels: list[tuple[str, int]] = []
     angle_refs: dict[int, int] = {}
     for region in grid.regions:
-        nodes = sorted(region.nodes)
-        if region.kind == AC:
-            ref = grid.angle_reference(region.id)
-            angle_refs[region.id] = ref
-            labels += [("th", n) for n in nodes if n != ref]
-        labels += [("v", n) for n in nodes]
+        cols, refs = region_labels(grid, region)
+        labels += [lab for lab in cols if lab[0] != "pdjc"]   # draws go below
+        angle_refs.update(refs)
     for conv in grid.converters:
         labels += [("pvsc", conv.id), ("qvsc", conv.id), ("pdjc", conv.id)]
     couple = [((op, conv.id), 0.0, VIRTUAL_SIGMA, SOURCE_VIRTUAL_COUPLING)
@@ -311,19 +261,7 @@ def build_region_model(grid: GridModel, region: Region,
     its measurement rows followed by one ``"boundary"`` row per converter of
     ``region.boundary`` (z 0, sigma 1): the converter power on the region's
     side, which DWLS ties to the neighbour's claim."""
-    nodes = sorted(region.nodes)
-    labels: list[tuple[str, int]] = []
-    angle_refs: dict[int, int] = {}
-    if region.kind == AC:
-        ref = grid.angle_reference(region.id)
-        angle_refs[region.id] = ref
-        labels += [("th", n) for n in nodes if n != ref]
-        labels += [("v", n) for n in nodes]
-    else:
-        labels += [("v", n) for n in nodes]
-        for cid, orient in region.boundary:
-            if orient == OWNS_DC:
-                labels.append(("pdjc", cid))
+    labels, angle_refs = region_labels(grid, region)
     boundary = [(converter_spec(grid.converter(cid), "ac" if orient == OWNS_AC else "dc"),
                  0.0, 1.0, "boundary") for cid, orient in region.boundary]
     return _assemble(grid, labels, angle_refs, measurements, region, boundary,
@@ -338,7 +276,7 @@ def _assemble(grid, labels, angle_refs, measurements, region, extra, scope):
     rows = [row_spec(grid, m, region, region is None) for _, m in measurements]
     rows += [row for row, *_ in extra]
     return NonlinearModel(
-        labels=labels, index=index, rows=rows,
+        index=index, rows=rows,
         z=np.array([m.value for _, m in measurements] + [e[1] for e in extra], dtype=float),
         sigma=np.array([m.sigma for _, m in measurements] + [e[2] for e in extra], dtype=float),
         sources=[m.source for _, m in measurements] + [e[3] for e in extra],

@@ -10,7 +10,9 @@ The linear AC model works in ``(U, theta)`` with ``U = V^2``; voltage
 magnitude readings are squared on entry and their sigma mapped by first-order
 propagation ``sigma_U = 2 V sigma_V``.  DC regions keep ``V`` directly and
 gain one extra variable per boundary converter: the power the region feeds
-into that converter.
+into that converter.  The linear model and the nonlinear one of ``measmodel``
+share one base, ``MeasurementModel``: the state layout and read-out and the
+row bookkeeping.
 """
 
 from __future__ import annotations
@@ -266,8 +268,95 @@ def linear_row_ac_flow(r: float, x: float, which: str = "p") -> tuple[float, flo
     return x / (2.0 * d), -r / d
 
 
+class MeasurementModel:
+    """The state layout and row bookkeeping shared by the linear model below
+    and the nonlinear one (``measmodel.NonlinearModel``).
+
+    ``index`` maps each column's label to the column: ``("u", node)`` for
+    U = V^2 (linear AC), ``("v", node)``, ``("th", node)`` and the converter
+    variables ``("pdjc" | "pvsc" | "qvsc", converter id)``.  ``angle_refs``
+    maps an AC region to its angle datum node, which has no column.  Each
+    row has its ``z``, ``sigma``, source, position in the parent
+    MeasurementSet (``meas_indices``) and measurement.  Subclasses add
+    ``h`` / ``h_jac``, ``scope`` and their own half of ``drop_row``.
+    """
+
+    index: dict[tuple[str, int], int]
+    angle_refs: dict[int, int]
+    z: np.ndarray
+    sigma: np.ndarray
+    sources: list[str]
+    meas_indices: list[int]
+    measurements: list[Measurement | None]
+
+    @property
+    def n_states(self) -> int:
+        return len(self.index)
+
+    def x0(self) -> np.ndarray:
+        """Flat start: every voltage (and U) 1, every other column 0."""
+        x = np.zeros(self.n_states)
+        for (tag, _), col in self.index.items():
+            if tag in ("u", "v"):
+                x[col] = 1.0
+        return x
+
+    def truth_vector(self, state: SystemState,
+                     converters: dict[int, ConverterSolution] | None = None) -> np.ndarray:
+        """x of a state; converter columns read ``converters``."""
+        x = np.zeros(self.n_states)
+        for (tag, key), col in self.index.items():
+            if tag == "u":
+                x[col] = state.v[key] ** 2
+            elif tag == "v":
+                x[col] = state.v[key]
+            elif tag == "th":
+                x[col] = state.theta[key]
+            elif converters is None:
+                raise TelemetryError(f"converter solution needed for {tag} truth")
+            else:
+                x[col] = getattr(converters[key], _CONVERTER_FIELDS[tag])
+        return x
+
+    def extract_state(self, x: np.ndarray):
+        """x -> (v by node, theta by node, converter variables by (tag, id))."""
+        v: dict[int, float] = {}
+        theta: dict[int, float] = {}
+        conv: dict[tuple[str, int], float] = {}
+        for (tag, key), col in self.index.items():
+            if tag == "u":
+                v[key] = math.sqrt(max(float(x[col]), 1e-12))
+            elif tag == "v":
+                v[key] = float(x[col])
+            elif tag == "th":
+                theta[key] = float(x[col])
+            else:
+                conv[(tag, key)] = float(x[col])
+        for ref in self.angle_refs.values():
+            theta[ref] = 0.0
+        return v, theta, conv
+
+    def clone(self):
+        """A copy whose z and sigma can be edited apart from this model's.  It
+        shares every other field, which ``drop_row`` rebinds rather than
+        edits."""
+        out = object.__new__(type(self))
+        vars(out).update(vars(self), z=self.z.copy(), sigma=self.sigma.copy())
+        return out
+
+    def drop_row(self, i: int) -> None:
+        self.z = np.delete(self.z, i)
+        self.sigma = np.delete(self.sigma, i)
+        self.sources = self.sources[:i] + self.sources[i + 1:]
+        self.meas_indices = self.meas_indices[:i] + self.meas_indices[i + 1:]
+        self.measurements = self.measurements[:i] + self.measurements[i + 1:]
+
+
+_CONVERTER_FIELDS = {"pdjc": "p_djc", "pvsc": "p_vsc", "qvsc": "q_vsc"}
+
+
 @dataclass
-class LinearRegionModel:
+class LinearRegionModel(MeasurementModel):
     """Constant linear measurement model z ~ H x, of one region or of a bare
     matrix: only ``H, z, sigma`` are required.
 
@@ -285,10 +374,8 @@ class LinearRegionModel:
     meas_indices: list[int] | None = None    # positions in the parent MeasurementSet
     measurements: list[Measurement | None] | None = None
     region_id: int = -1
-    kind: str = AC
-    labels: list[tuple[str, int]] = field(default_factory=list)
     index: dict[tuple[str, int], int] = field(default_factory=dict)
-    angle_ref: int | None = None
+    angle_refs: dict[int, int] = field(default_factory=dict)
     # converter id -> row of its AC-side power, and the reactive companion
     # (AC regions only)
     boundary: dict[int, np.ndarray] = field(default_factory=dict)
@@ -320,73 +407,25 @@ class LinearRegionModel:
     def h_jac(self, x: np.ndarray, with_jac: bool = True):
         return self.h(x), (self.H if with_jac else None)
 
-    def x0(self) -> np.ndarray:
-        x = np.zeros(self.n_states)
-        for (tag, _), col in self.index.items():
-            if tag in ("u", "v"):
-                x[col] = 1.0
-        return x
-
-    def clone(self) -> "LinearRegionModel":
-        return replace(self, H=self.H.copy(), z=self.z.copy(), sigma=self.sigma.copy())
-
     def drop_row(self, i: int) -> None:
         self.H = np.delete(self.H, i, axis=0)
-        self.z = np.delete(self.z, i)
-        self.sigma = np.delete(self.sigma, i)
-        self.sources = self.sources[:i] + self.sources[i + 1:]
-        self.meas_indices = self.meas_indices[:i] + self.meas_indices[i + 1:]
-        self.measurements = self.measurements[:i] + self.measurements[i + 1:]
-
-    def truth_vector(self, state: SystemState,
-                     converters: dict[int, ConverterSolution] | None = None) -> np.ndarray:
-        x = np.zeros(self.n_states)
-        for (tag, key), col in self.index.items():
-            if tag == "u":
-                x[col] = state.v[key] ** 2
-            elif tag == "th":
-                x[col] = state.theta[key]
-            elif tag == "v":
-                x[col] = state.v[key]
-            elif tag == "pdjc":
-                if converters is None:
-                    raise TelemetryError("converter solution needed for pdjc truth")
-                x[col] = converters[key].p_djc
-        return x
-
-    def extract_state(self, x: np.ndarray) -> tuple[dict[int, float], dict[int, float], dict[int, float]]:
-        """x -> (v by node, theta by node, converter draw by id)."""
-        v: dict[int, float] = {}
-        theta: dict[int, float] = {}
-        pdjc: dict[int, float] = {}
-        for (tag, key), col in self.index.items():
-            if tag == "u":
-                v[key] = math.sqrt(max(float(x[col]), 1e-12))
-            elif tag == "th":
-                theta[key] = float(x[col])
-            elif tag == "v":
-                v[key] = float(x[col])
-            elif tag == "pdjc":
-                pdjc[key] = float(x[col])
-        if self.kind == AC and self.angle_ref is not None:
-            theta[self.angle_ref] = 0.0
-        return v, theta, pdjc
+        super().drop_row(i)
 
 
-def _ac_labels(grid: GridModel, region: Region) -> tuple[list, int]:
-    ref = grid.angle_reference(region.id)
+def region_labels(grid: GridModel, region: Region,
+                  linear: bool = False) -> tuple[list[tuple[str, int]], dict[int, int]]:
+    """A region's column labels, in column order, and its angle datum
+    (``{region id: node}``, empty for DC).  AC: U per node then theta per
+    non-datum node when ``linear``, else theta then V.  DC: V per node, then
+    the draw of each converter whose DC side the region owns."""
     nodes = sorted(region.nodes)
-    labels = [("u", n) for n in nodes]
-    labels += [("th", n) for n in nodes if n != ref]
-    return labels, ref
-
-
-def _dc_labels(grid: GridModel, region: Region) -> list:
-    labels = [("v", n) for n in sorted(region.nodes)]
-    for cid, orient in region.boundary:
-        if orient == OWNS_DC:
-            labels.append(("pdjc", cid))
-    return labels
+    if region.kind != AC:
+        draws = [("pdjc", cid) for cid, orient in region.boundary if orient == OWNS_DC]
+        return [("v", n) for n in nodes] + draws, {}
+    ref = grid.angle_reference(region.id)
+    mags = [("u" if linear else "v", n) for n in nodes]
+    angles = [("th", n) for n in nodes if n != ref]
+    return (mags + angles if linear else angles + mags), {region.id: ref}
 
 
 def build_region_H(grid: GridModel, region: Region,
@@ -398,10 +437,7 @@ def build_region_H(grid: GridModel, region: Region,
     by first-order propagation).  Injection rows are sums of their incident
     flow rows.
     """
-    if region.kind == AC:
-        labels, ref = _ac_labels(grid, region)
-    else:
-        labels, ref = _dc_labels(grid, region), None
+    labels, angle_refs = region_labels(grid, region, linear=True)
     index = {lab: k for k, lab in enumerate(labels)}
     n = len(labels)
 
@@ -436,8 +472,7 @@ def build_region_H(grid: GridModel, region: Region,
         sources=[m.source for _, m in measurements],
         meas_indices=[gidx for gidx, _ in measurements],
         measurements=[m for _, m in measurements], region_id=region.id,
-        kind=region.kind, labels=labels, index=index, angle_ref=ref,
-        boundary=boundary, boundary_q=boundary_q)
+        index=index, angle_refs=angle_refs, boundary=boundary, boundary_q=boundary_q)
 
 
 def _add_linear(row: np.ndarray, index: dict, spec: tuple) -> None:

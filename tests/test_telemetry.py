@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from hybridse import measmodel
-from hybridse.grid import DC
+from hybridse.estimation import solve_wls
+from hybridse.grid import AC, DC, OWNS_DC
 from hybridse.powerflow import (SystemState, ac_branch_flow, ac_branch_flow_partials,
                                 solve_powerflow)
 from hybridse.telemetry import (Measurement, MeasurementKind, MeasurementSet,
@@ -115,6 +116,12 @@ class TestRegionH:
         for rid in (1, 2):
             model = build_region_H(case33, case33.region(rid), by_region[rid])
             assert np.linalg.matrix_rank(model.H) == model.n_states
+            # WLS reports the converter draws keyed as EstimationResult declares
+            est = solve_wls(model)
+            draws = [("pdjc", cid) for cid, orient in case33.region(rid).boundary
+                     if orient == OWNS_DC]
+            assert draws and list(est.conv_vars) == draws
+            assert all(est.conv_vars[key] == est.x[model.index[key]] for key in draws)
 
     def test_outside_region_rejected(self, case33):
         with pytest.raises(TelemetryError, match="outside region"):
@@ -139,6 +146,53 @@ class TestFlatConsistency:
 def _zero_conv():
     from hybridse.powerflow import ConverterSolution
     return ConverterSolution(0.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+
+
+class TestSharedStateInterface:
+    """The linear and the nonlinear model of the same readings share one
+    state layout and read-out (``telemetry.MeasurementModel``)."""
+
+    @pytest.fixture(scope="class")
+    def regions(self, case33, case33_loads):
+        res = solve_powerflow(case33, case33_loads)
+        ms = simulate_measurements(case33, res.state, case33_schedule(), t=3600.0, seed=11)
+        by_region = ms.by_region(case33)
+        return res, [(region, build_region_H(case33, region, by_region[region.id]),
+                      measmodel.build_region_model(case33, region, by_region[region.id]))
+                     for region in case33.regions]
+
+    def test_truth_reads_back(self, regions):
+        res, models = regions
+        n_draws = 0
+        for region, linear, nonlinear in models:
+            draws = {("pdjc", cid): res.converters[cid].p_djc
+                     for cid, orient in region.boundary if orient == OWNS_DC}
+            n_draws += len(draws)
+            for model in (linear, nonlinear):
+                v, theta, conv = model.extract_state(
+                    model.truth_vector(res.state, res.converters))
+                assert set(v) == region.nodes
+                for node in region.nodes:
+                    assert abs(v[node] - res.state.v[node]) <= 1e-12
+                    if region.kind == AC:
+                        assert theta[node] == res.state.theta[node]
+                if region.kind == DC:
+                    assert v == {n: res.state.v[n] for n in region.nodes}
+                    assert not theta
+                assert conv == draws
+        assert n_draws == len(res.converters)
+
+    def test_truth_needs_converter_solutions(self, case33, case33_loads, regions):
+        res, models = regions
+        system = measmodel.build_system_model(case33, [])
+        for model in [system] + [m for _, *pair in models for m in pair]:
+            converter_columns = any(tag not in ("u", "v", "th") for tag, _ in model.index)
+            if converter_columns:
+                with pytest.raises(TelemetryError, match="converter solution"):
+                    model.truth_vector(res.state)
+            else:
+                assert np.array_equal(model.truth_vector(res.state),
+                                      model.truth_vector(res.state, res.converters))
 
 
 class TestFirstOrderValidity:
