@@ -144,8 +144,7 @@ def run_estimator(family: str, grid: GridModel, ms: MeasurementSet,
                   params: CoordinationParams) -> SystemEstimate:
     """Run one estimator family ("cwls", "dwls" or "drse") on a measurement set."""
     if family == "cwls":
-        return run_cwls(grid, ms, nr_test=params.nr_test,
-                        nr_threshold=params.nr_threshold)
+        return run_cwls(grid, ms, nr_test=params.nr_test)
     if family == "dwls":
         return run_dwls(grid, ms, params)
     return run_drse(grid, ms, params)

@@ -69,7 +69,6 @@ class CoordinationParams:
     tau: float = 1e-4
     max_iterations: int = 20
     nr_test: bool = True          # WLS variants only
-    nr_threshold: float = 3.0
 
     def __post_init__(self):
         if self.xi <= 0 or self.tau <= 0 or self.max_iterations < 1:
@@ -389,8 +388,7 @@ def _dwls_pass(grid, ms, params, index_map=None):
     estimate = _coordinate(grid, ms, params, "dwls", solve_region, boundary_power)
     if params.nr_test:
         for region in grid.regions:
-            out = lnr_test(models[region.id], estimate.regions[region.id],
-                           threshold=params.nr_threshold)
+            out = lnr_test(models[region.id], estimate.regions[region.id])
             estimate.bad_data[region.id] = out.report
             estimate.regions[region.id] = out.result
         estimate.v, estimate.theta = _merge_states(grid, estimate.regions)
@@ -400,8 +398,7 @@ def _dwls_pass(grid, ms, params, index_map=None):
 # -- CWLS ----------------------------------------------------------------------
 
 
-def run_cwls(grid: GridModel, ms: MeasurementSet, nr_test: bool = True,
-             nr_threshold: float = 3.0) -> SystemEstimate:
+def run_cwls(grid: GridModel, ms: MeasurementSet, nr_test: bool = True) -> SystemEstimate:
     """Centralized nonlinear WLS over all regions jointly, with the converter
     balance enforced by high-weight virtual rows and a global NR test."""
     t_start = time.perf_counter()
@@ -410,7 +407,7 @@ def run_cwls(grid: GridModel, ms: MeasurementSet, nr_test: bool = True,
     result = solve_wls(model)
     report = None
     if nr_test:
-        out = lnr_test(model, result, threshold=nr_threshold)
+        out = lnr_test(model, result)
         report = out.report
         result = out.result
     wall = time.perf_counter() - t0

@@ -126,7 +126,7 @@ class _NrOutcome:
 
 
 def lnr_test(model, result: EstimationResult | None = None, threshold: float = 3.0,
-             interpolate: bool = False, tol: float = 1e-6) -> _NrOutcome:
+             interpolate: bool = False) -> _NrOutcome:
     """Largest-normalized-residual bad-data cycle.
 
     Solves, normalizes residuals by sqrt of their covariance
@@ -144,7 +144,7 @@ def lnr_test(model, result: EstimationResult | None = None, threshold: float = 3
     """
     work = model
     if result is None:
-        result = solve_wls(work, tol=tol)
+        result = solve_wls(work)
     flagged: list[tuple[int, float]] = []
     untestable: list[int] = []
     replaced: dict[int, float] = {}
@@ -190,7 +190,7 @@ def lnr_test(model, result: EstimationResult | None = None, threshold: float = 3
             replaced[gidx] = float(corrected)
         else:
             work.drop_row(best_idx)
-        result = solve_wls(work, x0=x, tol=tol)
+        result = solve_wls(work, x0=x)
 
     report = BadDataReport(flagged=flagged, threshold=threshold, cycles=cycles,
                            untestable=untestable)

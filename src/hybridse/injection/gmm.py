@@ -9,6 +9,7 @@ import numpy as np
 
 VAR_FLOOR = 1e-8
 _EM_MAX_ITER = 500
+_EM_TOL = 1e-7              # stop once an iteration gains less log-likelihood
 
 
 @dataclass
@@ -62,8 +63,7 @@ def _logsumexp(a):
     return (m + np.log(np.exp(a - m).sum(axis=1, keepdims=True))).ravel()
 
 
-def fit_gmm(samples: np.ndarray, k: int, seed: int = 0,
-            tol: float = 1e-7) -> tuple[GmmModel, list[float]]:
+def fit_gmm(samples: np.ndarray, k: int, seed: int = 0) -> tuple[GmmModel, list[float]]:
     """EM fit with k-means++-style seeding; returns the model and the
     log-likelihood trace (non-decreasing by construction of EM).
 
@@ -99,7 +99,7 @@ def fit_gmm(samples: np.ndarray, k: int, seed: int = 0,
         sq = resp.T @ (x * x) / nk[:, None]
         variances = np.maximum(sq - means ** 2, VAR_FLOOR)
 
-        if ll - prev < tol and np.isfinite(prev):
+        if ll - prev < _EM_TOL and np.isfinite(prev):
             break
         prev = ll
 

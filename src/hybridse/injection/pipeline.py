@@ -34,6 +34,8 @@ from .mlp import MlpModel, TrainReport, train_mlp
 from .profiles import LoadProfiles
 
 SIGMA_FLOOR = 1e-4
+_GMM_K = 2                  # mixture components per injection node
+_RHO = 0.8                  # weight of the shared factor in a sampled scenario
 
 
 # -- canonical SCADA channel ordering -------------------------------------------
@@ -114,7 +116,7 @@ class TrainingSet:
     dropped: int = 0
 
 
-def fit_injection_gmms(grid: GridModel, profiles: LoadProfiles, k: int = 2,
+def fit_injection_gmms(grid: GridModel, profiles: LoadProfiles,
                        seed: int = 0) -> dict[int, GmmModel]:
     """Per-node mixtures over (P, Q) history for AC nodes, P for DC nodes."""
     gmms: dict[int, GmmModel] = {}
@@ -124,12 +126,12 @@ def fit_injection_gmms(grid: GridModel, profiles: LoadProfiles, k: int = 2,
             samples = np.column_stack([p, profiles.q[node.id]])
         else:
             samples = p
-        gmms[node.id], _ = fit_gmm(samples, k=k, seed=seed + node.id)
+        gmms[node.id], _ = fit_gmm(samples, k=_GMM_K, seed=seed + node.id)
     return gmms
 
 
 def sample_injections(grid: GridModel, gmms: dict[int, GmmModel],
-                      rng: np.random.Generator, rho: float = 0.8) -> InjectionProfile:
+                      rng: np.random.Generator) -> InjectionProfile:
     """One joint scenario: marginals follow each node's mixture while a shared
     regime quantile and common factor couple the nodes, mirroring the common
     daily-shape structure the mixtures were learned from."""
@@ -139,7 +141,7 @@ def sample_injections(grid: GridModel, gmms: dict[int, GmmModel],
     for node in grid.injection_nodes():
         model = gmms[node.id]
         g_own = rng.standard_normal(model.dim)
-        draw = model.sample_coupled(u, g[:model.dim], g_own, rho)
+        draw = model.sample_coupled(u, g[:model.dim], g_own, _RHO)
         prof.p[node.id] = float(draw[0])
         if model.dim > 1:
             prof.q[node.id] = float(draw[1])
@@ -147,8 +149,7 @@ def sample_injections(grid: GridModel, gmms: dict[int, GmmModel],
 
 
 def build_training_set(grid: GridModel, gmms: dict[int, GmmModel], n_trials: int,
-                       schedule: ScheduleConfig, seed: int,
-                       rho: float = 0.8) -> TrainingSet:
+                       schedule: ScheduleConfig, seed: int) -> TrainingSet:
     """Monte-Carlo (y, z) extraction: sample scenarios, solve the power flow,
     read the SCADA channels with measurement noise.  Aborts when more than 20%
     of the trials fail to converge (mixtures inconsistent with the grid)."""
@@ -158,7 +159,7 @@ def build_training_set(grid: GridModel, gmms: dict[int, GmmModel], n_trials: int
     zs, ys = [], []
     dropped = 0
     for _ in range(n_trials):
-        prof = sample_injections(grid, gmms, rng, rho)
+        prof = sample_injections(grid, gmms, rng)
         try:
             res = solve_powerflow(grid, prof)
         except PowerFlowError:
@@ -242,16 +243,14 @@ def fit_error_gmm(residuals: np.ndarray, components: list[str],
 
 def train_injection_model(grid: GridModel, profiles: LoadProfiles,
                           schedule: ScheduleConfig, n_trials: int = 2500,
-                          hidden: list[int] = [64, 64], epochs: int = 400,
-                          lr: float = 0.01, batch: int = 32, seed: int = 0,
-                          gmm_k: int = 2, rho: float = 0.8
+                          epochs: int = 400, seed: int = 0
                           ) -> tuple[InjectionModel, TrainReport]:
     """The full offline stage: distribution learning, Monte-Carlo training
-    data, network fit, error-mixture weighting."""
-    gmms = fit_injection_gmms(grid, profiles, k=gmm_k, seed=seed)
-    ts = build_training_set(grid, gmms, n_trials, schedule, seed=seed + 1, rho=rho)
-    mlp, report = train_mlp(ts.z, ts.y, hidden=hidden, lr=lr, batch=batch,
-                            epochs=epochs, seed=seed + 2)
+    data, network fit (``train_mlp``'s default layout, rate and batch size),
+    error-mixture weighting."""
+    gmms = fit_injection_gmms(grid, profiles, seed=seed)
+    ts = build_training_set(grid, gmms, n_trials, schedule, seed=seed + 1)
+    mlp, report = train_mlp(ts.z, ts.y, epochs=epochs, seed=seed + 2)
     hold = report.holdout_indices
     residuals = ts.y[hold] - mlp.predict(ts.z[hold])
     error_sigma = fit_error_gmm(residuals, ts.components, seed=seed + 3)
@@ -351,8 +350,8 @@ SCREEN_MODEL_ERROR = 5e-4   # linearization allowance of the screening pass
 SCREEN_THRESHOLD = 20.0     # gross-error screen, an order above the NR test
 
 
-def sanitize_scada(grid: GridModel, ms: MeasurementSet, model: InjectionModel,
-                   threshold: float = SCREEN_THRESHOLD) -> MeasurementSet:
+def sanitize_scada(grid: GridModel, ms: MeasurementSet,
+                   model: InjectionModel) -> MeasurementSet:
     """Screen the SCADA vector for gross errors before network inference.
 
     A linear WLS pass per region, backed by broad mixture-mean priors at the
@@ -368,7 +367,7 @@ def sanitize_scada(grid: GridModel, ms: MeasurementSet, model: InjectionModel,
     for region in grid.regions:
         lin = build_region_H(grid, region, by_region[region.id])
         lin.sigma = np.sqrt(lin.sigma ** 2 + SCREEN_MODEL_ERROR ** 2)
-        out = lnr_test(lin, threshold=threshold, interpolate=True)
+        out = lnr_test(lin, threshold=SCREEN_THRESHOLD, interpolate=True)
         for gidx, value in out.replaced.items():
             if gidx >= len(ms.measurements):
                 continue   # a prior row was corrected; it is synthetic anyway

@@ -28,6 +28,7 @@ _AC_TOL = 1e-8              # regional Newton mismatch tolerances (p.u.)
 _DC_TOL = 1e-10
 _NEWTON_MAX_ITER = 30       # Newton iterations per regional solve
 _MAX_OUTER = 20             # alternating AC/DC passes per power flow
+_COUPLING_TOL = 1e-6        # converter balance |p_vsc + loss - p_djc| at convergence
 
 
 class PowerFlowError(RuntimeError):
@@ -306,12 +307,12 @@ def _check_profile(grid: GridModel, profile: InjectionProfile) -> None:
             raise ValueError(f"DC node {node} cannot carry reactive injection")
 
 
-def solve_powerflow(grid: GridModel, profile: InjectionProfile,
-                    tol: float = 1e-6) -> PowerFlowResult:
+def solve_powerflow(grid: GridModel, profile: InjectionProfile) -> PowerFlowResult:
     """Alternating AC/DC solve with converter loss propagation.
 
     Converges when every converter satisfies the power balance
-    |p_vsc + loss - p_djc| <= tol against the latest regional solutions.
+    |p_vsc + loss - p_djc| <= ``_COUPLING_TOL`` against the latest regional
+    solutions.
     """
     _check_profile(grid, profile)
 
@@ -399,7 +400,7 @@ def solve_powerflow(grid: GridModel, profile: InjectionProfile,
             p_ci, q_ci, vc = _coupling_flow(grid, ac_states, conv)
             l, _ = converter_loss(p_ci, q_ci, vc, (conv.d1, conv.d2, conv.d3))
             coupling = max(coupling, abs(p_ci + l - p_djc[conv.id]))
-        if coupling <= tol:
+        if coupling <= _COUPLING_TOL:
             break
     else:
         raise PowerFlowDivergence(
@@ -486,8 +487,8 @@ def conservation_residual(grid: GridModel, profile: InjectionProfile,
 
     For a converged solve it is, up to the regional Newton tolerances, the
     sum of the converters' balance gaps between p_vsc + loss and p_djc, each
-    of which the solve keeps within its ``tol``.  It can therefore exceed ``tol``
-    on a grid with more than one converter.
+    of which the solve keeps within ``_COUPLING_TOL``.  It can therefore exceed
+    ``_COUPLING_TOL`` on a grid with more than one converter.
     """
     st = result.state
     line_losses = 0.0
