@@ -315,7 +315,8 @@ class MeasurementModel:
             elif converters is None:
                 raise TelemetryError(f"converter solution needed for {tag} truth")
             else:
-                x[col] = getattr(converters[key], _CONVERTER_FIELDS[tag])
+                sol = converters[key]
+                x[col] = {"pdjc": sol.p_djc, "pvsc": sol.p_vsc, "qvsc": sol.q_vsc}[tag]
         return x
 
     def extract_state(self, x: np.ndarray):
@@ -350,9 +351,6 @@ class MeasurementModel:
         self.sources = self.sources[:i] + self.sources[i + 1:]
         self.meas_indices = self.meas_indices[:i] + self.meas_indices[i + 1:]
         self.measurements = self.measurements[:i] + self.measurements[i + 1:]
-
-
-_CONVERTER_FIELDS = {"pdjc": "p_djc", "pvsc": "p_vsc", "qvsc": "q_vsc"}
 
 
 @dataclass
