@@ -171,28 +171,30 @@ class TestSharedStateInterface:
             for model in (linear, nonlinear):
                 v, theta, conv = model.extract_state(
                     model.truth_vector(res.state, res.converters))
-                assert set(v) == region.nodes
-                for node in region.nodes:
-                    assert abs(v[node] - res.state.v[node]) <= 1e-12
-                    if region.kind == AC:
-                        assert theta[node] == res.state.theta[node]
-                if region.kind == DC:
-                    assert v == {n: res.state.v[n] for n in region.nodes}
-                    assert not theta
+                true_v = {n: res.state.v[n] for n in region.nodes}
+                if model is linear and region.kind == AC:    # V = sqrt(U)
+                    assert v.keys() == true_v.keys()
+                    assert all(abs(v[n] - true_v[n]) <= 1e-12 for n in true_v)
+                else:
+                    assert v == true_v
+                assert theta == ({n: res.state.theta[n] for n in region.nodes}
+                                 if region.kind == AC else {})
                 assert conv == draws
         assert n_draws == len(res.converters)
 
-    def test_truth_needs_converter_solutions(self, case33, case33_loads, regions):
+    def test_truth_needs_converter_solutions(self, case33, regions):
         res, models = regions
         system = measmodel.build_system_model(case33, [])
+        raised = 0
         for model in [system] + [m for _, *pair in models for m in pair]:
-            converter_columns = any(tag not in ("u", "v", "th") for tag, _ in model.index)
-            if converter_columns:
+            if any(tag not in ("u", "v", "th") for tag, _ in model.index):
                 with pytest.raises(TelemetryError, match="converter solution"):
                     model.truth_vector(res.state)
+                raised += 1
             else:
                 assert np.array_equal(model.truth_vector(res.state),
                                       model.truth_vector(res.state, res.converters))
+        assert raised == 1 + 2 * sum(r.kind == DC for r in case33.regions)
 
 
 class TestFirstOrderValidity:
