@@ -5,12 +5,12 @@ from .lp import (LpError, LpInfeasible, LpProblem, LpSolution, LpUnbounded, lp_s
                  lp_unchanged)
 from .result import BadDataReport, EstimationError, EstimationResult, UnobservableError
 from .wlav import BoundaryTerm, RegionalLp, build_regional_wlav_lp, solve_wlav_region
-from .wls import ZERO_INJ_SIGMA, effective_sigma, lnr_test, solve_wls
+from .wls import ZERO_INJ_SIGMA, effective_sigma, lnr_substitute, lnr_test, solve_wls
 
 __all__ = [
     "BadDataReport", "BoundaryTerm", "EstimationError", "EstimationResult",
     "LpError", "LpInfeasible", "LpProblem", "LpSolution", "LpUnbounded",
     "RegionalLp", "UnobservableError", "ZERO_INJ_SIGMA",
-    "build_regional_wlav_lp", "effective_sigma", "lnr_test", "lp_solve", "lp_unchanged",
-    "solve_wlav_region", "solve_wls",
+    "build_regional_wlav_lp", "effective_sigma", "lnr_substitute", "lnr_test", "lp_solve",
+    "lp_unchanged", "solve_wlav_region", "solve_wls",
 ]

@@ -40,7 +40,6 @@ class EstimationResult:
 @dataclass
 class BadDataReport:
     flagged: list[tuple[int, float]]     # (global measurement index, normalized residual)
-    threshold: float
     cycles: int
     untestable: list[int] = field(default_factory=list)
 

@@ -1,6 +1,8 @@
-"""Gauss-Newton weighted least squares and the normalized-residual test.
+"""Gauss-Newton weighted least squares and the normalized-residual test, by
+removal (``lnr_test``) or, for the SCADA screen, by substitution
+(``lnr_substitute``).
 
-Both work on the weighted Jacobian A = W^(1/2) J through its Householder QR
+All work on the weighted Jacobian A = W^(1/2) J through its Householder QR
 factorization A = QR, never through the gain matrix G = A^T A = R^T R: the
 zero-injection rows carry a weight of 1/ZERO_INJ_SIGMA^2 = 1e12, and forming
 G would square A's condition number (Abur & Exposito, Power System State
@@ -20,6 +22,7 @@ from .result import BadDataReport, EstimationResult, UnobservableError
 ZERO_INJ_SIGMA = 1e-6
 _GN_MAX_ITER = 50           # Gauss-Newton iterations per solve
 _LNR_MAX_CYCLES = 5         # removals or substitutions per bad-data test
+_LNR_THRESHOLD = 3.0        # normalized residual that flags a reading
 REMOVABLE_SOURCES = ("scada", "smart_meter", "pseudo", "dnn")
 
 
@@ -32,8 +35,8 @@ def effective_sigma(model) -> np.ndarray:
     return sigma
 
 
-def _qr_step(a: np.ndarray, rhs: np.ndarray, scope: str = "") -> np.ndarray:
-    """Least-squares solution of ``a @ dx = rhs`` by Householder QR.
+def _factor(a: np.ndarray, scope: str = "") -> tuple[np.ndarray, np.ndarray]:
+    """Householder QR ``a = QR`` of a weighted Jacobian.
 
     ``a`` counts as rank deficient when a diagonal entry of R is at most
     max|diag R| * max(m, n) * eps, the scale of lstsq's default cutoff; the
@@ -44,19 +47,31 @@ def _qr_step(a: np.ndarray, rhs: np.ndarray, scope: str = "") -> np.ndarray:
     d = np.abs(np.diag(r))
     if m < n or not np.all(d > d.max() * max(m, n) * np.finfo(float).eps):
         raise UnobservableError(int(np.linalg.matrix_rank(a)), n, scope=scope)
-    return np.linalg.solve(r, q.T @ rhs)
+    return q, r
 
 
-def _residual_variance(jac: np.ndarray, a: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+def _residual_variance(jac: np.ndarray, r: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Diagonal of the residual covariance Omega = R_z - J G^-1 J^T.
 
-    With ``a`` the weighted Jacobian and R its QR factor, G = R^T R, so
+    With R the QR factor of the weighted Jacobian, G = R^T R, so
     Omega_ii = sigma_i^2 - ||R^-T J_i^T||^2 with J_i the unweighted row.
     Raises LinAlgError when R is singular.
     """
-    r = np.linalg.qr(a, mode="r")
     y = np.linalg.solve(r.T, jac.T)
     return sigma * sigma - np.einsum("ij,ij->j", y, y)
+
+
+def _largest_normalized(res: np.ndarray, omega: np.ndarray, sigma: np.ndarray,
+                        removable: np.ndarray) -> tuple[int, float, np.ndarray]:
+    """The first removable, testable row of largest |r_i| / sqrt(Omega_ii) and
+    that value (0.0, with no meaningful row, when there is none), plus the mask
+    of removable rows too critical to test: Omega_ii at most 1e-4 sigma_i^2."""
+    critical = removable & (omega <= 1e-4 * sigma * sigma)
+    testable = removable & ~critical
+    nr = np.zeros(res.size)
+    nr[testable] = np.abs(res[testable]) / np.sqrt(omega[testable])
+    i = int(np.argmax(nr))
+    return i, float(nr[i]), critical
 
 
 def solve_wls(model, x0: np.ndarray | None = None, tol: float = 1e-6,
@@ -91,7 +106,8 @@ def solve_wls(model, x0: np.ndarray | None = None, tol: float = 1e-6,
         h, jac = model.h_jac(x)
         a = jac * sw[:, None]
         rhs = (z - h) * sw
-        dx = _qr_step(a, rhs, scope=model.scope)
+        q, rq = _factor(a, scope=model.scope)
+        dx = np.linalg.solve(rq, q.T @ rhs)
 
         step = 1.0
         for _ in range(10):
@@ -121,77 +137,66 @@ def solve_wls(model, x0: np.ndarray | None = None, tol: float = 1e-6,
 class _NrOutcome:
     report: BadDataReport
     result: EstimationResult
-    model: object
-    replaced: dict[int, float]          # global meas index -> substituted value
 
 
-def lnr_test(model, result: EstimationResult | None = None, threshold: float = 3.0,
-             interpolate: bool = False) -> _NrOutcome:
-    """Largest-normalized-residual bad-data cycle.
+def lnr_test(model, result: EstimationResult) -> _NrOutcome:
+    """Largest-normalized-residual bad-data cycle from the solved ``result``:
+    up to ``_LNR_MAX_CYCLES`` times, the worst removable reading above
+    ``_LNR_THRESHOLD`` is removed and the model solved again.  Omega comes from
+    the QR factor of the weighted Jacobian at each cycle's state; rows whose
+    Omega_ii is numerically zero are critical and reported untestable.
 
-    Solves, normalizes residuals by sqrt of their covariance
-    Omega = R_z - J G^-1 J^T, taken from the QR factor of the weighted
-    Jacobian at each cycle's state (``_residual_variance``), and removes (or,
-    with ``interpolate=True``, substitutes with the model-implied value) the
-    worst offender above the threshold, repeating up to ``_LNR_MAX_CYCLES`` times.
-    Rows whose residual variance is numerically zero are critical and
-    reported untestable.
-
-    ``model`` is never modified: the first removal or substitution happens
-    on a clone, and the returned model is ``model`` itself when nothing
-    changed.  A clone shares the compiled form of a nonlinear model, so a
-    nonlinear model is compiled again only once per removed row.
+    ``model`` is never modified: the first removal happens on a clone.  A
+    clone shares the compiled form of a nonlinear model, so a nonlinear
+    model is compiled again only once per removed row.
     """
     work = model
-    if result is None:
-        result = solve_wls(work)
     flagged: list[tuple[int, float]] = []
-    untestable: list[int] = []
-    replaced: dict[int, float] = {}
-    cycles = 0
-
-    for _ in range(_LNR_MAX_CYCLES):
-        cycles += 1
+    for cycles in range(1, _LNR_MAX_CYCLES + 1):
         x = result.x
         h, jac = work.h_jac(x)
         sigma = effective_sigma(work)
-        w = 1.0 / (sigma * sigma)
-        r = work.z - h
-        a = jac * np.sqrt(w)[:, None]
+        a = jac * np.sqrt(1.0 / (sigma * sigma))[:, None]
         try:
-            omega_diag = _residual_variance(jac, a, sigma)
+            omega = _residual_variance(jac, np.linalg.qr(a, mode="r"), sigma)
         except np.linalg.LinAlgError as exc:
             raise UnobservableError(int(np.linalg.matrix_rank(a)), x.size) from exc
+        removable = np.isin(work.sources, REMOVABLE_SOURCES)
+        best, best_nr, critical = _largest_normalized(work.z - h, omega, sigma, removable)
+        untestable = [work.meas_indices[i] for i in np.flatnonzero(critical)]
 
-        best_idx, best_nr = -1, 0.0
-        untestable_now = []
-        for i, src in enumerate(work.sources):
-            if src not in REMOVABLE_SOURCES:
-                continue
-            if omega_diag[i] <= 1e-4 * sigma[i] * sigma[i]:
-                untestable_now.append(work.meas_indices[i])
-                continue
-            nr = abs(r[i]) / np.sqrt(omega_diag[i])
-            if nr > best_nr:
-                best_idx, best_nr = i, nr
-        untestable = untestable_now
-
-        if best_idx < 0 or best_nr <= threshold:
+        if best_nr <= _LNR_THRESHOLD:
             break
-        gidx = work.meas_indices[best_idx]
-        flagged.append((gidx, float(best_nr)))
+        flagged.append((work.meas_indices[best], best_nr))
         if work is model:
             work = model.clone()
-        if interpolate:
-            # corrected-measurement substitution: subtracting the gross error's
-            # own influence share reproduces the clean reading in the linear case
-            corrected = work.z[best_idx] - (sigma[best_idx] ** 2 / omega_diag[best_idx]) * r[best_idx]
-            work.z[best_idx] = corrected
-            replaced[gidx] = float(corrected)
-        else:
-            work.drop_row(best_idx)
+        work.drop_row(best)
         result = solve_wls(work, x0=x)
 
-    report = BadDataReport(flagged=flagged, threshold=threshold, cycles=cycles,
-                           untestable=untestable)
-    return _NrOutcome(report=report, result=result, model=work, replaced=replaced)
+    report = BadDataReport(flagged=flagged, cycles=cycles, untestable=untestable)
+    return _NrOutcome(report=report, result=result)
+
+
+def lnr_substitute(model, threshold: float) -> dict[int, float]:
+    """Normalized-residual screen of a linear model by substitution: up to
+    ``_LNR_MAX_CYCLES`` times, the worst removable reading above ``threshold``
+    becomes z_i - sigma_i^2 / Omega_ii * r_i, the value the other rows predict
+    (h_i x of the fit without row i).  Only z changes, so one QR factor of
+    W^(1/2) H gives Omega once and each cycle's estimate by one solve with R.
+    Returns the substituted values by global measurement index; ``model`` is
+    not modified."""
+    sigma = effective_sigma(model)
+    sw = np.sqrt(1.0 / (sigma * sigma))
+    q, r = _factor(model.H * sw[:, None], scope=model.scope)
+    omega = _residual_variance(model.H, r, sigma)
+    removable = np.isin(model.sources, REMOVABLE_SOURCES)
+    z = model.z.copy()
+    replaced: dict[int, float] = {}
+    for _ in range(_LNR_MAX_CYCLES):
+        res = z - model.H @ np.linalg.solve(r, q.T @ (z * sw))
+        i, nr, _ = _largest_normalized(res, omega, sigma, removable)
+        if nr <= threshold:
+            break
+        z[i] -= sigma[i] ** 2 / omega[i] * res[i]
+        replaced[model.meas_indices[i]] = float(z[i])
+    return replaced

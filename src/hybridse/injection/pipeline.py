@@ -9,9 +9,9 @@ get their own per-component mixtures whose standard deviations become the
 measurement weights of generated injections.
 
 Online: the trained network maps the current SCADA vector to a full injection
-vector at the SCADA rate.  Gross errors in the SCADA input are screened by a
-linear WLS pass with mixture-mean priors and substituted with their
-model-implied values before inference.
+vector at the SCADA rate.  Gross errors in the SCADA input are screened first:
+one QR factor of each region's linear model with mixture-mean priors, and
+each flagged reading is substituted with the value the other rows predict.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ..estimation import lnr_test
+# lnr_test is not called here; it stays importable as perfbench's trace target
+from ..estimation import lnr_substitute, lnr_test  # noqa: F401
 from ..grid import AC, GridModel
 from ..powerflow import InjectionProfile, PowerFlowError, SystemState, solve_powerflow
 from ..telemetry import (Measurement, MeasurementKind, MeasurementSet,
@@ -354,9 +355,9 @@ def sanitize_scada(grid: GridModel, ms: MeasurementSet,
                    model: InjectionModel) -> MeasurementSet:
     """Screen the SCADA vector for gross errors before network inference.
 
-    A linear WLS pass per region, backed by broad mixture-mean priors at the
-    injection nodes, runs the normalized-residual cycle in substitution mode;
-    flagged SCADA readings are replaced by their model-implied values.  The
+    Each region's linear model, backed by broad mixture-mean priors at the
+    injection nodes, is screened by ``lnr_substitute`` (one QR factor per
+    region); flagged readings become the values the other rows predict.  The
     screen hunts doubled/negated readings, so its sigmas carry a linear-model
     allowance and its threshold sits far above the estimation-level test.
     """
@@ -367,8 +368,7 @@ def sanitize_scada(grid: GridModel, ms: MeasurementSet,
     for region in grid.regions:
         lin = build_region_H(grid, region, by_region[region.id])
         lin.sigma = np.sqrt(lin.sigma ** 2 + SCREEN_MODEL_ERROR ** 2)
-        out = lnr_test(lin, threshold=SCREEN_THRESHOLD, interpolate=True)
-        for gidx, value in out.replaced.items():
+        for gidx, value in lnr_substitute(lin, SCREEN_THRESHOLD).items():
             if gidx >= len(ms.measurements):
                 continue   # a prior row was corrected; it is synthetic anyway
             m = ms.measurements[gidx]

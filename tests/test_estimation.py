@@ -3,8 +3,8 @@ import pytest
 
 from hybridse import measmodel
 from hybridse.estimation import (BoundaryTerm, LpError, LpProblem, RegionalLp,
-                                 UnobservableError, build_regional_wlav_lp, lnr_test,
-                                 lp_solve, solve_wlav_region, solve_wls)
+                                 UnobservableError, build_regional_wlav_lp, lnr_substitute,
+                                 lnr_test, lp_solve, solve_wlav_region, solve_wls)
 from hybridse.estimation import lp as lp_module
 from hybridse.estimation import wls as wls_module
 from hybridse.powerflow import SystemState, solve_ac_region
@@ -631,11 +631,13 @@ class TestLnr:
                                  np.full(len(values), sigma))
 
     def test_clean_data_no_flag(self):
-        out = lnr_test(self._scalar_model([1.0, 1.0, 1.0]))
+        model = self._scalar_model([1.0, 1.0, 1.0])
+        out = lnr_test(model, solve_wls(model))
         assert not out.report.any_flagged
 
     def test_flags_and_removes_outlier(self):
-        out = lnr_test(self._scalar_model([1.0, 1.0, 1.6]))
+        model = self._scalar_model([1.0, 1.0, 1.6])
+        out = lnr_test(model, solve_wls(model))
         assert [i for i, _ in out.report.flagged] == [2]
         assert out.result.x[0] == pytest.approx(1.0, abs=1e-9)
         assert out.report.flagged[0][1] > 3.0
@@ -644,15 +646,100 @@ class TestLnr:
         # two states, one measured once: that row has zero residual variance
         h = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         model = LinearRegionModel(h, [1.0, 1.0, 1.0, 5.0], np.full(4, 0.02))
-        out = lnr_test(model)
+        out = lnr_test(model, solve_wls(model))
         assert 3 in out.report.untestable
         assert all(i != 3 for i, _ in out.report.flagged)
 
-    def test_interpolation_substitutes_value(self):
-        model = self._scalar_model([1.0, 1.0, 1.0, 1.8])
-        out = lnr_test(model, interpolate=True)
-        assert 3 in out.replaced
-        assert out.replaced[3] == pytest.approx(1.0, abs=1e-6)
+    def test_selection_matches_the_loop(self):
+        # the vectorized selection of the largest normalized residual against
+        # a per-row reference loop, bit for bit: ties, critical rows and rows
+        # that are not removable
+        def loop(res, omega, sigma, removable):
+            best, best_nr, critical = -1, 0.0, []
+            for i in range(res.size):
+                if not removable[i]:
+                    continue
+                if omega[i] <= 1e-4 * sigma[i] * sigma[i]:
+                    critical.append(i)
+                    continue
+                nr = abs(res[i]) / np.sqrt(omega[i])
+                if nr > best_nr:
+                    best, best_nr = i, nr
+            return best, best_nr, critical
+
+        rng = np.random.default_rng(8)
+        for _ in range(500):
+            m = int(rng.integers(1, 10))
+            res = rng.choice([0.0, 0.3, -0.3, 0.7], size=m) * rng.choice([1.0, 1.0 + 1e-15], size=m)
+            sigma = rng.choice([0.01, 0.02], size=m)
+            omega = sigma * sigma * rng.choice([1e-5, 0.5, 0.9], size=m)
+            at_bound = rng.random(m) < 0.2
+            omega[at_bound] = (1e-4 * sigma * sigma)[at_bound]
+            removable = rng.random(m) < 0.8
+            i, nr, critical = wls_module._largest_normalized(res, omega, sigma, removable)
+            best, best_nr, ref_critical = loop(res, omega, sigma, removable)
+            assert nr == best_nr
+            assert best < 0 or i == best
+            assert np.flatnonzero(critical).tolist() == ref_critical
+
+
+class TestLnrSubstitute:
+    """``lnr_substitute`` against an independent oracle: on a linear model a
+    substituted reading is its leave-one-out prediction h_i x_(-i), with
+    x_(-i) the weighted least-squares fit of the other rows (lstsq)."""
+
+    @staticmethod
+    def _leave_one_out(model, i):
+        sigma = wls_module.effective_sigma(model)
+        keep = np.arange(model.z.size) != i
+        x = np.linalg.lstsq((model.H / sigma[:, None])[keep], (model.z / sigma)[keep],
+                            rcond=None)[0]
+        return float(model.H[i] @ x)
+
+    def test_scalar_leave_one_out(self):
+        model = LinearRegionModel(np.ones((4, 1)), [1.0, 1.0, 1.0, 1.8], np.full(4, 0.02))
+        replaced = lnr_substitute(model, 3.0)
+        assert list(replaced) == [3]
+        assert replaced[3] == pytest.approx(self._leave_one_out(model, 3), rel=1e-9)
+        assert replaced[3] == pytest.approx(1.0, abs=1e-12)
+
+    def test_case33_screen_leave_one_out(self, case33, case33_loads, monkeypatch):
+        # the screen's own regional models (four SCADA lines, SCADA-only tick,
+        # base-load priors), one reading corrupted by bad-data cases 1-3
+        from types import SimpleNamespace
+        from hybridse.injection import injection_components, pipeline
+        from hybridse.powerflow import solve_powerflow
+        from hybridse.telemetry import ScheduleConfig, inject_bad_data, simulate_measurements
+        real, screened = pipeline.lnr_substitute, []
+
+        def record(model, threshold):
+            z = model.z.copy()
+            replaced = real(model, threshold)
+            assert np.array_equal(model.z, z)
+            screened.append((model, replaced))
+            return replaced
+
+        monkeypatch.setattr(pipeline, "lnr_substitute", record)
+        stub = SimpleNamespace(gmm_means={
+            key: (case33_loads.p_at if key[0] == "p" else case33_loads.q_at)(
+                int(key.split(":")[1]))
+            for key in injection_components(case33)})
+        sched = ScheduleConfig(scada_ac_branches=((1, 2), (2, 19), (3, 23), (6, 26)))
+        truth = solve_powerflow(case33, case33_loads)
+        checked = 0
+        for seed in range(3):
+            ms = simulate_measurements(case33, truth.state, sched, t=900.0, seed=seed)
+            for case in (1, 2, 3):
+                screened.clear()
+                pipeline.sanitize_scada(case33, inject_bad_data(ms, case), stub)
+                assert len(screened) == len(case33.regions)
+                for model, replaced in screened:
+                    if replaced:
+                        gidx, value = next(iter(replaced.items()))
+                        oracle = self._leave_one_out(model, model.meas_indices.index(gidx))
+                        assert value == pytest.approx(oracle, rel=1e-9)
+                        checked += 1
+        assert checked == 9
 
 
 class TestLnrLeavesTheModel:
@@ -692,8 +779,7 @@ class TestLnrLeavesTheModel:
         return {name: value.tobytes() if isinstance(value, np.ndarray) else list(value)
                 for name, value in fields.items()}
 
-    @pytest.mark.parametrize("interpolate", [False, True])
-    def test_model_unchanged(self, case33, case33_loads, interpolate):
+    def test_model_unchanged(self, case33, case33_loads):
         from hybridse.measmodel import build_system_model
         from hybridse.telemetry import inject_bad_data
         ms = inject_bad_data(self._case33_set(case33, case33_loads, 11), 1)
@@ -704,10 +790,9 @@ class TestLnrLeavesTheModel:
         flagged = 0
         for model in models:
             before = self._snapshot(model)
-            out = lnr_test(model, interpolate=interpolate)
+            out = lnr_test(model, solve_wls(model))
             flagged += len(out.report.flagged)
             assert self._snapshot(model) == before
-            assert (out.model is model) == (not out.report.flagged)
         assert flagged > 0
 
 
@@ -754,7 +839,8 @@ class TestQrFactor:
         for model, overrides, x_true in self._models(grid, loads, sched):
             for x in (model.x0(), x_true):
                 _, a, rhs = self._weighted(model, overrides, x)
-                dx = wls_module._qr_step(a, rhs)
+                q, r = wls_module._factor(a)
+                dx = np.linalg.solve(r, q.T @ rhs)
                 ref = np.linalg.lstsq(a, rhs, rcond=None)[0]
                 assert np.abs(dx - ref).max() <= 1e-9 * np.abs(ref).max()
 
@@ -767,7 +853,7 @@ class TestQrFactor:
             h = rng.normal(size=(m, n))
             sigma = rng.uniform(1e-3, 0.05, size=m)
             a = h / sigma[:, None]
-            omega = wls_module._residual_variance(h, a, sigma)
+            omega = wls_module._residual_variance(h, wls_module._factor(a)[1], sigma)
             ref = sigma ** 2 - np.einsum("ij,ji->i", h, np.linalg.solve(a.T @ a, h.T))
             assert np.abs(omega - ref).max() <= 1e-9 * (sigma ** 2).max()
 
@@ -779,7 +865,7 @@ class TestQrFactor:
             sigma = wls_module.effective_sigma(model)
             for x in (model.x0(), x_true):
                 jac, a, _ = self._weighted(model, overrides, x)
-                omega = wls_module._residual_variance(jac, a, sigma)
+                omega = wls_module._residual_variance(jac, np.linalg.qr(a, mode="r"), sigma)
                 _, s, vt = np.linalg.svd(a, full_matrices=False)
                 y = (vt @ jac.T) / s[:, None]
                 ref = sigma ** 2 - np.einsum("ij,ij->j", y, y)
@@ -795,7 +881,7 @@ class TestQrFactor:
         # mean of m equal-sigma readings: Omega_ii = sigma^2 (1 - 1/m)
         values, sigma = [1.0, 1.0, 1.0, 1.6], 0.02
         model = LinearRegionModel(np.ones((4, 1)), values, np.full(4, sigma))
-        out = lnr_test(model)
+        out = lnr_test(model, solve_wls(model))
         r = 1.6 - np.mean(values)
         assert out.report.flagged[0][0] == 3
         assert out.report.flagged[0][1] == pytest.approx(

@@ -118,15 +118,15 @@ class TestSanitizer:
 
 
 class TestScreenDigest:
-    """The SCADA screen (``sanitize_scada``: ``lnr_test(interpolate=True)`` on
-    the regional linear models) pinned bit for bit on case33.  The screen
+    """The SCADA screen (``sanitize_scada``: ``lnr_substitute`` on the
+    regional linear models) pinned bit for bit on case33.  The screen
     reads only ``gmm_means`` of the injection model, so a stub whose means
     are the base loads stands in for a trained one."""
 
     SCHED = ScheduleConfig(scada_ac_branches=((1, 2), (2, 19), (3, 23), (6, 26)))
     TICKS = range(0, 48, 4)         # 12 ticks of a 2-day profile
     CORRECTIONS = 21
-    DIGEST = "38e5c2f64ad4f958abf92deacb603c96af0442c20a07b3cea1946bd4dbb8caf0"
+    DIGEST = "801a3b6cd6d936b03f014b7aba05a44b045772c6205492c3268440159290ac6c"
 
     def test_screened_values_digest(self, case33, case33_loads):
         import hashlib
