@@ -154,13 +154,27 @@ class GridModel:
             convs_at_dc.setdefault(c.dc_node, []).append(c)
         for name, value in (("_ac_branch", ac_branch), ("_dc_branch", dc_branch),
                             ("_incident_ac", incident_ac), ("_incident_dc", incident_dc),
-                            ("_conv_at_aux", conv_at_aux), ("_convs_at_dc", convs_at_dc)):
+                            ("_conv_at_aux", conv_at_aux), ("_convs_at_dc", convs_at_dc),
+                            ("_memo", {})):
             object.__setattr__(self, name, value)
 
     # -- lookups -----------------------------------------------------------
 
     def node(self, node_id: int) -> Node:
         return self._node_by_id[node_id]
+
+    def memo(self, key, build):
+        """The structure compiled from this grid under ``key``: ``build()``
+        on first use, kept afterwards."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def admittance(self, region_id: int) -> "AcAdmittance | DcAdmittance":
+        """The kept :func:`build_admittance` of a region; treat it as
+        read-only."""
+        return self.memo(("admittance", region_id),
+                         lambda: build_admittance(self, self.region(region_id)))
 
     def region(self, region_id: int) -> Region:
         return self._region_by_id[region_id]
@@ -519,9 +533,10 @@ def validate_grid(grid: GridModel) -> None:
     if by_id[grid.slack].kind != AC or by_id[grid.slack].role != ROLE_SUBSTATION:
         raise GridValidationError("slack must be an AC node with role substation")
 
-    # per-region connectivity (also validates member branches)
+    # per-region connectivity (also validates member branches); the
+    # admittances are kept for the solvers
     for r in grid.regions:
-        build_admittance(grid, r)
+        grid.admittance(r.id)
 
     # region adjacency through converters must connect every region
     if _unreached(rids, [(a, b) for (a, _), (b, _) in bound.values()]):

@@ -14,9 +14,16 @@ _EM_TOL = 1e-7              # stop once an iteration gains less log-likelihood
 
 @dataclass
 class GmmModel:
+    """A fitted mixture; its arrays are not edited after construction, which
+    ranks the components for ``sample_coupled`` once."""
+
     weights: np.ndarray      # (K,)
     means: np.ndarray        # (K, D)
     variances: np.ndarray    # (K, D), diagonal covariances
+
+    def __post_init__(self):
+        self._order = np.argsort(self.means[:, 0])
+        self._cum = np.cumsum(self.weights[self._order])
 
     @property
     def k(self) -> int:
@@ -43,9 +50,7 @@ class GmmModel:
         Components are ranked by their first-dimension mean so that a common
         quantile puts every node in the same regime; marginals stay exact.
         """
-        order = np.argsort(self.means[:, 0])
-        cum = np.cumsum(self.weights[order])
-        comp = order[min(int(np.searchsorted(cum, u)), self.k - 1)]
+        comp = self._order[min(int(np.searchsorted(self._cum, u)), self.k - 1)]
         mix = math.sqrt(max(0.0, 1.0 - rho * rho))
         eps = rho * g + mix * g_own
         return self.means[comp] + np.sqrt(self.variances[comp]) * eps

@@ -6,6 +6,18 @@ converter balance (AC-side output + loss = DC-side draw) settles.  The solved
 state is the ground truth used for telemetry synthesis, estimator scoring and
 training-set generation.
 
+The per-grid work is compiled once and kept by the grid (``GridModel.memo``):
+for each region and reference node a ``_RegionNewton`` holds the admittance
+(the one ``validate_grid`` built) and its diagonal, the free (non-reference)
+indices and a Jacobian preallocated at the free size; a ``_PowerFlowPlan``
+holds the AC and DC passes' structure (which converters feed which node
+index, each DC region's held converter and its lines).  A Newton step
+evaluates the mismatches over the full region as before, then fills the
+free rows and columns of the Jacobian elementwise from the same products and
+makes one ``np.linalg.solve`` call.  Every element is the same arithmetic on
+the same operands as forming the full Jacobian and selecting its free
+block, so the solves and the results keep their bits.
+
 Sign conventions: injections are generation-positive; a converter's
 ``p_vsc``/``q_vsc`` is its AC-side output into the aux node c, and ``p_djc``
 is the power the DC region feeds into the converter (negative when the DC
@@ -22,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import (AC, DC, MODE_DC_SLACK, MODE_PQ, OWNS_DC, GridModel, Region,
-                   ROLE_CONVERTER_AUX, ROLE_JUNCTION, build_admittance)
+                   ROLE_CONVERTER_AUX, ROLE_JUNCTION)
 
 _AC_TOL = 1e-8              # regional Newton mismatch tolerances (p.u.)
 _DC_TOL = 1e-10
@@ -164,6 +176,133 @@ def dc_branch_flow(v_f: float, v_t: float, g: float) -> float:
 # -- regional Newton solves ---------------------------------------------------
 
 
+class _RegionNewton:
+    """One region's Newton structure for one reference node, kept by the grid
+    (module docstring): the admittance and its diagonal, the free (non-reference)
+    indices and a Jacobian preallocated at the free size."""
+
+    def __init__(self, grid: GridModel, region: Region, ref_node: int):
+        adm = grid.admittance(region.id)
+        self.region_id = region.id
+        self.index = adm.index
+        self.nodes = list(adm.index)            # sorted
+        self.ref = adm.index[ref_node]
+        self.free = np.array([k for k in range(len(self.nodes)) if k != self.ref],
+                             dtype=np.intp)
+        self.sub = np.ix_(self.free, self.free)
+        nf = self.free.size
+        self.diag = np.diag_indices(nf)
+        if region.kind == AC:
+            self.g, self.b = adm.g, adm.b
+            self.g_diag, self.b_diag = adm.g.diagonal(), adm.b.diagonal()
+            self.jac = np.empty((2 * nf, 2 * nf))
+            self.blocks = (self.jac[:nf, :nf], self.jac[:nf, nf:],
+                           self.jac[nf:, :nf], self.jac[nf:, nf:])
+        else:
+            self.y, self.y_diag = adm.y, adm.y.diagonal()
+            self.y_free = adm.y[self.sub]
+            self.jac = np.empty((nf, nf))
+
+    def spec(self, injections: dict, width: int) -> list[np.ndarray]:
+        """``width`` spec vectors from node -> value(s); other nodes are zero."""
+        out = [np.zeros(len(self.nodes)) for _ in range(width)]
+        for node, values in injections.items():
+            k = self.index.get(node)
+            if k is None:
+                raise ValueError(f"injection at node {node} outside region {self.region_id}")
+            for vec, value in zip(out, values if width > 1 else (values,)):
+                vec[k] = value
+        return out
+
+    def _step(self, jac: np.ndarray, rhs: np.ndarray, mism) -> np.ndarray:
+        try:
+            return np.linalg.solve(jac, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise PowerFlowDivergence(
+                f"singular Jacobian in region {self.region_id}", mism) from exc
+
+    def _check(self, v: np.ndarray, kind: str, mism) -> None:
+        if not 0.0 < v.min() <= v.max() < math.inf:     # false for a NaN too
+            raise PowerFlowDivergence(f"{kind} region {self.region_id} diverged", float(mism))
+
+    def _cap(self, kind: str, mism) -> PowerFlowDivergence:
+        return PowerFlowDivergence(f"{kind} region {self.region_id} did not converge in "
+                                   f"{_NEWTON_MAX_ITER} iterations", float(mism))
+
+    def solve_ac(self, p_spec: np.ndarray, q_spec: np.ndarray, v_ref: float):
+        """(V, theta) by node index; raises PowerFlowDivergence if mismatches
+        stay above ``_AC_TOL``."""
+        free, sub, diag = self.free, self.sub, self.diag
+        g, b = self.g, self.b
+        j11, j12, j21, j22 = self.blocks
+        v = np.full(len(self.nodes), 1.0)
+        v[self.ref] = v_ref
+        th = np.zeros(len(self.nodes))
+        if free.size == 0:
+            return v, th
+
+        mism = np.inf
+        for _ in range(_NEWTON_MAX_ITER):
+            dth = th[:, None] - th[None, :]
+            cs, sn = np.cos(dth), np.sin(dth)
+            a1 = g * cs + b * sn
+            a2 = g * sn - b * cs
+            p_calc = v * (a1 @ v)
+            q_calc = v * (a2 @ v)
+            dp = (p_spec - p_calc)[free]
+            dq = (q_spec - q_calc)[free]
+            mism = max(np.abs(dp).max(), np.abs(dq).max())
+            if mism < _AC_TOL:
+                break
+
+            vf = v[free]
+            vv = np.outer(vf, vf)
+            a1f, a2f = a1[sub], a2[sub]
+            np.multiply(vv, a2f, out=j11)
+            j11[diag] = (-q_calc - self.b_diag * v * v)[free]
+            np.multiply(vf[:, None], a1f, out=j12)
+            j12[diag] = (p_calc / v + self.g_diag * v)[free]
+            np.multiply(-vv, a1f, out=j21)
+            j21[diag] = (p_calc - self.g_diag * v * v)[free]
+            np.multiply(vf[:, None], a2f, out=j22)
+            j22[diag] = (q_calc / v - self.b_diag * v)[free]
+            step = self._step(self.jac, np.concatenate([dp, dq]), mism)
+            th[free] += step[:free.size]
+            v[free] += step[free.size:]
+            self._check(v, "AC", mism)
+        else:
+            raise self._cap("AC", mism)
+        return v, th
+
+    def solve_dc(self, p_spec: np.ndarray, v_ref: float) -> np.ndarray:
+        """V by node index with the reference held at ``v_ref``."""
+        free, y = self.free, self.y
+        v = np.full(len(self.nodes), v_ref)
+        if free.size == 0:
+            return v
+
+        mism = np.inf
+        for _ in range(_NEWTON_MAX_ITER):
+            flows = y @ v
+            p_calc = v * flows
+            dp = (p_spec - p_calc)[free]
+            mism = np.abs(dp).max()
+            if mism < _DC_TOL:
+                break
+            np.multiply(v[free][:, None], self.y_free, out=self.jac)
+            self.jac[self.diag] = (flows + v * self.y_diag)[free]
+            v[free] += self._step(self.jac, dp, mism)
+            self._check(v, "DC", mism)
+        else:
+            raise self._cap("DC", mism)
+        return v
+
+
+def _newton(grid: GridModel, region: Region, ref_node: int) -> _RegionNewton:
+    return grid.memo(("newton", region.id, ref_node),
+                     lambda: _RegionNewton(grid, region, ref_node))
+
+
 def solve_ac_region(grid: GridModel, region: Region,
                     injections: dict[int, tuple[float, float]],
                     ref_node: int | None = None, v_ref: float = 1.0
@@ -176,71 +315,11 @@ def solve_ac_region(grid: GridModel, region: Region,
     """
     if region.kind != AC:
         raise ValueError(f"region {region.id} is not AC")
-    adm = build_admittance(grid, region)
-    nodes = sorted(region.nodes)
-    n = len(nodes)
     if ref_node is None:
         ref_node = grid.angle_reference(region.id)
-    ref = adm.index[ref_node]
-    free = [k for k in range(n) if k != ref]
-
-    p_spec = np.zeros(n)
-    q_spec = np.zeros(n)
-    for node, (p, q) in injections.items():
-        if node not in adm.index:
-            raise ValueError(f"injection at node {node} outside region {region.id}")
-        p_spec[adm.index[node]] = p
-        q_spec[adm.index[node]] = q
-
-    g, b = adm.g, adm.b
-    v = np.full(n, 1.0)
-    v[ref] = v_ref
-    th = np.zeros(n)
-
-    if n == 1:
-        return {ref_node: (v_ref, 0.0)}
-
-    mism = np.inf
-    for _ in range(_NEWTON_MAX_ITER):
-        dth = th[:, None] - th[None, :]
-        cs, sn = np.cos(dth), np.sin(dth)
-        a1 = g * cs + b * sn
-        a2 = g * sn - b * cs
-        p_calc = v * (a1 @ v)
-        q_calc = v * (a2 @ v)
-        dp = (p_spec - p_calc)[free]
-        dq = (q_spec - q_calc)[free]
-        mism = max(np.abs(dp).max(), np.abs(dq).max())
-        if mism < _AC_TOL:
-            break
-
-        vv = np.outer(v, v)
-        j11 = vv * a2
-        np.fill_diagonal(j11, -q_calc - b.diagonal() * v * v)
-        j12 = v[:, None] * a1
-        np.fill_diagonal(j12, p_calc / v + g.diagonal() * v)
-        j21 = -vv * a1
-        np.fill_diagonal(j21, p_calc - g.diagonal() * v * v)
-        j22 = v[:, None] * a2
-        np.fill_diagonal(j22, q_calc / v - b.diagonal() * v)
-
-        jac = np.block([[j11[np.ix_(free, free)], j12[np.ix_(free, free)]],
-                        [j21[np.ix_(free, free)], j22[np.ix_(free, free)]]])
-        try:
-            step = np.linalg.solve(jac, np.concatenate([dp, dq]))
-        except np.linalg.LinAlgError as exc:
-            raise PowerFlowDivergence(f"singular Jacobian in region {region.id}", mism) from exc
-        nf = len(free)
-        th[free] += step[:nf]
-        v[free] += step[nf:]
-        if not np.all(np.isfinite(v)) or np.any(v <= 0):
-            raise PowerFlowDivergence(f"AC region {region.id} diverged", float(mism))
-    else:
-        raise PowerFlowDivergence(
-            f"AC region {region.id} did not converge in {_NEWTON_MAX_ITER} iterations",
-            float(mism))
-
-    return {node: (float(v[adm.index[node]]), float(th[adm.index[node]])) for node in nodes}
+    newton = _newton(grid, region, ref_node)
+    v, th = newton.solve_ac(*newton.spec(injections, 2), v_ref)
+    return dict(zip(newton.nodes, zip(v.tolist(), th.tolist())))
 
 
 def solve_dc_region(grid: GridModel, region: Region, injections: dict[int, float],
@@ -248,46 +327,8 @@ def solve_dc_region(grid: GridModel, region: Region, injections: dict[int, float
     """Newton-Raphson solve of one DC region with a held reference voltage."""
     if region.kind != DC:
         raise ValueError(f"region {region.id} is not DC")
-    adm = build_admittance(grid, region)
-    nodes = sorted(region.nodes)
-    n = len(nodes)
-    ref = adm.index[ref_node]
-    free = [k for k in range(n) if k != ref]
-
-    p_spec = np.zeros(n)
-    for node, p in injections.items():
-        if node not in adm.index:
-            raise ValueError(f"injection at node {node} outside region {region.id}")
-        p_spec[adm.index[node]] = p
-
-    y = adm.y
-    v = np.full(n, v_ref)
-    if n == 1:
-        return {ref_node: v_ref}
-
-    mism = np.inf
-    for _ in range(_NEWTON_MAX_ITER):
-        flows = y @ v
-        p_calc = v * flows
-        dp = (p_spec - p_calc)[free]
-        mism = np.abs(dp).max()
-        if mism < _DC_TOL:
-            break
-        jac = v[:, None] * y
-        np.fill_diagonal(jac, flows + v * y.diagonal())
-        try:
-            step = np.linalg.solve(jac[np.ix_(free, free)], dp)
-        except np.linalg.LinAlgError as exc:
-            raise PowerFlowDivergence(f"singular Jacobian in region {region.id}", mism) from exc
-        v[free] += step
-        if not np.all(np.isfinite(v)) or np.any(v <= 0):
-            raise PowerFlowDivergence(f"DC region {region.id} diverged", float(mism))
-    else:
-        raise PowerFlowDivergence(
-            f"DC region {region.id} did not converge in {_NEWTON_MAX_ITER} iterations",
-            float(mism))
-
-    return {node: float(v[adm.index[node]]) for node in nodes}
+    newton = _newton(grid, region, ref_node)
+    return dict(zip(newton.nodes, newton.solve_dc(*newton.spec(injections, 1), v_ref).tolist()))
 
 
 # -- coupled solve ------------------------------------------------------------
@@ -307,6 +348,45 @@ def _check_profile(grid: GridModel, profile: InjectionProfile) -> None:
             raise ValueError(f"DC node {node} cannot carry reactive injection")
 
 
+class _PowerFlowPlan:
+    """The coupled solve's structure, kept by the grid: each AC region's
+    Newton and the converters whose output it injects (the forming converter
+    of its angle datum excluded), each DC region's Newton, its held
+    (dc_slack) converter, that terminal's lines and the other converters'
+    draws, and where each converter's coupling branch reads its state."""
+
+    def __init__(self, grid: GridModel):
+        self.ac, self.dc = [], []
+        for region in grid.regions:
+            if region.kind == AC:
+                ref = grid.angle_reference(region.id)
+                forming = grid.converter_at_aux(ref)
+                newton = _newton(grid, region, ref)
+                feeds = [(c.id, newton.index[c.aux_node]) for c in grid.couplings_in(region.id)
+                         if forming is None or c.id != forming.id]
+                self.ac.append((newton, feeds))
+                continue
+            held = [grid.converter(cid) for cid, orient in region.boundary
+                    if orient == OWNS_DC and grid.converter(cid).control.mode == MODE_DC_SLACK]
+            if len(held) != 1:
+                raise PowerFlowError(
+                    f"DC region {region.id} needs exactly one dc_slack converter")
+            ref_conv = held[0]
+            newton = _newton(grid, region, ref_conv.dc_node)
+            draws = [(cid, newton.index[grid.converter(cid).dc_node])
+                     for cid, _ in region.boundary if cid != ref_conv.id]
+            lines = [(newton.index[other], g)
+                     for other, g in grid.incident_dc_branches(ref_conv.dc_node)]
+            self.dc.append((newton, ref_conv, draws, lines))
+        # converter -> (AC region id, aux index, ac index, forms its region's datum)
+        self.couplings = {}
+        for conv in grid.converters:
+            rid = grid.node(conv.aux_node).region
+            index = _newton(grid, grid.region(rid), grid.angle_reference(rid)).index
+            self.couplings[conv.id] = (rid, index[conv.aux_node], index[conv.ac_node],
+                                       grid.angle_reference(rid) == conv.aux_node)
+
+
 def solve_powerflow(grid: GridModel, profile: InjectionProfile) -> PowerFlowResult:
     """Alternating AC/DC solve with converter loss propagation.
 
@@ -315,16 +395,11 @@ def solve_powerflow(grid: GridModel, profile: InjectionProfile) -> PowerFlowResu
     solutions.
     """
     _check_profile(grid, profile)
-
-    ac_regions = [r for r in grid.regions if r.kind == AC]
-    dc_regions = [r for r in grid.regions if r.kind == DC]
-    for region in dc_regions:
-        slack_convs = [grid.converter(cid) for cid, orient in region.boundary
-                       if orient == OWNS_DC
-                       and grid.converter(cid).control.mode == MODE_DC_SLACK]
-        if len(slack_convs) != 1:
-            raise PowerFlowError(
-                f"DC region {region.id} needs exactly one dc_slack converter")
+    plan = grid.memo("powerflow", lambda: _PowerFlowPlan(grid))
+    p_base = {nw.region_id: np.array([profile.p_at(n) for n in nw.nodes])
+              for nw, *_ in plan.ac + plan.dc}
+    q_base = {nw.region_id: np.array([profile.q_at(n) for n in nw.nodes])
+              for nw, _ in plan.ac}
 
     # mutable converter boundary estimates
     p_vsc = {c.id: (c.control.p_set if c.control.mode == MODE_PQ else 0.0)
@@ -334,29 +409,31 @@ def solve_powerflow(grid: GridModel, profile: InjectionProfile) -> PowerFlowResu
     loss = {c.id: 0.0 for c in grid.converters}
     p_djc = {c.id: 0.0 for c in grid.converters}
 
-    ac_states: dict[int, dict[int, tuple[float, float]]] = {}
-    dc_states: dict[int, dict[int, float]] = {}
+    ac_states: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    dc_states: dict[int, np.ndarray] = {}
     coupling = math.inf
+
+    def coupling_flow(conv):
+        """The aux -> ac coupling-branch flow (P, Q) and the aux voltage."""
+        rid, a, i, _ = plan.couplings[conv.id]
+        v, th = ac_states[rid]
+        vc = float(v[a])
+        p_ci, q_ci = ac_branch_flow(vc, float(th[a]), float(v[i]), float(th[i]),
+                                    conv.coupling_r, conv.coupling_x)
+        return p_ci, q_ci, vc
 
     for outer in range(1, _MAX_OUTER + 1):
         # AC pass
-        for region in ac_regions:
-            inj: dict[int, tuple[float, float]] = {}
-            for node in region.nodes:
-                inj[node] = (profile.p_at(node), profile.q_at(node))
-            ref = grid.angle_reference(region.id)
-            forming = grid.converter_at_aux(ref)
-            for conv in grid.couplings_in(region.id):
-                if forming is not None and conv.id == forming.id:
-                    continue
-                inj[conv.aux_node] = (p_vsc[conv.id], q_vsc[conv.id])
-            inj.pop(ref, None)
-            ac_states[region.id] = solve_ac_region(grid, region, inj, ref_node=ref)
+        for newton, feeds in plan.ac:
+            p_spec, q_spec = p_base[newton.region_id].copy(), q_base[newton.region_id].copy()
+            for cid, k in feeds:
+                p_spec[k], q_spec[k] = p_vsc[cid], q_vsc[cid]
+            ac_states[newton.region_id] = newton.solve_ac(p_spec, q_spec, 1.0)
 
         for conv in grid.converters:
-            p_ci, q_ci, vc = _coupling_flow(grid, ac_states, conv)
+            p_ci, q_ci, vc = coupling_flow(conv)
             v_c[conv.id] = vc
-            if grid.angle_reference(grid.node(conv.aux_node).region) == conv.aux_node:
+            if plan.couplings[conv.id][3]:
                 p_vsc[conv.id], q_vsc[conv.id] = p_ci, q_ci
             loss[conv.id], _ = converter_loss(p_vsc[conv.id], q_vsc[conv.id],
                                               vc, (conv.d1, conv.d2, conv.d3))
@@ -364,22 +441,15 @@ def solve_powerflow(grid: GridModel, profile: InjectionProfile) -> PowerFlowResu
                 p_djc[conv.id] = p_vsc[conv.id] + loss[conv.id]
 
         # DC pass
-        for region in dc_regions:
-            inj = {node: profile.p_at(node) for node in region.nodes}
-            ref_conv = None
-            for cid, orient in region.boundary:
-                conv = grid.converter(cid)
-                if orient == OWNS_DC and conv.control.mode == MODE_DC_SLACK:
-                    ref_conv = conv
-                else:
-                    inj[conv.dc_node] = inj.get(conv.dc_node, 0.0) - p_djc[conv.id]
-            inj.pop(ref_conv.dc_node, None)
-            sol = solve_dc_region(grid, region, inj, ref_node=ref_conv.dc_node,
-                                  v_ref=ref_conv.control.v_dc_set)
-            dc_states[region.id] = sol
+        for newton, ref_conv, draws, lines in plan.dc:
+            p_spec = p_base[newton.region_id].copy()
+            for cid, k in draws:
+                p_spec[k] = p_spec[k] - p_djc[cid]
+            sol = newton.solve_dc(p_spec, ref_conv.control.v_dc_set).tolist()
+            dc_states[newton.region_id] = sol
             # balance at the held terminal fixes the converter draw
-            flow_sum = sum(dc_branch_flow(sol[ref_conv.dc_node], sol[other], g)
-                           for other, g in grid.incident_dc_branches(ref_conv.dc_node))
+            v_ref = sol[newton.ref]
+            flow_sum = sum(dc_branch_flow(v_ref, sol[other], g) for other, g in lines)
             p_djc[ref_conv.id] = profile.p_at(ref_conv.dc_node) - flow_sum
             p = p_djc[ref_conv.id] - loss[ref_conv.id]
             for _ in range(20):
@@ -397,7 +467,7 @@ def solve_powerflow(grid: GridModel, profile: InjectionProfile) -> PowerFlowResu
         # coupling residual against the latest AC solution
         coupling = 0.0
         for conv in grid.converters:
-            p_ci, q_ci, vc = _coupling_flow(grid, ac_states, conv)
+            p_ci, q_ci, vc = coupling_flow(conv)
             l, _ = converter_loss(p_ci, q_ci, vc, (conv.d1, conv.d2, conv.d3))
             coupling = max(coupling, abs(p_ci + l - p_djc[conv.id]))
         if coupling <= _COUPLING_TOL:
@@ -408,15 +478,16 @@ def solve_powerflow(grid: GridModel, profile: InjectionProfile) -> PowerFlowResu
 
     v: dict[int, float] = {}
     theta: dict[int, float] = {}
-    for region in ac_regions:
-        for node, (vv, th) in ac_states[region.id].items():
-            v[node], theta[node] = vv, th
-    for region in dc_regions:
-        v.update(dc_states[region.id])
+    for newton, _ in plan.ac:
+        vv, th = ac_states[newton.region_id]
+        v.update(zip(newton.nodes, vv.tolist()))
+        theta.update(zip(newton.nodes, th.tolist()))
+    for newton, *_ in plan.dc:
+        v.update(zip(newton.nodes, dc_states[newton.region_id]))
 
     converters: dict[int, ConverterSolution] = {}
     for conv in grid.converters:
-        p_ci, q_ci, vc = _coupling_flow(grid, ac_states, conv)
+        p_ci, q_ci, vc = coupling_flow(conv)
         l, i_c = converter_loss(p_ci, q_ci, vc, (conv.d1, conv.d2, conv.d3))
         converters[conv.id] = ConverterSolution(p_vsc=p_ci, q_vsc=q_ci, p_loss=l,
                                                 i_c=i_c, v_c=vc, p_djc=p_djc[conv.id])
@@ -425,16 +496,6 @@ def solve_powerflow(grid: GridModel, profile: InjectionProfile) -> PowerFlowResu
     return PowerFlowResult(state=state, converters=converters, outer_iterations=outer,
                            max_mismatch=mismatch_residual(grid, profile, state, converters),
                            coupling_residual=coupling)
-
-
-def _coupling_flow(grid: GridModel, ac_states, conv) -> tuple[float, float, float]:
-    """A converter's aux -> ac coupling-branch flow (P, Q) and its aux
-    voltage, read from the state of the AC region holding its aux node."""
-    st = ac_states[grid.node(conv.aux_node).region]
-    vc, thc = st[conv.aux_node]
-    vi, thi = st[conv.ac_node]
-    p_ci, q_ci = ac_branch_flow(vc, thc, vi, thi, conv.coupling_r, conv.coupling_x)
-    return p_ci, q_ci, vc
 
 
 def mismatch_residual(grid: GridModel, profile: InjectionProfile, st: SystemState,

@@ -13,6 +13,39 @@ gain one extra variable per boundary converter: the power the region feeds
 into that converter.  The linear model and the nonlinear one of ``measmodel``
 share one base, ``MeasurementModel``: the state layout and read-out and the
 row bookkeeping.
+
+Nonlinear rows are evaluated in a compiled form, ``CompiledRows``, built once
+from ``row_spec`` specs over a state vector:
+
+* terms: every AC branch flow (an ``ac_flow`` row, each branch of an
+  ``ac_inj`` row) as its v_f, th_f, v_t, th_t columns, P or Q, and
+  g + jb = 1 / (r + jx); every DC branch flow as its columns and g; every
+  converter draw a ``dc_inj`` row adds as its column.  Each term also carries
+  its row and its slot, its position within the row.  The angle of a datum
+  node (no column) reads a 0.0 appended to the state and has no Jacobian
+  column.
+* ``vmag`` and ``var`` rows read one column.
+
+One call evaluates all branch terms at once with
+``powerflow.branch_flow_terms``, the arithmetic of the scalar
+``ac_branch_flow_partials``, so each term has the bits of the scalar call.
+Terms are then added slot by slot (term 0 of every row, then term 1, ...),
+so each row sums its terms in row order, as the built-in ``sum()`` does: an
+injection row starts from +0.0.  A row that is one value rather than a sum
+starts from -0.0 instead: -0.0 is the exact identity of addition, so that
+value keeps its bits, a -0.0 included.  The result is bit for bit that of
+evaluating the rows one at a time through the scalar primitives.
+
+Telemetry synthesis compiles each (grid, schedule, tick kind) once into a
+plan that the grid keeps (``GridModel.memo``): the readings in emission
+order, their specs as ``CompiledRows`` over V per node, theta per AC node and
+the converter draws the rows read, and their accuracies.  A call gathers that
+vector from the state, evaluates every true value at once, sets every sigma
+= max(pct/3 |value|, floor) elementwise and draws the noise of the readings
+with pct > 0 in one ``rng.normal(0.0, sigmas)`` call.  The generator draws
+an array elementwise in order, so each reading gets the draw that one
+``rng.normal(0.0, sigma)`` call per reading, in emission order, would give
+it, and the generator ends where those calls leave it.
 """
 
 from __future__ import annotations
@@ -26,7 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import AC, DC, OWNS_AC, OWNS_DC, Converter, GridModel, Region
-from .powerflow import (ConverterSolution, SystemState, ac_branch_flow,
+from .powerflow import (ConverterSolution, SystemState, ac_branch_flow, branch_flow_terms,
                         converter_loss, dc_branch_flow)
 
 
@@ -218,41 +251,139 @@ def row_spec(grid: GridModel, m: Measurement, region: Region | None = None,
     return ("dc_inj", node, tuple(grid.incident_dc_branches(node)), convs)
 
 
-def eval_h_nonlinear(grid: GridModel, state: SystemState, m: Measurement) -> float:
-    """Physical value of a measurement at a state, powerflow-consistent: its
-    row spec evaluated at the state."""
-    return _spec_value(grid, state, row_spec(grid, m))
+# -- compiled rows: every row spec of a model or plan at once ---------------------
 
 
-def _spec_value(grid: GridModel, state: SystemState, spec: tuple) -> float:
-    op = spec[0]
-    if op == "vmag":
-        return state.v[spec[1]]
-    if op == "ac_flow":
-        _, f, t, r, x, which = spec
-        p, q = ac_branch_flow(state.v[f], state.theta[f], state.v[t], state.theta[t], r, x)
-        return p if which == "p" else q
-    if op == "ac_inj":
-        _, node, branches, which = spec
-        return sum(_spec_value(grid, state, ("ac_flow", node, other, r, x, which))
-                   for other, r, x in branches)
-    if op == "dc_flow":
-        _, f, t, g = spec
-        return dc_branch_flow(state.v[f], state.v[t], g)
-    if op == "dc_inj":
-        _, node, branches, convs = spec
-        total = sum(dc_branch_flow(state.v[node], state.v[other], g)
-                    for other, g in branches)
-        for cid in convs:
-            total += _spec_value(grid, state, ("var", "pdjc", cid))
-        return total
-    # ("var", "pdjc", id): the draw that feeds the converter's AC-side output
-    conv = grid.converter(spec[2])
-    a, c = conv.aux_node, conv.ac_node
-    p, q = ac_branch_flow(state.v[a], state.theta[a], state.v[c], state.theta[c],
-                          conv.coupling_r, conv.coupling_x)
-    loss, _ = converter_loss(p, q, state.v[a], (conv.d1, conv.d2, conv.d3))
-    return p + loss
+class CompiledRows:
+    """:func:`row_spec` specs as index arrays over all their terms, evaluated
+    at a state vector with the bits of evaluating them one at a time (module
+    docstring).  ``index`` maps column labels to the columns of that vector.
+    ``measmodel`` extends the rows with its converter coupling rows through
+    ``_add_row``."""
+
+    def __init__(self, index: dict[tuple[str, int], int], rows):
+        m, n = len(rows), len(index)
+        self.shape = (m, n)
+        self.h0 = np.zeros(m)
+        terms = _Terms(index)
+        for i, row in enumerate(rows):
+            self._add_row(terms, i, row)
+
+        f_row, f_slot, *f_cols, is_p, self.g, self.b = _fields(terms.flows, 7, 2)
+        d_row, d_slot, *d_cols, self.dc_g = _fields(terms.dc, 4, 1)
+        c_row, c_slot, self.conv_col, self.sign = _fields(terms.conv, 3, 1)
+        self.read_row, self.read_col = _fields(terms.reads, 2, 0)
+        self.flow_cols, self.dc_cols = np.array(f_cols), np.array(d_cols)
+        self.is_p = is_p.astype(bool)
+
+        # h: the values of the flow, DC and converter terms in that order
+        self.h_sum = _SlotSum(np.concatenate((f_row, d_row, c_row)),
+                              np.concatenate((f_slot, d_slot, c_slot)))
+        # J: the flow partials by (v_f, th_f, v_t, th_t), then the DC partials
+        # by (v_f, v_t); a datum angle (column n) has no Jacobian column
+        f_cells = np.where(self.flow_cols < n, f_row * n + self.flow_cols, -1)
+        d_cells = d_row * n + self.dc_cols
+        self.j_sum = _SlotSum(np.concatenate((f_cells.ravel(), d_cells.ravel())),
+                              np.concatenate((np.tile(f_slot, 4), np.tile(d_slot, 2))))
+        # cells with one term each, set directly: readings and converter variables
+        self.const_cells = np.concatenate((self.read_row * n + self.read_col,
+                                           c_row * n + self.conv_col))
+        self.const_vals = np.concatenate((np.ones(self.read_row.size), self.sign))
+
+    def _add_row(self, terms: "_Terms", i: int, row: tuple) -> None:
+        op, index = row[0], terms.index
+        if op in ("ac_flow", "dc_flow"):
+            self.h0[i] = -0.0     # one value, not a sum (module docstring)
+        if op == "vmag":
+            terms.reads.append((i, index[("v", row[1])]))
+        elif op == "var":
+            terms.reads.append((i, index[row[1:]]))
+        elif op == "ac_flow":
+            terms.flow(i, 0, *row[1:])
+        elif op == "dc_flow":
+            _, f, t, g = row
+            terms.dc.append((i, 0, index[("v", f)], index[("v", t)], g))
+        elif op == "ac_inj":
+            _, node, branches, which = row
+            for slot, (other, r, x) in enumerate(branches):
+                terms.flow(i, slot, node, other, r, x, which)
+        elif op == "dc_inj":
+            _, node, branches, convs = row
+            for slot, (other, g) in enumerate(branches):
+                terms.dc.append((i, slot, index[("v", node)], index[("v", other)], g))
+            for slot, cid in enumerate(convs, len(branches)):
+                terms.conv.append((i, slot, index[("pdjc", cid)], 1.0))
+        else:
+            raise TelemetryError(f"unknown row op {op}")
+
+    def evaluate(self, x: np.ndarray, with_jac: bool):
+        xe = np.append(x, 0.0)        # column n reads 0.0: the angle of a datum node
+        vf, thf, vt, tht = xe[self.flow_cols]
+        dth = thf - tht
+        p, q, dp, dq = branch_flow_terms(self.g, self.b, vf, vt, np.cos(dth), np.sin(dth))
+        uf, ut = xe[self.dc_cols]
+
+        h = self.h0.copy()
+        h[self.read_row] = xe[self.read_col]
+        self.h_sum.add(h, np.concatenate((np.where(self.is_p, p, q),
+                                          dc_branch_flow(uf, ut, self.dc_g),
+                                          self.sign * xe[self.conv_col])))
+        jac = None
+        if with_jac:
+            jac = np.zeros(self.shape)
+            flat = jac.reshape(-1)
+            flat[self.const_cells] = self.const_vals
+            partials = (np.where(self.is_p, dp, dq).ravel(),
+                        (2 * uf - ut) * self.dc_g, -uf * self.dc_g)
+            self.j_sum.add(flat, np.concatenate(partials))
+        return h, jac
+
+
+class _Terms:
+    """The terms of rows being compiled, by kind; each starts with its row and
+    its slot (its position within the row)."""
+
+    def __init__(self, index: dict[tuple[str, int], int]):
+        self.index = index
+        self.flows = []   # (row, slot, v_f, th_f, v_t, th_t columns, is P, g, b)
+        self.dc = []      # (row, slot, v_f, v_t columns, g)
+        self.conv = []    # (row, slot, column, sign)
+        self.reads = []   # (row, column)
+
+    def flow(self, i, slot, f, t, r, x, which) -> None:
+        """An AC branch flow f -> t; a node without an angle column (a datum)
+        reads column n, the 0.0 that ``evaluate`` appends."""
+        index, n = self.index, len(self.index)
+        y = 1.0 / complex(r, x)
+        self.flows.append((i, slot, index[("v", f)], index.get(("th", f), n),
+                           index[("v", t)], index.get(("th", t), n), which == "p",
+                           y.real, y.imag))
+
+
+def _fields(terms: list[tuple], n_int: int, n_float: int) -> list[np.ndarray]:
+    """Equal-length tuples as one array per field: the first ``n_int`` fields
+    as indices, the rest as floats."""
+    table = np.array(terms, dtype=float).reshape(-1, n_int + n_float).T
+    return [*table[:n_int].astype(np.intp), *table[n_int:].copy()]
+
+
+class _SlotSum:
+    """Adds term values into targets slot by slot: term k of every row at
+    once, k = 0, 1, ...  Each target so receives its terms in row order, and
+    no target repeats within one slot.  Negative targets are skipped."""
+
+    def __init__(self, targets: np.ndarray, slots: np.ndarray):
+        keep = np.flatnonzero(targets >= 0)
+        self.order = keep[np.argsort(slots[keep], kind="stable")]
+        ordered = slots[self.order]
+        bounds = np.searchsorted(ordered, np.arange(ordered.max(initial=-1) + 2))
+        targets = targets[self.order]
+        self.parts = [(targets[lo:hi], lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    def add(self, out: np.ndarray, values: np.ndarray) -> None:
+        values = values[self.order]
+        for targets, lo, hi in self.parts:
+            out[targets] += values[lo:hi]
 
 
 # -- linear model ---------------------------------------------------------------
@@ -540,11 +671,109 @@ def default_scada_branches(grid: GridModel) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _noisy(value: float, pct: float, floor: float, rng) -> tuple[float, float]:
-    sigma = max(pct / 3.0 * abs(value), floor)
-    if pct > 0:
-        value = value + rng.normal(0.0, sigma)
-    return value, sigma
+class _SynthesisPlan:
+    """The readings of one (grid, schedule, tick kind), compiled once and kept
+    by the grid (module docstring): their kinds, locations, sources and
+    accuracies in emission order, their row specs as :class:`CompiledRows`
+    over (V per node, theta per AC node, the draws the rows read), and the
+    virtual zero injections that follow them."""
+
+    def __init__(self, grid: GridModel, schedule: ScheduleConfig,
+                 scada_tick: bool, sm_tick: bool):
+        readings = []     # (kind, location, direction, source, pct)
+
+        def emit(kind, location, direction, source, pct):
+            readings.append((kind, location, direction, source, pct))
+
+        if scada_tick:
+            emit(MeasurementKind.AC_V_MAG, (grid.slack,), "", SOURCE_SCADA,
+                 schedule.scada_vmag_pct)
+            for conv in grid.converters:
+                emit(MeasurementKind.AC_V_MAG, (conv.aux_node,), "", SOURCE_SCADA,
+                     schedule.scada_vmag_pct)
+            for conv in grid.converters:
+                emit(MeasurementKind.DC_V_MAG, (conv.dc_node,), "", SOURCE_SCADA,
+                     schedule.scada_vmag_pct)
+            branches = schedule.scada_ac_branches
+            if branches is None:
+                branches = default_scada_branches(grid)
+            for f, tno in branches:
+                emit(MeasurementKind.AC_P_FLOW, (f, tno), "fwd", SOURCE_SCADA,
+                     schedule.scada_power_pct)
+                emit(MeasurementKind.AC_Q_FLOW, (f, tno), "fwd", SOURCE_SCADA,
+                     schedule.scada_power_pct)
+            for ln in grid.dc_lines:
+                emit(MeasurementKind.DC_P_FLOW, (ln.from_node, ln.to_node), "fwd",
+                     SOURCE_SCADA, schedule.scada_power_pct)
+            for conv in grid.converters:
+                emit(MeasurementKind.CONV_P, (conv.id,), "ac", SOURCE_SCADA,
+                     schedule.scada_power_pct)
+            for conv in grid.converters:
+                emit(MeasurementKind.CONV_Q, (conv.id,), "ac", SOURCE_SCADA,
+                     schedule.scada_power_pct)
+            # converter-bay line measurements: the PCC coupling branch seen from
+            # the grid side, giving the converter power verifiable redundancy
+            for conv in grid.converters:
+                emit(MeasurementKind.AC_P_FLOW, (conv.ac_node, conv.aux_node), "fwd",
+                     SOURCE_SCADA, schedule.scada_power_pct)
+                emit(MeasurementKind.AC_Q_FLOW, (conv.ac_node, conv.aux_node), "fwd",
+                     SOURCE_SCADA, schedule.scada_power_pct)
+
+        if sm_tick:
+            for node in grid.injection_nodes():
+                if node.kind == AC:
+                    emit(MeasurementKind.AC_P_INJ, (node.id,), "", SOURCE_SMART_METER,
+                         schedule.smart_meter_pct)
+                    emit(MeasurementKind.AC_Q_INJ, (node.id,), "", SOURCE_SMART_METER,
+                         schedule.smart_meter_pct)
+                else:
+                    emit(MeasurementKind.DC_P_INJ, (node.id,), "", SOURCE_SMART_METER,
+                         schedule.smart_meter_pct)
+
+        self.zeros = []   # virtual zero injections: (kind, node)
+        for node in grid.junction_nodes():
+            self.zeros.append((MeasurementKind.ZERO_P_INJ, node.id))
+            if node.kind == AC:
+                self.zeros.append((MeasurementKind.ZERO_Q_INJ, node.id))
+
+        self.keys = [r[:4] for r in readings]
+        specs = [row_spec(grid, Measurement(kind, loc, d, 0.0, 1.0, src))
+                 for kind, loc, d, src, _ in readings]
+        self.draws = sorted({cid for s in specs if s[0] == "dc_inj" for cid in s[3]}
+                            | {s[2] for s in specs if s[0] == "var"})
+        self.v_nodes = [n.id for n in grid.nodes]
+        self.th_nodes = [n.id for n in grid.nodes if n.kind == AC]
+        labels = ([("v", n) for n in self.v_nodes] + [("th", n) for n in self.th_nodes]
+                  + [("pdjc", cid) for cid in self.draws])
+        self.rows = CompiledRows({lab: k for k, lab in enumerate(labels)}, specs)
+        pct = np.array([r[4] for r in readings], dtype=float)
+        self.pct3 = pct / 3.0
+        self.noisy = pct > 0
+        self.floor = schedule.sigma_floor
+
+    def measurements(self, grid: GridModel, state: SystemState, t: float,
+                     rng: np.random.Generator) -> list[Measurement]:
+        x = np.array([state.v[n] for n in self.v_nodes]
+                     + [state.theta[n] for n in self.th_nodes]
+                     + [_draw(grid.converter(cid), state) for cid in self.draws], dtype=float)
+        value = self.rows.evaluate(x, with_jac=False)[0]
+        sigma = np.maximum(self.pct3 * np.abs(value), self.floor)
+        value[self.noisy] += rng.normal(0.0, sigma[self.noisy])
+        out = [Measurement(kind, loc, d, v, s, src, t)
+               for (kind, loc, d, src), v, s in zip(self.keys, value.tolist(), sigma.tolist())]
+        out += [Measurement(kind, (node,), "", 0.0, 0.0, SOURCE_VIRTUAL_ZERO, t)
+                for kind, node in self.zeros]
+        return out
+
+
+def _draw(conv: Converter, state: SystemState) -> float:
+    """The power a converter's DC side draws at a state: its AC-side output,
+    the aux -> ac coupling flow, plus its loss."""
+    a, c = conv.aux_node, conv.ac_node
+    p, q = ac_branch_flow(state.v[a], state.theta[a], state.v[c], state.theta[c],
+                          conv.coupling_r, conv.coupling_x)
+    loss, _ = converter_loss(p, q, state.v[a], (conv.d1, conv.d2, conv.d3))
+    return p + loss
 
 
 def simulate_measurements(grid: GridModel, state: SystemState,
@@ -558,74 +787,10 @@ def simulate_measurements(grid: GridModel, state: SystemState,
     sigma = pct/3 * |true value|, floored at ``sigma_floor``.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    out: list[Measurement] = []
-
-    def emit(kind, location, direction, source, pct):
-        probe = Measurement(kind=kind, location=location, direction=direction,
-                            value=0.0, sigma=1.0, source=source, timestamp=t)
-        true = eval_h_nonlinear(grid, state, probe)
-        value, sigma = _noisy(true, pct, schedule.sigma_floor, rng)
-        out.append(replace(probe, value=value, sigma=sigma))
-
-    scada_tick = (t % schedule.scada_period) == 0
-    sm_tick = (t % schedule.smart_meter_period) == 0
-
-    if scada_tick:
-        emit(MeasurementKind.AC_V_MAG, (grid.slack,), "", SOURCE_SCADA,
-             schedule.scada_vmag_pct)
-        for conv in grid.converters:
-            emit(MeasurementKind.AC_V_MAG, (conv.aux_node,), "", SOURCE_SCADA,
-                 schedule.scada_vmag_pct)
-        for conv in grid.converters:
-            emit(MeasurementKind.DC_V_MAG, (conv.dc_node,), "", SOURCE_SCADA,
-                 schedule.scada_vmag_pct)
-        branches = schedule.scada_ac_branches
-        if branches is None:
-            branches = default_scada_branches(grid)
-        for f, tno in branches:
-            emit(MeasurementKind.AC_P_FLOW, (f, tno), "fwd", SOURCE_SCADA,
-                 schedule.scada_power_pct)
-            emit(MeasurementKind.AC_Q_FLOW, (f, tno), "fwd", SOURCE_SCADA,
-                 schedule.scada_power_pct)
-        for ln in grid.dc_lines:
-            emit(MeasurementKind.DC_P_FLOW, (ln.from_node, ln.to_node), "fwd",
-                 SOURCE_SCADA, schedule.scada_power_pct)
-        for conv in grid.converters:
-            emit(MeasurementKind.CONV_P, (conv.id,), "ac", SOURCE_SCADA,
-                 schedule.scada_power_pct)
-        for conv in grid.converters:
-            emit(MeasurementKind.CONV_Q, (conv.id,), "ac", SOURCE_SCADA,
-                 schedule.scada_power_pct)
-        # converter-bay line measurements: the PCC coupling branch seen from
-        # the grid side, giving the converter power verifiable redundancy
-        for conv in grid.converters:
-            emit(MeasurementKind.AC_P_FLOW, (conv.ac_node, conv.aux_node), "fwd",
-                 SOURCE_SCADA, schedule.scada_power_pct)
-            emit(MeasurementKind.AC_Q_FLOW, (conv.ac_node, conv.aux_node), "fwd",
-                 SOURCE_SCADA, schedule.scada_power_pct)
-
-    if sm_tick:
-        for node in grid.injection_nodes():
-            if node.kind == AC:
-                emit(MeasurementKind.AC_P_INJ, (node.id,), "", SOURCE_SMART_METER,
-                     schedule.smart_meter_pct)
-                emit(MeasurementKind.AC_Q_INJ, (node.id,), "", SOURCE_SMART_METER,
-                     schedule.smart_meter_pct)
-            else:
-                emit(MeasurementKind.DC_P_INJ, (node.id,), "", SOURCE_SMART_METER,
-                     schedule.smart_meter_pct)
-
-    for node in grid.junction_nodes():
-        if node.kind == AC:
-            out.append(Measurement(MeasurementKind.ZERO_P_INJ, (node.id,), "",
-                                   0.0, 0.0, SOURCE_VIRTUAL_ZERO, t))
-            out.append(Measurement(MeasurementKind.ZERO_Q_INJ, (node.id,), "",
-                                   0.0, 0.0, SOURCE_VIRTUAL_ZERO, t))
-        else:
-            out.append(Measurement(MeasurementKind.ZERO_P_INJ, (node.id,), "",
-                                   0.0, 0.0, SOURCE_VIRTUAL_ZERO, t))
-
-    return MeasurementSet(out)
+    ticks = ((t % schedule.scada_period) == 0, (t % schedule.smart_meter_period) == 0)
+    plan = grid.memo(("synthesis", schedule, *ticks),
+                     lambda: _SynthesisPlan(grid, schedule, *ticks))
+    return MeasurementSet(plan.measurements(grid, state, t, rng))
 
 
 def linearize_measurements(grid: GridModel, ms: MeasurementSet,

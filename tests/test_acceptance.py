@@ -130,7 +130,7 @@ def test_criterion_2_wls_matches_grid_search():
              (MeasurementKind.AC_Q_FLOW, (2, 3), "fwd", sigma_f),
              (MeasurementKind.AC_P_INJ, (3,), "", sigma_f),
              (MeasurementKind.AC_Q_INJ, (3,), "", sigma_f)]
-    from hybridse.telemetry import eval_h_nonlinear
+    from oracle import eval_h_nonlinear
     meas = []
     for kind, loc, d, sig in specs:
         probe = Measurement(kind, loc, d, 0.0, sig, "scada")

@@ -9,7 +9,9 @@ from hybridse.estimation import lp as lp_module
 from hybridse.estimation import wls as wls_module
 from hybridse.powerflow import SystemState, solve_ac_region
 from hybridse.telemetry import (LinearRegionModel, Measurement, MeasurementKind,
-                                build_region_H, eval_h_nonlinear)
+                                build_region_H)
+
+from oracle import eval_h_nonlinear
 
 
 def weighted_median(values, weights):

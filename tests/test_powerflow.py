@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from hybridse.grid import grid_from_dict, serialize
 from hybridse.powerflow import (InjectionProfile, PowerFlowDivergence, ac_branch_flow,
                                 conservation_residual, converter_loss, dc_branch_flow,
                                 solve_ac_region, solve_dc_region, solve_powerflow)
@@ -115,3 +117,62 @@ class TestHybridSolve:
 def test_backsubstitution_property(case33, case33_loads):
     res = solve_powerflow(case33, case33_loads)
     assert res.max_mismatch <= 1e-8
+
+
+class TestErrorPaths:
+    """The regional solves fail as they always did: the same exception, the
+    same message, the same mismatch."""
+
+    def test_injection_outside_region(self, toy5):
+        with pytest.raises(ValueError, match="injection at node 4 outside region 0"):
+            solve_ac_region(toy5, toy5.region(0), {2: (-0.1, 0.0), 4: (0.1, 0.0)})
+        with pytest.raises(ValueError, match="injection at node 2 outside region 1"):
+            solve_dc_region(toy5, toy5.region(1), {2: 0.1}, ref_node=4)
+
+    def test_region_of_wrong_kind(self, toy5):
+        with pytest.raises(ValueError, match="region 1 is not AC"):
+            solve_ac_region(toy5, toy5.region(1), {})
+        with pytest.raises(ValueError, match="region 0 is not DC"):
+            solve_dc_region(toy5, toy5.region(0), {}, ref_node=1)
+
+    @pytest.mark.parametrize("solve, match", [
+        (lambda g: solve_dc_region(g, g.region(1), {5: -5.0}, ref_node=4),
+         r"^singular Jacobian in region 1 \(max mismatch 2\.500e\+00 p\.u\.\)$"),
+        (lambda g: solve_dc_region(g, g.region(1), {5: -20.0}, ref_node=4),
+         r"^DC region 1 diverged \(max mismatch 2\.000e\+01 p\.u\.\)$"),
+        (lambda g: solve_dc_region(g, g.region(1), {5: -2.51}, ref_node=4),
+         r"^DC region 1 did not converge in 30 iterations \(max mismatch 1\.336e-02 p\.u\.\)$"),
+        (lambda g: solve_ac_region(g, g.region(0), {2: (-100.0, 0.0)}),
+         r"^AC region 0 diverged \(max mismatch 1\.000e\+02 p\.u\.\)$"),
+        (lambda g: solve_ac_region(g, g.region(0), {2: (-16.0, 0.0)}),
+         r"^AC region 0 did not converge in 30 iterations"),
+    ], ids=["dc-singular", "dc-nonpositive", "dc-cap", "ac-nonpositive", "ac-cap"])
+    def test_divergence(self, toy2, toy5, solve, match):
+        # toy5's DC line (g = 10) carries at most g/4 = 2.5 p.u. into node 5;
+        # -5 lands Newton exactly on v5 = 0.5, where its Jacobian is zero
+        grid = toy2 if "AC" in match else toy5
+        with pytest.raises(PowerFlowDivergence, match=match) as info:
+            solve(grid)
+        assert info.value.max_mismatch > 0
+
+    def test_one_node_regions(self, toy5, toy5_loads):
+        doc = json.loads(serialize(toy5))
+        doc["nodes"] = [n for n in doc["nodes"] if n["id"] != 5]
+        doc["dc_lines"] = []
+        doc["regions"][1]["nodes"] = [4]
+        grid = grid_from_dict(doc)
+        assert solve_dc_region(grid, grid.region(1), {}, ref_node=4, v_ref=1.03) == {4: 1.03}
+        res = solve_powerflow(grid, InjectionProfile(p={2: -0.3}, q={2: -0.1}))
+        assert res.state.v[4] == 1.0 and res.converters[0].p_djc == 0.0
+        assert res.converters[0].balance_residual <= 1e-6
+        assert res.max_mismatch <= 1e-8
+
+        lone = grid_from_dict({
+            "nodes": [{"id": 1, "kind": "ac", "region": 0, "role": "substation"}],
+            "ac_lines": [], "dc_lines": [], "converters": [],
+            "regions": [{"id": 0, "kind": "ac", "nodes": [1], "boundary": []}],
+            "slack": 1})
+        assert solve_ac_region(lone, lone.region(0), {}, v_ref=1.02) == {1: (1.02, 0.0)}
+        res = solve_powerflow(lone, InjectionProfile())
+        assert res.state.v == {1: 1.0} and res.state.theta == {1: 0.0}
+        assert res.outer_iterations == 1 and res.max_mismatch == 0.0

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import struct
 import weakref
 
 import numpy as np
@@ -10,12 +11,13 @@ from hybridse import measmodel
 from hybridse.estimation import solve_wls
 from hybridse.grid import AC, DC, OWNS_DC
 from hybridse.powerflow import (SystemState, ac_branch_flow, ac_branch_flow_partials,
-                                solve_powerflow)
-from hybridse.telemetry import (Measurement, MeasurementKind, MeasurementSet,
-                                ScheduleConfig, TelemetryError, build_region_H,
-                                converter_spec, eval_h_nonlinear, inject_bad_data,
-                                linear_row_ac_flow,
-                                simulate_measurements)
+                                solve_ac_region, solve_powerflow)
+from hybridse.telemetry import (SOURCE_VIRTUAL_ZERO, Measurement, MeasurementKind,
+                                MeasurementSet, ScheduleConfig, TelemetryError,
+                                build_region_H, converter_spec, inject_bad_data,
+                                linear_row_ac_flow, simulate_measurements)
+
+from oracle import eval_h_nonlinear, noisy, reading_pct
 
 CASE33_SCADA_LINES = ((1, 2), (2, 19), (3, 23), (6, 26))
 
@@ -215,6 +217,93 @@ class TestFirstOrderValidity:
                 lin = ln.g * (st.v[ln.from_node] - st.v[ln.to_node])
                 nl = st.v[ln.from_node] * (st.v[ln.from_node] - st.v[ln.to_node]) * ln.g
                 assert abs(lin - nl) <= 0.02
+
+
+class TestSynthesisMatchesOracle:
+    """``simulate_measurements`` reads its compiled plan; every reading has
+    the bits of the scalar path (``oracle.eval_h_nonlinear`` plus
+    ``oracle.noisy``, one reading at a time) and the generator is left where
+    that path leaves it."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, toy2, toy5, toy5_loads, case33, case33_loads):
+        reg = solve_ac_region(toy2, toy2.regions[0], {2: (-0.5, -0.2)})
+        toy2_loaded = SystemState(v={n: v for n, (v, _) in reg.items()},
+                                  theta={n: t for n, (_, t) in reg.items()})
+        return [
+            (toy2, [SystemState.flat(toy2), toy2_loaded], [ScheduleConfig()]),
+            (toy5, [SystemState.flat(toy5), solve_powerflow(toy5, toy5_loads).state],
+             [ScheduleConfig()]),
+            (case33, [SystemState.flat(case33), solve_powerflow(case33, case33_loads).state],
+             [ScheduleConfig(), case33_schedule()]),
+        ]
+
+    def test_bits_match_the_scalar_path(self, cases):
+        for grid, states, schedules in cases:
+            for k, state in enumerate(states):
+                for schedule in schedules:
+                    for t in (900.0, 3600.0, 450.0):
+                        assert_synthesis_matches_oracle(grid, state, schedule, t, seed=k)
+
+    def test_single_value_rows_keep_the_sign_of_zero(self, toy5):
+        # noiseless readings of hand-made states: a reading of one value keeps
+        # a -0.0; an injection is a sum that starts from +0.0, as sum() does
+        exact = ScheduleConfig(scada_vmag_pct=0.0, scada_power_pct=0.0, smart_meter_pct=0.0)
+        theta = {1: 0.0, 2: 0.0, 3: 0.0}
+        at_terminal = SystemState(v={1: 1.0, 2: 1.0, 3: 1.0, 4: -0.0, 5: -1.0}, theta=theta)
+        at_load = SystemState(v={1: 1.0, 2: 1.0, 3: 1.0, 4: -1.0, 5: -0.0}, theta=theta)
+        a = {(m.kind, m.location): m.value for m in
+             assert_synthesis_matches_oracle(toy5, at_terminal, exact, 3600.0, seed=0)}
+        b = {(m.kind, m.location): m.value for m in
+             assert_synthesis_matches_oracle(toy5, at_load, exact, 3600.0, seed=0)}
+        for value, sign in ((a[(MeasurementKind.DC_V_MAG, (4,))], -1.0),
+                            (a[(MeasurementKind.DC_P_FLOW, (4, 5))], -1.0),
+                            (b[(MeasurementKind.DC_P_INJ, (5,))], 1.0)):
+            assert value == 0.0 and math.copysign(1.0, value) == sign
+
+    def test_each_grid_and_schedule_has_its_own_plan(self, monkeypatch):
+        from hybridse import data, telemetry
+        from hybridse.grid import load_grid
+        from hybridse.powerflow import load_profile
+        built = []
+        real = telemetry._SynthesisPlan
+
+        def counted(grid, schedule, *ticks):
+            built.append((grid, schedule, ticks))
+            return real(grid, schedule, *ticks)
+
+        monkeypatch.setattr(telemetry, "_SynthesisPlan", counted)
+        grids = [(load_grid(data.path(g)), load_profile(data.path(l)))
+                 for g, l in ((data.CASE33_HYBRID, data.CASE33_HYBRID_LOADS),
+                              (data.TOY5_HYBRID, data.TOY5_HYBRID_LOADS))]
+        states = [solve_powerflow(grid, loads).state for grid, loads in grids]
+        # both grids have line 1-2, by default their only metered line; the
+        # second schedule also meters it from node 2
+        schedules = (ScheduleConfig(), ScheduleConfig(scada_ac_branches=((1, 2), (2, 1))))
+        for rep in range(2):
+            for (grid, _), state in zip(grids, states):
+                sizes = [len(assert_synthesis_matches_oracle(grid, state, s, 3600.0, rep))
+                         for s in schedules]
+                assert sizes[1] == sizes[0] + 2
+        assert len(built) == 4
+        assert {(id(g), s) for g, s, _ in built} == {(id(g), s) for (g, _) in grids
+                                                     for s in schedules}
+
+
+def assert_synthesis_matches_oracle(grid, state, schedule, t, seed):
+    rng = np.random.default_rng(seed)
+    ms = simulate_measurements(grid, state, schedule, t=t, seed=rng)
+    ref_rng = np.random.default_rng(seed)
+    for m in ms:
+        if m.source == SOURCE_VIRTUAL_ZERO:
+            want = (0.0, 0.0)
+        else:
+            want = noisy(eval_h_nonlinear(grid, state, m), reading_pct(m, schedule),
+                         schedule.sigma_floor, ref_rng)
+        assert type(m.value) is float and type(m.sigma) is float and m.timestamp == t
+        assert struct.pack("<dd", m.value, m.sigma) == struct.pack("<dd", *want), m
+    assert rng.random() == ref_rng.random()
+    return ms
 
 
 class TestSimulate:
