@@ -196,8 +196,6 @@ class _RegionNewton:
             self.g, self.b = adm.g, adm.b
             self.g_diag, self.b_diag = adm.g.diagonal(), adm.b.diagonal()
             self.jac = np.empty((2 * nf, 2 * nf))
-            self.blocks = (self.jac[:nf, :nf], self.jac[:nf, nf:],
-                           self.jac[nf:, :nf], self.jac[nf:, nf:])
         else:
             self.y, self.y_diag = adm.y, adm.y.diagonal()
             self.y_free = adm.y[self.sub]
@@ -232,13 +230,15 @@ class _RegionNewton:
     def solve_ac(self, p_spec: np.ndarray, q_spec: np.ndarray, v_ref: float):
         """(V, theta) by node index; raises PowerFlowDivergence if mismatches
         stay above ``_AC_TOL``."""
-        free, sub, diag = self.free, self.sub, self.diag
+        free, sub, diag, nf = self.free, self.sub, self.diag, self.free.size
         g, b = self.g, self.b
-        j11, j12, j21, j22 = self.blocks
+        # views made per call: a pickled copy of the grid keeps no views
+        jac = self.jac
+        j11, j12, j21, j22 = jac[:nf, :nf], jac[:nf, nf:], jac[nf:, :nf], jac[nf:, nf:]
         v = np.full(len(self.nodes), 1.0)
         v[self.ref] = v_ref
         th = np.zeros(len(self.nodes))
-        if free.size == 0:
+        if nf == 0:
             return v, th
 
         mism = np.inf
@@ -266,9 +266,9 @@ class _RegionNewton:
             j21[diag] = (p_calc - self.g_diag * v * v)[free]
             np.multiply(vf[:, None], a2f, out=j22)
             j22[diag] = (q_calc / v - self.b_diag * v)[free]
-            step = self._step(self.jac, np.concatenate([dp, dq]), mism)
-            th[free] += step[:free.size]
-            v[free] += step[free.size:]
+            step = self._step(jac, np.concatenate([dp, dq]), mism)
+            th[free] += step[:nf]
+            v[free] += step[nf:]
             self._check(v, "AC", mism)
         else:
             raise self._cap("AC", mism)
@@ -382,7 +382,7 @@ class _PowerFlowPlan:
         self.couplings = {}
         for conv in grid.converters:
             rid = grid.node(conv.aux_node).region
-            index = _newton(grid, grid.region(rid), grid.angle_reference(rid)).index
+            index = grid.admittance(rid).index
             self.couplings[conv.id] = (rid, index[conv.aux_node], index[conv.ac_node],
                                        grid.angle_reference(rid) == conv.aux_node)
 

@@ -739,23 +739,24 @@ class _SynthesisPlan:
         self.keys = [r[:4] for r in readings]
         specs = [row_spec(grid, Measurement(kind, loc, d, 0.0, 1.0, src))
                  for kind, loc, d, src, _ in readings]
-        self.draws = sorted({cid for s in specs if s[0] == "dc_inj" for cid in s[3]}
-                            | {s[2] for s in specs if s[0] == "var"})
+        self.draws = [grid.converter(cid) for cid in
+                      sorted({cid for s in specs if s[0] == "dc_inj" for cid in s[3]}
+                             | {s[2] for s in specs if s[0] == "var"})]
         self.v_nodes = [n.id for n in grid.nodes]
         self.th_nodes = [n.id for n in grid.nodes if n.kind == AC]
         labels = ([("v", n) for n in self.v_nodes] + [("th", n) for n in self.th_nodes]
-                  + [("pdjc", cid) for cid in self.draws])
+                  + [("pdjc", conv.id) for conv in self.draws])
         self.rows = CompiledRows({lab: k for k, lab in enumerate(labels)}, specs)
         pct = np.array([r[4] for r in readings], dtype=float)
         self.pct3 = pct / 3.0
         self.noisy = pct > 0
         self.floor = schedule.sigma_floor
 
-    def measurements(self, grid: GridModel, state: SystemState, t: float,
+    def measurements(self, state: SystemState, t: float,
                      rng: np.random.Generator) -> list[Measurement]:
         x = np.array([state.v[n] for n in self.v_nodes]
                      + [state.theta[n] for n in self.th_nodes]
-                     + [_draw(grid.converter(cid), state) for cid in self.draws], dtype=float)
+                     + [_draw(conv, state) for conv in self.draws], dtype=float)
         value = self.rows.evaluate(x, with_jac=False)[0]
         sigma = np.maximum(self.pct3 * np.abs(value), self.floor)
         value[self.noisy] += rng.normal(0.0, sigma[self.noisy])
@@ -790,7 +791,7 @@ def simulate_measurements(grid: GridModel, state: SystemState,
     ticks = ((t % schedule.scada_period) == 0, (t % schedule.smart_meter_period) == 0)
     plan = grid.memo(("synthesis", schedule, *ticks),
                      lambda: _SynthesisPlan(grid, schedule, *ticks))
-    return MeasurementSet(plan.measurements(grid, state, t, rng))
+    return MeasurementSet(plan.measurements(state, t, rng))
 
 
 def linearize_measurements(grid: GridModel, ms: MeasurementSet,

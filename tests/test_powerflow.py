@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -176,3 +177,15 @@ class TestErrorPaths:
         res = solve_powerflow(lone, InjectionProfile())
         assert res.state.v == {1: 1.0} and res.state.theta == {1: 0.0}
         assert res.outer_iterations == 1 and res.max_mismatch == 0.0
+
+
+def test_compiled_grid_survives_pickling(case33, case33_loads):
+    # worker processes may receive the grid pickled, with what it has compiled
+    from hybridse.telemetry import ScheduleConfig, simulate_measurements
+    res = solve_powerflow(case33, case33_loads)
+    ms = simulate_measurements(case33, res.state, ScheduleConfig(), t=3600.0, seed=3)
+    copy = pickle.loads(pickle.dumps(case33))
+    again = solve_powerflow(copy, case33_loads)
+    assert again.state == res.state and again.converters == res.converters
+    assert simulate_measurements(copy, res.state, ScheduleConfig(), t=3600.0,
+                                 seed=3).measurements == ms.measurements
