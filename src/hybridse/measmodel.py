@@ -71,7 +71,6 @@ class NonlinearModel(MeasurementModel):
         return self._compiled.evaluate(x, with_jac)
 
 
-
 class _CompiledRows(CompiledRows):
     """A model's rows compiled (module docstring): ``telemetry.CompiledRows``
     plus the whole-system model's converter coupling rows."""
