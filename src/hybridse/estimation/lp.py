@@ -6,26 +6,34 @@ Dantzig's rule with a switch to Bland's rule after a run of degenerate pivots,
 which guarantees termination.  Tie-breaking is by lowest index everywhere, so
 solves are deterministic.
 
-A cold start begins from a crash basis.  Rows are sign-flipped so that
-b >= 0; each row then takes the first bounded column that is a unit column
-in that row (for the regional WLAV LP, the residual slack u or l and the
-boundary slack a or b), and only the rows left uncovered (exact zero
-injections) get an artificial column for phase 1.  The starting tableau is
-[A | I_art | b] itself, so a cold start factors nothing.
+A cold start places the free states first, as in weighted least absolute
+value estimation (Abur & Celik, IEEE Trans. Power Systems 6(1), 1991).  Each
+free column takes a row by Gaussian elimination with partial pivoting over
+A[:, free], rows without a bounded unit column (a WLAV LP's exact zero
+injections) first; a free column without a pivot (a state the rows do not
+determine) stays out.  Every other row takes its first bounded unit column
+with a +1 entry (the slack u or b), else its artificial.  The starting
+tableau is B^-1 [A | b], one dense solve.  A negative basic value is swapped
+to its negated partner (the other half of a free variable's split, the row's
+-1 unit column l or a, else the row's artificial) and its row is negated, so
+the start is primal feasible and phase 1 runs only with artificials basic.
+An artificial left on a redundant row after phase 1 stays basic at zero: a
+basis has one column per row.  Internal columns are A, -A[:, free], then one
+artificial unit column per row, which never enters.
 
 A family of problems that share A and the free columns and differ only in c
 and b comes from one :class:`LpTemplate`, and each problem it makes names it
 in ``LpProblem.template``.  The template's A and free mask are read-only; the
-kernel keeps on the template the free-column split, made once, and the final
-tableau of the last solve, keyed by its basis and the bytes of b.
+kernel keeps on the template the internal columns and the crash data, made
+once, and the final tableau of the last solve, keyed by its basis and the
+bytes of b.
 
 The one warm start is from that basis: the returned basis of the template's
 last solve, cold or warm, passed back to the next solve of a problem from
 the same template.  The solve copies the stored tableau.  B^-1 A does not
-depend on the row sign flips of a cold start, and neither does B^-1 b, so
-when the b bytes differ only B^-1 b is solved again, from the unflipped
-split matrix and b.  A negative B^-1 b is re-optimized by dual simplex
-pivots when no reduced cost under the new c is negative (Bertsimas &
+depend on b, so when the b bytes differ only B^-1 b is solved again, from
+the internal columns and b.  A negative B^-1 b is re-optimized by dual
+simplex pivots when no reduced cost under the new c is negative (Bertsimas &
 Tsitsiklis, *Introduction to Linear Optimization*, 4.5).  Any other basis,
 a singular one, one neither primal nor dual feasible, or more dual pivots
 than rows raise ``LpError`` inside the solve, and :func:`lp_solve` then does
@@ -83,14 +91,18 @@ class LpProblem:
 
 @dataclass
 class LpSolution:
+    """``iterations`` counts simplex pivots (phase 1, phase 2 and dual); the
+    elimination and the solve that build a cold start are not pivots."""
+
     x: np.ndarray
     objective: float
     iterations: int
-    basis: tuple[int, ...]      # internal (split-variable) basis for warm starts
+    basis: tuple[int, ...]      # internal basis, one column per row, for warm starts
 
 
 _DEGENERATE_STREAK = 30
 _TOL = 1e-9                 # pricing and ratio-test tolerance
+_RANK_TOL = 1e-9            # elimination pivot, relative to its column's largest entry
 _MAX_ITER = 20000           # simplex pivots per solve
 
 
@@ -112,23 +124,40 @@ def lp_solve(problem: LpProblem, basis: tuple[int, ...] | None = None) -> LpSolu
 
 class LpTemplate:
     """Constraint data shared by a family of LPs that differ only in c and b,
-    with what the kernel derives from it; see the module docstring.  Free
-    variables are split into positive and negative parts: internal column k
-    of ``a_split`` is ``sign[k]`` times original column ``orig[k]``."""
+    with what the kernel derives from it; see the module docstring.  Internal
+    column k < n_int of ``a_split`` is ``sign[k]`` times original column
+    ``orig[k]``; column n_int + i is the artificial of row i.  Row i starts
+    on column ``start[i]`` unless a free column takes it, and a starting
+    column k with a negative value is swapped to ``partner[k]``."""
 
     def __init__(self, a_eq, free_mask):
         self.a_eq = np.atleast_2d(np.array(a_eq, dtype=float))
         self.free_mask = np.array(free_mask, dtype=bool)
         self.a_eq.flags.writeable = False
         self.free_mask.flags.writeable = False
-        n = self.a_eq.shape[1]
+        m, n = self.a_eq.shape
         self.free = np.flatnonzero(self.free_mask)
-        self.orig = np.concatenate([np.arange(n), self.free])
-        self.sign = np.concatenate([np.ones(n), -np.ones(self.free.size)])
-        self.bounded = np.concatenate([~self.free_mask,
-                                       np.zeros(self.free.size, dtype=bool)])
-        self.a_split = np.concatenate([self.a_eq, -self.a_eq[:, self.free]], axis=1)
+        self.n_int = n + self.free.size
+        # artificials read as 0 times column 0
+        self.orig = np.concatenate([np.arange(n), self.free, np.zeros(m, dtype=np.intp)])
+        self.sign = np.concatenate([np.ones(n), -np.ones(self.free.size), np.zeros(m)])
+        self.a_split = np.concatenate([self.a_eq, -self.a_eq[:, self.free], np.eye(m)],
+                                      axis=1)
         self.a_split.flags.writeable = False
+
+        # per row its first bounded unit column with a +1 entry and with a -1
+        # entry, else its artificial; the -1 column is the +1 column's partner
+        unit = ~self.free_mask & (np.count_nonzero(self.a_eq, axis=0) == 1)
+        row = np.abs(self.a_eq).argmax(axis=0)
+        entry = self.a_eq[row, np.arange(n)]
+        self.start, minus = (np.arange(self.n_int, self.n_int + m) for _ in range(2))
+        for first, sign in ((self.start, 1.0), (minus, -1.0)):
+            cols = np.flatnonzero(unit & (entry == sign))
+            rows, at = np.unique(row[cols], return_index=True)
+            first[rows] = cols[at]
+        self.partner = np.arange(self.n_int + m)
+        self.partner[self.free] = np.arange(n, self.n_int)
+        self.partner[self.start] = minus
         self.last: tuple | None = None      # ((basis, b bytes), final tableau)
 
     def problem(self, c, b_eq) -> LpProblem:
@@ -137,7 +166,15 @@ class LpTemplate:
 
 
 def _internal_costs(problem: LpProblem, template: LpTemplate) -> np.ndarray:
-    return np.concatenate([problem.c, -problem.c[template.free]])
+    """Costs of every internal column; artificials cost nothing in phase 2."""
+    return np.concatenate([problem.c, -problem.c[template.free],
+                           np.zeros(problem.b_eq.size)])
+
+
+def _basic_mask(cols_basis, size) -> np.ndarray:
+    basic = np.zeros(size, dtype=bool)
+    basic[cols_basis] = True
+    return basic
 
 
 def lp_unchanged(problem: LpProblem, basis: tuple[int, ...] | None) -> bool:
@@ -151,16 +188,15 @@ def lp_unchanged(problem: LpProblem, basis: tuple[int, ...] | None) -> bool:
     t = template.last[1]
     n = t.shape[1] - 1
     cols = np.array(basis, dtype=np.intp)
-    basic = np.zeros(n, dtype=bool)
-    basic[cols] = True
     c = _internal_costs(problem, template)
+    basic = _basic_mask(cols, c.size)[:n]
     return _entering(_reduced_costs(c[:n], t[:, :n], c[cols], basic), 0, _TOL) is None
 
 
 def _lp_solve(problem: LpProblem, basis) -> LpSolution:
     template = problem.template or LpTemplate(problem.a_eq, problem.free_mask)
     last = template.last
-    n_int = template.orig.size
+    n_int = template.n_int
     c_int = _internal_costs(problem, template)
 
     iterations = 0
@@ -175,10 +211,9 @@ def _lp_solve(problem: LpProblem, basis) -> LpSolution:
                 raise LpError("singular warm basis") from exc
             iterations += _dual_optimize(t, cols_basis, c_int)
     else:
-        t, cols_basis = _crash_tableau(template.a_split, problem.b_eq, template.bounded)
-        n_art = t.shape[1] - 1 - n_int
-        if n_art:
-            c1 = np.zeros(n_int + n_art)
+        t, cols_basis = _crash_tableau(template, problem.b_eq)
+        if cols_basis.max() >= n_int:
+            c1 = np.zeros(c_int.size)
             c1[n_int:] = 1.0
             # price only real columns; artificials may leave but never re-enter
             iterations += _optimize(t, cols_basis, c1, n_int, _TOL, _MAX_ITER)
@@ -186,11 +221,6 @@ def _lp_solve(problem: LpProblem, basis) -> LpSolution:
             if obj1 > 1e-7:
                 raise LpInfeasible(f"phase-1 objective {obj1:.3e}")
             _drive_out_artificials(t, cols_basis, n_int)
-            keep = np.flatnonzero(cols_basis < n_int)
-            if keep.size != cols_basis.size:
-                t = t[keep]
-                cols_basis = cols_basis[keep]
-            t = t[:, list(range(n_int)) + [t.shape[1] - 1]]
 
     iterations += _optimize(t, cols_basis, c_int, n_int, _TOL, _MAX_ITER - iterations)
     result_basis = tuple(cols_basis.tolist())
@@ -202,25 +232,59 @@ def _lp_solve(problem: LpProblem, basis) -> LpSolution:
                       iterations=iterations, basis=result_basis)
 
 
-def _crash_tableau(a, b, bounded) -> tuple[np.ndarray, np.ndarray]:
-    """Tableau [A | I_art | b] of the crash basis, with the rows where b < 0
-    negated: per row the first bounded unit column, an artificial column for
-    each row without one."""
-    sign = np.where(b < 0, -1.0, 1.0)
-    a, b = a * sign[:, None], b * sign
-    m, n_int = a.shape
-    unit = bounded & (np.count_nonzero(a, axis=0) == 1) & (a.max(axis=0, initial=0.0) == 1.0)
-    cols_basis: list[int | None] = [None] * m
-    for j in np.flatnonzero(unit)[::-1]:
-        cols_basis[int(np.argmax(a[:, j]))] = int(j)
-    uncovered = [i for i, col in enumerate(cols_basis) if col is None]
-    t = np.zeros((m, n_int + len(uncovered) + 1))
-    t[:, :n_int] = a
+def _crash_tableau(template: LpTemplate, b) -> tuple[np.ndarray, np.ndarray]:
+    """Tableau B^-1 [A_int | b] of the cold-start basis, with every basic
+    value non-negative; see the module docstring.  Row i of the tableau
+    belongs to the column that takes row i of A."""
+    n_int, (m, n) = template.n_int, template.a_eq.shape
+    rows = _free_rows(template.a_eq[:, template.free], template.start >= n_int)
+    taken, cols = rows[rows >= 0], template.free[rows >= 0]
+    cols_basis = template.start.copy()
+    cols_basis[taken] = cols
+    # B is the identity but for the free columns on the rows they took, so
+    # B^-1 M is A[taken, cols]^-1 M[taken] there and M - A[:, cols] x elsewhere
+    t = np.empty((m, n + 1))
+    t[:, :n] = template.a_eq
     t[:, -1] = b
-    for k, i in enumerate(uncovered):
-        t[i, n_int + k] = 1.0
-        cols_basis[i] = n_int + k
-    return t, np.array(cols_basis, dtype=np.intp)
+    a_cols = template.a_eq[:, cols]
+    try:
+        x = np.linalg.solve(a_cols[taken], t[taken])
+    except np.linalg.LinAlgError as exc:
+        raise LpError("singular crash basis") from exc
+    t -= a_cols @ x
+    t[taken] = x
+    t = np.concatenate([t[:, :n], -t[:, template.free], t[:, n:]], axis=1)
+
+    neg = t[:, -1] < 0.0
+    t[neg] *= -1.0
+    cols_basis[neg] = template.partner[cols_basis[neg]]
+    real = np.flatnonzero(cols_basis < n_int)
+    t[:, cols_basis[real]] = 0.0
+    t[real, cols_basis[real]] = 1.0
+    return t, cols_basis
+
+
+def _free_rows(a_free, prefer) -> np.ndarray:
+    """Row of each column of ``a_free`` by Gaussian elimination with partial
+    pivoting, on a row where ``prefer`` holds while one of them has a pivot;
+    -1 for a column that depends on the earlier ones."""
+    w = a_free.T.copy()                     # w[j] is column j, eliminated
+    scale = _RANK_TOL * np.abs(w).max(axis=1, initial=0.0)
+    rows = np.full(w.shape[0], -1, dtype=np.intp)
+    n_prefer = int(np.count_nonzero(prefer))
+    for j in range(w.shape[0]):
+        size = np.abs(w[j])
+        p = int(size.argmax())
+        if n_prefer:
+            q = int((size * prefer).argmax())
+            p = q if prefer[q] and size[q] > scale[j] else p
+        if size[p] > scale[j]:
+            rows[j] = p
+            n_prefer -= int(prefer[p])
+            rest = w[j + 1:]
+            rest -= (rest[:, p] / w[j, p])[:, None] * w[j]
+            rest[:, p] = 0.0
+    return rows
 
 
 def _reduced_costs(c_n, t_n, cb, basic_n) -> np.ndarray:
@@ -241,11 +305,11 @@ def _entering(reduced, degenerate, tol) -> int | None:
 
 
 def _optimize(t, cols_basis, c, n_cols, tol, max_iter) -> int:
-    """Primal simplex sweep on a reduced tableau.  Mutates t and the index
-    array cols_basis."""
+    """Primal simplex sweep on a reduced tableau, pricing its first n_cols
+    columns; c covers every column a basis may hold.  Mutates t and the
+    index array cols_basis."""
     c_n, t_n, rhs = c[:n_cols], t[:, :n_cols], t[:, -1]
-    basic = np.zeros(t.shape[1] - 1, dtype=bool)
-    basic[cols_basis] = True
+    basic = _basic_mask(cols_basis, c.size)
     basic_n = basic[:n_cols]
     ratios = np.empty(t.shape[0])
     it = 0
@@ -285,8 +349,7 @@ def _dual_optimize(t, cols_basis, c) -> int:
     if rhs[p] >= -_TOL:
         return 0
     n = t.shape[1] - 1
-    basic = np.zeros(n, dtype=bool)
-    basic[cols_basis] = True
+    basic = _basic_mask(cols_basis, c.size)[:n]
     reduced = _reduced_costs(c[:n], t[:, :n], c[cols_basis], basic)
     if reduced.min() < -_TOL:
         raise LpError("warm basis is neither primal nor dual feasible")
@@ -306,12 +369,14 @@ def _dual_optimize(t, cols_basis, c) -> int:
 
 
 def _drive_out_artificials(t, cols_basis, n_int):
+    """Pivot each basic artificial out on its row's first nonzero real entry;
+    one on a row without any (a redundant row) stays basic at zero."""
     for row, col in enumerate(cols_basis):
         if col < n_int:
             continue
         nz = np.nonzero(np.abs(t[row, :n_int]) > _TOL)[0]
         if nz.size == 0:
-            continue  # redundant row, caller drops it
+            continue
         q = int(nz[0])
         _pivot(t, row, q)
         cols_basis[row] = q

@@ -3,21 +3,23 @@
 The residual of every measurement row is split into non-negative slacks
 (u - l = z - H x), zero-injection rows are exact equalities with no slack,
 and each boundary converter contributes a pair (a, b) priced at the current
-Lagrange multiplier: a - b = P_conv(x) - P_neighbor.  State variables are
-free and split inside the LP kernel.  WLAV weights are 1/sigma.
+Lagrange multiplier: a - b = P_conv(x) - P_neighbor.  WLAV weights are
+1/sigma.  The states are free; the LP kernel starts cold with them in the
+basis, fitted to the zero injections first and then to the readings that
+elimination picks, with every other row on its u or b slack (l or a where
+the residual is negative), so a cold solve takes a few pivots.
 
 Within one estimate only the boundary rows of b and the (a, b) costs change
 between coordination iterations.  So the constant part (A, the free mask,
 the slack costs 1/sigma and z) is built once as a :class:`RegionalLp`, which
-holds it as an :class:`~.lp.LpTemplate`.  Its owner is whoever builds it:
-DRSE builds one per region per estimate and passes it to every solve and
-no-change test, and a call without one builds a throwaway one for itself, so
-the model carries no LP state.  The problem of each call shares the
-template's read-only A and carries fresh b and c, patched on the boundary
-rows and the (a, b) columns; the LP kernel keeps its free-column split and
-the final tableau of the last solve on the template, from which the next
-solve given that solve's basis re-optimizes when only the boundary rows of b
-and the costs moved.  A basis from another template starts cold.
+holds it as an :class:`~.lp.LpTemplate`.  DRSE builds one per region per
+estimate and passes it to every solve and no-change test; a call without one
+builds a throwaway one, so the model carries no LP state.  Each call's
+problem shares the template's read-only A and carries fresh b and c, patched
+on the boundary rows and the (a, b) columns.  The kernel keeps the final
+tableau of the last solve on the template, and the next solve given that
+solve's basis re-optimizes from it; a basis from another template starts
+cold.
 """
 
 from __future__ import annotations

@@ -7,11 +7,17 @@ synthesis plans behind ``simulate_measurements``), which must give its bits.
 ``row_spec`` evaluated term by term, an injection as the built-in ``sum()``
 of its branch flows.  ``noisy`` is one reading's noise: sigma = pct/3 of the
 magnitude, floored, and one draw from ``rng`` unless pct is zero.
+``linearize_measurements`` is the zero-noise oracle of the estimators: every
+reading replaced by its value under the regional linear models.
 """
 
-from hybridse.powerflow import ac_branch_flow, converter_loss, dc_branch_flow
+import math
+from dataclasses import replace
+
+from hybridse.powerflow import (ConverterSolution, ac_branch_flow, converter_loss,
+                                dc_branch_flow)
 from hybridse.telemetry import (SOURCE_SCADA, SOURCE_SMART_METER, MeasurementKind,
-                                row_spec)
+                                MeasurementSet, build_region_H, row_spec)
 
 
 def eval_h_nonlinear(grid, state, m) -> float:
@@ -64,3 +70,40 @@ def reading_pct(m, schedule) -> float:
     if m.kind in (MeasurementKind.AC_V_MAG, MeasurementKind.DC_V_MAG):
         return schedule.scada_vmag_pct
     return schedule.scada_power_pct
+
+
+def linearize_measurements(grid, ms, state) -> MeasurementSet:
+    """Replace every reading with the linear-model value of ``state``.
+
+    The returned set is exactly consistent with the regional linear models
+    and with the converter balance evaluated at the linear boundary
+    quantities, so a robust regional estimate reproduces the state exactly
+    and the boundary coordination agrees at the first iteration.
+    """
+    by_region = ms.by_region(grid)
+    models = {r.id: build_region_H(grid, r, by_region[r.id]) for r in grid.regions}
+
+    # converter draws consistent with the linear AC-side flows and the loss law
+    draws = {}
+    for conv in grid.converters:
+        ac_model = models[grid.node(conv.aux_node).region]
+        x_ac = ac_model.truth_vector(state)
+        p_lin = float(ac_model.boundary[conv.id] @ x_ac)
+        q_lin = float(ac_model.boundary_q[conv.id] @ x_ac)
+        v_c = state.v[conv.aux_node]
+        loss, i_c = converter_loss(p_lin, q_lin, v_c, (conv.d1, conv.d2, conv.d3))
+        draws[conv.id] = ConverterSolution(p_vsc=p_lin, q_vsc=q_lin, p_loss=loss,
+                                           i_c=i_c, v_c=v_c, p_djc=p_lin + loss)
+
+    values = {}
+    for region in grid.regions:
+        model = models[region.id]
+        z_lin = model.h(model.truth_vector(state, draws))
+        for row, gidx in enumerate(model.meas_indices):
+            m = model.measurements[row]
+            if m.kind is MeasurementKind.AC_V_MAG:
+                values[gidx] = math.sqrt(max(z_lin[row], 1e-12))
+            else:
+                values[gidx] = float(z_lin[row])
+    out = [replace(m, value=values.get(i, m.value)) for i, m in enumerate(ms)]
+    return MeasurementSet(out, ms.corrupt_indices)

@@ -24,8 +24,8 @@ from hybridse.measmodel import build_region_model, build_system_model
 from hybridse.powerflow import (InjectionProfile, conservation_residual,
                                 solve_powerflow)
 from hybridse.telemetry import (LinearRegionModel, Measurement, MeasurementKind,
-                                ScheduleConfig, linearize_measurements,
-                                simulate_measurements)
+                                ScheduleConfig, simulate_measurements)
+from oracle import linearize_measurements
 
 GRID = str(data.path(data.CASE33_HYBRID))
 LOADS = str(data.path(data.CASE33_HYBRID_LOADS))

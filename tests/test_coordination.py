@@ -19,7 +19,8 @@ from hybridse.grid import AC
 from hybridse.powerflow import solve_powerflow
 from hybridse.telemetry import (MeasurementKind, MeasurementSet,
                                 ScheduleConfig, inject_bad_data,
-                                linearize_measurements, simulate_measurements)
+                                simulate_measurements)
+from oracle import linearize_measurements
 
 PARAMS = CoordinationParams(lambda0=0.0, xi=1.0, tau=1e-4, max_iterations=20)
 
@@ -142,8 +143,7 @@ class TestDrse:
     def test_one_cold_lp_start_per_region(self, case33, case33_loads, monkeypatch):
         # the boundary rows of b move between iterations, yet each region's
         # LP starts cold once per estimate: its last basis re-optimizes by
-        # dual simplex pivots, a few in the AC region's second solve where a
-        # cold start takes about 75
+        # dual simplex pivots, a few in the AC region's second solve
         sched = ScheduleConfig(scada_ac_branches=((1, 2), (2, 19), (3, 23), (6, 26)))
         cold, solves = [], []
         real_crash, real_solve = lp_module._crash_tableau, coord.solve_wlav_region

@@ -305,13 +305,17 @@ class TestLpDualWarmStart:
         return sol, counts["cold"] > cold
 
     @staticmethod
-    def _short(basis, problem):
-        """A cold start dropped a redundant row (two parallel zero-injection
-        rows of a 2-state case), so no right-hand side is solved for it."""
-        return len(basis) < problem.a_eq.shape[0]
+    def _redundant(basis, problem):
+        """The basis keeps an artificial on a redundant row (two parallel
+        zero-injection rows of a 2-state case); it still has one column per
+        row."""
+        assert len(basis) == problem.a_eq.shape[0]
+        return max(basis) >= problem.template.n_int
 
     def test_moved_claims_match_highs(self, monkeypatch):
+        # no step restarts cold, also from a basis with a redundant row
         counts = self._counted(monkeypatch)
+        redundant = 0
         rng = np.random.default_rng(912)
         for _ in range(20):
             x_true = rng.normal(size=int(rng.integers(2, 6)))
@@ -326,12 +330,13 @@ class TestLpDualWarmStart:
                                            + (-1.0) ** step * rng.uniform(0.2, 1.0))
                          for cid, row in model.boundary.items()}
                 problem = lp.problem(terms)
+                redundant += self._redundant(basis, problem)
                 sol, fell_back = self._warm(counts, problem, basis)
-                assert fell_back == self._short(basis, problem)
+                assert not fell_back
                 self._check(problem, sol)
                 basis = sol.basis
                 lam = {cid: v + float(rng.uniform(0.0, 1e-3)) for cid, v in lam.items()}
-        assert counts["dual"] > 0 and counts["rejected"] == 0
+        assert counts["dual"] > 0 and counts["rejected"] == 0 and redundant > 0
 
     def test_neither_feasible_falls_back_cold(self, monkeypatch):
         counts = self._counted(monkeypatch)
@@ -349,10 +354,179 @@ class TestLpDualWarmStart:
                                   for cid, p in claim.items()})
             rejected = counts["rejected"]
             sol, fell_back = self._warm(counts, problem, first.basis)
-            assert fell_back == (counts["rejected"] > rejected
-                                 or self._short(first.basis, problem))
+            self._redundant(first.basis, problem)
+            assert fell_back == (counts["rejected"] > rejected)
             self._check(problem, sol)
         assert counts["rejected"] > 0
+
+
+def _case33_sets(case33, case33_loads, t, injections, case, seeds):
+    """Noisy case33 telemetry at tick t with the four SCADA lines, optionally
+    with pseudo injections (30%) and bad-data ``case``, one set per seed."""
+    from hybridse.injection import pseudo_measurements
+    from hybridse.powerflow import solve_powerflow
+    from hybridse.telemetry import (MeasurementSet, ScheduleConfig, inject_bad_data,
+                                    simulate_measurements)
+    truth = solve_powerflow(case33, case33_loads)
+    sched = ScheduleConfig(scada_ac_branches=((1, 2), (2, 19), (3, 23), (6, 26)))
+    for seed in seeds:
+        ms = simulate_measurements(case33, truth.state, sched, t=t, seed=seed)
+        if case:
+            ms = inject_bad_data(ms, case)
+        if injections:
+            extra = pseudo_measurements(case33, case33_loads, t, pct=0.3, rng=seed)
+            ms = MeasurementSet(list(ms.measurements) + extra, ms.corrupt_indices)
+        yield ms
+
+
+def _cold_starts(monkeypatch):
+    """(region id, problem, solution, basic artificials of the crash) of
+    every cold start of the DRSE estimates run while it is installed."""
+    from hybridse import coordination as coord
+    from hybridse.estimation import wlav
+    starts, crashed, region = [], [], [None]
+    real_region, real_solve, real_crash = (coord.solve_wlav_region, wlav.lp_solve,
+                                           lp_module._crash_tableau)
+
+    def per_region(model, terms, basis, **kwargs):
+        region[0] = model.region_id
+        return real_region(model, terms, basis=basis, **kwargs)
+
+    def crash(template, b):
+        t, cols = real_crash(template, b)
+        crashed.append(int(np.count_nonzero(cols >= template.n_int)))
+        return t, cols
+
+    def solve(problem, basis=None):
+        crashed.clear()
+        sol = real_solve(problem, basis=basis)
+        if crashed:
+            starts.append((region[0], problem, sol, crashed[-1]))
+        return sol
+
+    monkeypatch.setattr(coord, "solve_wlav_region", per_region)
+    monkeypatch.setattr(wlav, "lp_solve", solve)
+    monkeypatch.setattr(lp_module, "_crash_tableau", crash)
+    return starts
+
+
+def _assert_optimal(problem, sol):
+    """HiGHS's objective within 1e-9 relative, no bounded value below -1e-9."""
+    ref = TestLpOracle._highs(problem)
+    assert abs(sol.objective - ref) <= TestLpOracle.REL_TOL * max(1.0, abs(ref))
+    assert sol.x[~problem.free_mask].min() >= -1e-9
+
+
+class TestCase33ColdStart:
+    """Every regional cold start of case33 DRSE estimates against HiGHS, at
+    the smart-meter tick and at the SCADA-only tick with pseudo injections,
+    clean and with bad-data case 2, seeds 0-9 of each.  The crash places the
+    states first, so the AC region's cold start takes a few simplex pivots
+    (the unit-column crash it replaced took 80-106 here)."""
+
+    MAX_AC_PIVOTS = 30
+
+    def test_cold_starts_match_highs(self, case33, case33_loads, monkeypatch):
+        from hybridse.coordination import CoordinationParams, run_drse
+        from hybridse.grid import AC
+        starts = _cold_starts(monkeypatch)
+        runs = 0
+        for t, injections in ((3600.0, False), (900.0, True)):
+            for case in (0, 2):
+                for ms in _case33_sets(case33, case33_loads, t, injections, case, range(10)):
+                    run_drse(case33, ms, CoordinationParams())
+                    runs += 1
+        assert len(starts) == runs * len(case33.regions)
+        ac = {r.id for r in case33.regions if r.kind == AC}
+        for rid, problem, sol, artificials in starts:
+            _assert_optimal(problem, sol)
+            assert artificials == 0
+            if rid in ac:
+                assert sol.iterations <= self.MAX_AC_PIVOTS
+
+
+class TestRankDeficientColdStart:
+    """States the readings do not determine leave exact zero injections
+    without a state column; those rows start on artificials, phase 1 runs,
+    and the optimum still matches HiGHS, through the same crash."""
+
+    def test_case33_unobservable_ac_region(self, case33, case33_loads, monkeypatch):
+        # at the SCADA-only tick without injections, the AC region's H has
+        # rank 11 of 51 with the default schedule
+        from hybridse import coordination as coord
+        from hybridse.coordination import CoordinationParams, run_drse
+        from hybridse.grid import AC
+        from hybridse.powerflow import solve_powerflow
+        from hybridse.telemetry import ScheduleConfig, simulate_measurements
+        models = {}
+        real = coord.solve_wlav_region
+
+        def spy(model, terms, basis, **kwargs):
+            models[model.region_id] = model
+            return real(model, terms, basis=basis, **kwargs)
+
+        starts = _cold_starts(monkeypatch)
+        monkeypatch.setattr(coord, "solve_wlav_region", spy)
+        truth = solve_powerflow(case33, case33_loads)
+        ac = [r.id for r in case33.regions if r.kind == AC]
+        for seed in range(3):
+            ms = simulate_measurements(case33, truth.state, ScheduleConfig(), t=900.0,
+                                       seed=seed)
+            starts.clear()
+            run_drse(case33, ms, CoordinationParams())
+            for rid in ac:
+                h = models[rid].H
+                assert (np.linalg.matrix_rank(h), h.shape[1]) == (11, 51)
+            assert len(starts) == len(case33.regions)
+            for rid, problem, sol, artificials in starts:
+                _assert_optimal(problem, sol)
+                assert len(sol.basis) == problem.a_eq.shape[0]
+                assert (artificials > 0) == (rid in ac)
+
+    def test_dependent_free_columns(self, monkeypatch):
+        # rank r < n states, and r zero injections the true state satisfies,
+        # so at most r - 1 of them are independent: one stays on its
+        # artificial, at zero on a redundant row
+        starts = []
+        real = lp_module._crash_tableau
+
+        def crash(template, b):
+            t, cols = real(template, b)
+            starts.append(int(np.count_nonzero(cols >= template.n_int)))
+            return t, cols
+
+        monkeypatch.setattr(lp_module, "_crash_tableau", crash)
+        rng = np.random.default_rng(2718)
+        for _ in range(30):
+            n = int(rng.integers(3, 7))
+            r = int(rng.integers(2, n))
+            mix = rng.normal(size=(r, n))
+            x_true = rng.normal(size=n)
+            m = int(rng.integers(n + 2, 3 * n + 3))
+            h = rng.normal(size=(m, r)) @ mix
+            z = h @ x_true + rng.normal(0.0, 0.05, size=m)
+            w = mix @ x_true
+            g = rng.normal(size=(r, r))
+            g -= np.outer(g @ w, w) / (w @ w)
+            h = np.vstack([g @ mix, h])
+            z = np.concatenate([np.zeros(r), z])
+            sigma = np.concatenate([np.zeros(r), rng.uniform(0.05, 0.5, size=m)])
+            sources = ["virtual_zero"] * r + ["scada"] * m
+            boundary = {0: rng.normal(size=r) @ mix}
+            model = LinearRegionModel(h, z, sigma, sources=sources, boundary=boundary)
+            lp = RegionalLp(model, [0])
+            problem = lp.problem({0: BoundaryTerm(0.3, float(boundary[0] @ x_true) + 0.1)})
+            starts.clear()
+            sol = lp_solve(problem)
+            assert len(starts) == 1 and starts[0] > 0
+            _assert_optimal(problem, sol)
+            assert max(sol.basis) >= lp.lp.n_int
+            assert len(sol.basis) == problem.a_eq.shape[0]
+            # a moved claim re-optimizes from that basis without a cold start
+            moved = lp.problem({0: BoundaryTerm(0.3, float(boundary[0] @ x_true) - 0.5)})
+            warm = lp_solve(moved, basis=sol.basis)
+            assert len(starts) == 1
+            _assert_optimal(moved, warm)
 
 
 def _reference_optimize(t, cols_basis, c, n_cols, tol, max_iter, seen):

@@ -55,27 +55,27 @@ GOLDEN = {
     },
     'case33_drse_0': {
         'runs.csv':
-            '71677d6013e305f98cd21b8c6d5abad562949ab751006e3528776c0c750bfa3d',
+            'a342256c9babe416b74428d270f03957aff76a6beb5e83c6e23e5c5053c7b64a',
         'aggregate.csv':
-            'c9186e14524c178d64b0b7b4eabff32bc89cfd81f48e9fc559535b96e192091a',
+            'e966f1ed1b6da2edd06b3c1f93ce6e7ad5eeca30bf385a133a989d3e60b3c9c6',
         'trace_boundary.csv':
-            'ad4f10c0a409305418997e278804e9695ca48d9db9db7b601e043ae3bf72c5b9',
+            '9920ea985f6747dc135603c22ea78cedcbf1b5d7b644236d9bfe1993c98c624d',
     },
     'case33_drse_2': {
         'runs.csv':
-            '93242f3b11cf4fc45736fd19218c1c5d91af21c79c2bb74cf16f03acc7b89dcd',
+            'b3593c97977dc7d012835c90360e458b9fe8f4275d41324219b903dc3bf51cba',
         'aggregate.csv':
-            '3cb4a068de685f6ed8e46138a07b81f1b776d5f26d8f84ffcb2a65387f984d49',
+            '2de4e94a02390d43f98ddc2f0d302edebd9782aa3741c265299e30968bb8f047',
         'trace_boundary.csv':
-            '9fc7eb22a66555fc9da7ac7696ca3c07df37a56a3e6faac1ee250daf3556522b',
+            '65d302af158803767ffea310f935af0d1a42be40f2752cc0695304aa770eb66e',
     },
     'case33_drse_pseudo_2': {
         'runs.csv':
-            'c029cee667a79533fe85ba04813b7bd7a26c6b19081e5adff4630b93448c0040',
+            '54319fa775b1c46618be2bca2cdaa56530b71d73ade8da694efc118ff7a6c5cd',
         'aggregate.csv':
-            'c7f921cb59343a66febddb5dff4d3839709c33b2184401959781e7da18a9e944',
+            '3ac1314f0b8cf6295a6bacd74198b6d2054e61f76453768045b222cd4dd499cc',
         'trace_boundary.csv':
-            '4aeec6258770707fac328ec4f05ef7a4768d78584fbc4dfad9b89d033c89349f',
+            '0424bc87da35947d03b34f3df2bf06ab81aaf1ab15bfb1c3d5453f8558ad3edf',
     },
     'case33_dwls_0': {
         'runs.csv':
@@ -111,11 +111,11 @@ GOLDEN = {
     },
     'toy5_drse_0': {
         'runs.csv':
-            '5264941e1b67a03568d22058094eca06750fb232c1403a39326f7ee6ac14381d',
+            'bfd31f7b04cc16fc1870f08bc602d2930589707c39b103124036449477d39c64',
         'aggregate.csv':
-            '12c1568b4b9db547515b598a8d8e2a02634face1fc60328ff0498a20d07dd09c',
+            '3b3591d2d039044fda8bcdfa0cea60ea717b846d7cb9f36caaf4b8b0aac28daa',
         'trace_boundary.csv':
-            'ee449d669eecabb45a9bfdbd51fa82d3e571036a0cfa1c21caafb593efa07f32',
+            'da7b9cf7b37350178f652d0052ad9e8e00b20c4a3b0e3540db8a23b74e5eee38',
     },
 }
 
