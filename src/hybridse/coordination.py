@@ -13,35 +13,22 @@ Per-iteration wall times are recorded as t_l = max over AC regions + max over
 DC regions + algebra time, the parallel-execution accounting of the
 coordination scheme.
 
-A stalled loop is fast-forwarded, exactly.  DRSE passes a per-region test
-``unchanged(region, terms)``: the region's LP kernel says, without solving,
-that the solve would return the region's last solution again with 0 pivots
-(see :func:`~.estimation.lp.lp_unchanged`, which prices the final tableau of
-that solve, however many pivots it made).  An iteration is recorded without
-any regional solve when the last packets repeat the ones before them bit for
-bit and ``unchanged`` holds for every region.  Then every regional x equals
-the one its packets were computed from, and so do the packets' other inputs
-(the AC packets depend on the AC estimate alone, a DC packet on its estimate
-and the AC loss it was told, which repeats).  The packets of the iteration
-are therefore the last ones, re-stamped with its number, and the mismatch and
-multiplier updates run the same expressions on them.  Only the multipliers,
-that is the LP costs, move while the loop stalls; the test is rerun every
-iteration, and the first region whose basis stops being optimal for the risen
-costs sends the loop back to real solves.  The iteration cap always solves,
-so the returned regional results are a real solve's.  A fast-forwarded
-iteration's timing is the measured time of the tests and the algebra.
+Every iteration solves every region.  While the loop stalls only the
+multipliers, that is the LP costs, move, and a region's LP kernel answers
+such a solve from the final tableau of its last one: it prices that tableau
+under the new costs and, when no column enters, returns the same x with 0
+pivots (see :mod:`~.estimation.lp`).
 """
 
 from __future__ import annotations
 
-import struct
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .estimation import (BoundaryTerm, EstimationResult, RegionalLp, lnr_test,
-                         lp_unchanged, solve_wlav_region, solve_wls)
+                         solve_wlav_region, solve_wls)
 from .grid import AC, DC, OWNS_AC, GridModel
 from .measmodel import NonlinearModel, build_region_model, build_system_model
 from .powerflow import ac_branch_flow, converter_loss
@@ -177,18 +164,14 @@ def _boundary_terms(grid, region, lambdas, ac_pkts, dc_pkts):
 
 
 def _coordinate(grid: GridModel, ms: MeasurementSet, params: CoordinationParams,
-                method: str, solve_region, boundary_power,
-                unchanged=None) -> SystemEstimate:
+                method: str, solve_region, boundary_power) -> SystemEstimate:
     """Jacobi coordination shared by the distributed estimators.
 
     ``solve_region(region, terms)`` estimates one region against the
     BoundaryTerm of each of its converters.  ``boundary_power(conv, ac_result,
     dc_result, p_loss)`` reads the converter's AC-side (p_vsc, q_vsc) and
     DC-side p_vsc off the two regional estimates, given the loss the DC region
-    was told last.  ``unchanged(region, terms)``, if given, is True only when
-    ``solve_region`` would return the region's last x again; a stalled
-    iteration where it holds for every region is fast-forwarded (module
-    docstring).
+    was told last.
     """
     ac_regions = [r.id for r in grid.regions if r.kind == AC]
     dc_regions = [r.id for r in grid.regions if r.kind == DC]
@@ -203,42 +186,25 @@ def _coordinate(grid: GridModel, ms: MeasurementSet, params: CoordinationParams,
     iteration = 0
 
     for iteration in range(1, params.max_iterations + 1):
-        terms = {region.id: _boundary_terms(grid, region, lambdas, ac_pkts, dc_pkts)
-                 for region in grid.regions}
         t_regions: dict[int, float] = {}
-        skip = (unchanged is not None and iteration < params.max_iterations
-                and prev_ac is not None and _repeats(ac_pkts, prev_ac, exact=True)
-                and _repeats(dc_pkts, prev_dc, exact=True))
-        if skip:
-            for region in grid.regions:
-                t0 = time.perf_counter()
-                skip = unchanged(region, terms[region.id])
-                t_regions[region.id] = time.perf_counter() - t0
-                if not skip:
-                    break
-        if not skip:
-            for region in grid.regions:
-                t0 = time.perf_counter()
-                results[region.id] = solve_region(region, terms[region.id])
-                t_regions[region.id] = (t_regions.get(region.id, 0.0)
-                                        + time.perf_counter() - t0)
+        for region in grid.regions:
+            terms = _boundary_terms(grid, region, lambdas, ac_pkts, dc_pkts)
+            t0 = time.perf_counter()
+            results[region.id] = solve_region(region, terms)
+            t_regions[region.id] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         new_ac, new_dc = {}, {}
         for conv in grid.converters:
-            if skip:
-                pkt_ac = BoundaryPacket(*_fields(ac_pkts[conv.id]), iteration)
-                pkt_dc = BoundaryPacket(*_fields(dc_pkts[conv.id]), iteration)
-            else:
-                ac_res = results[grid.node(conv.aux_node).region]
-                dc_res = results[grid.node(conv.dc_node).region]
-                p_loss = ac_pkts[conv.id].p_loss
-                p_ac, q_ac, p_dc = boundary_power(conv, ac_res, dc_res, p_loss)
-                v_ac = ac_res.v[conv.aux_node]
-                loss, _ = converter_loss(p_ac, q_ac, v_ac, (conv.d1, conv.d2, conv.d3))
-                pkt_ac = BoundaryPacket(conv.id, "ac", p_ac, q_ac, loss, v_ac, iteration)
-                pkt_dc = BoundaryPacket(conv.id, "dc", p_dc, conv.control.q_set, p_loss,
-                                        dc_res.v[conv.dc_node], iteration)
+            ac_res = results[grid.node(conv.aux_node).region]
+            dc_res = results[grid.node(conv.dc_node).region]
+            p_loss = ac_pkts[conv.id].p_loss
+            p_ac, q_ac, p_dc = boundary_power(conv, ac_res, dc_res, p_loss)
+            v_ac = ac_res.v[conv.aux_node]
+            loss, _ = converter_loss(p_ac, q_ac, v_ac, (conv.d1, conv.d2, conv.d3))
+            pkt_ac = BoundaryPacket(conv.id, "ac", p_ac, q_ac, loss, v_ac, iteration)
+            pkt_dc = BoundaryPacket(conv.id, "dc", p_dc, conv.control.q_set, p_loss,
+                                    dc_res.v[conv.dc_node], iteration)
             new_ac[conv.id], new_dc[conv.id] = pkt_ac, pkt_dc
             trace += [pkt_ac, pkt_dc]
             mismatch = abs(pkt_ac.p_vsc - pkt_dc.p_vsc)
@@ -271,23 +237,14 @@ def _coordinate(grid: GridModel, ms: MeasurementSet, params: CoordinationParams,
                           timing=timing, stop_reason=stop_reason, packet_trace=trace)
 
 
-def _repeats(new: dict[int, BoundaryPacket], old: dict[int, BoundaryPacket],
-             exact: bool = False) -> bool:
-    """True when every packet equals the previous iteration's, field by field;
-    with ``exact``, the float fields must also have the same bits (0.0 and
-    -0.0 differ)."""
-    return all(_fields(pkt) == _fields(old[cid])
-               and (not exact or _bits(pkt) == _bits(old[cid]))
-               for cid, pkt in new.items())
+def _repeats(new: dict[int, BoundaryPacket], old: dict[int, BoundaryPacket]) -> bool:
+    """True when every packet equals the previous iteration's, field by field."""
+    return all(_fields(pkt) == _fields(old[cid]) for cid, pkt in new.items())
 
 
 def _fields(pkt: BoundaryPacket) -> tuple:
     """Every field but the iteration, in order."""
     return pkt.converter, pkt.side, pkt.p_vsc, pkt.q_vsc, pkt.p_loss, pkt.v_pcc
-
-
-def _bits(pkt: BoundaryPacket) -> bytes:
-    return struct.pack("4d", pkt.p_vsc, pkt.q_vsc, pkt.p_loss, pkt.v_pcc)
 
 
 # -- DRSE ----------------------------------------------------------------------
@@ -313,17 +270,13 @@ def run_drse(grid: GridModel, ms: MeasurementSet,
         bases[region.id] = sol.basis
         return result
 
-    def unchanged(region, terms):
-        return lp_unchanged(lps[region.id].problem(terms), bases.get(region.id))
-
     def boundary_power(conv, ac_res, dc_res, p_loss):
         ac_model = models[grid.node(conv.aux_node).region]
         return (ac_res.boundary_p[conv.id],
                 float(ac_model.boundary_q[conv.id] @ ac_res.x),
                 dc_res.boundary_p[conv.id])
 
-    estimate = _coordinate(grid, ms, params, "drse", solve_region, boundary_power,
-                           unchanged)
+    estimate = _coordinate(grid, ms, params, "drse", solve_region, boundary_power)
     estimate.wall_time = time.perf_counter() - t_start
     return estimate
 

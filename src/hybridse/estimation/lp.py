@@ -25,31 +25,26 @@ A family of problems that share A and the free columns and differ only in c
 and b comes from one :class:`LpTemplate`, and each problem it makes names it
 in ``LpProblem.template``.  The template's A and free mask are read-only; the
 kernel keeps on the template the internal columns and the crash data, made
-once, and the final tableau of the last solve, keyed by its basis and the
-bytes of b.
+once, and the last solve's final tableau and read-only x, keyed by its basis
+and the bytes of b.
 
 The one warm start is from that basis: the returned basis of the template's
 last solve, cold or warm, passed back to the next solve of a problem from
-the same template.  The solve copies the stored tableau.  B^-1 A does not
-depend on b, so when the b bytes differ only B^-1 b is solved again, from
-the internal columns and b.  A negative B^-1 b is re-optimized by dual
-simplex pivots when no reduced cost under the new c is negative (Bertsimas &
-Tsitsiklis, *Introduction to Linear Optimization*, 4.5).  Any other basis,
-a singular one, one neither primal nor dual feasible, or more dual pivots
-than rows raise ``LpError`` inside the solve, and :func:`lp_solve` then does
-one cold start.
-
-With the same basis and b bytes the stored tableau is used as it is, and c
-only decides whether the first pricing pass finds an entering column.  So
-:func:`lp_unchanged` answers exactly, without solving, whether
-``lp_solve(problem, basis)`` would return the last solve's x again with 0
-pivots: the stored key must be (basis, b bytes), and the first pricing pass,
-run on the stored tableau with the problem's costs by the solve's own
-function, must find no entering column (the optimality test of a basis under
-a change of c alone).
+the same template.  With the same b bytes the stored tableau B^-1 [A | b] is
+the one the solve starts from, whatever c is, so the solve first prices it
+under the new costs; when no column enters (the optimality test of a basis
+under a change of c alone), it returns the stored x itself, read-only, with
+0 pivots and no copy.  Otherwise the solve copies the stored tableau.  B^-1 A
+does not depend on b, so when the b bytes differ only B^-1 b is solved
+again, from the internal columns and b.  A negative B^-1 b is re-optimized
+by dual simplex pivots when no reduced cost under the new c is negative
+(Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*, 4.5).  Any
+other basis, a singular one, one neither primal nor dual feasible, or more
+dual pivots than rows raise ``LpError`` inside the solve, and
+:func:`lp_solve` then does one cold start.
 
 A hand-built ``LpProblem`` has no template; it is solved cold with a
-throwaway one, and :func:`lp_unchanged` always answers False for it.
+throwaway one.
 """
 
 from __future__ import annotations
@@ -158,7 +153,8 @@ class LpTemplate:
         self.partner = np.arange(self.n_int + m)
         self.partner[self.free] = np.arange(n, self.n_int)
         self.partner[self.start] = minus
-        self.last: tuple | None = None      # ((basis, b bytes), final tableau)
+        # ((basis, b bytes), final tableau, the basis as an index array, x)
+        self.last: tuple | None = None
 
     def problem(self, c, b_eq) -> LpProblem:
         return LpProblem(c=c, a_eq=self.a_eq, b_eq=b_eq, free_mask=self.free_mask,
@@ -177,22 +173,6 @@ def _basic_mask(cols_basis, size) -> np.ndarray:
     return basic
 
 
-def lp_unchanged(problem: LpProblem, basis: tuple[int, ...] | None) -> bool:
-    """True when ``lp_solve(problem, basis)`` would return, with 0
-    pivots, the same x as the last solve of the problem's template; see the
-    module docstring.  False whenever that cannot be told without solving."""
-    template = problem.template
-    if (basis is None or template is None or template.last is None
-            or template.last[0] != (tuple(basis), problem.b_eq.tobytes())):
-        return False
-    t = template.last[1]
-    n = t.shape[1] - 1
-    cols = np.array(basis, dtype=np.intp)
-    c = _internal_costs(problem, template)
-    basic = _basic_mask(cols, c.size)[:n]
-    return _entering(_reduced_costs(c[:n], t[:, :n], c[cols], basic), 0, _TOL) is None
-
-
 def _lp_solve(problem: LpProblem, basis) -> LpSolution:
     template = problem.template or LpTemplate(problem.a_eq, problem.free_mask)
     last = template.last
@@ -203,8 +183,16 @@ def _lp_solve(problem: LpProblem, basis) -> LpSolution:
     if basis is not None:
         if last is None or last[0][0] != tuple(basis):
             raise LpError("warm basis is not the one of the template's last solve")
-        t, cols_basis = last[1].copy(), np.array(basis, dtype=np.intp)
-        if last[0][1] != problem.b_eq.tobytes():
+        (last_basis, last_b), stored, cols, x = last
+        same_b = last_b == problem.b_eq.tobytes()
+        # the solve's first pricing pass, on the stored tableau
+        if same_b and _entering(_reduced_costs(
+                c_int[:n_int], stored[:, :n_int], c_int[cols],
+                _basic_mask(cols, c_int.size)[:n_int]), 0, _TOL) is None:
+            return LpSolution(x=x, objective=float(problem.c @ x), iterations=0,
+                              basis=last_basis)
+        t, cols_basis = stored.copy(), cols.copy()
+        if not same_b:
             try:
                 t[:, -1] = np.linalg.solve(template.a_split[:, cols_basis], problem.b_eq)
             except np.linalg.LinAlgError as exc:
@@ -224,10 +212,10 @@ def _lp_solve(problem: LpProblem, basis) -> LpSolution:
 
     iterations += _optimize(t, cols_basis, c_int, n_int, _TOL, _MAX_ITER - iterations)
     result_basis = tuple(cols_basis.tolist())
-    template.last = ((result_basis, problem.b_eq.tobytes()), t)
-
     x = np.zeros(problem.a_eq.shape[1])
     np.add.at(x, template.orig[cols_basis], template.sign[cols_basis] * t[:, -1])
+    x.flags.writeable = False
+    template.last = ((result_basis, problem.b_eq.tobytes()), t, cols_basis, x)
     return LpSolution(x=x, objective=float(problem.c @ x),
                       iterations=iterations, basis=result_basis)
 

@@ -13,13 +13,16 @@ Within one estimate only the boundary rows of b and the (a, b) costs change
 between coordination iterations.  So the constant part (A, the free mask,
 the slack costs 1/sigma and z) is built once as a :class:`RegionalLp`, which
 holds it as an :class:`~.lp.LpTemplate`.  DRSE builds one per region per
-estimate and passes it to every solve and no-change test; a call without one
-builds a throwaway one, so the model carries no LP state.  Each call's
-problem shares the template's read-only A and carries fresh b and c, patched
-on the boundary rows and the (a, b) columns.  The kernel keeps the final
-tableau of the last solve on the template, and the next solve given that
-solve's basis re-optimizes from it; a basis from another template starts
-cold.
+estimate and passes it to every solve; a call without one builds a
+throwaway one, so the model carries no LP state.  Each call's problem shares
+the template's read-only A and carries fresh b and c, patched on the
+boundary rows and the (a, b) columns.  The kernel keeps the last solve's
+final tableau and x on the template.  The next solve given that solve's
+basis re-optimizes from it, or hands back that same x object when the
+basis stays optimal for the same b; a basis from another template starts
+cold.  The ``RegionalLp`` keeps its read-out of the last x it saw (states,
+converter variables and residuals) and reuses it when the kernel hands back
+that object.
 """
 
 from __future__ import annotations
@@ -95,6 +98,8 @@ class RegionalLp:
         free = np.zeros(n_cols, dtype=bool)
         free[:n] = True
         self.lp = LpTemplate(a, free)
+        self.meas_indices = list(model.meas_indices)
+        self.read_out: tuple | None = None      # (LP x, states x, v, theta, conv, residuals)
 
     def problem(self, boundary: dict[int, BoundaryTerm]) -> LpProblem:
         b, c = self.b.copy(), self.c.copy()
@@ -111,25 +116,28 @@ def solve_wlav_region(model, boundary: dict[int, BoundaryTerm] | None = None,
                       ) -> tuple[EstimationResult, LpSolution]:
     """Solve one region's WLAV problem; returns the estimate and the LP
     solution (whose basis warm-starts the next solve through the same
-    ``lp``).  ``lp`` is passed on to :func:`build_regional_wlav_lp`."""
+    ``lp``).  ``lp`` is passed on to :func:`build_regional_wlav_lp`; without
+    it a throwaway one is built."""
     t0 = time.perf_counter()
     boundary = boundary or {}
+    if lp is None:
+        lp = RegionalLp(model, sorted(boundary))
     problem = build_regional_wlav_lp(model, boundary, lp=lp)
     sol = lp_solve(problem, basis=basis)
 
-    x = sol.x[:model.n_states]
-    v, theta, conv = model.extract_state(x)
-    residuals = model.z - model.h(x)
-    boundary_p = {}
-    for cid, term in boundary.items():
-        boundary_p[cid] = float(model.boundary[cid] @ x - term.loss_const)
+    if lp.read_out is None or lp.read_out[0] is not sol.x:
+        x = sol.x[:model.n_states]
+        lp.read_out = (sol.x, x, *model.extract_state(x), model.z - model.h(x))
+    _, x, v, theta, conv, residuals = lp.read_out
+    boundary_p = {cid: float(model.boundary[cid] @ x - term.loss_const)
+                  for cid, term in boundary.items()}
 
     result = EstimationResult(scope=model.scope, v=v, theta=theta,
                               conv_vars=conv,
                               residuals=residuals, objective=sol.objective,
                               iterations=sol.iterations, converged=True,
                               wall_time=time.perf_counter() - t0,
-                              meas_indices=list(model.meas_indices),
+                              meas_indices=lp.meas_indices,
                               boundary_p=boundary_p)
     result.x = x
     return result, sol

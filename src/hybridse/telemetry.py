@@ -798,14 +798,13 @@ def simulate_measurements(grid: GridModel, state: SystemState,
 
 
 def inject_bad_data(ms: MeasurementSet, case: int,
-                    target: tuple | int | None = None,
-                    seed: int | None = None) -> MeasurementSet:
+                    target: tuple | int | None = None) -> MeasurementSet:
     """Corrupt a measurement set per the three case studies.
 
     Case 1 doubles one AC active-flow reading, case 2 doubles one converter
     active-power reading, case 3 negates a (P, Q) flow pair of one AC line.
     Default target: the largest-magnitude eligible measurement; pass a branch
-    tuple / converter id to override, or seed for a random eligible pick.
+    tuple / converter id to override.
     """
     if case not in (1, 2, 3):
         raise ValueError("case must be 1, 2 or 3")
@@ -819,11 +818,7 @@ def inject_bad_data(ms: MeasurementSet, case: int,
         eligible = [(i, m) for i, m in eligible if m.location == key]
     if not eligible:
         raise TelemetryError(f"no eligible target for case {case}")
-    if target is None and seed is not None:
-        rng = np.random.default_rng(seed)
-        idx, chosen = eligible[int(rng.integers(len(eligible)))]
-    else:
-        idx, chosen = max(eligible, key=lambda im: abs(im[1].value))
+    idx, chosen = max(eligible, key=lambda im: abs(im[1].value))
 
     out = list(ms.measurements)
     corrupt = [idx]

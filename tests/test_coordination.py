@@ -1,5 +1,5 @@
 import gc
-import re
+import hashlib
 import struct
 import weakref
 
@@ -128,14 +128,11 @@ class TestDrse:
             return real(problem, basis=basis)
 
         monkeypatch.setattr(wlav, "lp_solve", spy)
-        events = record_tests(monkeypatch)
         est = run_drse(case33, ms, PARAMS)
         n = len(case33.regions)
-        skipped = fast_forwarded(events, n)
-        assert skipped > 0
-        # one solve per region in every iteration that was not fast-forwarded
-        assert len(refs) == n * (est.iterations - skipped)
-        assert len(ids) == len(case33.regions)
+        # one solve per region in every iteration
+        assert len(refs) == n * est.iterations
+        assert len(ids) == n
         del est
         gc.collect()
         assert all(ref() is None for ref in refs)
@@ -213,34 +210,6 @@ def coord_region_nodes(grid, region_id):
     return set(grid.region(region_id).nodes)
 
 
-def record_tests(monkeypatch, solves=False):
-    """Log each regional no-change test of DRSE as "T" or "F" and, with
-    ``solves``, each regional LP solve as "S", in call order."""
-    events = []
-    real_test, real_solve = coord.lp_unchanged, wlav.lp_solve
-
-    def test(problem, basis):
-        out = real_test(problem, basis)
-        events.append("T" if out else "F")
-        return out
-
-    def solve(problem, basis=None):
-        events.append("S")
-        return real_solve(problem, basis=basis)
-
-    monkeypatch.setattr(coord, "lp_unchanged", test)
-    if solves:
-        monkeypatch.setattr(wlav, "lp_solve", solve)
-    return events
-
-
-def fast_forwarded(events, n_regions):
-    """Iterations fast-forwarded: the tests of an iteration stop at the first
-    "F", so each run of "T"s is whole fast-forwarded iterations followed by
-    fewer than n_regions passes of an iteration that solved."""
-    return "".join(events).count("T" * n_regions)
-
-
 def estimate_bits(est):
     """Every output of an estimate, floats as their bytes."""
     def bits(*values):
@@ -258,69 +227,70 @@ def estimate_bits(est):
         est.iterations, est.converged, est.stop_reason)
 
 
-class TestFastForward:
-    """A stalled DRSE loop that skips the solves whose outcome is known gives
-    every bit of the same loop with the no-change test always False."""
+def montecarlo_estimates(monkeypatch, method, case, runs=3):
+    """The DRSE estimates of the first ``runs`` case33 Monte-Carlo runs of
+    ``method`` at bad-data ``case``."""
+    ctx = prepare_context(Scenario(
+        grid=str(data.path(data.CASE33_HYBRID)), method=method, runs=runs,
+        seed=20240, base_profile=str(data.path(data.CASE33_HYBRID_LOADS)),
+        test_days=5, bad_data_case=case,
+        schedule={"scada_ac_branches": [[1, 2], [2, 19], [3, 23], [6, 26]]}))
+    out = []
+    real = montecarlo.run_drse
+
+    def keep(*args):
+        out.append(real(*args))
+        return out[-1]
+
+    monkeypatch.setattr(montecarlo, "run_drse", keep)
+    for i in range(runs):
+        assert not run_single(ctx, i).error
+    return out
+
+
+class TestEstimateDigest:
+    """Every bit of a set of DRSE estimates, pinned by a sha256 digest over
+    ``estimate_bits``.  The digests were computed when a stalled iteration
+    skipped the regional solves whose outcome was known, and a test proved
+    that skip bit-exact against solving every region every iteration; the
+    loop that always solves must give them still."""
+
+    DIGESTS = {
+        ("drse", 0): "0d6f838367e8f2dfed2aab22d112766c2b6d9756f772441e94c0378b503788af",
+        ("drse", 2): "30b9e02d4eb69a6b0695228f80d10aa43c94188148ab8ab7adaf002dafac1795",
+        ("drse_pseudo", 0): "e2f41e3beb5b33bb3405a1b73be14e5922635b2d87b5a7c2cf9fd5cb99c477d0",
+        ("drse_pseudo", 2): "c008d1ef95b5e7064d5e9c0096bec52f5d398419f11743d20193fddc8329f09b",
+        "toy5": "ae9f3d7acb8aa7de4b7610acaccb61b0ed014dcf6b9a1afb27829e4b4bbc727d",
+        "case33_large_xi": "1f35acf50c30cab1d7ddbb83488bcd541acd84f4a192ad0496aae45c87ad5e57",
+    }
 
     @staticmethod
-    def check(monkeypatch, grid, estimates):
-        """Run ``estimates()`` both ways; the fast run's test/solve events."""
-        events = record_tests(monkeypatch, solves=True)
-        fast = estimates()
-        events = "".join(events)
-        monkeypatch.setattr(coord, "lp_unchanged", lambda problem, basis: False)
-        reference = estimates()
-        assert len(fast) == len(reference) > 0
-        for a, b in zip(fast, reference):
-            assert estimate_bits(a) == estimate_bits(b)
-        return events
-
-    @staticmethod
-    def montecarlo_estimates(monkeypatch, method, case, runs=3):
-        ctx = prepare_context(Scenario(
-            grid=str(data.path(data.CASE33_HYBRID)), method=method, runs=runs,
-            seed=20240, base_profile=str(data.path(data.CASE33_HYBRID_LOADS)),
-            test_days=5, bad_data_case=case,
-            schedule={"scada_ac_branches": [[1, 2], [2, 19], [3, 23], [6, 26]]}))
-        out = []
-        real = montecarlo.run_drse
-
-        def keep(*args):
-            out.append(real(*args))
-            return out[-1]
-
-        def estimates():
-            out.clear()
-            for i in range(runs):
-                assert not run_single(ctx, i).error
-            return list(out)
-
-        monkeypatch.setattr(montecarlo, "run_drse", keep)
-        return estimates
+    def digest(estimates):
+        assert estimates
+        h = hashlib.sha256()
+        for est in estimates:
+            h.update(repr(estimate_bits(est)).encode())
+        return h.hexdigest()
 
     @pytest.mark.parametrize("method", ["drse", "drse_pseudo"])
     @pytest.mark.parametrize("case", [0, 2])
-    def test_case33_montecarlo(self, monkeypatch, case33, method, case):
-        estimates = self.montecarlo_estimates(monkeypatch, method, case)
-        events = self.check(monkeypatch, case33, estimates)
-        assert fast_forwarded(events, len(case33.regions)) > 0
+    def test_case33_montecarlo(self, monkeypatch, method, case):
+        estimates = montecarlo_estimates(monkeypatch, method, case)
+        assert self.digest(estimates) == self.DIGESTS[method, case]
 
-    def test_toy5(self, monkeypatch, toy5, toy5_loads):
+    def test_toy5(self, toy5, toy5_loads):
         sets = [noisy_set(toy5, toy5_loads, seed=seed)[1] for seed in range(6)]
-        self.check(monkeypatch, toy5, lambda: [run_drse(toy5, ms, PARAMS) for ms in sets])
+        estimates = [run_drse(toy5, ms, PARAMS) for ms in sets]
+        assert self.digest(estimates) == self.DIGESTS["toy5"]
 
-    def test_large_xi_falls_back_to_solves(self, monkeypatch, case33, case33_loads):
-        # with a steep multiplier step the costs soon leave the stalled
-        # basis's optimality range: a test fails after whole fast-forwarded
-        # iterations, and the loop solves again
+    def test_case33_large_xi(self, case33, case33_loads):
+        # a steep multiplier step moves the costs out of a stalled basis's
+        # optimality range within a few iterations
         sched = ScheduleConfig(scada_ac_branches=((1, 2), (2, 19), (3, 23), (6, 26)))
         sets = [noisy_set(case33, case33_loads, seed=seed, sched=sched)[1]
                 for seed in range(6)]
-        params = CoordinationParams(xi=1e5)
-        events = self.check(monkeypatch, case33,
-                            lambda: [run_drse(case33, ms, params) for ms in sets])
-        n = len(case33.regions)
-        assert re.search("T" * n + "T*F" + "S" * n, events)
+        estimates = [run_drse(case33, ms, CoordinationParams(xi=1e5)) for ms in sets]
+        assert self.digest(estimates) == self.DIGESTS["case33_large_xi"]
 
 
 class TestDwls:

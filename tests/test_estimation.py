@@ -633,10 +633,11 @@ class TestOptimizeBitExact:
         assert any(bland)
 
 
-class TestLpUnchanged:
-    """``lp_unchanged`` answers without solving whether ``lp_solve`` would
-    return the recorded solution with 0 pivots, on the regional LPs of a
-    stalled case33 DRSE estimate with their multiplier costs moved."""
+class TestLpRepeat:
+    """A warm solve with the stored basis and b bytes returns the stored x
+    itself, with 0 pivots, exactly when the stored tableau prices optimal
+    under the new costs; on the regional LPs of a stalled case33 DRSE
+    estimate with their multiplier costs moved."""
 
     @staticmethod
     def _final_terms(case33, case33_loads, monkeypatch):
@@ -671,48 +672,75 @@ class TestLpUnchanged:
             basis = sol.basis
         return basis, sol
 
-    def test_true_exactly_when_the_solve_repeats(self, case33, case33_loads, monkeypatch):
+    @staticmethod
+    def _prices_optimal(problem, basis):
+        """No reduced cost of a real column, over the template's stored
+        tableau and under ``problem``'s costs, is below the pricing
+        tolerance."""
+        template = problem.template
+        n_int = template.n_int
+        c = np.concatenate([problem.c, -problem.c[template.free], np.zeros(problem.b_eq.size)])
+        reduced = c[:n_int] - c[list(basis)] @ template.last[1][:, :n_int]
+        reduced[[k for k in basis if k < n_int]] = 0.0
+        return bool(reduced.min() >= -lp_module._TOL)
+
+    def test_repeat_exactly_when_the_stored_basis_prices_optimal(
+            self, case33, case33_loads, monkeypatch):
         answers = set()
         for model, terms in self._final_terms(case33, case33_loads, monkeypatch):
             regional = RegionalLp(model, sorted(terms))
             problem = build_regional_wlav_lp(model, terms, lp=regional)
             basis, last = self._settle(problem)
-            assert lp_module.lp_unchanged(problem, basis)
+            assert lp_solve(problem, basis=basis).x is last.x
             ab = slice(regional.ab0, None)
             for scale in (1.0 + 1e-12, 1.001, 1.5, 3.0, 10.0, 1e2, 1e4, 1e6, 0.5, 0.0):
                 c = problem.c.copy()
                 c[ab] = c[ab] * scale + (1e-3 if scale == 0.0 else 0.0)
                 moved = regional.lp.problem(c, problem.b_eq)
-                predicted = lp_module.lp_unchanged(moved, basis)
+                predicted = self._prices_optimal(moved, basis)
                 sol = lp_solve(moved, basis=basis)
-                # the reference is the x of the template's last solve
-                assert predicted == (sol.iterations == 0
-                                     and sol.x.tobytes() == last.x.tobytes())
+                assert predicted == (sol.x is last.x)
+                if predicted:
+                    assert sol.iterations == 0 and sol.basis == basis
+                    assert sol.objective == float(moved.c @ last.x)
+                else:
+                    assert sol.iterations > 0
                 answers.add(predicted)
-                if sol.basis != basis:
-                    # the record moved to the basis that solve ended at
-                    assert not lp_module.lp_unchanged(problem, basis)
                 basis, last = self._settle(problem, sol.basis)
-                assert lp_module.lp_unchanged(problem, basis)
 
-            # another right-hand side or another basis is never answered
+            # a hand-built copy of the problem, which has no template, another
+            # right-hand side or another basis is never answered from the record
+            copy = LpProblem(problem.c, problem.a_eq, problem.b_eq, problem.free_mask)
+            assert lp_solve(copy, basis=basis).x is not last.x
             b = problem.b_eq.copy()
             b[-1] += 1e-3
-            assert not lp_module.lp_unchanged(regional.lp.problem(problem.c, b), basis)
-            assert not lp_module.lp_unchanged(problem, basis[1:] + basis[:1])
-            assert not lp_module.lp_unchanged(problem, None)
-            # nor a hand-built copy of the problem, which has no template
-            copy = LpProblem(problem.c, problem.a_eq, problem.b_eq, problem.free_mask)
-            assert not lp_module.lp_unchanged(copy, basis)
+            assert lp_solve(regional.lp.problem(problem.c, b), basis=basis).x is not last.x
+            basis, last = self._settle(problem)
+            assert lp_solve(problem, basis=basis[1:] + basis[:1]).x is not last.x
 
             # a cold start, also the fallback from a warm basis that does not
             # fit, records its final tableau: the next solve repeats its x
             for start in (basis[:-1], None):
                 last = lp_solve(problem, basis=start)
-                assert lp_module.lp_unchanged(problem, last.basis)
                 sol = lp_solve(problem, basis=last.basis)
-                assert sol.iterations == 0 and sol.x.tobytes() == last.x.tobytes()
+                assert sol.iterations == 0 and sol.x is last.x
+                with pytest.raises(ValueError):
+                    sol.x[0] = 0.0
         assert answers == {True, False}
+
+    def test_regional_read_out_reused_with_the_x(self, case33, case33_loads, monkeypatch):
+        for model, terms in self._final_terms(case33, case33_loads, monkeypatch)[:3]:
+            regional = RegionalLp(model, sorted(terms))
+            first, sol = solve_wlav_region(model, terms, lp=regional)
+            again, repeat = solve_wlav_region(model, terms, basis=sol.basis, lp=regional)
+            assert repeat.x is sol.x
+            assert again.v is first.v and again.residuals is first.residuals
+            assert again.x.base is sol.x and again.iterations == 0
+            with pytest.raises(ValueError):
+                again.x[0] = 0.0
+            fresh, _ = solve_wlav_region(model, terms)
+            assert fresh.v is not first.v
+            assert fresh.x.tobytes() == first.x.tobytes()
 
 
 class TestScalarLavIsWeightedMedian:
