@@ -131,6 +131,59 @@ class TestRegionH:
                            [(0, _m(MeasurementKind.AC_V_MAG, (2,)))])
 
 
+def region_H_inputs(case33, case33_loads, toy5, toy5_loads):
+    """(grid, region, readings) of every regional linear model over: case33
+    with the four SCADA lines at t = 3600 s and 900 s, clean and with
+    bad-data cases 1-3, with and without 30% pseudo injections, seeds 0-3;
+    toy5 at t = 3600 s and 900 s, clean and with bad-data case 2, seeds
+    0-3."""
+    from hybridse.injection import pseudo_measurements
+    sets = []
+    truth = solve_powerflow(case33, case33_loads).state
+    for t in (3600.0, 900.0):
+        for case in (0, 1, 2, 3):
+            for pseudo in (False, True):
+                for seed in range(4):
+                    ms = simulate_measurements(case33, truth, case33_schedule(), t=t, seed=seed)
+                    if case:
+                        ms = inject_bad_data(ms, case)
+                    if pseudo:
+                        extra = pseudo_measurements(case33, case33_loads, t, pct=0.3, rng=seed)
+                        ms = MeasurementSet(list(ms.measurements) + extra)
+                    sets.append((case33, ms))
+    truth = solve_powerflow(toy5, toy5_loads).state
+    for t in (3600.0, 900.0):
+        for case in (0, 2):
+            for seed in range(4):
+                ms = simulate_measurements(toy5, truth, ScheduleConfig(), t=t, seed=seed)
+                sets.append((toy5, inject_bad_data(ms, case) if case else ms))
+    return [(grid, region, ms.by_region(grid)[region.id])
+            for grid, ms in sets for region in grid.regions]
+
+
+class TestRegionHDigest:
+    """``build_region_H`` pinned bit for bit: H, z, sigma, the boundary rows
+    and the row bookkeeping of 224 regional models, by a sha256 digest."""
+
+    MODELS = 224
+    DIGEST = "28fa7520f0a52a3f0ac1f631186e14ab3d9aa355aa2b89a5f73a314a4b56919d"
+
+    def test_region_models_digest(self, case33, case33_loads, toy5, toy5_loads):
+        import hashlib
+        digest, count = hashlib.sha256(), 0
+        for grid, region, readings in region_H_inputs(case33, case33_loads, toy5, toy5_loads):
+            model = build_region_H(grid, region, readings)
+            digest.update(repr(model.H.shape).encode())
+            for arr in (model.H, model.z, model.sigma):
+                digest.update(arr.tobytes())
+            for rows in (model.boundary, model.boundary_q):
+                for cid, row in rows.items():
+                    digest.update(repr(cid).encode() + row.tobytes())
+            digest.update(repr((model.index, model.sources, model.meas_indices)).encode())
+            count += 1
+        assert (count, digest.hexdigest()) == (self.MODELS, self.DIGEST)
+
+
 class TestFlatConsistency:
     def test_linear_equals_nonlinear_at_flat(self, case33):
         st = SystemState.flat(case33)
