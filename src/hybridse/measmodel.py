@@ -9,11 +9,11 @@ and converter draw (p_djc) tied together by three high-weight virtual rows:
 aux-node flow equals output (P and Q) and output plus loss equals draw.
 
 ``h`` and its Jacobian are evaluated from a compiled form of the rows,
-``telemetry.CompiledRows`` (its docstring there says how it keeps the bits
-of evaluating the rows one at a time), extended here by the couple rows: the
-flow part of a ``couple_p``/``couple_q`` row is a branch term and its
--p_vsc/-q_vsc a converter term, and the three ``couple_loss`` rows per
-converter are evaluated in scalars.
+``telemetry.CompiledRows`` (the telemetry module docstring says how its
+in-order sums keep the bits of evaluating the rows one at a time), extended
+here by the couple rows: the flow part of a ``couple_p``/``couple_q`` row is
+a branch term and its -p_vsc/-q_vsc a variable term of coefficient -1, and
+each converter's ``couple_loss`` row is evaluated in scalars.
 
 The model derives from ``telemetry.MeasurementModel``, the base of the linear
 model too: the base owns the state read-out (``x0``, ``truth_vector``,
@@ -83,10 +83,9 @@ class _CompiledRows(CompiledRows):
     def _add_row(self, terms, i: int, row: tuple) -> None:
         op, index = row[0], terms.index
         if op in ("couple_p", "couple_q"):    # aux->i flow minus p_vsc / q_vsc
-            self.h0[i] = -0.0                 # one value, not a sum
             which, cid = op[-1], row[1]
-            terms.flow(i, 0, *converter_spec(self.grid.converter(cid), "ac", which)[1:])
-            terms.conv.append((i, 1, index[(which + "vsc", cid)], -1.0))
+            terms.flow(i, *converter_spec(self.grid.converter(cid), "ac", which)[1:])
+            terms.var(i, index[(which + "vsc", cid)], -1.0)
         elif op == "couple_loss":
             cid = row[1]
             c = self.grid.converter(cid)

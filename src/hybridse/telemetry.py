@@ -14,27 +14,29 @@ into that converter.  The linear model and the nonlinear one of ``measmodel``
 share one base, ``MeasurementModel``: the state layout and read-out and the
 row bookkeeping.
 
-Nonlinear rows are evaluated in a compiled form, ``CompiledRows``, built once
-from ``row_spec`` specs over a state vector:
+``row_spec`` specs are compiled once, by ``CompiledRows``, into tables of
+their terms over the columns of a state vector:
 
-* terms: every AC branch flow (an ``ac_flow`` row, each branch of an
-  ``ac_inj`` row) as its v_f, th_f, v_t, th_t columns, P or Q, and
-  g + jb = 1 / (r + jx); every DC branch flow as its columns and g; every
-  converter draw a ``dc_inj`` row adds as its column.  Each term also carries
-  its row and its slot, its position within the row.  The angle of a datum
-  node (no column) reads a 0.0 appended to the state and has no Jacobian
-  column.
-* ``vmag`` and ``var`` rows read one column.
+* every AC branch flow (an ``ac_flow`` row, each branch of an ``ac_inj``
+  row) as its v_f, th_f, v_t, th_t columns, P or Q, r and x; every DC branch
+  flow as its columns and g; every variable a row reads (a ``vmag`` or
+  ``var`` row, a converter draw of a ``dc_inj`` row) as its column and
+  coefficient.  Each term carries its row.  The angle of a datum node (no
+  column) reads a 0.0 appended to the state, and its matrix cell is a sink
+  that is dropped.
 
-One call evaluates all branch terms at once with
-``powerflow.branch_flow_terms``, the arithmetic of the scalar
-``ac_branch_flow_partials``, so each term has the bits of the scalar call.
-Terms are then added slot by slot (term 0 of every row, then term 1, ...),
-so each row sums its terms in row order, as the built-in ``sum()`` does: an
-injection row starts from +0.0.  A row that is one value rather than a sum
-starts from -0.0 instead: -0.0 is the exact identity of addition, so that
-value keeps its bits, a -0.0 included.  The result is bit for bit that of
-evaluating the rows one at a time through the scalar primitives.
+The same tables give the nonlinear h and J (``evaluate``) and the constant
+linear rows of ``build_region_H`` (``linear``).  ``evaluate`` computes all
+branch terms at once with ``powerflow.branch_flow_terms``, the arithmetic of
+the scalar ``ac_branch_flow_partials``, so each term has the bits of the
+scalar call.  Terms are summed into h, J and H by ``np.add.at``, which adds
+in index order, and a row's terms sit in the tables in row order, so every
+row and every cell sums its terms in row order.  A matrix cell and an
+injection row start from +0.0, as the built-in ``sum()`` does.  Every other
+row of h starts from -0.0: -0.0 is the exact identity of addition, so its
+first term keeps its bits, a -0.0 included.  h and J are bit for bit those of
+evaluating the rows one at a time through the scalar primitives, and H that
+of adding each row's coefficients term by term.
 
 Telemetry synthesis compiles each (grid, schedule, tick kind) once into a
 plan that the grid keeps (``GridModel.memo``): the readings in emission
@@ -54,6 +56,7 @@ import csv
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -233,6 +236,7 @@ def row_spec(grid: GridModel, m: Measurement, region: Region | None = None,
         if m.direction == "dc":
             if which == "q":
                 raise TelemetryError("CONV_Q has no DC side")
+            check(conv.dc_node)
             return converter_spec(conv, "dc")
         if conv_vars:
             return ("var", which + "vsc", conv.id)
@@ -255,143 +259,145 @@ def row_spec(grid: GridModel, m: Measurement, region: Region | None = None,
 
 
 class CompiledRows:
-    """:func:`row_spec` specs as index arrays over all their terms, evaluated
-    at a state vector with the bits of evaluating them one at a time (module
-    docstring).  ``index`` maps column labels to the columns of that vector.
-    ``measmodel`` extends the rows with its converter coupling rows through
-    ``_add_row``."""
+    """:func:`row_spec` specs as tables of their terms (module docstring),
+    read two ways: ``evaluate`` gives h and J at a state vector with the bits
+    of evaluating the rows one at a time, ``linear`` the rows' constant
+    linear coefficients.  ``index`` maps column labels to the columns of that
+    vector.  ``measmodel`` extends the rows with its converter coupling rows
+    through ``_add_row``."""
 
     def __init__(self, index: dict[tuple[str, int], int], rows):
         m, n = len(rows), len(index)
         self.shape = (m, n)
-        self.h0 = np.zeros(m)
+        self.h0 = np.full(m, -0.0)     # an injection row: +0.0 (module docstring)
         terms = _Terms(index)
         for i, row in enumerate(rows):
             self._add_row(terms, i, row)
 
-        f_row, f_slot, *f_cols, is_p, self.g, self.b = _fields(terms.flows, 7, 2)
-        d_row, d_slot, *d_cols, self.dc_g = _fields(terms.dc, 4, 1)
-        c_row, c_slot, self.conv_col, self.sign = _fields(terms.conv, 3, 1)
-        self.read_row, self.read_col = _fields(terms.reads, 2, 0)
-        self.flow_cols, self.dc_cols = np.array(f_cols), np.array(d_cols)
-        self.is_p = is_p.astype(bool)
-
-        # h: the values of the flow, DC and converter terms in that order
-        self.h_sum = _SlotSum(np.concatenate((f_row, d_row, c_row)),
-                              np.concatenate((f_slot, d_slot, c_slot)))
-        # J: the flow partials by (v_f, th_f, v_t, th_t), then the DC partials
-        # by (v_f, v_t); a datum angle (column n) has no Jacobian column
-        f_cells = np.where(self.flow_cols < n, f_row * n + self.flow_cols, -1)
-        d_cells = d_row * n + self.dc_cols
-        self.j_sum = _SlotSum(np.concatenate((f_cells.ravel(), d_cells.ravel())),
-                              np.concatenate((np.tile(f_slot, 4), np.tile(d_slot, 2))))
-        # cells with one term each, set directly: readings and converter variables
-        self.const_cells = np.concatenate((self.read_row * n + self.read_col,
-                                           c_row * n + self.conv_col))
-        self.const_vals = np.concatenate((np.ones(self.read_row.size), self.sign))
+        f_row, self.flow_cols, (is_p, self.r, self.x) = _fields(terms.flows, 5, 3)
+        d_row, self.dc_cols, (self.dc_g,) = _fields(terms.dcs, 3, 1)
+        v_row, (self.var_col,), (self.coef,) = _fields(terms.vars, 2, 1)
+        self.is_p = is_p > 0.0
+        self.term_rows = np.concatenate((f_row, d_row, v_row))
+        # matrix cells: the flow terms by (v_f, th_f, v_t, th_t), the DC terms
+        # by (v_f, v_t), then the variable terms, so a cell of one row takes
+        # its terms in row order (the branches of a row all leave one node);
+        # a datum angle (column n) goes to the sink cell m * n
+        f_cells = np.where(self.flow_cols < n, f_row * n + self.flow_cols, m * n)
+        self.cells = np.concatenate((f_cells.ravel(), (d_row * n + self.dc_cols).ravel(),
+                                     v_row * n + self.var_col))
 
     def _add_row(self, terms: "_Terms", i: int, row: tuple) -> None:
         op, index = row[0], terms.index
-        if op in ("ac_flow", "dc_flow"):
-            self.h0[i] = -0.0     # one value, not a sum (module docstring)
+        if op in ("ac_inj", "dc_inj"):
+            self.h0[i] = 0.0           # a sum, as sum() starts it
         if op == "vmag":
-            terms.reads.append((i, index[("v", row[1])]))
+            terms.var(i, index[("v", row[1])], 1.0)
         elif op == "var":
-            terms.reads.append((i, index[row[1:]]))
+            terms.var(i, index[row[1:]], 1.0)
         elif op == "ac_flow":
-            terms.flow(i, 0, *row[1:])
+            terms.flow(i, *row[1:])
         elif op == "dc_flow":
-            _, f, t, g = row
-            terms.dc.append((i, 0, index[("v", f)], index[("v", t)], g))
+            terms.dc(i, *row[1:])
         elif op == "ac_inj":
             _, node, branches, which = row
-            for slot, (other, r, x) in enumerate(branches):
-                terms.flow(i, slot, node, other, r, x, which)
+            for other, r, x in branches:
+                terms.flow(i, node, other, r, x, which)
         elif op == "dc_inj":
             _, node, branches, convs = row
-            for slot, (other, g) in enumerate(branches):
-                terms.dc.append((i, slot, index[("v", node)], index[("v", other)], g))
-            for slot, cid in enumerate(convs, len(branches)):
-                terms.conv.append((i, slot, index[("pdjc", cid)], 1.0))
+            for other, g in branches:
+                terms.dc(i, node, other, g)
+            for cid in convs:
+                terms.var(i, index[("pdjc", cid)], 1.0)
         else:
             raise TelemetryError(f"unknown row op {op}")
+
+    @cached_property
+    def _admittance(self) -> tuple[np.ndarray, np.ndarray]:
+        """g + jb = 1 / (r + jx) of every flow term, by the scalar division;
+        only ``evaluate`` reads it."""
+        y = [1.0 / complex(r, x) for r, x in zip(self.r.tolist(), self.x.tolist())]
+        return np.array([c.real for c in y]), np.array([c.imag for c in y])
+
+    def _matrix(self, values: np.ndarray) -> np.ndarray:
+        """The (m, n) matrix of ``values`` added into ``cells`` in order,
+        each cell from +0.0."""
+        m, n = self.shape
+        flat = np.zeros(m * n + 1)
+        np.add.at(flat, self.cells, values)
+        return flat[:-1].reshape(m, n)
 
     def evaluate(self, x: np.ndarray, with_jac: bool):
         xe = np.append(x, 0.0)        # column n reads 0.0: the angle of a datum node
         vf, thf, vt, tht = xe[self.flow_cols]
         dth = thf - tht
-        p, q, dp, dq = branch_flow_terms(self.g, self.b, vf, vt, np.cos(dth), np.sin(dth))
+        p, q, dp, dq = branch_flow_terms(*self._admittance, vf, vt, np.cos(dth), np.sin(dth))
         uf, ut = xe[self.dc_cols]
-
         h = self.h0.copy()
-        h[self.read_row] = xe[self.read_col]
-        self.h_sum.add(h, np.concatenate((np.where(self.is_p, p, q),
-                                          dc_branch_flow(uf, ut, self.dc_g),
-                                          self.sign * xe[self.conv_col])))
-        jac = None
-        if with_jac:
-            jac = np.zeros(self.shape)
-            flat = jac.reshape(-1)
-            flat[self.const_cells] = self.const_vals
-            partials = (np.where(self.is_p, dp, dq).ravel(),
-                        (2 * uf - ut) * self.dc_g, -uf * self.dc_g)
-            self.j_sum.add(flat, np.concatenate(partials))
-        return h, jac
+        np.add.at(h, self.term_rows, np.concatenate((np.where(self.is_p, p, q),
+                                                     dc_branch_flow(uf, ut, self.dc_g),
+                                                     self.coef * xe[self.var_col])))
+        if not with_jac:
+            return h, None
+        return h, self._matrix(np.concatenate((np.where(self.is_p, dp, dq).ravel(),
+                                               (2 * uf - ut) * self.dc_g, -uf * self.dc_g,
+                                               self.coef)))
+
+    def linear(self) -> np.ndarray:
+        """The rows' constant coefficients: ``linear_row_ac_flow`` on (U_f,
+        theta_f, U_t, theta_t) with signs (+, +, -, -) for a flow term, (g,
+        -g) on (V_f, V_t) for a DC term, its coefficient for a variable term.
+        ``build_region_H`` compiles an AC region with its U columns labelled
+        V."""
+        # the Q coefficients of (r, x) are the P coefficients of (x, -r), bit
+        # for bit: r * r + x * x adds the same two products
+        cu, cth = linear_row_ac_flow(np.where(self.is_p, self.r, self.x),
+                                     np.where(self.is_p, self.x, -self.r))
+        return self._matrix(np.concatenate((cu, cth, -cu, -cth, self.dc_g, -self.dc_g,
+                                            self.coef)))
 
 
 class _Terms:
-    """The terms of rows being compiled, by kind; each starts with its row and
-    its slot (its position within the row)."""
+    """The terms of rows being compiled, by kind, as flat lists of their
+    fields; each term starts with its row.  A row's terms follow its order,
+    so a sum over them in table order adds in row order."""
 
     def __init__(self, index: dict[tuple[str, int], int]):
         self.index = index
-        self.flows = []   # (row, slot, v_f, th_f, v_t, th_t columns, is P, g, b)
-        self.dc = []      # (row, slot, v_f, v_t columns, g)
-        self.conv = []    # (row, slot, column, sign)
-        self.reads = []   # (row, column)
+        self.flows = []   # row, v_f, th_f, v_t, th_t columns, is P, r, x
+        self.dcs = []     # row, v_f, v_t columns, g
+        self.vars = []    # row, column, coefficient
 
-    def flow(self, i, slot, f, t, r, x, which) -> None:
+    def flow(self, i, f, t, r, x, which) -> None:
         """An AC branch flow f -> t; a node without an angle column (a datum)
         reads column n, the 0.0 that ``evaluate`` appends."""
         index, n = self.index, len(self.index)
-        y = 1.0 / complex(r, x)
-        self.flows.append((i, slot, index[("v", f)], index.get(("th", f), n),
-                           index[("v", t)], index.get(("th", t), n), which == "p",
-                           y.real, y.imag))
+        self.flows += (i, index[("v", f)], index.get(("th", f), n),
+                       index[("v", t)], index.get(("th", t), n), which == "p", r, x)
+
+    def dc(self, i, f, t, g) -> None:
+        self.dcs += (i, self.index[("v", f)], self.index[("v", t)], g)
+
+    def var(self, i, col, coef) -> None:
+        self.vars += (i, col, coef)
 
 
-def _fields(terms: list[tuple], n_int: int, n_float: int) -> list[np.ndarray]:
-    """Equal-length tuples as one array per field: the first ``n_int`` fields
-    as indices, the rest as floats."""
+def _fields(terms: list, n_int: int, n_float: int):
+    """A flat list of terms, each ``n_int`` index fields then ``n_float``
+    float fields, as (the rows, the other index fields, the float fields)
+    with one array row per field."""
     table = np.array(terms, dtype=float).reshape(-1, n_int + n_float).T
-    return [*table[:n_int].astype(np.intp), *table[n_int:].copy()]
-
-
-class _SlotSum:
-    """Adds term values into targets slot by slot: term k of every row at
-    once, k = 0, 1, ...  Each target so receives its terms in row order, and
-    no target repeats within one slot.  Negative targets are skipped."""
-
-    def __init__(self, targets: np.ndarray, slots: np.ndarray):
-        keep = np.flatnonzero(targets >= 0)
-        self.order = keep[np.argsort(slots[keep], kind="stable")]
-        ordered = slots[self.order]
-        bounds = np.searchsorted(ordered, np.arange(ordered.max(initial=-1) + 2))
-        targets = targets[self.order]
-        self.parts = [(targets[lo:hi], lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-    def add(self, out: np.ndarray, values: np.ndarray) -> None:
-        values = values[self.order]
-        for targets, lo, hi in self.parts:
-            out[targets] += values[lo:hi]
+    ints = table[:n_int].astype(np.intp)
+    return ints[0], ints[1:], table[n_int:]
 
 
 # -- linear model ---------------------------------------------------------------
 
 
-def linear_row_ac_flow(r: float, x: float, which: str = "p") -> tuple[float, float]:
+def linear_row_ac_flow(r, x, which: str = "p"):
     """Coefficients of a linear flow row: ``a`` on (U_f - U_t) and ``c`` on
     (theta_f - theta_t), with P (``which="p"``) or Q (``"q"``) = a dU + c dth.
+    ``r`` and ``x`` may be arrays, taken elementwise.
     """
     d = r * r + x * x
     if which == "p":
@@ -560,7 +566,8 @@ def region_labels(grid: GridModel, region: Region,
 def build_region_H(grid: GridModel, region: Region,
                    measurements: list[tuple[int, Measurement]]) -> LinearRegionModel:
     """Assemble the constant regional matrix: the linear coefficients of each
-    measurement's row spec.
+    measurement's row spec and of the region's boundary converter rows, read
+    off one :class:`CompiledRows` of them all.
 
     Voltage-magnitude readings are mapped to U-space (value squared, sigma
     by first-order propagation).  Injection rows are sums of their incident
@@ -568,75 +575,34 @@ def build_region_H(grid: GridModel, region: Region,
     """
     labels, angle_refs = region_labels(grid, region, linear=True)
     index = {lab: k for k, lab in enumerate(labels)}
-    n = len(labels)
-
-    def linear_row(spec):
-        row = np.zeros(n)
-        _add_linear(row, index, spec)
-        return row
-
     measurements = list(measurements)
-    rows, z, sig = [], [], []
+    specs, z, sig = [], [], []
     for _, m in measurements:
-        spec = row_spec(grid, m, region)
-        rows.append(linear_row(spec))
-        if spec[0] == "vmag" and region.kind == AC:
-            z.append(m.value * m.value)
-            sig.append(2.0 * abs(m.value) * m.sigma)
-        else:
-            z.append(m.value)
-            sig.append(m.sigma)
+        specs.append(row_spec(grid, m, region))
+        square = specs[-1][0] == "vmag" and region.kind == AC
+        z.append(m.value * m.value if square else m.value)
+        sig.append(2.0 * abs(m.value) * m.sigma if square else m.sigma)
 
     boundary: dict[int, np.ndarray] = {}
     boundary_q: dict[int, np.ndarray] = {}
+    extra = []    # (dict, converter id, row spec) of each boundary row
     for cid, orient in region.boundary:
         conv = grid.converter(cid)
-        side = "ac" if orient == OWNS_AC else "dc"
-        boundary[cid] = linear_row(converter_spec(conv, side))
-        if side == "ac":
-            boundary_q[cid] = linear_row(converter_spec(conv, side, "q"))
+        extra.append((boundary, cid, converter_spec(conv, "ac" if orient == OWNS_AC else "dc")))
+        if orient == OWNS_AC:
+            extra.append((boundary_q, cid, converter_spec(conv, "ac", "q")))
 
+    # an AC region's V columns are its U columns
+    rows = CompiledRows({("v" if tag == "u" else tag, key): k for (tag, key), k in index.items()},
+                        specs + [spec for *_, spec in extra]).linear()
+    for (out, cid, _), row in zip(extra, rows[len(specs):]):
+        out[cid] = row
     return LinearRegionModel(
-        H=np.vstack(rows) if rows else np.zeros((0, n)), z=z, sigma=sig,
+        H=rows[:len(specs)], z=z, sigma=sig,
         sources=[m.source for _, m in measurements],
         meas_indices=[gidx for gidx, _ in measurements],
         measurements=[m for _, m in measurements], region_id=region.id,
         index=index, angle_refs=angle_refs, boundary=boundary, boundary_q=boundary_q)
-
-
-def _add_linear(row: np.ndarray, index: dict, spec: tuple) -> None:
-    """Add a row spec's linear coefficients: AC flows over (U, theta), DC
-    flows over V, converter variables with coefficient one."""
-    op = spec[0]
-    if op == "vmag":
-        node = spec[1]
-        row[index[("u", node)] if ("u", node) in index else index[("v", node)]] = 1.0
-    elif op == "ac_flow":
-        _, f, t, r, x, which = spec
-        cu, cth = linear_row_ac_flow(r, x, which)
-        for node, s in ((f, 1.0), (t, -1.0)):
-            row[index[("u", node)]] += s * cu
-            tc = index.get(("th", node))
-            if tc is not None:
-                row[tc] += s * cth
-    elif op == "ac_inj":
-        _, node, branches, which = spec
-        for other, r, x in branches:
-            _add_linear(row, index, ("ac_flow", node, other, r, x, which))
-    elif op == "dc_flow":
-        _, f, t, g = spec
-        row[index[("v", f)]] += g
-        row[index[("v", t)]] -= g
-    elif op == "dc_inj":
-        _, node, branches, convs = spec
-        for other, g in branches:
-            _add_linear(row, index, ("dc_flow", node, other, g))
-        for cid in convs:
-            row[index[("pdjc", cid)]] += 1.0
-    else:
-        if spec[1:] not in index:
-            raise TelemetryError(f"converter {spec[2]} not on the region's boundary")
-        row[index[spec[1:]]] = 1.0
 
 
 # -- telemetry synthesis --------------------------------------------------------

@@ -130,6 +130,72 @@ class TestRegionH:
             build_region_H(case33, case33.region(1),
                            [(0, _m(MeasurementKind.AC_V_MAG, (2,)))])
 
+    def test_dc_side_converter_reading_outside_region_rejected(self, toy5):
+        # the DC side of converter 0 lies in toy5's DC region, not its AC one
+        reading = [(0, _m(MeasurementKind.CONV_P, (0,), "dc"))]
+        ac = toy5.regions[0]
+        assert ac.kind == AC
+        for build in (build_region_H, measmodel.build_region_model):
+            with pytest.raises(TelemetryError, match="outside region"):
+                build(toy5, ac, reading)
+
+
+class TestParallelBranches:
+    """Two AC lines between the same nodes: an injection row has two terms
+    in each of its Jacobian cells, and a flow reading reads the first line
+    (``GridModel.ac_branch``)."""
+
+    LINES = ((0.01, 0.02), (0.03, 0.05))
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        from hybridse.grid import grid_from_dict
+        return grid_from_dict({
+            "nodes": [{"id": 1, "kind": "ac", "region": 0, "role": "substation"},
+                      {"id": 2, "kind": "ac", "region": 0, "role": "load"}],
+            "ac_lines": [{"from": 1, "to": 2, "r": r, "x": x} for r, x in self.LINES],
+            "dc_lines": [], "converters": [],
+            "regions": [{"id": 0, "kind": "ac", "nodes": [1, 2], "boundary": []}],
+            "slack": 1})
+
+    @staticmethod
+    def readings():
+        return list(enumerate(
+            [_m(kind, (node,)) for node in (1, 2)
+             for kind in (MeasurementKind.AC_P_INJ, MeasurementKind.AC_Q_INJ)]
+            + [_m(MeasurementKind.AC_P_FLOW, (1, 2), "fwd"),
+               _m(MeasurementKind.AC_Q_FLOW, (1, 2), "rev"),
+               _m(MeasurementKind.AC_V_MAG, (2,))]))
+
+    def test_both_lines_are_incident(self, grid):
+        assert grid.incident_ac_branches(1) == [(2, r, x) for r, x in self.LINES]
+        assert grid.ac_branch(1, 2) == self.LINES[0]
+
+    def test_h_jac_bytes_match_the_scalar_reference(self, grid):
+        model = measmodel.build_region_model(grid, grid.regions[0], self.readings())
+        rng = np.random.default_rng(3)
+        states = [model.x0(), signed_zero_state(model)]
+        states += [model.x0() + rng.normal(0.0, 5e-2, model.n_states) for _ in range(8)]
+        for x in states:
+            for with_jac in (True, False):
+                assert_bytes_equal(model.h_jac(x, with_jac), reference_h_jac(model, x, with_jac))
+
+    def test_linear_injection_row_sums_both_lines_in_order(self, grid):
+        model = build_region_H(grid, grid.regions[0], self.readings())
+        idx = model.index
+        for i, (node, which) in enumerate(((1, "p"), (1, "q"), (2, "p"), (2, "q"))):
+            want = np.zeros(model.n_states)
+            for r, x in self.LINES:
+                cu, cth = linear_row_ac_flow(r, x, which)
+                sign = 1.0 if node == 1 else -1.0
+                want[idx[("u", 1)]] += sign * cu
+                want[idx[("u", 2)]] -= sign * cu
+                want[idx[("th", 2)]] -= sign * cth
+            assert model.H[i].tobytes() == want.tobytes()
+        # a flow reading reads the first line alone
+        cu, cth = linear_row_ac_flow(*self.LINES[0])
+        assert model.H[4].tolist() == [cu, -cu, -cth]
+
 
 def region_H_inputs(case33, case33_loads, toy5, toy5_loads):
     """(grid, region, readings) of every regional linear model over: case33
