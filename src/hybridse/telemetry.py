@@ -269,7 +269,7 @@ class CompiledRows:
     def __init__(self, index: dict[tuple[str, int], int], rows):
         m, n = len(rows), len(index)
         self.shape = (m, n)
-        self.h0 = np.full(m, -0.0)     # an injection row: +0.0 (module docstring)
+        self.h0 = np.full(m, -0.0)     # +0.0 for an injection row (module docstring)
         terms = _Terms(index)
         for i, row in enumerate(rows):
             self._add_row(terms, i, row)
