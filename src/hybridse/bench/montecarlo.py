@@ -34,6 +34,7 @@ from .metrics import MetricsRow, aggregate_rows, compute_metrics
 from .scenario import Scenario
 
 TEST_PROFILE_OFFSET = 7777   # held-out year: profile seed plus this offset
+SIDES = ("ac", "dc")         # BoundaryPacket.side by its code in RunRecord.trace
 
 
 @dataclass
@@ -62,7 +63,9 @@ class RunRecord:
     inj_ms: float = 0.0
     total_ms: float = 0.0
     timing_rows: list = field(default_factory=list)
-    trace: list = field(default_factory=list)
+    # the packet trace, one row per packet: iteration, converter, side (0 for
+    # "ac", 1 for "dc"), p_vsc, q_vsc, p_loss, v_pcc
+    trace: np.ndarray = field(default_factory=lambda: np.empty((0, 7)))
     error: str = ""
 
 
@@ -129,7 +132,9 @@ def run_single(ctx: RunContext, run_idx: int) -> RunRecord:
         record.wall_ms = est.wall_time * 1000.0
         record.timing_rows = [(it.iteration, it.t_total, it.t_algebra,
                                dict(it.t_regions)) for it in est.timing]
-        record.trace = list(est.packet_trace)
+        record.trace = np.array([(p.iteration, p.converter, SIDES.index(p.side), p.p_vsc,
+                                  p.q_vsc, p.p_loss, p.v_pcc) for p in est.packet_trace],
+                                dtype=float).reshape(-1, 7)
         if ms_est.corrupt_indices:
             worst = est.dominant_reading()
             if worst is not None:
@@ -247,7 +252,7 @@ def write_artifacts(result: BenchResult, scenario: Scenario, out: Path) -> None:
 
     blines = ["run,iteration,converter,side,p_vsc,q_vsc,p_loss,v_pcc"]
     for r in result.records:
-        for pkt in r.trace:
-            blines.append(f"{r.run},{pkt.iteration},{pkt.converter},{pkt.side},"
-                          f"{pkt.p_vsc!r},{pkt.q_vsc!r},{pkt.p_loss!r},{pkt.v_pcc!r}")
+        for iteration, conv, side, *values in r.trace.tolist():
+            blines.append(f"{r.run},{int(iteration)},{int(conv)},{SIDES[int(side)]},"
+                          + ",".join(map(repr, values)))
     (out / "trace_boundary.csv").write_text("\n".join(blines) + "\n")

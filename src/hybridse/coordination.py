@@ -18,6 +18,13 @@ multipliers, that is the LP costs, move, and a region's LP kernel answers
 such a solve from the final tableau of its last one: it prices that tableau
 under the new costs and, when no column enters, returns the same x with 0
 pivots (see :mod:`~.estimation.lp`).
+
+What an estimate builds is only what is its own.  Every run of one
+telemetry configuration reads the same rows, so the regional H and boundary
+rows, the regional LP structures and the compiled nonlinear rows are kept
+by the grid per row set (``GridModel.memo``); an estimate supplies z,
+sigma and the boundary terms, and owns each region's LP solve state
+(``estimation.wlav.RegionalLp``), which dies with it.
 """
 
 from __future__ import annotations
@@ -258,7 +265,8 @@ def run_drse(grid: GridModel, ms: MeasurementSet,
     t_start = time.perf_counter()
     by_region = ms.by_region(grid)
     models = {r.id: build_region_H(grid, r, by_region[r.id]) for r in grid.regions}
-    # each region's LP, constant within the estimate, built once
+    # each region's LP: the row set's structure with this estimate's b, c and
+    # solve state
     lps = {r.id: RegionalLp(models[r.id], sorted(cid for cid, _ in r.boundary))
            for r in grid.regions}
     bases: dict[int, tuple] = {}

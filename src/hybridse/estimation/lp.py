@@ -23,14 +23,18 @@ artificial unit column per row, which never enters.
 
 A family of problems that share A and the free columns and differ only in c
 and b comes from one :class:`LpTemplate`, and each problem it makes names it
-in ``LpProblem.template``.  The template's A and free mask are read-only; the
-kernel keeps on the template the internal columns and the crash data, made
-once, and the last solve's final tableau and read-only x, keyed by its basis
-and the bytes of b.
+in ``LpProblem.template``.  The template is immutable and may be shared by
+any number of owners: its A and free mask are read-only, and it makes the
+internal columns and the crash data (the elimination's rows) once, when it
+is built.  What a solve leaves behind lives apart, in an :class:`LpState`
+that the owner of a run of solves passes with each problem
+(``LpProblem.state``): the last solve's final tableau and read-only x, keyed
+by its basis and the bytes of b.  A state is never shared between owners, so
+no owner starts from another's solve.
 
-The one warm start is from that basis: the returned basis of the template's
-last solve, cold or warm, passed back to the next solve of a problem from
-the same template.  With the same b bytes the stored tableau B^-1 [A | b] is
+The one warm start is from that basis: the returned basis of the state's
+last solve, cold or warm, passed back to the next solve of a problem with
+the same state.  With the same b bytes the stored tableau B^-1 [A | b] is
 the one the solve starts from, whatever c is, so the solve first prices it
 under the new costs; when no column enters (the optimality test of a basis
 under a change of c alone), it returns the stored x itself, read-only, with
@@ -44,7 +48,8 @@ dual pivots than rows raise ``LpError`` inside the solve, and
 :func:`lp_solve` then does one cold start.
 
 A hand-built ``LpProblem`` has no template; it is solved cold with a
-throwaway one.
+throwaway one.  A problem without a state is solved cold and leaves no
+record.
 """
 
 from __future__ import annotations
@@ -73,6 +78,7 @@ class LpProblem:
     b_eq: np.ndarray
     free_mask: np.ndarray                  # True where the variable is unbounded below
     template: LpTemplate | None = field(default=None, repr=False, compare=False)
+    state: LpState | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
@@ -105,7 +111,7 @@ def lp_solve(problem: LpProblem, basis: tuple[int, ...] | None = None) -> LpSolu
     """Solve an equality-form LP; optimal basic solution, deterministic.
 
     Without ``basis`` the solve starts cold from the crash basis.  With it,
-    the solve starts warm from the template's last solve; if ``basis`` is not
+    the solve starts warm from the state's last solve; if ``basis`` is not
     that solve's basis, or the solve from it fails in any way, the problem is
     solved once more from a cold start before a failure is reported.
     """
@@ -119,11 +125,13 @@ def lp_solve(problem: LpProblem, basis: tuple[int, ...] | None = None) -> LpSolu
 
 class LpTemplate:
     """Constraint data shared by a family of LPs that differ only in c and b,
-    with what the kernel derives from it; see the module docstring.  Internal
-    column k < n_int of ``a_split`` is ``sign[k]`` times original column
-    ``orig[k]``; column n_int + i is the artificial of row i.  Row i starts
-    on column ``start[i]`` unless a free column takes it, and a starting
-    column k with a negative value is swapped to ``partner[k]``."""
+    with what the kernel derives from it; immutable, see the module
+    docstring.  Internal column k < n_int of ``a_split`` is ``sign[k]`` times
+    original column ``orig[k]``; column n_int + i is the artificial of row i.
+    Row i starts on column ``start[i]`` unless a free column takes it (the
+    free columns ``crash_cols`` take the rows ``taken``, so the crash basis
+    is ``crash_basis``), and a starting column k with a negative value is
+    swapped to ``partner[k]``."""
 
     def __init__(self, a_eq, free_mask):
         self.a_eq = np.atleast_2d(np.array(a_eq, dtype=float))
@@ -153,12 +161,27 @@ class LpTemplate:
         self.partner = np.arange(self.n_int + m)
         self.partner[self.free] = np.arange(n, self.n_int)
         self.partner[self.start] = minus
-        # ((basis, b bytes), final tableau, the basis as an index array, x)
-        self.last: tuple | None = None
 
-    def problem(self, c, b_eq) -> LpProblem:
+        rows = _free_rows(self.a_eq[:, self.free], self.start >= self.n_int)
+        self.taken, self.crash_cols = rows[rows >= 0], self.free[rows >= 0]
+        self.crash_basis = self.start.copy()
+        self.crash_basis[self.taken] = self.crash_cols
+        for a in (self.orig, self.sign, self.start, self.partner, self.taken,
+                  self.crash_cols, self.crash_basis):
+            a.flags.writeable = False
+
+    def problem(self, c, b_eq, state: LpState | None = None) -> LpProblem:
         return LpProblem(c=c, a_eq=self.a_eq, b_eq=b_eq, free_mask=self.free_mask,
-                         template=self)
+                         template=self, state=state)
+
+
+class LpState:
+    """What the solves of one owner's problems leave behind (module
+    docstring): ``last`` is ((basis, b bytes), final tableau, the basis as an
+    index array, read-only x) of the last solve, None before the first."""
+
+    def __init__(self):
+        self.last: tuple | None = None
 
 
 def _internal_costs(problem: LpProblem, template: LpTemplate) -> np.ndarray:
@@ -175,14 +198,15 @@ def _basic_mask(cols_basis, size) -> np.ndarray:
 
 def _lp_solve(problem: LpProblem, basis) -> LpSolution:
     template = problem.template or LpTemplate(problem.a_eq, problem.free_mask)
-    last = template.last
+    state = problem.state
+    last = None if state is None else state.last
     n_int = template.n_int
     c_int = _internal_costs(problem, template)
 
     iterations = 0
     if basis is not None:
         if last is None or last[0][0] != tuple(basis):
-            raise LpError("warm basis is not the one of the template's last solve")
+            raise LpError("warm basis is not the one of the state's last solve")
         (last_basis, last_b), stored, cols, x = last
         same_b = last_b == problem.b_eq.tobytes()
         # the solve's first pricing pass, on the stored tableau
@@ -215,7 +239,8 @@ def _lp_solve(problem: LpProblem, basis) -> LpSolution:
     x = np.zeros(problem.a_eq.shape[1])
     np.add.at(x, template.orig[cols_basis], template.sign[cols_basis] * t[:, -1])
     x.flags.writeable = False
-    template.last = ((result_basis, problem.b_eq.tobytes()), t, cols_basis, x)
+    if state is not None:
+        state.last = ((result_basis, problem.b_eq.tobytes()), t, cols_basis, x)
     return LpSolution(x=x, objective=float(problem.c @ x),
                       iterations=iterations, basis=result_basis)
 
@@ -225,10 +250,8 @@ def _crash_tableau(template: LpTemplate, b) -> tuple[np.ndarray, np.ndarray]:
     value non-negative; see the module docstring.  Row i of the tableau
     belongs to the column that takes row i of A."""
     n_int, (m, n) = template.n_int, template.a_eq.shape
-    rows = _free_rows(template.a_eq[:, template.free], template.start >= n_int)
-    taken, cols = rows[rows >= 0], template.free[rows >= 0]
-    cols_basis = template.start.copy()
-    cols_basis[taken] = cols
+    taken, cols = template.taken, template.crash_cols
+    cols_basis = template.crash_basis.copy()
     # B is the identity but for the free columns on the rows they took, so
     # B^-1 M is A[taken, cols]^-1 M[taken] there and M - A[:, cols] x elsewhere
     t = np.empty((m, n + 1))

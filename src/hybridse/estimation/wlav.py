@@ -10,19 +10,22 @@ elimination picks, with every other row on its u or b slack (l or a where
 the residual is negative), so a cold solve takes a few pivots.
 
 Within one estimate only the boundary rows of b and the (a, b) costs change
-between coordination iterations.  So the constant part (A, the free mask,
-the slack costs 1/sigma and z) is built once as a :class:`RegionalLp`, which
-holds it as an :class:`~.lp.LpTemplate`.  DRSE builds one per region per
-estimate and passes it to every solve; a call without one builds a
-throwaway one, so the model carries no LP state.  Each call's problem shares
-the template's read-only A and carries fresh b and c, patched on the
-boundary rows and the (a, b) columns.  The kernel keeps the last solve's
-final tableau and x on the template.  The next solve given that solve's
-basis re-optimizes from it, or hands back that same x object when the
-basis stays optimal for the same b; a basis from another template starts
-cold.  The ``RegionalLp`` keeps its read-out of the last x it saw (states,
-converter variables and residuals) and reuses it when the kernel hands back
-that object.
+between coordination iterations, and between estimates of one row set only z
+and sigma do.  So the structure (A, the free mask and their
+:class:`~.lp.LpTemplate`, cold-start elimination included) is built once per
+row set and kept with the model's ``telemetry.RegionRows``, under the
+model's zero rows and converters; a model without them gets a throwaway one.
+A :class:`RegionalLp` adds what is its own: the slack costs 1/sigma, z and
+the kernel's :class:`~.lp.LpState`.  DRSE builds one per region per estimate
+and passes it to every solve; a call without one builds a throwaway one, so
+the model carries no LP state.  Each call's problem shares the template's
+read-only A and carries fresh b and c, patched on the boundary rows and the
+(a, b) columns.  The next solve given the last solve's basis re-optimizes
+from the final tableau in the state, or hands back that same x object when
+the basis stays optimal for the same b; a basis from another state starts
+cold, so no estimate starts from another's solves.  The ``RegionalLp`` keeps
+its read-out of the last x it saw (states, converter variables and
+residuals) and reuses it when the kernel hands back that object.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..telemetry import SOURCE_VIRTUAL_ZERO
-from .lp import LpProblem, LpSolution, LpTemplate, lp_solve
+from .lp import LpProblem, LpSolution, LpState, LpTemplate, lp_solve
 from .result import EstimationResult
 
 
@@ -66,38 +69,27 @@ def build_regional_wlav_lp(model, boundary: dict[int, BoundaryTerm],
 
 
 class RegionalLp:
-    """The part of a region's WLAV LP that is constant within an estimate:
-    the model's rows and the boundary rows of the converters ``convs``."""
+    """One owner's WLAV LP of a region (module docstring): the structure of
+    the model's rows and the boundary rows of the converters ``convs``,
+    shared by every model of the row set, with this model's b, c and solve
+    state."""
 
     def __init__(self, model, convs):
         if len(model.z) == 0:
             raise ValueError(f"region {model.region_id} has no measurements")
         self.convs = tuple(convs)
-        m, n = len(model.z), model.n_states
-        slack_rows = [i for i, src in enumerate(model.sources) if src != SOURCE_VIRTUAL_ZERO]
-        self.m, self.ab0 = m, n + 2 * len(slack_rows)
-
-        n_rows, n_cols = m + len(convs), self.ab0 + 2 * len(convs)
-        a = np.zeros((n_rows, n_cols))
-        self.b = np.zeros(n_rows)
-        self.c = np.zeros(n_cols)
-
-        a[:m, :n] = model.H
-        self.b[:m] = model.z
-        for k, row in enumerate(slack_rows):
-            u = n + 2 * k
-            a[row, u] = 1.0
-            a[row, u + 1] = -1.0
-            self.c[u] = self.c[u + 1] = 1.0 / model.sigma[row]
-        for k, cid in enumerate(convs):
-            row, acol = m + k, self.ab0 + 2 * k
-            a[row, :n] = model.boundary[cid]
-            a[row, acol] = -1.0
-            a[row, acol + 1] = 1.0
-
-        free = np.zeros(n_cols, dtype=bool)
-        free[:n] = True
-        self.lp = LpTemplate(a, free)
+        zero = tuple([i for i, src in enumerate(model.sources) if src == SOURCE_VIRTUAL_ZERO])
+        key = (zero, self.convs)
+        kept = {} if model.region_rows is None else model.region_rows.lps
+        if key not in kept:
+            kept[key] = _LpStructure(model, self.convs, zero)
+        structure = kept[key]
+        self.lp, self.m, self.ab0 = structure.lp, structure.m, structure.ab0
+        self.b = np.zeros(structure.lp.a_eq.shape[0])
+        self.b[:self.m] = model.z
+        self.c = np.zeros(structure.lp.a_eq.shape[1])
+        self.c[structure.u] = self.c[structure.u + 1] = 1.0 / model.sigma[structure.slack_rows]
+        self.state = LpState()
         self.meas_indices = list(model.meas_indices)
         self.read_out: tuple | None = None      # (LP x, states x, v, theta, conv, residuals)
 
@@ -108,7 +100,34 @@ class RegionalLp:
             acol = self.ab0 + 2 * k
             b[self.m + k] = term.neighbor_p + term.loss_const
             c[acol] = c[acol + 1] = term.lam
-        return self.lp.problem(c, b)
+        return self.lp.problem(c, b, self.state)
+
+
+class _LpStructure:
+    """The part of a region's WLAV LP fixed by its rows: the template of A
+    and the free mask, the slack rows (every row but the ``zero`` rows) and
+    the u column of each."""
+
+    def __init__(self, model, convs, zero):
+        m, n = len(model.z), model.n_states
+        slack = np.ones(m, dtype=bool)
+        slack[list(zero)] = False
+        self.slack_rows = np.flatnonzero(slack)
+        self.u = n + 2 * np.arange(self.slack_rows.size)
+        self.m, self.ab0 = m, n + 2 * self.slack_rows.size
+
+        a = np.zeros((m + len(convs), self.ab0 + 2 * len(convs)))
+        a[:m, :n] = model.H
+        a[self.slack_rows, self.u] = 1.0
+        a[self.slack_rows, self.u + 1] = -1.0
+        for k, cid in enumerate(convs):
+            row, acol = m + k, self.ab0 + 2 * k
+            a[row, :n] = model.boundary[cid]
+            a[row, acol] = -1.0
+            a[row, acol + 1] = 1.0
+        free = np.zeros(a.shape[1], dtype=bool)
+        free[:n] = True
+        self.lp = LpTemplate(a, free)
 
 
 def solve_wlav_region(model, boundary: dict[int, BoundaryTerm] | None = None,

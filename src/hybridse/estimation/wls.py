@@ -147,8 +147,8 @@ def lnr_test(model, result: EstimationResult) -> _NrOutcome:
     Omega_ii is numerically zero are critical and reported untestable.
 
     ``model`` is never modified: the first removal happens on a clone.  A
-    clone shares the compiled form of a nonlinear model, so a nonlinear
-    model is compiled again only once per removed row.
+    clone shares the compiled form of a nonlinear model, and a removal masks
+    its rows, so the test compiles nothing.
     """
     work = model
     flagged: list[tuple[int, float]] = []

@@ -35,6 +35,10 @@ _ROLES = {ROLE_SUBSTATION, ROLE_LOAD, ROLE_GENERATION, ROLE_JUNCTION, ROLE_CONVE
 OWNS_AC = "owns-ac-side"
 OWNS_DC = "owns-dc-side"
 
+# structures a grid compiles and keeps (GridModel.memo), its own and one per
+# row set that estimates read; beyond this many the oldest goes first
+MEMO_ENTRIES = 128
+
 MODE_PQ = "pq"
 MODE_DC_SLACK = "dc_slack"
 
@@ -165,10 +169,15 @@ class GridModel:
 
     def memo(self, key, build):
         """The structure compiled from this grid under ``key``: ``build()``
-        on first use, kept afterwards."""
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
+        on first use, kept afterwards.  At most ``MEMO_ENTRIES`` are kept; a
+        new one evicts the oldest, which is built again when next asked for."""
+        kept = self._memo
+        entry = kept.get(key)
+        if entry is None:
+            entry = kept[key] = build()     # which may keep structures of its own
+            while len(kept) > MEMO_ENTRIES:
+                del kept[next(iter(kept))]
+        return entry
 
     def admittance(self, region_id: int) -> "AcAdmittance | DcAdmittance":
         """The kept :func:`build_admittance` of a region; treat it as

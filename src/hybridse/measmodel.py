@@ -19,23 +19,29 @@ The model derives from ``telemetry.MeasurementModel``, the base of the linear
 model too: the base owns the state read-out (``x0``, ``truth_vector``,
 ``extract_state``), ``clone()`` and the row lists, and
 ``telemetry.region_labels`` lays out each region's columns (theta before V
-here).  A model is built with its final rows, a tuple, and compiles them once
-on construction into the field ``_compiled``.  ``drop_row`` is the one place
-the rows change afterwards: the base drops the row's entries and the model
-compiles the shorter rows again.  ``clone()`` shares the compiled form with
-its original.
+here).  A model's rows are fixed by its scope (a region or the system) and
+its row set (``telemetry.row_keys``), so the grid keeps one compiled form
+per (scope, row set) (``GridModel.memo``): the column index, the rows, a
+tuple, and their ``_CompiledRows``.  Every model of that key shares them,
+and ``row_spec`` runs only when the grid has no entry for it.  ``drop_row``
+is the one place the rows change afterwards: the base drops the row's
+entries and the model masks the compiled tables, keeping the positions of
+its rows in ``_keep``, so nothing is compiled again.  Each row and each cell
+of h and J sums only its own row's terms, so ``h[keep]`` and ``J[keep]`` are
+bit for bit those of compiling the shorter rows.  ``clone()`` shares the
+compiled form and the mask with its original.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .grid import OWNS_AC, GridModel, Region
 from .telemetry import (CompiledRows, Measurement, MeasurementModel, converter_spec,
-                        region_labels, row_spec)
+                        region_labels, row_keys, row_spec)
 
 SOURCE_VIRTUAL_COUPLING = "virtual_coupling"
 VIRTUAL_SIGMA = 1e-6
@@ -53,32 +59,41 @@ class NonlinearModel(MeasurementModel):
     grid: GridModel
     angle_refs: dict[int, int]        # region id -> datum node
     scope: str = "nonlinear"
+    compiled: InitVar["_CompiledRows | None"] = None    # of ``rows``; compiled when None
     _compiled: "_CompiledRows" = field(init=False, repr=False, compare=False)
+    # rows of the compiled tables the model keeps, None while it keeps all
+    _keep: np.ndarray | None = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, compiled):
         self.rows = tuple(self.rows)
-        self._compiled = _CompiledRows(self)
+        self._compiled = (compiled if compiled is not None
+                          else _CompiledRows(self.grid, self.index, self.rows))
+        self._keep = None
 
     def drop_row(self, i: int) -> None:
+        keep = np.arange(len(self.rows)) if self._keep is None else self._keep
+        self._keep = np.delete(keep, i)
         self.rows = self.rows[:i] + self.rows[i + 1:]
         super().drop_row(i)
-        self._compiled = _CompiledRows(self)
 
     def h(self, x: np.ndarray) -> np.ndarray:
         return self.h_jac(x, with_jac=False)[0]
 
     def h_jac(self, x: np.ndarray, with_jac: bool = True):
-        return self._compiled.evaluate(x, with_jac)
+        h, jac = self._compiled.evaluate(x, with_jac)
+        if self._keep is None:
+            return h, jac
+        return h[self._keep], None if jac is None else jac[self._keep]
 
 
 class _CompiledRows(CompiledRows):
     """A model's rows compiled (module docstring): ``telemetry.CompiledRows``
     plus the whole-system model's converter coupling rows."""
 
-    def __init__(self, model: NonlinearModel):
-        self.grid = model.grid
+    def __init__(self, grid: GridModel, index: dict[tuple[str, int], int], rows):
+        self.grid = grid
         self.losses = []  # (row, p_vsc, q_vsc, v_c, p_djc columns, converter)
-        super().__init__(model.index, model.rows)
+        super().__init__(index, rows)
 
     def _add_row(self, terms, i: int, row: tuple) -> None:
         op, index = row[0], terms.index
@@ -125,18 +140,7 @@ def _couple_loss(x, jrow, cp, cq, cv, cd, conv):
 def build_system_model(grid: GridModel,
                        measurements: list[tuple[int, Measurement]]) -> NonlinearModel:
     """Whole-system model with converter variables and virtual coupling rows."""
-    labels: list[tuple[str, int]] = []
-    angle_refs: dict[int, int] = {}
-    for region in grid.regions:
-        cols, refs = region_labels(grid, region)
-        labels += [lab for lab in cols if lab[0] != "pdjc"]   # draws go below
-        angle_refs.update(refs)
-    for conv in grid.converters:
-        labels += [("pvsc", conv.id), ("qvsc", conv.id), ("pdjc", conv.id)]
-    couple = [((op, conv.id), 0.0, VIRTUAL_SIGMA, SOURCE_VIRTUAL_COUPLING)
-              for conv in grid.converters
-              for op in ("couple_p", "couple_q", "couple_loss")]
-    return _assemble(grid, labels, angle_refs, measurements, None, couple, "system")
+    return _assemble(grid, None, measurements, "system")
 
 
 def build_region_model(grid: GridModel, region: Region,
@@ -145,25 +149,50 @@ def build_region_model(grid: GridModel, region: Region,
     its measurement rows followed by one ``"boundary"`` row per converter of
     ``region.boundary`` (z 0, sigma 1): the converter power on the region's
     side, which DWLS ties to the neighbour's claim."""
-    labels, angle_refs = region_labels(grid, region)
-    boundary = [(converter_spec(grid.converter(cid), "ac" if orient == OWNS_AC else "dc"),
-                 0.0, 1.0, "boundary") for cid, orient in region.boundary]
-    return _assemble(grid, labels, angle_refs, measurements, region, boundary,
-                     f"region:{region.id}")
+    return _assemble(grid, region, measurements, f"region:{region.id}")
 
 
-def _assemble(grid, labels, angle_refs, measurements, region, extra, scope):
-    """The model of ``measurements`` followed by the ``extra`` rows, given as
-    (row, z, sigma, source); a region model reads converter powers through
-    the region's boundary variables, the system model through its own."""
-    index = {lab: k for k, lab in enumerate(labels)}
-    rows = [row_spec(grid, m, region, region is None) for _, m in measurements]
-    rows += [row for row, *_ in extra]
+def _assemble(grid, region, measurements, scope):
+    """The model of ``measurements`` followed by the scope's extra rows, from
+    the compiled form the grid keeps for (scope, row set)."""
+    measurements = list(measurements)
+    index, angle_refs, rows, compiled, extra = grid.memo(
+        ("nonlinear", scope, row_keys(measurements)),
+        lambda: _compile(grid, region, measurements))
     return NonlinearModel(
         index=index, rows=rows,
-        z=np.array([m.value for _, m in measurements] + [e[1] for e in extra], dtype=float),
-        sigma=np.array([m.sigma for _, m in measurements] + [e[2] for e in extra], dtype=float),
-        sources=[m.source for _, m in measurements] + [e[3] for e in extra],
+        z=np.array([m.value for _, m in measurements] + [e[0] for e in extra], dtype=float),
+        sigma=np.array([m.sigma for _, m in measurements] + [e[1] for e in extra], dtype=float),
+        sources=[m.source for _, m in measurements] + [e[2] for e in extra],
         meas_indices=[gidx for gidx, _ in measurements] + [-1] * len(extra),
         measurements=[m for _, m in measurements] + [None] * len(extra),
-        grid=grid, angle_refs=angle_refs, scope=scope)
+        grid=grid, angle_refs=angle_refs, scope=scope, compiled=compiled)
+
+
+def _compile(grid, region, measurements):
+    """(index, angle datums, rows, their ``_CompiledRows``, (z, sigma, source)
+    of each extra row) of a scope and row set; a region model reads
+    converter powers through the region's boundary variables and is followed
+    by its boundary rows, the system model reads them through its own
+    variables and is followed by the coupling rows."""
+    if region is None:
+        labels: list[tuple[str, int]] = []
+        angle_refs: dict[int, int] = {}
+        for reg in grid.regions:
+            cols, refs = region_labels(grid, reg)
+            labels += [lab for lab in cols if lab[0] != "pdjc"]   # draws go below
+            angle_refs.update(refs)
+        for conv in grid.converters:
+            labels += [("pvsc", conv.id), ("qvsc", conv.id), ("pdjc", conv.id)]
+        extra = [((op, conv.id), 0.0, VIRTUAL_SIGMA, SOURCE_VIRTUAL_COUPLING)
+                 for conv in grid.converters
+                 for op in ("couple_p", "couple_q", "couple_loss")]
+    else:
+        labels, angle_refs = region_labels(grid, region)
+        extra = [(converter_spec(grid.converter(cid), "ac" if orient == OWNS_AC else "dc"),
+                  0.0, 1.0, "boundary") for cid, orient in region.boundary]
+    index = {lab: k for k, lab in enumerate(labels)}
+    rows = tuple([row_spec(grid, m, region, region is None) for _, m in measurements]
+                 + [row for row, *_ in extra])
+    return (index, angle_refs, rows, _CompiledRows(grid, index, rows),
+            [tuple(e[1:]) for e in extra])

@@ -38,6 +38,13 @@ first term keeps its bits, a -0.0 included.  h and J are bit for bit those of
 evaluating the rows one at a time through the scalar primitives, and H that
 of adding each row's coefficients term by term.
 
+A telemetry configuration reads the same (kind, location, direction) at every
+tick; only values and sigmas change.  So a region's linear rows are compiled
+once per row set (``row_keys``) into a :class:`RegionRows` that the grid
+keeps (``GridModel.memo``), and ``build_region_H`` computes only z, sigma and
+the row bookkeeping: every model of a row set, the SCADA screen's and DRSE's
+alike, shares one read-only H.
+
 Telemetry synthesis compiles each (grid, schedule, tick kind) once into a
 plan that the grid keeps (``GridModel.memo``): the readings in emission
 order, their specs as ``CompiledRows`` over V per node, theta per AC node and
@@ -176,6 +183,14 @@ class MeasurementSet:
 
 
 # -- row specs: the one map from a measurement kind to its physics ---------------
+
+
+def row_keys(measurements: list[tuple[int, Measurement]]) -> tuple:
+    """The row set of (global index, measurement) pairs: each reading's kind,
+    location and direction, all its row spec reads of it.  The kind enters as
+    its string value, whose hash is cached, where an enum member's hash is a
+    Python call."""
+    return tuple([(m.kind._value_, m.location, m.direction) for _, m in measurements])
 
 
 def _flow_ends(m: Measurement) -> tuple[int, int]:
@@ -499,7 +514,9 @@ class LinearRegionModel(MeasurementModel):
     DC regions: x = [V per node, draw per boundary converter].
     Rows whose source is ``SOURCE_VIRTUAL_ZERO`` are exact zero injections.
     The model holds no LP state: the regional WLAV LP built from it is owned
-    by its caller (``estimation.wlav.RegionalLp``).
+    by its caller (``estimation.wlav.RegionalLp``).  A region's model from
+    ``build_region_H`` shares its H and boundary rows with every model of its
+    row set through ``region_rows``; a model that drops a row leaves them.
     """
 
     H: np.ndarray
@@ -515,6 +532,7 @@ class LinearRegionModel(MeasurementModel):
     # (AC regions only)
     boundary: dict[int, np.ndarray] = field(default_factory=dict)
     boundary_q: dict[int, np.ndarray] = field(default_factory=dict)
+    region_rows: RegionRows | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.H = np.atleast_2d(np.asarray(self.H, dtype=float))
@@ -544,6 +562,7 @@ class LinearRegionModel(MeasurementModel):
 
     def drop_row(self, i: int) -> None:
         self.H = np.delete(self.H, i, axis=0)
+        self.region_rows = None
         super().drop_row(i)
 
 
@@ -563,46 +582,66 @@ def region_labels(grid: GridModel, region: Region,
     return (mags + angles if linear else angles + mags), {region.id: ref}
 
 
+class RegionRows:
+    """A region's linear rows for one row set (module docstring): read-only
+    ``H``, ``boundary`` and ``boundary_q`` rows (converter id -> row), the
+    column ``index`` and ``angle_refs``, and ``square``, True on the rows
+    that read U (the V-magnitude readings of an AC region).  ``lps`` keeps
+    the WLAV LP structures built on these rows, by the model's zero rows and
+    converters (``estimation.wlav``)."""
+
+    def __init__(self, grid: GridModel, region: Region,
+                 measurements: list[tuple[int, Measurement]]):
+        labels, self.angle_refs = region_labels(grid, region, linear=True)
+        self.index = {lab: k for k, lab in enumerate(labels)}
+        specs = [row_spec(grid, m, region) for _, m in measurements]
+        self.square = np.array([s[0] == "vmag" and region.kind == AC for s in specs],
+                               dtype=bool)
+        self.boundary: dict[int, np.ndarray] = {}
+        self.boundary_q: dict[int, np.ndarray] = {}
+        extra = []    # (dict, converter id, row spec) of each boundary row
+        for cid, orient in region.boundary:
+            conv = grid.converter(cid)
+            extra.append((self.boundary, cid,
+                          converter_spec(conv, "ac" if orient == OWNS_AC else "dc")))
+            if orient == OWNS_AC:
+                extra.append((self.boundary_q, cid, converter_spec(conv, "ac", "q")))
+
+        # an AC region's V columns are its U columns
+        rows = CompiledRows({("v" if tag == "u" else tag, key): k
+                             for (tag, key), k in self.index.items()},
+                            specs + [spec for *_, spec in extra]).linear()
+        rows.flags.writeable = False
+        self.H = rows[:len(specs)]
+        for (out, cid, _), row in zip(extra, rows[len(specs):]):
+            out[cid] = row
+        self.lps: dict = {}
+
+
 def build_region_H(grid: GridModel, region: Region,
                    measurements: list[tuple[int, Measurement]]) -> LinearRegionModel:
-    """Assemble the constant regional matrix: the linear coefficients of each
-    measurement's row spec and of the region's boundary converter rows, read
-    off one :class:`CompiledRows` of them all.
+    """The constant regional model of ``measurements``: the linear
+    coefficients of each measurement's row spec and of the region's boundary
+    converter rows, read off the row set's :class:`RegionRows`, which the
+    grid compiles on first use.
 
     Voltage-magnitude readings are mapped to U-space (value squared, sigma
     by first-order propagation).  Injection rows are sums of their incident
     flow rows.
     """
-    labels, angle_refs = region_labels(grid, region, linear=True)
-    index = {lab: k for k, lab in enumerate(labels)}
     measurements = list(measurements)
-    specs, z, sig = [], [], []
-    for _, m in measurements:
-        specs.append(row_spec(grid, m, region))
-        square = specs[-1][0] == "vmag" and region.kind == AC
-        z.append(m.value * m.value if square else m.value)
-        sig.append(2.0 * abs(m.value) * m.sigma if square else m.sigma)
-
-    boundary: dict[int, np.ndarray] = {}
-    boundary_q: dict[int, np.ndarray] = {}
-    extra = []    # (dict, converter id, row spec) of each boundary row
-    for cid, orient in region.boundary:
-        conv = grid.converter(cid)
-        extra.append((boundary, cid, converter_spec(conv, "ac" if orient == OWNS_AC else "dc")))
-        if orient == OWNS_AC:
-            extra.append((boundary_q, cid, converter_spec(conv, "ac", "q")))
-
-    # an AC region's V columns are its U columns
-    rows = CompiledRows({("v" if tag == "u" else tag, key): k for (tag, key), k in index.items()},
-                        specs + [spec for *_, spec in extra]).linear()
-    for (out, cid, _), row in zip(extra, rows[len(specs):]):
-        out[cid] = row
+    rows = grid.memo(("linear", region.id, row_keys(measurements)),
+                        lambda: RegionRows(grid, region, measurements))
+    value = np.array([m.value for _, m in measurements], dtype=float)
+    sigma = np.array([m.sigma for _, m in measurements], dtype=float)
     return LinearRegionModel(
-        H=rows[:len(specs)], z=z, sigma=sig,
+        H=rows.H, z=np.where(rows.square, value * value, value),
+        sigma=np.where(rows.square, 2.0 * np.abs(value) * sigma, sigma),
         sources=[m.source for _, m in measurements],
         meas_indices=[gidx for gidx, _ in measurements],
         measurements=[m for _, m in measurements], region_id=region.id,
-        index=index, angle_refs=angle_refs, boundary=boundary, boundary_q=boundary_q)
+        index=rows.index, angle_refs=rows.angle_refs, boundary=rows.boundary,
+        boundary_q=rows.boundary_q, region_rows=rows)
 
 
 # -- telemetry synthesis --------------------------------------------------------

@@ -141,6 +141,26 @@ class TestMonteCarlo:
         assert [r.wall_ms for r in result.records] == [
             float(r["wall_ms"]) for r in rows if r["iteration"] == "1"]
 
+    def test_workers_write_identical_artifacts(self, tmp_path, monkeypatch):
+        # two worker processes, each with its own copy of the grid and what
+        # it has compiled, write the bytes of one process
+        sc = Scenario(grid=str(data.path(data.CASE33_HYBRID)), method="drse", runs=4,
+                      seed=20240, base_profile=str(data.path(data.CASE33_HYBRID_LOADS)),
+                      test_days=5, bad_data_case=2)
+        outs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("HYBRIDSE_WORKERS", workers)
+            outs.append(tmp_path / workers)
+            result = run_montecarlo(sc, out_dir=outs[-1])
+        for name in ("runs.csv", "aggregate.csv", "trace_boundary.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        # the packet trace travels back as one float array per run
+        n_conv = 2
+        for rec in result.records:
+            assert not rec.error
+            assert rec.trace.dtype == float
+            assert rec.trace.shape == (2 * n_conv * rec.iterations, 7)
+
     def test_per_run_seed_derivation(self):
         sc = toy_scenario(runs=3)
         result = run_montecarlo(sc)

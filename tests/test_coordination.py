@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import pickle
 import struct
 import weakref
 
@@ -15,7 +16,7 @@ from hybridse.bench import Scenario, prepare_context, run_single
 from hybridse.coordination import (CoordinationParams, run_cwls, run_drse,
                                    run_dwls)
 from hybridse.estimation import BoundaryTerm, UnobservableError
-from hybridse.grid import AC
+from hybridse.grid import AC, load_grid
 from hybridse.powerflow import solve_powerflow
 from hybridse.telemetry import (MeasurementKind, MeasurementSet,
                                 ScheduleConfig, inject_bad_data,
@@ -115,27 +116,60 @@ class TestDrse:
         est = run_drse(toy5, linearize_measurements(toy5, ms, res.state), PARAMS)
         assert est.converged and est.stop_reason == "converged"
 
-    def test_region_lps_freed_with_the_estimate(self, case33, case33_loads, monkeypatch):
-        # each region's LP matrix is built once per estimate and lives only
-        # as long as the estimate's region models
-        _, ms = noisy_set(case33, case33_loads, seed=3)
-        refs, ids = [], set()
-        real = wlav.lp_solve
+    def test_region_lp_structure_shared_and_state_freed(self, case33_loads, monkeypatch):
+        # two estimates on one row set share each region's H and LP matrix,
+        # and the second builds no LP template and runs no elimination; each
+        # estimate's solve states are its own and die with it
+        grid = load_grid(data.path(data.CASE33_HYBRID))
+        n = len(grid.regions)
+        templates, eliminations, models, problems = [], [], [], []
+        real_init, real_rows = lp_module.LpTemplate.__init__, lp_module._free_rows
+        real_build, real_solve = coord.build_region_H, wlav.lp_solve
 
-        def spy(problem, basis=None):
-            refs.append(weakref.ref(problem.a_eq))
-            ids.add(id(problem.a_eq))
-            return real(problem, basis=basis)
+        def init(self, *args):
+            templates.append(1)
+            real_init(self, *args)
 
-        monkeypatch.setattr(wlav, "lp_solve", spy)
-        est = run_drse(case33, ms, PARAMS)
-        n = len(case33.regions)
-        # one solve per region in every iteration
-        assert len(refs) == n * est.iterations
-        assert len(ids) == n
-        del est
-        gc.collect()
-        assert all(ref() is None for ref in refs)
+        def free_rows(*args):
+            eliminations.append(1)
+            return real_rows(*args)
+
+        def build(*args):
+            models.append(real_build(*args))
+            return models[-1]
+
+        def solve(problem, basis=None):
+            sol = real_solve(problem, basis=basis)
+            problems.append((id(problem.a_eq), id(problem.state),
+                             weakref.ref(problem.state), weakref.ref(problem.state.last[1])))
+            return sol
+
+        monkeypatch.setattr(lp_module.LpTemplate, "__init__", init)
+        monkeypatch.setattr(lp_module, "_free_rows", free_rows)
+        monkeypatch.setattr(coord, "build_region_H", build)
+        monkeypatch.setattr(wlav, "lp_solve", solve)
+        counts, states = [], []
+        for seed in (3, 5):
+            _, ms = noisy_set(grid, case33_loads, seed=seed)
+            templates.clear(), eliminations.clear(), problems.clear()
+            est = run_drse(grid, ms, PARAMS)
+            counts.append((len(templates), len(eliminations)))
+            # one solve per region in every iteration, one LP matrix and one
+            # solve state per region
+            assert len(problems) == n * est.iterations
+            assert len({a for a, *_ in problems}) == n
+            assert len({state for _, state, *_ in problems}) == n
+            states.append(problems[:n])
+            refs = [ref for *_, state, tableau in problems for ref in (state, tableau)]
+            del est
+            gc.collect()
+            assert all(ref() is None for ref in refs)
+        assert counts == [(n, n), (0, 0)]
+        first, second = models[:n], models[n:]
+        for a, b in zip(first, second):
+            assert a.H is b.H and a.boundary is b.boundary
+            assert a.z is not b.z and a.z.tobytes() != b.z.tobytes()
+        assert [a for a, *_ in states[0]] == [a for a, *_ in states[1]]
 
     def test_one_cold_lp_start_per_region(self, case33, case33_loads, monkeypatch):
         # the boundary rows of b move between iterations, yet each region's
@@ -337,45 +371,65 @@ class TestDwls:
             run_dwls(toy5, MeasurementSet(kept), PARAMS)
 
 
+def test_grid_with_memo_survives_pickling(case33_loads):
+    # worker processes may receive the grid pickled, with the row sets it
+    # keeps; a copy estimates the same bits
+    grid = load_grid(data.path(data.CASE33_HYBRID))
+    _, ms = noisy_set(grid, case33_loads, seed=3)
+    bad = inject_bad_data(ms, 1)
+    want = [estimate_bits(run_drse(grid, ms, PARAMS)), estimate_bits(run_cwls(grid, bad))]
+    copy = pickle.loads(pickle.dumps(grid))
+    assert copy._memo.keys() == grid._memo.keys()
+    assert [estimate_bits(run_drse(copy, ms, PARAMS)),
+            estimate_bits(run_cwls(copy, bad))] == want
+
+
 class TestModelCompiles:
-    def test_once_per_model_and_removed_row(self, case33, case33_loads, monkeypatch):
-        # a nonlinear model compiles its rows when it is built and once more
-        # per row the normalized-residual test removes; solves and clones
-        # reuse the compiled form
-        compiles, removals = [], []
+    def test_once_per_row_set(self, case33_loads, monkeypatch):
+        # the grid compiles a nonlinear model's rows once per (scope, row set):
+        # the normalized-residual test's removals mask the compiled rows, and
+        # models of a row set seen before compile nothing
+        grid = load_grid(data.path(data.CASE33_HYBRID))
+        compiles, keys, removals = [], set(), []
         real_compile, real_lnr = measmodel._CompiledRows, coord.lnr_test
 
-        def compile_rows(model):
-            compiles.append(model.scope)
-            return real_compile(model)
+        def compile_rows(*args):
+            compiles.append(1)
+            return real_compile(*args)
 
         def lnr(*args, **kwargs):
             out = real_lnr(*args, **kwargs)
             removals.append(len(out.report.flagged))
             return out
 
+        def keyed(build, scope):
+            def spy(*args):
+                model = build(*args)
+                rows = [(m.kind, m.location, m.direction) for m in model.measurements
+                        if m is not None]
+                keys.add((scope(*args), tuple(rows)))
+                return model
+            return spy
+
         monkeypatch.setattr(measmodel, "_CompiledRows", compile_rows)
         monkeypatch.setattr(coord, "lnr_test", lnr)
+        monkeypatch.setattr(coord, "build_system_model",
+                            keyed(coord.build_system_model, lambda *a: "system"))
+        monkeypatch.setattr(coord, "build_region_model",
+                            keyed(coord.build_region_model, lambda g, r, _: r.id))
         sched = ScheduleConfig(scada_ac_branches=((1, 2), (2, 19), (3, 23), (6, 26)))
-        _, ms = noisy_set(case33, case33_loads, seed=11, sched=sched)
-        n = len(case33.regions)
-        removed = 0
-        for case in (0, 1, 2):
-            bad = ms if case == 0 else inject_bad_data(ms, case)
-            compiles.clear()
-            removals.clear()
-            est = run_cwls(case33, bad)
-            assert compiles.count("system") == len(compiles) == 1 + sum(removals)
-            assert sum(removals) == len(est.bad_data[-1].flagged)
-            removed += sum(removals)
-            compiles.clear()
-            removals.clear()
-            est = run_dwls(case33, bad, PARAMS)
-            # one compile per region per pass
-            assert len(compiles) == n * (1 + est.rerun) + sum(removals)
-            assert len(removals) == n * (1 + est.rerun)
-            removed += sum(removals)
-        assert removed > 0
+        _, ms = noisy_set(grid, case33_loads, seed=11, sched=sched)
+        for _ in range(2):
+            for case in (0, 1, 2):
+                bad = ms if case == 0 else inject_bad_data(ms, case)
+                est = run_cwls(grid, bad)
+                assert sum(removals[-1:]) == len(est.bad_data[-1].flagged)
+                run_dwls(grid, bad, PARAMS)
+            assert len(compiles) == len(keys)
+        assert sum(removals) > 0
+        # the first round compiled the system model once and each region's
+        # model once, plus once per distinct DWLS second pass
+        assert 1 + len(grid.regions) <= len(keys) < 1 + 4 * len(grid.regions)
 
 
 class TestCwls:

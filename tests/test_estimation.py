@@ -121,8 +121,8 @@ class TestLpOracle:
         return LinearRegionModel(h, z, sigma, sources=sources, boundary=boundary)
 
     def test_cold_and_warm_match_highs(self, monkeypatch):
-        # a basis from another template starts cold exactly once, unless it
-        # equals the basis of this template's last solve, whose tableau is reused
+        # a basis from another LP state starts cold exactly once, unless it
+        # equals the basis of this state's last solve, whose tableau is reused
         cold, warm_starts = [], {"cold": 0, "reused": 0}
         real = lp_module._crash_tableau
 
@@ -131,7 +131,7 @@ class TestLpOracle:
             return real(*args)
 
         def solve(problem, basis=None):
-            last = problem.template.last
+            last = problem.state.last
             reused = basis is not None and last is not None and last[0][0] == basis
             cold.clear()
             sol = lp_solve(problem, basis=basis)
@@ -674,13 +674,13 @@ class TestLpRepeat:
 
     @staticmethod
     def _prices_optimal(problem, basis):
-        """No reduced cost of a real column, over the template's stored
+        """No reduced cost of a real column, over the LP state's stored
         tableau and under ``problem``'s costs, is below the pricing
         tolerance."""
         template = problem.template
         n_int = template.n_int
         c = np.concatenate([problem.c, -problem.c[template.free], np.zeros(problem.b_eq.size)])
-        reduced = c[:n_int] - c[list(basis)] @ template.last[1][:, :n_int]
+        reduced = c[:n_int] - c[list(basis)] @ problem.state.last[1][:, :n_int]
         reduced[[k for k in basis if k < n_int]] = 0.0
         return bool(reduced.min() >= -lp_module._TOL)
 
@@ -696,7 +696,7 @@ class TestLpRepeat:
             for scale in (1.0 + 1e-12, 1.001, 1.5, 3.0, 10.0, 1e2, 1e4, 1e6, 0.5, 0.0):
                 c = problem.c.copy()
                 c[ab] = c[ab] * scale + (1e-3 if scale == 0.0 else 0.0)
-                moved = regional.lp.problem(c, problem.b_eq)
+                moved = regional.lp.problem(c, problem.b_eq, regional.state)
                 predicted = self._prices_optimal(moved, basis)
                 sol = lp_solve(moved, basis=basis)
                 assert predicted == (sol.x is last.x)
@@ -714,7 +714,8 @@ class TestLpRepeat:
             assert lp_solve(copy, basis=basis).x is not last.x
             b = problem.b_eq.copy()
             b[-1] += 1e-3
-            assert lp_solve(regional.lp.problem(problem.c, b), basis=basis).x is not last.x
+            assert lp_solve(regional.lp.problem(problem.c, b, regional.state),
+                            basis=basis).x is not last.x
             basis, last = self._settle(problem)
             assert lp_solve(problem, basis=basis[1:] + basis[:1]).x is not last.x
 
@@ -948,8 +949,9 @@ class TestLnrSubstitute:
 
 class TestLnrLeavesTheModel:
     """``lnr_test`` works on a clone only once it removes or substitutes a
-    reading, so a clean CWLS estimate compiles its system model once, and the
-    caller's model never changes."""
+    reading, and a removal masks the compiled rows, so CWLS estimates of one
+    row set compile the system model once in all, and the caller's model
+    never changes."""
 
     @staticmethod
     def _case33_set(case33, case33_loads, seed):
@@ -959,21 +961,27 @@ class TestLnrLeavesTheModel:
         sched = ScheduleConfig(scada_ac_branches=((1, 2), (2, 19), (3, 23), (6, 26)))
         return simulate_measurements(case33, truth.state, sched, t=3600.0, seed=seed)
 
-    def test_clean_cwls_compiles_once(self, case33, case33_loads, monkeypatch):
+    def test_cwls_compiles_once_per_row_set(self, case33_loads, monkeypatch):
+        from hybridse import data
         from hybridse.coordination import run_cwls
+        from hybridse.grid import load_grid
+        from hybridse.telemetry import inject_bad_data
+        grid = load_grid(data.path(data.CASE33_HYBRID))
         built = []
         real = measmodel._CompiledRows
 
-        def counted(model):
-            built.append(model)
-            return real(model)
+        def counted(*args):
+            built.append(args)
+            return real(*args)
 
         monkeypatch.setattr(measmodel, "_CompiledRows", counted)
+        flagged = []
         for seed in range(3):
-            built.clear()
-            est = run_cwls(case33, self._case33_set(case33, case33_loads, seed))
-            assert not est.bad_data[-1].flagged
-            assert len(built) == 1
+            ms = self._case33_set(grid, case33_loads, seed)
+            for bad in (ms, inject_bad_data(ms, 1)):
+                flagged.append(len(run_cwls(grid, bad).bad_data[-1].flagged))
+        assert flagged[0::2] == [0, 0, 0] and min(flagged[1::2]) > 0
+        assert len(built) == 1
 
     @staticmethod
     def _snapshot(model):

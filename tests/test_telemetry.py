@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import math
 import struct
 import weakref
@@ -7,9 +8,9 @@ import weakref
 import numpy as np
 import pytest
 
-from hybridse import measmodel
+from hybridse import data, measmodel
 from hybridse.estimation import solve_wls
-from hybridse.grid import AC, DC, OWNS_DC
+from hybridse.grid import AC, DC, MEMO_ENTRIES, OWNS_DC, load_grid
 from hybridse.powerflow import (SystemState, ac_branch_flow, ac_branch_flow_partials,
                                 solve_ac_region, solve_powerflow)
 from hybridse.telemetry import (SOURCE_VIRTUAL_ZERO, Measurement, MeasurementKind,
@@ -705,8 +706,9 @@ class TestCompiledModelExact:
 
 
 class TestCompiledModelLifetime:
-    """A model compiles its rows when it is built and again when it drops a
-    row; the rows are a tuple, and the compiled form dies with the model."""
+    """The grid compiles a model's rows once per (scope, row set) and every
+    model of that key shares the compiled form; a model that drops a row
+    masks it and compiles nothing.  The rows are a tuple."""
 
     @pytest.fixture
     def setup(self, case33, case33_loads):
@@ -741,13 +743,88 @@ class TestCompiledModelLifetime:
         assert twin.h(x).size == before[0].size - 1
         assert_bytes_equal(model.h_jac(x), before)
 
-    def test_compiled_arrays_freed_with_the_model(self, case33, case33_loads):
-        res, (model, *_) = wls_models(case33, case33_loads, case33_schedule())
-        model.h_jac(model.truth_vector(res.state, res.converters))
-        compiled = model._compiled
-        assert model.clone()._compiled is compiled
-        refs = [weakref.ref(compiled)]
-        refs += [weakref.ref(a) for a in vars(compiled).values() if isinstance(a, np.ndarray)]
-        del model, compiled
+    def test_masked_rows_match_a_fresh_compile(self, setup, monkeypatch):
+        # h[keep] and J[keep] are the bits of compiling the shorter rows:
+        # each row and each cell sums only its own row's terms
+        compiles = []
+        real = measmodel._CompiledRows
+
+        def counted(*args):
+            compiles.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(measmodel, "_CompiledRows", counted)
+        for model, x in setup:
+            twin = model.clone()
+            # the last row (a coupling or boundary row), the first, and rows
+            # between, counted in the rows left
+            for at in (1.0, 0.0, 0.5, 0.3, 0.97):
+                twin.drop_row(min(int(at * len(twin.rows)), len(twin.rows) - 1))
+            assert twin._compiled is model._compiled and not compiles
+            self.assert_as_fresh(twin, x)
+            assert len(compiles) == 1
+            compiles.clear()
+        ops = {row[0] for model, _ in setup for row in model.rows}
+        assert {"couple_p", "couple_loss", "var"} <= ops
+
+    def test_compiled_form_kept_by_the_grid(self, case33_loads):
+        grid = load_grid(data.path(data.CASE33_HYBRID))
+        res, models = wls_models(grid, case33_loads, case33_schedule(), seed=11)
+        _, again = wls_models(grid, case33_loads, case33_schedule(), seed=12)
+        for a, b in zip(models, again):
+            assert a._compiled is b._compiled and a.rows is b.rows and a.index is b.index
+            assert a.z.tobytes() != b.z.tobytes()
+            assert a.clone()._compiled is a._compiled
+        # a model keeps its compiled form alive; the grid's entry is dropped
+        # only by eviction
+        refs = [weakref.ref(models[0]._compiled)]
+        refs += [weakref.ref(a) for a in vars(models[0]._compiled).values()
+                 if isinstance(a, np.ndarray)]
+        del models, again
+        gc.collect()
+        assert all(ref() is not None for ref in refs)
+        grid._memo.clear()
         gc.collect()
         assert all(ref() is None for ref in refs)
+
+
+class TestGridMemo:
+    """The grid keeps at most ``MEMO_ENTRIES`` compiled structures, one per
+    row set among them, and evicts the oldest; a rebuilt entry gives the
+    same bits."""
+
+    def test_bounded_and_rebuilt_bit_exact(self, case33_loads):
+        grid = load_grid(data.path(data.CASE33_HYBRID))
+        res, (system, *_) = wls_models(grid, case33_loads, case33_schedule())
+        pairs = [(i, m) for i, m in enumerate(system.measurements) if m is not None]
+        x = system.truth_vector(res.state, res.converters)
+        region = grid.regions[0]
+        by_region = MeasurementSet([m for _, m in pairs]).by_region(grid)[region.id]
+        # LNR-cleaned sets of the system model and DWLS-like second passes of
+        # a region's linear model: more distinct row sets than are kept
+        subsets = ([p for p in pairs if p[0] not in drop]
+                   for drop in itertools.combinations(range(len(pairs)), 2))
+        first_system = measmodel.build_system_model(grid, pairs[1:])
+        first_h = build_region_H(grid, region, by_region[1:])
+        want = (first_system.h_jac(x), first_h.H.copy(), first_h.boundary)
+        fed = len(grid._memo)
+        for subset in itertools.islice(subsets, MEMO_ENTRIES):
+            measmodel.build_system_model(grid, subset)
+            fed += 1
+            assert len(grid._memo) == min(fed, MEMO_ENTRIES)
+        for k in range(1, 9):
+            build_region_H(grid, region, by_region[:-k])
+        assert len(grid._memo) == MEMO_ENTRIES
+        rebuilt = measmodel.build_system_model(grid, pairs[1:])
+        assert rebuilt._compiled is not first_system._compiled
+        assert_bytes_equal(rebuilt.h_jac(x), want[0])
+        again = build_region_H(grid, region, by_region[1:])
+        assert again.H is not first_h.H
+        assert again.H.tobytes() == want[1].tobytes()
+        for cid, row in want[2].items():
+            assert again.boundary[cid].tobytes() == row.tobytes()
+        # the grid's own structures went first, and come back the same
+        assert "powerflow" not in grid._memo
+        again_pf = solve_powerflow(grid, case33_loads)
+        assert again_pf.state == res.state and again_pf.converters == res.converters
+        assert len(grid._memo) == MEMO_ENTRIES
