@@ -13,10 +13,12 @@ A[:, free], rows without a bounded unit column (a WLAV LP's exact zero
 injections) first; a free column without a pivot (a state the rows do not
 determine) stays out.  Every other row takes its first bounded unit column
 with a +1 entry (the slack u or b), else its artificial.  The starting
-tableau is B^-1 [A | b], one dense solve.  A negative basic value is swapped
-to its negated partner (the other half of a free variable's split, the row's
--1 unit column l or a, else the row's artificial) and its row is negated, so
-the start is primal feasible and phase 1 runs only with artificials basic.
+tableau is B^-1 [A | b].  B^-1 A does not depend on b, so the template solves
+it once, when it is built, and a cold start copies it and solves only for the
+b column.  A negative basic value is swapped to its negated partner (the
+other half of a free variable's split, the row's -1 unit column l or a, else
+the row's artificial) and its row is negated, so the start is primal
+feasible and phase 1 runs only with artificials basic.
 An artificial left on a redundant row after phase 1 stays basic at zero: a
 basis has one column per row.  Internal columns are A, -A[:, free], then one
 artificial unit column per row, which never enters.
@@ -25,12 +27,12 @@ A family of problems that share A and the free columns and differ only in c
 and b comes from one :class:`LpTemplate`, and each problem it makes names it
 in ``LpProblem.template``.  The template is immutable and may be shared by
 any number of owners: its A and free mask are read-only, and it makes the
-internal columns and the crash data (the elimination's rows) once, when it
-is built.  What a solve leaves behind lives apart, in an :class:`LpState`
-that the owner of a run of solves passes with each problem
-(``LpProblem.state``): the last solve's final tableau and read-only x, keyed
-by its basis and the bytes of b.  A state is never shared between owners, so
-no owner starts from another's solve.
+internal columns and the crash data (the elimination's rows and the crash
+basis's B^-1 A) once, when it is built.  What a solve leaves behind lives
+apart, in an :class:`LpState` that the owner of a run of solves passes with
+each problem (``LpProblem.state``): the last solve's final tableau and
+read-only x, keyed by its basis and the bytes of b.  A state is never
+shared between owners, so no owner starts from another's solve.
 
 The one warm start is from that basis: the returned basis of the state's
 last solve, cold or warm, passed back to the next solve of a problem with
@@ -131,7 +133,9 @@ class LpTemplate:
     Row i starts on column ``start[i]`` unless a free column takes it (the
     free columns ``crash_cols`` take the rows ``taken``, so the crash basis
     is ``crash_basis``), and a starting column k with a negative value is
-    swapped to ``partner[k]``."""
+    swapped to ``partner[k]``.  ``crash_a`` is the read-only B^-1 A_int of
+    the crash basis, None when that basis is singular: the cold start then
+    fails, not the template."""
 
     def __init__(self, a_eq, free_mask):
         self.a_eq = np.atleast_2d(np.array(a_eq, dtype=float))
@@ -166,6 +170,23 @@ class LpTemplate:
         self.taken, self.crash_cols = rows[rows >= 0], self.free[rows >= 0]
         self.crash_basis = self.start.copy()
         self.crash_basis[self.taken] = self.crash_cols
+        # B is the identity but for the free columns on the rows they took, so
+        # B^-1 M is A[taken, cols]^-1 M[taken] there and M - A[:, cols] x
+        # elsewhere.  M is [A | 0], the shape of the tableau [A | b]: the last
+        # bits a column gets from the solve may depend on that shape
+        self.crash_a = None             # B^-1 A_int; None when B is singular
+        t = np.zeros((m, n + 1))
+        t[:, :n] = self.a_eq
+        a_cols = self.a_eq[:, self.crash_cols]
+        try:
+            x = np.linalg.solve(a_cols[self.taken], t[self.taken])
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            t -= a_cols @ x
+            t[self.taken] = x
+            self.crash_a = np.concatenate([t[:, :n], -t[:, self.free]], axis=1)
+            self.crash_a.flags.writeable = False
         for a in (self.orig, self.sign, self.start, self.partner, self.taken,
                   self.crash_cols, self.crash_basis):
             a.flags.writeable = False
@@ -248,23 +269,25 @@ def _lp_solve(problem: LpProblem, basis) -> LpSolution:
 def _crash_tableau(template: LpTemplate, b) -> tuple[np.ndarray, np.ndarray]:
     """Tableau B^-1 [A_int | b] of the cold-start basis, with every basic
     value non-negative; see the module docstring.  Row i of the tableau
-    belongs to the column that takes row i of A."""
-    n_int, (m, n) = template.n_int, template.a_eq.shape
+    belongs to the column that takes row i of A.  B^-1 A_int is the
+    template's; only B^-1 b is solved here."""
+    if template.crash_a is None:
+        raise LpError("singular crash basis")
+    n_int, m = template.n_int, template.a_eq.shape[0]
     taken, cols = template.taken, template.crash_cols
     cols_basis = template.crash_basis.copy()
-    # B is the identity but for the free columns on the rows they took, so
-    # B^-1 M is A[taken, cols]^-1 M[taken] there and M - A[:, cols] x elsewhere
-    t = np.empty((m, n + 1))
-    t[:, :n] = template.a_eq
-    t[:, -1] = b
+    # b is solved as two equal columns: for one column LAPACK's solve and
+    # BLAS's product take other kernels, whose last bits differ from those b
+    # gets as a column of [A | b]; for two columns they take the same ones
+    rhs = np.empty((m, 2))
+    rhs[:] = np.asarray(b)[:, None]
     a_cols = template.a_eq[:, cols]
-    try:
-        x = np.linalg.solve(a_cols[taken], t[taken])
-    except np.linalg.LinAlgError as exc:
-        raise LpError("singular crash basis") from exc
-    t -= a_cols @ x
-    t[taken] = x
-    t = np.concatenate([t[:, :n], -t[:, template.free], t[:, n:]], axis=1)
+    x = np.linalg.solve(a_cols[taken], rhs[taken])
+    rhs -= a_cols @ x
+    rhs[taken] = x
+    t = np.empty((m, n_int + 1))
+    t[:, :n_int] = template.crash_a
+    t[:, -1] = rhs[:, 0]
 
     neg = t[:, -1] < 0.0
     t[neg] *= -1.0

@@ -12,9 +12,10 @@ the residual is negative), so a cold solve takes a few pivots.
 Within one estimate only the boundary rows of b and the (a, b) costs change
 between coordination iterations, and between estimates of one row set only z
 and sigma do.  So the structure (A, the free mask and their
-:class:`~.lp.LpTemplate`, cold-start elimination included) is built once per
-row set and kept with the model's ``telemetry.RegionRows``, under the
-model's zero rows and converters; a model without them gets a throwaway one.
+:class:`~.lp.LpTemplate`, with the cold start's elimination and its B^-1 A)
+is built once per row set and kept with the model's ``telemetry.RegionRows``,
+under the model's zero rows and converters; a model without them gets a
+throwaway one.  A cold start then solves only for b.
 A :class:`RegionalLp` adds what is its own: the slack costs 1/sigma, z and
 the kernel's :class:`~.lp.LpState`.  DRSE builds one per region per estimate
 and passes it to every solve; a call without one builds a throwaway one, so

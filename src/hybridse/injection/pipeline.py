@@ -208,7 +208,8 @@ class InjectionModel:
                      for n, g in self.gmms.items()},
             "meta": self.meta,
         }
-        Path(path).write_text(json.dumps(doc, sort_keys=True))
+        # in the trained key order: the prior rows follow that of gmm_means
+        Path(path).write_text(json.dumps(doc))
 
     @classmethod
     def load(cls, path: str | Path) -> "InjectionModel":
@@ -360,9 +361,18 @@ def sanitize_scada(grid: GridModel, ms: MeasurementSet,
     region); flagged readings become the values the other rows predict.  The
     screen hunts doubled/negated readings, so its sigmas carry a linear-model
     allowance and its threshold sits far above the estimation-level test.
+
+    The prior rows depend only on the model, so the grid keeps them per
+    model object (``GridModel.memo``): a model is read once, at its first
+    screen, and must not change afterwards.
     """
-    priors = prior_measurements(model, grid, t=0.0, pct=0.30)
-    screen = MeasurementSet(list(ms.measurements) + priors)
+    # the entry keeps the model alive, so no other model takes its id while
+    # it lasts; a grid unpickled in another process may carry a stale id
+    kept, priors = grid.memo(("priors", id(model)), lambda: (
+        model, tuple(prior_measurements(model, grid, t=0.0, pct=0.30))))
+    if kept is not model:
+        priors = prior_measurements(model, grid, t=0.0, pct=0.30)
+    screen = MeasurementSet([*ms.measurements, *priors])
     by_region = screen.by_region(grid)
     corrected: dict[int, float] = {}
     for region in grid.regions:

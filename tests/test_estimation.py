@@ -633,6 +633,156 @@ class TestOptimizeBitExact:
         assert any(bland)
 
 
+def _reference_crash_tableau(template, b):
+    """The cold-start tableau as it was built before the template kept
+    B^-1 A_int: one solve of [A | b], kept as the reference for bit
+    equality."""
+    n_int, (m, n) = template.n_int, template.a_eq.shape
+    taken, cols = template.taken, template.crash_cols
+    cols_basis = template.crash_basis.copy()
+    t = np.empty((m, n + 1))
+    t[:, :n] = template.a_eq
+    t[:, -1] = b
+    a_cols = template.a_eq[:, cols]
+    try:
+        x = np.linalg.solve(a_cols[taken], t[taken])
+    except np.linalg.LinAlgError as exc:
+        raise LpError("singular crash basis") from exc
+    t -= a_cols @ x
+    t[taken] = x
+    t = np.concatenate([t[:, :n], -t[:, template.free], t[:, n:]], axis=1)
+    neg = t[:, -1] < 0.0
+    t[neg] *= -1.0
+    cols_basis[neg] = template.partner[cols_basis[neg]]
+    real = np.flatnonzero(cols_basis < n_int)
+    t[:, cols_basis[real]] = 0.0
+    t[real, cols_basis[real]] = 1.0
+    return t, cols_basis
+
+
+class TestCrashTableauBitExact:
+    """The cold start from the template's kept B^-1 A_int gives the same
+    tableau bytes and basis as the reference that solves [A | b] whole: on
+    the regional templates of case33 DRSE estimates, on the random LPs of
+    ``TestLpOracle`` and on the case33 AC region whose states the readings
+    leave out, each with several right-hand sides."""
+
+    @staticmethod
+    def _assert_same(template, bs):
+        for b in bs:
+            t, cols = lp_module._crash_tableau(template, b)
+            t_ref, cols_ref = _reference_crash_tableau(template, b)
+            assert t.tobytes() == t_ref.tobytes()
+            assert np.array_equal(cols, cols_ref)
+
+    @staticmethod
+    def _right_hand_sides(rng, b):
+        return [b, -b, b + rng.normal(0.0, 0.01, size=b.size),
+                b * rng.uniform(0.5, 2.0, size=b.size)]
+
+    @staticmethod
+    def _templates(monkeypatch):
+        """(template, b) of every cold start while it is installed."""
+        seen = []
+        real = lp_module._crash_tableau
+
+        def crash(template, b):
+            seen.append((template, np.array(b)))
+            return real(template, b)
+
+        monkeypatch.setattr(lp_module, "_crash_tableau", crash)
+        return seen
+
+    def test_case33_estimates(self, case33, case33_loads, monkeypatch):
+        from hybridse.coordination import CoordinationParams, run_drse
+        seen = self._templates(monkeypatch)
+        for t, injections, case in ((3600.0, False, 0), (900.0, True, 2)):
+            for ms in _case33_sets(case33, case33_loads, t, injections, case, range(2)):
+                run_drse(case33, ms, CoordinationParams())
+        monkeypatch.undo()
+        assert len(seen) == 4 * len(case33.regions)
+        rng = np.random.default_rng(33)
+        for template, b in seen:
+            self._assert_same(template, self._right_hand_sides(rng, b))
+
+    def test_random_lps(self):
+        rng = np.random.default_rng(20240)
+        for _ in range(60):
+            x_true = rng.normal(size=int(rng.integers(2, 6)))
+            x_true[0] = 1.0 + abs(x_true[0])
+            model = TestLpOracle._case(rng, x_true)
+            terms = {cid: BoundaryTerm(lam=float(rng.uniform(0.01, 5.0)),
+                                       neighbor_p=float(row @ x_true + rng.normal(0, 0.1)))
+                     for cid, row in model.boundary.items()}
+            problem = build_regional_wlav_lp(model, terms)
+            self._assert_same(problem.template,
+                              self._right_hand_sides(rng, problem.b_eq))
+
+    def test_states_left_out(self, case33, case33_loads, monkeypatch):
+        from hybridse.coordination import CoordinationParams, run_drse
+        from hybridse.powerflow import solve_powerflow
+        from hybridse.telemetry import ScheduleConfig, simulate_measurements
+        seen = self._templates(monkeypatch)
+        truth = solve_powerflow(case33, case33_loads)
+        for seed in range(2):
+            ms = simulate_measurements(case33, truth.state, ScheduleConfig(), t=900.0,
+                                       seed=seed)
+            run_drse(case33, ms, CoordinationParams())
+        monkeypatch.undo()
+        # the AC region's 51 states: the readings determine 11 of them
+        assert any(tp.free.size > tp.crash_cols.size for tp, _ in seen)
+        rng = np.random.default_rng(51)
+        for template, b in seen:
+            self._assert_same(template, self._right_hand_sides(rng, b))
+
+
+class TestCrashTableauKept:
+    """B^-1 A_int is solved once, when the template is built; each cold
+    start solves only for b, and a singular crash block fails the cold
+    start, not the template."""
+
+    @staticmethod
+    def _problem(seed):
+        rng = np.random.default_rng(seed)
+        x_true = np.array([1.5, -0.3, 0.7])
+        model = TestLpOracle._case(rng, x_true)
+        terms = {cid: BoundaryTerm(0.5, float(row @ x_true))
+                 for cid, row in model.boundary.items()}
+        return model, terms
+
+    def test_one_multi_column_solve(self, monkeypatch):
+        model, terms = self._problem(7)
+        widths = []
+        real = np.linalg.solve
+
+        def solve(a, b):
+            widths.append(1 if np.ndim(b) == 1 else np.shape(b)[1])
+            return real(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        lp = RegionalLp(model, sorted(terms))
+        problem = lp.problem(terms)
+        assert widths == [problem.a_eq.shape[1] + 1]
+        for _ in range(5):
+            lp_solve(problem)
+        assert widths == [problem.a_eq.shape[1] + 1] + [2] * 5
+
+    def test_singular_block_fails_the_cold_start(self, monkeypatch):
+        model, terms = self._problem(8)
+        real = np.linalg.solve
+
+        def singular(a, b):
+            if np.shape(a)[0]:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        lp = RegionalLp(model, sorted(terms))
+        problem = lp.problem(terms)
+        with pytest.raises(LpError, match="singular crash basis"):
+            lp_solve(problem)
+
+
 class TestLpRepeat:
     """A warm solve with the stored basis and b bytes returns the stored x
     itself, with 0 pivots, exactly when the stored tableau prices optimal

@@ -63,6 +63,27 @@ class TestModelArtifact:
         assert np.array_equal(again.mlp.predict(z[None, :]),
                               toy_model.mlp.predict(z[None, :]))
 
+    def test_reloaded_model_screens_like_the_trained_one(self, tmp_path, toy5,
+                                                          toy5_loads, toy_model):
+        # the file keeps the trained key order, so the reloaded model emits
+        # the same prior rows in the same order and screens bit for bit alike
+        path = tmp_path / "model.json"
+        toy_model.save(path)
+        again = InjectionModel.load(path)
+
+        def rows(values):
+            return ([(r.kind, r.location, r.source) for r in values],
+                    np.array([(r.value, r.sigma) for r in values]).tobytes())
+
+        assert rows(prior_measurements(again, toy5, t=0.0)) == \
+            rows(prior_measurements(toy_model, toy5, t=0.0))
+        _, ms = toy_measurements(toy5, toy5_loads)
+        for screened in (ms, inject_bad_data(ms, 2, target=0)):
+            assert rows(sanitize_scada(toy5, screened, again).measurements) == \
+                rows(sanitize_scada(toy5, screened, toy_model).measurements)
+            assert rows(generated_measurements(again, screened, toy5, t=900.0)) == \
+                rows(generated_measurements(toy_model, screened, toy5, t=900.0))
+
     def test_inference_deterministic_and_dimension_checked(self, toy_model):
         z = np.linspace(0.9, 1.1, len(toy_model.channels))
         a = infer_injections(toy_model, z)
@@ -115,6 +136,26 @@ class TestSanitizer:
         for i, m in enumerate(fixed.measurements):
             if i != idx:
                 assert m == bad.measurements[i]
+
+
+    def test_prior_rows_built_once_per_model(self, toy5, toy5_loads, toy_model,
+                                             monkeypatch):
+        import dataclasses
+        from hybridse.injection import pipeline
+        built = []
+        real = pipeline.prior_measurements
+
+        def counted(model, *args, **kwargs):
+            built.append(model)
+            return real(model, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "prior_measurements", counted)
+        _, ms = toy_measurements(toy5, toy5_loads)
+        first, second = (dataclasses.replace(toy_model) for _ in range(2))
+        screened = [sanitize_scada(toy5, ms, model).measurements
+                    for model in (first, second, first, second)]
+        assert len(built) == 2 and built[0] is first and built[1] is second
+        assert all(s == screened[0] for s in screened)
 
 
 class TestScreenDigest:

@@ -8,10 +8,11 @@ BASE and CHANGE are source checkouts (for example ``git archive REV | tar -x
 in each tree, one process at a time, the base first on even pairs and the
 change first on odd ones, so a drift of the machine's speed during the session
 falls on both sides alike.  It prints, per metric, each side's median and
-quartiles, the median of the paired relative differences and how many pairs
+quartiles, the median of the paired relative differences, how many pairs
 the change won (by the ``better`` direction that the change tree's
-BENCHMARK.json gives the metric), and writes every run's result with that
-summary to ``--out`` as JSON.  Standard library only.
+BENCHMARK.json gives the metric) and a verdict (see ``verdict``), and writes
+every run's result with that summary to ``--out`` as JSON.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -52,10 +53,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
     return result
 
 
-def directions(tree: Path) -> dict[str, str]:
+def metric_specs(tree: Path) -> dict[str, dict]:
+    """BENCHMARK.json's entry of each metric: its ``better`` direction and,
+    for an end-to-end metric, the ``bound`` by which it may worsen."""
     spec = json.loads((tree / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"]
-            for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+    return {m["name"]: m for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
 
 
 def spread(values: list[float]) -> dict:
@@ -66,7 +68,44 @@ def spread(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
+MIN_PAIRS = 10     # fewer pairs support no verdict but ``unresolved``
+
+
+def verdict(rows: list[tuple[float, float]], better: str, bound: float | None) -> str:
+    """One metric's verdict over its (base, change) pairs, at least
+    ``MIN_PAIRS`` of them.
+
+    ``gain``: the change wins at least nine tenths of the pairs (ties count
+    for neither) and its median is better than the base's by more than the
+    base's quartile spread.  ``regression``: the change's median is worse
+    than the base's by more than ``bound`` (relative to the base's median);
+    a metric without a bound regresses by the mirror of the gain rule.
+    ``unresolved``: neither, and the base's quartile spread is wider than
+    the bound, unless every change run is better than every base run; for a
+    metric without a bound, the medians differ by more than that spread.
+    ``unchanged`` otherwise."""
+    if len(rows) < MIN_PAIRS:
+        return "unresolved"
+    sign = -1.0 if better == "lower" else 1.0
+    base, change = spread([b for b, _ in rows]), spread([c for _, c in rows])
+    gap = sign * (change["median"] - base["median"])       # > 0: the change is better
+    iqr = base["q3"] - base["q1"]
+    wins = sum(sign * (c - b) > 0 for b, c in rows)
+    losses = sum(sign * (c - b) < 0 for b, c in rows)
+    if wins >= 0.9 * len(rows) and gap > iqr:
+        return "gain"
+    if bound is None:
+        if losses >= 0.9 * len(rows) and -gap > iqr:
+            return "regression"
+        return "unresolved" if abs(gap) > iqr else "unchanged"
+    scale = abs(base["median"])
+    if -gap > bound * scale:
+        return "regression"
+    all_better = all(sign * (c - b) > 0 for _, c in rows for b, _ in rows)
+    return "unresolved" if iqr > bound * scale and not all_better else "unchanged"
+
+
+def summarize(pairs: list[dict], specs: dict[str, dict]) -> dict:
     done = [p for p in pairs if "metrics" in p["base"] and "metrics" in p["change"]]
     names = sorted({n for p in done for n in p["base"]["metrics"]})
     out = {}
@@ -75,14 +114,18 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
                 if name in p["base"]["metrics"] and name in p["change"]["metrics"]]
         base, change = [b for b, _ in rows], [c for _, c in rows]
         rel = [(c - b) / b for b, c in rows if b]
-        sign = -1.0 if better.get(name) == "lower" else 1.0
+        spec = specs.get(name, {})
+        better = spec.get("better", "?")
+        sign = -1.0 if better == "lower" else 1.0
         out[name] = {
-            "better": better.get(name, "?"),
+            "better": better,
+            "bound": spec.get("bound"),
             "base": spread(base),
             "change": spread(change),
             "median_rel_diff": statistics.median(rel) if rel else float("nan"),
             "change_wins": sum(sign * (c - b) > 0 for b, c in rows),
             "pairs": len(rows),
+            "verdict": verdict(rows, better, spec.get("bound")),
         }
     return out
 
@@ -98,7 +141,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path)
     args = ap.parse_args(argv)
 
-    better = directions(args.change)
+    specs = metric_specs(args.change)
     report = {"base": str(args.base), "change": str(args.change), "seeds": args.seeds,
               "seconds": args.seconds, "trace": args.trace, "workloads": {}}
     for workload in args.workload:
@@ -117,16 +160,16 @@ def main(argv=None) -> int:
                                     if args.trace == 0)),
                       flush=True)
             pairs.append(pair)
-        summary = summarize(pairs, better)
+        summary = summarize(pairs, specs)
         report["workloads"][workload] = {"pairs": pairs, "summary": summary}
         print(f"\n{workload}: {len(pairs)} pairs, base -> change "
-              "(median [q1, q3]; median paired difference; change wins)")
+              "(median [q1, q3]; median paired difference; change wins: verdict)")
         for name, s in summary.items():
             b, c = s["base"], s["change"]
             print(f"  {name}: {b['median']:.4g} [{b['q1']:.4g}, {b['q3']:.4g}] -> "
                   f"{c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]; "
                   f"{100 * s['median_rel_diff']:+.1f}%; {s['change_wins']}/{s['pairs']}"
-                  f" ({s['better']} is better)")
+                  f" ({s['better']} is better): {s['verdict']}")
         if args.out:
             args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
