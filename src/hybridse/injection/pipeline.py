@@ -216,6 +216,9 @@ class InjectionModel:
         doc = json.loads(Path(path).read_text())
         if doc.get("version") != 1:
             raise ValueError("unsupported injection model version")
+        if missing := {"mlp", "channels", "components", "error_sigma", "gmm_means",
+                       "gmms"} - set(doc):
+            raise ValueError(f"injection model {path} lacks key(s) {sorted(missing)}")
         gmms = {int(n): GmmModel(weights=np.array(g["weights"]),
                                  means=np.array(g["means"]),
                                  variances=np.array(g["variances"]))

@@ -9,7 +9,7 @@ and converter draw (p_djc) tied together by three high-weight virtual rows:
 aux-node flow equals output (P and Q) and output plus loss equals draw.
 
 ``h`` and its Jacobian are evaluated from a compiled form of the rows,
-``telemetry.CompiledRows`` (the telemetry module docstring says how its
+``powerflow.CompiledRows`` (the powerflow module docstring says how its
 in-order sums keep the bits of evaluating the rows one at a time), extended
 here by the couple rows: the flow part of a ``couple_p``/``couple_q`` row is
 a branch term and its -p_vsc/-q_vsc a variable term of coefficient -1, and
@@ -40,8 +40,9 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .grid import OWNS_AC, GridModel, Region
-from .telemetry import (CompiledRows, Measurement, MeasurementModel, converter_spec,
-                        region_labels, row_keys, row_spec)
+from .powerflow import CompiledRows
+from .telemetry import (Measurement, MeasurementModel, converter_spec, region_labels,
+                        row_keys, row_spec)
 
 SOURCE_VIRTUAL_COUPLING = "virtual_coupling"
 VIRTUAL_SIGMA = 1e-6
@@ -87,7 +88,7 @@ class NonlinearModel(MeasurementModel):
 
 
 class _CompiledRows(CompiledRows):
-    """A model's rows compiled (module docstring): ``telemetry.CompiledRows``
+    """A model's rows compiled (module docstring): ``powerflow.CompiledRows``
     plus the whole-system model's converter coupling rows."""
 
     def __init__(self, grid: GridModel, index: dict[tuple[str, int], int], rows):

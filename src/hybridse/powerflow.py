@@ -18,6 +18,29 @@ makes one ``np.linalg.solve`` call.  Every element is the same arithmetic on
 the same operands as forming the full Jacobian and selecting its free
 block, so the solves and the results keep their bits.
 
+``CompiledRows`` compiles row specs (``telemetry.row_spec``) once into
+tables of their terms over the columns of a state vector: each AC branch
+flow (an ``ac_flow`` row, a branch of an ``ac_inj`` row) as its v_f, th_f,
+v_t, th_t columns, P or Q, r and x; each DC branch flow as its columns and
+g; each variable a row reads as its column and coefficient.  Each term
+carries its row.  A datum node's angle (no column) reads a 0.0 appended to
+the state, and its matrix cell is a dropped sink.  The tables give the
+nonlinear h and J (``evaluate``, every branch term at once through
+``branch_flow_terms``, the arithmetic of the scalar ``ac_branch_flow``) and
+the constant linear rows (``linear``).  Terms are summed by ``np.add.at``,
+which adds in index order, and a row's terms sit in row order, so every row
+and cell sums its terms in row order: a matrix cell and an injection row
+from +0.0, as ``sum()`` does, every other row from -0.0, the exact identity
+of addition.  So h and J are bit for bit those of evaluating the rows one at
+a time through the scalar primitives, and H that of adding each row's
+coefficients term by term.
+
+Both audits read one compiled row set, kept by the ``_PowerFlowPlan``: the
+injection rows of the audited nodes, both directions of every branch and
+the slack's P injection.  ``mismatch_residual`` adds the converter terms to
+the expected side; ``conservation_residual`` adds each branch's two
+directions, then the branches in grid order, as one at a time.
+
 Sign conventions: injections are generation-positive; a converter's
 ``p_vsc``/``q_vsc`` is its AC-side output into the aux node c, and ``p_djc``
 is the power the DC region feeds into the converter (negative when the DC
@@ -29,6 +52,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +104,10 @@ def load_profile(path: str | Path) -> InjectionProfile:
     """Read `node_id,P,Q` CSV (Q blank for DC nodes)."""
     prof = InjectionProfile()
     with open(path, newline="") as f:
-        for row in csv.DictReader(f):
+        reader = csv.DictReader(f)
+        if missing := {"node_id", "P"} - set(reader.fieldnames or ()):
+            raise ValueError(f"injection profile {path} lacks column(s) {sorted(missing)}")
+        for row in reader:
             node = int(row["node_id"])
             prof.p[node] = float(row["P"])
             if row.get("Q") not in (None, ""):
@@ -140,19 +167,10 @@ def converter_loss(p_c: float, q_c: float, v_c: float,
     return d1 + d2 * i_c + d3 * i_c * i_c, i_c
 
 
-def ac_branch_flow_partials(v_f: float, th_f: float, v_t: float, th_t: float,
-                            r: float, x: float):
-    """Sending-end (P, Q) on a series r+jx branch, no shunts, and their
-    partials with respect to (v_f, th_f, v_t, th_t)."""
-    y = 1.0 / complex(r, x)
-    dth = th_f - th_t
-    return branch_flow_terms(y.real, y.imag, v_f, v_t, math.cos(dth), math.sin(dth))
-
-
 def branch_flow_terms(g, b, v_f, v_t, cs, sn):
-    """(P, Q, dP, dQ) of :func:`ac_branch_flow_partials` from the series
-    admittance g + jb and the cosine and sine of the angle difference.  Plain
-    arithmetic, so it also runs elementwise on arrays with the same bits."""
+    """Sending-end (P, Q) on a series branch g + jb, no shunts, and their
+    partials with respect to (v_f, th_f, v_t, th_t), from the cosine and sine
+    of th_f - th_t.  Plain arithmetic: elementwise on arrays, same bits."""
     gc_bs = g * cs + b * sn
     gs_bc = g * sn - b * cs
     p = g * v_f * v_f - v_f * v_t * gc_bs
@@ -165,12 +183,156 @@ def branch_flow_terms(g, b, v_f, v_t, cs, sn):
 def ac_branch_flow(v_f: float, th_f: float, v_t: float, th_t: float,
                    r: float, x: float) -> tuple[float, float]:
     """Sending-end (P, Q) on a series r+jx branch, no shunts."""
-    return ac_branch_flow_partials(v_f, th_f, v_t, th_t, r, x)[:2]
+    y = 1.0 / complex(r, x)
+    dth = th_f - th_t
+    return branch_flow_terms(y.real, y.imag, v_f, v_t, math.cos(dth), math.sin(dth))[:2]
 
 
 def dc_branch_flow(v_f: float, v_t: float, g: float) -> float:
     """Sending-end power on a DC line: p = v_f (v_f - v_t) g."""
     return v_f * (v_f - v_t) * g
+
+
+# -- compiled rows: row specs evaluated all at once ------------------------------
+
+
+class CompiledRows:
+    """Row specs as tables of their terms (module docstring): ``evaluate``
+    gives h and J at a state vector, ``linear`` the constant coefficients.
+    ``index`` maps column labels to columns.  ``measmodel`` adds its
+    converter coupling rows through ``_add_row``."""
+
+    def __init__(self, index: dict[tuple[str, int], int], rows):
+        m, n = len(rows), len(index)
+        self.shape = (m, n)
+        self.h0 = np.full(m, -0.0)     # +0.0 for an injection row (module docstring)
+        terms = _Terms(index)
+        for i, row in enumerate(rows):
+            self._add_row(terms, i, row)
+
+        f_row, self.flow_cols, (is_p, self.r, self.x) = _fields(terms.flows, 5, 3)
+        d_row, self.dc_cols, (self.dc_g,) = _fields(terms.dcs, 3, 1)
+        v_row, (self.var_col,), (self.coef,) = _fields(terms.vars, 2, 1)
+        self.is_p = is_p > 0.0
+        self.term_rows = np.concatenate((f_row, d_row, v_row))
+        # matrix cells: the flow terms by (v_f, th_f, v_t, th_t), the DC terms
+        # by (v_f, v_t), then the variable terms, so a cell of one row takes
+        # its terms in row order (the branches of a row all leave one node);
+        # a datum angle (column n) goes to the sink cell m * n
+        f_cells = np.where(self.flow_cols < n, f_row * n + self.flow_cols, m * n)
+        self.cells = np.concatenate((f_cells.ravel(), (d_row * n + self.dc_cols).ravel(),
+                                     v_row * n + self.var_col))
+
+    def _add_row(self, terms: "_Terms", i: int, row: tuple) -> None:
+        op, index = row[0], terms.index
+        if op in ("ac_inj", "dc_inj"):
+            self.h0[i] = 0.0           # a sum, as sum() starts it
+        if op == "vmag":
+            terms.var(i, index[("v", row[1])], 1.0)
+        elif op == "var":
+            terms.var(i, index[row[1:]], 1.0)
+        elif op == "ac_flow":
+            terms.flow(i, *row[1:])
+        elif op == "dc_flow":
+            terms.dc(i, *row[1:])
+        elif op == "ac_inj":
+            _, node, branches, which = row
+            for other, r, x in branches:
+                terms.flow(i, node, other, r, x, which)
+        elif op == "dc_inj":
+            _, node, branches, convs = row
+            for other, g in branches:
+                terms.dc(i, node, other, g)
+            for cid in convs:
+                terms.var(i, index[("pdjc", cid)], 1.0)
+        else:
+            raise ValueError(f"unknown row op {op}")
+
+    @cached_property
+    def _admittance(self) -> tuple[np.ndarray, np.ndarray]:
+        """g + jb = 1 / (r + jx) of every flow term, by the scalar division;
+        only ``evaluate`` reads it."""
+        y = [1.0 / complex(r, x) for r, x in zip(self.r.tolist(), self.x.tolist())]
+        return np.array([c.real for c in y]), np.array([c.imag for c in y])
+
+    def _matrix(self, values: np.ndarray) -> np.ndarray:
+        """The (m, n) matrix of ``values`` added into ``cells`` in order,
+        each cell from +0.0."""
+        m, n = self.shape
+        flat = np.zeros(m * n + 1)
+        np.add.at(flat, self.cells, values)
+        return flat[:-1].reshape(m, n)
+
+    def evaluate(self, x: np.ndarray, with_jac: bool):
+        xe = np.append(x, 0.0)        # column n reads 0.0: the angle of a datum node
+        vf, thf, vt, tht = xe[self.flow_cols]
+        dth = thf - tht
+        p, q, dp, dq = branch_flow_terms(*self._admittance, vf, vt, np.cos(dth), np.sin(dth))
+        uf, ut = xe[self.dc_cols]
+        h = self.h0.copy()
+        np.add.at(h, self.term_rows, np.concatenate((np.where(self.is_p, p, q),
+                                                     dc_branch_flow(uf, ut, self.dc_g),
+                                                     self.coef * xe[self.var_col])))
+        if not with_jac:
+            return h, None
+        return h, self._matrix(np.concatenate((np.where(self.is_p, dp, dq).ravel(),
+                                               (2 * uf - ut) * self.dc_g, -uf * self.dc_g,
+                                               self.coef)))
+
+    def linear(self) -> np.ndarray:
+        """The rows' constant coefficients: ``linear_row_ac_flow`` on (U_f,
+        theta_f, U_t, theta_t) with signs (+, +, -, -) for a flow term, (g,
+        -g) on (V_f, V_t) for a DC term, its coefficient for a variable term
+        (an AC region's U columns are labelled V)."""
+        # the Q coefficients of (r, x) are the P coefficients of (x, -r), bit
+        # for bit: r * r + x * x adds the same two products
+        cu, cth = linear_row_ac_flow(np.where(self.is_p, self.r, self.x),
+                                     np.where(self.is_p, self.x, -self.r))
+        return self._matrix(np.concatenate((cu, cth, -cu, -cth, self.dc_g, -self.dc_g,
+                                            self.coef)))
+
+
+class _Terms:
+    """The terms of rows being compiled, by kind, as flat lists of their
+    fields; each term starts with its row.  A row's terms follow its order,
+    so a sum over them in table order adds in row order."""
+
+    def __init__(self, index: dict[tuple[str, int], int]):
+        self.index = index
+        self.flows = []   # row, v_f, th_f, v_t, th_t columns, is P, r, x
+        self.dcs = []     # row, v_f, v_t columns, g
+        self.vars = []    # row, column, coefficient
+
+    def flow(self, i, f, t, r, x, which) -> None:
+        """An AC branch flow f -> t; a node without an angle column (a datum)
+        reads column n, the 0.0 that ``evaluate`` appends."""
+        index, n = self.index, len(self.index)
+        self.flows += (i, index[("v", f)], index.get(("th", f), n),
+                       index[("v", t)], index.get(("th", t), n), which == "p", r, x)
+
+    def dc(self, i, f, t, g) -> None:
+        self.dcs += (i, self.index[("v", f)], self.index[("v", t)], g)
+
+    def var(self, i, col, coef) -> None:
+        self.vars += (i, col, coef)
+
+
+def _fields(terms: list, n_int: int, n_float: int):
+    """A flat list of terms, each ``n_int`` index fields then ``n_float``
+    float fields, as (the rows, the other index fields, the float fields)
+    with one array row per field."""
+    table = np.array(terms, dtype=float).reshape(-1, n_int + n_float).T
+    ints = table[:n_int].astype(np.intp)
+    return ints[0], ints[1:], table[n_int:]
+
+
+def linear_row_ac_flow(r, x):
+    """Coefficients of a linear P flow row: ``a`` on (U_f - U_t) and ``c`` on
+    (theta_f - theta_t), P = a dU + c dth.  ``r`` and ``x`` may be arrays,
+    taken elementwise.
+    """
+    d = r * r + x * x
+    return r / (2.0 * d), x / d
 
 
 # -- regional Newton solves ---------------------------------------------------
@@ -353,7 +515,8 @@ class _PowerFlowPlan:
     Newton and the converters whose output it injects (the forming converter
     of its angle datum excluded), each DC region's Newton, its held
     (dc_slack) converter, that terminal's lines and the other converters'
-    draws, and where each converter's coupling branch reads its state."""
+    draws, where each converter's coupling branch reads its state, and the
+    audits' compiled rows (module docstring)."""
 
     def __init__(self, grid: GridModel):
         self.ac, self.dc = [], []
@@ -385,6 +548,42 @@ class _PowerFlowPlan:
             index = grid.admittance(rid).index
             self.couplings[conv.id] = (rid, index[conv.aux_node], index[conv.ac_node],
                                        grid.angle_reference(rid) == conv.aux_node)
+
+        # the audits' rows (module docstring) and, for the expected side, the
+        # rows of the converter terms (a Q row follows its P row)
+        held = {nw.nodes[nw.ref] for nw, *_ in self.ac + self.dc}    # the references
+        self.audited = [(n.id, which) for n in grid.nodes if n.id not in held
+                        for which in ("pq" if n.kind == AC else "p")]
+        row = {key: i for i, key in enumerate(self.audited)}
+        self.output_rows = [(row[c.aux_node, "p"], c) for c in grid.converters
+                            if (c.aux_node, "p") in row]
+        self.draw_rows = [(row[c.dc_node, "p"], c.id) for c in grid.converters
+                          if (c.dc_node, "p") in row]
+        ac = [(ln.from_node, ln.to_node, ln.r, ln.x) for ln in grid.ac_lines] + [
+            (c.aux_node, c.ac_node, c.coupling_r, c.coupling_x) for c in grid.converters]
+        specs = ([_injection(grid, *key) for key in self.audited]
+                 + [("ac_flow", *ends, r, x, "p") for f, t, r, x in ac
+                    for ends in ((f, t), (t, f))]
+                 + [("dc_flow", *ends, ln.g) for ln in grid.dc_lines
+                    for ends in ((ln.from_node, ln.to_node), (ln.to_node, ln.from_node))]
+                 + [_injection(grid, grid.slack, "p")])
+        self.labels = ([("v", n.id) for n in grid.nodes]
+                       + [("th", n.id) for n in grid.nodes if n.kind == AC])
+        self.audit = CompiledRows({lab: k for k, lab in enumerate(self.labels)}, specs)
+
+
+def _injection(grid: GridModel, node: int, which: str) -> tuple:
+    """The row spec of a node's injection, a DC node's without its draws."""
+    if grid.node(node).kind == AC:
+        return ("ac_inj", node, tuple(grid.incident_ac_branches(node)), which)
+    return ("dc_inj", node, tuple(grid.incident_dc_branches(node)), ())
+
+
+def _audit(grid: GridModel, st: SystemState) -> tuple[_PowerFlowPlan, np.ndarray]:
+    """The grid's plan and its audit rows evaluated at a state."""
+    plan = grid.memo("powerflow", lambda: _PowerFlowPlan(grid))
+    x = np.array([st.v[n] if tag == "v" else st.theta[n] for tag, n in plan.labels])
+    return plan, plan.audit.evaluate(x, with_jac=False)[0]
 
 
 def solve_powerflow(grid: GridModel, profile: InjectionProfile) -> PowerFlowResult:
@@ -455,21 +654,22 @@ def solve_powerflow(grid: GridModel, profile: InjectionProfile) -> PowerFlowResu
             for _ in range(20):
                 new_loss, _ = converter_loss(p, q_vsc[ref_conv.id], v_c[ref_conv.id],
                                              (ref_conv.d1, ref_conv.d2, ref_conv.d3))
-                p_new = p_djc[ref_conv.id] - new_loss
-                if abs(p_new - p) < 1e-14:
-                    p = p_new
+                p, p_old = p_djc[ref_conv.id] - new_loss, p
+                if abs(p - p_old) < 1e-14:
                     break
-                p = p_new
             p_vsc[ref_conv.id] = p
             loss[ref_conv.id], _ = converter_loss(p, q_vsc[ref_conv.id], v_c[ref_conv.id],
                                                   (ref_conv.d1, ref_conv.d2, ref_conv.d3))
 
-        # coupling residual against the latest AC solution
+        # coupling residual and converter solutions at the latest AC solution
         coupling = 0.0
+        converters: dict[int, ConverterSolution] = {}
         for conv in grid.converters:
             p_ci, q_ci, vc = coupling_flow(conv)
-            l, _ = converter_loss(p_ci, q_ci, vc, (conv.d1, conv.d2, conv.d3))
+            l, i_c = converter_loss(p_ci, q_ci, vc, (conv.d1, conv.d2, conv.d3))
             coupling = max(coupling, abs(p_ci + l - p_djc[conv.id]))
+            converters[conv.id] = ConverterSolution(p_vsc=p_ci, q_vsc=q_ci, p_loss=l,
+                                                    i_c=i_c, v_c=vc, p_djc=p_djc[conv.id])
         if coupling <= _COUPLING_TOL:
             break
     else:
@@ -485,13 +685,6 @@ def solve_powerflow(grid: GridModel, profile: InjectionProfile) -> PowerFlowResu
     for newton, *_ in plan.dc:
         v.update(zip(newton.nodes, dc_states[newton.region_id]))
 
-    converters: dict[int, ConverterSolution] = {}
-    for conv in grid.converters:
-        p_ci, q_ci, vc = coupling_flow(conv)
-        l, i_c = converter_loss(p_ci, q_ci, vc, (conv.d1, conv.d2, conv.d3))
-        converters[conv.id] = ConverterSolution(p_vsc=p_ci, q_vsc=q_ci, p_loss=l,
-                                                i_c=i_c, v_c=vc, p_djc=p_djc[conv.id])
-
     state = SystemState(v=v, theta=theta)
     return PowerFlowResult(state=state, converters=converters, outer_iterations=outer,
                            max_mismatch=mismatch_residual(grid, profile, state, converters),
@@ -505,41 +698,17 @@ def mismatch_residual(grid: GridModel, profile: InjectionProfile, st: SystemStat
     nodes (slack, held DC terminals, forming aux nodes) are excluded since
     their injection is an output of the solve.
     """
-    skip = {grid.slack}
-    for region in grid.regions:
-        if region.kind == AC:
-            skip.add(grid.angle_reference(region.id))
-    skip |= {c.dc_node for c in grid.converters if c.control.mode == MODE_DC_SLACK}
-
-    worst = 0.0
-    for node in grid.nodes:
-        if node.id in skip:
-            continue
-        if node.kind == AC:
-            p_net = q_net = 0.0
-            for other, r, x in grid.incident_ac_branches(node.id):
-                p, q = ac_branch_flow(st.v[node.id], st.theta[node.id],
-                                      st.v[other], st.theta[other], r, x)
-                p_net += p
-                q_net += q
-            p_exp, q_exp = profile.p_at(node.id), profile.q_at(node.id)
-            conv = grid.converter_at_aux(node.id)
-            if conv is not None:
-                if conv.control.mode == MODE_PQ:
-                    p_exp += conv.control.p_set
-                    q_exp += conv.control.q_set
-                else:
-                    p_exp += converters[conv.id].p_vsc
-                    q_exp += converters[conv.id].q_vsc
-            worst = max(worst, abs(p_net - p_exp), abs(q_net - q_exp))
-        else:
-            p_net = sum(dc_branch_flow(st.v[node.id], st.v[other], g)
-                        for other, g in grid.incident_dc_branches(node.id))
-            p_exp = profile.p_at(node.id)
-            for conv in grid.converters_at_dc_node(node.id):
-                p_exp -= converters[conv.id].p_djc
-            worst = max(worst, abs(p_net - p_exp))
-    return worst
+    plan, values = _audit(grid, st)
+    expected = [profile.p_at(node) if which == "p" else profile.q_at(node)
+                for node, which in plan.audited]
+    for i, conv in plan.output_rows:
+        p, q = ((conv.control.p_set, conv.control.q_set) if conv.control.mode == MODE_PQ
+                else (converters[conv.id].p_vsc, converters[conv.id].q_vsc))
+        expected[i] += p
+        expected[i + 1] += q
+    for i, cid in plan.draw_rows:
+        expected[i] -= converters[cid].p_djc
+    return float(np.abs(values[:len(expected)] - expected).max(initial=0.0))
 
 
 def conservation_residual(grid: GridModel, profile: InjectionProfile,
@@ -551,33 +720,10 @@ def conservation_residual(grid: GridModel, profile: InjectionProfile,
     of which the solve keeps within ``_COUPLING_TOL``.  It can therefore exceed
     ``_COUPLING_TOL`` on a grid with more than one converter.
     """
-    st = result.state
-    line_losses = 0.0
-    for ln in grid.ac_lines:
-        pf, _ = ac_branch_flow(st.v[ln.from_node], st.theta[ln.from_node],
-                               st.v[ln.to_node], st.theta[ln.to_node], ln.r, ln.x)
-        pt, _ = ac_branch_flow(st.v[ln.to_node], st.theta[ln.to_node],
-                               st.v[ln.from_node], st.theta[ln.from_node], ln.r, ln.x)
-        line_losses += pf + pt
-    for conv in grid.converters:
-        pf, _ = ac_branch_flow(st.v[conv.aux_node], st.theta[conv.aux_node],
-                               st.v[conv.ac_node], st.theta[conv.ac_node],
-                               conv.coupling_r, conv.coupling_x)
-        pt, _ = ac_branch_flow(st.v[conv.ac_node], st.theta[conv.ac_node],
-                               st.v[conv.aux_node], st.theta[conv.aux_node],
-                               conv.coupling_r, conv.coupling_x)
-        line_losses += pf + pt
-    for ln in grid.dc_lines:
-        line_losses += (dc_branch_flow(st.v[ln.from_node], st.v[ln.to_node], ln.g)
-                        + dc_branch_flow(st.v[ln.to_node], st.v[ln.from_node], ln.g))
-
+    plan, values = _audit(grid, result.state)
+    flows, slack_gen = values[len(plan.audited):-1], values[-1]
+    # each branch's two directions, then the branches one at a time from 0.0
+    line_losses = np.add.accumulate(np.append(0.0, flows[0::2] + flows[1::2]))[-1]
     conv_losses = sum(c.p_loss for c in result.converters.values())
-
-    slack_gen = 0.0
-    for other, r, x in grid.incident_ac_branches(grid.slack):
-        p, _ = ac_branch_flow(st.v[grid.slack], st.theta[grid.slack],
-                              st.v[other], st.theta[other], r, x)
-        slack_gen += p
-
     total_profile = sum(profile.p.values())
-    return slack_gen + total_profile - line_losses - conv_losses
+    return float(slack_gen + total_profile - line_losses - conv_losses)

@@ -14,29 +14,9 @@ into that converter.  The linear model and the nonlinear one of ``measmodel``
 share one base, ``MeasurementModel``: the state layout and read-out and the
 row bookkeeping.
 
-``row_spec`` specs are compiled once, by ``CompiledRows``, into tables of
-their terms over the columns of a state vector:
-
-* every AC branch flow (an ``ac_flow`` row, each branch of an ``ac_inj``
-  row) as its v_f, th_f, v_t, th_t columns, P or Q, r and x; every DC branch
-  flow as its columns and g; every variable a row reads (a ``vmag`` or
-  ``var`` row, a converter draw of a ``dc_inj`` row) as its column and
-  coefficient.  Each term carries its row.  The angle of a datum node (no
-  column) reads a 0.0 appended to the state, and its matrix cell is a sink
-  that is dropped.
-
-The same tables give the nonlinear h and J (``evaluate``) and the constant
-linear rows of ``build_region_H`` (``linear``).  ``evaluate`` computes all
-branch terms at once with ``powerflow.branch_flow_terms``, the arithmetic of
-the scalar ``ac_branch_flow_partials``, so each term has the bits of the
-scalar call.  Terms are summed into h, J and H by ``np.add.at``, which adds
-in index order, and a row's terms sit in the tables in row order, so every
-row and every cell sums its terms in row order.  A matrix cell and an
-injection row start from +0.0, as the built-in ``sum()`` does.  Every other
-row of h starts from -0.0: -0.0 is the exact identity of addition, so its
-first term keeps its bits, a -0.0 included.  h and J are bit for bit those of
-evaluating the rows one at a time through the scalar primitives, and H that
-of adding each row's coefficients term by term.
+``row_spec`` specs are compiled once by ``powerflow.CompiledRows``, whose
+term tables give both the nonlinear values and the constant linear rows
+with the bits of the scalar primitives (the powerflow module docstring).
 
 A telemetry configuration reads the same (kind, location, direction) at every
 tick; only values and sigmas change.  So a region's linear rows are compiled
@@ -63,14 +43,13 @@ import csv
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .grid import AC, DC, OWNS_AC, OWNS_DC, Converter, GridModel, Region
-from .powerflow import (ConverterSolution, SystemState, ac_branch_flow, branch_flow_terms,
-                        converter_loss, dc_branch_flow)
+from .powerflow import (CompiledRows, ConverterSolution, SystemState, ac_branch_flow,
+                        converter_loss)
 
 
 class TelemetryError(ValueError):
@@ -170,7 +149,10 @@ class MeasurementSet:
     def from_csv(cls, path: str | Path) -> "MeasurementSet":
         out = []
         with open(path, newline="") as f:
-            for row in csv.DictReader(f):
+            reader = csv.DictReader(f)
+            if missing := set(cls.CSV_HEADER.split(",")) - set(reader.fieldnames or ()):
+                raise TelemetryError(f"measurement file {path} lacks column(s) {sorted(missing)}")
+            for row in reader:
                 out.append(Measurement(
                     kind=MeasurementKind(row["kind"]),
                     location=tuple(int(x) for x in row["location"].split("-")),
@@ -270,154 +252,7 @@ def row_spec(grid: GridModel, m: Measurement, region: Region | None = None,
     return ("dc_inj", node, tuple(grid.incident_dc_branches(node)), convs)
 
 
-# -- compiled rows: every row spec of a model or plan at once ---------------------
-
-
-class CompiledRows:
-    """:func:`row_spec` specs as tables of their terms (module docstring),
-    read two ways: ``evaluate`` gives h and J at a state vector with the bits
-    of evaluating the rows one at a time, ``linear`` the rows' constant
-    linear coefficients.  ``index`` maps column labels to the columns of that
-    vector.  ``measmodel`` extends the rows with its converter coupling rows
-    through ``_add_row``."""
-
-    def __init__(self, index: dict[tuple[str, int], int], rows):
-        m, n = len(rows), len(index)
-        self.shape = (m, n)
-        self.h0 = np.full(m, -0.0)     # +0.0 for an injection row (module docstring)
-        terms = _Terms(index)
-        for i, row in enumerate(rows):
-            self._add_row(terms, i, row)
-
-        f_row, self.flow_cols, (is_p, self.r, self.x) = _fields(terms.flows, 5, 3)
-        d_row, self.dc_cols, (self.dc_g,) = _fields(terms.dcs, 3, 1)
-        v_row, (self.var_col,), (self.coef,) = _fields(terms.vars, 2, 1)
-        self.is_p = is_p > 0.0
-        self.term_rows = np.concatenate((f_row, d_row, v_row))
-        # matrix cells: the flow terms by (v_f, th_f, v_t, th_t), the DC terms
-        # by (v_f, v_t), then the variable terms, so a cell of one row takes
-        # its terms in row order (the branches of a row all leave one node);
-        # a datum angle (column n) goes to the sink cell m * n
-        f_cells = np.where(self.flow_cols < n, f_row * n + self.flow_cols, m * n)
-        self.cells = np.concatenate((f_cells.ravel(), (d_row * n + self.dc_cols).ravel(),
-                                     v_row * n + self.var_col))
-
-    def _add_row(self, terms: "_Terms", i: int, row: tuple) -> None:
-        op, index = row[0], terms.index
-        if op in ("ac_inj", "dc_inj"):
-            self.h0[i] = 0.0           # a sum, as sum() starts it
-        if op == "vmag":
-            terms.var(i, index[("v", row[1])], 1.0)
-        elif op == "var":
-            terms.var(i, index[row[1:]], 1.0)
-        elif op == "ac_flow":
-            terms.flow(i, *row[1:])
-        elif op == "dc_flow":
-            terms.dc(i, *row[1:])
-        elif op == "ac_inj":
-            _, node, branches, which = row
-            for other, r, x in branches:
-                terms.flow(i, node, other, r, x, which)
-        elif op == "dc_inj":
-            _, node, branches, convs = row
-            for other, g in branches:
-                terms.dc(i, node, other, g)
-            for cid in convs:
-                terms.var(i, index[("pdjc", cid)], 1.0)
-        else:
-            raise TelemetryError(f"unknown row op {op}")
-
-    @cached_property
-    def _admittance(self) -> tuple[np.ndarray, np.ndarray]:
-        """g + jb = 1 / (r + jx) of every flow term, by the scalar division;
-        only ``evaluate`` reads it."""
-        y = [1.0 / complex(r, x) for r, x in zip(self.r.tolist(), self.x.tolist())]
-        return np.array([c.real for c in y]), np.array([c.imag for c in y])
-
-    def _matrix(self, values: np.ndarray) -> np.ndarray:
-        """The (m, n) matrix of ``values`` added into ``cells`` in order,
-        each cell from +0.0."""
-        m, n = self.shape
-        flat = np.zeros(m * n + 1)
-        np.add.at(flat, self.cells, values)
-        return flat[:-1].reshape(m, n)
-
-    def evaluate(self, x: np.ndarray, with_jac: bool):
-        xe = np.append(x, 0.0)        # column n reads 0.0: the angle of a datum node
-        vf, thf, vt, tht = xe[self.flow_cols]
-        dth = thf - tht
-        p, q, dp, dq = branch_flow_terms(*self._admittance, vf, vt, np.cos(dth), np.sin(dth))
-        uf, ut = xe[self.dc_cols]
-        h = self.h0.copy()
-        np.add.at(h, self.term_rows, np.concatenate((np.where(self.is_p, p, q),
-                                                     dc_branch_flow(uf, ut, self.dc_g),
-                                                     self.coef * xe[self.var_col])))
-        if not with_jac:
-            return h, None
-        return h, self._matrix(np.concatenate((np.where(self.is_p, dp, dq).ravel(),
-                                               (2 * uf - ut) * self.dc_g, -uf * self.dc_g,
-                                               self.coef)))
-
-    def linear(self) -> np.ndarray:
-        """The rows' constant coefficients: ``linear_row_ac_flow`` on (U_f,
-        theta_f, U_t, theta_t) with signs (+, +, -, -) for a flow term, (g,
-        -g) on (V_f, V_t) for a DC term, its coefficient for a variable term.
-        ``build_region_H`` compiles an AC region with its U columns labelled
-        V."""
-        # the Q coefficients of (r, x) are the P coefficients of (x, -r), bit
-        # for bit: r * r + x * x adds the same two products
-        cu, cth = linear_row_ac_flow(np.where(self.is_p, self.r, self.x),
-                                     np.where(self.is_p, self.x, -self.r))
-        return self._matrix(np.concatenate((cu, cth, -cu, -cth, self.dc_g, -self.dc_g,
-                                            self.coef)))
-
-
-class _Terms:
-    """The terms of rows being compiled, by kind, as flat lists of their
-    fields; each term starts with its row.  A row's terms follow its order,
-    so a sum over them in table order adds in row order."""
-
-    def __init__(self, index: dict[tuple[str, int], int]):
-        self.index = index
-        self.flows = []   # row, v_f, th_f, v_t, th_t columns, is P, r, x
-        self.dcs = []     # row, v_f, v_t columns, g
-        self.vars = []    # row, column, coefficient
-
-    def flow(self, i, f, t, r, x, which) -> None:
-        """An AC branch flow f -> t; a node without an angle column (a datum)
-        reads column n, the 0.0 that ``evaluate`` appends."""
-        index, n = self.index, len(self.index)
-        self.flows += (i, index[("v", f)], index.get(("th", f), n),
-                       index[("v", t)], index.get(("th", t), n), which == "p", r, x)
-
-    def dc(self, i, f, t, g) -> None:
-        self.dcs += (i, self.index[("v", f)], self.index[("v", t)], g)
-
-    def var(self, i, col, coef) -> None:
-        self.vars += (i, col, coef)
-
-
-def _fields(terms: list, n_int: int, n_float: int):
-    """A flat list of terms, each ``n_int`` index fields then ``n_float``
-    float fields, as (the rows, the other index fields, the float fields)
-    with one array row per field."""
-    table = np.array(terms, dtype=float).reshape(-1, n_int + n_float).T
-    ints = table[:n_int].astype(np.intp)
-    return ints[0], ints[1:], table[n_int:]
-
-
 # -- linear model ---------------------------------------------------------------
-
-
-def linear_row_ac_flow(r, x, which: str = "p"):
-    """Coefficients of a linear flow row: ``a`` on (U_f - U_t) and ``c`` on
-    (theta_f - theta_t), with P (``which="p"``) or Q (``"q"``) = a dU + c dth.
-    ``r`` and ``x`` may be arrays, taken elementwise.
-    """
-    d = r * r + x * x
-    if which == "p":
-        return r / (2.0 * d), x / d
-    return x / (2.0 * d), -r / d
 
 
 class MeasurementModel:

@@ -1,12 +1,16 @@
 """The scalar truth path: one reading at a time through the scalar
 primitives of ``hybridse.powerflow``.
 
-It is the oracle of the compiled path (``telemetry.CompiledRows`` and the
-synthesis plans behind ``simulate_measurements``), which must give its bits.
+It is the oracle of the compiled path (``powerflow.CompiledRows``, the
+synthesis plans behind ``simulate_measurements`` and the power-flow audits),
+which must give its bits.
 ``eval_h_nonlinear`` is a reading's physical value at a state: its
 ``row_spec`` evaluated term by term, an injection as the built-in ``sum()``
-of its branch flows.  ``noisy`` is one reading's noise: sigma = pct/3 of the
-magnitude, floored, and one draw from ``rng`` unless pct is zero.
+of its branch flows.  ``ac_branch_flow_partials`` is a branch flow and its
+partials in scalars.  ``mismatch_residual`` and ``conservation_residual``
+are the power-flow audits node by node and branch by branch.  ``noisy`` is
+one reading's noise: sigma = pct/3 of the magnitude, floored, and one draw
+from ``rng`` unless pct is zero.
 ``linearize_measurements`` is the zero-noise oracle of the estimators: every
 reading replaced by its value under the regional linear models.
 """
@@ -14,8 +18,9 @@ reading replaced by its value under the regional linear models.
 import math
 from dataclasses import replace
 
-from hybridse.powerflow import (ConverterSolution, ac_branch_flow, converter_loss,
-                                dc_branch_flow)
+from hybridse.grid import AC, MODE_DC_SLACK, MODE_PQ
+from hybridse.powerflow import (ConverterSolution, ac_branch_flow, branch_flow_terms,
+                                converter_loss, dc_branch_flow)
 from hybridse.telemetry import (SOURCE_SCADA, SOURCE_SMART_METER, MeasurementKind,
                                 MeasurementSet, build_region_H, row_spec)
 
@@ -53,6 +58,90 @@ def spec_value(grid, state, spec) -> float:
                           conv.coupling_r, conv.coupling_x)
     loss, _ = converter_loss(p, q, state.v[a], (conv.d1, conv.d2, conv.d3))
     return p + loss
+
+
+def ac_branch_flow_partials(v_f, th_f, v_t, th_t, r, x):
+    """Sending-end (P, Q) on a series r+jx branch, no shunts, and their
+    partials with respect to (v_f, th_f, v_t, th_t)."""
+    y = 1.0 / complex(r, x)
+    dth = th_f - th_t
+    return branch_flow_terms(y.real, y.imag, v_f, v_t, math.cos(dth), math.sin(dth))
+
+
+def mismatch_residual(grid, profile, st, converters) -> float:
+    """The back-substitution audit node by node: every non-reference node's
+    injection as its branch flows added one at a time, against the profile
+    plus its converter terms."""
+    skip = {grid.slack}
+    for region in grid.regions:
+        if region.kind == AC:
+            skip.add(grid.angle_reference(region.id))
+    skip |= {c.dc_node for c in grid.converters if c.control.mode == MODE_DC_SLACK}
+
+    worst = 0.0
+    for node in grid.nodes:
+        if node.id in skip:
+            continue
+        if node.kind == AC:
+            p_net = q_net = 0.0
+            for other, r, x in grid.incident_ac_branches(node.id):
+                p, q = ac_branch_flow(st.v[node.id], st.theta[node.id],
+                                      st.v[other], st.theta[other], r, x)
+                p_net += p
+                q_net += q
+            p_exp, q_exp = profile.p_at(node.id), profile.q_at(node.id)
+            conv = grid.converter_at_aux(node.id)
+            if conv is not None:
+                if conv.control.mode == MODE_PQ:
+                    p_exp += conv.control.p_set
+                    q_exp += conv.control.q_set
+                else:
+                    p_exp += converters[conv.id].p_vsc
+                    q_exp += converters[conv.id].q_vsc
+            worst = max(worst, abs(p_net - p_exp), abs(q_net - q_exp))
+        else:
+            p_net = sum(dc_branch_flow(st.v[node.id], st.v[other], g)
+                        for other, g in grid.incident_dc_branches(node.id))
+            p_exp = profile.p_at(node.id)
+            for conv in grid.converters_at_dc_node(node.id):
+                p_exp -= converters[conv.id].p_djc
+            worst = max(worst, abs(p_net - p_exp))
+    return worst
+
+
+def conservation_residual(grid, profile, result) -> float:
+    """Generation minus load, line losses and converter losses, branch by
+    branch."""
+    st = result.state
+    line_losses = 0.0
+    for ln in grid.ac_lines:
+        pf, _ = ac_branch_flow(st.v[ln.from_node], st.theta[ln.from_node],
+                               st.v[ln.to_node], st.theta[ln.to_node], ln.r, ln.x)
+        pt, _ = ac_branch_flow(st.v[ln.to_node], st.theta[ln.to_node],
+                               st.v[ln.from_node], st.theta[ln.from_node], ln.r, ln.x)
+        line_losses += pf + pt
+    for conv in grid.converters:
+        pf, _ = ac_branch_flow(st.v[conv.aux_node], st.theta[conv.aux_node],
+                               st.v[conv.ac_node], st.theta[conv.ac_node],
+                               conv.coupling_r, conv.coupling_x)
+        pt, _ = ac_branch_flow(st.v[conv.ac_node], st.theta[conv.ac_node],
+                               st.v[conv.aux_node], st.theta[conv.aux_node],
+                               conv.coupling_r, conv.coupling_x)
+        line_losses += pf + pt
+    for ln in grid.dc_lines:
+        line_losses += (dc_branch_flow(st.v[ln.from_node], st.v[ln.to_node], ln.g)
+                        + dc_branch_flow(st.v[ln.to_node], st.v[ln.from_node], ln.g))
+
+    conv_losses = sum(c.p_loss for c in result.converters.values())
+
+    slack_gen = 0.0
+    for other, r, x in grid.incident_ac_branches(grid.slack):
+        p, _ = ac_branch_flow(st.v[grid.slack], st.theta[grid.slack],
+                              st.v[other], st.theta[other], r, x)
+        slack_gen += p
+
+    total_profile = sum(profile.p.values())
+    return slack_gen + total_profile - line_losses - conv_losses
 
 
 def noisy(value, pct, floor, rng) -> tuple[float, float]:

@@ -9,6 +9,7 @@ from hybridse.bench import (Scenario, ScenarioError, aggregate_rows,
 from hybridse.bench.metrics import MetricsRow
 from hybridse.cli import main
 from hybridse.powerflow import SystemState
+from hybridse.telemetry import MeasurementSet
 
 
 class TestMetrics:
@@ -207,6 +208,31 @@ class TestCli:
     def test_missing_grid_validation_exit(self, tmp_path):
         assert main(["pf", "--grid", str(tmp_path / "none.json"),
                      "--injections", str(tmp_path / "none.csv")]) == 2
+
+    def test_profile_missing_column_validation_exit(self, tmp_path, capsys):
+        bad = tmp_path / "loads.csv"
+        bad.write_text("node,P,Q\n2,-0.3,-0.1\n")
+        assert main(["pf", "--grid", str(data.path(data.TOY5_HYBRID)),
+                     "--injections", str(bad)]) == 2
+        assert "node_id" in capsys.readouterr().err
+
+    def test_measurements_missing_column_validation_exit(self, tmp_path, capsys):
+        bad = tmp_path / "meas.csv"
+        bad.write_text("kind,loc\nac_v_mag,1\n")
+        assert main(["estimate", "--method", "drse",
+                     "--grid", str(data.path(data.TOY5_HYBRID)), "--meas", str(bad),
+                     "--out", str(tmp_path / "est.csv")]) == 2
+        assert "location" in capsys.readouterr().err
+
+    def test_injection_model_missing_key_validation_exit(self, tmp_path, capsys):
+        meas = tmp_path / "meas.csv"
+        meas.write_text(MeasurementSet.CSV_HEADER + "\n")
+        model = tmp_path / "model.json"
+        model.write_text('{"version": 1}')
+        assert main(["estimate", "--method", "drse_dnn",
+                     "--grid", str(data.path(data.TOY5_HYBRID)), "--meas", str(meas),
+                     "--model", str(model), "--out", str(tmp_path / "est.csv")]) == 2
+        assert "gmms" in capsys.readouterr().err
 
     def test_divergence_numerical_exit(self, tmp_path):
         grid = str(data.path(data.TOY5_HYBRID))

@@ -5,10 +5,13 @@ import pickle
 import numpy as np
 import pytest
 
-from hybridse.grid import grid_from_dict, serialize
+from hybridse import data, powerflow
+from hybridse.grid import MODE_PQ, grid_from_dict, load_grid, serialize
 from hybridse.powerflow import (InjectionProfile, PowerFlowDivergence, ac_branch_flow,
                                 conservation_residual, converter_loss, dc_branch_flow,
                                 solve_ac_region, solve_dc_region, solve_powerflow)
+
+import oracle
 
 D = (0.011, 0.003, 0.004)
 
@@ -118,6 +121,61 @@ class TestHybridSolve:
 def test_backsubstitution_property(case33, case33_loads):
     res = solve_powerflow(case33, case33_loads)
     assert res.max_mismatch <= 1e-8
+
+
+SCALES = np.linspace(0.05, 1.4, 50).tolist()
+
+
+class TestPqConverter:
+    """toy5_pq's converter 1 holds p_set and q_set: the audit adds them on the
+    AC side and subtracts the converter's draw at its DC terminal."""
+
+    def test_scaled_profiles(self, toy5_pq, toy5_loads):
+        pq = toy5_pq.converter(1)
+        assert pq.control.mode == MODE_PQ
+        for scale in SCALES[::5]:
+            profile = toy5_loads.scaled(scale)
+            res = solve_powerflow(toy5_pq, profile)
+            assert res.outer_iterations <= 5
+            assert res.max_mismatch <= 1e-8
+            for sol in res.converters.values():
+                assert sol.balance_residual <= powerflow._COUPLING_TOL
+            assert abs(conservation_residual(toy5_pq, profile, res)) \
+                <= powerflow._COUPLING_TOL * len(toy5_pq.converters)
+            sol = res.converters[1]
+            assert sol.p_vsc == pytest.approx(pq.control.p_set, abs=1e-8)
+            assert sol.q_vsc == pytest.approx(pq.control.q_set, abs=1e-8)
+
+
+@pytest.mark.parametrize("name", ["toy5", "case33", "toy5_pq"])
+def test_audits_match_the_scalar_oracle(name, request):
+    # the compiled audits give the bits of adding the branch flows one at a
+    # time, node by node and branch by branch
+    grid = request.getfixturevalue(name)
+    loads = request.getfixturevalue("case33_loads" if name == "case33" else "toy5_loads")
+    for scale in SCALES:
+        profile = loads.scaled(scale)
+        res = solve_powerflow(grid, profile)
+        assert res.max_mismatch == oracle.mismatch_residual(grid, profile, res.state,
+                                                            res.converters)
+        assert conservation_residual(grid, profile, res) == \
+            oracle.conservation_residual(grid, profile, res)
+
+
+def test_audit_rows_compiled_once_per_grid(toy5_loads, monkeypatch):
+    compiles = []
+    real = powerflow.CompiledRows
+
+    def counted(*args):
+        compiles.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(powerflow, "CompiledRows", counted)
+    grid = load_grid(data.path(data.TOY5_HYBRID))
+    for scale in (0.5, 0.8, 1.0, 1.1, 0.5):
+        profile = toy5_loads.scaled(scale)
+        conservation_residual(grid, profile, solve_powerflow(grid, profile))
+    assert len(compiles) == 1
 
 
 class TestErrorPaths:

@@ -11,14 +11,14 @@ import pytest
 from hybridse import data, measmodel
 from hybridse.estimation import solve_wls
 from hybridse.grid import AC, DC, MEMO_ENTRIES, OWNS_DC, load_grid
-from hybridse.powerflow import (SystemState, ac_branch_flow, ac_branch_flow_partials,
+from hybridse.powerflow import (SystemState, ac_branch_flow, linear_row_ac_flow,
                                 solve_ac_region, solve_powerflow)
 from hybridse.telemetry import (SOURCE_VIRTUAL_ZERO, Measurement, MeasurementKind,
                                 MeasurementSet, ScheduleConfig, TelemetryError,
                                 build_region_H, converter_spec, inject_bad_data,
-                                linear_row_ac_flow, simulate_measurements)
+                                simulate_measurements)
 
-from oracle import eval_h_nonlinear, noisy, reading_pct
+from oracle import ac_branch_flow_partials, eval_h_nonlinear, noisy, reading_pct
 
 CASE33_SCADA_LINES = ((1, 2), (2, 19), (3, 23), (6, 26))
 
@@ -70,8 +70,13 @@ class TestLinearRows:
         assert a * 0.02 + c * 0.01 == pytest.approx(0.600, abs=1e-12)
 
     def test_hand_evaluated_q(self):
-        # Q = (X dU - 2 R dth) / (2 (R^2+X^2)) = 0.200
-        a, c = linear_row_ac_flow(0.01, 0.02, "q")
+        # Q = (X dU - 2 R dth) / (2 (R^2+X^2)) = 0.200, read off the P
+        # coefficients of (x, -r): a = x / (2d), c = -r / d bit for bit, as
+        # d adds the same two products
+        for r, x in ((0.01, 0.02), (0.0922, 0.047), (0.005, 0.01)):
+            d = r * r + x * x
+            assert linear_row_ac_flow(x, -r) == (x / (2.0 * d), -r / d)
+        a, c = linear_row_ac_flow(0.02, -0.01)
         assert a * 0.02 + c * 0.01 == pytest.approx(0.200, abs=1e-12)
 
 
@@ -187,7 +192,7 @@ class TestParallelBranches:
         for i, (node, which) in enumerate(((1, "p"), (1, "q"), (2, "p"), (2, "q"))):
             want = np.zeros(model.n_states)
             for r, x in self.LINES:
-                cu, cth = linear_row_ac_flow(r, x, which)
+                cu, cth = linear_row_ac_flow(*((r, x) if which == "p" else (x, -r)))
                 sign = 1.0 if node == 1 else -1.0
                 want[idx[("u", 1)]] += sign * cu
                 want[idx[("u", 2)]] -= sign * cu
