@@ -2,11 +2,15 @@
 removal (``lnr_test``) or, for the SCADA screen, by substitution
 (``lnr_substitute``).
 
-All work on the weighted Jacobian A = W^(1/2) J through its Householder QR
-factorization A = QR, never through the gain matrix G = A^T A = R^T R: the
-zero-injection rows carry a weight of 1/ZERO_INJ_SIGMA^2 = 1e12, and forming
-G would square A's condition number (Abur & Exposito, Power System State
-Estimation, 2004, ch. 3).
+All work on the weighted Jacobian A = W^(1/2) J through Householder QR,
+never through the gain matrix G = A^T A = R^T R: the zero-injection rows
+carry a weight of 1/ZERO_INJ_SIGMA^2 = 1e12, and forming G would square A's
+condition number (Abur & Exposito, Power System State Estimation, 2004,
+ch. 3).  A Gauss-Newton step factors the augmented matrix [A | b] and keeps
+only its R: the leading n x n block is A's R and the last column's top n
+entries are Q^T b, so R[:n, :n] dx = R[:n, n] gives the least-squares step
+without forming Q (Golub & Van Loan, Matrix Computations, sec. 5.3).  The
+normalized-residual tests take Omega from A's R; the screen also keeps Q.
 """
 
 from __future__ import annotations
@@ -26,6 +30,12 @@ _LNR_THRESHOLD = 3.0        # normalized residual that flags a reading
 REMOVABLE_SOURCES = ("scada", "smart_meter", "pseudo", "dnn")
 
 
+def _removable(sources) -> np.ndarray:
+    """Mask of the rows whose source the bad-data tests may remove or correct."""
+    return np.fromiter((s in REMOVABLE_SOURCES for s in sources), dtype=bool,
+                       count=len(sources))
+
+
 def effective_sigma(model) -> np.ndarray:
     """Measurement sigmas with exact-zero rows pinned to a tight weight."""
     sigma = np.asarray(model.sigma, dtype=float).copy()
@@ -35,19 +45,34 @@ def effective_sigma(model) -> np.ndarray:
     return sigma
 
 
-def _factor(a: np.ndarray, scope: str = "") -> tuple[np.ndarray, np.ndarray]:
-    """Householder QR ``a = QR`` of a weighted Jacobian.
+def _check_rank(a: np.ndarray, r: np.ndarray, scope: str) -> None:
+    """Raise UnobservableError unless ``a``, with ``r`` its QR factor's R (or
+    that R's leading n x n block), has full column rank.
 
     ``a`` counts as rank deficient when a diagonal entry of R is at most
     max|diag R| * max(m, n) * eps, the scale of lstsq's default cutoff; the
-    UnobservableError then reports the SVD rank of ``a``.
+    error then reports the SVD rank of ``a``.
     """
     m, n = a.shape
-    q, r = np.linalg.qr(a)
     d = np.abs(np.diag(r))
     if m < n or not np.all(d > d.max() * max(m, n) * np.finfo(float).eps):
         raise UnobservableError(int(np.linalg.matrix_rank(a)), n, scope=scope)
+
+
+def _factor(a: np.ndarray, scope: str = "") -> tuple[np.ndarray, np.ndarray]:
+    """Householder QR ``a = QR`` of a weighted Jacobian of full column rank."""
+    q, r = np.linalg.qr(a)
+    _check_rank(a, r, scope)
     return q, r
+
+
+def _gn_step(a: np.ndarray, b: np.ndarray, scope: str = "") -> np.ndarray:
+    """The least-squares solution of ``a dx = b`` from the R of the augmented
+    matrix [a | b] (module docstring), for ``a`` of full column rank."""
+    n = a.shape[1]
+    r = np.linalg.qr(np.column_stack((a, b)), mode="r")
+    _check_rank(a, r[:n, :n], scope)
+    return np.linalg.solve(r[:n, :n], r[:n, n])
 
 
 def _residual_variance(jac: np.ndarray, r: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -78,11 +103,13 @@ def solve_wls(model, x0: np.ndarray | None = None, tol: float = 1e-6,
               weight_overrides: dict[int, float] | None = None) -> EstimationResult:
     """Iterate Gauss-Newton until max |dx| < tol, with step halving.
 
-    Each step solves W^(1/2) J dx = W^(1/2) (z - h(x)) by Householder QR, and
-    each accepted step evaluates h once.  ``weight_overrides`` maps row index
-    to an explicit weight (used for boundary penalty rows whose weight is a
-    multiplier, not 1/sigma^2).  Raises UnobservableError when the weighted
-    Jacobian is rank deficient.
+    Each step solves W^(1/2) J dx = W^(1/2) (z - h(x)) in the least-squares
+    sense from the R of one Householder QR of the augmented matrix
+    [W^(1/2) J | W^(1/2) (z - h(x))]; Q is never formed.  Each accepted step
+    evaluates h once.  ``weight_overrides`` maps row index to an explicit
+    weight (used for boundary penalty rows whose weight is a multiplier, not
+    1/sigma^2).  Raises UnobservableError when the weighted Jacobian is rank
+    deficient.
     """
     t0 = time.perf_counter()
     sigma = effective_sigma(model)
@@ -104,10 +131,7 @@ def solve_wls(model, x0: np.ndarray | None = None, tol: float = 1e-6,
     it = 0
     for it in range(1, _GN_MAX_ITER + 1):
         h, jac = model.h_jac(x)
-        a = jac * sw[:, None]
-        rhs = (z - h) * sw
-        q, rq = _factor(a, scope=model.scope)
-        dx = np.linalg.solve(rq, q.T @ rhs)
+        dx = _gn_step(jac * sw[:, None], (z - h) * sw, scope=model.scope)
 
         step = 1.0
         for _ in range(10):
@@ -161,7 +185,7 @@ def lnr_test(model, result: EstimationResult) -> _NrOutcome:
             omega = _residual_variance(jac, np.linalg.qr(a, mode="r"), sigma)
         except np.linalg.LinAlgError as exc:
             raise UnobservableError(int(np.linalg.matrix_rank(a)), x.size) from exc
-        removable = np.isin(work.sources, REMOVABLE_SOURCES)
+        removable = _removable(work.sources)
         best, best_nr, critical = _largest_normalized(work.z - h, omega, sigma, removable)
         untestable = [work.meas_indices[i] for i in np.flatnonzero(critical)]
 
@@ -189,7 +213,7 @@ def lnr_substitute(model, threshold: float) -> dict[int, float]:
     sw = np.sqrt(1.0 / (sigma * sigma))
     q, r = _factor(model.H * sw[:, None], scope=model.scope)
     omega = _residual_variance(model.H, r, sigma)
-    removable = np.isin(model.sources, REMOVABLE_SOURCES)
+    removable = _removable(model.sources)
     z = model.z.copy()
     replaced: dict[int, float] = {}
     for _ in range(_LNR_MAX_CYCLES):

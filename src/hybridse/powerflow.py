@@ -35,11 +35,13 @@ of addition.  So h and J are bit for bit those of evaluating the rows one at
 a time through the scalar primitives, and H that of adding each row's
 coefficients term by term.
 
-Both audits read one compiled row set, kept by the ``_PowerFlowPlan``: the
-injection rows of the audited nodes, both directions of every branch and
-the slack's P injection.  ``mismatch_residual`` adds the converter terms to
-the expected side; ``conservation_residual`` adds each branch's two
-directions, then the branches in grid order, as one at a time.
+The audits read two compiled row sets, kept by the ``_PowerFlowPlan``:
+``mismatch_residual`` evaluates the injection rows of the audited nodes and
+adds the converter terms to the expected side; ``conservation_residual``
+evaluates both directions of every branch and the slack's P injection, and
+adds each branch's two directions, then the branches in grid order, as one
+at a time.  Each row sums only its own terms, so how the rows are grouped
+into sets does not change their bits.
 
 Sign conventions: injections are generation-positive; a converter's
 ``p_vsc``/``q_vsc`` is its AC-side output into the aux node c, and ``p_djc``
@@ -500,7 +502,10 @@ def _check_profile(grid: GridModel, profile: InjectionProfile) -> None:
     held = {grid.slack}
     held |= {c.dc_node for c in grid.converters if c.control.mode == MODE_DC_SLACK}
     for node in set(profile.p) | set(profile.q):
-        n = grid.node(node)
+        try:
+            n = grid.node(node)
+        except KeyError:
+            raise ValueError(f"profile names node {node}, which is not in the grid") from None
         if node in held and (profile.p_at(node) or profile.q_at(node)):
             raise ValueError(f"node {node} holds voltage and cannot carry a fixed injection")
         if n.role in (ROLE_JUNCTION, ROLE_CONVERTER_AUX) and (
@@ -561,15 +566,21 @@ class _PowerFlowPlan:
                           if (c.dc_node, "p") in row]
         ac = [(ln.from_node, ln.to_node, ln.r, ln.x) for ln in grid.ac_lines] + [
             (c.aux_node, c.ac_node, c.coupling_r, c.coupling_x) for c in grid.converters]
-        specs = ([_injection(grid, *key) for key in self.audited]
-                 + [("ac_flow", *ends, r, x, "p") for f, t, r, x in ac
+        balance = ([("ac_flow", *ends, r, x, "p") for f, t, r, x in ac
                     for ends in ((f, t), (t, f))]
-                 + [("dc_flow", *ends, ln.g) for ln in grid.dc_lines
-                    for ends in ((ln.from_node, ln.to_node), (ln.to_node, ln.from_node))]
-                 + [_injection(grid, grid.slack, "p")])
+                   + [("dc_flow", *ends, ln.g) for ln in grid.dc_lines
+                      for ends in ((ln.from_node, ln.to_node), (ln.to_node, ln.from_node))]
+                   + [_injection(grid, grid.slack, "p")])
         self.labels = ([("v", n.id) for n in grid.nodes]
                        + [("th", n.id) for n in grid.nodes if n.kind == AC])
-        self.audit = CompiledRows({lab: k for k, lab in enumerate(self.labels)}, specs)
+        index = {lab: k for k, lab in enumerate(self.labels)}
+        self.injections = CompiledRows(index, [_injection(grid, *key) for key in self.audited])
+        self.balance = CompiledRows(index, balance)
+
+    def evaluate(self, rows: CompiledRows, st: SystemState) -> np.ndarray:
+        """One of the audit row sets evaluated at a state."""
+        x = np.array([st.v[n] if tag == "v" else st.theta[n] for tag, n in self.labels])
+        return rows.evaluate(x, with_jac=False)[0]
 
 
 def _injection(grid: GridModel, node: int, which: str) -> tuple:
@@ -579,11 +590,8 @@ def _injection(grid: GridModel, node: int, which: str) -> tuple:
     return ("dc_inj", node, tuple(grid.incident_dc_branches(node)), ())
 
 
-def _audit(grid: GridModel, st: SystemState) -> tuple[_PowerFlowPlan, np.ndarray]:
-    """The grid's plan and its audit rows evaluated at a state."""
-    plan = grid.memo("powerflow", lambda: _PowerFlowPlan(grid))
-    x = np.array([st.v[n] if tag == "v" else st.theta[n] for tag, n in plan.labels])
-    return plan, plan.audit.evaluate(x, with_jac=False)[0]
+def _plan(grid: GridModel) -> _PowerFlowPlan:
+    return grid.memo("powerflow", lambda: _PowerFlowPlan(grid))
 
 
 def solve_powerflow(grid: GridModel, profile: InjectionProfile) -> PowerFlowResult:
@@ -594,7 +602,7 @@ def solve_powerflow(grid: GridModel, profile: InjectionProfile) -> PowerFlowResu
     solutions.
     """
     _check_profile(grid, profile)
-    plan = grid.memo("powerflow", lambda: _PowerFlowPlan(grid))
+    plan = _plan(grid)
     p_base = {nw.region_id: np.array([profile.p_at(n) for n in nw.nodes])
               for nw, *_ in plan.ac + plan.dc}
     q_base = {nw.region_id: np.array([profile.q_at(n) for n in nw.nodes])
@@ -698,7 +706,8 @@ def mismatch_residual(grid: GridModel, profile: InjectionProfile, st: SystemStat
     nodes (slack, held DC terminals, forming aux nodes) are excluded since
     their injection is an output of the solve.
     """
-    plan, values = _audit(grid, st)
+    plan = _plan(grid)
+    values = plan.evaluate(plan.injections, st)
     expected = [profile.p_at(node) if which == "p" else profile.q_at(node)
                 for node, which in plan.audited]
     for i, conv in plan.output_rows:
@@ -708,7 +717,7 @@ def mismatch_residual(grid: GridModel, profile: InjectionProfile, st: SystemStat
         expected[i + 1] += q
     for i, cid in plan.draw_rows:
         expected[i] -= converters[cid].p_djc
-    return float(np.abs(values[:len(expected)] - expected).max(initial=0.0))
+    return float(np.abs(values - expected).max(initial=0.0))
 
 
 def conservation_residual(grid: GridModel, profile: InjectionProfile,
@@ -720,8 +729,9 @@ def conservation_residual(grid: GridModel, profile: InjectionProfile,
     of which the solve keeps within ``_COUPLING_TOL``.  It can therefore exceed
     ``_COUPLING_TOL`` on a grid with more than one converter.
     """
-    plan, values = _audit(grid, result.state)
-    flows, slack_gen = values[len(plan.audited):-1], values[-1]
+    plan = _plan(grid)
+    values = plan.evaluate(plan.balance, result.state)
+    flows, slack_gen = values[:-1], values[-1]
     # each branch's two directions, then the branches one at a time from 0.0
     line_losses = np.add.accumulate(np.append(0.0, flows[0::2] + flows[1::2]))[-1]
     conv_losses = sum(c.p_loss for c in result.converters.values())

@@ -216,6 +216,13 @@ class TestCli:
                      "--injections", str(bad)]) == 2
         assert "node_id" in capsys.readouterr().err
 
+    def test_profile_unknown_node_validation_exit(self, tmp_path, capsys):
+        bad = tmp_path / "loads.csv"
+        bad.write_text("node_id,P,Q\n99,-0.1,0.0\n")
+        assert main(["pf", "--grid", str(data.path(data.TOY5_HYBRID)),
+                     "--injections", str(bad)]) == 2
+        assert "node 99" in capsys.readouterr().err
+
     def test_measurements_missing_column_validation_exit(self, tmp_path, capsys):
         bad = tmp_path / "meas.csv"
         bad.write_text("kind,loc\nac_v_mag,1\n")

@@ -1159,8 +1159,9 @@ class TestLnrLeavesTheModel:
 
 
 class TestQrFactor:
-    """Gauss-Newton steps and the residual variances of the normalized-residual
-    test come from a Householder QR of the weighted Jacobian A = W^(1/2) J."""
+    """Gauss-Newton steps come from a Householder QR of the augmented matrix
+    [A | b], A = W^(1/2) J the weighted Jacobian, and the residual variances
+    of the normalized-residual test from one of A."""
 
     SCHED = ((1, 2), (2, 19), (3, 23), (6, 26))
 
@@ -1201,8 +1202,7 @@ class TestQrFactor:
         for model, overrides, x_true in self._models(grid, loads, sched):
             for x in (model.x0(), x_true):
                 _, a, rhs = self._weighted(model, overrides, x)
-                q, r = wls_module._factor(a)
-                dx = np.linalg.solve(r, q.T @ rhs)
+                dx = wls_module._gn_step(a, rhs)
                 ref = np.linalg.lstsq(a, rhs, rcond=None)[0]
                 assert np.abs(dx - ref).max() <= 1e-9 * np.abs(ref).max()
 
@@ -1271,6 +1271,59 @@ class TestQrFactor:
         assert np.abs(np.diag(np.linalg.qr(h, mode="r"))).min() > 0.0
         with pytest.raises(UnobservableError, match="rank 3 < 4"):
             solve_wls(model)
+
+
+class TestAugmentedStep:
+    """A Gauss-Newton step from the R of the augmented matrix [A | b]
+    against an independent least-squares solve (lstsq, an SVD), and the
+    returned CWLS state against lstsq's step there."""
+
+    @staticmethod
+    def _case33_sets(case33, case33_loads):
+        from hybridse.powerflow import solve_powerflow
+        from hybridse.telemetry import ScheduleConfig, inject_bad_data, simulate_measurements
+        truth = solve_powerflow(case33, case33_loads)
+        sched = ScheduleConfig(scada_ac_branches=TestQrFactor.SCHED)
+        for seed in range(3):
+            ms = simulate_measurements(case33, truth.state, sched, t=3600.0, seed=seed)
+            yield ms
+            yield inject_bad_data(ms, 2)
+
+    def test_flat_start_step_matches_lstsq(self, case33, case33_loads):
+        for ms in self._case33_sets(case33, case33_loads):
+            model = measmodel.build_system_model(case33, list(enumerate(ms.measurements)))
+            _, a, rhs = TestQrFactor._weighted(model, {}, model.x0())
+            dx = wls_module._gn_step(a, rhs)
+            ref = np.linalg.lstsq(a, rhs, rcond=None)[0]
+            assert np.abs(dx - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    def test_returned_state_is_stationary(self, case33, case33_loads):
+        # on the system model of the readings LNR kept, lstsq's step at the
+        # returned x is below the solver's tolerance
+        from hybridse.coordination import run_cwls
+        flagged_runs = 0
+        for ms in self._case33_sets(case33, case33_loads):
+            est = run_cwls(case33, ms)
+            flagged = {idx for rep in est.bad_data.values() for idx, _ in rep.flagged}
+            flagged_runs += bool(flagged)
+            kept = [(i, m) for i, m in enumerate(ms.measurements) if i not in flagged]
+            model = measmodel.build_system_model(case33, kept)
+            _, a, rhs = TestQrFactor._weighted(model, {}, est.regions[-1].x)
+            assert np.abs(np.linalg.lstsq(a, rhs, rcond=None)[0]).max() < 1e-6
+        assert flagged_runs == 3
+
+    def test_square_system_solves(self):
+        rng = np.random.default_rng(12)
+        h = rng.normal(size=(5, 5)) + 5.0 * np.eye(5)
+        x = rng.normal(size=5)
+        res = solve_wls(LinearRegionModel(h, h @ x, np.full(5, 0.01)))
+        assert res.converged
+        assert np.abs(res.x - x).max() <= 1e-12
+
+    def test_square_rank_deficient_raises_svd_rank(self):
+        h = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]])
+        with pytest.raises(UnobservableError, match="rank 2 < 3"):
+            solve_wls(LinearRegionModel(h, [1.0, 2.0, 0.5], np.full(3, 0.01)))
 
 
 class TestWlavRegion:

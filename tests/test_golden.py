@@ -39,17 +39,17 @@ MATRIX = {
 GOLDEN = {
     'case33_cwls_0': {
         'runs.csv':
-            '61440ab63ac492589f2278f9e4d2e2afe5f8664d95f84a4a62bb6c9f875a3113',
+            '6ac4952eb1306745fe6e87faf4f5f56b18e9d4a28e95170bc60177f8f052a0a2',
         'aggregate.csv':
-            '36a97d4df5f7f53f64bd4af4593c541de744f105b0adf57afd55584712c86aa6',
+            'd10fce8678508ae09981a5c77068fca0c0efbdc8c397cb3276f6dcb7ce1f2816',
         'trace_boundary.csv':
             'a5a167877507525c739b2d6f00dba5a75a3542e3955ba06aeccf96b7b8db8c08',
     },
     'case33_cwls_2': {
         'runs.csv':
-            'b9d10b3e5bac89e14b04d87f28bfa94cb5de1d697113680cc2db404d7b1bec55',
+            'ac3e174fdb8b3405129a56f9430fac5100e412306f04ed4d017c4e3bdedb05d1',
         'aggregate.csv':
-            '75049ad89c68fa4249926c5b456bd4f86ee579004421a1bec0b0547b848bb6b9',
+            'e31ea501622184c7634857311e86cf65d583be4ed493cb4484f8ddacc8779d1b',
         'trace_boundary.csv':
             'a5a167877507525c739b2d6f00dba5a75a3542e3955ba06aeccf96b7b8db8c08',
     },
@@ -79,33 +79,33 @@ GOLDEN = {
     },
     'case33_dwls_0': {
         'runs.csv':
-            'fa699511f43ed8eb1bdcf2c720d0e2c54dbab1a39fe70e8b86bf7709212c23e5',
+            '77a00015deb0e10bf7a30bd8636d3095d3b21d74ff7072540be4fde0c75be335',
         'aggregate.csv':
-            '05d916346a0a1a20e3e6beeac240dbc1a4f1bc5db904505673651025cd210e42',
+            '1c5a2eedc24ed3c6817398badbee62e12c8545871e74c0d1e3e679da391d211a',
         'trace_boundary.csv':
-            '20046eadd3de37e3160f19ecd25d5c0c1785c9a45127a858178954621044740a',
+            'dcf67fb3a5d87aaa6145ac2c4820858571f7091c2c7b201bb0904fbde61d6e56',
     },
     'case33_dwls_2': {
         'runs.csv':
-            '6570bd025caa1f26db0d21269835a3c9f40daa689860f73c02e4219a1e33109d',
+            '9f3a899b0eef2396781719447ede6776cbe17bc4379d89508a61afbb21f241f3',
         'aggregate.csv':
-            'e2a79f9c5bacf84546599c583a621a676d0fa6cb299bad3a3b98809d95db2c0c',
+            'a99473096cd53c09ce5347648fb26ef8247a52791e25af22a1d58c871d96ff47',
         'trace_boundary.csv':
-            '4e7b7a68c807f81db198c7e67afb87ddab73d1ed603c31f5942eb3c703f8cdec',
+            'c533d6b09844689ffbd769823c599d9f2449ff7b18704987aef1b348c390df04',
     },
     'case33_dwls_pseudo_2': {
         'runs.csv':
-            '63fa09424387775ce9d8f44b80347f98ed48aadbde78e3ea85d4d863dce099b4',
+            'ffe6d4857e6c492a2198d4ae7bf781a8c7a3509e7e0d6ec359b999082f55cf41',
         'aggregate.csv':
-            'd2b2f3622a3201dd57cf4cb10c586610f263da1a5b9b5586fcf6a0df700744a0',
+            '7c09895da89c6461e3639f6818463be2b9115a97a74930c69ad334dc121e69a4',
         'trace_boundary.csv':
-            'a3a2558c504e204aab65797d74e0fb64d5c47cb67fc55735d6bf0325c5487e80',
+            '5b1e0d4fbcfae8a7c2394a8ce41ee7046eb9fa36dc07343d9950b035cdf4a8b4',
     },
     'toy5_cwls_0': {
         'runs.csv':
-            '7c9f28fa74273135120123bd66cae6580a29430f2678b795207d20bfda1b5f4d',
+            'bc6f11531f793999be665830b728d0cef1da0473d1b8a17571926669a4db59bc',
         'aggregate.csv':
-            '712c6db64b2babe503eb24c8883929ad810590d4c74df24020022bbb6fb80313',
+            'b40b64d550695acc0911a4326155c88c7369ae0036244bc919fb1b15b34adcae',
         'trace_boundary.csv':
             'a5a167877507525c739b2d6f00dba5a75a3542e3955ba06aeccf96b7b8db8c08',
     },

@@ -163,6 +163,7 @@ def test_audits_match_the_scalar_oracle(name, request):
 
 
 def test_audit_rows_compiled_once_per_grid(toy5_loads, monkeypatch):
+    # two row sets, the injection rows and the branch and slack rows
     compiles = []
     real = powerflow.CompiledRows
 
@@ -175,7 +176,23 @@ def test_audit_rows_compiled_once_per_grid(toy5_loads, monkeypatch):
     for scale in (0.5, 0.8, 1.0, 1.1, 0.5):
         profile = toy5_loads.scaled(scale)
         conservation_residual(grid, profile, solve_powerflow(grid, profile))
-    assert len(compiles) == 1
+    assert len(compiles) == 2
+
+
+def test_each_audit_evaluates_only_its_rows(toy5_loads, monkeypatch):
+    grid = load_grid(data.path(data.TOY5_HYBRID))
+    res = solve_powerflow(grid, toy5_loads)
+    plan = powerflow._plan(grid)
+
+    def refuse(x, with_jac):
+        raise AssertionError("evaluated the other audit's rows")
+
+    monkeypatch.setattr(plan.balance, "evaluate", refuse)
+    assert powerflow.mismatch_residual(grid, toy5_loads, res.state,
+                                       res.converters) == res.max_mismatch
+    monkeypatch.undo()
+    monkeypatch.setattr(plan.injections, "evaluate", refuse)
+    conservation_residual(grid, toy5_loads, res)
 
 
 class TestErrorPaths:
