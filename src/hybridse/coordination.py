@@ -280,9 +280,10 @@ def run_drse(grid: GridModel, ms: MeasurementSet,
 
     def boundary_power(conv, ac_res, dc_res, p_loss):
         ac_model = models[grid.node(conv.aux_node).region]
-        return (ac_res.boundary_p[conv.id],
+        dc_model = models[grid.node(conv.dc_node).region]
+        return (float(ac_model.boundary[conv.id] @ ac_res.x),
                 float(ac_model.boundary_q[conv.id] @ ac_res.x),
-                dc_res.boundary_p[conv.id])
+                float(dc_model.boundary[conv.id] @ dc_res.x - p_loss))
 
     estimate = _coordinate(grid, ms, params, "drse", solve_region, boundary_power)
     estimate.wall_time = time.perf_counter() - t_start

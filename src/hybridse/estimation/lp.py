@@ -1,4 +1,5 @@
-"""Dense two-phase simplex for desk-scale linear programs.
+"""Dense primal and dual simplex for the WLAV linear programs of regional
+estimation.
 
 Standard form: minimize c.v subject to A v = b with v >= 0; variables marked
 free are split internally into positive and negative parts.  Pricing is
@@ -6,33 +7,39 @@ Dantzig's rule with a switch to Bland's rule after a run of degenerate pivots,
 which guarantees termination.  Tie-breaking is by lowest index everywhere, so
 solves are deterministic.
 
-A cold start places the free states first, as in weighted least absolute
-value estimation (Abur & Celik, IEEE Trans. Power Systems 6(1), 1991).  Each
-free column takes a row by Gaussian elimination with partial pivoting over
-A[:, free], rows without a bounded unit column (a WLAV LP's exact zero
-injections) first; a free column without a pivot (a state the rows do not
-determine) stays out.  Every other row takes its first bounded unit column
-with a +1 entry (the slack u or b), else its artificial.  The starting
-tableau is B^-1 [A | b].  B^-1 A does not depend on b, so the template solves
-it once, when it is built, and a cold start copies it and solves only for the
-b column.  A negative basic value is swapped to its negated partner (the
-other half of a free variable's split, the row's -1 unit column l or a, else
-the row's artificial) and its row is negated, so the start is primal
-feasible and phase 1 runs only with artificials basic.
-An artificial left on a redundant row after phase 1 stays basic at zero: a
-basis has one column per row.  Internal columns are A, -A[:, free], then one
+The one cold start is a crash basis that places the free states first, as
+in weighted least absolute value estimation (Abur & Celik, IEEE Trans. Power
+Systems 6(1), 1991).  Each free column takes a row by Gaussian elimination
+with partial pivoting over A[:, free], rows without a bounded unit column (a
+WLAV LP's exact zero injections) first; a free column without a pivot (a
+state the rows do not determine) stays out.  Every other row takes its first
+bounded unit column with a +1 entry (the slack u or b), else its artificial.
+The starting tableau is B^-1 [A | b].  B^-1 A does not depend on b, so the
+template solves it once, when it is built, and a cold start copies it and
+solves only for the b column.  A negative basic value is swapped to its
+negated partner (the other half of a free variable's split, the row's -1
+unit column l or a, else the row's artificial) and its row is negated, so
+the start is primal feasible.
+
+There is no phase 1.  In a WLAV LP every row has a slack, a boundary pair or
+a state, so the crash leaves an artificial basic only on a row the states
+already fix (a redundant zero injection, or one whose states the readings
+leave out): its tableau row has no real entry above the pricing tolerance,
+and it stays basic at zero.  A crash that leaves one on any other row, or
+artificial values that sum above 1e-7, would need phase 1, and the solve
+raises ``LpError``.  Internal columns are A, -A[:, free], then one
 artificial unit column per row, which never enters.
 
-A family of problems that share A and the free columns and differ only in c
-and b comes from one :class:`LpTemplate`, and each problem it makes names it
-in ``LpProblem.template``.  The template is immutable and may be shared by
+Every problem comes from an :class:`LpTemplate`, which holds A and the free
+columns of a family of problems that differ only in c and b
+(``LpTemplate.problem``).  The template is immutable and may be shared by
 any number of owners: its A and free mask are read-only, and it makes the
 internal columns and the crash data (the elimination's rows and the crash
 basis's B^-1 A) once, when it is built.  What a solve leaves behind lives
-apart, in an :class:`LpState` that the owner of a run of solves passes with
-each problem (``LpProblem.state``): the last solve's final tableau and
-read-only x, keyed by its basis and the bytes of b.  A state is never
-shared between owners, so no owner starts from another's solve.
+apart, in the :class:`LpState` that the owner of a run of solves gives each
+of its problems: the last solve's final tableau and read-only x, keyed by
+its basis and the bytes of b.  A state is never shared between owners, so
+no owner starts from another's solve.
 
 The one warm start is from that basis: the returned basis of the state's
 last solve, cold or warm, passed back to the next solve of a problem with
@@ -48,15 +55,11 @@ by dual simplex pivots when no reduced cost under the new c is negative
 other basis, a singular one, one neither primal nor dual feasible, or more
 dual pivots than rows raise ``LpError`` inside the solve, and
 :func:`lp_solve` then does one cold start.
-
-A hand-built ``LpProblem`` has no template; it is solved cold with a
-throwaway one.  A problem without a state is solved cold and leaves no
-record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,27 +78,27 @@ class LpUnbounded(LpError):
 
 @dataclass
 class LpProblem:
-    c: np.ndarray
-    a_eq: np.ndarray
-    b_eq: np.ndarray
-    free_mask: np.ndarray                  # True where the variable is unbounded below
-    template: LpTemplate | None = field(default=None, repr=False, compare=False)
-    state: LpState | None = field(default=None, repr=False, compare=False)
+    """One LP of a template's family: its costs, right-hand side and the
+    state of the owner that solves it (module docstring)."""
 
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-        self.a_eq = np.atleast_2d(np.asarray(self.a_eq, dtype=float))
-        self.b_eq = np.asarray(self.b_eq, dtype=float)
-        self.free_mask = np.asarray(self.free_mask, dtype=bool)
-        m, n = self.a_eq.shape
-        if self.c.size != n or self.free_mask.size != n or self.b_eq.size != m:
-            raise ValueError("inconsistent LP dimensions")
+    template: LpTemplate
+    c: np.ndarray
+    b_eq: np.ndarray
+    state: LpState
+
+    @property
+    def a_eq(self) -> np.ndarray:
+        return self.template.a_eq
+
+    @property
+    def free_mask(self) -> np.ndarray:      # True where the variable is unbounded below
+        return self.template.free_mask
 
 
 @dataclass
 class LpSolution:
-    """``iterations`` counts simplex pivots (phase 1, phase 2 and dual); the
-    elimination and the solve that build a cold start are not pivots."""
+    """``iterations`` counts simplex pivots, primal and dual; the elimination
+    and the solve that build a cold start are not pivots."""
 
     x: np.ndarray
     objective: float
@@ -191,9 +194,8 @@ class LpTemplate:
                   self.crash_cols, self.crash_basis):
             a.flags.writeable = False
 
-    def problem(self, c, b_eq, state: LpState | None = None) -> LpProblem:
-        return LpProblem(c=c, a_eq=self.a_eq, b_eq=b_eq, free_mask=self.free_mask,
-                         template=self, state=state)
+    def problem(self, c, b_eq, state: LpState) -> LpProblem:
+        return LpProblem(self, c, b_eq, state)
 
 
 class LpState:
@@ -206,7 +208,7 @@ class LpState:
 
 
 def _internal_costs(problem: LpProblem, template: LpTemplate) -> np.ndarray:
-    """Costs of every internal column; artificials cost nothing in phase 2."""
+    """Costs of every internal column; artificials cost nothing."""
     return np.concatenate([problem.c, -problem.c[template.free],
                            np.zeros(problem.b_eq.size)])
 
@@ -218,9 +220,8 @@ def _basic_mask(cols_basis, size) -> np.ndarray:
 
 
 def _lp_solve(problem: LpProblem, basis) -> LpSolution:
-    template = problem.template or LpTemplate(problem.a_eq, problem.free_mask)
-    state = problem.state
-    last = None if state is None else state.last
+    template, state = problem.template, problem.state
+    last = state.last
     n_int = template.n_int
     c_int = _internal_costs(problem, template)
 
@@ -245,23 +246,17 @@ def _lp_solve(problem: LpProblem, basis) -> LpSolution:
             iterations += _dual_optimize(t, cols_basis, c_int)
     else:
         t, cols_basis = _crash_tableau(template, problem.b_eq)
-        if cols_basis.max() >= n_int:
-            c1 = np.zeros(c_int.size)
-            c1[n_int:] = 1.0
-            # price only real columns; artificials may leave but never re-enter
-            iterations += _optimize(t, cols_basis, c1, n_int, _TOL, _MAX_ITER)
-            obj1 = c1[cols_basis] @ t[:, -1]
-            if obj1 > 1e-7:
-                raise LpInfeasible(f"phase-1 objective {obj1:.3e}")
-            _drive_out_artificials(t, cols_basis, n_int)
+        art = cols_basis >= n_int
+        if art.any() and (np.abs(t[art, :n_int]).max() > _TOL or t[art, -1].sum() > 1e-7):
+            raise LpError("the crash basis leaves an artificial that only phase 1 "
+                          "could remove")
 
     iterations += _optimize(t, cols_basis, c_int, n_int, _TOL, _MAX_ITER - iterations)
     result_basis = tuple(cols_basis.tolist())
-    x = np.zeros(problem.a_eq.shape[1])
+    x = np.zeros(template.a_eq.shape[1])
     np.add.at(x, template.orig[cols_basis], template.sign[cols_basis] * t[:, -1])
     x.flags.writeable = False
-    if state is not None:
-        state.last = ((result_basis, problem.b_eq.tobytes()), t, cols_basis, x)
+    state.last = ((result_basis, problem.b_eq.tobytes()), t, cols_basis, x)
     return LpSolution(x=x, objective=float(problem.c @ x),
                       iterations=iterations, basis=result_basis)
 
@@ -400,20 +395,6 @@ def _dual_optimize(t, cols_basis, c) -> int:
         if rhs[p] >= -_TOL:
             return it
     raise LpError("dual simplex pivot limit reached")
-
-
-def _drive_out_artificials(t, cols_basis, n_int):
-    """Pivot each basic artificial out on its row's first nonzero real entry;
-    one on a row without any (a redundant row) stays basic at zero."""
-    for row, col in enumerate(cols_basis):
-        if col < n_int:
-            continue
-        nz = np.nonzero(np.abs(t[row, :n_int]) > _TOL)[0]
-        if nz.size == 0:
-            continue
-        q = int(nz[0])
-        _pivot(t, row, q)
-        cols_basis[row] = q
 
 
 def _pivot(t, p, q):

@@ -33,7 +33,6 @@ class EstimationResult:
     converged: bool
     wall_time: float
     meas_indices: list[int] = field(default_factory=list)
-    boundary_p: dict[int, float] = field(default_factory=dict)  # converter AC-power estimate
     x: np.ndarray | None = None
 
 

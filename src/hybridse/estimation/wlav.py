@@ -4,29 +4,31 @@ The residual of every measurement row is split into non-negative slacks
 (u - l = z - H x), zero-injection rows are exact equalities with no slack,
 and each boundary converter contributes a pair (a, b) priced at the current
 Lagrange multiplier: a - b = P_conv(x) - P_neighbor.  WLAV weights are
-1/sigma.  The states are free; the LP kernel starts cold with them in the
-basis, fitted to the zero injections first and then to the readings that
-elimination picks, with every other row on its u or b slack (l or a where
-the residual is negative), so a cold solve takes a few pivots.
+1/sigma.  The states are free; the LP kernel's crash basis, its only cold
+start, places them first, fitted to the zero injections first and then to
+the readings that elimination picks, with every other row on its u or b
+slack (l or a where the residual is negative), so a cold solve takes a few
+pivots.  Every row has a slack, a boundary pair or a state, which is what
+the kernel needs to start without a phase 1.
 
 Within one estimate only the boundary rows of b and the (a, b) costs change
 between coordination iterations, and between estimates of one row set only z
 and sigma do.  So the structure (A, the free mask and their
 :class:`~.lp.LpTemplate`, with the cold start's elimination and its B^-1 A)
 is built once per row set and kept with the model's ``telemetry.RegionRows``,
-under the model's zero rows and converters; a model without them gets a
-throwaway one.  A cold start then solves only for b.
-A :class:`RegionalLp` adds what is its own: the slack costs 1/sigma, z and
-the kernel's :class:`~.lp.LpState`.  DRSE builds one per region per estimate
-and passes it to every solve; a call without one builds a throwaway one, so
-the model carries no LP state.  Each call's problem shares the template's
-read-only A and carries fresh b and c, patched on the boundary rows and the
-(a, b) columns.  The next solve given the last solve's basis re-optimizes
-from the final tableau in the state, or hands back that same x object when
-the basis stays optimal for the same b; a basis from another state starts
-cold, so no estimate starts from another's solves.  The ``RegionalLp`` keeps
-its read-out of the last x it saw (states, converter variables and
-residuals) and reuses it when the kernel hands back that object.
+under the model's zero rows and converters (a model without them builds its
+own).  A cold start then solves only for b.  A :class:`RegionalLp` adds what
+is its own: the slack costs 1/sigma, z and the kernel's
+:class:`~.lp.LpState`.  The caller builds one per region per estimate and
+passes it to every solve, so the model carries no LP state.  Each call's
+problem shares the template's read-only A and carries fresh b and c,
+patched on the boundary rows and the (a, b) columns.  The next solve given
+the last solve's basis re-optimizes from the final tableau in the state, or
+hands back that same x object when the basis stays optimal for the same b;
+a basis from another state starts cold, so no estimate starts from
+another's solves.  The ``RegionalLp`` keeps its read-out of the last x it
+saw (states, converter variables and residuals) and reuses it when the
+kernel hands back that object.
 """
 
 from __future__ import annotations
@@ -55,17 +57,12 @@ class BoundaryTerm:
     loss_const: float = 0.0
 
 
-def build_regional_wlav_lp(model, boundary: dict[int, BoundaryTerm],
-                           lp: RegionalLp | None = None) -> LpProblem:
-    """Assemble the regional LP from a constant linear measurement model.
+def build_regional_wlav_lp(lp: RegionalLp, boundary: dict[int, BoundaryTerm]) -> LpProblem:
+    """The regional LP of ``lp`` under the boundary terms of its converters.
 
     Columns are the states, a (u, l) pair per measurement row that is not an
-    exact zero injection, then an (a, b) pair per boundary converter.  ``lp``
-    is the model's :class:`RegionalLp` for the converters of ``boundary``;
-    without it a throwaway one is built.  The problem is the same either way.
+    exact zero injection, then an (a, b) pair per boundary converter.
     """
-    if lp is None:
-        lp = RegionalLp(model, sorted(boundary))
     return lp.problem(boundary)
 
 
@@ -131,33 +128,24 @@ class _LpStructure:
         self.lp = LpTemplate(a, free)
 
 
-def solve_wlav_region(model, boundary: dict[int, BoundaryTerm] | None = None,
-                      basis: tuple[int, ...] | None = None, lp: RegionalLp | None = None
+def solve_wlav_region(model, boundary: dict[int, BoundaryTerm], *, lp: RegionalLp,
+                      basis: tuple[int, ...] | None = None
                       ) -> tuple[EstimationResult, LpSolution]:
-    """Solve one region's WLAV problem; returns the estimate and the LP
-    solution (whose basis warm-starts the next solve through the same
-    ``lp``).  ``lp`` is passed on to :func:`build_regional_wlav_lp`; without
-    it a throwaway one is built."""
+    """Solve one region's WLAV problem through the model's ``lp``; returns
+    the estimate and the LP solution, whose basis warm-starts the next solve
+    through the same ``lp``."""
     t0 = time.perf_counter()
-    boundary = boundary or {}
-    if lp is None:
-        lp = RegionalLp(model, sorted(boundary))
-    problem = build_regional_wlav_lp(model, boundary, lp=lp)
-    sol = lp_solve(problem, basis=basis)
+    sol = lp_solve(build_regional_wlav_lp(lp, boundary), basis=basis)
 
     if lp.read_out is None or lp.read_out[0] is not sol.x:
         x = sol.x[:model.n_states]
         lp.read_out = (sol.x, x, *model.extract_state(x), model.z - model.h(x))
     _, x, v, theta, conv, residuals = lp.read_out
-    boundary_p = {cid: float(model.boundary[cid] @ x - term.loss_const)
-                  for cid, term in boundary.items()}
-
     result = EstimationResult(scope=model.scope, v=v, theta=theta,
                               conv_vars=conv,
                               residuals=residuals, objective=sol.objective,
                               iterations=sol.iterations, converged=True,
                               wall_time=time.perf_counter() - t0,
-                              meas_indices=lp.meas_indices,
-                              boundary_p=boundary_p)
+                              meas_indices=lp.meas_indices)
     result.x = x
     return result, sol

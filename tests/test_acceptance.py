@@ -15,7 +15,7 @@ import pytest
 from hybridse import data
 from hybridse.bench import Scenario, prepare_context, run_single
 from hybridse.coordination import CoordinationParams, run_drse
-from hybridse.estimation import solve_wlav_region, solve_wls
+from hybridse.estimation import RegionalLp, solve_wlav_region, solve_wls
 from hybridse.grid import grid_from_dict
 from hybridse.injection import (fit_gmm, gen_load_profiles, infer_injections,
                                 init_model, loss_and_grads, scada_vector,
@@ -207,7 +207,7 @@ def weighted_median(values, weights):
 
 def scalar_wlav(values, weights):
     model = LinearRegionModel(np.ones((len(values), 1)), values, 1.0 / np.asarray(weights))
-    result, sol = solve_wlav_region(model)
+    result, sol = solve_wlav_region(model, {}, lp=RegionalLp(model, []))
     return float(result.x[0]), sol.objective
 
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from hybridse import measmodel
-from hybridse.estimation import (BoundaryTerm, LpError, LpProblem, RegionalLp,
-                                 UnobservableError, build_regional_wlav_lp, lnr_substitute,
-                                 lnr_test, lp_solve, solve_wlav_region, solve_wls)
+from hybridse.estimation import (BoundaryTerm, LpError, RegionalLp, UnobservableError,
+                                 build_regional_wlav_lp, lnr_substitute, lnr_test, lp_solve,
+                                 solve_wlav_region, solve_wls)
 from hybridse.estimation import lp as lp_module
 from hybridse.estimation import wls as wls_module
 from hybridse.powerflow import SystemState, solve_ac_region
@@ -29,18 +29,35 @@ def lav_objective(x, values, weights):
     return float(np.sum(np.asarray(weights) * np.abs(np.asarray(values) - x)))
 
 
+def own_problem(c, a_eq, b_eq, free_mask):
+    """An LP of its own template and solve state, which nothing else shares."""
+    return lp_module.LpTemplate(a_eq, free_mask).problem(
+        np.array(c, dtype=float), np.array(b_eq, dtype=float), lp_module.LpState())
+
+
+def regional_problem(model, terms):
+    """The WLAV LP of ``model`` under ``terms``, through a RegionalLp of its own."""
+    return build_regional_wlav_lp(RegionalLp(model, sorted(terms)), terms)
+
+
+def wlav_region(model, terms=None):
+    """One cold solve of the WLAV LP of ``model``, through a RegionalLp of its own."""
+    terms = terms or {}
+    return solve_wlav_region(model, terms, lp=RegionalLp(model, sorted(terms)))
+
+
 def scalar_wlav(values, weights):
     """Solve min sum w|z - x| through the LP kernel."""
     model = LinearRegionModel(np.ones((len(values), 1)), values, 1.0 / np.asarray(weights))
-    result, sol = solve_wlav_region(model)
+    result, sol = wlav_region(model)
     return float(result.x[0]), sol.objective
 
 
 class TestLpKernel:
     def test_one_sided_slack(self):
         # minimize u + l subject to u - l = 0.5
-        prob = LpProblem(c=[1.0, 1.0], a_eq=[[1.0, -1.0]], b_eq=[0.5],
-                         free_mask=[False, False])
+        prob = own_problem(c=[1.0, 1.0], a_eq=[[1.0, -1.0]], b_eq=[0.5],
+                           free_mask=[False, False])
         sol = lp_solve(prob)
         assert sol.x[0] == pytest.approx(0.5, abs=1e-12)
         assert sol.x[1] == pytest.approx(0.0, abs=1e-12)
@@ -61,8 +78,8 @@ class TestLpKernel:
 
     def test_free_variable_split(self):
         # minimize |x - (-2)| via u/l: x free, optimal x = -2
-        prob = LpProblem(c=[0.0, 1.0, 1.0], a_eq=[[1.0, 1.0, -1.0]], b_eq=[-2.0],
-                         free_mask=[True, False, False])
+        prob = own_problem(c=[0.0, 1.0, 1.0], a_eq=[[1.0, 1.0, -1.0]], b_eq=[-2.0],
+                           free_mask=[True, False, False])
         sol = lp_solve(prob)
         assert sol.x[0] == pytest.approx(-2.0, abs=1e-12)
         assert sol.objective == pytest.approx(0.0, abs=1e-12)
@@ -72,7 +89,7 @@ class TestLpKernel:
         h = rng.normal(size=(8, 2))
         z = h @ np.array([0.5, -0.25]) + rng.normal(0, 0.05, size=8)
         model = LinearRegionModel(h, z, np.full(8, 0.1))
-        prob = build_regional_wlav_lp(model, {})
+        prob = regional_problem(model, {})
         cold = lp_solve(prob)
         warm = lp_solve(prob, basis=cold.basis)
         assert warm.iterations == 0
@@ -150,7 +167,7 @@ class TestLpOracle:
                                        neighbor_p=float(row @ x_true + rng.normal(0, 0.1)),
                                        loss_const=float(rng.uniform(0.0, 0.01)))
                      for cid, row in model.boundary.items()}
-            prob = build_regional_wlav_lp(model, terms)
+            prob = regional_problem(model, terms)
 
             # the same structure with a perturbed right-hand side
             moved = model.clone()
@@ -158,7 +175,7 @@ class TestLpOracle:
                                model.z + rng.normal(0.0, 0.002, size=model.z.size))
             moved_terms = {cid: BoundaryTerm(t.lam, t.neighbor_p + 0.002, t.loss_const)
                            for cid, t in terms.items()}
-            prob_moved = build_regional_wlav_lp(moved, moved_terms)
+            prob_moved = regional_problem(moved, moved_terms)
 
             ref = self._highs(prob)
             scale = max(1.0, abs(ref))
@@ -185,12 +202,12 @@ class TestRegionalLpReuse:
 
     @staticmethod
     def _fresh(model, terms):
-        """The same LP built afresh from a clone, copied into a hand-built
-        ``LpProblem`` and solved cold: nothing built is shared with the
-        sequence."""
-        twin = build_regional_wlav_lp(model.clone(), terms)
-        problem = LpProblem(c=twin.c.copy(), a_eq=twin.a_eq.copy(), b_eq=twin.b_eq.copy(),
-                            free_mask=twin.free_mask.copy())
+        """The same LP built afresh from a clone, copied into a problem of its
+        own template and state and solved cold: nothing built is shared with
+        the sequence."""
+        twin = regional_problem(model.clone(), terms)
+        problem = own_problem(c=twin.c.copy(), a_eq=twin.a_eq.copy(), b_eq=twin.b_eq.copy(),
+                              free_mask=twin.free_mask.copy())
         return problem, lp_solve(problem)
 
     def _sequence(self, model, steps, counts, basis=None):
@@ -198,7 +215,7 @@ class TestRegionalLpReuse:
         ``RegionalLp`` of the model, against the cold solve of a fresh copy."""
         lp = RegionalLp(model, sorted(model.boundary))
         for terms in steps:
-            problem = build_regional_wlav_lp(model, terms, lp=lp)
+            problem = build_regional_wlav_lp(lp, terms)
             cold = counts["cold"]
             sol = lp_solve(problem, basis=basis)
             if basis is not None:
@@ -290,11 +307,12 @@ class TestLpDualWarmStart:
 
     @staticmethod
     def _check(problem, sol):
-        """The objective of HiGHS and of a cold solve of a hand-built copy."""
+        """The objective of HiGHS and of a cold solve of a copy with its own
+        template and state."""
         ref = TestLpOracle._highs(problem)
         scale = TestLpOracle.REL_TOL * max(1.0, abs(ref))
         assert abs(sol.objective - ref) <= scale
-        copy = LpProblem(problem.c, problem.a_eq, problem.b_eq, problem.free_mask)
+        copy = own_problem(problem.c, problem.a_eq, problem.b_eq, problem.free_mask)
         assert abs(lp_solve(copy).objective - ref) <= scale
 
     @staticmethod
@@ -446,9 +464,10 @@ class TestCase33ColdStart:
 
 
 class TestRankDeficientColdStart:
-    """States the readings do not determine leave exact zero injections
-    without a state column; those rows start on artificials, phase 1 runs,
-    and the optimum still matches HiGHS, through the same crash."""
+    """States the readings do not determine can leave exact zero injections
+    that no state column takes; such a row starts on its artificial, which
+    stays basic at zero on a row the other states already fix, and the
+    optimum still matches HiGHS, through the same crash."""
 
     def test_case33_unobservable_ac_region(self, case33, case33_loads, monkeypatch):
         # at the SCADA-only tick without injections, the AC region's H has
@@ -527,6 +546,73 @@ class TestRankDeficientColdStart:
             warm = lp_solve(moved, basis=sol.basis)
             assert len(starts) == 1
             _assert_optimal(moved, warm)
+
+
+class TestNoPhaseOne:
+    """The crash basis is the only cold start: every artificial it leaves
+    basic sits on a row with no real entry above the pricing tolerance, and
+    their values sum to at most 1e-7, so no pivot could remove one.  Over
+    every cold start of case33 DRSE estimates (the smart-meter tick clean
+    and with bad-data case 2, the SCADA-only tick with and without pseudo
+    injections, and without them under the default schedule, whose AC
+    region the readings leave unobservable) and the random LPs of
+    ``TestLpOracle``.  An LP that would need phase 1 is refused."""
+
+    @staticmethod
+    def _artificials(template, t, cols):
+        """Basic artificials of a crash; asserts each one could stay."""
+        art = cols >= template.n_int
+        assert np.abs(t[art, :template.n_int]).max(initial=0.0) <= lp_module._TOL
+        assert t[art, -1].sum() <= 1e-7
+        return int(np.count_nonzero(art))
+
+    def test_case33_cold_starts(self, case33, case33_loads, monkeypatch):
+        from hybridse.coordination import CoordinationParams, run_drse
+        from hybridse.powerflow import solve_powerflow
+        from hybridse.telemetry import ScheduleConfig, simulate_measurements
+        seen = []
+        real = lp_module._crash_tableau
+
+        def crash(template, b):
+            t, cols = real(template, b)
+            seen.append(self._artificials(template, t, cols))
+            return t, cols
+
+        monkeypatch.setattr(lp_module, "_crash_tableau", crash)
+        sets = [ms for t, injections, case in ((3600.0, False, 0), (3600.0, False, 2),
+                                               (900.0, True, 0), (900.0, False, 0))
+                for ms in _case33_sets(case33, case33_loads, t, injections, case, range(5))]
+        truth = solve_powerflow(case33, case33_loads)
+        sets += [simulate_measurements(case33, truth.state, ScheduleConfig(), t=900.0,
+                                       seed=seed) for seed in range(3)]
+        for ms in sets:
+            run_drse(case33, ms, CoordinationParams())
+        assert len(seen) == len(sets) * len(case33.regions)
+
+    def test_random_lps(self):
+        # their zero injections are at times redundant
+        rng = np.random.default_rng(20240)
+        seen = 0
+        for _ in range(60):
+            x_true = rng.normal(size=int(rng.integers(2, 6)))
+            x_true[0] = 1.0 + abs(x_true[0])
+            model = TestLpOracle._case(rng, x_true)
+            terms = {cid: BoundaryTerm(lam=float(rng.uniform(0.01, 5.0)),
+                                       neighbor_p=float(row @ x_true + rng.normal(0, 0.1)))
+                     for cid, row in model.boundary.items()}
+            problem = regional_problem(model, terms)
+            for b in (problem.b_eq, -problem.b_eq):
+                seen += self._artificials(problem.template,
+                                          *lp_module._crash_tableau(problem.template, b))
+        assert seen > 0
+
+    def test_lp_that_needs_phase_one_is_refused(self):
+        # x1 + x2 = 1 and x1 - x2 = 0 with x >= 0: no unit column and no free
+        # column, so both rows start on their artificials
+        problem = own_problem(c=[1.0, 2.0], a_eq=[[1.0, 1.0], [1.0, -1.0]], b_eq=[1.0, 0.0],
+                              free_mask=[False, False])
+        with pytest.raises(LpError, match="phase 1"):
+            lp_solve(problem)
 
 
 def _reference_optimize(t, cols_basis, c, n_cols, tol, max_iter, seen):
@@ -714,7 +800,7 @@ class TestCrashTableauBitExact:
             terms = {cid: BoundaryTerm(lam=float(rng.uniform(0.01, 5.0)),
                                        neighbor_p=float(row @ x_true + rng.normal(0, 0.1)))
                      for cid, row in model.boundary.items()}
-            problem = build_regional_wlav_lp(model, terms)
+            problem = regional_problem(model, terms)
             self._assert_same(problem.template,
                               self._right_hand_sides(rng, problem.b_eq))
 
@@ -839,7 +925,7 @@ class TestLpRepeat:
         answers = set()
         for model, terms in self._final_terms(case33, case33_loads, monkeypatch):
             regional = RegionalLp(model, sorted(terms))
-            problem = build_regional_wlav_lp(model, terms, lp=regional)
+            problem = build_regional_wlav_lp(regional, terms)
             basis, last = self._settle(problem)
             assert lp_solve(problem, basis=basis).x is last.x
             ab = slice(regional.ab0, None)
@@ -858,9 +944,9 @@ class TestLpRepeat:
                 answers.add(predicted)
                 basis, last = self._settle(problem, sol.basis)
 
-            # a hand-built copy of the problem, which has no template, another
+            # a copy of the problem with its own template and state, another
             # right-hand side or another basis is never answered from the record
-            copy = LpProblem(problem.c, problem.a_eq, problem.b_eq, problem.free_mask)
+            copy = own_problem(problem.c, problem.a_eq, problem.b_eq, problem.free_mask)
             assert lp_solve(copy, basis=basis).x is not last.x
             b = problem.b_eq.copy()
             b[-1] += 1e-3
@@ -889,7 +975,7 @@ class TestLpRepeat:
             assert again.x.base is sol.x and again.iterations == 0
             with pytest.raises(ValueError):
                 again.x[0] = 0.0
-            fresh, _ = solve_wlav_region(model, terms)
+            fresh, _ = wlav_region(model, terms)
             assert fresh.v is not first.v
             assert fresh.x.tobytes() == first.x.tobytes()
 
@@ -1353,25 +1439,25 @@ class TestWlavRegion:
 
     def test_zero_noise_exact_recovery(self, toy2):
         model, x_true = self._region_model(toy2)
-        result, sol = solve_wlav_region(model)
+        result, sol = wlav_region(model)
         assert sol.objective <= 1e-9
         assert np.abs(result.x - x_true).max() <= 1e-9
 
     def test_interpolation_property_with_noise(self, toy2):
         # m >= n noise-free consistent measurements reproduce the state exactly
         model, x_true = self._region_model(toy2, noise=0.0, seed=9)
-        result, _ = solve_wlav_region(model)
+        result, _ = wlav_region(model)
         assert np.abs(result.x - x_true).max() <= 1e-9
 
     def test_case1_doubling_rejected(self, toy2):
         # exact base readings with redundancy >= 2 at the branch
         model, x_true = self._region_model(toy2, noise=0.0, seed=2)
-        clean, _ = solve_wlav_region(model)
+        clean, _ = wlav_region(model)
         doubled = model.clone()
         flow_idx = 2  # AcPFlow fwd row
         doubled.z = doubled.z.copy()
         doubled.z[flow_idx] *= 2.0
-        corrupt, _ = solve_wlav_region(doubled)
+        corrupt, _ = wlav_region(doubled)
         assert np.abs(corrupt.x - clean.x).max() <= 1e-6
         gross = doubled.z[flow_idx] - model.z[flow_idx]
         assert corrupt.residuals[flow_idx] == pytest.approx(gross, rel=1e-3)
@@ -1393,8 +1479,8 @@ class TestWlavRegion:
             meas.append(Measurement(kind, loc, d,
                                     eval_h_nonlinear(toy5, st, probe), 0.004, "scada"))
         model = build_region_H(toy5, toy5.regions[0], list(enumerate(meas)))
-        free, _ = solve_wlav_region(model, {0: BoundaryTerm(lam=0.0, neighbor_p=5.0)})
-        tied, _ = solve_wlav_region(model, {0: BoundaryTerm(lam=0.0, neighbor_p=-5.0)})
+        free, _ = wlav_region(model, {0: BoundaryTerm(lam=0.0, neighbor_p=5.0)})
+        tied, _ = wlav_region(model, {0: BoundaryTerm(lam=0.0, neighbor_p=-5.0)})
         # with lambda = 0 the (absurd) neighbor value cannot move the estimate
         assert np.allclose(free.x, tied.x, atol=1e-9)
         assert free.objective == pytest.approx(tied.objective, abs=1e-12)
@@ -1425,7 +1511,7 @@ class TestRobustnessVsWls:
     def test_region_toy(self, toy2):
         sigma = 0.004
         model, x_true = self._noisy_region(toy2, sigma)
-        clean, _ = solve_wlav_region(model)
+        clean, _ = wlav_region(model)
         w = 1.0 / model.sigma ** 2
         for j in range(len(model.z)):
             wls_clean = solve_wls(model)
@@ -1438,7 +1524,7 @@ class TestRobustnessVsWls:
                 corrupt = model.clone()
                 corrupt.z = corrupt.z.copy()
                 corrupt.z[j] += mag
-                est, _ = solve_wlav_region(corrupt)
+                est, _ = wlav_region(corrupt)
                 assert np.abs(est.x - clean.x).max() <= wls_change + 1e-12
 
     def _noisy_region(self, toy2, sigma):
