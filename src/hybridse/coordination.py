@@ -65,8 +65,9 @@ class CoordinationParams:
     nr_test: bool = True          # WLS variants only
 
     def __post_init__(self):
-        if self.xi <= 0 or self.tau <= 0 or self.max_iterations < 1:
-            raise ValueError("xi and tau must be positive, max_iterations >= 1")
+        if self.lambda0 < 0 or self.xi <= 0 or self.tau <= 0 or self.max_iterations < 1:
+            raise ValueError("lambda0 must be non-negative, xi and tau positive, "
+                             "max_iterations >= 1")
 
 
 @dataclass

@@ -153,12 +153,16 @@ class MeasurementSet:
             if missing := set(cls.CSV_HEADER.split(",")) - set(reader.fieldnames or ()):
                 raise TelemetryError(f"measurement file {path} lacks column(s) {sorted(missing)}")
             for row in reader:
+                sigma = float(row["sigma"])
+                if row["source"] != SOURCE_VIRTUAL_ZERO and not 0 < sigma < math.inf:
+                    raise TelemetryError(f"measurement file {path}: {row['kind']} at "
+                                         f"{row['location']} has sigma {row['sigma']}")
                 out.append(Measurement(
                     kind=MeasurementKind(row["kind"]),
                     location=tuple(int(x) for x in row["location"].split("-")),
                     direction=row["direction"],
                     value=float(row["value"]),
-                    sigma=float(row["sigma"]),
+                    sigma=sigma,
                     source=row["source"],
                     timestamp=float(row["timestamp"])))
         return cls(out)
@@ -500,6 +504,8 @@ class ScheduleConfig:
             raise ValueError("periods must be positive")
         if min(self.scada_vmag_pct, self.scada_power_pct, self.smart_meter_pct) < 0:
             raise ValueError("uncertainty percentages must be non-negative")
+        if not self.sigma_floor > 0:
+            raise ValueError("sigma_floor must be positive")
 
 
 def default_scada_branches(grid: GridModel) -> tuple[tuple[int, int], ...]:

@@ -231,6 +231,38 @@ class TestCli:
                      "--out", str(tmp_path / "est.csv")]) == 2
         assert "location" in capsys.readouterr().err
 
+    def test_nonpositive_sigma_validation_exit(self, tmp_path, capsys):
+        # a reading's sigma must be positive and finite; an exact zero
+        # injection carries none
+        meas = tmp_path / "meas.csv"
+        for sigma in ("0.0", "-0.01", "nan", "inf"):
+            meas.write_text(MeasurementSet.CSV_HEADER + "\n"
+                            "zero_p_inj,2,,0.0,0.0,virtual_zero,3600.0\n"
+                            f"ac_v_mag,1,,1.0,{sigma},scada,3600.0\n")
+            assert main(["estimate", "--method", "drse",
+                         "--grid", str(data.path(data.TOY5_HYBRID)), "--meas", str(meas),
+                         "--out", str(tmp_path / "est.csv")]) == 2
+            assert f"has sigma {sigma}" in capsys.readouterr().err
+
+    def test_negative_lambda0_validation_exit(self, tmp_path, capsys):
+        meas = tmp_path / "meas.csv"
+        meas.write_text(MeasurementSet.CSV_HEADER + "\n")
+        assert main(["estimate", "--method", "drse", "--lambda0", "-1",
+                     "--grid", str(data.path(data.TOY5_HYBRID)), "--meas", str(meas),
+                     "--out", str(tmp_path / "est.csv")]) == 2
+        assert "lambda0" in capsys.readouterr().err
+
+    def test_zero_sigma_floor_validation_exit(self, tmp_path, capsys):
+        import json
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps({
+            "grid": str(data.path(data.TOY5_HYBRID)), "method": "cwls", "runs": 1, "seed": 1,
+            "base_profile": str(data.path(data.TOY5_HYBRID_LOADS)),
+            "schedule": {"sigma_floor": 0.0, "scada_vmag_pct": 0.0}}))
+        assert main(["benchmark", "--scenario", str(scenario), "--seed", "1",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "sigma_floor" in capsys.readouterr().err
+
     def test_injection_model_missing_key_validation_exit(self, tmp_path, capsys):
         meas = tmp_path / "meas.csv"
         meas.write_text(MeasurementSet.CSV_HEADER + "\n")

@@ -41,6 +41,14 @@ def noisy_set(grid, loads, seed, t=3600.0, sched=None):
     return res, simulate_measurements(grid, res.state, sched, t=t, seed=seed)
 
 
+def test_params_reject_negative_lambda0():
+    # a negative multiplier prices a boundary pair below zero: DRSE's LP is
+    # unbounded and DWLS's boundary weight negative
+    with pytest.raises(ValueError, match="lambda0"):
+        CoordinationParams(lambda0=-1.0)
+    assert CoordinationParams(lambda0=0.0).lambda0 == 0.0
+
+
 class TestDrse:
     def test_single_region_one_iteration(self, toy2):
         from hybridse.powerflow import InjectionProfile

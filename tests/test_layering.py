@@ -1,6 +1,8 @@
-"""The module layering the power-flow audits rely on, read from the source
-with ``ast``: ``powerflow`` sits directly on ``grid``, and the one row
-interpreter, ``CompiledRows``, lives there."""
+"""The module layering read from the source with ``ast``: ``powerflow``, on
+which the power-flow audits rely, sits directly on ``grid``, and the one
+row interpreter, ``CompiledRows``, lives there; the LP kernel
+``estimation.lp`` stands alone, its WLAV contract stated only in its
+docstring."""
 
 import ast
 from pathlib import Path
@@ -34,3 +36,8 @@ def test_compiled_rows_defined_once_in_powerflow():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.ClassDef) and node.name == "CompiledRows"]
     assert where == ["powerflow.py"]
+
+
+def test_lp_kernel_imports_no_package_module():
+    tree = ast.parse((PACKAGE / "estimation" / "lp.py").read_text())
+    assert package_imports(tree) == set()

@@ -534,6 +534,26 @@ class TestCsvRoundtrip:
         again = MeasurementSet.from_csv(path)
         assert again.measurements == ms.measurements
 
+    def test_sigma_must_be_positive(self, tmp_path, case33, case33_loads):
+        # a reading of sigma 0 gets an infinite weight: DRSE's LP is
+        # unbounded and the Gauss-Newton step does not converge
+        with pytest.raises(ValueError, match="sigma_floor"):
+            case33_schedule(sigma_floor=0.0, scada_vmag_pct=0.0)
+        with pytest.raises(ValueError, match="sigma_floor"):
+            case33_schedule(sigma_floor=-1e-4)
+        res = solve_powerflow(case33, case33_loads)
+        ms = simulate_measurements(case33, res.state, case33_schedule(), t=3600.0, seed=9)
+        i = next(i for i, m in enumerate(ms) if m.source != SOURCE_VIRTUAL_ZERO)
+        path = tmp_path / "meas.csv"
+        for sigma in (0.0, -1e-3, math.nan, math.inf):
+            bad = list(ms.measurements)
+            bad[i] = dataclasses.replace(bad[i], sigma=sigma)
+            MeasurementSet(bad).to_csv(path)
+            with pytest.raises(TelemetryError, match="sigma"):
+                MeasurementSet.from_csv(path)
+        # exact zero injections carry sigma 0
+        assert any(m.source == SOURCE_VIRTUAL_ZERO and m.sigma == 0.0 for m in ms)
+
 
 class TestNonlinearModelJacobian:
     def _models(self, case33, case33_loads):
