@@ -101,7 +101,9 @@ def _largest_normalized(res: np.ndarray, omega: np.ndarray, sigma: np.ndarray,
 
 def solve_wls(model, x0: np.ndarray | None = None, tol: float = 1e-6,
               weight_overrides: dict[int, float] | None = None) -> EstimationResult:
-    """Iterate Gauss-Newton until max |dx| < tol, with step halving.
+    """Iterate Gauss-Newton until max |dx| < tol, with step halving.  A step
+    below tol converges even when no halving of it lowers the objective by
+    the 1e-12 slack, within which the zero-injection weights round it.
 
     Each step solves W^(1/2) J dx = W^(1/2) (z - h(x)) in the least-squares
     sense from the R of one Householder QR of the augmented matrix
@@ -141,7 +143,10 @@ def solve_wls(model, x0: np.ndarray | None = None, tol: float = 1e-6,
                 break
             step *= 0.5
         else:
-            break  # no improving step: treat as stalled
+            # no improving step: a full step below tol has converged, and
+            # any other has stalled; x stays at the last accepted iterate
+            converged = bool(np.abs(dx).max() < tol)
+            break
         x, obj, r = trial, trial_obj, trial_r
         if np.abs(step * dx).max() < tol:
             converged = True

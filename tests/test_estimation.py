@@ -1066,6 +1066,47 @@ class TestWls:
         assert np.abs(grad).max() <= 1e-8
 
 
+    def test_step_below_tol_that_cannot_lower_the_objective_converges(self, monkeypatch):
+        # case33 CWLS on the first Monte-Carlo run of master seed 20240 (four
+        # SCADA lines, clean): the last step is below tol, and the objective,
+        # which the zero-injection weights round near the 1e-12 slack, falls
+        # under no halving of it
+        from hybridse import data
+        from hybridse.bench import Scenario, prepare_context
+        from hybridse.coordination import run_cwls
+        from hybridse.powerflow import solve_powerflow
+        from hybridse.telemetry import simulate_measurements
+        ctx = prepare_context(Scenario(
+            grid=str(data.path(data.CASE33_HYBRID)), method="cwls", runs=1, seed=20240,
+            base_profile=str(data.path(data.CASE33_HYBRID_LOADS)), test_days=5,
+            schedule={"scada_ac_branches": [[1, 2], [2, 19], [3, 23], [6, 26]]}))
+        rng = np.random.default_rng(20240)
+        _, profile = ctx.test_profiles.sample_tick(rng)
+        truth = solve_powerflow(ctx.grid, profile)
+        ms = simulate_measurements(ctx.grid, truth.state, ctx.schedule, t=3600.0, seed=rng)
+        assert run_cwls(ctx.grid, ms).stop_reason == "converged"
+
+        model = measmodel.build_system_model(ctx.grid, list(enumerate(ms.measurements)))
+        xs, steps = [], []
+        real_h_jac, real_step = model.h_jac, wls_module._gn_step
+
+        def h_jac(x, with_jac=True):
+            if with_jac:
+                xs.append(x)
+            return real_h_jac(x, with_jac=with_jac)
+
+        def gn_step(*args, **kwargs):
+            steps.append(real_step(*args, **kwargs))
+            return steps[-1]
+
+        monkeypatch.setattr(model, "h_jac", h_jac)
+        monkeypatch.setattr(wls_module, "_gn_step", gn_step)
+        res = solve_wls(model)
+        assert res.converged and res.iterations == len(steps) == len(xs)
+        assert np.abs(steps[-1]).max() < 1e-6
+        # the line search rejected that step: x is the iterate it started from
+        assert res.x.tobytes() == xs[-1].tobytes()
+
 class TestLnr:
     def _scalar_model(self, values, sigma=0.02):
         return LinearRegionModel(np.ones((len(values), 1)), values,
