@@ -2,59 +2,48 @@
 estimation.
 
 Standard form: minimize c.v subject to A v = b with v >= 0; variables marked
-free are split internally into positive and negative parts.  Pricing is
-Dantzig's rule with a switch to Bland's rule after a run of degenerate pivots,
-which guarantees termination.  Tie-breaking is by lowest index everywhere, so
-solves are deterministic.
+free are split internally into positive and negative parts.  Internal
+columns are A, -A[:, free], then one artificial unit column per row, which
+never enters.  Pricing is Dantzig's rule with a switch to Bland's rule after
+a run of degenerate pivots, which guarantees termination.  Tie-breaking is
+by lowest index everywhere, so solves are deterministic.
 
-The one cold start is a crash basis that places the free states first, as
-in weighted least absolute value estimation (Abur & Celik, IEEE Trans. Power
-Systems 6(1), 1991).  Each free column takes a row by Gaussian elimination
-with partial pivoting over A[:, free], rows without a bounded unit column (a
-WLAV LP's exact zero injections) first; a free column without a pivot (a
-state the rows do not determine) stays out.  Every other row takes its first
-bounded unit column with a +1 entry (the slack u or b), else its artificial.
-The starting tableau is B^-1 [A | b].  B^-1 A does not depend on b, so the
-template solves it once, when it is built, and a cold start copies it and
-solves only for the b column.  A negative basic value is swapped to its
-negated partner (the other half of a free variable's split, the row's -1
-unit column l or a, else the row's artificial) and its row is negated, so
-the start is primal feasible.
+The one cold start is a crash basis with the free states first (Abur &
+Celik, IEEE Trans. Power Systems 6(1), 1991).  Each free column takes a row
+by Gaussian elimination with partial pivoting over A[:, free], rows without
+a bounded unit column (a WLAV LP's exact zero injections) first; a free
+column without a pivot (a state the rows do not determine) stays out.
+Every other row takes its first bounded unit column with a +1 entry (the
+slack u or b), else its artificial.  A negative basic value of B^-1 b is
+swapped to its negated partner (the other half of a free variable's split,
+the row's -1 unit column l or a, else the row's artificial) and its row is
+negated, so the start is primal feasible.  B^-1 A does not depend on b, so
+the template solves it once and a cold start solves only for b.
 
-There is no phase 1.  In a WLAV LP every row has a slack, a boundary pair or
-a state, so the crash leaves an artificial basic only on a row the states
-already fix (a redundant zero injection, or one whose states the readings
-leave out): its tableau row has no real entry above the pricing tolerance,
-and it stays basic at zero.  A crash that leaves one on any other row, or
-artificial values that sum above 1e-7, would need phase 1, and the solve
-raises ``LpError``.  Internal columns are A, -A[:, free], then one
-artificial unit column per row, which never enters.
+There is no phase 1.  Every row of a WLAV LP has a slack, a boundary pair or
+a state, so an artificial stays basic only on a row the states already fix
+(a redundant zero injection): no real entry of its tableau row exceeds the
+pricing tolerance, and it stays basic at zero.  A crash that leaves one on
+any other row, or artificial values that sum above 1e-7, would need phase
+1, and the solve raises ``LpError``.
 
-Every problem comes from an :class:`LpTemplate`, which holds A and the free
-columns of a family of problems that differ only in c and b
-(``LpTemplate.problem``).  The template is immutable and may be shared by
-any number of owners: its A and free mask are read-only, and it makes the
-internal columns and the crash data (the elimination's rows and the crash
-basis's B^-1 A) once, when it is built.  What a solve leaves behind lives
-apart, in the :class:`LpState` that the owner of a run of solves gives each
-of its problems: the last solve's final tableau and read-only x, keyed by
-its basis and the bytes of b.  A state is never shared between owners, so
-no owner starts from another's solve.
+Every problem comes from an :class:`LpTemplate` (``LpTemplate.problem``):
+A and the free columns of a family of problems that differ only in c and b,
+immutable and shareable, with the internal columns and the crash data made
+once, when it is built.  What a solve leaves behind lives in the
+:class:`LpState` of the one owner of a run of solves: the last solve's
+final tableau and read-only x, keyed by its basis and the bytes of b.
 
-The one warm start is from that basis: the returned basis of the state's
-last solve, cold or warm, passed back to the next solve of a problem with
-the same state.  With the same b bytes the stored tableau B^-1 [A | b] is
-the one the solve starts from, whatever c is, so the solve first prices it
-under the new costs; when no column enters (the optimality test of a basis
-under a change of c alone), it returns the stored x itself, read-only, with
-0 pivots and no copy.  Otherwise the solve copies the stored tableau.  B^-1 A
-does not depend on b, so when the b bytes differ only B^-1 b is solved
-again, from the internal columns and b.  A negative B^-1 b is re-optimized
-by dual simplex pivots when no reduced cost under the new c is negative
-(Bertsimas & Tsitsiklis, *Introduction to Linear Optimization*, 4.5).  Any
-other basis, a singular one, one neither primal nor dual feasible, or more
-dual pivots than rows raise ``LpError`` inside the solve, and
-:func:`lp_solve` then does one cold start.
+The one warm start is from that basis, passed back to the next solve with
+the same state.  With the same b bytes the solve first prices the stored
+tableau under the new costs; when no column enters, it returns the stored x
+itself, read-only, with 0 pivots and no copy.  Otherwise it copies the
+stored tableau, solves B^-1 b again when the b bytes differ, and
+re-optimizes a negative B^-1 b by dual simplex pivots when no reduced cost
+under the new c is negative (Bertsimas & Tsitsiklis, *Introduction to
+Linear Optimization*, 4.5).  Any other basis, a singular one, one neither
+primal nor dual feasible, or more dual pivots than rows raise ``LpError``
+inside the solve, and :func:`lp_solve` then does one cold start.
 """
 
 from __future__ import annotations
@@ -78,8 +67,7 @@ class LpUnbounded(LpError):
 
 @dataclass
 class LpProblem:
-    """One LP of a template's family: its costs, right-hand side and the
-    state of the owner that solves it (module docstring)."""
+    """One LP of a template's family, with the state of its owner."""
 
     template: LpTemplate
     c: np.ndarray
@@ -207,12 +195,6 @@ class LpState:
         self.last: tuple | None = None
 
 
-def _internal_costs(problem: LpProblem, template: LpTemplate) -> np.ndarray:
-    """Costs of every internal column; artificials cost nothing."""
-    return np.concatenate([problem.c, -problem.c[template.free],
-                           np.zeros(problem.b_eq.size)])
-
-
 def _basic_mask(cols_basis, size) -> np.ndarray:
     basic = np.zeros(size, dtype=bool)
     basic[cols_basis] = True
@@ -221,9 +203,9 @@ def _basic_mask(cols_basis, size) -> np.ndarray:
 
 def _lp_solve(problem: LpProblem, basis) -> LpSolution:
     template, state = problem.template, problem.state
-    last = state.last
-    n_int = template.n_int
-    c_int = _internal_costs(problem, template)
+    last, n_int = state.last, template.n_int
+    # costs of every internal column; artificials cost nothing
+    c_int = np.concatenate([problem.c, -problem.c[template.free], np.zeros(problem.b_eq.size)])
 
     iterations = 0
     if basis is not None:

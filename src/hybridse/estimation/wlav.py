@@ -4,12 +4,11 @@ The residual of every measurement row is split into non-negative slacks
 (u - l = z - H x), zero-injection rows are exact equalities with no slack,
 and each boundary converter contributes a pair (a, b) priced at the current
 Lagrange multiplier: a - b = P_conv(x) - P_neighbor.  WLAV weights are
-1/sigma.  The states are free; the LP kernel's crash basis, its only cold
-start, places them first, fitted to the zero injections first and then to
-the readings that elimination picks, with every other row on its u or b
-slack (l or a where the residual is negative), so a cold solve takes a few
-pivots.  Every row has a slack, a boundary pair or a state, which is what
-the kernel needs to start without a phase 1.
+1/sigma.  The states are free.  So every row has a slack, a boundary pair or
+a state, and the LP kernel's one cold start, its crash basis, needs no phase
+1: it places the states first, fitted to the zero injections and then to the
+readings that elimination picks, with every other row on its u or b slack
+(l or a where the residual is negative), so a cold solve takes a few pivots.
 
 Within one estimate only the boundary rows of b and the (a, b) costs change
 between coordination iterations, and between estimates of one row set only z
@@ -17,18 +16,16 @@ and sigma do.  So the structure (A, the free mask and their
 :class:`~.lp.LpTemplate`, with the cold start's elimination and its B^-1 A)
 is built once per row set and kept with the model's ``telemetry.RegionRows``,
 under the model's zero rows and converters (a model without them builds its
-own).  A cold start then solves only for b.  A :class:`RegionalLp` adds what
-is its own: the slack costs 1/sigma, z and the kernel's
-:class:`~.lp.LpState`.  The caller builds one per region per estimate and
-passes it to every solve, so the model carries no LP state.  Each call's
-problem shares the template's read-only A and carries fresh b and c,
-patched on the boundary rows and the (a, b) columns.  The next solve given
-the last solve's basis re-optimizes from the final tableau in the state, or
-hands back that same x object when the basis stays optimal for the same b;
-a basis from another state starts cold, so no estimate starts from
-another's solves.  The ``RegionalLp`` keeps its read-out of the last x it
-saw (states, converter variables and residuals) and reuses it when the
-kernel hands back that object.
+own).  A :class:`RegionalLp` adds what is its own: the slack costs 1/sigma,
+z and the kernel's :class:`~.lp.LpState`.  The caller builds one per region
+per estimate and passes it to every solve, so the model carries no LP state.
+Each call's problem shares the template's read-only A and carries fresh b
+and c, patched on the boundary rows and the (a, b) columns.  The next solve
+given the last solve's basis re-optimizes from the final tableau in the
+state, or hands back that same x object when the basis stays optimal for the
+same b; a basis from another state starts cold.  The ``RegionalLp`` keeps
+its read-out of the last x it saw (states, converter variables and
+residuals) and reuses it when the kernel hands back that object.
 """
 
 from __future__ import annotations

@@ -143,8 +143,7 @@ def solve_wls(model, x0: np.ndarray | None = None, tol: float = 1e-6,
                 break
             step *= 0.5
         else:
-            # no improving step: a full step below tol has converged, and
-            # any other has stalled; x stays at the last accepted iterate
+            # no improving step: converged if it is below tol, else stalled
             converged = bool(np.abs(dx).max() < tol)
             break
         x, obj, r = trial, trial_obj, trial_r
