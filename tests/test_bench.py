@@ -258,7 +258,7 @@ class TestCli:
         scenario.write_text(json.dumps({
             "grid": str(data.path(data.TOY5_HYBRID)), "method": "cwls", "runs": 1, "seed": 1,
             "base_profile": str(data.path(data.TOY5_HYBRID_LOADS)),
-            "schedule": {"sigma_floor": 0.0, "scada_vmag_pct": 0.0}}))
+            "schedule": {"sigma_floor": 0.0}}))
         assert main(["benchmark", "--scenario", str(scenario), "--seed", "1",
                      "--out", str(tmp_path / "out")]) == 2
         assert "sigma_floor" in capsys.readouterr().err
