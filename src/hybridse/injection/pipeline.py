@@ -135,17 +135,25 @@ def sample_injections(grid: GridModel, gmms: dict[int, GmmModel],
                       rng: np.random.Generator) -> InjectionProfile:
     """One joint scenario: marginals follow each node's mixture while a shared
     regime quantile and common factor couple the nodes, mirroring the common
-    daily-shape structure the mixtures were learned from."""
+    daily-shape structure the mixtures were learned from.
+
+    The draws are, in order: the quantile, the shared factor per dimension
+    (P, Q), and every node's own factors in one call, node by node (the
+    stream that one call per node gives).  Each value is
+    ``mean + std * (rho * shared + sqrt(1 - rho^2) * own)`` in float64."""
     u = float(rng.uniform())
-    g = rng.standard_normal(2)          # shared factor per dimension (P, Q)
+    g = rng.standard_normal(2).tolist()
+    nodes = grid.injection_nodes()
+    own = iter(rng.standard_normal(sum(gmms[n.id].dim for n in nodes)).tolist())
+    mix = math.sqrt(max(0.0, 1.0 - _RHO * _RHO))
     prof = InjectionProfile()
-    for node in grid.injection_nodes():
-        model = gmms[node.id]
-        g_own = rng.standard_normal(model.dim)
-        draw = model.sample_coupled(u, g[:model.dim], g_own, _RHO)
-        prof.p[node.id] = float(draw[0])
-        if model.dim > 1:
-            prof.q[node.id] = float(draw[1])
+    for node in nodes:
+        means, stds = gmms[node.id].component(u)
+        draw = [mu + sd * (_RHO * gj + mix * next(own))
+                for mu, sd, gj in zip(means, stds, g)]
+        prof.p[node.id] = draw[0]
+        if len(draw) > 1:
+            prof.q[node.id] = draw[1]
     return prof
 
 

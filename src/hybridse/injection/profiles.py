@@ -102,15 +102,6 @@ class LoadProfiles:
         tick = int(rng.integers(self.hours))
         return tick, self.at(tick)
 
-    def analytic_mean(self, node: int, hour_of_day: int) -> float:
-        s = daily_shape(hour_of_day + 0.5, self.params)
-        mean = self.base.p_at(node) * s
-        if node in self.solar_caps:
-            g = solar_shape(hour_of_day + 0.5, self.params)
-            beta = 0.5 * (self.params.solar_beta_lo + self.params.solar_beta_hi)
-            mean += self.solar_caps[node] * g * beta
-        return mean
-
     def to_csv(self, path: str | Path) -> None:
         lines = ["node_id,tick,P,Q"]
         for node in sorted(self.p):

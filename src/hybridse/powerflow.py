@@ -139,10 +139,6 @@ class ConverterSolution:
     v_c: float
     p_djc: float
 
-    @property
-    def balance_residual(self) -> float:
-        return abs(self.p_vsc + self.p_loss - self.p_djc)
-
 
 @dataclass
 class PowerFlowResult:

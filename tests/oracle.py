@@ -13,14 +13,25 @@ one reading's noise: sigma = pct/3 of the magnitude, floored, and one draw
 from ``rng`` unless pct is zero.
 ``linearize_measurements`` is the zero-noise oracle of the estimators: every
 reading replaced by its value under the regional linear models.
+``balance_residual`` is a converter's power balance after the power flow.
+``analytic_mean`` is a generated load profile's expected P at an hour of
+the day.
+``fit_gmm_broadcast`` is the mixture EM on (N, K, D) broadcast arrays and
+``sample_injections_per_node`` draws a scenario node by node through
+``sample_coupled``; ``injection.gmm.fit_gmm`` and
+``injection.pipeline.sample_injections`` must give their bits.
 """
 
 import math
 from dataclasses import replace
 
+import numpy as np
+
 from hybridse.grid import AC, MODE_DC_SLACK, MODE_PQ
-from hybridse.powerflow import (ConverterSolution, ac_branch_flow, branch_flow_terms,
-                                converter_loss, dc_branch_flow)
+from hybridse.injection import GmmModel, daily_shape, solar_shape
+from hybridse.injection.gmm import _EM_MAX_ITER, _EM_TOL, VAR_FLOOR, _seed_means
+from hybridse.powerflow import (ConverterSolution, InjectionProfile, ac_branch_flow,
+                                branch_flow_terms, converter_loss, dc_branch_flow)
 from hybridse.telemetry import (SOURCE_SCADA, SOURCE_SMART_METER, MeasurementKind,
                                 MeasurementSet, build_region_H, row_spec)
 
@@ -196,3 +207,88 @@ def linearize_measurements(grid, ms, state) -> MeasurementSet:
                 values[gidx] = float(z_lin[row])
     out = [replace(m, value=values.get(i, m.value)) for i, m in enumerate(ms)]
     return MeasurementSet(out, ms.corrupt_indices)
+
+
+def balance_residual(sol: ConverterSolution) -> float:
+    return abs(sol.p_vsc + sol.p_loss - sol.p_djc)
+
+
+def analytic_mean(profiles, node: int, hour_of_day: int) -> float:
+    """E[P] of ``gen_load_profiles``' series at a node and hour of the day,
+    by the formula of ``injection.profiles``' docstring."""
+    params = profiles.params
+    mean = profiles.base.p_at(node) * daily_shape(hour_of_day + 0.5, params)
+    if node in profiles.solar_caps:
+        g = solar_shape(hour_of_day + 0.5, params)
+        beta = 0.5 * (params.solar_beta_lo + params.solar_beta_hi)
+        mean += profiles.solar_caps[node] * g * beta
+    return mean
+
+
+def _component_log_pdf(x, means, variances):
+    # x: (N, D); means/variances: (K, D) -> (N, K)
+    diff = x[:, None, :] - means[None, :, :]
+    return -0.5 * np.sum(diff * diff / variances[None, :, :]
+                         + np.log(2.0 * np.pi * variances)[None, :, :], axis=2)
+
+
+def _logsumexp(a):
+    m = a.max(axis=1, keepdims=True)
+    return (m + np.log(np.exp(a - m).sum(axis=1, keepdims=True))).ravel()
+
+
+def fit_gmm_broadcast(samples, k, seed=0):
+    """``fit_gmm`` with every E-step on (N, K, D) arrays: same seeding, same
+    stopping rule, same (model, log-likelihood trace) result."""
+    x = np.asarray(samples, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    n, d = x.shape
+    rng = np.random.default_rng(seed)
+    means = _seed_means(x, k, rng)
+    variances = np.full((k, d), max(x.var(axis=0).mean(), VAR_FLOOR))
+    variances = np.maximum(variances, VAR_FLOOR)
+    weights = np.full(k, 1.0 / k)
+    trace = []
+    prev = -np.inf
+    for _ in range(_EM_MAX_ITER):
+        comp = _component_log_pdf(x, means, variances) + np.log(weights)[None, :]
+        norm = _logsumexp(comp)
+        ll = float(norm.sum())
+        trace.append(ll)
+        resp = np.exp(comp - norm[:, None])
+        nk = np.maximum(resp.sum(axis=0), 1e-12)
+        weights = nk / n
+        means = (resp.T @ x) / nk[:, None]
+        sq = resp.T @ (x * x) / nk[:, None]
+        variances = np.maximum(sq - means ** 2, VAR_FLOOR)
+        if ll - prev < _EM_TOL and np.isfinite(prev):
+            break
+        prev = ll
+    return GmmModel(weights=weights, means=means, variances=variances), trace
+
+
+def sample_coupled(model, u, g, g_own, rho):
+    """One draw of a mixture with a shared component quantile ``u`` and
+    shared standard-normal factor ``g`` (one per dimension); components
+    ranked by first-dimension mean."""
+    order = np.argsort(model.means[:, 0])
+    cum = np.cumsum(model.weights[order])
+    comp = order[min(int(np.searchsorted(cum, u)), model.k - 1)]
+    mix = math.sqrt(max(0.0, 1.0 - rho * rho))
+    eps = rho * g + mix * g_own
+    return model.means[comp] + np.sqrt(model.variances[comp]) * eps
+
+
+def sample_injections_per_node(grid, gmms, rng, rho):
+    """``sample_injections`` with one ``standard_normal`` call per node."""
+    u = float(rng.uniform())
+    g = rng.standard_normal(2)
+    prof = InjectionProfile()
+    for node in grid.injection_nodes():
+        model = gmms[node.id]
+        draw = sample_coupled(model, u, g[:model.dim], rng.standard_normal(model.dim), rho)
+        prof.p[node.id] = float(draw[0])
+        if model.dim > 1:
+            prof.q[node.id] = float(draw[1])
+    return prof

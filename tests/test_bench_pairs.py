@@ -70,3 +70,11 @@ def test_summary_fields_and_failed_runs():
     assert (s["pairs"], s["change_wins"], s["better"], s["bound"]) == (10, 10, "lower", 0.25)
     assert s["base"]["median"] == 10.0
     assert s["median_rel_diff"] < -0.14
+
+
+def test_raw_setup_seconds_are_lower_is_better_without_a_bound():
+    specs = bench_pairs.metric_specs(_PATH.parents[1])
+    assert specs["setup_s.raw"]["better"] == specs["setup_s"]["better"] == "lower"
+    pairs = _pairs("setup_s.raw", BASE, [b - 1.5 for b in BASE])
+    s = bench_pairs.summarize(pairs, specs)["setup_s.raw"]
+    assert (s["bound"], s["verdict"]) == (None, "gain")

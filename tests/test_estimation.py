@@ -464,10 +464,11 @@ class TestCase33ColdStart:
 
 
 class TestRankDeficientColdStart:
-    """States the readings do not determine can leave exact zero injections
-    that no state column takes; such a row starts on its artificial, which
-    stays basic at zero on a row the other states already fix, and the
-    optimum still matches HiGHS, through the same crash."""
+    """The crash leaves out the states the readings do not determine.  They
+    can leave exact zero injections that no state column takes; such a row
+    starts on its artificial, which stays basic at zero on a row the other
+    states already fix, and the optimum still matches HiGHS, through the
+    same crash."""
 
     def test_case33_unobservable_ac_region(self, case33, case33_loads, monkeypatch):
         # at the SCADA-only tick without injections, the AC region's H has
@@ -477,6 +478,8 @@ class TestRankDeficientColdStart:
         from hybridse.grid import AC
         from hybridse.powerflow import solve_powerflow
         from hybridse.telemetry import ScheduleConfig, simulate_measurements
+        # over _cold_starts' spy, which records each start's region id
+        starts = _cold_starts(monkeypatch)
         models = {}
         real = coord.solve_wlav_region
 
@@ -484,7 +487,6 @@ class TestRankDeficientColdStart:
             models[model.region_id] = model
             return real(model, terms, basis=basis, **kwargs)
 
-        starts = _cold_starts(monkeypatch)
         monkeypatch.setattr(coord, "solve_wlav_region", spy)
         truth = solve_powerflow(case33, case33_loads)
         ac = [r.id for r in case33.regions if r.kind == AC]
@@ -496,11 +498,15 @@ class TestRankDeficientColdStart:
             for rid in ac:
                 h = models[rid].H
                 assert (np.linalg.matrix_rank(h), h.shape[1]) == (11, 51)
-            assert len(starts) == len(case33.regions)
+            assert sorted(rid for rid, *_ in starts) == [r.id for r in case33.regions]
             for rid, problem, sol, artificials in starts:
                 _assert_optimal(problem, sol)
                 assert len(sol.basis) == problem.a_eq.shape[0]
-                assert (artificials > 0) == (rid in ac)
+                # the AC crash leaves out the 40 states its rows do not fix
+                # and starts no row on its artificial; the DC crashes take
+                # every state
+                left_out = problem.template.free.size - problem.template.crash_cols.size
+                assert (left_out, artificials) == ((40 if rid in ac else 0), 0)
 
     def test_dependent_free_columns(self, monkeypatch):
         # rank r < n states, and r zero injections the true state satisfies,

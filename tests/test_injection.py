@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,9 +7,12 @@ import pytest
 from hybridse.injection import (GmmModel, ProfileParams, TrainingError,
                                 build_training_set, fit_error_gmm,
                                 fit_gmm, fit_injection_gmms, gen_load_profiles,
-                                init_model, loss_and_grads, scada_vector,
-                                train_mlp)
+                                init_model, loss_and_grads, sample_injections,
+                                scada_vector, train_injection_model, train_mlp)
+from hybridse.injection.pipeline import _RHO
 from hybridse.telemetry import ScheduleConfig
+
+from oracle import analytic_mean, fit_gmm_broadcast, sample_injections_per_node
 
 CASE33_SCHED = ScheduleConfig(scada_ac_branches=((1, 2), (2, 19), (3, 23), (6, 26)))
 
@@ -36,7 +40,7 @@ class TestProfiles:
             for hour in (3, 12, 19):
                 sample = series[:, hour]
                 se = sample.std(ddof=1) / math.sqrt(series.shape[0])
-                assert abs(sample.mean() - prof.analytic_mean(node, hour)) <= 3 * se
+                assert abs(sample.mean() - analytic_mean(prof, node, hour)) <= 3 * se
 
     def test_junctions_have_no_series(self, case33, case33_loads):
         prof = gen_load_profiles(case33, days=1, seed=1, base=case33_loads)
@@ -86,17 +90,85 @@ class TestGmm:
         assert model.overall_variance()[0] == pytest.approx(1e-4 + 1e-8, rel=1e-9)
 
     def test_coupled_sampling_preserves_marginals(self):
-        model = GmmModel(weights=np.array([0.3, 0.7]),
-                         means=np.array([[0.0], [1.0]]),
+        # listed out of rank order: the low component is the second
+        model = GmmModel(weights=np.array([0.7, 0.3]),
+                         means=np.array([[1.0], [0.0]]),
                          variances=np.array([[0.01], [0.01]]))
         rng = np.random.default_rng(8)
-        draws = np.array([model.sample_coupled(rng.uniform(),
-                                               rng.standard_normal(1),
-                                               rng.standard_normal(1), 0.8)[0]
-                          for _ in range(4000)])
+        draws = []
+        for _ in range(4000):
+            means, stds = model.component(rng.uniform())
+            eps = 0.8 * rng.standard_normal() + 0.6 * rng.standard_normal()
+            draws.append(means[0] + stds[0] * eps)
+        draws = np.array(draws)
         low = (draws < 0.5).mean()
         assert abs(low - 0.3) < 0.03
         assert abs(draws.mean() - 0.7) < 0.02
+
+
+class TestBroadcastReference:
+    """``fit_gmm`` and ``sample_injections`` give the bits of the tests'
+    broadcast EM and node-by-node draw (``tests/oracle.py``)."""
+
+    @pytest.fixture(scope="class")
+    def history(self, case33, case33_loads):
+        # the benchmark's profile history: 365 days, seed 1000
+        return gen_load_profiles(case33, days=365, seed=1000, base=case33_loads)
+
+    @staticmethod
+    def assert_same_fit(samples, k, seed):
+        (model, trace), (ref, ref_trace) = (fit_gmm(samples, k, seed=seed),
+                                            fit_gmm_broadcast(samples, k, seed=seed))
+        for name in ("weights", "means", "variances"):
+            assert np.array_equal(getattr(model, name), getattr(ref, name)), name
+        assert trace == ref_trace
+        return trace
+
+    def test_profile_node_2d(self, history):
+        samples = np.column_stack([history.p[5], history.q[5]])
+        self.assert_same_fit(samples, 2, seed=1000 + 5)
+
+    def test_dc_node_at_iteration_cap(self, history):
+        trace = self.assert_same_fit(history.p[25], 2, seed=1000 + 25)
+        assert len(trace) == 500
+
+    @pytest.mark.parametrize("k, dim, n", [(1, 2, 300), (3, 1, 400), (3, 2, 600)])
+    def test_random_fit(self, k, dim, n):
+        rng = np.random.default_rng(100 * k + dim)
+        centres = rng.uniform(-1.0, 1.0, size=(k, dim))
+        samples = centres[rng.integers(k, size=n)] + rng.normal(0.0, 0.2, size=(n, dim))
+        self.assert_same_fit(samples, k, seed=k)
+
+    def test_degenerate_input(self):
+        self.assert_same_fit(np.full(50, 0.3), 2, seed=0)
+
+    def test_error_mixture_size(self):
+        rng = np.random.default_rng(250)
+        self.assert_same_fit(rng.standard_t(3, size=250) * 1e-3, 2, seed=3)
+
+    def test_scenario_draws(self, case33, history):
+        gmms = fit_injection_gmms(case33, history, seed=0)
+        rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+        for _ in range(40):
+            prof = sample_injections(case33, gmms, rng)
+            ref = sample_injections_per_node(case33, gmms, ref_rng, _RHO)
+            assert prof.p == ref.p and prof.q == ref.q
+        assert rng.uniform() == ref_rng.uniform()
+
+
+class TestTrainedModelDigest:
+    """The bits of a reduced offline stage, pinned by the sha256 of the saved
+    model: mixtures, network weights, error sigmas and holdout loss."""
+
+    DIGEST = "baa3b8a2db0887c39732aeb02062e698d412edd68d7fba6167eaa2262aa7c24a"
+
+    def test_case33_30_days(self, case33, case33_loads, tmp_path):
+        profiles = gen_load_profiles(case33, days=30, seed=100, base=case33_loads)
+        model, _ = train_injection_model(case33, profiles, CASE33_SCHED, n_trials=200,
+                                         epochs=20, seed=42)
+        path = tmp_path / "model.json"
+        model.save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DIGEST
 
 
 class TestTrainingSet:

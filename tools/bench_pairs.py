@@ -11,7 +11,10 @@ falls on both sides alike.  It prints, per metric, each side's median and
 quartiles, the median of the paired relative differences, how many pairs
 the change won (by the ``better`` direction that the change tree's
 BENCHMARK.json gives the metric) and a verdict (see ``verdict``), and writes
-every run's result with that summary to ``--out`` as JSON.  Standard library
+every run's result with that summary to ``--out`` as JSON.  Beside perfbench's
+metrics it reports ``setup_s.raw``, the set-up's wall seconds before
+perfbench's speed calibration (the median of the run's ``raw.setup_s`` in
+``perfbench/out``), lower is better and without a bound.  Standard library
 only.
 """
 
@@ -48,6 +51,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}",
                 "wall_s": wall}
     result["metrics"] = {k: v["value"] for k, v in result["metrics"].items()}
+    out = tree / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json"
+    if out.is_file():
+        raw = json.loads(out.read_text()).get("raw", {})
+        if raw.get("setup_s"):
+            result["metrics"]["setup_s.raw"] = statistics.median(raw["setup_s"])
     result["checks"] = [ln for ln in lines if ln.startswith("check ")]
     result["wall_s"] = wall
     return result
@@ -57,7 +65,9 @@ def metric_specs(tree: Path) -> dict[str, dict]:
     """BENCHMARK.json's entry of each metric: its ``better`` direction and,
     for an end-to-end metric, the ``bound`` by which it may worsen."""
     spec = json.loads((tree / "BENCHMARK.json").read_text())
-    return {m["name"]: m for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+    specs = {m["name"]: m for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
+    specs["setup_s.raw"] = {"name": "setup_s.raw", "better": "lower"}
+    return specs
 
 
 def spread(values: list[float]) -> dict:
