@@ -1,20 +1,21 @@
 """Regional robust estimation: weighted least absolute value as an LP.
 
-The residual of every measurement row is split into non-negative slacks
-(u - l = z - H x), zero-injection rows are exact equalities with no slack,
-and each boundary converter contributes a pair (a, b) priced at the current
-Lagrange multiplier: a - b = P_conv(x) - P_neighbor.  WLAV weights are
-1/sigma.  The states are free.  So every row has a slack, a boundary pair or
-a state, and the LP kernel's one cold start, its crash basis, needs no phase
-1: it places the states first, fitted to the zero injections and then to the
-readings that elimination picks, with every other row on its u or b slack
-(l or a where the residual is negative), so a cold solve takes a few pivots.
+The LP is written in standard form: the residual of every measurement row
+is a pair of non-negative slacks (u - l = z - H x), zero-injection rows are
+exact equalities with no slack, and each boundary converter contributes a
+pair (a, b) priced at the current Lagrange multiplier: a - b = P_conv(x) -
+P_neighbor.  WLAV weights are 1/sigma.  The states are free.  That form is
+what perfbench's LP oracle and the tests hand to HiGHS; the kernel
+(:mod:`.lp`) reads it back as the weighted L1 fit it is, one residual per
+row with the costs of its pair, and solves that fit directly.  Its one cold
+start fits the states first, to the zero injections and then to the
+readings that elimination picks, so a cold solve takes a few pivots.
 
 Within one estimate only the boundary rows of b and the (a, b) costs change
 between coordination iterations, and between estimates of one row set only z
 and sigma do.  So the structure (A, the free mask and their
-:class:`~.lp.LpTemplate`, with the cold start's elimination and its B^-1 A)
-is built once per row set and kept with the model's ``telemetry.RegionRows``,
+:class:`~.lp.LpTemplate`, with the cold start's elimination and tableau) is
+built once per row set and kept with the model's ``telemetry.RegionRows``,
 under the model's zero rows and converters (a model without them builds its
 own).  A :class:`RegionalLp` adds what is its own: the slack costs 1/sigma,
 z and the kernel's :class:`~.lp.LpState`.  The caller builds one per region

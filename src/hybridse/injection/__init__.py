@@ -6,7 +6,7 @@ from .mlp import MlpModel, TrainReport, TrainingError, init_model, loss_and_grad
 from .pipeline import (InjectionModel, TrainingSet, build_training_set,
                        fit_error_gmm, fit_injection_gmms, generated_measurements,
                        infer_injections, injection_components,
-                       profile_from_components, prior_measurements, pseudo_measurements,
+                       prior_measurements, pseudo_measurements,
                        sample_injections, sanitize_scada, scada_channels,
                        scada_vector, train_injection_model)
 from .profiles import (LoadProfiles, ProfileParams, daily_shape,
@@ -18,7 +18,7 @@ __all__ = [
     "daily_shape", "default_solar_caps", "fit_error_gmm", "fit_gmm",
     "fit_injection_gmms", "gen_load_profiles", "generated_measurements",
     "infer_injections", "init_model",
-    "injection_components", "loss_and_grads", "profile_from_components",
+    "injection_components", "loss_and_grads",
     "prior_measurements", "pseudo_measurements", "sample_injections", "sanitize_scada",
     "scada_channels", "scada_vector", "solar_shape", "train_injection_model",
     "train_mlp",

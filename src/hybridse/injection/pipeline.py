@@ -93,17 +93,6 @@ def injection_components(grid: GridModel) -> list[str]:
     return keys
 
 
-def profile_from_components(keys: list[str], values: np.ndarray) -> InjectionProfile:
-    prof = InjectionProfile()
-    for key, val in zip(keys, values):
-        tag, node = key.split(":")
-        if tag == "p":
-            prof.p[int(node)] = float(val)
-        else:
-            prof.q[int(node)] = float(val)
-    return prof
-
-
 # -- training set ----------------------------------------------------------------
 
 

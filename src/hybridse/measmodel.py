@@ -15,8 +15,8 @@ here by the couple rows: the flow part of a ``couple_p``/``couple_q`` row is
 a branch term and its -p_vsc/-q_vsc a variable term of coefficient -1, and
 each converter's ``couple_loss`` row is evaluated in scalars.
 
-The model derives from ``telemetry.MeasurementModel``, the base of the linear
-model too: the base owns the state read-out (``x0``, ``truth_vector``,
+The model derives from ``telemetry.MeasurementModel``, the base of the
+linear model too: the base owns the state read-out (``x0``,
 ``extract_state``), ``clone()`` and the row lists, and
 ``telemetry.region_labels`` lays out each region's columns (theta before V
 here).  A model's rows are fixed by its scope (a region or the system) and

@@ -97,10 +97,6 @@ class InjectionProfile:
     def q_at(self, node: int) -> float:
         return self.q.get(node, 0.0)
 
-    def scaled(self, factor: float) -> "InjectionProfile":
-        return InjectionProfile(p={n: v * factor for n, v in self.p.items()},
-                                q={n: v * factor for n, v in self.q.items()})
-
 
 def load_profile(path: str | Path) -> InjectionProfile:
     """Read `node_id,P,Q` CSV (Q blank for DC nodes)."""
@@ -461,34 +457,6 @@ class _RegionNewton:
 def _newton(grid: GridModel, region: Region, ref_node: int) -> _RegionNewton:
     return grid.memo(("newton", region.id, ref_node),
                      lambda: _RegionNewton(grid, region, ref_node))
-
-
-def solve_ac_region(grid: GridModel, region: Region,
-                    injections: dict[int, tuple[float, float]],
-                    ref_node: int | None = None, v_ref: float = 1.0
-                    ) -> dict[int, tuple[float, float]]:
-    """Newton-Raphson solve of one AC region.
-
-    ``injections`` maps node -> (P, Q) for non-reference nodes (missing
-    nodes inject zero).  Returns node -> (V, theta).  Raises
-    PowerFlowDivergence if mismatches stay above ``_AC_TOL``.
-    """
-    if region.kind != AC:
-        raise ValueError(f"region {region.id} is not AC")
-    if ref_node is None:
-        ref_node = grid.angle_reference(region.id)
-    newton = _newton(grid, region, ref_node)
-    v, th = newton.solve_ac(*newton.spec(injections, 2), v_ref)
-    return dict(zip(newton.nodes, zip(v.tolist(), th.tolist())))
-
-
-def solve_dc_region(grid: GridModel, region: Region, injections: dict[int, float],
-                    ref_node: int, v_ref: float = 1.0) -> dict[int, float]:
-    """Newton-Raphson solve of one DC region with a held reference voltage."""
-    if region.kind != DC:
-        raise ValueError(f"region {region.id} is not DC")
-    newton = _newton(grid, region, ref_node)
-    return dict(zip(newton.nodes, newton.solve_dc(*newton.spec(injections, 1), v_ref).tolist()))
 
 
 # -- coupled solve ------------------------------------------------------------

@@ -48,8 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import AC, DC, OWNS_AC, OWNS_DC, Converter, GridModel, Region
-from .powerflow import (CompiledRows, ConverterSolution, SystemState, ac_branch_flow,
-                        converter_loss)
+from .powerflow import CompiledRows, SystemState, ac_branch_flow, converter_loss
 
 
 class TelemetryError(ValueError):
@@ -290,24 +289,6 @@ class MeasurementModel:
         for (tag, _), col in self.index.items():
             if tag in ("u", "v"):
                 x[col] = 1.0
-        return x
-
-    def truth_vector(self, state: SystemState,
-                     converters: dict[int, ConverterSolution] | None = None) -> np.ndarray:
-        """x of a state; converter columns read ``converters``."""
-        x = np.zeros(self.n_states)
-        for (tag, key), col in self.index.items():
-            if tag == "u":
-                x[col] = state.v[key] ** 2
-            elif tag == "v":
-                x[col] = state.v[key]
-            elif tag == "th":
-                x[col] = state.theta[key]
-            elif converters is None:
-                raise TelemetryError(f"converter solution needed for {tag} truth")
-            else:
-                sol = converters[key]
-                x[col] = {"pdjc": sol.p_djc, "pvsc": sol.p_vsc, "qvsc": sol.q_vsc}[tag]
         return x
 
     def extract_state(self, x: np.ndarray):

@@ -12,7 +12,13 @@ are the power-flow audits node by node and branch by branch.  ``noisy`` is
 one reading's noise: sigma = pct/3 of the magnitude, floored, and one draw
 from ``rng`` unless pct is zero.
 ``linearize_measurements`` is the zero-noise oracle of the estimators: every
-reading replaced by its value under the regional linear models.
+reading replaced by its value under the regional linear models, at the
+state vector ``truth_vector`` reads off a power-flow state.
+``solve_ac_region`` and ``solve_dc_region`` solve one region alone through
+the power flow's own regional Newton solver, ``scaled_profile`` scales every
+injection of a profile (``conftest`` lends it to ``InjectionProfile`` as
+``scaled``), and ``profile_from_components`` is the profile of an injection
+vector; the program itself runs none of them.
 ``balance_residual`` is a converter's power balance after the power flow.
 ``analytic_mean`` is a generated load profile's expected P at an hour of
 the day.
@@ -27,13 +33,13 @@ from dataclasses import replace
 
 import numpy as np
 
-from hybridse.grid import AC, MODE_DC_SLACK, MODE_PQ
+from hybridse.grid import AC, DC, MODE_DC_SLACK, MODE_PQ
 from hybridse.injection import GmmModel, daily_shape, solar_shape
 from hybridse.injection.gmm import _EM_MAX_ITER, _EM_TOL, VAR_FLOOR, _seed_means
-from hybridse.powerflow import (ConverterSolution, InjectionProfile, ac_branch_flow,
+from hybridse.powerflow import (ConverterSolution, InjectionProfile, _newton, ac_branch_flow,
                                 branch_flow_terms, converter_loss, dc_branch_flow)
 from hybridse.telemetry import (SOURCE_SCADA, SOURCE_SMART_METER, MeasurementKind,
-                                MeasurementSet, build_region_H, row_spec)
+                                MeasurementSet, TelemetryError, build_region_H, row_spec)
 
 
 def eval_h_nonlinear(grid, state, m) -> float:
@@ -187,7 +193,7 @@ def linearize_measurements(grid, ms, state) -> MeasurementSet:
     draws = {}
     for conv in grid.converters:
         ac_model = models[grid.node(conv.aux_node).region]
-        x_ac = ac_model.truth_vector(state)
+        x_ac = truth_vector(ac_model, state)
         p_lin = float(ac_model.boundary[conv.id] @ x_ac)
         q_lin = float(ac_model.boundary_q[conv.id] @ x_ac)
         v_c = state.v[conv.aux_node]
@@ -198,7 +204,7 @@ def linearize_measurements(grid, ms, state) -> MeasurementSet:
     values = {}
     for region in grid.regions:
         model = models[region.id]
-        z_lin = model.h(model.truth_vector(state, draws))
+        z_lin = model.h(truth_vector(model, state, draws))
         for row, gidx in enumerate(model.meas_indices):
             m = model.measurements[row]
             if m.kind is MeasurementKind.AC_V_MAG:
@@ -207,6 +213,62 @@ def linearize_measurements(grid, ms, state) -> MeasurementSet:
                 values[gidx] = float(z_lin[row])
     out = [replace(m, value=values.get(i, m.value)) for i, m in enumerate(ms)]
     return MeasurementSet(out, ms.corrupt_indices)
+
+
+def truth_vector(model, state, converters=None) -> np.ndarray:
+    """x of a state under a measurement model; converter columns read
+    ``converters``."""
+    x = np.zeros(model.n_states)
+    for (tag, key), col in model.index.items():
+        if tag == "u":
+            x[col] = state.v[key] ** 2
+        elif tag == "v":
+            x[col] = state.v[key]
+        elif tag == "th":
+            x[col] = state.theta[key]
+        elif converters is None:
+            raise TelemetryError(f"converter solution needed for {tag} truth")
+        else:
+            sol = converters[key]
+            x[col] = {"pdjc": sol.p_djc, "pvsc": sol.p_vsc, "qvsc": sol.q_vsc}[tag]
+    return x
+
+
+def solve_ac_region(grid, region, injections, ref_node=None, v_ref=1.0):
+    """Newton-Raphson solve of one AC region: ``injections`` maps node ->
+    (P, Q) for non-reference nodes (missing nodes inject zero).  Returns
+    node -> (V, theta); raises PowerFlowDivergence as the power flow does."""
+    if region.kind != AC:
+        raise ValueError(f"region {region.id} is not AC")
+    if ref_node is None:
+        ref_node = grid.angle_reference(region.id)
+    newton = _newton(grid, region, ref_node)
+    v, th = newton.solve_ac(*newton.spec(injections, 2), v_ref)
+    return dict(zip(newton.nodes, zip(v.tolist(), th.tolist())))
+
+
+def solve_dc_region(grid, region, injections, ref_node, v_ref=1.0):
+    """Newton-Raphson solve of one DC region with a held reference voltage."""
+    if region.kind != DC:
+        raise ValueError(f"region {region.id} is not DC")
+    newton = _newton(grid, region, ref_node)
+    return dict(zip(newton.nodes, newton.solve_dc(*newton.spec(injections, 1), v_ref).tolist()))
+
+
+def scaled_profile(profile, factor) -> InjectionProfile:
+    return InjectionProfile(p={n: v * factor for n, v in profile.p.items()},
+                            q={n: v * factor for n, v in profile.q.items()})
+
+
+def profile_from_components(keys, values) -> InjectionProfile:
+    prof = InjectionProfile()
+    for key, val in zip(keys, values):
+        tag, node = key.split(":")
+        if tag == "p":
+            prof.p[int(node)] = float(val)
+        else:
+            prof.q[int(node)] = float(val)
+    return prof
 
 
 def balance_residual(sol: ConverterSolution) -> float:

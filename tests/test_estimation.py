@@ -7,11 +7,11 @@ from hybridse.estimation import (BoundaryTerm, LpError, RegionalLp, Unobservable
                                  solve_wlav_region, solve_wls)
 from hybridse.estimation import lp as lp_module
 from hybridse.estimation import wls as wls_module
-from hybridse.powerflow import SystemState, solve_ac_region
+from hybridse.powerflow import SystemState
 from hybridse.telemetry import (LinearRegionModel, Measurement, MeasurementKind,
                                 build_region_H)
 
-from oracle import eval_h_nonlinear
+from oracle import eval_h_nonlinear, solve_ac_region, truth_vector
 
 
 def weighted_median(values, weights):
@@ -190,7 +190,7 @@ class TestLpOracle:
 
 
 class TestRegionalLpReuse:
-    """A region's LP built once (``RegionalLp``), the free-column split made
+    """A region's LP built once (``RegionalLp``), the crash tableau made
     once per template and the stored final tableau give the same problems
     and the same optima: every step of a coordination-like sequence builds
     the bytes of a hand-built copy and reaches the optimal objective of its
@@ -276,32 +276,23 @@ class TestRegionalLpReuse:
         assert 0 < counts["reused"] < counts["warm"]
 
 
-class TestLpDualWarmStart:
-    """A boundary claim that moves far enough leaves the last basis primal
-    infeasible for the new b; the stored tableau re-optimizes it by dual
-    simplex pivots, and each optimum matches HiGHS and a cold solve."""
+class TestLpMovedClaims:
+    """A boundary claim that moves between solves moves b.  The next solve
+    takes the stored tableau's values for the new b and re-optimizes by
+    primal pivots, never from a cold start, and each optimum matches HiGHS
+    and a cold solve: over claims that swing by 0.2-1.0 from step to step,
+    and over claims that jump while the multipliers come to outweigh every
+    reading."""
 
     @staticmethod
     def _counted(monkeypatch):
-        """Counts of dual pivots, of stored bases rejected as neither primal
-        nor dual feasible, and of cold starts."""
-        counts = {"dual": 0, "rejected": 0, "cold": 0}
-        real_dual, real_crash = lp_module._dual_optimize, lp_module._crash_tableau
-
-        def dual(*args):
-            try:
-                pivots = real_dual(*args)
-            except LpError:
-                counts["rejected"] += 1
-                raise
-            counts["dual"] += pivots
-            return pivots
+        counts = {"cold": 0}
+        real = lp_module._crash_tableau
 
         def crash(*args):
             counts["cold"] += 1
-            return real_crash(*args)
+            return real(*args)
 
-        monkeypatch.setattr(lp_module, "_dual_optimize", dual)
         monkeypatch.setattr(lp_module, "_crash_tableau", crash)
         return counts
 
@@ -317,21 +308,18 @@ class TestLpDualWarmStart:
 
     @staticmethod
     def _warm(counts, problem, basis):
-        """Solve warm; whether the solve fell back to a cold start."""
+        """Solve warm from the state's last basis with a moved b; asserts
+        that the solve does not start cold."""
+        (last_basis, last_b), *_ = problem.state.last
+        assert last_basis == basis and last_b != problem.b_eq.tobytes()
         cold = counts["cold"]
         sol = lp_solve(problem, basis=basis)
-        return sol, counts["cold"] > cold
-
-    @staticmethod
-    def _redundant(basis, problem):
-        """The basis keeps an artificial on a redundant row (two parallel
-        zero-injection rows of a 2-state case); it still has one column per
-        row."""
-        assert len(basis) == problem.a_eq.shape[0]
-        return max(basis) >= problem.template.n_int
+        assert counts["cold"] == cold
+        return sol
 
     def test_moved_claims_match_highs(self, monkeypatch):
-        # no step restarts cold, also from a basis with a redundant row
+        # also from a basis that keeps an equality residual on a redundant
+        # row (two parallel zero-injection rows of a 2-state case)
         counts = self._counted(monkeypatch)
         redundant = 0
         rng = np.random.default_rng(912)
@@ -348,15 +336,14 @@ class TestLpDualWarmStart:
                                            + (-1.0) ** step * rng.uniform(0.2, 1.0))
                          for cid, row in model.boundary.items()}
                 problem = lp.problem(terms)
-                redundant += self._redundant(basis, problem)
-                sol, fell_back = self._warm(counts, problem, basis)
-                assert not fell_back
+                redundant += max(basis) >= problem.a_eq.shape[1]
+                sol = self._warm(counts, problem, basis)
                 self._check(problem, sol)
                 basis = sol.basis
                 lam = {cid: v + float(rng.uniform(0.0, 1e-3)) for cid, v in lam.items()}
-        assert counts["dual"] > 0 and counts["rejected"] == 0 and redundant > 0
+        assert redundant > 0
 
-    def test_neither_feasible_falls_back_cold(self, monkeypatch):
+    def test_jumping_claims_under_heavy_multipliers(self, monkeypatch):
         counts = self._counted(monkeypatch)
         rng = np.random.default_rng(913)
         for _ in range(10):
@@ -370,12 +357,7 @@ class TestLpDualWarmStart:
             # the claims jump and the multipliers outweigh every reading
             problem = lp.problem({cid: BoundaryTerm(1e4, p + 1.0)
                                   for cid, p in claim.items()})
-            rejected = counts["rejected"]
-            sol, fell_back = self._warm(counts, problem, first.basis)
-            self._redundant(first.basis, problem)
-            assert fell_back == (counts["rejected"] > rejected)
-            self._check(problem, sol)
-        assert counts["rejected"] > 0
+            self._check(problem, self._warm(counts, problem, first.basis))
 
 
 def _case33_sets(case33, case33_loads, t, injections, case, seeds):
@@ -397,9 +379,10 @@ def _case33_sets(case33, case33_loads, t, injections, case, seeds):
         yield ms
 
 
-def _cold_starts(monkeypatch):
-    """(region id, problem, solution, basic artificials of the crash) of
-    every cold start of the DRSE estimates run while it is installed."""
+def _cold_starts(monkeypatch, moved=None):
+    """(region id, problem, solution) of every cold start of the DRSE
+    estimates run while it is installed; with a list ``moved``, the same of
+    every warm solve whose b moved is appended to it."""
     from hybridse import coordination as coord
     from hybridse.estimation import wlav
     starts, crashed, region = [], [], [None]
@@ -410,16 +393,19 @@ def _cold_starts(monkeypatch):
         region[0] = model.region_id
         return real_region(model, terms, basis=basis, **kwargs)
 
-    def crash(template, b):
-        t, cols = real_crash(template, b)
-        crashed.append(int(np.count_nonzero(cols >= template.n_int)))
-        return t, cols
+    def crash(*args):
+        crashed.append(1)
+        return real_crash(*args)
 
     def solve(problem, basis=None):
         crashed.clear()
+        last = problem.state.last
+        b_moved = last is not None and last[0][1] != problem.b_eq.tobytes()
         sol = real_solve(problem, basis=basis)
         if crashed:
-            starts.append((region[0], problem, sol, crashed[-1]))
+            starts.append((region[0], problem, sol))
+        elif b_moved and moved is not None:
+            moved.append((region[0], problem, sol))
         return sol
 
     monkeypatch.setattr(coord, "solve_wlav_region", per_region)
@@ -435,19 +421,27 @@ def _assert_optimal(problem, sol):
     assert sol.x[~problem.free_mask].min() >= -1e-9
 
 
+def _left_out(template):
+    """How many states the crash leaves out: free columns basic in no row."""
+    return template.free.size - np.count_nonzero(template.free_mask[
+        template.crash[1][template.crash[1] < template.a_eq.shape[1]]])
+
+
 class TestCase33ColdStart:
-    """Every regional cold start of case33 DRSE estimates against HiGHS, at
-    the smart-meter tick and at the SCADA-only tick with pseudo injections,
-    clean and with bad-data case 2, seeds 0-9 of each.  The crash places the
-    states first, so the AC region's cold start takes a few simplex pivots;
-    from the slack basis alone it takes 77-94, far above the bound."""
+    """Every regional cold start of case33 DRSE estimates, and every warm
+    solve whose b moved, against HiGHS, at the smart-meter tick and at the
+    SCADA-only tick with pseudo injections, clean and with bad-data case 2,
+    seeds 0-9 of each.  The crash places the states first, so the AC
+    region's cold start takes a few simplex pivots; from the slack basis
+    alone it takes 77-94, far above the bound."""
 
     MAX_AC_PIVOTS = 30
 
     def test_cold_starts_match_highs(self, case33, case33_loads, monkeypatch):
         from hybridse.coordination import CoordinationParams, run_drse
         from hybridse.grid import AC
-        starts = _cold_starts(monkeypatch)
+        moved = []
+        starts = _cold_starts(monkeypatch, moved)
         runs = 0
         for t, injections in ((3600.0, False), (900.0, True)):
             for case in (0, 2):
@@ -455,20 +449,21 @@ class TestCase33ColdStart:
                     run_drse(case33, ms, CoordinationParams())
                     runs += 1
         assert len(starts) == runs * len(case33.regions)
+        assert len(moved) > runs
         ac = {r.id for r in case33.regions if r.kind == AC}
-        for rid, problem, sol, artificials in starts:
+        for rid, problem, sol in starts:
             _assert_optimal(problem, sol)
-            assert artificials == 0
             if rid in ac:
                 assert sol.iterations <= self.MAX_AC_PIVOTS
+        for _, problem, sol in moved:
+            _assert_optimal(problem, sol)
 
 
 class TestRankDeficientColdStart:
     """The crash leaves out the states the readings do not determine.  They
-    can leave exact zero injections that no state column takes; such a row
-    starts on its artificial, which stays basic at zero on a row the other
-    states already fix, and the optimum still matches HiGHS, through the
-    same crash."""
+    can leave exact zero injections that no state takes; such a row's
+    residual stays basic at zero on a row the other states already fix, and
+    the optimum still matches HiGHS, through the same crash."""
 
     def test_case33_unobservable_ac_region(self, case33, case33_loads, monkeypatch):
         # at the SCADA-only tick without injections, the AC region's H has
@@ -499,26 +494,24 @@ class TestRankDeficientColdStart:
                 h = models[rid].H
                 assert (np.linalg.matrix_rank(h), h.shape[1]) == (11, 51)
             assert sorted(rid for rid, *_ in starts) == [r.id for r in case33.regions]
-            for rid, problem, sol, artificials in starts:
+            for rid, problem, sol in starts:
                 _assert_optimal(problem, sol)
                 assert len(sol.basis) == problem.a_eq.shape[0]
-                # the AC crash leaves out the 40 states its rows do not fix
-                # and starts no row on its artificial; the DC crashes take
-                # every state
-                left_out = problem.template.free.size - problem.template.crash_cols.size
-                assert (left_out, artificials) == ((40 if rid in ac else 0), 0)
+                # the AC crash leaves out the 40 states its rows do not fix;
+                # the DC crashes take every state
+                assert _left_out(problem.template) == (40 if rid in ac else 0)
 
     def test_dependent_free_columns(self, monkeypatch):
         # rank r < n states, and r zero injections the true state satisfies,
-        # so at most r - 1 of them are independent: one stays on its
-        # artificial, at zero on a redundant row
+        # so at most r - 1 of them are independent: one residual stays basic,
+        # at zero on a redundant row
         starts = []
         real = lp_module._crash_tableau
 
         def crash(template, b):
-            t, cols = real(template, b)
-            starts.append(int(np.count_nonzero(cols >= template.n_int)))
-            return t, cols
+            t, head, cols = real(template, b)
+            starts.append(int(np.count_nonzero(head >= template.a_eq.shape[1])))
+            return t, head, cols
 
         monkeypatch.setattr(lp_module, "_crash_tableau", crash)
         rng = np.random.default_rng(2718)
@@ -545,7 +538,7 @@ class TestRankDeficientColdStart:
             sol = lp_solve(problem)
             assert len(starts) == 1 and starts[0] > 0
             _assert_optimal(problem, sol)
-            assert max(sol.basis) >= lp.lp.n_int
+            assert max(sol.basis) >= problem.a_eq.shape[1]
             assert len(sol.basis) == problem.a_eq.shape[0]
             # a moved claim re-optimizes from that basis without a cold start
             moved = lp.problem({0: BoundaryTerm(0.3, float(boundary[0] @ x_true) - 0.5)})
@@ -555,9 +548,9 @@ class TestRankDeficientColdStart:
 
 
 class TestNoPhaseOne:
-    """The crash basis is the only cold start: every artificial it leaves
-    basic sits on a row with no real entry above the pricing tolerance, and
-    their values sum to at most 1e-7, so no pivot could remove one.  Over
+    """The crash basis is the only cold start: every equality residual it
+    leaves basic holds at most 1e-7 and has no entry above the pricing
+    tolerance in a column that may enter, so it never blocks a step.  Over
     every cold start of case33 DRSE estimates (the smart-meter tick clean
     and with bad-data case 2, the SCADA-only tick with and without pseudo
     injections, and without them under the default schedule, whose AC
@@ -565,12 +558,14 @@ class TestNoPhaseOne:
     ``TestLpOracle``.  An LP that would need phase 1 is refused."""
 
     @staticmethod
-    def _artificials(template, t, cols):
-        """Basic artificials of a crash; asserts each one could stay."""
-        art = cols >= template.n_int
-        assert np.abs(t[art, :template.n_int]).max(initial=0.0) <= lp_module._TOL
-        assert t[art, -1].sum() <= 1e-7
-        return int(np.count_nonzero(art))
+    def _equality_residuals(template, t, head, cols):
+        """Basic equality residuals of a crash; asserts each one could stay."""
+        n = template.a_eq.shape[1]
+        eq = head >= n
+        enters = template.pair[cols - n]
+        assert np.abs(t[np.ix_(eq, enters)]).max(initial=0.0) <= lp_module._TOL
+        assert np.abs(t[eq, -1]).max(initial=0.0) <= 1e-7
+        return int(np.count_nonzero(eq))
 
     def test_case33_cold_starts(self, case33, case33_loads, monkeypatch):
         from hybridse.coordination import CoordinationParams, run_drse
@@ -580,9 +575,9 @@ class TestNoPhaseOne:
         real = lp_module._crash_tableau
 
         def crash(template, b):
-            t, cols = real(template, b)
-            seen.append(self._artificials(template, t, cols))
-            return t, cols
+            start = real(template, b)
+            seen.append(self._equality_residuals(template, *start))
+            return start
 
         monkeypatch.setattr(lp_module, "_crash_tableau", crash)
         sets = [ms for t, injections, case in ((3600.0, False, 0), (3600.0, False, 2),
@@ -608,8 +603,8 @@ class TestNoPhaseOne:
                      for cid, row in model.boundary.items()}
             problem = regional_problem(model, terms)
             for b in (problem.b_eq, -problem.b_eq):
-                seen += self._artificials(problem.template,
-                                          *lp_module._crash_tableau(problem.template, b))
+                seen += self._equality_residuals(problem.template,
+                                                 *lp_module._crash_tableau(problem.template, b))
         assert seen > 0
 
     def test_lp_that_needs_phase_one_is_refused(self):
@@ -621,181 +616,108 @@ class TestNoPhaseOne:
             lp_solve(problem)
 
 
-def _reference_optimize(t, cols_basis, c, n_cols, tol, max_iter, seen):
-    """The simplex sweep as it was before its loop was trimmed, kept as the
-    reference for bit equality; ``seen`` counts Bland pivots and ratio ties."""
-    m = t.shape[0]
-    it = 0
-    degenerate = 0
-    basic = np.zeros(t.shape[1] - 1, dtype=bool)
-    basic[cols_basis] = True
-    while it < max_iter:
-        cb = c[cols_basis]
-        reduced = c[:n_cols] - cb @ t[:, :n_cols]
-        reduced[basic[:n_cols]] = 0.0
-        if degenerate < 30:
-            q = int(np.argmin(reduced))
-            if reduced[q] >= -tol:
-                return it
-        else:
-            seen["bland"] += 1
-            candidates = np.nonzero(reduced < -tol)[0]
-            if candidates.size == 0:
-                return it
-            q = int(candidates[0])
+def _basis_tableau(template, head, cols, b):
+    """B^-1 [N | b] of a basis, solved afresh: the reference for the kernel's
+    tableaus.  In [A_free | I], a state's column is its column of A, and a
+    residual's (a bounded column, or n + i for row i) is its row's unit
+    vector."""
+    m, n = template.a_eq.shape
 
-        col = t[:, q]
-        pos = col > tol
-        if not pos.any():
-            raise lp_module.LpUnbounded("no blocking ratio for entering column")
-        ratios = np.full(m, np.inf)
-        ratios[pos] = t[pos, -1] / col[pos]
-        best = ratios.min()
-        tie_rows = np.nonzero(ratios <= best + tol * max(1.0, best))[0]
-        seen["ties"] += len(tie_rows) > 1
-        p = min(tie_rows, key=lambda i: cols_basis[i])
-        degenerate = degenerate + 1 if best <= tol else 0
+    def column(var):
+        if var < n and template.free_mask[var]:
+            return template.a_eq[:, var]
+        return np.eye(m)[var - n if var >= n else int(np.flatnonzero(template.a_eq[:, var])[0])]
 
-        piv = t[p, q]
-        t[p] /= piv
-        other = col.copy()
-        other[p] = 0.0
-        rows = np.flatnonzero(other)
-        t[rows] -= np.outer(other[rows], t[p])
-        basic[cols_basis[p]] = False
-        basic[q] = True
-        cols_basis[p] = q
-        it += 1
-    raise LpError("simplex iteration limit reached")
+    basis = np.column_stack([column(v) for v in head])
+    return np.linalg.solve(basis, np.column_stack([*(column(v) for v in cols), b]))
 
 
-class TestOptimizeBitExact:
-    """The trimmed simplex sweep leaves the same tableau bytes, basis and pivot
-    count as the reference sweep, or fails at the same pivot the same way."""
+class TestTableauMatchesItsBasis:
+    """Every tableau the kernel builds is B^-1 [N | b] of its basis, solved
+    afresh, within 1e-9 of its largest entry: the cold start's, for several
+    right-hand sides, and each solve's final one.  Each row holds one basic
+    variable, each row's residual is basic or nonbasic exactly once, a
+    residual's value has the sign of its column and an equality residual's
+    is at most 1e-7.  On the regional templates of case33 DRSE estimates,
+    on the case33 AC region whose states the readings leave out, on the
+    random LPs of ``TestLpOracle`` and on integer fits full of ties, whose
+    optima also match HiGHS under Dantzig's rule and under Bland's."""
 
     @staticmethod
-    def _case(rng, kind):
-        """Tableau [A | I | b] on the slack basis.  Kind 0: integer data with
-        mostly zero b (long degenerate runs, Bland's rule); 1: real data;
-        2: small integers (ratio ties); 3: a phase-1 sweep pricing only A."""
-        m = int(rng.integers(4, 36))
-        n = int(rng.integers(m, 3 * m))
-        if kind == 1:
-            a, b = rng.normal(size=(m, n)), rng.uniform(0.0, 1.0, size=m)
-            c = rng.normal(size=n)
-        else:
-            a = rng.integers(-2, 3, size=(m, n)).astype(float)
-            b = rng.integers(0, 3, size=m).astype(float)
-            if kind == 0:
-                b[rng.random(m) < 0.7] = 0.0
-            c = rng.integers(-3, 3, size=n).astype(float)
-        t = np.hstack([a, np.eye(m), b[:, None]])
-        if kind == 3:
-            return t, np.arange(n, n + m), np.concatenate([np.zeros(n), np.ones(m)]), n
-        return t, np.arange(n, n + m), np.concatenate([c, np.zeros(m)]), n + m
+    def _assert_matches(template, t, head, cols, b):
+        m, n = template.a_eq.shape
+        ref = _basis_tableau(template, head, cols, b)
+        assert np.abs(t - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
+        rows = [v - n if v >= n else int(np.flatnonzero(template.a_eq[:, v])[0])
+                for v in head if v >= n or not template.free_mask[v]]
+        assert sorted(rows + [v - n for v in cols]) == list(range(m))
+        for v, value in zip(head, t[:, -1]):
+            if v >= n:
+                assert abs(value) <= 1e-7
+            elif not template.free_mask[v]:
+                assert value * template.a_eq[:, v].sum() >= -1e-9
 
-    def test_bit_equal_to_reference(self, monkeypatch):
-        bland = []
-        real = lp_module._entering
-
-        def entering(reduced, degenerate, tol):
-            bland.append(degenerate >= lp_module._DEGENERATE_STREAK)
-            return real(reduced, degenerate, tol)
-
-        monkeypatch.setattr(lp_module, "_entering", entering)
-        seen = {"bland": 0, "ties": 0, "unbounded": 0, "optimal": 0}
-        rng = np.random.default_rng(4242)
-        for trial in range(240):
-            t, basis, c, n_cols = self._case(rng, trial % 4)
-            t_ref, basis_ref = t.copy(), [int(j) for j in basis]
-            outcome = []
-            for sweep, args in ((lp_module._optimize, (t, basis)),
-                                (_reference_optimize, (t_ref, basis_ref))):
-                extra = (seen,) if sweep is _reference_optimize else ()
-                try:
-                    outcome.append(("optimal", sweep(*args, c, n_cols, 1e-9, 20000, *extra)))
-                except lp_module.LpUnbounded:
-                    outcome.append(("unbounded", None))
-            assert outcome[0] == outcome[1]
-            seen[outcome[0][0]] += 1
-            assert t.tobytes() == t_ref.tobytes()
-            assert basis.tolist() == basis_ref
-        assert seen["bland"] > 0 and seen["ties"] > 0
-        assert seen["unbounded"] > 0 and seen["optimal"] > 0
-        assert any(bland)
-
-
-def _reference_crash_tableau(template, b):
-    """The cold-start tableau as it was built before the template kept
-    B^-1 A_int: one solve of [A | b], kept as the reference for bit
-    equality."""
-    n_int, (m, n) = template.n_int, template.a_eq.shape
-    taken, cols = template.taken, template.crash_cols
-    cols_basis = template.crash_basis.copy()
-    t = np.empty((m, n + 1))
-    t[:, :n] = template.a_eq
-    t[:, -1] = b
-    a_cols = template.a_eq[:, cols]
-    try:
-        x = np.linalg.solve(a_cols[taken], t[taken])
-    except np.linalg.LinAlgError as exc:
-        raise LpError("singular crash basis") from exc
-    t -= a_cols @ x
-    t[taken] = x
-    t = np.concatenate([t[:, :n], -t[:, template.free], t[:, n:]], axis=1)
-    neg = t[:, -1] < 0.0
-    t[neg] *= -1.0
-    cols_basis[neg] = template.partner[cols_basis[neg]]
-    real = np.flatnonzero(cols_basis < n_int)
-    t[:, cols_basis[real]] = 0.0
-    t[real, cols_basis[real]] = 1.0
-    return t, cols_basis
-
-
-class TestCrashTableauBitExact:
-    """The cold start from the template's kept B^-1 A_int gives the same
-    tableau bytes and basis as the reference that solves [A | b] whole: on
-    the regional templates of case33 DRSE estimates, on the random LPs of
-    ``TestLpOracle`` and on the case33 AC region whose states the readings
-    leave out, each with several right-hand sides."""
-
-    @staticmethod
-    def _assert_same(template, bs):
+    def _assert_starts(self, template, bs):
         for b in bs:
-            t, cols = lp_module._crash_tableau(template, b)
-            t_ref, cols_ref = _reference_crash_tableau(template, b)
-            assert t.tobytes() == t_ref.tobytes()
-            assert np.array_equal(cols, cols_ref)
+            self._assert_matches(template, *lp_module._crash_tableau(template, b), b)
 
     @staticmethod
-    def _right_hand_sides(rng, b):
-        return [b, -b, b + rng.normal(0.0, 0.01, size=b.size),
+    def _right_hand_sides(rng, template, b):
+        """b, -b, b with noise on the rows with a residual pair, b scaled."""
+        return [b, -b, b + rng.normal(0.0, 0.01, size=b.size) * template.pair,
                 b * rng.uniform(0.5, 2.0, size=b.size)]
 
     @staticmethod
-    def _templates(monkeypatch):
-        """(template, b) of every cold start while it is installed."""
-        seen = []
-        real = lp_module._crash_tableau
+    def _solves(monkeypatch):
+        """(template, b) of every cold start and (problem, final tableau,
+        its variables) of every solve while it is installed."""
+        from hybridse.estimation import wlav
+        starts, finals = [], []
+        real_crash, real_solve = lp_module._crash_tableau, wlav.lp_solve
 
         def crash(template, b):
-            seen.append((template, np.array(b)))
-            return real(template, b)
+            starts.append((template, np.array(b)))
+            return real_crash(template, b)
+
+        def solve(problem, basis=None):
+            sol = real_solve(problem, basis=basis)
+            finals.append((problem, *problem.state.last[1:4]))
+            return sol
 
         monkeypatch.setattr(lp_module, "_crash_tableau", crash)
-        return seen
+        monkeypatch.setattr(wlav, "lp_solve", solve)
+        return starts, finals
+
+    def _assert_estimates(self, monkeypatch, starts, finals, seed):
+        monkeypatch.undo()
+        rng = np.random.default_rng(seed)
+        for template, b in starts:
+            self._assert_starts(template, self._right_hand_sides(rng, template, b))
+        for problem, t, head, cols in finals:
+            self._assert_matches(problem.template, t, head, cols, problem.b_eq)
 
     def test_case33_estimates(self, case33, case33_loads, monkeypatch):
         from hybridse.coordination import CoordinationParams, run_drse
-        seen = self._templates(monkeypatch)
+        starts, finals = self._solves(monkeypatch)
         for t, injections, case in ((3600.0, False, 0), (900.0, True, 2)):
             for ms in _case33_sets(case33, case33_loads, t, injections, case, range(2)):
                 run_drse(case33, ms, CoordinationParams())
-        monkeypatch.undo()
-        assert len(seen) == 4 * len(case33.regions)
-        rng = np.random.default_rng(33)
-        for template, b in seen:
-            self._assert_same(template, self._right_hand_sides(rng, b))
+        assert len(starts) == 4 * len(case33.regions)
+        self._assert_estimates(monkeypatch, starts, finals, 33)
+
+    def test_states_left_out(self, case33, case33_loads, monkeypatch):
+        from hybridse.coordination import CoordinationParams, run_drse
+        from hybridse.powerflow import solve_powerflow
+        from hybridse.telemetry import ScheduleConfig, simulate_measurements
+        starts, finals = self._solves(monkeypatch)
+        truth = solve_powerflow(case33, case33_loads)
+        for seed in range(2):
+            ms = simulate_measurements(case33, truth.state, ScheduleConfig(), t=900.0,
+                                       seed=seed)
+            run_drse(case33, ms, CoordinationParams())
+        # the AC region's 51 states: the readings determine 11 of them
+        assert any(_left_out(tp) for tp, _ in starts)
+        self._assert_estimates(monkeypatch, starts, finals, 51)
 
     def test_random_lps(self):
         rng = np.random.default_rng(20240)
@@ -807,31 +729,38 @@ class TestCrashTableauBitExact:
                                        neighbor_p=float(row @ x_true + rng.normal(0, 0.1)))
                      for cid, row in model.boundary.items()}
             problem = regional_problem(model, terms)
-            self._assert_same(problem.template,
-                              self._right_hand_sides(rng, problem.b_eq))
+            self._assert_starts(problem.template,
+                                self._right_hand_sides(rng, problem.template, problem.b_eq))
+            lp_solve(problem)
+            self._assert_matches(problem.template, *problem.state.last[1:4], problem.b_eq)
 
-    def test_states_left_out(self, case33, case33_loads, monkeypatch):
-        from hybridse.coordination import CoordinationParams, run_drse
-        from hybridse.powerflow import solve_powerflow
-        from hybridse.telemetry import ScheduleConfig, simulate_measurements
-        seen = self._templates(monkeypatch)
-        truth = solve_powerflow(case33, case33_loads)
-        for seed in range(2):
-            ms = simulate_measurements(case33, truth.state, ScheduleConfig(), t=900.0,
-                                       seed=seed)
-            run_drse(case33, ms, CoordinationParams())
-        monkeypatch.undo()
-        # the AC region's 51 states: the readings determine 11 of them
-        assert any(tp.free.size > tp.crash_cols.size for tp, _ in seen)
-        rng = np.random.default_rng(51)
-        for template, b in seen:
-            self._assert_same(template, self._right_hand_sides(rng, b))
+    @pytest.mark.parametrize("streak", [lp_module._DEGENERATE_STREAK, 0])
+    def test_integer_fits_with_ties(self, monkeypatch, streak):
+        # small integer H, z and weights: ties in the ratio test and
+        # degenerate pivots; streak 0 prices by Bland's rule throughout
+        monkeypatch.setattr(lp_module, "_DEGENERATE_STREAK", streak)
+        rng = np.random.default_rng(4242)
+        pivots = 0
+        for _ in range(40):
+            n = int(rng.integers(1, 6))
+            m = int(rng.integers(n + 1, 4 * n + 4))
+            h = rng.integers(-2, 3, size=(m, n)).astype(float)
+            h[np.arange(m), rng.integers(0, n, size=m)] += 1.0
+            z = rng.integers(-2, 3, size=m).astype(float)
+            model = LinearRegionModel(h, z, 1.0 / rng.integers(1, 3, size=m))
+            problem = regional_problem(model, {})
+            sol = lp_solve(problem)
+            pivots += sol.iterations
+            _assert_optimal(problem, sol)
+            self._assert_matches(problem.template, *problem.state.last[1:4], problem.b_eq)
+        assert pivots > 0
 
 
 class TestCrashTableauKept:
-    """B^-1 A_int is solved once, when the template is built; each cold
-    start solves only for b, and a singular crash block fails the cold
-    start, not the template."""
+    """The crash tableau is solved once, when the template is built; no
+    solve factors a matrix after that, neither a cold start nor a warm
+    start whose b moved, and a singular crash block fails the cold start,
+    not the template."""
 
     @staticmethod
     def _problem(seed):
@@ -843,21 +772,42 @@ class TestCrashTableauKept:
         return model, terms
 
     def test_one_multi_column_solve(self, monkeypatch):
+        # the template's one solve has a column per state the crash takes
+        # and the value column; no solve after it factors anything, neither
+        # a cold start nor a warm start whose b moved
         model, terms = self._problem(7)
         widths = []
         real = np.linalg.solve
 
         def solve(a, b):
-            widths.append(1 if np.ndim(b) == 1 else np.shape(b)[1])
+            widths.append(np.shape(b)[1])
             return real(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", solve)
         lp = RegionalLp(model, sorted(terms))
-        problem = lp.problem(terms)
-        assert widths == [problem.a_eq.shape[1] + 1]
-        for _ in range(5):
-            lp_solve(problem)
-        assert widths == [problem.a_eq.shape[1] + 1] + [2] * 5
+        problems = [lp.problem(terms)]
+        problems.append(lp.problem({cid: BoundaryTerm(t.lam, t.neighbor_p + 0.3)
+                                    for cid, t in terms.items()}))
+        assert widths == [problems[0].template.crash[0].shape[1]]
+        cold = []
+        real_crash = lp_module._crash_tableau
+
+        def crash(*args):
+            cold.append(1)
+            return real_crash(*args)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called after the template was built")
+
+        monkeypatch.setattr(lp_module, "_crash_tableau", crash)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        sols = [lp_solve(problems[0])]
+        sols.append(lp_solve(problems[1], basis=sols[0].basis))
+        sols.append(lp_solve(problems[1]))
+        monkeypatch.undo()
+        assert len(cold) == 2
+        for problem, sol in zip(problems + problems[1:], sols):
+            _assert_optimal(problem, sol)
 
     def test_singular_block_fails_the_cold_start(self, monkeypatch):
         model, terms = self._problem(8)
@@ -916,15 +866,21 @@ class TestLpRepeat:
 
     @staticmethod
     def _prices_optimal(problem, basis):
-        """No reduced cost of a real column, over the LP state's stored
+        """No reduced cost of a nonbasic residual, over the LP state's stored
         tableau and under ``problem``'s costs, is below the pricing
-        tolerance."""
-        template = problem.template
-        n_int = template.n_int
-        c = np.concatenate([problem.c, -problem.c[template.free], np.zeros(problem.b_eq.size)])
-        reduced = c[:n_int] - c[list(basis)] @ problem.state.last[1][:, :n_int]
-        reduced[[k for k in basis if k < n_int]] = 0.0
-        return bool(reduced.min() >= -lp_module._TOL)
+        tolerance.  A basic variable costs c on a +1 column, -c on a -1
+        column and nothing as an equality residual (named n + i); a
+        nonbasic residual of row i costs c+ per unit up and c- down."""
+        template, (_, t, head, cols, _) = problem.template, problem.state.last
+        n = problem.a_eq.shape[1]
+        assert tuple(head.tolist()) == tuple(basis)
+        basic = np.array([0.0 if v >= n else problem.c[v] * (
+            1.0 if problem.free_mask[v] else problem.a_eq[:, v].sum()) for v in head])
+        gt = basic @ t[:, :-1]
+        plus, minus = template.plus[cols - n], template.minus[cols - n]
+        pair = plus >= 0
+        reduced = np.concatenate([(problem.c[plus] - gt)[pair], (problem.c[minus] + gt)[pair]])
+        return bool(reduced.min(initial=np.inf) >= -lp_module._TOL)
 
     def test_repeat_exactly_when_the_stored_basis_prices_optimal(
             self, case33, case33_loads, monkeypatch):
@@ -1313,7 +1269,7 @@ class TestQrFactor:
         pairs = ms.by_region(grid)[ac.id]
         region = measmodel.build_region_model(grid, ac, pairs)
         overrides = {len(pairs) + k: (0.0, 1e-2)[k % 2] for k in range(len(ac.boundary))}
-        return [(model, over, model.truth_vector(truth.state, truth.converters))
+        return [(model, over, truth_vector(model, truth.state, truth.converters))
                 for model, over in ((system, {}), (region, overrides))]
 
     @staticmethod
@@ -1479,7 +1435,7 @@ class TestWlavRegion:
                                     0.004, "scada"))
         model = build_region_H(toy2, toy2.regions[0], list(enumerate(meas)))
         # overwrite readings with linear-consistent values of the solved state
-        x_true = model.truth_vector(st)
+        x_true = truth_vector(model, st)
         z = model.h(x_true)
         model.z = z + rng.normal(0.0, noise, size=z.size)
         return model, x_true
@@ -1595,6 +1551,6 @@ class TestRobustnessVsWls:
             meas.append(Measurement(kind, loc, d, eval_h_nonlinear(toy2, st, probe),
                                     sigma, "scada"))
         model = build_region_H(toy2, toy2.regions[0], list(enumerate(meas)))
-        x_true = model.truth_vector(st)
+        x_true = truth_vector(model, st)
         model.z = model.h(x_true) + rng.normal(0.0, 0.1 * sigma, size=len(model.z))
         return model, x_true

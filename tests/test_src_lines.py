@@ -36,3 +36,9 @@ def test_what_the_benchmark_calls_counts_as_used():
     # only perfbench's checks call MetricsRow.as_dict
     names = {qual for _, _, qual, _ in src_lines.unused(_ROOT)}
     assert "MetricsRow.as_dict" not in names
+
+
+def test_this_tree_lists_only_the_grid_writer():
+    # grid.serialize is the grid format's writer, kept beside its reader;
+    # whatever only tests call lives with the tests
+    assert [qual for _, _, qual, _ in src_lines.unused(_ROOT)] == ["serialize"]

@@ -11,14 +11,14 @@ import pytest
 from hybridse import data, measmodel
 from hybridse.estimation import solve_wls
 from hybridse.grid import AC, DC, MEMO_ENTRIES, OWNS_DC, load_grid
-from hybridse.powerflow import (SystemState, ac_branch_flow, linear_row_ac_flow,
-                                solve_ac_region, solve_powerflow)
+from hybridse.powerflow import SystemState, ac_branch_flow, linear_row_ac_flow, solve_powerflow
 from hybridse.telemetry import (SOURCE_VIRTUAL_ZERO, Measurement, MeasurementKind,
                                 MeasurementSet, ScheduleConfig, TelemetryError,
                                 build_region_H, converter_spec, inject_bad_data,
                                 simulate_measurements)
 
-from oracle import ac_branch_flow_partials, eval_h_nonlinear, noisy, reading_pct
+from oracle import (ac_branch_flow_partials, eval_h_nonlinear, noisy, reading_pct,
+                    solve_ac_region, truth_vector)
 
 CASE33_SCADA_LINES = ((1, 2), (2, 19), (3, 23), (6, 26))
 
@@ -41,7 +41,7 @@ class TestEvalH:
         assert eval_h_nonlinear(toy2, st, _m(MeasurementKind.AC_P_FLOW, (1, 2), "fwd")) == 0.0
 
     def test_flow_matches_powerflow(self, toy2):
-        from hybridse.powerflow import InjectionProfile, solve_ac_region
+        from hybridse.powerflow import InjectionProfile
         reg = solve_ac_region(toy2, toy2.regions[0], {2: (-0.5, 0.0)})
         st = SystemState(v={n: v for n, (v, _) in reg.items()},
                          theta={n: t for n, (_, t) in reg.items()})
@@ -266,7 +266,7 @@ class TestFlatConsistency:
         by_region = ms.by_region(case33)
         for region in case33.regions:
             model = build_region_H(case33, region, by_region[region.id])
-            xflat = model.truth_vector(st, {c.id: _zero_conv() for c in case33.converters})
+            xflat = truth_vector(model, st, {c.id: _zero_conv() for c in case33.converters})
             assert np.allclose(model.h(xflat), model.z, atol=1e-12)
 
 
@@ -297,7 +297,7 @@ class TestSharedStateInterface:
             n_draws += len(draws)
             for model in (linear, nonlinear):
                 v, theta, conv = model.extract_state(
-                    model.truth_vector(res.state, res.converters))
+                    truth_vector(model, res.state, res.converters))
                 true_v = {n: res.state.v[n] for n in region.nodes}
                 if model is linear and region.kind == AC:    # V = sqrt(U)
                     assert v.keys() == true_v.keys()
@@ -316,11 +316,11 @@ class TestSharedStateInterface:
         for model in [system] + [m for _, *pair in models for m in pair]:
             if any(tag not in ("u", "v", "th") for tag, _ in model.index):
                 with pytest.raises(TelemetryError, match="converter solution"):
-                    model.truth_vector(res.state)
+                    truth_vector(model, res.state)
                 raised += 1
             else:
-                assert np.array_equal(model.truth_vector(res.state),
-                                      model.truth_vector(res.state, res.converters))
+                assert np.array_equal(truth_vector(model, res.state),
+                                      truth_vector(model, res.state, res.converters))
         assert raised == 1 + 2 * sum(r.kind == DC for r in case33.regions)
 
 
@@ -697,7 +697,7 @@ class TestCompiledModelExact:
         rng = np.random.default_rng(23)
         for res, models in cases:
             for model in models:
-                truth = model.truth_vector(res.state, res.converters)
+                truth = truth_vector(model, res.state, res.converters)
                 states = [truth, signed_zero_state(model)]
                 states += [model.x0() + rng.normal(0.0, 2e-2, model.n_states) for _ in range(4)]
                 states += [truth + rng.normal(0.0, 1e-3, model.n_states) for _ in range(4)]
@@ -718,7 +718,7 @@ class TestCompiledModelExact:
         for res, models in cases:
             for model in models:
                 grid = model.grid
-                h = model.h(model.truth_vector(res.state, res.converters))
+                h = model.h(truth_vector(model, res.state, res.converters))
                 for i, m in enumerate(model.measurements):
                     row = model.rows[i]
                     if m is None or row[0] == "var":
@@ -739,7 +739,7 @@ class TestCompiledModelLifetime:
     def setup(self, case33, case33_loads):
         res, models = wls_models(case33, case33_loads, case33_schedule())
         rng = np.random.default_rng(5)
-        return [(m, m.truth_vector(res.state, res.converters)
+        return [(m, truth_vector(m, res.state, res.converters)
                  + rng.normal(0.0, 1e-3, m.n_states)) for m in models]
 
     @staticmethod
@@ -822,7 +822,7 @@ class TestGridMemo:
         grid = load_grid(data.path(data.CASE33_HYBRID))
         res, (system, *_) = wls_models(grid, case33_loads, case33_schedule())
         pairs = [(i, m) for i, m in enumerate(system.measurements) if m is not None]
-        x = system.truth_vector(res.state, res.converters)
+        x = truth_vector(system, res.state, res.converters)
         region = grid.regions[0]
         by_region = MeasurementSet([m for _, m in pairs]).by_region(grid)[region.id]
         # LNR-cleaned sets of the system model and DWLS-like second passes of
