@@ -4,7 +4,8 @@ Rectifier hidden layers, identity output, mean-squared-error risk, momentum
 updates.  Inputs and outputs are standardized with training-set statistics
 stored inside the model, so predictions are in physical units.  The output
 layer starts at zero, which makes an untrained model predict the training
-mean.
+mean.  Training keeps every weight and bias as a view of one flat buffer,
+so a momentum step updates all layers at once (``train_mlp``).
 """
 
 from __future__ import annotations
@@ -84,8 +85,22 @@ def init_model(n_in: int, hidden: list[int], n_out: int, rng) -> MlpModel:
                     y_mean=np.zeros(n_out), y_std=np.ones(n_out))
 
 
-def loss_and_grads(model: MlpModel, x_std: np.ndarray, y_std: np.ndarray):
-    """MSE loss (averaged over samples and outputs) and its gradients."""
+def _layers(flat: np.ndarray, sizes: list[int]) -> tuple[list, list]:
+    """Each layer's weights and biases as views of one flat buffer, a
+    layer's weights (row-major) then its biases."""
+    weights, biases, at = [], [], 0
+    for a, b in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[at:at + a * b].reshape(a, b))
+        biases.append(flat[at + a * b:at + a * b + b])
+        at += a * b + b
+    return weights, biases
+
+
+def loss_and_grads(model: MlpModel, x_std: np.ndarray, y_std: np.ndarray,
+                   out: np.ndarray | None = None):
+    """MSE loss (averaged over samples and outputs) and its gradients, as
+    views of ``out`` (laid out as ``_layers`` lays out the parameters) or of
+    a new buffer."""
     acts = [x_std]
     pre = []
     a = x_std
@@ -99,12 +114,13 @@ def loss_and_grads(model: MlpModel, x_std: np.ndarray, y_std: np.ndarray):
     n = x_std.shape[0]
     loss = float(np.mean(err * err))
 
-    grad_w = [None] * len(model.weights)
-    grad_b = [None] * len(model.biases)
+    if out is None:
+        out = np.empty(sum(a * b + b for a, b in zip(model.sizes[:-1], model.sizes[1:])))
+    grad_w, grad_b = _layers(out, model.sizes)
     delta = 2.0 * err / (n * y_std.shape[1])
     for layer in range(last, -1, -1):
-        grad_w[layer] = acts[layer].T @ delta
-        grad_b[layer] = delta.sum(axis=0)
+        np.matmul(acts[layer].T, delta, out=grad_w[layer])
+        np.sum(delta, axis=0, out=grad_b[layer])
         if layer:
             delta = (delta @ model.weights[layer].T) * (pre[layer - 1] > 0.0)
     return loss, grad_w, grad_b
@@ -115,6 +131,14 @@ def train_mlp(x: np.ndarray, y: np.ndarray, hidden: list[int] = [64, 64],
               epochs: int = 300, seed: int = 0,
               holdout: float = 0.1) -> tuple[MlpModel, TrainReport]:
     """Train on a 90/10 split; the returned report carries both losses.
+
+    Weights and biases are views of one flat parameter buffer, and so are
+    their velocities and gradients, so a momentum step is four operations
+    on whole buffers: v = 0.9 v, g = lr g, v = v - g, params = params + v,
+    elementwise the per-layer ``0.9 * v - lr * g`` and ``w += v``, bit for
+    bit.  Each epoch gathers its shuffled rows once, into buffers kept for
+    the whole run; a mini-batch is a slice of them, with the values of
+    gathering the batch's rows.
 
     Raises TrainingError naming the epoch if the loss turns non-finite.
     """
@@ -131,6 +155,9 @@ def train_mlp(x: np.ndarray, y: np.ndarray, hidden: list[int] = [64, 64],
     xt, yt = x[train_idx], y[train_idx]
 
     model = init_model(x.shape[1], hidden, y.shape[1], rng)
+    params = np.concatenate([t.ravel() for w, b in zip(model.weights, model.biases)
+                             for t in (w, b)])
+    model.weights, model.biases = _layers(params, model.sizes)
     model.x_mean = xt.mean(axis=0)
     model.x_std = np.maximum(xt.std(axis=0), 1e-9)
     model.y_mean = yt.mean(axis=0)
@@ -138,23 +165,24 @@ def train_mlp(x: np.ndarray, y: np.ndarray, hidden: list[int] = [64, 64],
     xs = (xt - model.x_mean) / model.x_std
     ys = (yt - model.y_mean) / model.y_std
 
-    vel_w = [np.zeros_like(w) for w in model.weights]
-    vel_b = [np.zeros_like(b) for b in model.biases]
+    vel = np.zeros_like(params)
+    grad = np.empty_like(params)
     n_train = xs.shape[0]
     loss = float(np.mean(((model.forward(xs)) - ys) ** 2))
+    xo, yo = np.empty_like(xs), np.empty_like(ys)      # each epoch's rows, in its order
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n_train)
+        np.take(xs, order, axis=0, out=xo)
+        np.take(ys, order, axis=0, out=yo)
         for lo in range(0, n_train, batch):
-            sel = order[lo:lo + batch]
             with np.errstate(over="ignore", invalid="ignore"):
-                loss, gw, gb = loss_and_grads(model, xs[sel], ys[sel])
+                loss, _, _ = loss_and_grads(model, xo[lo:lo + batch], yo[lo:lo + batch], grad)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
-            for layer in range(len(model.weights)):
-                vel_w[layer] = _MOMENTUM * vel_w[layer] - lr * gw[layer]
-                vel_b[layer] = _MOMENTUM * vel_b[layer] - lr * gb[layer]
-                model.weights[layer] += vel_w[layer]
-                model.biases[layer] += vel_b[layer]
+            vel *= _MOMENTUM
+            grad *= lr
+            vel -= grad
+            params += vel
 
     train_loss = float(np.mean((model.forward(xs) - ys) ** 2))
     if n_hold:

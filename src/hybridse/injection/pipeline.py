@@ -6,7 +6,9 @@ and common factor so cross-node structure survives), run the power flow, and
 read noisy SCADA vectors, producing (z, y) training pairs; a feedforward
 network is fit by empirical risk minimization; the holdout prediction errors
 get their own per-component mixtures whose standard deviations become the
-measurement weights of generated injections.
+measurement weights of generated injections.  The trials run a block at a
+time through one stacked power flow, with the bits and the random stream of
+running them one at a time (``build_training_set``).
 
 Online: the trained network maps the current SCADA vector to a full injection
 vector at the SCADA rate.  Gross errors in the SCADA input are screened first:
@@ -23,13 +25,15 @@ from pathlib import Path
 
 import numpy as np
 
-# lnr_test is not called here; it stays importable as perfbench's trace target
+# lnr_test and solve_powerflow are not called here; they stay importable as
+# perfbench's trace targets
 from ..estimation import lnr_substitute, lnr_test  # noqa: F401
 from ..grid import AC, GridModel
-from ..powerflow import InjectionProfile, PowerFlowError, SystemState, solve_powerflow
+from ..powerflow import (InjectionProfile, PowerFlowError, SystemState,  # noqa: F401
+                         solve_powerflow, solve_powerflows)
 from ..telemetry import (Measurement, MeasurementKind, MeasurementSet,
                          ScheduleConfig, SOURCE_DNN, SOURCE_PSEUDO, SOURCE_SCADA,
-                         build_region_H, simulate_measurements)
+                         build_region_H, simulate_measurements, synthesis_plan)
 from .gmm import GmmModel, fit_gmm
 from .mlp import MlpModel, TrainReport, train_mlp
 from .profiles import LoadProfiles
@@ -37,6 +41,7 @@ from .profiles import LoadProfiles
 SIGMA_FLOOR = 1e-4
 _GMM_K = 2                  # mixture components per injection node
 _RHO = 0.8                  # weight of the shared factor in a sampled scenario
+_BLOCK = 16                 # Monte-Carlo trials solved as one stacked power flow
 
 
 # -- canonical SCADA channel ordering -------------------------------------------
@@ -150,30 +155,58 @@ def build_training_set(grid: GridModel, gmms: dict[int, GmmModel], n_trials: int
                        schedule: ScheduleConfig, seed: int) -> TrainingSet:
     """Monte-Carlo (y, z) extraction: sample scenarios, solve the power flow,
     read the SCADA channels with measurement noise.  Aborts when more than 20%
-    of the trials fail to converge (mixtures inconsistent with the grid)."""
+    of the trials fail to converge (mixtures inconsistent with the grid).
+
+    The trials run ``_BLOCK`` at a time through one stacked power flow
+    (``solve_powerflows``), with the draws of the trial-by-trial loop: each
+    trial's scenario, then its ``n_noisy`` standard normals, from which the
+    synthesis plan reads the noise (``telemetry.synthesis_plan``; the normals
+    are drawn before the flow is solved, which draws nothing).  A trial whose
+    flow fails draws no noise in that loop, so at the first failure of a
+    block the trials after it are set aside and the generator is set back to
+    where it stood after the failed trial's scenario; the next block starts
+    there.  Each SCADA vector is read from the readings by a precomputed
+    index, the last reading of each channel, as ``scada_vector`` reads it."""
     rng = np.random.default_rng(seed)
     channels = scada_channels(grid, schedule)
+    plan = synthesis_plan(grid, schedule, schedule.scada_period)
+    at = _scada_index(plan, channels)
     components = injection_components(grid)
+    keys = [(tag, int(node)) for tag, node in (c.split(":") for c in components)]
     zs, ys = [], []
-    dropped = 0
-    for _ in range(n_trials):
-        prof = sample_injections(grid, gmms, rng)
-        try:
-            res = solve_powerflow(grid, prof)
-        except PowerFlowError:
-            dropped += 1
-            if dropped > 0.2 * n_trials:
-                raise RuntimeError(
-                    f"{dropped} of {n_trials} trials diverged; injection "
-                    "mixtures are inconsistent with grid capacity")
-            continue
-        ms = simulate_measurements(grid, res.state, schedule,
-                                   t=schedule.scada_period, seed=rng)
-        zs.append(scada_vector(ms, channels))
-        ys.append([prof.p[int(c.split(":")[1])] if c.startswith("p:")
-                   else prof.q[int(c.split(":")[1])] for c in components])
+    dropped = trial = 0
+    while trial < n_trials:
+        block = []
+        for _ in range(min(_BLOCK, n_trials - trial)):
+            prof = sample_injections(grid, gmms, rng)
+            block.append((prof, rng.bit_generator.state, rng.standard_normal(plan.n_noisy)))
+        results = solve_powerflows(grid, [prof for prof, _, _ in block])
+        for (prof, after_scenario, z), res in zip(block, results):
+            trial += 1
+            if isinstance(res, PowerFlowError):
+                dropped += 1
+                if dropped > 0.2 * n_trials:
+                    raise RuntimeError(
+                        f"{dropped} of {n_trials} trials diverged; injection "
+                        "mixtures are inconsistent with grid capacity")
+                rng.bit_generator.state = after_scenario
+                break
+            zs.append(plan.readings(res.state, z)[0][at])
+            ys.append([prof.p[node] if tag == "p" else prof.q[node] for tag, node in keys])
     return TrainingSet(z=np.array(zs), y=np.array(ys), channels=channels,
                        components=components, seed=seed, dropped=dropped)
+
+
+def _scada_index(plan, channels: list[str]) -> np.ndarray:
+    """Where each channel's reading sits among a synthesis plan's readings:
+    the last reading of its key."""
+    found = {}
+    for i, (kind, loc, direction, source) in enumerate(plan.keys):
+        if source == SOURCE_SCADA:
+            key = _channel_of(Measurement(kind, loc, direction, 0.0, 1.0, source))
+            if key is not None:
+                found[key] = i
+    return np.array([found[c] for c in channels], dtype=np.intp)
 
 
 # -- the trained artifact ----------------------------------------------------------

@@ -7,16 +7,40 @@ state is the ground truth used for telemetry synthesis, estimator scoring and
 training-set generation.
 
 The per-grid work is compiled once and kept by the grid (``GridModel.memo``):
-for each region and reference node a ``_RegionNewton`` holds the admittance
-(the one ``validate_grid`` built) and its diagonal, the free (non-reference)
-indices and a Jacobian preallocated at the free size; a ``_PowerFlowPlan``
-holds the AC and DC passes' structure (which converters feed which node
-index, each DC region's held converter and its lines).  A Newton step
-evaluates the mismatches over the full region as before, then fills the
-free rows and columns of the Jacobian elementwise from the same products and
-makes one ``np.linalg.solve`` call.  Every element is the same arithmetic on
-the same operands as forming the full Jacobian and selecting its free
-block, so the solves and the results keep their bits.
+for each region and reference node a ``_RegionNewton`` holds the free
+(non-reference) indices, an AC region's admittance pattern and a DC
+region's admittance; a ``_PowerFlowPlan`` holds the AC and DC passes'
+structure (which converters feed which node index, each DC region's held
+converter and its lines).
+
+``solve_powerflows`` solves a block of profiles as one stacked solve, and
+``solve_powerflow`` is its block of one.  Each regional pass stacks the
+specs of the trials still in the block as (K, 2, n) P and Q or (K, 1, n) P
+arrays, and every Newton step is elementwise arithmetic on the stacked
+arrays, a stacked ``@`` (one BLAS gemv per trial, as for one vector) and
+one stacked ``np.linalg.solve`` (one LAPACK gesv per trial, as for one
+matrix).  So each trial gets the bits of solving it alone: its own
+mismatch, convergence test, voltage check, iteration cap and error, with the
+message and mismatch of a solve one profile at a time.  A trial leaves the
+stack when it converges or fails, and only the trials still iterating are
+carried; a ``LinAlgError`` re-solves that step one matrix at a time to find
+the singular ones.  The outer passes go the same way: each trial keeps its
+own outer count and leaves the block when its converters balance.
+
+An AC step computes cos and sin only where the admittance is nonzero and
+scatters g cos + b sin and g sin - b cos into zeroed (n, n) matrices.  Off
+that pattern the dense form computed 0 cos + 0 sin, which is +0 or -0.  A
+signed zero changes no sum that has a nonzero term (each row has its
+diagonal), and no pivot of the LU (a pivot is chosen by magnitude), so the
+states keep their bits.  The Jacobian's free rows and columns are filled
+elementwise from the same products as forming the full Jacobian and
+selecting its free block.
+
+A DC region's spec is its profile less the draws of the converters that
+hold p_set; on a grid whose DC converters all hold the DC voltage it is the
+same in every outer pass.  A trial whose DC spec has the bits of its last
+pass keeps that pass's solution, which a Newton solve of the same spec would
+give again bit for bit: a trial's solve reads nothing but its spec.
 
 ``CompiledRows`` compiles row specs (``telemetry.row_spec``) once into
 tables of their terms over the columns of a state vector: each AC branch
@@ -26,8 +50,8 @@ g; each variable a row reads as its column and coefficient.  Each term
 carries its row.  A datum node's angle (no column) reads a 0.0 appended to
 the state, and its matrix cell is a dropped sink.  The tables give the
 nonlinear h and J (``evaluate``, every branch term at once through
-``branch_flow_terms``, the arithmetic of the scalar ``ac_branch_flow``) and
-the constant linear rows (``linear``).  Terms are summed by ``np.add.at``,
+``branch_flow_terms``, the arithmetic of the scalar ``ac_branch_flow``; h
+alone computes no partials) and the constant linear rows (``linear``).  Terms are summed by ``np.add.at``,
 which adds in index order, and a row's terms sit in row order, so every row
 and cell sums its terms in row order: a matrix cell and an injection row
 from +0.0, as ``sum()`` does, every other row from -0.0, the exact identity
@@ -161,14 +185,17 @@ def converter_loss(p_c: float, q_c: float, v_c: float,
     return d1 + d2 * i_c + d3 * i_c * i_c, i_c
 
 
-def branch_flow_terms(g, b, v_f, v_t, cs, sn):
-    """Sending-end (P, Q) on a series branch g + jb, no shunts, and their
-    partials with respect to (v_f, th_f, v_t, th_t), from the cosine and sine
-    of th_f - th_t.  Plain arithmetic: elementwise on arrays, same bits."""
+def branch_flow_terms(g, b, v_f, v_t, cs, sn, partials: bool = True):
+    """Sending-end (P, Q) on a series branch g + jb, no shunts, and (unless
+    ``partials`` is false: None) their partials with respect to (v_f, th_f,
+    v_t, th_t), from the cosine and sine of th_f - th_t.  Plain arithmetic:
+    elementwise on arrays, same bits."""
     gc_bs = g * cs + b * sn
     gs_bc = g * sn - b * cs
     p = g * v_f * v_f - v_f * v_t * gc_bs
     q = -b * v_f * v_f - v_f * v_t * gs_bc
+    if not partials:
+        return p, q, None, None
     dp = (2 * g * v_f - v_t * gc_bs, v_f * v_t * gs_bc, -v_f * gc_bs, -v_f * v_t * gs_bc)
     dq = (-2 * b * v_f - v_t * gs_bc, -v_f * v_t * gc_bs, -v_f * gs_bc, v_f * v_t * gc_bs)
     return p, q, dp, dq
@@ -179,7 +206,7 @@ def ac_branch_flow(v_f: float, th_f: float, v_t: float, th_t: float,
     """Sending-end (P, Q) on a series r+jx branch, no shunts."""
     y = 1.0 / complex(r, x)
     dth = th_f - th_t
-    return branch_flow_terms(y.real, y.imag, v_f, v_t, math.cos(dth), math.sin(dth))[:2]
+    return branch_flow_terms(y.real, y.imag, v_f, v_t, math.cos(dth), math.sin(dth), False)[:2]
 
 
 def dc_branch_flow(v_f: float, v_t: float, g: float) -> float:
@@ -258,10 +285,11 @@ class CompiledRows:
         return flat[:-1].reshape(m, n)
 
     def evaluate(self, x: np.ndarray, with_jac: bool):
-        xe = np.append(x, 0.0)        # column n reads 0.0: the angle of a datum node
+        xe = np.concatenate((x, [0.0]))   # column n reads 0.0: the angle of a datum node
         vf, thf, vt, tht = xe[self.flow_cols]
         dth = thf - tht
-        p, q, dp, dq = branch_flow_terms(*self._admittance, vf, vt, np.cos(dth), np.sin(dth))
+        p, q, dp, dq = branch_flow_terms(*self._admittance, vf, vt, np.cos(dth), np.sin(dth),
+                                         with_jac)
         uf, ut = xe[self.dc_cols]
         h = self.h0.copy()
         np.add.at(h, self.term_rows, np.concatenate((np.where(self.is_p, p, q),
@@ -334,124 +362,190 @@ def linear_row_ac_flow(r, x):
 
 class _RegionNewton:
     """One region's Newton structure for one reference node, kept by the grid
-    (module docstring): the admittance and its diagonal, the free (non-reference)
-    indices and a Jacobian preallocated at the free size."""
+    (module docstring): the free (non-reference) indices; for an AC region
+    the admittance's nonzero pattern and its values, for a DC region the
+    admittance and its free block."""
 
     def __init__(self, grid: GridModel, region: Region, ref_node: int):
         adm = grid.admittance(region.id)
         self.region_id = region.id
         self.index = adm.index
         self.nodes = list(adm.index)            # sorted
+        n = len(self.nodes)
         self.ref = adm.index[ref_node]
-        self.free = np.array([k for k in range(len(self.nodes)) if k != self.ref],
-                             dtype=np.intp)
-        self.sub = np.ix_(self.free, self.free)
-        nf = self.free.size
-        self.diag = np.diag_indices(nf)
+        self.free = free = np.array([k for k in range(n) if k != self.ref], dtype=np.intp)
+        nf = free.size
+        # the free entries as a slice where they are one run (the reference
+        # first or last), which numpy indexes without a copy
+        self.at_free = (slice(1, n) if self.ref == 0 else
+                        slice(0, n - 1) if self.ref == n - 1 else free)
+        # the free block of an (n, n) matrix, flat
+        self.free_block = (free[:, None] * n + free[None, :]).ravel()
         if region.kind == AC:
-            self.g, self.b = adm.g, adm.b
-            self.g_diag, self.b_diag = adm.g.diagonal(), adm.b.diagonal()
-            self.jac = np.empty((2 * nf, 2 * nf))
+            rows, cols = np.nonzero((adm.g != 0.0) | (adm.b != 0.0))
+            # the pattern's row nodes then its column nodes, and its cells of
+            # the flat (2, n, n) pair a1, a2
+            self.ends = np.concatenate([rows, cols])
+            self.cells = np.concatenate([rows * n + cols, n * n + rows * n + cols])
+            # a1 = g cos + b sin and a2 = g sin - b cos on the pattern as one
+            # (2, nnz) product: [g, g] [cos, sin] + [b, -b] [sin, cos], the
+            # same bits (x - y is x + (-y), and (-b) c is -(b c))
+            g_nz, b_nz = adm.g[rows, cols], adm.b[rows, cols]
+            self.gg, self.bb = np.array([g_nz, g_nz]), np.array([b_nz, -b_nz])
+            self.gb_free = np.array([adm.g.diagonal()[free], adm.b.diagonal()[free]])
+            # the diagonals of the four (nf, nf) blocks of a flat (2nf, 2nf)
+            # Jacobian, as strided slices
+            self.jac_diag = [slice(r * 2 * nf + c, r * 2 * nf + c + nf * (2 * nf + 1),
+                                   2 * nf + 1) for r in (0, nf) for c in (0, nf)]
         else:
-            self.y, self.y_diag = adm.y, adm.y.diagonal()
-            self.y_free = adm.y[self.sub]
-            self.jac = np.empty((nf, nf))
+            self.y = adm.y
+            self.y_free = adm.y[np.ix_(free, free)]
+            self.y_diag_free = adm.y.diagonal()[free]
 
-    def spec(self, injections: dict, width: int) -> list[np.ndarray]:
-        """``width`` spec vectors from node -> value(s); other nodes are zero."""
-        out = [np.zeros(len(self.nodes)) for _ in range(width)]
-        for node, values in injections.items():
-            k = self.index.get(node)
-            if k is None:
-                raise ValueError(f"injection at node {node} outside region {self.region_id}")
-            for vec, value in zip(out, values if width > 1 else (values,)):
-                vec[k] = value
-        return out
+    def solve_ac(self, spec: np.ndarray, v_ref: float):
+        """Stacked (K, 2, n) P and Q specs -> (K, 2, n) theta and V by node
+        index, and the PowerFlowDivergence of each trial whose mismatches
+        stay above ``_AC_TOL``, by its row."""
+        n, at_free, nf = len(self.nodes), self.at_free, self.free.size
+        x = np.zeros(spec.shape)
+        x[:, 1] = 1.0
+        x[:, 1, self.ref] = v_ref
+        nnz = self.ends.size // 2
+        # off the pattern the dense terms were 0 cos + 0 sin = +-0; the
+        # pattern's cells are rewritten every step, the others stay +0
+        a_all = np.zeros((len(spec), 2, n * n))
+        trig = np.empty((len(spec), 2, nnz))
 
-    def _step(self, jac: np.ndarray, rhs: np.ndarray, mism) -> np.ndarray:
+        def evaluate(xl, spec):
+            k, v = len(xl), xl[:, 1]
+            ends = xl[:, 0, self.ends]
+            dth, cs_sn = ends[:, :nnz] - ends[:, nnz:], trig[:k]
+            np.cos(dth, out=cs_sn[:, 0])
+            np.sin(dth, out=cs_sn[:, 1])
+            a = a_all[:k]
+            a.reshape(k, -1)[:, self.cells] = (self.gg * cs_sn
+                                               + self.bb * cs_sn[:, ::-1]).reshape(k, -1)
+            pq = v[:, None, :] * (a.reshape(k, 2, n, n) @ v[:, None, :, None])[..., 0]
+            d = (spec - pq)[:, :, at_free]
+            dmax = np.abs(d).max(axis=2)
+            # max(dp, dq) as the builtin takes it, a NaN included
+            mism = np.where(dmax[:, 1] > dmax[:, 0], dmax[:, 1], dmax[:, 0])
+
+            def system(keep):
+                vl, pl, al, dl = ((v, pq, a, d) if keep is None else
+                                  (v[keep], pq[keep], a[keep], d[keep]))
+                k = len(vl)
+                vf = vl[:, at_free]
+                vv = vf[:, :, None] * vf[:, None, :]
+                af = np.take(al, self.free_block, axis=2).reshape(k, 2, nf, nf)
+                jac = np.empty((k, 2, nf, 2, nf))     # C-ordered, as in solve_dc
+                np.multiply(vv, af[:, 1], out=jac[:, 0, :, 0])
+                np.multiply(-vv, af[:, 0], out=jac[:, 1, :, 0])
+                np.multiply(vf[:, None, :, None], af, out=jac[:, :, :, 1])
+                # the diagonals: as (-q - b v v, p / v + g v, p - g v v, q / v - b v)[free]
+                pf = pl[:, :, at_free]
+                pc, qc = pf.swapaxes(0, 1)
+                pv, qv = (pf / vf[:, None, :]).swapaxes(0, 1)
+                gv, bv = (self.gb_free * vf[:, None, :]).swapaxes(0, 1)
+                flat_jac = jac.reshape(k, -1)
+                for cut, value in zip(self.jac_diag, (-qc - bv * vf, pv + gv,
+                                                      pc - gv * vf, qv - bv)):
+                    flat_jac[:, cut] = value
+                return jac.reshape(k, 2 * nf, 2 * nf), dl.reshape(k, 2 * nf)
+
+            return mism, system
+
+        return x, self._iterate("AC", _AC_TOL, x, spec, evaluate)
+
+    def solve_dc(self, spec: np.ndarray, v_ref: float):
+        """Stacked (K, 1, n) specs -> (K, 1, n) V by node index with the
+        reference held at ``v_ref``, and each failed trial's
+        PowerFlowDivergence."""
+        at_free, y, nf = self.at_free, self.y, self.free.size
+        x = np.full(spec.shape, v_ref)
+
+        def evaluate(xl, spec):
+            v = xl[:, 0]
+            flows = np.matmul(y, v[:, :, None])[..., 0]
+            d = (spec[:, 0] - v * flows)[:, at_free]
+
+            def system(keep):
+                vl, fl, dl = (v, flows, d) if keep is None else (v[keep], flows[keep], d[keep])
+                vf = vl[:, at_free]
+                # a new C-ordered array, so that its flat reshape is a view the
+                # diagonal writes reach (a broadcast product may be laid out
+                # otherwise)
+                jac = np.empty((len(vl), nf, nf))
+                np.multiply(vf[:, :, None], self.y_free, out=jac)
+                jac.reshape(len(vl), -1)[:, ::nf + 1] = fl[:, at_free] + vf * self.y_diag_free
+                return jac, dl
+
+            return np.abs(d).max(axis=1), system
+
+        return x, self._iterate("DC", _DC_TOL, x, spec, evaluate)
+
+    def _iterate(self, kind: str, tol: float, x: np.ndarray, spec: np.ndarray,
+                 evaluate) -> dict[int, PowerFlowDivergence]:
+        """Newton's loop over stacked trials (module docstring), stepping the
+        free entries of ``x`` (K, w, n), whose last row is V.  ``evaluate(xl,
+        spec)`` gives the mismatches of the trials still iterating and a
+        function that gives the Jacobians and right-hand sides of a selection
+        of them (None: all).  A trial's row of ``x`` holds its state once it
+        converges."""
+        errors: dict[int, PowerFlowDivergence] = {}
+        if not self.free.size:
+            return errors
+        rows, xl, at_free = np.arange(len(x)), x, self.at_free
+
+        def fail(sel, message):
+            """Record the selected trials' failures; the others' selection."""
+            for row, mm in zip(rows[sel].tolist(), mism[sel].tolist()):
+                errors[row] = PowerFlowDivergence(message, mm)
+            return ~sel
+
+        for _ in range(_NEWTON_MAX_ITER):
+            if not rows.size:
+                return errors
+            mism, system = evaluate(xl, spec)
+            keep = None
+            done = mism < tol                   # a NaN mismatch steps on
+            converged = np.count_nonzero(done)
+            if converged:
+                if xl is not x:
+                    x[rows[done]] = xl[done]
+                if converged == len(done):
+                    return errors
+                keep = np.flatnonzero(~done)
+                rows, xl, spec, mism = rows[keep], xl[keep], spec[keep], mism[keep]
+            jac, rhs = system(keep)
+            try:
+                step = np.linalg.solve(jac, rhs[..., None])
+            except np.linalg.LinAlgError:
+                step, singular = _one_at_a_time(jac, rhs[..., None])
+                ok = fail(singular, f"singular Jacobian in region {self.region_id}")
+                rows, xl, spec, mism, step = rows[ok], xl[ok], spec[ok], mism[ok], step[ok]
+            xl[:, :, at_free] += step.reshape(len(xl), x.shape[1], self.free.size)
+            vl = xl[:, -1]
+            if vl.size and not 0.0 < vl.min() <= vl.max() < math.inf:    # false for a NaN
+                lo, hi = vl.min(axis=1), vl.max(axis=1)
+                ok = fail(~((0.0 < lo) & (lo <= hi) & (hi < math.inf)),
+                          f"{kind} region {self.region_id} diverged")
+                rows, xl, spec, mism = rows[ok], xl[ok], spec[ok], mism[ok]
+        fail(np.ones(len(rows), dtype=bool), f"{kind} region {self.region_id} did not "
+                                             f"converge in {_NEWTON_MAX_ITER} iterations")
+        return errors
+
+
+def _one_at_a_time(jac: np.ndarray, rhs: np.ndarray):
+    """Each system's ``np.linalg.solve`` alone: the steps and which systems
+    are singular."""
+    step, singular = np.zeros_like(rhs), np.zeros(len(jac), dtype=bool)
+    for k in range(len(jac)):
         try:
-            return np.linalg.solve(jac, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise PowerFlowDivergence(
-                f"singular Jacobian in region {self.region_id}", mism) from exc
-
-    def _check(self, v: np.ndarray, kind: str, mism) -> None:
-        if not 0.0 < v.min() <= v.max() < math.inf:     # false for a NaN too
-            raise PowerFlowDivergence(f"{kind} region {self.region_id} diverged", float(mism))
-
-    def _cap(self, kind: str, mism) -> PowerFlowDivergence:
-        return PowerFlowDivergence(f"{kind} region {self.region_id} did not converge in "
-                                   f"{_NEWTON_MAX_ITER} iterations", float(mism))
-
-    def solve_ac(self, p_spec: np.ndarray, q_spec: np.ndarray, v_ref: float):
-        """(V, theta) by node index; raises PowerFlowDivergence if mismatches
-        stay above ``_AC_TOL``."""
-        free, sub, diag, nf = self.free, self.sub, self.diag, self.free.size
-        g, b = self.g, self.b
-        # views made per call: a pickled copy of the grid keeps no views
-        jac = self.jac
-        j11, j12, j21, j22 = jac[:nf, :nf], jac[:nf, nf:], jac[nf:, :nf], jac[nf:, nf:]
-        v = np.full(len(self.nodes), 1.0)
-        v[self.ref] = v_ref
-        th = np.zeros(len(self.nodes))
-        if nf == 0:
-            return v, th
-
-        mism = np.inf
-        for _ in range(_NEWTON_MAX_ITER):
-            dth = th[:, None] - th[None, :]
-            cs, sn = np.cos(dth), np.sin(dth)
-            a1 = g * cs + b * sn
-            a2 = g * sn - b * cs
-            p_calc = v * (a1 @ v)
-            q_calc = v * (a2 @ v)
-            dp = (p_spec - p_calc)[free]
-            dq = (q_spec - q_calc)[free]
-            mism = max(np.abs(dp).max(), np.abs(dq).max())
-            if mism < _AC_TOL:
-                break
-
-            vf = v[free]
-            vv = np.outer(vf, vf)
-            a1f, a2f = a1[sub], a2[sub]
-            np.multiply(vv, a2f, out=j11)
-            j11[diag] = (-q_calc - self.b_diag * v * v)[free]
-            np.multiply(vf[:, None], a1f, out=j12)
-            j12[diag] = (p_calc / v + self.g_diag * v)[free]
-            np.multiply(-vv, a1f, out=j21)
-            j21[diag] = (p_calc - self.g_diag * v * v)[free]
-            np.multiply(vf[:, None], a2f, out=j22)
-            j22[diag] = (q_calc / v - self.b_diag * v)[free]
-            step = self._step(jac, np.concatenate([dp, dq]), mism)
-            th[free] += step[:nf]
-            v[free] += step[nf:]
-            self._check(v, "AC", mism)
-        else:
-            raise self._cap("AC", mism)
-        return v, th
-
-    def solve_dc(self, p_spec: np.ndarray, v_ref: float) -> np.ndarray:
-        """V by node index with the reference held at ``v_ref``."""
-        free, y = self.free, self.y
-        v = np.full(len(self.nodes), v_ref)
-        if free.size == 0:
-            return v
-
-        mism = np.inf
-        for _ in range(_NEWTON_MAX_ITER):
-            flows = y @ v
-            p_calc = v * flows
-            dp = (p_spec - p_calc)[free]
-            mism = np.abs(dp).max()
-            if mism < _DC_TOL:
-                break
-            np.multiply(v[free][:, None], self.y_free, out=self.jac)
-            self.jac[self.diag] = (flows + v * self.y_diag)[free]
-            v[free] += self._step(self.jac, dp, mism)
-            self._check(v, "DC", mism)
-        else:
-            raise self._cap("DC", mism)
-        return v
+            step[k] = np.linalg.solve(jac[k], rhs[k])
+        except np.linalg.LinAlgError:
+            singular[k] = True
+    return step, singular
 
 
 def _newton(grid: GridModel, region: Region, ref_node: int) -> _RegionNewton:
@@ -462,9 +556,11 @@ def _newton(grid: GridModel, region: Region, ref_node: int) -> _RegionNewton:
 # -- coupled solve ------------------------------------------------------------
 
 
-def _check_profile(grid: GridModel, profile: InjectionProfile) -> None:
-    held = {grid.slack}
-    held |= {c.dc_node for c in grid.converters if c.control.mode == MODE_DC_SLACK}
+def _check_profile(grid: GridModel, profile: InjectionProfile, plan: "_PowerFlowPlan") -> None:
+    if (profile.p.keys() | profile.q.keys()) <= plan.injectable and not (
+            profile.q.keys() & plan.dc_nodes):
+        return      # every named node may carry any injection
+    held = plan.held
     for node in set(profile.p) | set(profile.q):
         try:
             n = grid.node(node)
@@ -535,15 +631,23 @@ class _PowerFlowPlan:
                    + [("dc_flow", *ends, ln.g) for ln in grid.dc_lines
                       for ends in ((ln.from_node, ln.to_node), (ln.to_node, ln.from_node))]
                    + [_injection(grid, grid.slack, "p")])
-        self.labels = ([("v", n.id) for n in grid.nodes]
-                       + [("th", n.id) for n in grid.nodes if n.kind == AC])
-        index = {lab: k for k, lab in enumerate(self.labels)}
+        self.v_nodes = [n.id for n in grid.nodes]
+        self.th_nodes = [n.id for n in grid.nodes if n.kind == AC]
+        # the nodes that may carry a fixed injection, and the DC nodes, which
+        # carry no reactive one (``_check_profile``)
+        self.held = {grid.slack} | {c.dc_node for c in grid.converters
+                                    if c.control.mode == MODE_DC_SLACK}
+        self.injectable = {n.id for n in grid.nodes if n.id not in self.held
+                           and n.role not in (ROLE_JUNCTION, ROLE_CONVERTER_AUX)}
+        self.dc_nodes = {n.id for n in grid.nodes if n.kind == DC}
+        labels = [("v", n) for n in self.v_nodes] + [("th", n) for n in self.th_nodes]
+        index = {lab: k for k, lab in enumerate(labels)}
         self.injections = CompiledRows(index, [_injection(grid, *key) for key in self.audited])
         self.balance = CompiledRows(index, balance)
 
     def evaluate(self, rows: CompiledRows, st: SystemState) -> np.ndarray:
         """One of the audit row sets evaluated at a state."""
-        x = np.array([st.v[n] if tag == "v" else st.theta[n] for tag, n in self.labels])
+        x = np.array([st.v[n] for n in self.v_nodes] + [st.theta[n] for n in self.th_nodes])
         return rows.evaluate(x, with_jac=False)[0]
 
 
@@ -559,107 +663,172 @@ def _plan(grid: GridModel) -> _PowerFlowPlan:
 
 
 def solve_powerflow(grid: GridModel, profile: InjectionProfile) -> PowerFlowResult:
-    """Alternating AC/DC solve with converter loss propagation.
+    """Alternating AC/DC solve with converter loss propagation: the block of
+    one of ``solve_powerflows``.
 
     Converges when every converter satisfies the power balance
     |p_vsc + loss - p_djc| <= ``_COUPLING_TOL`` against the latest regional
-    solutions.
+    solutions; raises the PowerFlowError of its solve otherwise.
     """
-    _check_profile(grid, profile)
-    plan = _plan(grid)
-    p_base = {nw.region_id: np.array([profile.p_at(n) for n in nw.nodes])
-              for nw, *_ in plan.ac + plan.dc}
-    q_base = {nw.region_id: np.array([profile.q_at(n) for n in nw.nodes])
-              for nw, _ in plan.ac}
+    result = solve_powerflows(grid, [profile])[0]
+    if isinstance(result, PowerFlowError):
+        raise result
+    return result
 
-    # mutable converter boundary estimates
-    p_vsc = {c.id: (c.control.p_set if c.control.mode == MODE_PQ else 0.0)
-             for c in grid.converters}
-    q_vsc = {c.id: c.control.q_set for c in grid.converters}
-    v_c = {c.id: 1.0 for c in grid.converters}
-    loss = {c.id: 0.0 for c in grid.converters}
-    p_djc = {c.id: 0.0 for c in grid.converters}
 
-    ac_states: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    dc_states: dict[int, np.ndarray] = {}
-    coupling = math.inf
+class _Trial:
+    """One profile's converter boundary estimates and regional states through
+    the alternating passes."""
 
-    def coupling_flow(conv):
+    def __init__(self, grid: GridModel, row: int, profile: InjectionProfile):
+        self.row, self.profile = row, profile
+        self.p_vsc = {c.id: (c.control.p_set if c.control.mode == MODE_PQ else 0.0)
+                      for c in grid.converters}
+        self.q_vsc = {c.id: c.control.q_set for c in grid.converters}
+        self.v_c = {c.id: 1.0 for c in grid.converters}
+        self.loss = {c.id: 0.0 for c in grid.converters}
+        self.p_djc = {c.id: 0.0 for c in grid.converters}
+        self.ac: dict[int, tuple[np.ndarray, np.ndarray]] = {}    # region -> (V, theta)
+        self.dc: dict[int, list[float]] = {}        # region -> V
+        self.dc_spec: dict[int, bytes] = {}         # region -> the spec V solves
+        self.flows: list[tuple[float, float, float]] = []     # coupling_flow by converter
+        self.coupling = math.inf
+
+    def coupling_flow(self, plan: "_PowerFlowPlan", conv) -> tuple[float, float, float]:
         """The aux -> ac coupling-branch flow (P, Q) and the aux voltage."""
         rid, a, i, _ = plan.couplings[conv.id]
-        v, th = ac_states[rid]
+        v, th = self.ac[rid]
         vc = float(v[a])
         p_ci, q_ci = ac_branch_flow(vc, float(th[a]), float(v[i]), float(th[i]),
                                     conv.coupling_r, conv.coupling_x)
         return p_ci, q_ci, vc
 
+
+def solve_powerflows(grid: GridModel, profiles: list[InjectionProfile]
+                     ) -> list[PowerFlowResult | PowerFlowError]:
+    """``solve_powerflow`` of each profile as one stacked solve (module
+    docstring): each entry is the profile's result, or the PowerFlowError
+    its solve raises.  Each trial keeps its own outer and Newton iteration
+    counts; only trials still iterating are carried."""
+    if not profiles:
+        return []
+    plan = _plan(grid)
+    for profile in profiles:
+        _check_profile(grid, profile, plan)
+    # each region's specs by profile: (K, 2, n) P and Q for AC, (K, 1, n) P for DC
+    base = {nw.region_id: np.array([[[prof.p_at(n) for n in nw.nodes]] for prof in profiles])
+            for nw, *_ in plan.dc}
+    base.update({nw.region_id: np.array([[[prof.p_at(n) for n in nw.nodes],
+                                          [prof.q_at(n) for n in nw.nodes]]
+                                         for prof in profiles]) for nw, _ in plan.ac})
+    out: list = [None] * len(profiles)
+    live = [_Trial(grid, row, prof) for row, prof in enumerate(profiles)]
+
+    def solved(trials, errors):
+        """The trials whose regional solve succeeded; each failure is its
+        trial's outcome."""
+        for j, exc in errors.items():
+            out[trials[j].row] = exc
+        return [t for j, t in enumerate(trials) if j not in errors] if errors else trials
+
     for outer in range(1, _MAX_OUTER + 1):
         # AC pass
         for newton, feeds in plan.ac:
-            p_spec, q_spec = p_base[newton.region_id].copy(), q_base[newton.region_id].copy()
-            for cid, k in feeds:
-                p_spec[k], q_spec[k] = p_vsc[cid], q_vsc[cid]
-            ac_states[newton.region_id] = newton.solve_ac(p_spec, q_spec, 1.0)
+            rid = newton.region_id
+            spec = base[rid][[t.row for t in live]]
+            for j, t in enumerate(live):
+                for cid, k in feeds:
+                    spec[j, :, k] = t.p_vsc[cid], t.q_vsc[cid]
+            x, errors = newton.solve_ac(spec, 1.0)
+            for t, (th, v) in zip(live, x):
+                t.ac[rid] = (v, th)
+            live = solved(live, errors)
 
-        for conv in grid.converters:
-            p_ci, q_ci, vc = coupling_flow(conv)
-            v_c[conv.id] = vc
-            if plan.couplings[conv.id][3]:
-                p_vsc[conv.id], q_vsc[conv.id] = p_ci, q_ci
-            loss[conv.id], _ = converter_loss(p_vsc[conv.id], q_vsc[conv.id],
-                                              vc, (conv.d1, conv.d2, conv.d3))
-            if conv.control.mode == MODE_PQ:
-                p_djc[conv.id] = p_vsc[conv.id] + loss[conv.id]
+        for t in live:
+            # the coupling flows at this pass's AC states, which the DC pass
+            # leaves as they are: the residual below reads them too
+            t.flows = [t.coupling_flow(plan, conv) for conv in grid.converters]
+            for conv, (p_ci, q_ci, vc) in zip(grid.converters, t.flows):
+                t.v_c[conv.id] = vc
+                if plan.couplings[conv.id][3]:
+                    t.p_vsc[conv.id], t.q_vsc[conv.id] = p_ci, q_ci
+                t.loss[conv.id], _ = converter_loss(t.p_vsc[conv.id], t.q_vsc[conv.id],
+                                                    vc, (conv.d1, conv.d2, conv.d3))
+                if conv.control.mode == MODE_PQ:
+                    t.p_djc[conv.id] = t.p_vsc[conv.id] + t.loss[conv.id]
 
         # DC pass
         for newton, ref_conv, draws, lines in plan.dc:
-            p_spec = p_base[newton.region_id].copy()
-            for cid, k in draws:
-                p_spec[k] = p_spec[k] - p_djc[cid]
-            sol = newton.solve_dc(p_spec, ref_conv.control.v_dc_set).tolist()
-            dc_states[newton.region_id] = sol
-            # balance at the held terminal fixes the converter draw
-            v_ref = sol[newton.ref]
-            flow_sum = sum(dc_branch_flow(v_ref, sol[other], g) for other, g in lines)
-            p_djc[ref_conv.id] = profile.p_at(ref_conv.dc_node) - flow_sum
-            p = p_djc[ref_conv.id] - loss[ref_conv.id]
-            for _ in range(20):
-                new_loss, _ = converter_loss(p, q_vsc[ref_conv.id], v_c[ref_conv.id],
-                                             (ref_conv.d1, ref_conv.d2, ref_conv.d3))
-                p, p_old = p_djc[ref_conv.id] - new_loss, p
-                if abs(p - p_old) < 1e-14:
-                    break
-            p_vsc[ref_conv.id] = p
-            loss[ref_conv.id], _ = converter_loss(p, q_vsc[ref_conv.id], v_c[ref_conv.id],
-                                                  (ref_conv.d1, ref_conv.d2, ref_conv.d3))
+            rid = newton.region_id
+            spec = base[rid][[t.row for t in live]]
+            for j, t in enumerate(live):
+                for cid, k in draws:
+                    spec[j, 0, k] = spec[j, 0, k] - t.p_djc[cid]
+            # a trial whose spec has the bits of its last pass keeps that
+            # pass's solution (module docstring)
+            keys = [row.tobytes() for row in spec]
+            stale = [j for j, t in enumerate(live) if t.dc_spec.get(rid) != keys[j]]
+            if stale:
+                x, errors = newton.solve_dc(spec[stale], ref_conv.control.v_dc_set)
+                for j, sol in zip(stale, x[:, 0].tolist()):
+                    live[j].dc[rid], live[j].dc_spec[rid] = sol, keys[j]
+                live = solved(live, {stale[j]: exc for j, exc in errors.items()})
+            coeffs = (ref_conv.d1, ref_conv.d2, ref_conv.d3)
+            for t in live:
+                sol = t.dc[rid]
+                # balance at the held terminal fixes the converter draw
+                v_ref = sol[newton.ref]
+                flow_sum = sum(dc_branch_flow(v_ref, sol[other], g) for other, g in lines)
+                p_djc = t.p_djc[ref_conv.id] = t.profile.p_at(ref_conv.dc_node) - flow_sum
+                p = p_djc - t.loss[ref_conv.id]
+                q, vc = t.q_vsc[ref_conv.id], t.v_c[ref_conv.id]
+                for _ in range(20):
+                    new_loss, _ = converter_loss(p, q, vc, coeffs)
+                    p, p_old = p_djc - new_loss, p
+                    if abs(p - p_old) < 1e-14:
+                        break
+                t.p_vsc[ref_conv.id] = p
+                t.loss[ref_conv.id], _ = converter_loss(p, q, vc, coeffs)
 
         # coupling residual and converter solutions at the latest AC solution
-        coupling = 0.0
-        converters: dict[int, ConverterSolution] = {}
-        for conv in grid.converters:
-            p_ci, q_ci, vc = coupling_flow(conv)
-            l, i_c = converter_loss(p_ci, q_ci, vc, (conv.d1, conv.d2, conv.d3))
-            coupling = max(coupling, abs(p_ci + l - p_djc[conv.id]))
-            converters[conv.id] = ConverterSolution(p_vsc=p_ci, q_vsc=q_ci, p_loss=l,
-                                                    i_c=i_c, v_c=vc, p_djc=p_djc[conv.id])
-        if coupling <= _COUPLING_TOL:
+        going = []
+        for t in live:
+            coupling = 0.0
+            converters: dict[int, ConverterSolution] = {}
+            for conv, (p_ci, q_ci, vc) in zip(grid.converters, t.flows):
+                l, i_c = converter_loss(p_ci, q_ci, vc, (conv.d1, conv.d2, conv.d3))
+                coupling = max(coupling, abs(p_ci + l - t.p_djc[conv.id]))
+                converters[conv.id] = ConverterSolution(p_vsc=p_ci, q_vsc=q_ci, p_loss=l,
+                                                        i_c=i_c, v_c=vc,
+                                                        p_djc=t.p_djc[conv.id])
+            if coupling <= _COUPLING_TOL:
+                out[t.row] = _result(grid, plan, t, converters, outer, coupling)
+            else:
+                t.coupling = coupling
+                going.append(t)
+        live = going
+        if not live:
             break
-    else:
-        raise PowerFlowDivergence(
-            f"outer AC/DC loop did not converge in {_MAX_OUTER} iterations", coupling)
+    for t in live:
+        out[t.row] = PowerFlowDivergence(
+            f"outer AC/DC loop did not converge in {_MAX_OUTER} iterations", t.coupling)
+    return out
 
+
+def _result(grid: GridModel, plan: _PowerFlowPlan, t: _Trial,
+            converters: dict[int, ConverterSolution], outer: int,
+            coupling: float) -> PowerFlowResult:
     v: dict[int, float] = {}
     theta: dict[int, float] = {}
     for newton, _ in plan.ac:
-        vv, th = ac_states[newton.region_id]
+        vv, th = t.ac[newton.region_id]
         v.update(zip(newton.nodes, vv.tolist()))
         theta.update(zip(newton.nodes, th.tolist()))
     for newton, *_ in plan.dc:
-        v.update(zip(newton.nodes, dc_states[newton.region_id]))
-
+        v.update(zip(newton.nodes, t.dc[newton.region_id]))
     state = SystemState(v=v, theta=theta)
     return PowerFlowResult(state=state, converters=converters, outer_iterations=outer,
-                           max_mismatch=mismatch_residual(grid, profile, state, converters),
+                           max_mismatch=mismatch_residual(grid, t.profile, state, converters),
                            coupling_residual=coupling)
 
 

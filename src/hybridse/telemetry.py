@@ -31,10 +31,14 @@ order, their specs as ``CompiledRows`` over V per node, theta per AC node and
 the converter draws the rows read, and their accuracies.  A call gathers that
 vector from the state, evaluates every true value at once, sets every sigma
 = max(pct/3 |value|, floor) elementwise and draws the noise of the readings
-with pct > 0 in one ``rng.normal(0.0, sigmas)`` call.  The generator draws
-an array elementwise in order, so each reading gets the draw that one
-``rng.normal(0.0, sigma)`` call per reading, in emission order, would give
-it, and the generator ends where those calls leave it.
+with pct > 0 as ``0.0 + sigma * z``, ``z`` one ``rng.standard_normal`` call
+of their count.  ``rng.normal(0.0, sigma)`` computes exactly that from the
+same standard normal and leaves the generator at the same point, and the
+generator draws an array elementwise in order, so each reading gets the
+draw that one ``rng.normal(0.0, sigma)`` call per reading, in emission
+order, would give it, and the generator ends where those calls leave it.
+The training set (``injection.pipeline``) draws ``z`` before it solves the
+power flow, and reads the same values through ``readings``.
 """
 
 from __future__ import annotations
@@ -577,16 +581,24 @@ class _SynthesisPlan:
         pct = np.array([r[4] for r in readings], dtype=float)
         self.pct3 = pct / 3.0
         self.noisy = pct > 0
+        self.n_noisy = int(np.count_nonzero(self.noisy))
         self.floor = schedule.sigma_floor
 
-    def measurements(self, state: SystemState, t: float,
-                     rng: np.random.Generator) -> list[Measurement]:
+    def readings(self, state: SystemState, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every reading's value and sigma at a state, each noisy reading
+        moved by ``0.0 + sigma * z`` with its entry of the ``n_noisy``
+        standard normals ``z`` (module docstring)."""
         x = np.array([state.v[n] for n in self.v_nodes]
                      + [state.theta[n] for n in self.th_nodes]
                      + [_draw(conv, state) for conv in self.draws], dtype=float)
         value = self.rows.evaluate(x, with_jac=False)[0]
         sigma = np.maximum(self.pct3 * np.abs(value), self.floor)
-        value[self.noisy] += rng.normal(0.0, sigma[self.noisy])
+        value[self.noisy] += 0.0 + sigma[self.noisy] * z
+        return value, sigma
+
+    def measurements(self, state: SystemState, t: float,
+                     rng: np.random.Generator) -> list[Measurement]:
+        value, sigma = self.readings(state, rng.standard_normal(self.n_noisy))
         out = [Measurement(kind, loc, d, v, s, src, t)
                for (kind, loc, d, src), v, s in zip(self.keys, value.tolist(), sigma.tolist())]
         out += [Measurement(kind, (node,), "", 0.0, 0.0, SOURCE_VIRTUAL_ZERO, t)
@@ -615,10 +627,14 @@ def simulate_measurements(grid: GridModel, state: SystemState,
     sigma = pct/3 * |true value|, floored at ``sigma_floor``.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    return MeasurementSet(synthesis_plan(grid, schedule, t).measurements(state, t, rng))
+
+
+def synthesis_plan(grid: GridModel, schedule: ScheduleConfig, t: float) -> _SynthesisPlan:
+    """The kept synthesis plan of the readings visible at time ``t``."""
     ticks = ((t % schedule.scada_period) == 0, (t % schedule.smart_meter_period) == 0)
-    plan = grid.memo(("synthesis", schedule, *ticks),
+    return grid.memo(("synthesis", schedule, *ticks),
                      lambda: _SynthesisPlan(grid, schedule, *ticks))
-    return MeasurementSet(plan.measurements(state, t, rng))
 
 
 # -- bad data -------------------------------------------------------------------

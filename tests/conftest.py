@@ -4,12 +4,7 @@ import pytest
 
 from hybridse import data
 from hybridse.grid import grid_from_dict, load_grid, serialize
-from hybridse.powerflow import InjectionProfile, load_profile
-
-import oracle
-
-# tests scale a profile as ``profile.scaled(factor)``; the program never does
-InjectionProfile.scaled = oracle.scaled_profile
+from hybridse.powerflow import load_profile
 
 
 @pytest.fixture(scope="session")

@@ -9,9 +9,12 @@ from hybridse.injection import (GmmModel, ProfileParams, TrainingError,
                                 fit_gmm, fit_injection_gmms, gen_load_profiles,
                                 init_model, loss_and_grads, sample_injections,
                                 scada_vector, train_injection_model, train_mlp)
+from hybridse.injection import pipeline
 from hybridse.injection.pipeline import _RHO
+from hybridse.powerflow import PowerFlowError
 from hybridse.telemetry import ScheduleConfig
 
+import oracle
 from oracle import (analytic_mean, fit_gmm_broadcast, profile_from_components,
                     sample_injections_per_node)
 
@@ -203,6 +206,72 @@ class TestTrainingSet:
         assert ts.dropped / 400 < 0.01
 
 
+def _swollen(grid, loads, factor):
+    """case33's mixtures with their means and spreads scaled by ``factor``,
+    so that some scenarios leave the feasible region."""
+    gmms = fit_injection_gmms(grid, gen_load_profiles(grid, days=5, seed=31, base=loads),
+                              seed=31)
+    return {n: GmmModel(g.weights, g.means * factor, g.variances * factor * factor)
+            for n, g in gmms.items()}
+
+
+class TestTrainingSetBlocks:
+    """The trials run a block at a time through one stacked power flow; z, y
+    and the dropped count are those of the trial-by-trial loop, bit for bit,
+    also where trials diverge and the generator is set back."""
+
+    def test_normal_is_zero_plus_scaled_standard_normal(self):
+        # the premise of drawing the noise before the flow is solved
+        for seed in range(200):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            sigma = np.abs(a.normal(size=40)) * 0.01 + 1e-4
+            b.normal(size=40)
+            assert (a.normal(0.0, sigma).tobytes()
+                    == (0.0 + sigma * b.standard_normal(40)).tobytes())
+            assert a.random() == b.random()
+
+    @pytest.mark.parametrize("factor, block, dropped", [
+        (1.0, 7, 0), (5.0, 7, 6), (5.0, 32, 6), (5.5, 1, 12), (5.5, 13, 12)])
+    def test_matches_the_trial_by_trial_loop(self, case33, case33_loads, monkeypatch,
+                                             factor, block, dropped):
+        gmms = _swollen(case33, case33_loads, factor)
+        monkeypatch.setattr(pipeline, "_BLOCK", block)
+        ts = build_training_set(case33, gmms, 60, CASE33_SCHED, seed=3)
+        z, y, ref_dropped = oracle.build_training_set(case33, gmms, 60, CASE33_SCHED, seed=3)
+        assert ts.dropped == ref_dropped == dropped
+        assert ts.z.tobytes() == z.tobytes() and ts.y.tobytes() == y.tobytes()
+        assert ts.z.shape == (60 - dropped, len(ts.channels))
+
+    def test_abort_fires_at_the_same_trial(self, case33, case33_loads, monkeypatch):
+        gmms = _swollen(case33, case33_loads, 6.0)
+        drawn = []
+        sample = oracle.sample_injections
+        monkeypatch.setattr(oracle, "sample_injections",
+                            lambda *args: drawn.append(sample(*args)) or drawn[-1])
+        with pytest.raises(RuntimeError) as expected:
+            oracle.build_training_set(case33, gmms, 60, CASE33_SCHED, seed=3)
+
+        # the trials the block path reads: each block up to its first failure
+        read = []
+        solve = pipeline.solve_powerflows
+
+        def spy(grid, profiles):
+            results = solve(grid, profiles)
+            for prof, res in zip(profiles, results):
+                read.append(prof)
+                if isinstance(res, PowerFlowError):
+                    break
+            return results
+
+        monkeypatch.setattr(pipeline, "solve_powerflows", spy)
+        monkeypatch.setattr(pipeline, "_BLOCK", 7)
+        with pytest.raises(RuntimeError) as got:
+            build_training_set(case33, gmms, 60, CASE33_SCHED, seed=3)
+        assert str(got.value) == str(expected.value) == (
+            "13 of 60 trials diverged; injection mixtures are inconsistent with grid capacity")
+        assert read == drawn
+
+
 class TestMlp:
     def test_learns_linear_map(self):
         rng = np.random.default_rng(0)
@@ -248,6 +317,25 @@ class TestMlp:
         m2, _ = train_mlp(x, y, hidden=[8], epochs=50, seed=7)
         for w1, w2 in zip(m1.weights, m2.weights):
             assert np.array_equal(w1, w2)
+
+    def test_flat_buffers_match_the_per_layer_loop(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(300, 5))
+        y = np.tanh(x @ rng.normal(size=(5, 3)))
+        model, _ = train_mlp(x, y, hidden=[8, 8], epochs=20, seed=4)
+        ref = oracle.train_mlp_per_layer(x, y, hidden=[8, 8], epochs=20, seed=4)
+        for got, want in zip(model.weights + model.biases, ref.weights + ref.biases):
+            assert got.tobytes() == want.tobytes()
+
+    def test_gradients_match_per_layer_arrays(self):
+        rng = np.random.default_rng(12)
+        model = init_model(4, [6, 5], 2, rng)
+        model.weights[-1] = rng.normal(size=model.weights[-1].shape)
+        x, y = rng.normal(size=(9, 4)), rng.normal(size=(9, 2))
+        _, gw, gb = loss_and_grads(model, x, y)
+        ref_w, ref_b = oracle.layer_grads(model, x, y)
+        for got, want in zip(gw + gb, ref_w + ref_b):
+            assert got.tobytes() == want.tobytes()
 
     def test_nonfinite_loss_reported(self):
         x = np.array([[1.0], [2.0]])

@@ -7,12 +7,13 @@ import pytest
 
 from hybridse import data, powerflow
 from hybridse.grid import MODE_PQ, grid_from_dict, load_grid, serialize
-from hybridse.powerflow import (InjectionProfile, PowerFlowDivergence, ac_branch_flow,
-                                conservation_residual, converter_loss, dc_branch_flow,
-                                solve_powerflow)
+from hybridse.injection import gen_load_profiles
+from hybridse.powerflow import (InjectionProfile, PowerFlowDivergence, PowerFlowError,
+                                ac_branch_flow, conservation_residual, converter_loss,
+                                dc_branch_flow, solve_powerflow)
 
 import oracle
-from oracle import solve_ac_region, solve_dc_region
+from oracle import scaled_profile, solve_ac_region, solve_dc_region
 
 D = (0.011, 0.003, 0.004)
 
@@ -135,7 +136,7 @@ class TestPqConverter:
         pq = toy5_pq.converter(1)
         assert pq.control.mode == MODE_PQ
         for scale in SCALES[::5]:
-            profile = toy5_loads.scaled(scale)
+            profile = scaled_profile(toy5_loads, scale)
             res = solve_powerflow(toy5_pq, profile)
             assert res.outer_iterations <= 5
             assert res.max_mismatch <= 1e-8
@@ -155,7 +156,7 @@ def test_audits_match_the_scalar_oracle(name, request):
     grid = request.getfixturevalue(name)
     loads = request.getfixturevalue("case33_loads" if name == "case33" else "toy5_loads")
     for scale in SCALES:
-        profile = loads.scaled(scale)
+        profile = scaled_profile(loads, scale)
         res = solve_powerflow(grid, profile)
         assert res.max_mismatch == oracle.mismatch_residual(grid, profile, res.state,
                                                             res.converters)
@@ -175,7 +176,7 @@ def test_audit_rows_compiled_once_per_grid(toy5_loads, monkeypatch):
     monkeypatch.setattr(powerflow, "CompiledRows", counted)
     grid = load_grid(data.path(data.TOY5_HYBRID))
     for scale in (0.5, 0.8, 1.0, 1.1, 0.5):
-        profile = toy5_loads.scaled(scale)
+        profile = scaled_profile(toy5_loads, scale)
         conservation_residual(grid, profile, solve_powerflow(grid, profile))
     assert len(compiles) == 2
 
@@ -265,3 +266,109 @@ def test_compiled_grid_survives_pickling(case33, case33_loads):
     assert again.state == res.state and again.converters == res.converters
     assert simulate_measurements(copy, res.state, ScheduleConfig(), t=3600.0,
                                  seed=3).measurements == ms.measurements
+
+
+class TestStackedPowerFlow:
+    """``solve_powerflows`` solves a block of profiles as one stacked solve:
+    every profile gives the bits of the per-profile oracle, or its exception
+    with the same message and mismatch."""
+
+    OVERLOADS = (2.5, 6.0, 40.0)     # base-profile scalings past the feasible region
+    # toy5: a singular DC Jacobian, DC and AC steps to a nonpositive voltage,
+    # and DC and AC solves that reach the iteration cap
+    TOY5_FAILURES = ({5: -5.0}, {5: -20.0}, {5: -2.51}, {2: -100.0}, {2: -16.0})
+
+    @staticmethod
+    def _outcome(solve, grid, profile):
+        try:
+            res = solve(grid, profile)
+        except PowerFlowError as exc:
+            return type(exc), str(exc), exc.max_mismatch
+        return _result_key(res)
+
+    @pytest.mark.parametrize("name", ["case33", "toy5", "toy5_pq", "toy5_pq_mid"])
+    def test_block_matches_the_per_profile_oracle(self, name, request):
+        if name == "toy5_pq_mid":
+            # both references between other nodes, so their free indices are
+            # no single run
+            grid, loads = _relabelled(request.getfixturevalue("toy5_pq"),
+                                      request.getfixturevalue("toy5_loads"),
+                                      {1: 2, 2: 1, 4: 5, 5: 4})
+            assert [nw.ref for nw, *_ in powerflow._plan(grid).ac + powerflow._plan(grid).dc] \
+                == [1, 1]
+        else:
+            grid = request.getfixturevalue(name)
+            loads = request.getfixturevalue("case33_loads" if name == "case33" else "toy5_loads")
+        series = gen_load_profiles(grid, days=3, seed=1707, base=loads)
+        rng = np.random.default_rng(1707)
+        profiles = [series.sample_tick(rng)[1] for _ in range(16)]
+        profiles += [scaled_profile(loads, f) for f in self.OVERLOADS]
+        if name == "toy5":
+            profiles += [InjectionProfile(p=dict(p)) for p in self.TOY5_FAILURES]
+        # interleave, so that failures sit between trials that go on
+        profiles = [profiles[i] for i in np.random.default_rng(3).permutation(len(profiles))]
+
+        results = powerflow.solve_powerflows(grid, profiles)
+        assert len(results) == len(profiles)
+        for prof, res in zip(profiles, results):
+            got = ((type(res), str(res), res.max_mismatch) if isinstance(res, PowerFlowError)
+                   else _result_key(res))
+            assert got == self._outcome(oracle.solve_powerflow, grid, prof)
+        failures = {str(r).split(" (")[0] for r in results if isinstance(r, PowerFlowError)}
+        if name == "toy5":
+            assert failures == {"singular Jacobian in region 1", "DC region 1 diverged",
+                                "DC region 1 did not converge in 30 iterations",
+                                "AC region 0 diverged",
+                                "AC region 0 did not converge in 30 iterations"}
+
+    def test_block_of_one_is_solve_powerflow(self, toy5, toy5_loads):
+        for profile in (toy5_loads, InjectionProfile(p={5: -5.0})):
+            assert (self._outcome(solve_powerflow, toy5, profile)
+                    == self._outcome(oracle.solve_powerflow, toy5, profile))
+
+    def test_regional_block_matches_the_oracle(self, case33):
+        # the AC region alone: trials leave the stack at different steps,
+        # the ones that fail with their own message and mismatch
+        plan = powerflow._plan(case33)
+        newton = plan.ac[0][0]
+        rng = np.random.default_rng(8)
+        spec = rng.uniform(-0.015, 0.0, size=(24, 2, len(newton.nodes))) * rng.uniform(
+            0.0, 5.0, size=(24, 1, 1))
+        spec[:, :, newton.ref] = 0.0
+        x, errors = newton.solve_ac(spec.copy(), 1.0)
+        assert {str(exc).split(" (")[0] for exc in errors.values()} == {
+            "AC region 0 diverged", "AC region 0 did not converge in 30 iterations"}
+        assert len(errors) < len(spec)
+        for k in range(len(spec)):
+            try:
+                v, th = oracle.newton_ac(case33, newton, spec[k, 0], spec[k, 1], 1.0)
+            except PowerFlowDivergence as exc:
+                assert (str(errors[k]), errors[k].max_mismatch) == (str(exc), exc.max_mismatch)
+                continue
+            assert k not in errors
+            assert x[k, 0].tobytes() == th.tobytes() and x[k, 1].tobytes() == v.tobytes()
+
+
+def _result_key(res):
+    st = res.state
+    return (np.array(list(st.v.items())).tobytes(), np.array(list(st.theta.items())).tobytes(),
+            res.converters, res.outer_iterations, res.max_mismatch, res.coupling_residual)
+
+
+def _relabelled(grid, profile, mapping):
+    """The grid and profile with node ids swapped as ``mapping`` says."""
+    doc = json.loads(serialize(grid))
+    swap = lambda node: mapping.get(node, node)   # noqa: E731
+    for line in doc["ac_lines"] + doc["dc_lines"]:
+        line["from"], line["to"] = swap(line["from"]), swap(line["to"])
+    for conv in doc["converters"]:
+        for key in ("ac_node", "aux_node", "dc_node"):
+            conv[key] = swap(conv[key])
+    for node in doc["nodes"]:
+        node["id"] = swap(node["id"])
+    for region in doc["regions"]:
+        region["nodes"] = [swap(n) for n in region["nodes"]]
+    doc["slack"] = swap(doc["slack"])
+    return grid_from_dict(doc), InjectionProfile(
+        p={swap(n): v for n, v in profile.p.items()},
+        q={swap(n): v for n, v in profile.q.items()})

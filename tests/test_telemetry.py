@@ -18,7 +18,7 @@ from hybridse.telemetry import (SOURCE_VIRTUAL_ZERO, Measurement, MeasurementKin
                                 simulate_measurements)
 
 from oracle import (ac_branch_flow_partials, eval_h_nonlinear, noisy, reading_pct,
-                    solve_ac_region, truth_vector)
+                    scaled_profile, solve_ac_region, truth_vector)
 
 CASE33_SCADA_LINES = ((1, 2), (2, 19), (3, 23), (6, 26))
 
@@ -328,7 +328,7 @@ class TestFirstOrderValidity:
     def test_branch_error_bound_near_flat(self, case33, case33_loads):
         # power-flow states inside |V-1|<=0.03, |dth|<=0.05 rad
         for scale in (0.1, 0.2, 0.33):
-            res = solve_powerflow(case33, case33_loads.scaled(scale))
+            res = solve_powerflow(case33, scaled_profile(case33_loads, scale))
             st = res.state
             assert max(abs(v - 1.0) for v in st.v.values()) <= 0.03
             for ln in case33.ac_lines:

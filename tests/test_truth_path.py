@@ -24,6 +24,8 @@ from hybridse.injection.pipeline import build_training_set
 from hybridse.powerflow import PowerFlowError, load_profile, solve_powerflow
 from hybridse.telemetry import ScheduleConfig, simulate_measurements
 
+from oracle import scaled_profile
+
 FOUR_LINES = ScheduleConfig(scada_ac_branches=((1, 2), (2, 19), (3, 23), (6, 26)))
 GRIDS = {"case33": (data.CASE33_HYBRID, data.CASE33_HYBRID_LOADS),
          "toy5": (data.TOY5_HYBRID, data.TOY5_HYBRID_LOADS)}
@@ -70,7 +72,7 @@ def _profiles(name, count=25):
     series = gen_load_profiles(grid, days=3, seed=1707, base=loads)
     rng = np.random.default_rng(1707)
     return grid, ([series.sample_tick(rng)[1] for _ in range(count)]
-                  + [loads.scaled(f) for f in OVERLOADS])
+                  + [scaled_profile(loads, f) for f in OVERLOADS])
 
 
 def _add_powerflow(d, res) -> None:
