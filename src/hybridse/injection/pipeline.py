@@ -29,11 +29,11 @@ import numpy as np
 # perfbench's trace targets
 from ..estimation import lnr_substitute, lnr_test  # noqa: F401
 from ..grid import AC, GridModel
-from ..powerflow import (InjectionProfile, PowerFlowError, SystemState,  # noqa: F401
+from ..powerflow import (InjectionProfile, PowerFlowError,  # noqa: F401
                          solve_powerflow, solve_powerflows)
 from ..telemetry import (Measurement, MeasurementKind, MeasurementSet,
                          ScheduleConfig, SOURCE_DNN, SOURCE_PSEUDO, SOURCE_SCADA,
-                         build_region_H, simulate_measurements, synthesis_plan)
+                         build_region_H, synthesis_plan)
 from .gmm import GmmModel, fit_gmm
 from .mlp import MlpModel, TrainReport, train_mlp
 from .profiles import LoadProfiles
@@ -50,38 +50,32 @@ _BLOCK = 16                 # Monte-Carlo trials solved as one stacked power flo
 def scada_channels(grid: GridModel, schedule: ScheduleConfig) -> list[str]:
     """Channel keys of the SCADA readings, in the order telemetry synthesis
     emits them."""
-    ms = simulate_measurements(grid, SystemState.flat(grid), schedule,
-                               t=schedule.scada_period)
-    return [_channel_of(m) for m in ms if m.source == SOURCE_SCADA]
+    keys = synthesis_plan(grid, schedule, schedule.scada_period).keys
+    return [_channel_of(kind, loc, d) for kind, loc, d, src in keys if src == SOURCE_SCADA]
 
 
-def _channel_of(m: Measurement) -> str | None:
-    k = m.kind
+def _channel_of(k: MeasurementKind, location: tuple, direction: str) -> str | None:
+    """The SCADA channel of a reading's (kind, location, direction)."""
     if k is MeasurementKind.AC_V_MAG:
-        return f"vmag_ac:{m.location[0]}"
+        return f"vmag_ac:{location[0]}"
     if k is MeasurementKind.DC_V_MAG:
-        return f"vmag_dc:{m.location[0]}"
+        return f"vmag_dc:{location[0]}"
     if k is MeasurementKind.AC_P_FLOW:
-        return f"pflow_ac:{m.location[0]}-{m.location[1]}"
+        return f"pflow_ac:{location[0]}-{location[1]}"
     if k is MeasurementKind.AC_Q_FLOW:
-        return f"qflow_ac:{m.location[0]}-{m.location[1]}"
+        return f"qflow_ac:{location[0]}-{location[1]}"
     if k is MeasurementKind.DC_P_FLOW:
-        return f"pflow_dc:{m.location[0]}-{m.location[1]}"
-    if k is MeasurementKind.CONV_P and m.direction == "ac":
-        return f"convp:{m.location[0]}"
-    if k is MeasurementKind.CONV_Q and m.direction == "ac":
-        return f"convq:{m.location[0]}"
+        return f"pflow_dc:{location[0]}-{location[1]}"
+    if k is MeasurementKind.CONV_P and direction == "ac":
+        return f"convp:{location[0]}"
+    if k is MeasurementKind.CONV_Q and direction == "ac":
+        return f"convq:{location[0]}"
     return None
 
 
 def scada_vector(ms: MeasurementSet, channels: list[str]) -> np.ndarray:
-    found: dict[str, float] = {}
-    for m in ms:
-        if m.source != "scada":
-            continue
-        key = _channel_of(m)
-        if key is not None:
-            found[key] = m.value
+    found = {_channel_of(m.kind, m.location, m.direction): m.value
+             for m in ms if m.source == SOURCE_SCADA}
     missing = [c for c in channels if c not in found]
     if missing:
         raise ValueError(f"SCADA channels missing from the set: {missing}")
@@ -200,12 +194,8 @@ def build_training_set(grid: GridModel, gmms: dict[int, GmmModel], n_trials: int
 def _scada_index(plan, channels: list[str]) -> np.ndarray:
     """Where each channel's reading sits among a synthesis plan's readings:
     the last reading of its key."""
-    found = {}
-    for i, (kind, loc, direction, source) in enumerate(plan.keys):
-        if source == SOURCE_SCADA:
-            key = _channel_of(Measurement(kind, loc, direction, 0.0, 1.0, source))
-            if key is not None:
-                found[key] = i
+    found = {_channel_of(kind, loc, d): i for i, (kind, loc, d, src) in enumerate(plan.keys)
+             if src == SOURCE_SCADA}
     return np.array([found[c] for c in channels], dtype=np.intp)
 
 

@@ -13,19 +13,26 @@ region's admittance; a ``_PowerFlowPlan`` holds the AC and DC passes'
 structure (which converters feed which node index, each DC region's held
 converter and its lines).
 
-``solve_powerflows`` solves a block of profiles as one stacked solve, and
-``solve_powerflow`` is its block of one.  Each regional pass stacks the
-specs of the trials still in the block as (K, 2, n) P and Q or (K, 1, n) P
-arrays, and every Newton step is elementwise arithmetic on the stacked
-arrays, a stacked ``@`` (one BLAS gemv per trial, as for one vector) and
-one stacked ``np.linalg.solve`` (one LAPACK gesv per trial, as for one
-matrix).  So each trial gets the bits of solving it alone: its own
-mismatch, convergence test, voltage check, iteration cap and error, with the
-message and mismatch of a solve one profile at a time.  A trial leaves the
-stack when it converges or fails, and only the trials still iterating are
+The alternating solve of one profile is written once, as the generator
+``_solve``: it keeps the profile's converter estimates and regional states in
+locals, yields each regional Newton solve it needs as the solver, its
+reference voltage and the spec, and returns the result.  ``solve_powerflows``
+runs a block of profiles as one stacked solve: each round it groups the
+waiting trials' requests by solver, makes one call per group on their
+stacked specs, (K, 2, n) P and Q or (K, 1, n) P, and sends each trial its row
+of the solution or throws it its PowerFlowDivergence.  ``solve_powerflow``
+is the block of one.
+
+Every Newton step of a regional call is elementwise arithmetic on the
+stacked arrays, a stacked ``@`` (one BLAS gemv per trial, as for one vector)
+and one stacked ``np.linalg.solve`` (one LAPACK gesv per trial, as for one
+matrix).  So each trial gets the bits of solving it alone: its own mismatch,
+convergence test, voltage check, iteration cap and error, with the message
+and mismatch of a solve one profile at a time.  A trial leaves the stack
+when it converges or fails, and only the trials still iterating are
 carried; a ``LinAlgError`` re-solves that step one matrix at a time to find
-the singular ones.  The outer passes go the same way: each trial keeps its
-own outer count and leaves the block when its converters balance.
+the singular ones.  How the trials are grouped into calls changes no
+trial's bits, only the number of calls.
 
 An AC step computes cos and sin only where the admittance is nonzero and
 scatters g cos + b sin and g sin - b cos into zeroed (n, n) matrices.  Off
@@ -40,7 +47,8 @@ A DC region's spec is its profile less the draws of the converters that
 hold p_set; on a grid whose DC converters all hold the DC voltage it is the
 same in every outer pass.  A trial whose DC spec has the bits of its last
 pass keeps that pass's solution, which a Newton solve of the same spec would
-give again bit for bit: a trial's solve reads nothing but its spec.
+give again bit for bit: a trial's solve reads nothing but its spec.  Such a
+trial asks for no DC solve and goes on to its next pass.
 
 ``CompiledRows`` compiles row specs (``telemetry.row_spec``) once into
 tables of their terms over the columns of a state vector: each AC branch
@@ -65,7 +73,8 @@ adds the converter terms to the expected side; ``conservation_residual``
 evaluates both directions of every branch and the slack's P injection, and
 adds each branch's two directions, then the branches in grid order, as one
 at a time.  Each row sums only its own terms, so how the rows are grouped
-into sets does not change their bits.
+into sets does not change their bits.  The solve runs neither audit: the
+CLI's ``pf`` calls both on its result.
 
 Sign conventions: injections are generation-positive; a converter's
 ``p_vsc``/``q_vsc`` is its AC-side output into the aux node c, and ``p_djc``
@@ -165,7 +174,6 @@ class PowerFlowResult:
     state: SystemState
     converters: dict[int, ConverterSolution]
     outer_iterations: int
-    max_mismatch: float        # back-substitution audit over all non-reference nodes
     coupling_residual: float
 
 
@@ -557,21 +565,19 @@ def _newton(grid: GridModel, region: Region, ref_node: int) -> _RegionNewton:
 
 
 def _check_profile(grid: GridModel, profile: InjectionProfile, plan: "_PowerFlowPlan") -> None:
-    if (profile.p.keys() | profile.q.keys()) <= plan.injectable and not (
-            profile.q.keys() & plan.dc_nodes):
-        return      # every named node may carry any injection
-    held = plan.held
-    for node in set(profile.p) | set(profile.q):
+    """Refuse a profile that names a node the grid lacks, a nonzero injection
+    at a held, junction or aux node, or a reactive injection at a DC node."""
+    for node in (profile.p.keys() | profile.q.keys()) - plan.injectable:
         try:
-            n = grid.node(node)
+            role = grid.node(node).role
         except KeyError:
             raise ValueError(f"profile names node {node}, which is not in the grid") from None
-        if node in held and (profile.p_at(node) or profile.q_at(node)):
-            raise ValueError(f"node {node} holds voltage and cannot carry a fixed injection")
-        if n.role in (ROLE_JUNCTION, ROLE_CONVERTER_AUX) and (
-                profile.p_at(node) or profile.q_at(node)):
-            raise ValueError(f"node {node} is a {n.role} node and must inject zero")
-        if n.kind == DC and node in profile.q and profile.q[node]:
+        if profile.p_at(node) or profile.q_at(node):
+            if node in plan.held:
+                raise ValueError(f"node {node} holds voltage and cannot carry a fixed injection")
+            raise ValueError(f"node {node} is a {role} node and must inject zero")
+    for node in profile.q.keys() & plan.dc_nodes:
+        if profile.q[node]:
             raise ValueError(f"DC node {node} cannot carry reactive injection")
 
 
@@ -616,8 +622,8 @@ class _PowerFlowPlan:
 
         # the audits' rows (module docstring) and, for the expected side, the
         # rows of the converter terms (a Q row follows its P row)
-        held = {nw.nodes[nw.ref] for nw, *_ in self.ac + self.dc}    # the references
-        self.audited = [(n.id, which) for n in grid.nodes if n.id not in held
+        refs = {nw.nodes[nw.ref] for nw, *_ in self.ac + self.dc}
+        self.audited = [(n.id, which) for n in grid.nodes if n.id not in refs
                         for which in ("pq" if n.kind == AC else "p")]
         row = {key: i for i, key in enumerate(self.audited)}
         self.output_rows = [(row[c.aux_node, "p"], c) for c in grid.converters
@@ -676,160 +682,143 @@ def solve_powerflow(grid: GridModel, profile: InjectionProfile) -> PowerFlowResu
     return result
 
 
-class _Trial:
-    """One profile's converter boundary estimates and regional states through
-    the alternating passes."""
+def solve_powerflows(grid: GridModel, profiles: list[InjectionProfile]
+                     ) -> list[PowerFlowResult | PowerFlowError]:
+    """``solve_powerflow`` of each profile as one stacked solve (module
+    docstring): each entry is the profile's result, or the PowerFlowError
+    its solve raises.  Each round stacks the regional solves that the
+    waiting trials ask of one solver into one call."""
+    plan = _plan(grid)
+    for profile in profiles:
+        _check_profile(grid, profile, plan)
+    out: list = [None] * len(profiles)
+    waiting = []        # (row, trial, its request)
 
-    def __init__(self, grid: GridModel, row: int, profile: InjectionProfile):
-        self.row, self.profile = row, profile
-        self.p_vsc = {c.id: (c.control.p_set if c.control.mode == MODE_PQ else 0.0)
-                      for c in grid.converters}
-        self.q_vsc = {c.id: c.control.q_set for c in grid.converters}
-        self.v_c = {c.id: 1.0 for c in grid.converters}
-        self.loss = {c.id: 0.0 for c in grid.converters}
-        self.p_djc = {c.id: 0.0 for c in grid.converters}
-        self.ac: dict[int, tuple[np.ndarray, np.ndarray]] = {}    # region -> (V, theta)
-        self.dc: dict[int, list[float]] = {}        # region -> V
-        self.dc_spec: dict[int, bytes] = {}         # region -> the spec V solves
-        self.flows: list[tuple[float, float, float]] = []     # coupling_flow by converter
-        self.coupling = math.inf
+    def resume(row, trial, value, error=None):
+        try:
+            request = trial.send(value) if error is None else trial.throw(error)
+        except StopIteration as stop:
+            out[row] = stop.value
+        except PowerFlowError as exc:
+            out[row] = exc
+        else:
+            waiting.append((row, trial, request))
 
-    def coupling_flow(self, plan: "_PowerFlowPlan", conv) -> tuple[float, float, float]:
+    for row, profile in enumerate(profiles):
+        resume(row, _solve(grid, plan, profile), None)
+    while waiting:
+        groups: dict = {}
+        for row, trial, (solver, spec) in waiting:
+            groups.setdefault(solver, []).append((row, trial, spec))
+        waiting = []
+        for (solve, v_ref), group in groups.items():
+            x, errors = solve(np.array([spec for _, _, spec in group]), v_ref)
+            for j, (row, trial, _) in enumerate(group):
+                resume(row, trial, x[j], errors.get(j))
+    return out
+
+
+def _solve(grid: GridModel, plan: _PowerFlowPlan, profile: InjectionProfile):
+    """The alternating solve of one profile, as a generator: it yields each
+    regional Newton solve as ``((solve_ac | solve_dc, v_ref), spec)``, is sent
+    its row of the solution or thrown its PowerFlowDivergence, and returns
+    the PowerFlowResult."""
+    p_vsc = {c.id: (c.control.p_set if c.control.mode == MODE_PQ else 0.0)
+             for c in grid.converters}
+    q_vsc = {c.id: c.control.q_set for c in grid.converters}
+    v_c = {c.id: 1.0 for c in grid.converters}
+    loss = {c.id: 0.0 for c in grid.converters}
+    p_djc = {c.id: 0.0 for c in grid.converters}
+    # each region's spec without the converter terms: (2, n) P and Q for AC,
+    # (1, n) P for DC
+    base = {nw.region_id: np.array([[profile.p_at(n) for n in nw.nodes]])
+            for nw, *_ in plan.dc}
+    base.update({nw.region_id: np.array([[profile.p_at(n) for n in nw.nodes],
+                                         [profile.q_at(n) for n in nw.nodes]])
+                 for nw, _ in plan.ac})
+    ac: dict[int, tuple[np.ndarray, np.ndarray]] = {}     # region -> (V, theta)
+    dc: dict[int, tuple[bytes, list[float]]] = {}         # region -> (its spec, V)
+
+    def coupling_flow(conv) -> tuple[float, float, float]:
         """The aux -> ac coupling-branch flow (P, Q) and the aux voltage."""
         rid, a, i, _ = plan.couplings[conv.id]
-        v, th = self.ac[rid]
+        v, th = ac[rid]
         vc = float(v[a])
         p_ci, q_ci = ac_branch_flow(vc, float(th[a]), float(v[i]), float(th[i]),
                                     conv.coupling_r, conv.coupling_x)
         return p_ci, q_ci, vc
 
-
-def solve_powerflows(grid: GridModel, profiles: list[InjectionProfile]
-                     ) -> list[PowerFlowResult | PowerFlowError]:
-    """``solve_powerflow`` of each profile as one stacked solve (module
-    docstring): each entry is the profile's result, or the PowerFlowError
-    its solve raises.  Each trial keeps its own outer and Newton iteration
-    counts; only trials still iterating are carried."""
-    if not profiles:
-        return []
-    plan = _plan(grid)
-    for profile in profiles:
-        _check_profile(grid, profile, plan)
-    # each region's specs by profile: (K, 2, n) P and Q for AC, (K, 1, n) P for DC
-    base = {nw.region_id: np.array([[[prof.p_at(n) for n in nw.nodes]] for prof in profiles])
-            for nw, *_ in plan.dc}
-    base.update({nw.region_id: np.array([[[prof.p_at(n) for n in nw.nodes],
-                                          [prof.q_at(n) for n in nw.nodes]]
-                                         for prof in profiles]) for nw, _ in plan.ac})
-    out: list = [None] * len(profiles)
-    live = [_Trial(grid, row, prof) for row, prof in enumerate(profiles)]
-
-    def solved(trials, errors):
-        """The trials whose regional solve succeeded; each failure is its
-        trial's outcome."""
-        for j, exc in errors.items():
-            out[trials[j].row] = exc
-        return [t for j, t in enumerate(trials) if j not in errors] if errors else trials
-
     for outer in range(1, _MAX_OUTER + 1):
-        # AC pass
         for newton, feeds in plan.ac:
-            rid = newton.region_id
-            spec = base[rid][[t.row for t in live]]
-            for j, t in enumerate(live):
-                for cid, k in feeds:
-                    spec[j, :, k] = t.p_vsc[cid], t.q_vsc[cid]
-            x, errors = newton.solve_ac(spec, 1.0)
-            for t, (th, v) in zip(live, x):
-                t.ac[rid] = (v, th)
-            live = solved(live, errors)
+            spec = base[newton.region_id].copy()
+            for cid, k in feeds:
+                spec[:, k] = p_vsc[cid], q_vsc[cid]
+            th, v = yield (newton.solve_ac, 1.0), spec
+            ac[newton.region_id] = (v, th)
 
-        for t in live:
-            # the coupling flows at this pass's AC states, which the DC pass
-            # leaves as they are: the residual below reads them too
-            t.flows = [t.coupling_flow(plan, conv) for conv in grid.converters]
-            for conv, (p_ci, q_ci, vc) in zip(grid.converters, t.flows):
-                t.v_c[conv.id] = vc
-                if plan.couplings[conv.id][3]:
-                    t.p_vsc[conv.id], t.q_vsc[conv.id] = p_ci, q_ci
-                t.loss[conv.id], _ = converter_loss(t.p_vsc[conv.id], t.q_vsc[conv.id],
-                                                    vc, (conv.d1, conv.d2, conv.d3))
-                if conv.control.mode == MODE_PQ:
-                    t.p_djc[conv.id] = t.p_vsc[conv.id] + t.loss[conv.id]
+        # the coupling flows at this pass's AC states, which the DC pass
+        # leaves as they are: the residual below reads them too
+        flows = [coupling_flow(conv) for conv in grid.converters]
+        for conv, (p_ci, q_ci, vc) in zip(grid.converters, flows):
+            v_c[conv.id] = vc
+            if plan.couplings[conv.id][3]:
+                p_vsc[conv.id], q_vsc[conv.id] = p_ci, q_ci
+            loss[conv.id], _ = converter_loss(p_vsc[conv.id], q_vsc[conv.id],
+                                              vc, (conv.d1, conv.d2, conv.d3))
+            if conv.control.mode == MODE_PQ:
+                p_djc[conv.id] = p_vsc[conv.id] + loss[conv.id]
 
-        # DC pass
         for newton, ref_conv, draws, lines in plan.dc:
             rid = newton.region_id
-            spec = base[rid][[t.row for t in live]]
-            for j, t in enumerate(live):
-                for cid, k in draws:
-                    spec[j, 0, k] = spec[j, 0, k] - t.p_djc[cid]
-            # a trial whose spec has the bits of its last pass keeps that
-            # pass's solution (module docstring)
-            keys = [row.tobytes() for row in spec]
-            stale = [j for j, t in enumerate(live) if t.dc_spec.get(rid) != keys[j]]
-            if stale:
-                x, errors = newton.solve_dc(spec[stale], ref_conv.control.v_dc_set)
-                for j, sol in zip(stale, x[:, 0].tolist()):
-                    live[j].dc[rid], live[j].dc_spec[rid] = sol, keys[j]
-                live = solved(live, {stale[j]: exc for j, exc in errors.items()})
+            spec = base[rid].copy()
+            for cid, k in draws:
+                spec[0, k] = spec[0, k] - p_djc[cid]
+            # a spec with the bits of the last pass keeps that pass's
+            # solution (module docstring)
+            key = spec.tobytes()
+            if rid not in dc or dc[rid][0] != key:
+                x = yield (newton.solve_dc, ref_conv.control.v_dc_set), spec
+                dc[rid] = key, x[0].tolist()
+            sol = dc[rid][1]
+            # balance at the held terminal fixes the converter draw
+            v_ref = sol[newton.ref]
+            flow_sum = sum(dc_branch_flow(v_ref, sol[other], g) for other, g in lines)
+            p_djc[ref_conv.id] = profile.p_at(ref_conv.dc_node) - flow_sum
+            p = p_djc[ref_conv.id] - loss[ref_conv.id]
+            q, vc = q_vsc[ref_conv.id], v_c[ref_conv.id]
             coeffs = (ref_conv.d1, ref_conv.d2, ref_conv.d3)
-            for t in live:
-                sol = t.dc[rid]
-                # balance at the held terminal fixes the converter draw
-                v_ref = sol[newton.ref]
-                flow_sum = sum(dc_branch_flow(v_ref, sol[other], g) for other, g in lines)
-                p_djc = t.p_djc[ref_conv.id] = t.profile.p_at(ref_conv.dc_node) - flow_sum
-                p = p_djc - t.loss[ref_conv.id]
-                q, vc = t.q_vsc[ref_conv.id], t.v_c[ref_conv.id]
-                for _ in range(20):
-                    new_loss, _ = converter_loss(p, q, vc, coeffs)
-                    p, p_old = p_djc - new_loss, p
-                    if abs(p - p_old) < 1e-14:
-                        break
-                t.p_vsc[ref_conv.id] = p
-                t.loss[ref_conv.id], _ = converter_loss(p, q, vc, coeffs)
+            for _ in range(20):
+                new_loss, _ = converter_loss(p, q, vc, coeffs)
+                p, p_old = p_djc[ref_conv.id] - new_loss, p
+                if abs(p - p_old) < 1e-14:
+                    break
+            p_vsc[ref_conv.id] = p
+            loss[ref_conv.id], _ = converter_loss(p, q, vc, coeffs)
 
         # coupling residual and converter solutions at the latest AC solution
-        going = []
-        for t in live:
-            coupling = 0.0
-            converters: dict[int, ConverterSolution] = {}
-            for conv, (p_ci, q_ci, vc) in zip(grid.converters, t.flows):
-                l, i_c = converter_loss(p_ci, q_ci, vc, (conv.d1, conv.d2, conv.d3))
-                coupling = max(coupling, abs(p_ci + l - t.p_djc[conv.id]))
-                converters[conv.id] = ConverterSolution(p_vsc=p_ci, q_vsc=q_ci, p_loss=l,
-                                                        i_c=i_c, v_c=vc,
-                                                        p_djc=t.p_djc[conv.id])
-            if coupling <= _COUPLING_TOL:
-                out[t.row] = _result(grid, plan, t, converters, outer, coupling)
-            else:
-                t.coupling = coupling
-                going.append(t)
-        live = going
-        if not live:
+        coupling = 0.0
+        converters: dict[int, ConverterSolution] = {}
+        for conv, (p_ci, q_ci, vc) in zip(grid.converters, flows):
+            l, i_c = converter_loss(p_ci, q_ci, vc, (conv.d1, conv.d2, conv.d3))
+            coupling = max(coupling, abs(p_ci + l - p_djc[conv.id]))
+            converters[conv.id] = ConverterSolution(p_vsc=p_ci, q_vsc=q_ci, p_loss=l,
+                                                    i_c=i_c, v_c=vc, p_djc=p_djc[conv.id])
+        if coupling <= _COUPLING_TOL:
             break
-    for t in live:
-        out[t.row] = PowerFlowDivergence(
-            f"outer AC/DC loop did not converge in {_MAX_OUTER} iterations", t.coupling)
-    return out
+    else:
+        raise PowerFlowDivergence(
+            f"outer AC/DC loop did not converge in {_MAX_OUTER} iterations", coupling)
 
-
-def _result(grid: GridModel, plan: _PowerFlowPlan, t: _Trial,
-            converters: dict[int, ConverterSolution], outer: int,
-            coupling: float) -> PowerFlowResult:
     v: dict[int, float] = {}
     theta: dict[int, float] = {}
     for newton, _ in plan.ac:
-        vv, th = t.ac[newton.region_id]
+        vv, th = ac[newton.region_id]
         v.update(zip(newton.nodes, vv.tolist()))
         theta.update(zip(newton.nodes, th.tolist()))
     for newton, *_ in plan.dc:
-        v.update(zip(newton.nodes, t.dc[newton.region_id]))
-    state = SystemState(v=v, theta=theta)
-    return PowerFlowResult(state=state, converters=converters, outer_iterations=outer,
-                           max_mismatch=mismatch_residual(grid, t.profile, state, converters),
-                           coupling_residual=coupling)
+        v.update(zip(newton.nodes, dc[newton.region_id][1]))
+    return PowerFlowResult(state=SystemState(v=v, theta=theta), converters=converters,
+                           outer_iterations=outer, coupling_residual=coupling)
 
 
 def mismatch_residual(grid: GridModel, profile: InjectionProfile, st: SystemState,

@@ -565,8 +565,6 @@ def solve_powerflow(grid, profile):
         v.update(zip(nw.nodes, dc_states[nw.region_id]))
     state = SystemState(v=v, theta=theta)
     return PowerFlowResult(state=state, converters=converters, outer_iterations=outer,
-                           max_mismatch=powerflow.mismatch_residual(grid, profile, state,
-                                                                    converters),
                            coupling_residual=coupling)
 
 

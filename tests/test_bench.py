@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -200,6 +201,16 @@ class TestCli:
         rows = est.read_text().strip().splitlines()
         assert rows[0] == "node_id,V,theta"
         assert len(rows) == 38   # 37 nodes + header
+
+    def test_pf_prints_the_audits(self, capsys):
+        # the solve returns no audit; the command runs both on its result
+        assert main(["pf", "--grid", str(data.path(data.CASE33_HYBRID)),
+                     "--injections", str(data.path(data.CASE33_HYBRID_LOADS))]) == 0
+        out = capsys.readouterr().out
+        audit = re.search(r"mismatch audit (\S+) p\.u\.", out)
+        residual = re.search(r"conservation residual (\S+) p\.u\.", out)
+        assert audit and float(audit.group(1)) <= 1e-8
+        assert residual and abs(float(residual.group(1))) <= 1e-6
 
     def test_unknown_method_usage_exit(self, tmp_path):
         assert main(["estimate", "--method", "bogus", "--grid", "g", "--meas", "m",

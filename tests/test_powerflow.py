@@ -18,6 +18,11 @@ from oracle import scaled_profile, solve_ac_region, solve_dc_region
 D = (0.011, 0.003, 0.004)
 
 
+def _audit(grid, profile, res):
+    """The back-substitution audit of a solved flow."""
+    return powerflow.mismatch_residual(grid, profile, res.state, res.converters)
+
+
 class TestConverterLoss:
     def test_zero_current_floor(self):
         loss, i_c = converter_loss(0.0, 0.0, 1.0, D)
@@ -107,7 +112,7 @@ class TestHybridSolve:
 
     def test_case33_nominal(self, case33, case33_loads):
         res = solve_powerflow(case33, case33_loads)
-        assert res.max_mismatch <= 1e-8
+        assert _audit(case33, case33_loads, res) <= 1e-8
         assert res.coupling_residual <= 1e-6
         assert abs(conservation_residual(case33, case33_loads, res)) <= 1e-6
         assert min(res.state.v.values()) > 0.90
@@ -122,7 +127,7 @@ class TestHybridSolve:
 
 def test_backsubstitution_property(case33, case33_loads):
     res = solve_powerflow(case33, case33_loads)
-    assert res.max_mismatch <= 1e-8
+    assert _audit(case33, case33_loads, res) <= 1e-8
 
 
 SCALES = np.linspace(0.05, 1.4, 50).tolist()
@@ -139,7 +144,7 @@ class TestPqConverter:
             profile = scaled_profile(toy5_loads, scale)
             res = solve_powerflow(toy5_pq, profile)
             assert res.outer_iterations <= 5
-            assert res.max_mismatch <= 1e-8
+            assert _audit(toy5_pq, profile, res) <= 1e-8
             for sol in res.converters.values():
                 assert oracle.balance_residual(sol) <= powerflow._COUPLING_TOL
             assert abs(conservation_residual(toy5_pq, profile, res)) \
@@ -158,8 +163,8 @@ def test_audits_match_the_scalar_oracle(name, request):
     for scale in SCALES:
         profile = scaled_profile(loads, scale)
         res = solve_powerflow(grid, profile)
-        assert res.max_mismatch == oracle.mismatch_residual(grid, profile, res.state,
-                                                            res.converters)
+        assert _audit(grid, profile, res) == oracle.mismatch_residual(grid, profile, res.state,
+                                                                      res.converters)
         assert conservation_residual(grid, profile, res) == \
             oracle.conservation_residual(grid, profile, res)
 
@@ -190,8 +195,8 @@ def test_each_audit_evaluates_only_its_rows(toy5_loads, monkeypatch):
         raise AssertionError("evaluated the other audit's rows")
 
     monkeypatch.setattr(plan.balance, "evaluate", refuse)
-    assert powerflow.mismatch_residual(grid, toy5_loads, res.state,
-                                       res.converters) == res.max_mismatch
+    assert _audit(grid, toy5_loads, res) == oracle.mismatch_residual(grid, toy5_loads, res.state,
+                                                                     res.converters)
     monkeypatch.undo()
     monkeypatch.setattr(plan.injections, "evaluate", refuse)
     conservation_residual(grid, toy5_loads, res)
@@ -240,10 +245,11 @@ class TestErrorPaths:
         doc["regions"][1]["nodes"] = [4]
         grid = grid_from_dict(doc)
         assert solve_dc_region(grid, grid.region(1), {}, ref_node=4, v_ref=1.03) == {4: 1.03}
-        res = solve_powerflow(grid, InjectionProfile(p={2: -0.3}, q={2: -0.1}))
+        profile = InjectionProfile(p={2: -0.3}, q={2: -0.1})
+        res = solve_powerflow(grid, profile)
         assert res.state.v[4] == 1.0 and res.converters[0].p_djc == 0.0
         assert oracle.balance_residual(res.converters[0]) <= 1e-6
-        assert res.max_mismatch <= 1e-8
+        assert _audit(grid, profile, res) <= 1e-8
 
         lone = grid_from_dict({
             "nodes": [{"id": 1, "kind": "ac", "region": 0, "role": "substation"}],
@@ -253,7 +259,7 @@ class TestErrorPaths:
         assert solve_ac_region(lone, lone.region(0), {}, v_ref=1.02) == {1: (1.02, 0.0)}
         res = solve_powerflow(lone, InjectionProfile())
         assert res.state.v == {1: 1.0} and res.state.theta == {1: 0.0}
-        assert res.outer_iterations == 1 and res.max_mismatch == 0.0
+        assert res.outer_iterations == 1 and _audit(lone, InjectionProfile(), res) == 0.0
 
 
 def test_compiled_grid_survives_pickling(case33, case33_loads):
@@ -326,6 +332,44 @@ class TestStackedPowerFlow:
             assert (self._outcome(solve_powerflow, toy5, profile)
                     == self._outcome(oracle.solve_powerflow, toy5, profile))
 
+    def test_block_stacks_each_regional_solve(self, case33, case33_loads, monkeypatch):
+        # one call per region and round for the whole block, not one per trial
+        calls = []
+        for name in ("solve_ac", "solve_dc"):
+            real = getattr(powerflow._RegionNewton, name)
+
+            def spy(newton, spec, v_ref, real=real):
+                calls.append((newton.region_id, len(spec)))
+                return real(newton, spec, v_ref)
+
+            monkeypatch.setattr(powerflow._RegionNewton, name, spy)
+        series = gen_load_profiles(case33, days=3, seed=1707, base=case33_loads)
+        rng = np.random.default_rng(1707)
+        profiles = [series.sample_tick(rng)[1] for _ in range(16)]
+        results = powerflow.solve_powerflows(case33, profiles)
+        assert not any(isinstance(res, PowerFlowError) for res in results)
+        # AC, both DC regions, AC again (the DC specs repeat), then the 9
+        # trials whose converters have not yet balanced
+        assert calls == [(0, 16), (1, 16), (2, 16), (0, 16), (0, 9)]
+
+    @pytest.mark.parametrize("p, q, match", [
+        ({1: -0.1}, {}, "node 1 holds voltage and cannot carry a fixed injection"),
+        ({4: 0.1}, {}, "node 4 holds voltage and cannot carry a fixed injection"),
+        ({3: -0.1}, {}, "node 3 is a converter-aux node and must inject zero"),
+        ({5: -0.1}, {5: 0.1}, "DC node 5 cannot carry reactive injection"),
+        ({99: -0.1}, {}, "profile names node 99, which is not in the grid"),
+    ], ids=["slack", "held-dc-terminal", "aux", "dc-reactive", "unknown"])
+    def test_profile_errors(self, toy5, toy5_loads, p, q, match):
+        # a bad profile anywhere in the block refuses the block
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            powerflow.solve_powerflows(toy5, [toy5_loads, InjectionProfile(p=p, q=q)])
+
+    def test_zero_injection_at_a_held_node_is_accepted(self, toy5, toy5_loads):
+        named = InjectionProfile(p={**toy5_loads.p, 1: 0.0, 4: 0.0, 3: 0.0},
+                                 q={**toy5_loads.q, 1: 0.0, 5: 0.0})
+        res, = powerflow.solve_powerflows(toy5, [named])
+        assert _result_key(res) == _result_key(solve_powerflow(toy5, toy5_loads))
+
     def test_regional_block_matches_the_oracle(self, case33):
         # the AC region alone: trials leave the stack at different steps,
         # the ones that fail with their own message and mismatch
@@ -352,7 +396,7 @@ class TestStackedPowerFlow:
 def _result_key(res):
     st = res.state
     return (np.array(list(st.v.items())).tobytes(), np.array(list(st.theta.items())).tobytes(),
-            res.converters, res.outer_iterations, res.max_mismatch, res.coupling_residual)
+            res.converters, res.outer_iterations, res.coupling_residual)
 
 
 def _relabelled(grid, profile, mapping):

@@ -21,7 +21,8 @@ from hybridse import data
 from hybridse.grid import load_grid
 from hybridse.injection import fit_injection_gmms, gen_load_profiles
 from hybridse.injection.pipeline import build_training_set
-from hybridse.powerflow import PowerFlowError, load_profile, solve_powerflow
+from hybridse.powerflow import (PowerFlowError, load_profile, mismatch_residual,
+                                solve_powerflow)
 from hybridse.telemetry import ScheduleConfig, simulate_measurements
 
 from oracle import scaled_profile
@@ -75,7 +76,7 @@ def _profiles(name, count=25):
                   + [scaled_profile(loads, f) for f in OVERLOADS])
 
 
-def _add_powerflow(d, res) -> None:
+def _add_powerflow(d, grid, profile, res) -> None:
     st = res.state
     for node in sorted(st.v):
         d.text(node)
@@ -85,7 +86,7 @@ def _add_powerflow(d, res) -> None:
         d.text(cid)
         d.floats(c.p_vsc, c.q_vsc, c.p_loss, c.i_c, c.v_c, c.p_djc)
     d.text(res.outer_iterations)
-    d.floats(res.max_mismatch, res.coupling_residual)
+    d.floats(mismatch_residual(grid, profile, st, res.converters), res.coupling_residual)
 
 
 def _add_measurements(d, ms) -> None:
@@ -100,7 +101,7 @@ def powerflow_digest(name: str) -> str:
     d = _Digest()
     for prof in profiles:
         try:
-            _add_powerflow(d, solve_powerflow(grid, prof))
+            _add_powerflow(d, grid, prof, solve_powerflow(grid, prof))
         except PowerFlowError as exc:
             d.text(type(exc).__name__, exc)
     return d.hexdigest()
