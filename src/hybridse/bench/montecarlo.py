@@ -62,7 +62,9 @@ class RunRecord:
     wall_ms: float = 0.0
     inj_ms: float = 0.0
     total_ms: float = 0.0
-    timing_rows: list = field(default_factory=list)
+    # one row per estimator iteration, the iteration its position: t_total,
+    # t_algebra and the largest regional time, in seconds
+    timing: np.ndarray = field(default_factory=lambda: np.empty((0, 3)))
     # the packet trace, one row per packet: iteration, converter, side (0 for
     # "ac", 1 for "dc"), p_vsc, q_vsc, p_loss, v_pcc
     trace: np.ndarray = field(default_factory=lambda: np.empty((0, 7)))
@@ -130,8 +132,9 @@ def run_single(ctx: RunContext, run_idx: int) -> RunRecord:
         record.max_mismatch = est.max_mismatch()
         record.se_ms = est.se_time * 1000.0
         record.wall_ms = est.wall_time * 1000.0
-        record.timing_rows = [(it.iteration, it.t_total, it.t_algebra,
-                               dict(it.t_regions)) for it in est.timing]
+        record.timing = np.array([(it.t_total, it.t_algebra,
+                                   max(it.t_regions.values(), default=0.0))
+                                  for it in est.timing], dtype=float).reshape(-1, 3)
         record.trace = np.array([(p.iteration, p.converter, SIDES.index(p.side), p.p_vsc,
                                   p.q_vsc, p.p_loss, p.v_pcc) for p in est.packet_trace],
                                 dtype=float).reshape(-1, 7)
@@ -240,12 +243,11 @@ def write_artifacts(result: BenchResult, scenario: Scenario, out: Path) -> None:
     tlines = ["run,iteration,t_total_ms,t_algebra_ms,t_region_max_ms,se_ms,wall_ms,inj_ms,"
               "total_ms"]
     for r in result.records:
-        for iteration, t_total, t_algebra, t_regions in r.timing_rows:
-            t_rmax = max(t_regions.values()) if t_regions else 0.0
+        for iteration, (t_total, t_algebra, t_rmax) in enumerate(r.timing.tolist(), 1):
             tlines.append(f"{r.run},{iteration},{t_total * 1e3!r},{t_algebra * 1e3!r},"
                           f"{t_rmax * 1e3!r},{r.se_ms!r},{r.wall_ms!r},{r.inj_ms!r},"
                           f"{r.total_ms!r}")
-        if not r.timing_rows:
+        if not r.timing.size:
             tlines.append(f"{r.run},1,{r.se_ms!r},0.0,0.0,{r.se_ms!r},{r.wall_ms!r},"
                           f"{r.inj_ms!r},{r.total_ms!r}")
     (out / "timing.csv").write_text("\n".join(tlines) + "\n")

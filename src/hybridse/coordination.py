@@ -72,7 +72,8 @@ class CoordinationParams:
 
 @dataclass
 class IterationTiming:
-    iteration: int
+    """One iteration's times in seconds; its place in ``timing`` is its iteration."""
+
     t_total: float
     t_regions: dict[int, float]
     t_algebra: float
@@ -87,7 +88,6 @@ class SystemEstimate:
     mismatch_history: dict[int, list[float]]
     lambdas: dict[int, float]
     iterations: int
-    converged: bool
     timing: list[IterationTiming]
     # "converged"; "stalled" (iteration cap, the last packets equal the
     # previous iteration's field by field) or "cap" (iteration cap otherwise)
@@ -98,6 +98,10 @@ class SystemEstimate:
     # wall time of the whole estimator call: model assembly, every pass and the
     # bad-data test included (se_time is the parallel accounting of the loop)
     wall_time: float = 0.0
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
     @property
     def se_time(self) -> float:
@@ -224,8 +228,7 @@ def _coordinate(grid: GridModel, ms: MeasurementSet, params: CoordinationParams,
 
         t_ac = max((t_regions[r] for r in ac_regions), default=0.0)
         t_dc = max((t_regions[r] for r in dc_regions), default=0.0)
-        timing.append(IterationTiming(iteration, t_ac + t_dc + t_algebra,
-                                      t_regions, t_algebra))
+        timing.append(IterationTiming(t_ac + t_dc + t_algebra, t_regions, t_algebra))
 
         worst = max((mismatch_hist[c.id][-1] for c in grid.converters), default=0.0)
         if worst <= params.tau:
@@ -241,8 +244,8 @@ def _coordinate(grid: GridModel, ms: MeasurementSet, params: CoordinationParams,
         stop_reason = "cap"
     return SystemEstimate(method=method, v=v, theta=theta, regions=results,
                           mismatch_history=mismatch_hist, lambdas=lambdas,
-                          iterations=iteration, converged=converged,
-                          timing=timing, stop_reason=stop_reason, packet_trace=trace)
+                          iterations=iteration, timing=timing, stop_reason=stop_reason,
+                          packet_trace=trace)
 
 
 def _repeats(new: dict[int, BoundaryPacket], old: dict[int, BoundaryPacket]) -> bool:
@@ -380,8 +383,7 @@ def run_cwls(grid: GridModel, ms: MeasurementSet, nr_test: bool = True) -> Syste
     estimate = SystemEstimate(
         method="cwls", v=v, theta=theta, regions={-1: result},
         mismatch_history={}, lambdas={}, iterations=result.iterations,
-        converged=result.converged,
-        timing=[IterationTiming(1, wall, {-1: wall}, 0.0)],
+        timing=[IterationTiming(wall, {-1: wall}, 0.0)],
         stop_reason="converged" if result.converged else "cap")
     if report is not None:
         estimate.bad_data = {-1: report}

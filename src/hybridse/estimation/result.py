@@ -23,7 +23,6 @@ class UnobservableError(EstimationError):
 
 @dataclass
 class EstimationResult:
-    scope: str
     v: dict[int, float]
     theta: dict[int, float]
     conv_vars: dict[tuple[str, int], float]
@@ -31,7 +30,6 @@ class EstimationResult:
     objective: float
     iterations: int
     converged: bool
-    wall_time: float
     meas_indices: list[int] = field(default_factory=list)
     x: np.ndarray | None = None
 

@@ -31,7 +31,6 @@ residuals) and reuses it when the kernel hands back that object.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +64,11 @@ def build_regional_wlav_lp(lp: RegionalLp, boundary: dict[int, BoundaryTerm]) ->
 
 
 class RegionalLp:
-    """One owner's WLAV LP of a region (module docstring): the structure of
+    """One owner's WLAV LP of a region (module docstring): the template of
     the model's rows and the boundary rows of the converters ``convs``,
     shared by every model of the row set, with this model's b, c and solve
-    state."""
+    state.  The costs sit at the template's residual pairs: 1/sigma at a
+    reading's (u, l), the multiplier at a boundary row's (a, b)."""
 
     def __init__(self, model, convs):
         if len(model.z) == 0:
@@ -78,52 +78,49 @@ class RegionalLp:
         key = (zero, self.convs)
         kept = {} if model.region_rows is None else model.region_rows.lps
         if key not in kept:
-            kept[key] = _LpStructure(model, self.convs, zero)
-        structure = kept[key]
-        self.lp, self.m, self.ab0 = structure.lp, structure.m, structure.ab0
-        self.b = np.zeros(structure.lp.a_eq.shape[0])
-        self.b[:self.m] = model.z
-        self.c = np.zeros(structure.lp.a_eq.shape[1])
-        self.c[structure.u] = self.c[structure.u + 1] = 1.0 / model.sigma[structure.slack_rows]
+            kept[key] = _lp_template(model, self.convs, zero)
+        self.lp = lp = kept[key]
+        self.m = m = len(model.z)
+        self.b = np.zeros(lp.a_eq.shape[0])
+        self.b[:m] = model.z
+        self.c = np.zeros(lp.a_eq.shape[1])
+        slack = lp.pair[:m]
+        self.c[lp.plus[:m][slack]] = self.c[lp.minus[:m][slack]] = 1.0 / model.sigma[slack]
         self.state = LpState()
         self.meas_indices = list(model.meas_indices)
         self.read_out: tuple | None = None      # (LP x, states x, v, theta, conv, residuals)
 
     def problem(self, boundary: dict[int, BoundaryTerm]) -> LpProblem:
         b, c = self.b.copy(), self.c.copy()
-        for k, cid in enumerate(self.convs):
+        for row, cid in enumerate(self.convs, self.m):
             term = boundary[cid]
-            acol = self.ab0 + 2 * k
-            b[self.m + k] = term.neighbor_p + term.loss_const
-            c[acol] = c[acol + 1] = term.lam
+            b[row] = term.neighbor_p + term.loss_const
+            c[self.lp.plus[row]] = c[self.lp.minus[row]] = term.lam
         return self.lp.problem(c, b, self.state)
 
 
-class _LpStructure:
-    """The part of a region's WLAV LP fixed by its rows: the template of A
-    and the free mask, the slack rows (every row but the ``zero`` rows) and
-    the u column of each."""
-
-    def __init__(self, model, convs, zero):
-        m, n = len(model.z), model.n_states
-        slack = np.ones(m, dtype=bool)
-        slack[list(zero)] = False
-        self.slack_rows = np.flatnonzero(slack)
-        self.u = n + 2 * np.arange(self.slack_rows.size)
-        self.m, self.ab0 = m, n + 2 * self.slack_rows.size
-
-        a = np.zeros((m + len(convs), self.ab0 + 2 * len(convs)))
-        a[:m, :n] = model.H
-        a[self.slack_rows, self.u] = 1.0
-        a[self.slack_rows, self.u + 1] = -1.0
-        for k, cid in enumerate(convs):
-            row, acol = m + k, self.ab0 + 2 * k
-            a[row, :n] = model.boundary[cid]
-            a[row, acol] = -1.0
-            a[row, acol + 1] = 1.0
-        free = np.zeros(a.shape[1], dtype=bool)
-        free[:n] = True
-        self.lp = LpTemplate(a, free)
+def _lp_template(model, convs, zero) -> LpTemplate:
+    """The template of a region's WLAV LP, fixed by its rows: A and the free
+    mask of the states, a (u, l) pair per row but the ``zero`` rows, then an
+    (a, b) pair per boundary converter."""
+    m, n = len(model.z), model.n_states
+    slack = np.ones(m, dtype=bool)
+    slack[list(zero)] = False
+    rows = np.flatnonzero(slack)
+    u = n + 2 * np.arange(rows.size)
+    ab0 = n + 2 * rows.size
+    a = np.zeros((m + len(convs), ab0 + 2 * len(convs)))
+    a[:m, :n] = model.H
+    a[rows, u] = 1.0
+    a[rows, u + 1] = -1.0
+    for k, cid in enumerate(convs):
+        row, acol = m + k, ab0 + 2 * k
+        a[row, :n] = model.boundary[cid]
+        a[row, acol] = -1.0
+        a[row, acol + 1] = 1.0
+    free = np.zeros(a.shape[1], dtype=bool)
+    free[:n] = True
+    return LpTemplate(a, free)
 
 
 def solve_wlav_region(model, boundary: dict[int, BoundaryTerm], *, lp: RegionalLp,
@@ -132,18 +129,14 @@ def solve_wlav_region(model, boundary: dict[int, BoundaryTerm], *, lp: RegionalL
     """Solve one region's WLAV problem through the model's ``lp``; returns
     the estimate and the LP solution, whose basis warm-starts the next solve
     through the same ``lp``."""
-    t0 = time.perf_counter()
     sol = lp_solve(build_regional_wlav_lp(lp, boundary), basis=basis)
 
     if lp.read_out is None or lp.read_out[0] is not sol.x:
         x = sol.x[:model.n_states]
         lp.read_out = (sol.x, x, *model.extract_state(x), model.z - model.h(x))
     _, x, v, theta, conv, residuals = lp.read_out
-    result = EstimationResult(scope=model.scope, v=v, theta=theta,
-                              conv_vars=conv,
-                              residuals=residuals, objective=sol.objective,
-                              iterations=sol.iterations, converged=True,
-                              wall_time=time.perf_counter() - t0,
-                              meas_indices=lp.meas_indices)
+    result = EstimationResult(v=v, theta=theta, conv_vars=conv, residuals=residuals,
+                              objective=sol.objective, iterations=sol.iterations,
+                              converged=True, meas_indices=lp.meas_indices)
     result.x = x
     return result, sol

@@ -15,7 +15,6 @@ normalized-residual tests take Omega from A's R; the screen also keeps Q.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,7 +112,6 @@ def solve_wls(model, x0: np.ndarray | None = None, tol: float = 1e-6,
     1/sigma^2).  Raises UnobservableError when the weighted Jacobian is rank
     deficient.
     """
-    t0 = time.perf_counter()
     sigma = effective_sigma(model)
     w = 1.0 / (sigma * sigma)
     if weight_overrides:
@@ -152,10 +150,8 @@ def solve_wls(model, x0: np.ndarray | None = None, tol: float = 1e-6,
             break
 
     v, theta, conv = model.extract_state(x)
-    result = EstimationResult(scope=model.scope, v=v, theta=theta,
-                              conv_vars=conv, residuals=r,
+    result = EstimationResult(v=v, theta=theta, conv_vars=conv, residuals=r,
                               objective=obj, iterations=it, converged=converged,
-                              wall_time=time.perf_counter() - t0,
                               meas_indices=list(model.meas_indices))
     result.x = x
     return result

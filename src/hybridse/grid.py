@@ -17,7 +17,7 @@ field-for-field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -87,13 +87,6 @@ class ConverterControl:
 
 
 @dataclass(frozen=True)
-class ConverterLimits:
-    p_max: float = 1.0
-    q_max: float = 1.0
-    i_max: float = 1.0
-
-
-@dataclass(frozen=True)
 class Converter:
     """AC/DC converter between nodes ``ac_node`` (i) and ``dc_node`` (j).
 
@@ -113,7 +106,6 @@ class Converter:
     d2: float
     d3: float
     control: ConverterControl
-    limits: ConverterLimits = field(default_factory=ConverterLimits)
 
 
 @dataclass(frozen=True)
@@ -382,11 +374,7 @@ def grid_from_dict(raw: dict) -> GridModel:
                           mode=c["control"]["mode"],
                           p_set=float(c["control"].get("p_set", 0.0)),
                           q_set=float(c["control"].get("q_set", 0.0)),
-                          v_dc_set=float(c["control"].get("v_dc_set", 1.0))),
-                      limits=ConverterLimits(
-                          p_max=float(c.get("limits", {}).get("p_max", 1.0)),
-                          q_max=float(c.get("limits", {}).get("q_max", 1.0)),
-                          i_max=float(c.get("limits", {}).get("i_max", 1.0))))
+                          v_dc_set=float(c["control"].get("v_dc_set", 1.0))))
             for c in raw["converters"])
         regions = tuple(
             Region(id=int(r["id"]), kind=r["kind"],
@@ -419,8 +407,6 @@ def serialize(grid: GridModel) -> str:
             "coupling_x": c.coupling_x, "d1": c.d1, "d2": c.d2, "d3": c.d3,
             "control": {"mode": c.control.mode, "p_set": c.control.p_set,
                         "q_set": c.control.q_set, "v_dc_set": c.control.v_dc_set},
-            "limits": {"p_max": c.limits.p_max, "q_max": c.limits.q_max,
-                       "i_max": c.limits.i_max},
         } for c in grid.converters],
         "regions": [{
             "id": r.id, "kind": r.kind, "nodes": sorted(r.nodes),

@@ -67,8 +67,6 @@ class MlpModel:
 
 @dataclass
 class TrainReport:
-    epochs: int
-    train_loss: float
     holdout_loss: float
     holdout_indices: np.ndarray = field(repr=False, default=None)
 
@@ -130,7 +128,8 @@ def train_mlp(x: np.ndarray, y: np.ndarray, hidden: list[int] = [64, 64],
               lr: float = 0.01, batch: int = 32,
               epochs: int = 300, seed: int = 0,
               holdout: float = 0.1) -> tuple[MlpModel, TrainReport]:
-    """Train on a 90/10 split; the returned report carries both losses.
+    """Train on a 90/10 split; the returned report carries the holdout loss
+    and the holdout rows.
 
     Weights and biases are views of one flat parameter buffer, and so are
     their velocities and gradients, so a momentum step is four operations
@@ -168,7 +167,6 @@ def train_mlp(x: np.ndarray, y: np.ndarray, hidden: list[int] = [64, 64],
     vel = np.zeros_like(params)
     grad = np.empty_like(params)
     n_train = xs.shape[0]
-    loss = float(np.mean(((model.forward(xs)) - ys) ** 2))
     xo, yo = np.empty_like(xs), np.empty_like(ys)      # each epoch's rows, in its order
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n_train)
@@ -184,12 +182,10 @@ def train_mlp(x: np.ndarray, y: np.ndarray, hidden: list[int] = [64, 64],
             vel -= grad
             params += vel
 
-    train_loss = float(np.mean((model.forward(xs) - ys) ** 2))
     if n_hold:
         pred = model.predict(x[hold_idx])
         scale = model.y_std
         hold_loss = float(np.mean(((pred - y[hold_idx]) / scale) ** 2))
     else:
         hold_loss = float("nan")
-    return model, TrainReport(epochs=epochs, train_loss=train_loss,
-                              holdout_loss=hold_loss, holdout_indices=hold_idx)
+    return model, TrainReport(holdout_loss=hold_loss, holdout_indices=hold_idx)

@@ -101,7 +101,6 @@ class TrainingSet:
     y: np.ndarray
     channels: list[str]
     components: list[str]
-    seed: int
     dropped: int = 0
 
 
@@ -188,7 +187,7 @@ def build_training_set(grid: GridModel, gmms: dict[int, GmmModel], n_trials: int
             zs.append(plan.readings(res.state, z)[0][at])
             ys.append([prof.p[node] if tag == "p" else prof.q[node] for tag, node in keys])
     return TrainingSet(z=np.array(zs), y=np.array(ys), channels=channels,
-                       components=components, seed=seed, dropped=dropped)
+                       components=components, dropped=dropped)
 
 
 def _scada_index(plan, channels: list[str]) -> np.ndarray:

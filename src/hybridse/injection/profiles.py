@@ -88,7 +88,6 @@ class LoadProfiles:
     base: InjectionProfile
     solar_caps: dict[int, float]
     params: ProfileParams
-    seed: int
 
     def at(self, tick: int) -> InjectionProfile:
         prof = InjectionProfile()
@@ -151,4 +150,4 @@ def gen_load_profiles(grid: GridModel, days: int, seed: int,
             # reactive power tracks the load part of the series only
             q[node.id] = base_p * shape * noise * tan_phi * (1.0 + params.pf_jitter * n)
     return LoadProfiles(hours=hours, p=p, q=q, base=base, solar_caps=solar_caps,
-                        params=params, seed=seed)
+                        params=params)

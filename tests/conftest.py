@@ -4,7 +4,7 @@ import pytest
 
 from hybridse import data
 from hybridse.grid import grid_from_dict, load_grid, serialize
-from hybridse.powerflow import load_profile
+from hybridse.powerflow import InjectionProfile, load_profile
 
 
 @pytest.fixture(scope="session")
@@ -48,3 +48,27 @@ def toy5_pq(toy5):
         doc["regions"][region]["boundary"].append({"converter": 1,
                                                    "orientation": orientation})
     return grid_from_dict(doc)
+
+
+@pytest.fixture(scope="session")
+def toy5_formed(toy5):
+    """toy5 with a third region: AC region 2 holds aux node 6 and load node
+    7, fed by converter 1 (converter 0's data in PQ mode) from DC load node
+    5.  Region 2 has no slack, so converter 1 forms its voltage and angle
+    datum, and DC region 1 holds two converters."""
+    doc = json.loads(serialize(toy5))
+    conv = dict(doc["converters"][0], id=1, ac_node=7, aux_node=6, dc_node=5,
+                control=dict(doc["converters"][0]["control"], mode="pq"))
+    doc["converters"].append(conv)
+    doc["nodes"] += [{"id": 6, "kind": "ac", "region": 2, "role": "converter-aux"},
+                     {"id": 7, "kind": "ac", "region": 2, "role": "load"}]
+    doc["regions"][1]["boundary"].append({"converter": 1, "orientation": "owns-dc-side"})
+    doc["regions"].append({"id": 2, "kind": "ac", "nodes": [6, 7],
+                           "boundary": [{"converter": 1, "orientation": "owns-ac-side"}]})
+    return grid_from_dict(doc)
+
+
+@pytest.fixture(scope="session")
+def toy5_formed_loads(toy5_loads):
+    """toy5's loads plus load node 7 of ``toy5_formed``."""
+    return InjectionProfile(p={**toy5_loads.p, 7: -0.05}, q={**toy5_loads.q, 7: -0.02})

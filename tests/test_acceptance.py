@@ -323,6 +323,25 @@ def test_criterion_5_cwls_lnr_flags_negated_pair(monkeypatch):
     assert frac >= 0.95
 
 
+@pytest.mark.xfail(
+    strict=False,
+    reason="DRSE+DNN at the SCADA-only tick does not suppress bad-data cases 1 "
+           "and 3: the corrupted reading is dominant in 1 of 20 runs for each "
+           "(master seed 20240); the screened SCADA set feeds only the MLP, and "
+           "the estimator runs on the unscreened one.")
+def test_criterion_5c_drse_dnn_corrupted_dominates_residual(model33):
+    path, _ = model33
+    rates = {}
+    for case in (1, 3):
+        recs = mc_records("drse_dnn", runs=20, case=case, model_path=path)
+        assert not [r.error for r in recs if r.error]
+        rates[case] = float(np.mean([bool(r.corrupt_dominant) for r in recs]))
+        report(f"5c drse_dnn case {case}", rates[case] >= 0.95,
+               f"corrupted measurement carries the largest WLAV residual in "
+               f"{rates[case] * 100:.0f}% of 20 runs (>= 95%)")
+    assert all(frac >= 0.95 for frac in rates.values()), rates
+
+
 # -- criterion 6 ---------------------------------------------------------------
 
 

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from hybridse import data
+from hybridse.bench import montecarlo
 from hybridse.bench import (Scenario, ScenarioError, aggregate_rows,
                             compute_metrics, load_scenario, run_montecarlo)
 from hybridse.bench.metrics import MetricsRow
 from hybridse.cli import main
+from hybridse.estimation import UnobservableError
 from hybridse.powerflow import SystemState
 from hybridse.telemetry import MeasurementSet
 
@@ -131,8 +133,9 @@ class TestMonteCarlo:
         sc = toy_scenario(runs=2)
         result = run_montecarlo(sc)
         for rec in result.records:
-            for iteration, t_total, t_algebra, t_regions in rec.timing_rows:
-                assert t_total >= max(t_regions.values()) - 1e-12
+            assert rec.timing.shape == (rec.iterations, 3)
+            for t_total, t_algebra, t_region_max in rec.timing:
+                assert t_total >= t_region_max - 1e-12
                 assert t_total >= t_algebra - 1e-12
 
     def test_timing_csv_wall_ms(self, tmp_path):
@@ -162,6 +165,51 @@ class TestMonteCarlo:
             assert not rec.error
             assert rec.trace.dtype == float
             assert rec.trace.shape == (2 * n_conv * rec.iterations, 7)
+
+    @staticmethod
+    def _failing(monkeypatch, fail):
+        """``run_estimator`` raising UnobservableError on the runs in ``fail``
+        (runs go in order in one process)."""
+        real, calls = montecarlo.run_estimator, []
+
+        def estimator(*args):
+            calls.append(None)
+            if len(calls) - 1 in fail:
+                raise UnobservableError(50, 51, scope="region:0")
+            return real(*args)
+
+        monkeypatch.delenv("HYBRIDSE_WORKERS", raising=False)
+        monkeypatch.setattr(montecarlo, "run_estimator", estimator)
+
+    def test_failed_run_end_to_end(self, tmp_path, monkeypatch):
+        # one failure in ten runs stays below the 10% abort
+        self._failing(monkeypatch, {3})
+        result = run_montecarlo(toy_scenario(runs=10), out_dir=tmp_path)
+        rec = result.records[3]
+        error = "UnobservableError: unobservable in region:0: weighted Jacobian rank 50 < 51"
+        assert rec.error == error
+        assert rec.metrics is None and rec.iterations == 0 and not rec.converged
+        assert rec.timing.shape == (0, 3) and rec.trace.shape == (0, 7)
+        assert [r.run for r in result.ok_records] == [0, 1, 2, 4, 5, 6, 7, 8, 9]
+
+        lines = (tmp_path / "runs.csv").read_text().splitlines()
+        assert len(lines) == 11
+        assert lines[4] == f"3,{rec.seed},{rec.tick}," + "," * 8 + f"0,0,0.0,,,{error}"
+        with open(tmp_path / "timing.csv", newline="") as f:
+            rows = [r for r in csv.DictReader(f) if r["run"] == "3"]
+        assert rows == [{"run": "3", "iteration": "1", "t_total_ms": "0.0",
+                         "t_algebra_ms": "0.0", "t_region_max_ms": "0.0", "se_ms": "0.0",
+                         "wall_ms": "0.0", "inj_ms": repr(rec.inj_ms),
+                         "total_ms": repr(rec.total_ms)}]
+        assert rec.total_ms > 0.0
+        trace = (tmp_path / "trace_boundary.csv").read_text().splitlines()[1:]
+        assert trace and not [ln for ln in trace if ln.split(",")[0] == "3"]
+
+    def test_too_many_failed_runs_abort(self, monkeypatch):
+        self._failing(monkeypatch, {4, 7})
+        with pytest.raises(RuntimeError, match=r"^2 of 10 runs failed; first: "
+                           r"UnobservableError: unobservable in region:0: "):
+            run_montecarlo(toy_scenario(runs=10))
 
     def test_per_run_seed_derivation(self):
         sc = toy_scenario(runs=3)

@@ -77,4 +77,16 @@ def test_raw_setup_seconds_are_lower_is_better_without_a_bound():
     assert specs["setup_s.raw"]["better"] == specs["setup_s"]["better"] == "lower"
     pairs = _pairs("setup_s.raw", BASE, [b - 1.5 for b in BASE])
     s = bench_pairs.summarize(pairs, specs)["setup_s.raw"]
-    assert (s["bound"], s["verdict"]) == (None, "gain")
+    assert (s["bound"], s["change_wins"], s["verdict"]) == (None, 10, "info")
+
+
+def test_raw_setup_seconds_get_no_verdict_when_every_change_run_is_slower():
+    # the uncalibrated set-up swings with the machine: reported, never judged
+    specs = bench_pairs.metric_specs(_PATH.parents[1])
+    slower = [b * 1.3 for b in BASE]
+    s = bench_pairs.summarize(_pairs("setup_s.raw", BASE, slower), specs)["setup_s.raw"]
+    assert (s["change_wins"], s["verdict"]) == (0, "info")
+    assert s["change"]["median"] == 13.0 and s["median_rel_diff"] > 0.29
+    # the calibrated set-up keeps its bound
+    s = bench_pairs.summarize(_pairs("setup_s", BASE, slower), specs)["setup_s"]
+    assert s["verdict"] == "regression"

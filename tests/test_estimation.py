@@ -890,7 +890,9 @@ class TestLpRepeat:
             problem = build_regional_wlav_lp(regional, terms)
             basis, last = self._settle(problem)
             assert lp_solve(problem, basis=basis).x is last.x
-            ab = slice(regional.ab0, None)
+            # the (a, b) pair of each boundary row, after the model's rows
+            boundary = np.arange(len(model.z), problem.a_eq.shape[0])
+            ab = np.concatenate([regional.lp.plus[boundary], regional.lp.minus[boundary]])
             for scale in (1.0 + 1e-12, 1.001, 1.5, 3.0, 10.0, 1e2, 1e4, 1e6, 0.5, 0.0):
                 c = problem.c.copy()
                 c[ab] = c[ab] * scale + (1e-3 if scale == 0.0 else 0.0)

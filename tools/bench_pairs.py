@@ -14,8 +14,9 @@ BENCHMARK.json gives the metric) and a verdict (see ``verdict``), and writes
 every run's result with that summary to ``--out`` as JSON.  Beside perfbench's
 metrics it reports ``setup_s.raw``, the set-up's wall seconds before
 perfbench's speed calibration (the median of the run's ``raw.setup_s`` in
-``perfbench/out``), lower is better and without a bound.  Standard library
-only.
+``perfbench/out``), lower is better, without a bound and with the verdict
+``info``: uncalibrated by design, it swings with the machine and only helps
+place a move of ``setup_s``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -63,10 +64,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -
 
 def metric_specs(tree: Path) -> dict[str, dict]:
     """BENCHMARK.json's entry of each metric: its ``better`` direction and,
-    for an end-to-end metric, the ``bound`` by which it may worsen."""
+    for an end-to-end metric, the ``bound`` by which it may worsen; an
+    ``info`` metric is reported without a verdict."""
     spec = json.loads((tree / "BENCHMARK.json").read_text())
     specs = {m["name"]: m for m in spec.get("end_to_end", []) + spec.get("per_layer", [])}
-    specs["setup_s.raw"] = {"name": "setup_s.raw", "better": "lower"}
+    specs["setup_s.raw"] = {"name": "setup_s.raw", "better": "lower", "info": True}
     return specs
 
 
@@ -127,6 +129,7 @@ def summarize(pairs: list[dict], specs: dict[str, dict]) -> dict:
         spec = specs.get(name, {})
         better = spec.get("better", "?")
         sign = -1.0 if better == "lower" else 1.0
+        judged = "info" if spec.get("info") else verdict(rows, better, spec.get("bound"))
         out[name] = {
             "better": better,
             "bound": spec.get("bound"),
@@ -135,7 +138,7 @@ def summarize(pairs: list[dict], specs: dict[str, dict]) -> dict:
             "median_rel_diff": statistics.median(rel) if rel else float("nan"),
             "change_wins": sum(sign * (c - b) > 0 for b, c in rows),
             "pairs": len(rows),
-            "verdict": verdict(rows, better, spec.get("bound")),
+            "verdict": judged,
         }
     return out
 
