@@ -77,7 +77,7 @@ def prepare_context(scenario: Scenario,
     model (from a file or by running the offline stage once)."""
     grid = load_grid(scenario.grid)
     base = load_profile(scenario.base_profile)
-    schedule = scenario.schedule_config()
+    schedule = scenario.schedule_config
     profile_params = ProfileParams()
 
     model = None
@@ -89,12 +89,11 @@ def prepare_context(scenario: Scenario,
                                          seed=scenario.profile_seed, base=base,
                                          params=profile_params)
             model, _ = train_injection_model(grid, profiles, schedule,
-                                             seed=scenario.profile_seed,
-                                             **scenario.train)
+                                             seed=scenario.profile_seed)
     test_profiles = gen_load_profiles(grid, days=scenario.test_days,
                                       seed=scenario.profile_seed + TEST_PROFILE_OFFSET,
                                       base=base, params=profile_params)
-    params = CoordinationParams(nr_test=scenario.nr_test, **scenario.coordination)
+    params = CoordinationParams(nr_test=scenario.nr_test)
     return RunContext(scenario=scenario, grid=grid, schedule=schedule,
                       test_profiles=test_profiles, params=params, model=model)
 

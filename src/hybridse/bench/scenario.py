@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ..telemetry import ScheduleConfig
@@ -35,11 +35,10 @@ class Scenario:
     pseudo_pct: float = 30.0                  # percent, 10 or 30 in the studies
     bad_data_case: int = 0                    # 0 = clean, otherwise 1..3
     bad_data_target: tuple | int | None = None
-    schedule: dict = field(default_factory=dict)
-    coordination: dict = field(default_factory=dict)
-    train: dict = field(default_factory=dict)
-    timestamp: float | None = None
+    schedule: dict = field(default_factory=dict)    # ScheduleConfig's keyword arguments
     nr_test: bool = True
+    # built from ``schedule`` when the scenario is made
+    schedule_config: ScheduleConfig = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -50,6 +49,13 @@ class Scenario:
             raise ScenarioError("bad_data_case must be 0..3")
         if self.pseudo_pct not in (10.0, 30.0):
             raise ScenarioError("pseudo_pct must be 10 or 30")
+        try:
+            kw = dict(self.schedule)
+            if kw.get("scada_ac_branches") is not None:
+                kw["scada_ac_branches"] = tuple(tuple(b) for b in kw["scada_ac_branches"])
+            self.schedule_config = ScheduleConfig(**kw)
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"schedule: {exc}") from exc
 
     @property
     def uses_generated(self) -> bool:
@@ -61,15 +67,7 @@ class Scenario:
 
     @property
     def tick_time(self) -> float:
-        if self.timestamp is not None:
-            return self.timestamp
         return DEFAULT_T_GENERATED if self.uses_generated else DEFAULT_T_PLAIN
-
-    def schedule_config(self) -> ScheduleConfig:
-        kw = dict(self.schedule)
-        if "scada_ac_branches" in kw and kw["scada_ac_branches"] is not None:
-            kw["scada_ac_branches"] = tuple(tuple(b) for b in kw["scada_ac_branches"])
-        return ScheduleConfig(**kw)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -79,7 +77,7 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"cannot parse scenario {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
-    known = {f for f in Scenario.__dataclass_fields__}
+    known = {f.name for f in fields(Scenario) if f.init}
     unknown = set(raw) - known
     if unknown:
         raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")

@@ -39,7 +39,7 @@ from .estimation import (BoundaryTerm, EstimationResult, RegionalLp, lnr_test,
 from .grid import AC, DC, OWNS_AC, GridModel
 from .measmodel import NonlinearModel, build_region_model, build_system_model
 from .powerflow import ac_branch_flow, converter_loss
-from .telemetry import MeasurementKind, MeasurementSet, build_region_H
+from .telemetry import Measurement, MeasurementKind, MeasurementSet, build_region_H
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,6 @@ class SystemEstimate:
     v: dict[int, float]
     theta: dict[int, float]
     regions: dict[int, EstimationResult]
-    mismatch_history: dict[int, list[float]]
     lambdas: dict[int, float]
     iterations: int
     timing: list[IterationTiming]
@@ -116,10 +115,20 @@ class SystemEstimate:
                     out[idx] = float(r)
         return out
 
+    @property
+    def mismatch_history(self) -> dict[int, list[float]]:
+        """Converter id -> |p_vsc(ac) - p_vsc(dc)| of each iteration's packet
+        pair (the trace holds each AC packet followed by its DC packet)."""
+        out: dict[int, list[float]] = {}
+        for ac, dc in zip(self.packet_trace[::2], self.packet_trace[1::2]):
+            out.setdefault(ac.converter, []).append(abs(ac.p_vsc - dc.p_vsc))
+        return out
+
     def max_mismatch(self) -> float:
-        if not self.mismatch_history:
-            return 0.0
-        return max(hist[-1] for hist in self.mismatch_history.values())
+        """The largest boundary mismatch of the last iteration."""
+        last = [pkt for pkt in self.packet_trace if pkt.iteration == self.iterations]
+        return max((abs(ac.p_vsc - dc.p_vsc) for ac, dc in zip(last[::2], last[1::2])),
+                   default=0.0)
 
     def dominant_reading(self) -> int | None:
         """Global index of the reading the estimate blames most: the one the
@@ -135,12 +144,12 @@ class SystemEstimate:
 # -- bootstrap ----------------------------------------------------------------
 
 
-def _bootstrap_packets(grid: GridModel, ms: MeasurementSet):
+def _bootstrap_packets(grid: GridModel, readings: list[Measurement]):
     """Iteration-0 packets from the converters' own telemetry (or defaults)."""
     conv_p: dict[int, float] = {}
     conv_q: dict[int, float] = {}
     v_pcc: dict[int, float] = {}
-    for m in ms:
+    for m in readings:
         if m.kind is MeasurementKind.CONV_P and m.direction == "ac":
             conv_p[m.location[0]] = m.value
         elif m.kind is MeasurementKind.CONV_Q and m.direction == "ac":
@@ -175,9 +184,10 @@ def _boundary_terms(grid, region, lambdas, ac_pkts, dc_pkts):
 # -- the coordination loop ----------------------------------------------------
 
 
-def _coordinate(grid: GridModel, ms: MeasurementSet, params: CoordinationParams,
+def _coordinate(grid: GridModel, readings: list[Measurement], params: CoordinationParams,
                 method: str, solve_region, boundary_power) -> SystemEstimate:
-    """Jacobi coordination shared by the distributed estimators.
+    """Jacobi coordination shared by the distributed estimators, bootstrapped
+    from ``readings``.
 
     ``solve_region(region, terms)`` estimates one region against the
     BoundaryTerm of each of its converters.  ``boundary_power(conv, ac_result,
@@ -188,9 +198,8 @@ def _coordinate(grid: GridModel, ms: MeasurementSet, params: CoordinationParams,
     ac_regions = [r.id for r in grid.regions if r.kind == AC]
     dc_regions = [r.id for r in grid.regions if r.kind == DC]
     lambdas = {c.id: params.lambda0 for c in grid.converters}
-    ac_pkts, dc_pkts = _bootstrap_packets(grid, ms)
+    ac_pkts, dc_pkts = _bootstrap_packets(grid, readings)
     prev_ac = prev_dc = None
-    mismatch_hist: dict[int, list[float]] = {c.id: [] for c in grid.converters}
     timing: list[IterationTiming] = []
     trace: list[BoundaryPacket] = []
     results: dict[int, EstimationResult] = {}
@@ -207,6 +216,7 @@ def _coordinate(grid: GridModel, ms: MeasurementSet, params: CoordinationParams,
 
         t0 = time.perf_counter()
         new_ac, new_dc = {}, {}
+        mismatches: list[float] = []
         for conv in grid.converters:
             ac_res = results[grid.node(conv.aux_node).region]
             dc_res = results[grid.node(conv.dc_node).region]
@@ -220,7 +230,7 @@ def _coordinate(grid: GridModel, ms: MeasurementSet, params: CoordinationParams,
             new_ac[conv.id], new_dc[conv.id] = pkt_ac, pkt_dc
             trace += [pkt_ac, pkt_dc]
             mismatch = abs(pkt_ac.p_vsc - pkt_dc.p_vsc)
-            mismatch_hist[conv.id].append(mismatch)
+            mismatches.append(mismatch)
             lambdas[conv.id] += params.xi * mismatch
         prev_ac, prev_dc = ac_pkts, dc_pkts
         ac_pkts, dc_pkts = new_ac, new_dc
@@ -230,8 +240,7 @@ def _coordinate(grid: GridModel, ms: MeasurementSet, params: CoordinationParams,
         t_dc = max((t_regions[r] for r in dc_regions), default=0.0)
         timing.append(IterationTiming(t_ac + t_dc + t_algebra, t_regions, t_algebra))
 
-        worst = max((mismatch_hist[c.id][-1] for c in grid.converters), default=0.0)
-        if worst <= params.tau:
+        if max(mismatches, default=0.0) <= params.tau:
             converged = True
             break
 
@@ -243,9 +252,8 @@ def _coordinate(grid: GridModel, ms: MeasurementSet, params: CoordinationParams,
     else:
         stop_reason = "cap"
     return SystemEstimate(method=method, v=v, theta=theta, regions=results,
-                          mismatch_history=mismatch_hist, lambdas=lambdas,
-                          iterations=iteration, timing=timing, stop_reason=stop_reason,
-                          packet_trace=trace)
+                          lambdas=lambdas, iterations=iteration, timing=timing,
+                          stop_reason=stop_reason, packet_trace=trace)
 
 
 def _repeats(new: dict[int, BoundaryPacket], old: dict[int, BoundaryPacket]) -> bool:
@@ -289,7 +297,8 @@ def run_drse(grid: GridModel, ms: MeasurementSet,
                 float(ac_model.boundary_q[conv.id] @ ac_res.x),
                 float(dc_model.boundary[conv.id] @ dc_res.x - p_loss))
 
-    estimate = _coordinate(grid, ms, params, "drse", solve_region, boundary_power)
+    estimate = _coordinate(grid, ms.measurements, params, "drse", solve_region,
+                           boundary_power)
     estimate.wall_time = time.perf_counter() - t_start
     return estimate
 
@@ -301,45 +310,52 @@ def run_dwls(grid: GridModel, ms: MeasurementSet,
              params: CoordinationParams = CoordinationParams()) -> SystemEstimate:
     """Distributed nonlinear WLS under the same partition and packet exchange,
     with a quadratic boundary penalty and a per-region normalized-residual
-    test; any rejection triggers one full re-run on the cleaned set."""
+    test; any rejection triggers one full re-run without the rejected
+    readings, on the same region models with their rows dropped."""
     t_start = time.perf_counter()
-    estimate = _dwls_pass(grid, ms, params)
-    reports = estimate.bad_data
-    if params.nr_test and any(rep.any_flagged for rep in reports.values()):
-        flagged = {idx for rep in reports.values() for idx, _ in rep.flagged}
-        # keep global indices stable for downstream scoring
-        keep_idx = [i for i in range(len(ms.measurements)) if i not in flagged]
-        cleaned = MeasurementSet([ms.measurements[i] for i in keep_idx],
-                                 ms.corrupt_indices)
-        second = _dwls_pass(grid, cleaned, params, index_map=keep_idx)
-        second.bad_data = reports
-        second.rerun = True
-        estimate = second
+    by_region = ms.by_region(grid)
+    models = {r.id: build_region_model(grid, r, by_region[r.id]) for r in grid.regions}
+    estimate = _dwls_loop(grid, ms.measurements, models, params)
+    if params.nr_test:
+        for region in grid.regions:
+            out = lnr_test(models[region.id], estimate.regions[region.id])
+            estimate.bad_data[region.id] = out.report
+            estimate.regions[region.id] = out.result
+        estimate.v, estimate.theta = _merge_states(grid, estimate.regions)
+        flagged = {idx for rep in estimate.bad_data.values() for idx, _ in rep.flagged}
+        if flagged:
+            kept = {rid: _drop_readings(model, flagged) for rid, model in models.items()}
+            readings = [m for i, m in enumerate(ms.measurements) if i not in flagged]
+            rerun = _dwls_loop(grid, readings, kept, params)
+            rerun.bad_data = estimate.bad_data
+            rerun.rerun = True
+            estimate = rerun
     estimate.wall_time = time.perf_counter() - t_start
     return estimate
 
 
-def _dwls_pass(grid, ms, params, index_map=None):
-    by_region = ms.by_region(grid)
-    models: dict[int, NonlinearModel] = {}
-    boundary_rows: dict[int, dict[int, int]] = {}
-    for region in grid.regions:
-        pairs = by_region[region.id]
-        if index_map is not None:
-            pairs = [(index_map[i], m) for i, m in pairs]
-        models[region.id] = build_region_model(grid, region, pairs)
-        # the model's boundary rows follow its measurement rows
-        boundary_rows[region.id] = {cid: len(pairs) + k
-                                    for k, (cid, _) in enumerate(region.boundary)}
+def _drop_readings(model: NonlinearModel, flagged: set[int]) -> NonlinearModel:
+    """A clone of ``model`` without the rows of the ``flagged`` global indices;
+    it shares the compiled rows (``NonlinearModel.drop_row``)."""
+    out = model.clone()
+    for i in reversed(range(len(out.meas_indices))):
+        if out.meas_indices[i] in flagged:
+            out.drop_row(i)
+    return out
+
+
+def _dwls_loop(grid, readings, models, params):
+    """The coordination loop over the region models; each one's boundary rows
+    are its last ``len(region.boundary)`` rows, in ``region.boundary``'s order."""
     warm: dict[int, np.ndarray] = {}
 
     def solve_region(region, terms):
         model = models[region.id]
+        first = len(model.z) - len(region.boundary)
         overrides = {}
-        for cid, term in terms.items():
-            row = boundary_rows[region.id][cid]
-            model.z[row] = term.neighbor_p + term.loss_const
-            overrides[row] = term.lam
+        for row, (cid, _) in enumerate(region.boundary, first):
+            model.z[row] = terms[cid].neighbor_p + terms[cid].loss_const
+            overrides[row] = terms[cid].lam
         result = solve_wls(model, x0=warm.get(region.id), weight_overrides=overrides)
         warm[region.id] = result.x
         return result
@@ -351,14 +367,7 @@ def _dwls_pass(grid, ms, params, index_map=None):
             conv.coupling_r, conv.coupling_x)
         return p_ac, q_ac, dc_res.conv_vars[("pdjc", conv.id)] - p_loss
 
-    estimate = _coordinate(grid, ms, params, "dwls", solve_region, boundary_power)
-    if params.nr_test:
-        for region in grid.regions:
-            out = lnr_test(models[region.id], estimate.regions[region.id])
-            estimate.bad_data[region.id] = out.report
-            estimate.regions[region.id] = out.result
-        estimate.v, estimate.theta = _merge_states(grid, estimate.regions)
-    return estimate
+    return _coordinate(grid, readings, params, "dwls", solve_region, boundary_power)
 
 
 # -- CWLS ----------------------------------------------------------------------
@@ -382,7 +391,7 @@ def run_cwls(grid: GridModel, ms: MeasurementSet, nr_test: bool = True) -> Syste
     theta = dict(result.theta)
     estimate = SystemEstimate(
         method="cwls", v=v, theta=theta, regions={-1: result},
-        mismatch_history={}, lambdas={}, iterations=result.iterations,
+        lambdas={}, iterations=result.iterations,
         timing=[IterationTiming(wall, {-1: wall}, 0.0)],
         stop_reason="converged" if result.converged else "cap")
     if report is not None:

@@ -39,7 +39,3 @@ class BadDataReport:
     flagged: list[tuple[int, float]]     # (global measurement index, normalized residual)
     cycles: int
     untestable: list[int] = field(default_factory=list)
-
-    @property
-    def any_flagged(self) -> bool:
-        return bool(self.flagged)

@@ -203,14 +203,13 @@ def _scada_index(plan, channels: list[str]) -> np.ndarray:
 
 @dataclass
 class InjectionModel:
-    """Mixtures + regression network + error-based weights, all per grid."""
+    """Mixture means + regression network + error-based weights, all per grid."""
 
     mlp: MlpModel
     channels: list[str]
     components: list[str]
     error_sigma: dict[str, float]
     gmm_means: dict[str, float]
-    gmms: dict[int, GmmModel] = field(default_factory=dict, repr=False)
     meta: dict = field(default_factory=dict)
 
     def save(self, path: str | Path) -> None:
@@ -221,10 +220,6 @@ class InjectionModel:
             "components": self.components,
             "error_sigma": self.error_sigma,
             "gmm_means": self.gmm_means,
-            "gmms": {str(n): {"weights": g.weights.tolist(),
-                              "means": g.means.tolist(),
-                              "variances": g.variances.tolist()}
-                     for n, g in self.gmms.items()},
             "meta": self.meta,
         }
         # in the trained key order: the prior rows follow that of gmm_means
@@ -232,19 +227,17 @@ class InjectionModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "InjectionModel":
+        """The saved model; other keys, such as the mixtures that older files
+        keep under ``gmms``, are ignored."""
         doc = json.loads(Path(path).read_text())
         if doc.get("version") != 1:
             raise ValueError("unsupported injection model version")
-        if missing := {"mlp", "channels", "components", "error_sigma", "gmm_means",
-                       "gmms"} - set(doc):
+        if missing := {"mlp", "channels", "components", "error_sigma",
+                       "gmm_means"} - set(doc):
             raise ValueError(f"injection model {path} lacks key(s) {sorted(missing)}")
-        gmms = {int(n): GmmModel(weights=np.array(g["weights"]),
-                                 means=np.array(g["means"]),
-                                 variances=np.array(g["variances"]))
-                for n, g in doc["gmms"].items()}
         return cls(mlp=MlpModel.from_dict(doc["mlp"]), channels=doc["channels"],
                    components=doc["components"], error_sigma=doc["error_sigma"],
-                   gmm_means=doc["gmm_means"], gmms=gmms, meta=doc.get("meta", {}))
+                   gmm_means=doc["gmm_means"], meta=doc.get("meta", {}))
 
 
 def fit_error_gmm(residuals: np.ndarray, components: list[str],
@@ -287,7 +280,7 @@ def train_injection_model(grid: GridModel, profiles: LoadProfiles,
             gmm_means[f"q:{node.id}"] = float(mean[1])
 
     model = InjectionModel(mlp=mlp, channels=ts.channels, components=ts.components,
-                           error_sigma=error_sigma, gmm_means=gmm_means, gmms=gmms,
+                           error_sigma=error_sigma, gmm_means=gmm_means,
                            meta={"seed": seed, "n_trials": n_trials,
                                  "dropped": ts.dropped,
                                  "holdout_loss": report.holdout_loss})

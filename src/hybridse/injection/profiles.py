@@ -112,14 +112,12 @@ class LoadProfiles:
 
 def gen_load_profiles(grid: GridModel, days: int, seed: int,
                       base: InjectionProfile,
-                      solar_caps: dict[int, float] | None = None,
                       params: ProfileParams = ProfileParams()) -> LoadProfiles:
     """Generate hourly profiles for every load/generation node of the grid."""
     if days < 1:
         raise ValueError("days must be >= 1")
     rng = np.random.default_rng(seed)
-    if solar_caps is None:
-        solar_caps = default_solar_caps(grid, base, params)
+    solar_caps = default_solar_caps(grid, base, params)
 
     hours = days * 24
     nodes = [n for n in grid.injection_nodes()]

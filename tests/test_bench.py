@@ -118,6 +118,15 @@ class TestMonteCarlo:
             assert len(rows) == 2 * rec.iterations > 0
             assert [row[3] for row in rows] == ["ac", "dc"] * rec.iterations
 
+    def test_worker_pool_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        # HYBRIDSE_WORKERS=2 runs the runs in two worker processes
+        sc = toy_scenario(runs=4)
+        for workers in ("1", "2"):
+            monkeypatch.setenv("HYBRIDSE_WORKERS", workers)
+            run_montecarlo(sc, out_dir=tmp_path / workers)
+        for name in ("runs.csv", "aggregate.csv", "trace_boundary.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
     def test_aggregate_recomputable_from_runs(self, tmp_path):
         sc = toy_scenario(runs=4)
         out = tmp_path / "r"
@@ -322,6 +331,17 @@ class TestCli:
                      "--out", str(tmp_path / "out")]) == 2
         assert "sigma_floor" in capsys.readouterr().err
 
+    def test_unknown_schedule_key_validation_exit(self, tmp_path, capsys):
+        import json
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps({
+            "grid": str(data.path(data.TOY5_HYBRID)), "method": "cwls", "runs": 1, "seed": 1,
+            "base_profile": str(data.path(data.TOY5_HYBRID_LOADS)),
+            "schedule": {"scada_lines": [[1, 2]]}}))
+        assert main(["benchmark", "--scenario", str(scenario), "--seed", "1",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "scada_lines" in capsys.readouterr().err
+
     def test_injection_model_missing_key_validation_exit(self, tmp_path, capsys):
         meas = tmp_path / "meas.csv"
         meas.write_text(MeasurementSet.CSV_HEADER + "\n")
@@ -330,7 +350,7 @@ class TestCli:
         assert main(["estimate", "--method", "drse_dnn",
                      "--grid", str(data.path(data.TOY5_HYBRID)), "--meas", str(meas),
                      "--model", str(model), "--out", str(tmp_path / "est.csv")]) == 2
-        assert "gmms" in capsys.readouterr().err
+        assert "gmm_means" in capsys.readouterr().err
 
     def test_divergence_numerical_exit(self, tmp_path):
         grid = str(data.path(data.TOY5_HYBRID))

@@ -367,6 +367,30 @@ class TestDwls:
         assert est.rerun
         assert est.wall_time > est.se_time > 0.0
 
+    def test_rerun_drops_rows_from_the_models_it_built(self, case33, case33_loads,
+                                                       monkeypatch):
+        # one model per region for both passes; the re-run estimates the
+        # bits of a run without the rejected readings and without the test
+        built = []
+        real = coord.build_region_model
+
+        def spy(grid, region, measurements):
+            built.append(region.id)
+            return real(grid, region, measurements)
+
+        monkeypatch.setattr(coord, "build_region_model", spy)
+        sched = ScheduleConfig(scada_ac_branches=((1, 2), (2, 19), (3, 23), (6, 26)))
+        _, ms = noisy_set(case33, case33_loads, seed=11, sched=sched)
+        bad = inject_bad_data(ms, 2)
+        est = run_dwls(case33, bad, PARAMS)
+        assert est.rerun
+        assert sorted(built) == sorted(r.id for r in case33.regions)
+        flagged = {i for rep in est.bad_data.values() for i, _ in rep.flagged}
+        assert set(bad.corrupt_indices) <= flagged
+        kept = MeasurementSet([m for i, m in enumerate(bad) if i not in flagged])
+        plain = run_dwls(case33, kept, CoordinationParams(nr_test=False))
+        assert estimate_bits(est) == estimate_bits(plain)
+
     def test_unmeasured_region_unobservable(self, toy5, toy5_loads):
         _, ms = noisy_set(toy5, toy5_loads, seed=5)
         kept = [m for m in ms

@@ -1079,7 +1079,7 @@ class TestLnr:
     def test_clean_data_no_flag(self):
         model = self._scalar_model([1.0, 1.0, 1.0])
         out = lnr_test(model, solve_wls(model))
-        assert not out.report.any_flagged
+        assert not out.report.flagged
 
     def test_flags_and_removes_outlier(self):
         model = self._scalar_model([1.0, 1.0, 1.6])

@@ -162,9 +162,9 @@ class TestBroadcastReference:
 
 class TestTrainedModelDigest:
     """The bits of a reduced offline stage, pinned by the sha256 of the saved
-    model: mixtures, network weights, error sigmas and holdout loss."""
+    model: mixture means, network weights, error sigmas and holdout loss."""
 
-    DIGEST = "baa3b8a2db0887c39732aeb02062e698d412edd68d7fba6167eaa2262aa7c24a"
+    DIGEST = "02c02cc5a17ae2de93e440a48dd94b15d4f7f1addf523e685126e29bddde914c"
 
     def test_case33_30_days(self, case33, case33_loads, tmp_path):
         profiles = gen_load_profiles(case33, days=30, seed=100, base=case33_loads)

@@ -1,0 +1,136 @@
+"""Metamorphic relations of the estimators: two runs of the same code on
+inputs whose estimates are known from each other.
+
+- Permuted readings (the corrupted indices mapped along) give the same
+  estimate.
+- Relabelled node ids (``test_powerflow._relabelled``, each reading's node
+  location mapped) give the mapped estimate.
+
+Both hold on case33 with the four SCADA lines at t = 3600 s, runs 0-19 of
+master seed 20240, clean and in bad-data case 2.  CWLS and DWLS hold within
+the Gauss-Newton step tol; DRSE's vertex path still depends on the order of
+its rows and columns, so its relations are expected failures.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from hybridse import data
+from hybridse.bench import Scenario, prepare_context
+from hybridse.coordination import CoordinationParams, run_cwls, run_drse, run_dwls
+from hybridse.powerflow import InjectionProfile, solve_powerflow
+from hybridse.telemetry import (CONV_KINDS, MeasurementSet, inject_bad_data,
+                                simulate_measurements)
+from test_powerflow import _relabelled
+
+MASTER_SEED = 20240
+RUNS = 20
+GN_TOL = 1e-6            # solve_wls's step tol: it fixes an estimate to within it
+ESTIMATORS = {
+    "cwls": lambda grid, ms: run_cwls(grid, ms),
+    "dwls": lambda grid, ms: run_dwls(grid, ms, CoordinationParams()),
+    "drse": lambda grid, ms: run_drse(grid, ms, CoordinationParams()),
+}
+DRSE_XFAIL = {
+    "permuted": "measured: permuting the readings moves DRSE by more than 1e-9 in "
+                "3 of 20 runs of each case, by up to 2.6e-5 p.u.; which optimal LP "
+                "vertex a regional solve returns depends on the row order",
+    "relabelled": "measured: relabelling the nodes moves DRSE by more than 1e-9 in "
+                  "6 of 20 runs of case 0 and 7 of case 2, by up to 2.8e-5 p.u.; which "
+                  "optimal LP vertex a regional solve returns depends on the column order",
+}
+
+
+@pytest.fixture(scope="module")
+def case33_ctx():
+    return prepare_context(Scenario(
+        grid=str(data.path(data.CASE33_HYBRID)), method="cwls", runs=RUNS,
+        seed=MASTER_SEED, base_profile=str(data.path(data.CASE33_HYBRID_LOADS)),
+        schedule={"scada_ac_branches": [[1, 2], [2, 19], [3, 23], [6, 26]]}))
+
+
+@pytest.fixture(scope="module")
+def case33_runs(case33_ctx):
+    """The measurement sets of runs 0-19 by bad-data case, drawn as
+    ``run_single`` draws them."""
+    ctx = case33_ctx
+    out = {}
+    for case in (0, 2):
+        out[case] = []
+        for run in range(RUNS):
+            rng = np.random.default_rng(MASTER_SEED + run)
+            _, profile = ctx.test_profiles.sample_tick(rng)
+            truth = solve_powerflow(ctx.grid, profile)
+            ms = simulate_measurements(ctx.grid, truth.state, ctx.schedule, t=3600.0,
+                                       seed=rng)
+            out[case].append(inject_bad_data(ms, case) if case else ms)
+    return out
+
+
+@pytest.fixture(scope="module")
+def original(case33_ctx, case33_runs):
+    """``original(method, case)``: the estimates of ``case33_runs[case]``,
+    computed on first use."""
+    kept = {}
+
+    def get(method, case):
+        if (method, case) not in kept:
+            kept[method, case] = [ESTIMATORS[method](case33_ctx.grid, ms)
+                                  for ms in case33_runs[case]]
+        return kept[method, case]
+    return get
+
+
+def permuted(ms: MeasurementSet, seed: int) -> MeasurementSet:
+    order = np.random.default_rng(seed).permutation(len(ms)).tolist()
+    position = {old: new for new, old in enumerate(order)}
+    return MeasurementSet([ms[i] for i in order],
+                          tuple(sorted(position[i] for i in ms.corrupt_indices)))
+
+
+def relabelled(ms: MeasurementSet, mapping: dict[int, int]) -> MeasurementSet:
+    """The readings with each node location mapped; a converter reading's
+    location is the converter's id, which relabelling keeps."""
+    return MeasurementSet(
+        [m if m.kind in CONV_KINDS
+         else replace(m, location=tuple(mapping[n] for n in m.location)) for m in ms],
+        ms.corrupt_indices)
+
+
+def moved(est, other, mapping=None) -> float:
+    """The largest |V| or theta difference between ``est`` and ``other``,
+    node n of ``est`` read at ``mapping[n]`` in ``other``."""
+    to = (lambda n: n) if mapping is None else mapping.get
+    return max([abs(v - other.v[to(n)]) for n, v in est.v.items()]
+               + [abs(th - other.theta[to(n)]) for n, th in est.theta.items()])
+
+
+def _methods(relation):
+    return ["cwls", "dwls",
+            pytest.param("drse", marks=pytest.mark.xfail(
+                strict=False, raises=AssertionError, reason=DRSE_XFAIL[relation]))]
+
+
+@pytest.mark.parametrize("case", [0, 2])
+@pytest.mark.parametrize("method", _methods("permuted"))
+def test_permuted_readings_give_the_same_estimate(case33_ctx, case33_runs, original,
+                                                  method, case):
+    moves = [moved(est, ESTIMATORS[method](case33_ctx.grid, permuted(ms, run)))
+             for run, (ms, est) in enumerate(zip(case33_runs[case], original(method, case)))]
+    assert max(moves) <= GN_TOL, moves
+
+
+@pytest.mark.parametrize("case", [0, 2])
+@pytest.mark.parametrize("method", _methods("relabelled"))
+def test_relabelled_nodes_give_the_mapped_estimate(case33_ctx, case33_runs, original,
+                                                   method, case):
+    # node ids reversed: the slack and every region's nodes change their ids
+    grid = case33_ctx.grid
+    ids = sorted(n.id for n in grid.nodes)
+    mapping = dict(zip(ids, reversed(ids)))
+    other, _ = _relabelled(grid, InjectionProfile(), mapping)
+    moves = [moved(est, ESTIMATORS[method](other, relabelled(ms, mapping)), mapping)
+             for ms, est in zip(case33_runs[case], original(method, case))]
+    assert max(moves) <= GN_TOL, moves

@@ -63,6 +63,21 @@ class TestModelArtifact:
         assert np.array_equal(again.mlp.predict(z[None, :]),
                               toy_model.mlp.predict(z[None, :]))
 
+    def test_file_with_saved_mixtures_loads(self, tmp_path, toy_model):
+        # files written before the mixtures left the model keep them under
+        # "gmms"; the key is ignored
+        import json
+        path = tmp_path / "model.json"
+        toy_model.save(path)
+        doc = json.loads(path.read_text())
+        assert "gmms" not in doc
+        doc["gmms"] = {"2": {"weights": [1.0], "means": [[-0.1, -0.02]],
+                             "variances": [[1e-4, 1e-4]]}}
+        path.write_text(json.dumps(doc))
+        again = InjectionModel.load(path)
+        assert again.gmm_means == toy_model.gmm_means
+        assert again.error_sigma == toy_model.error_sigma
+
     def test_reloaded_model_screens_like_the_trained_one(self, tmp_path, toy5,
                                                           toy5_loads, toy_model):
         # the file keeps the trained key order, so the reloaded model emits
