@@ -39,12 +39,21 @@ SIDES = ("ac", "dc")         # BoundaryPacket.side by its code in RunRecord.trac
 
 @dataclass
 class RunContext:
+    """The inputs ``prepare_context`` loads or trains; the schedule and the
+    coordination parameters are read from the scenario."""
+
     scenario: Scenario
     grid: GridModel
-    schedule: ScheduleConfig
     test_profiles: LoadProfiles
-    params: CoordinationParams
     model: InjectionModel | None = None
+
+    @property
+    def schedule(self) -> ScheduleConfig:
+        return self.scenario.schedule_config
+
+    @property
+    def params(self) -> CoordinationParams:
+        return CoordinationParams(nr_test=self.scenario.nr_test)
 
 
 @dataclass
@@ -77,7 +86,6 @@ def prepare_context(scenario: Scenario,
     model (from a file or by running the offline stage once)."""
     grid = load_grid(scenario.grid)
     base = load_profile(scenario.base_profile)
-    schedule = scenario.schedule_config
     profile_params = ProfileParams()
 
     model = None
@@ -88,14 +96,13 @@ def prepare_context(scenario: Scenario,
             profiles = gen_load_profiles(grid, days=scenario.profile_days,
                                          seed=scenario.profile_seed, base=base,
                                          params=profile_params)
-            model, _ = train_injection_model(grid, profiles, schedule,
+            model, _ = train_injection_model(grid, profiles, scenario.schedule_config,
                                              seed=scenario.profile_seed)
     test_profiles = gen_load_profiles(grid, days=scenario.test_days,
                                       seed=scenario.profile_seed + TEST_PROFILE_OFFSET,
                                       base=base, params=profile_params)
-    params = CoordinationParams(nr_test=scenario.nr_test)
-    return RunContext(scenario=scenario, grid=grid, schedule=schedule,
-                      test_profiles=test_profiles, params=params, model=model)
+    return RunContext(scenario=scenario, grid=grid, test_profiles=test_profiles,
+                      model=model)
 
 
 def run_single(ctx: RunContext, run_idx: int) -> RunRecord:
@@ -131,12 +138,12 @@ def run_single(ctx: RunContext, run_idx: int) -> RunRecord:
         record.max_mismatch = est.max_mismatch()
         record.se_ms = est.se_time * 1000.0
         record.wall_ms = est.wall_time * 1000.0
-        record.timing = np.array([(it.t_total, it.t_algebra,
-                                   max(it.t_regions.values(), default=0.0))
+        record.timing = np.array([(it.t_total, it.t_algebra, it.t_region_max)
                                   for it in est.timing], dtype=float).reshape(-1, 3)
-        record.trace = np.array([(p.iteration, p.converter, SIDES.index(p.side), p.p_vsc,
-                                  p.q_vsc, p.p_loss, p.v_pcc) for p in est.packet_trace],
-                                dtype=float).reshape(-1, 7)
+        record.trace = np.array([(iteration, p.converter, SIDES.index(p.side), p.p_vsc,
+                                  p.q_vsc, p.p_loss, p.v_pcc)
+                                 for iteration, pkts in enumerate(est.packet_trace, 1)
+                                 for p in pkts], dtype=float).reshape(-1, 7)
         if ms_est.corrupt_indices:
             worst = est.dominant_reading()
             if worst is not None:

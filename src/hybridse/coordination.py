@@ -37,7 +37,7 @@ import numpy as np
 from .estimation import (BoundaryTerm, EstimationResult, RegionalLp, lnr_test,
                          solve_wlav_region, solve_wls)
 from .grid import AC, DC, OWNS_AC, GridModel
-from .measmodel import NonlinearModel, build_region_model, build_system_model
+from .measmodel import build_region_model, build_system_model
 from .powerflow import ac_branch_flow, converter_loss
 from .telemetry import Measurement, MeasurementKind, MeasurementSet, build_region_H
 
@@ -45,7 +45,7 @@ from .telemetry import Measurement, MeasurementKind, MeasurementSet, build_regio
 @dataclass(frozen=True)
 class BoundaryPacket:
     """The only data a region shares: its view (``side`` "ac" or "dc") of one
-    converter's operating point at one iteration."""
+    converter's operating point."""
 
     converter: int
     side: str
@@ -53,7 +53,6 @@ class BoundaryPacket:
     q_vsc: float
     p_loss: float
     v_pcc: float
-    iteration: int
 
 
 @dataclass(frozen=True)
@@ -75,13 +74,12 @@ class IterationTiming:
     """One iteration's times in seconds; its place in ``timing`` is its iteration."""
 
     t_total: float
-    t_regions: dict[int, float]
+    t_region_max: float
     t_algebra: float
 
 
 @dataclass
 class SystemEstimate:
-    method: str
     v: dict[int, float]
     theta: dict[int, float]
     regions: dict[int, EstimationResult]
@@ -91,9 +89,10 @@ class SystemEstimate:
     # "converged"; "stalled" (iteration cap, the last packets equal the
     # previous iteration's field by field) or "cap" (iteration cap otherwise)
     stop_reason: str
-    packet_trace: list[BoundaryPacket] = field(default_factory=list)
+    # one list per iteration, its place the iteration: each converter's AC
+    # packet, then its DC packet
+    packet_trace: list[list[BoundaryPacket]] = field(default_factory=list)
     bad_data: dict = field(default_factory=dict)
-    rerun: bool = False           # WLS loop repeated after bad-data removal
     # wall time of the whole estimator call: model assembly, every pass and the
     # bad-data test included (se_time is the parallel accounting of the loop)
     wall_time: float = 0.0
@@ -118,15 +117,16 @@ class SystemEstimate:
     @property
     def mismatch_history(self) -> dict[int, list[float]]:
         """Converter id -> |p_vsc(ac) - p_vsc(dc)| of each iteration's packet
-        pair (the trace holds each AC packet followed by its DC packet)."""
+        pair."""
         out: dict[int, list[float]] = {}
-        for ac, dc in zip(self.packet_trace[::2], self.packet_trace[1::2]):
-            out.setdefault(ac.converter, []).append(abs(ac.p_vsc - dc.p_vsc))
+        for pkts in self.packet_trace:
+            for ac, dc in zip(pkts[::2], pkts[1::2]):
+                out.setdefault(ac.converter, []).append(abs(ac.p_vsc - dc.p_vsc))
         return out
 
     def max_mismatch(self) -> float:
         """The largest boundary mismatch of the last iteration."""
-        last = [pkt for pkt in self.packet_trace if pkt.iteration == self.iterations]
+        last = self.packet_trace[-1] if self.packet_trace else []
         return max((abs(ac.p_vsc - dc.p_vsc) for ac, dc in zip(last[::2], last[1::2])),
                    default=0.0)
 
@@ -162,12 +162,12 @@ def _bootstrap_packets(grid: GridModel, readings: list[Measurement]):
         q = conv_q.get(conv.id, conv.control.q_set)
         v = v_pcc.get(conv.aux_node, 1.0)
         loss, _ = converter_loss(p, q, v, (conv.d1, conv.d2, conv.d3))
-        ac_pkts[conv.id] = BoundaryPacket(conv.id, "ac", p, q, loss, v, 0)
-        dc_pkts[conv.id] = BoundaryPacket(conv.id, "dc", p, q, loss, v, 0)
+        ac_pkts[conv.id] = BoundaryPacket(conv.id, "ac", p, q, loss, v)
+        dc_pkts[conv.id] = BoundaryPacket(conv.id, "dc", p, q, loss, v)
     return ac_pkts, dc_pkts
 
 
-def _boundary_terms(grid, region, lambdas, ac_pkts, dc_pkts):
+def _boundary_terms(region, lambdas, ac_pkts, dc_pkts):
     """BoundaryTerm per converter of a region, from neighbor packets only."""
     terms: dict[int, BoundaryTerm] = {}
     for cid, orient in region.boundary:
@@ -185,7 +185,7 @@ def _boundary_terms(grid, region, lambdas, ac_pkts, dc_pkts):
 
 
 def _coordinate(grid: GridModel, readings: list[Measurement], params: CoordinationParams,
-                method: str, solve_region, boundary_power) -> SystemEstimate:
+                solve_region, boundary_power) -> SystemEstimate:
     """Jacobi coordination shared by the distributed estimators, bootstrapped
     from ``readings``.
 
@@ -201,7 +201,7 @@ def _coordinate(grid: GridModel, readings: list[Measurement], params: Coordinati
     ac_pkts, dc_pkts = _bootstrap_packets(grid, readings)
     prev_ac = prev_dc = None
     timing: list[IterationTiming] = []
-    trace: list[BoundaryPacket] = []
+    trace: list[list[BoundaryPacket]] = []
     results: dict[int, EstimationResult] = {}
     converged = not grid.converters
     iteration = 0
@@ -209,13 +209,14 @@ def _coordinate(grid: GridModel, readings: list[Measurement], params: Coordinati
     for iteration in range(1, params.max_iterations + 1):
         t_regions: dict[int, float] = {}
         for region in grid.regions:
-            terms = _boundary_terms(grid, region, lambdas, ac_pkts, dc_pkts)
+            terms = _boundary_terms(region, lambdas, ac_pkts, dc_pkts)
             t0 = time.perf_counter()
             results[region.id] = solve_region(region, terms)
             t_regions[region.id] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         new_ac, new_dc = {}, {}
+        pkts: list[BoundaryPacket] = []
         mismatches: list[float] = []
         for conv in grid.converters:
             ac_res = results[grid.node(conv.aux_node).region]
@@ -224,21 +225,22 @@ def _coordinate(grid: GridModel, readings: list[Measurement], params: Coordinati
             p_ac, q_ac, p_dc = boundary_power(conv, ac_res, dc_res, p_loss)
             v_ac = ac_res.v[conv.aux_node]
             loss, _ = converter_loss(p_ac, q_ac, v_ac, (conv.d1, conv.d2, conv.d3))
-            pkt_ac = BoundaryPacket(conv.id, "ac", p_ac, q_ac, loss, v_ac, iteration)
+            pkt_ac = BoundaryPacket(conv.id, "ac", p_ac, q_ac, loss, v_ac)
             pkt_dc = BoundaryPacket(conv.id, "dc", p_dc, conv.control.q_set, p_loss,
-                                    dc_res.v[conv.dc_node], iteration)
+                                    dc_res.v[conv.dc_node])
             new_ac[conv.id], new_dc[conv.id] = pkt_ac, pkt_dc
-            trace += [pkt_ac, pkt_dc]
+            pkts += [pkt_ac, pkt_dc]
             mismatch = abs(pkt_ac.p_vsc - pkt_dc.p_vsc)
             mismatches.append(mismatch)
             lambdas[conv.id] += params.xi * mismatch
+        trace.append(pkts)
         prev_ac, prev_dc = ac_pkts, dc_pkts
         ac_pkts, dc_pkts = new_ac, new_dc
         t_algebra = time.perf_counter() - t0
 
         t_ac = max((t_regions[r] for r in ac_regions), default=0.0)
         t_dc = max((t_regions[r] for r in dc_regions), default=0.0)
-        timing.append(IterationTiming(t_ac + t_dc + t_algebra, t_regions, t_algebra))
+        timing.append(IterationTiming(t_ac + t_dc + t_algebra, max(t_ac, t_dc), t_algebra))
 
         if max(mismatches, default=0.0) <= params.tau:
             converged = True
@@ -247,23 +249,13 @@ def _coordinate(grid: GridModel, readings: list[Measurement], params: Coordinati
     v, theta = _merge_states(grid, results)
     if converged:
         stop_reason = "converged"
-    elif _repeats(ac_pkts, prev_ac) and _repeats(dc_pkts, prev_dc):
+    elif ac_pkts == prev_ac and dc_pkts == prev_dc:
         stop_reason = "stalled"
     else:
         stop_reason = "cap"
-    return SystemEstimate(method=method, v=v, theta=theta, regions=results,
-                          lambdas=lambdas, iterations=iteration, timing=timing,
+    return SystemEstimate(v=v, theta=theta, regions=results, lambdas=lambdas,
+                          iterations=iteration, timing=timing,
                           stop_reason=stop_reason, packet_trace=trace)
-
-
-def _repeats(new: dict[int, BoundaryPacket], old: dict[int, BoundaryPacket]) -> bool:
-    """True when every packet equals the previous iteration's, field by field."""
-    return all(_fields(pkt) == _fields(old[cid]) for cid, pkt in new.items())
-
-
-def _fields(pkt: BoundaryPacket) -> tuple:
-    """Every field but the iteration, in order."""
-    return pkt.converter, pkt.side, pkt.p_vsc, pkt.q_vsc, pkt.p_loss, pkt.v_pcc
 
 
 # -- DRSE ----------------------------------------------------------------------
@@ -297,8 +289,7 @@ def run_drse(grid: GridModel, ms: MeasurementSet,
                 float(ac_model.boundary_q[conv.id] @ ac_res.x),
                 float(dc_model.boundary[conv.id] @ dc_res.x - p_loss))
 
-    estimate = _coordinate(grid, ms.measurements, params, "drse", solve_region,
-                           boundary_power)
+    estimate = _coordinate(grid, ms.measurements, params, solve_region, boundary_power)
     estimate.wall_time = time.perf_counter() - t_start
     return estimate
 
@@ -311,37 +302,21 @@ def run_dwls(grid: GridModel, ms: MeasurementSet,
     """Distributed nonlinear WLS under the same partition and packet exchange,
     with a quadratic boundary penalty and a per-region normalized-residual
     test; any rejection triggers one full re-run without the rejected
-    readings, on the same region models with their rows dropped."""
+    readings, on the models the test left with their rows dropped."""
     t_start = time.perf_counter()
     by_region = ms.by_region(grid)
     models = {r.id: build_region_model(grid, r, by_region[r.id]) for r in grid.regions}
     estimate = _dwls_loop(grid, ms.measurements, models, params)
     if params.nr_test:
-        for region in grid.regions:
-            out = lnr_test(models[region.id], estimate.regions[region.id])
-            estimate.bad_data[region.id] = out.report
-            estimate.regions[region.id] = out.result
-        estimate.v, estimate.theta = _merge_states(grid, estimate.regions)
-        flagged = {idx for rep in estimate.bad_data.values() for idx, _ in rep.flagged}
+        tests = {rid: lnr_test(model, estimate.regions[rid]) for rid, model in models.items()}
+        flagged = {idx for out in tests.values() for idx, _ in out.report.flagged}
         if flagged:
-            kept = {rid: _drop_readings(model, flagged) for rid, model in models.items()}
             readings = [m for i, m in enumerate(ms.measurements) if i not in flagged]
-            rerun = _dwls_loop(grid, readings, kept, params)
-            rerun.bad_data = estimate.bad_data
-            rerun.rerun = True
-            estimate = rerun
+            estimate = _dwls_loop(grid, readings,
+                                  {rid: out.model for rid, out in tests.items()}, params)
+        estimate.bad_data = {rid: out.report for rid, out in tests.items()}
     estimate.wall_time = time.perf_counter() - t_start
     return estimate
-
-
-def _drop_readings(model: NonlinearModel, flagged: set[int]) -> NonlinearModel:
-    """A clone of ``model`` without the rows of the ``flagged`` global indices;
-    it shares the compiled rows (``NonlinearModel.drop_row``)."""
-    out = model.clone()
-    for i in reversed(range(len(out.meas_indices))):
-        if out.meas_indices[i] in flagged:
-            out.drop_row(i)
-    return out
 
 
 def _dwls_loop(grid, readings, models, params):
@@ -367,7 +342,7 @@ def _dwls_loop(grid, readings, models, params):
             conv.coupling_r, conv.coupling_x)
         return p_ac, q_ac, dc_res.conv_vars[("pdjc", conv.id)] - p_loss
 
-    return _coordinate(grid, readings, params, "dwls", solve_region, boundary_power)
+    return _coordinate(grid, readings, params, solve_region, boundary_power)
 
 
 # -- CWLS ----------------------------------------------------------------------
@@ -390,9 +365,9 @@ def run_cwls(grid: GridModel, ms: MeasurementSet, nr_test: bool = True) -> Syste
     v = dict(result.v)
     theta = dict(result.theta)
     estimate = SystemEstimate(
-        method="cwls", v=v, theta=theta, regions={-1: result},
+        v=v, theta=theta, regions={-1: result},
         lambdas={}, iterations=result.iterations,
-        timing=[IterationTiming(wall, {-1: wall}, 0.0)],
+        timing=[IterationTiming(wall, wall, 0.0)],
         stop_reason="converged" if result.converged else "cap")
     if report is not None:
         estimate.bad_data = {-1: report}

@@ -161,6 +161,7 @@ def solve_wls(model, x0: np.ndarray | None = None, tol: float = 1e-6,
 class _NrOutcome:
     report: BadDataReport
     result: EstimationResult
+    model: object       # the model ``result`` was solved on
 
 
 def lnr_test(model, result: EstimationResult) -> _NrOutcome:
@@ -172,7 +173,9 @@ def lnr_test(model, result: EstimationResult) -> _NrOutcome:
 
     ``model`` is never modified: the first removal happens on a clone.  A
     clone shares the compiled form of a nonlinear model, and a removal masks
-    its rows, so the test compiles nothing.
+    its rows, so the test compiles nothing.  The outcome's ``model`` is
+    ``model`` itself when nothing was flagged, else the clone without the
+    flagged rows.
     """
     work = model
     flagged: list[tuple[int, float]] = []
@@ -198,7 +201,7 @@ def lnr_test(model, result: EstimationResult) -> _NrOutcome:
         result = solve_wls(work, x0=x)
 
     report = BadDataReport(flagged=flagged, cycles=cycles, untestable=untestable)
-    return _NrOutcome(report=report, result=result)
+    return _NrOutcome(report=report, result=result, model=work)
 
 
 def lnr_substitute(model, threshold: float) -> dict[int, float]:

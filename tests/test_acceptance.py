@@ -424,10 +424,10 @@ def test_criterion_8_boundary_consistency(case33, case33_loads, toy5, toy5_loads
         nonlocal checked
         assert est.converged
         assert est.max_mismatch() <= TAU, tag
+        assert len(est.packet_trace) == est.iterations
         final = {}
-        for pkt in est.packet_trace:
-            if pkt.iteration == est.iterations:
-                final.setdefault(pkt.converter, {})[pkt.side] = pkt
+        for pkt in est.packet_trace[-1]:
+            final.setdefault(pkt.converter, {})[pkt.side] = pkt
         for cid, pair in final.items():
             # DC packets carry the AC-side loss, so the converter draw is
             # p_dc + loss; the balance compares it against p_ac + loss

@@ -78,8 +78,8 @@ class TestDrse:
         for conv in toy5.converters:
             dc_res = est.regions[1]
             p_djc = dc_res.conv_vars[("pdjc", conv.id)]
-            ac_pkt = [p for p in est.packet_trace
-                      if p.converter == conv.id][-2]
+            ac_pkt = next(p for p in est.packet_trace[-1]
+                          if p.converter == conv.id and p.side == "ac")
             assert abs(ac_pkt.p_vsc + ac_pkt.p_loss - p_djc) <= max(PARAMS.tau, 1e-8)
 
     def test_lambda_monotone_and_exit_flag(self, case33, case33_loads):
@@ -97,7 +97,7 @@ class TestDrse:
         assert est.converged == (est.max_mismatch() <= PARAMS.tau)
         assert len(est.timing) == est.iterations
         for t in est.timing:
-            assert t.t_total >= max(t.t_regions.values()) - 1e-12
+            assert t.t_total >= t.t_region_max - 1e-12
             assert t.t_total >= t.t_algebra
 
     def test_stop_reason_stalled_on_noisy_case33(self, case33, case33_loads):
@@ -107,8 +107,8 @@ class TestDrse:
         est = run_drse(case33, ms, PARAMS)
         assert est.stop_reason == "stalled"
         assert not est.converged and est.iterations == PARAMS.max_iterations
-        n = 2 * len(case33.converters)
-        last, previous = est.packet_trace[-n:], est.packet_trace[-2 * n:-n]
+        last, previous = est.packet_trace[-1], est.packet_trace[-2]
+        assert len(last) == 2 * len(case33.converters)
         for a, b in zip(last, previous):
             assert (a.converter, a.side, a.p_vsc, a.q_vsc, a.p_loss, a.v_pcc) \
                 == (b.converter, b.side, b.p_vsc, b.q_vsc, b.p_loss, b.v_pcc)
@@ -257,8 +257,8 @@ def estimate_bits(est):
     def bits(*values):
         return struct.pack(f"{len(values)}d", *values)
     return (
-        [(p.converter, p.side, p.iteration, bits(p.p_vsc, p.q_vsc, p.p_loss, p.v_pcc))
-         for p in est.packet_trace],
+        [(p.converter, p.side, iteration, bits(p.p_vsc, p.q_vsc, p.p_loss, p.v_pcc))
+         for iteration, pkts in enumerate(est.packet_trace, 1) for p in pkts],
         {node: bits(v) for node, v in est.v.items()},
         {node: bits(th) for node, th in est.theta.items()},
         {cid: bits(lam) for cid, lam in est.lambdas.items()},
@@ -355,7 +355,7 @@ class TestDwls:
         est = run_dwls(case33, bad, PARAMS)
         flagged = {i for rep in est.bad_data.values() for i, _ in rep.flagged}
         assert set(bad.corrupt_indices) <= flagged
-        assert est.rerun
+        assert flagged
         err = max(abs(est.v[n] - clean.v[n]) for n in est.v)
         assert err <= 5e-4
 
@@ -364,7 +364,7 @@ class TestDwls:
         sched = ScheduleConfig(scada_ac_branches=((1, 2), (2, 19), (3, 23), (6, 26)))
         _, ms = noisy_set(case33, case33_loads, seed=11, sched=sched)
         est = run_dwls(case33, inject_bad_data(ms, 2), PARAMS)
-        assert est.rerun
+        assert {i for rep in est.bad_data.values() for i, _ in rep.flagged}
         assert est.wall_time > est.se_time > 0.0
 
     def test_rerun_drops_rows_from_the_models_it_built(self, case33, case33_loads,
@@ -383,7 +383,7 @@ class TestDwls:
         _, ms = noisy_set(case33, case33_loads, seed=11, sched=sched)
         bad = inject_bad_data(ms, 2)
         est = run_dwls(case33, bad, PARAMS)
-        assert est.rerun
+        assert {i for rep in est.bad_data.values() for i, _ in rep.flagged}
         assert sorted(built) == sorted(r.id for r in case33.regions)
         flagged = {i for rep in est.bad_data.values() for i, _ in rep.flagged}
         assert set(bad.corrupt_indices) <= flagged
@@ -456,10 +456,10 @@ class TestModelCompiles:
                 assert sum(removals[-1:]) == len(est.bad_data[-1].flagged)
                 run_dwls(grid, bad, PARAMS)
             assert len(compiles) == len(keys)
+            # the system model and each region's model compiled once; a DWLS
+            # re-run drops rows from the models it built
+            assert len(keys) == 1 + len(grid.regions)
         assert sum(removals) > 0
-        # the first round compiled the system model once and each region's
-        # model once, plus once per distinct DWLS second pass
-        assert 1 + len(grid.regions) <= len(keys) < 1 + 4 * len(grid.regions)
 
 
 class TestCwls:

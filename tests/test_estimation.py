@@ -1224,6 +1224,23 @@ class TestLnrLeavesTheModel:
         assert flagged[0::2] == [0, 0, 0] and min(flagged[1::2]) > 0
         assert len(built) == 1
 
+    def test_outcome_model_shares_the_compiled_rows(self, case33, case33_loads):
+        # nothing flagged: the caller's model; a removal: a clone without the
+        # flagged rows on the same compiled rows, the caller's keeping them all
+        from hybridse.measmodel import build_system_model
+        from hybridse.telemetry import inject_bad_data
+        ms = self._case33_set(case33, case33_loads, 0)
+        clean = build_system_model(case33, list(enumerate(ms.measurements)))
+        assert lnr_test(clean, solve_wls(clean)).model is clean
+        model = build_system_model(case33, list(enumerate(inject_bad_data(ms, 1).measurements)))
+        rows = list(model.meas_indices)
+        out = lnr_test(model, solve_wls(model))
+        flagged = {i for i, _ in out.report.flagged}
+        assert flagged
+        assert out.model.meas_indices == [i for i in rows if i not in flagged]
+        assert model.meas_indices == rows and model.z.size == len(rows)
+        assert out.model._compiled is model._compiled
+
     @staticmethod
     def _snapshot(model):
         fields = {name: getattr(model, name) for name in

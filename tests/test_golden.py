@@ -29,6 +29,8 @@ MATRIX = {
     "case33_drse_pseudo_2": (data.CASE33_HYBRID, data.CASE33_HYBRID_LOADS, "drse_pseudo", 2),
     "case33_dwls_0": (data.CASE33_HYBRID, data.CASE33_HYBRID_LOADS, "dwls", 0),
     "case33_dwls_2": (data.CASE33_HYBRID, data.CASE33_HYBRID_LOADS, "dwls", 2),
+    # each of the 3 runs re-runs DWLS without 4 readings
+    "case33_dwls_3": (data.CASE33_HYBRID, data.CASE33_HYBRID_LOADS, "dwls", 3),
     "case33_dwls_pseudo_2": (data.CASE33_HYBRID, data.CASE33_HYBRID_LOADS, "dwls_pseudo", 2),
     "case33_cwls_0": (data.CASE33_HYBRID, data.CASE33_HYBRID_LOADS, "cwls", 0),
     "case33_cwls_2": (data.CASE33_HYBRID, data.CASE33_HYBRID_LOADS, "cwls", 2),
@@ -92,6 +94,14 @@ GOLDEN = {
             'a99473096cd53c09ce5347648fb26ef8247a52791e25af22a1d58c871d96ff47',
         'trace_boundary.csv':
             'c533d6b09844689ffbd769823c599d9f2449ff7b18704987aef1b348c390df04',
+    },
+    'case33_dwls_3': {
+        'runs.csv':
+            '878bb252097be90506a91f2493bac0be14d6d30f981589c11745619bd8381e3a',
+        'aggregate.csv':
+            '3abee264f7dbc411bfba5832d8308e683f2de3f568bdaff7dd355462931f95cf',
+        'trace_boundary.csv':
+            'ffff83463bce8d26f6f38f828b51b0168022ac1b7e5980f9fe1b5f17fe62b131',
     },
     'case33_dwls_pseudo_2': {
         'runs.csv':
