@@ -23,8 +23,9 @@ What an estimate builds is only what is its own.  Every run of one
 telemetry configuration reads the same rows, so the regional H and boundary
 rows, the regional LP structures and the compiled nonlinear rows are kept
 by the grid per row set (``GridModel.memo``); an estimate supplies z,
-sigma and the boundary terms, and owns each region's LP solve state
-(``estimation.wlav.RegionalLp``), which dies with it.
+sigma and the boundary terms.  A DRSE estimate holds one
+``estimation.wlav.RegionalLp`` per region, the one owner of the region's
+model, LP template and warm start, which dies with the estimate.
 """
 
 from __future__ import annotations
@@ -268,23 +269,17 @@ def run_drse(grid: GridModel, ms: MeasurementSet,
     through the mismatch trace, not as a failure."""
     t_start = time.perf_counter()
     by_region = ms.by_region(grid)
-    models = {r.id: build_region_H(grid, r, by_region[r.id]) for r in grid.regions}
-    # each region's LP: the row set's structure with this estimate's b, c and
-    # solve state
-    lps = {r.id: RegionalLp(models[r.id], sorted(cid for cid, _ in r.boundary))
-           for r in grid.regions}
-    bases: dict[int, tuple] = {}
+    # each region's LP: its model over the row set's structure, with this
+    # estimate's b, c and solve state
+    lps = {r.id: RegionalLp(build_region_H(grid, r, by_region[r.id])) for r in grid.regions}
 
     def solve_region(region, terms):
         # the regional solve sees only its own model and BoundaryTerm values
-        result, sol = solve_wlav_region(models[region.id], terms, basis=bases.get(region.id),
-                                        lp=lps[region.id])
-        bases[region.id] = sol.basis
-        return result
+        return solve_wlav_region(lps[region.id], terms)
 
     def boundary_power(conv, ac_res, dc_res, p_loss):
-        ac_model = models[grid.node(conv.aux_node).region]
-        dc_model = models[grid.node(conv.dc_node).region]
+        ac_model = lps[grid.node(conv.aux_node).region].model
+        dc_model = lps[grid.node(conv.dc_node).region].model
         return (float(ac_model.boundary[conv.id] @ ac_res.x),
                 float(ac_model.boundary_q[conv.id] @ ac_res.x),
                 float(dc_model.boundary[conv.id] @ dc_res.x - p_loss))

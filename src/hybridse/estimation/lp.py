@@ -40,13 +40,14 @@ leaves.  A basic equality residual with a nonzero entry blocks at step 0.
 Entering is by Dantzig's rule, Bland's after a run of degenerate pivots;
 ties go to the lowest variable, so solves are deterministic.
 
-Every problem comes from an :class:`LpTemplate` (``LpTemplate.problem``):
-A and the free columns of a family of problems that differ only in c and b,
+Every :class:`LpProblem` is c and b over an :class:`LpTemplate`: A and the
+free columns of a family of problems that differ only in c and b,
 immutable and shareable, with the crash tableau made once.  What a solve
 leaves behind lives in the :class:`LpState` of the one owner of a run of
-solves: the last solve's final tableau and read-only x, keyed by its basis
-and the bytes of b.  The one warm start is from that basis, passed back to
-the next solve with the same state.  With the same b bytes the solve first
+solves (a region's ``estimation.wlav.RegionalLp``): the last solve's final
+tableau and read-only x, keyed by its basis (``LpState.basis``) and the
+bytes of b.  The one warm start is from that basis, passed back to the next
+solve with the same state.  With the same b bytes the solve first
 prices the stored tableau under the new costs; when no residual enters, it
 returns the stored x itself, read-only, with 0 pivots and no copy.  Any
 other basis, or a warm solve that fails in any way, is solved once more
@@ -193,9 +194,6 @@ class LpTemplate:
                   *(self.crash if isinstance(self.crash, tuple) else ())):
             a.flags.writeable = False
 
-    def problem(self, c, b_eq, state: LpState) -> LpProblem:
-        return LpProblem(self, c, b_eq, state)
-
 
 class LpState:
     """What the solves of one owner's problems leave behind (module
@@ -206,6 +204,11 @@ class LpState:
     def __init__(self):
         self.last: tuple | None = None
 
+    @property
+    def basis(self) -> tuple[int, ...] | None:
+        """The basis of the last solve, the one warm start; None before it."""
+        return None if self.last is None else self.last[0][0]
+
 
 def _lp_solve(problem: LpProblem, basis) -> LpSolution:
     template, state, b = problem.template, problem.state, problem.b_eq
@@ -213,10 +216,9 @@ def _lp_solve(problem: LpProblem, basis) -> LpSolution:
     if basis is None:
         t, head, cols = _crash_tableau(template, b)
     else:
-        last = state.last
-        if last is None or last[0][0] != tuple(basis):
+        if state.basis != tuple(basis):
             raise LpError("warm basis is not the one of the state's last solve")
-        (last_basis, last_b), stored, head, cols, x = last
+        (last_basis, last_b), stored, head, cols, x = state.last
         if last_b != b.tobytes():
             t, head, cols = _start(template, stored, head, cols, b)
         elif _entering(template, stored, head, cols, c_ext, 0) is None:

@@ -16,16 +16,16 @@ between coordination iterations, and between estimates of one row set only z
 and sigma do.  So the structure (A, the free mask and their
 :class:`~.lp.LpTemplate`, with the cold start's elimination and tableau) is
 built once per row set and kept with the model's ``telemetry.RegionRows``,
-under the model's zero rows and converters (a model without them builds its
-own).  A :class:`RegionalLp` adds what is its own: the slack costs 1/sigma,
-z and the kernel's :class:`~.lp.LpState`.  The caller builds one per region
-per estimate and passes it to every solve, so the model carries no LP state.
-Each call's problem shares the template's read-only A and carries fresh b
-and c, patched on the boundary rows and the (a, b) columns.  The next solve
-given the last solve's basis re-optimizes from the final tableau in the
-state, or hands back that same x object when the basis stays optimal for the
-same b; a basis from another state starts cold.  The ``RegionalLp`` keeps
-its read-out of the last x it saw (states, converter variables and
+under the model's zero rows, the region fixing the converters (a model
+without ``RegionRows`` builds its own).  A region's model, template and warm
+start have one owner, ``RegionalLp(model)``, built once per region per
+estimate: it adds the slack costs 1/sigma, z and the kernel's
+:class:`~.lp.LpState`, whose last basis starts the next solve warm, so the
+model carries no LP state.  Each call's problem shares the template's read-only A and carries
+fresh b and c, patched on the boundary rows and the (a, b) columns.  A solve
+re-optimizes from the final tableau in the state, or hands back that same x
+object when the basis stays optimal for the same b.  The ``RegionalLp``
+keeps its read-out of the last x it saw (states, converter variables and
 residuals) and reuses it when the kernel hands back that object.
 """
 
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..telemetry import SOURCE_VIRTUAL_ZERO
-from .lp import LpProblem, LpSolution, LpState, LpTemplate, lp_solve
+from .lp import LpProblem, LpState, LpTemplate, lp_solve
 from .result import EstimationResult
 
 
@@ -64,39 +64,40 @@ def build_regional_wlav_lp(lp: RegionalLp, boundary: dict[int, BoundaryTerm]) ->
 
 
 class RegionalLp:
-    """One owner's WLAV LP of a region (module docstring): the template of
-    the model's rows and the boundary rows of the converters ``convs``,
-    shared by every model of the row set, with this model's b, c and solve
-    state.  The costs sit at the template's residual pairs: 1/sigma at a
-    reading's (u, l), the multiplier at a boundary row's (a, b)."""
+    """A region's WLAV LP and its one owner (module docstring): the
+    ``model``, the row set's template over the model's rows and the boundary
+    rows of its converters ``convs``, and this model's b, c and solve state.
+    The costs sit at the residual pairs: 1/sigma at a reading's (u, l), the
+    multiplier at a boundary row's (a, b)."""
 
-    def __init__(self, model, convs):
+    def __init__(self, model):
         if len(model.z) == 0:
             raise ValueError(f"region {model.region_id} has no measurements")
-        self.convs = tuple(convs)
+        self.model = model
+        self.convs = tuple(sorted(model.boundary))
         zero = tuple([i for i, src in enumerate(model.sources) if src == SOURCE_VIRTUAL_ZERO])
-        key = (zero, self.convs)
         kept = {} if model.region_rows is None else model.region_rows.lps
-        if key not in kept:
-            kept[key] = _lp_template(model, self.convs, zero)
-        self.lp = lp = kept[key]
+        if zero not in kept:
+            kept[zero] = _lp_template(model, self.convs, zero)
+        self.template = template = kept[zero]
         self.m = m = len(model.z)
-        self.b = np.zeros(lp.a_eq.shape[0])
+        self.b = np.zeros(template.a_eq.shape[0])
         self.b[:m] = model.z
-        self.c = np.zeros(lp.a_eq.shape[1])
-        slack = lp.pair[:m]
-        self.c[lp.plus[:m][slack]] = self.c[lp.minus[:m][slack]] = 1.0 / model.sigma[slack]
+        self.c = np.zeros(template.a_eq.shape[1])
+        slack = template.pair[:m]
+        weight = 1.0 / model.sigma[slack]
+        self.c[template.plus[:m][slack]] = self.c[template.minus[:m][slack]] = weight
         self.state = LpState()
-        self.meas_indices = list(model.meas_indices)
         self.read_out: tuple | None = None      # (LP x, states x, v, theta, conv, residuals)
 
     def problem(self, boundary: dict[int, BoundaryTerm]) -> LpProblem:
         b, c = self.b.copy(), self.c.copy()
+        plus, minus = self.template.plus, self.template.minus
         for row, cid in enumerate(self.convs, self.m):
             term = boundary[cid]
             b[row] = term.neighbor_p + term.loss_const
-            c[self.lp.plus[row]] = c[self.lp.minus[row]] = term.lam
-        return self.lp.problem(c, b, self.state)
+            c[plus[row]] = c[minus[row]] = term.lam
+        return LpProblem(self.template, c, b, self.state)
 
 
 def _lp_template(model, convs, zero) -> LpTemplate:
@@ -123,20 +124,18 @@ def _lp_template(model, convs, zero) -> LpTemplate:
     return LpTemplate(a, free)
 
 
-def solve_wlav_region(model, boundary: dict[int, BoundaryTerm], *, lp: RegionalLp,
-                      basis: tuple[int, ...] | None = None
-                      ) -> tuple[EstimationResult, LpSolution]:
-    """Solve one region's WLAV problem through the model's ``lp``; returns
-    the estimate and the LP solution, whose basis warm-starts the next solve
-    through the same ``lp``."""
-    sol = lp_solve(build_regional_wlav_lp(lp, boundary), basis=basis)
+def solve_wlav_region(lp: RegionalLp, boundary: dict[int, BoundaryTerm]) -> EstimationResult:
+    """Solve one region's WLAV problem through its ``lp``, warm from the
+    basis of the lp's last solve (cold at the first)."""
+    sol = lp_solve(build_regional_wlav_lp(lp, boundary), basis=lp.state.basis)
 
+    model = lp.model
     if lp.read_out is None or lp.read_out[0] is not sol.x:
         x = sol.x[:model.n_states]
         lp.read_out = (sol.x, x, *model.extract_state(x), model.z - model.h(x))
     _, x, v, theta, conv, residuals = lp.read_out
     result = EstimationResult(v=v, theta=theta, conv_vars=conv, residuals=residuals,
                               objective=sol.objective, iterations=sol.iterations,
-                              converged=True, meas_indices=lp.meas_indices)
+                              converged=True, meas_indices=model.meas_indices)
     result.x = x
-    return result, sol
+    return result

@@ -187,7 +187,8 @@ def lnr_test(model, result: EstimationResult) -> _NrOutcome:
         try:
             omega = _residual_variance(jac, np.linalg.qr(a, mode="r"), sigma)
         except np.linalg.LinAlgError as exc:
-            raise UnobservableError(int(np.linalg.matrix_rank(a)), x.size) from exc
+            raise UnobservableError(int(np.linalg.matrix_rank(a)), x.size,
+                                    scope=work.scope) from exc
         removable = _removable(work.sources)
         best, best_nr, critical = _largest_normalized(work.z - h, omega, sigma, removable)
         untestable = [work.meas_indices[i] for i in np.flatnonzero(critical)]

@@ -23,10 +23,11 @@ here).  A model's rows are fixed by its scope (a region or the system) and
 its row set (``telemetry.row_keys``), so the grid keeps one compiled form
 per (scope, row set) (``GridModel.memo``): the column index, the rows, a
 tuple, and their ``_CompiledRows``.  Every model of that key shares them,
-and ``row_spec`` runs only when the grid has no entry for it.  ``drop_row``
-is the one place the rows change afterwards: the base drops the row's
-entries and the model masks the compiled tables, keeping the positions of
-its rows in ``_keep``, so nothing is compiled again.  Each row and each cell
+and ``row_spec`` runs only when the grid has no entry for it.  A model is
+built only from that entry (``_assemble``); it never compiles its own rows.
+``drop_row`` is the one place the rows change afterwards: the base drops the
+row's entries and the model masks the compiled tables, keeping the positions
+of its rows in ``_keep``, so nothing is compiled again.  Each row and each cell
 of h and J sums only its own row's terms, so ``h[keep]`` and ``J[keep]`` are
 bit for bit those of compiling the shorter rows.  ``clone()`` shares the
 compiled form and the mask with its original.
@@ -35,7 +36,7 @@ compiled form and the mask with its original.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,19 +58,11 @@ class NonlinearModel(MeasurementModel):
     sources: list[str]
     meas_indices: list[int]
     measurements: list[Measurement | None]
-    grid: GridModel
     angle_refs: dict[int, int]        # region id -> datum node
-    scope: str = "nonlinear"
-    compiled: InitVar["_CompiledRows | None"] = None    # of ``rows``; compiled when None
-    _compiled: "_CompiledRows" = field(init=False, repr=False, compare=False)
+    scope: str
+    _compiled: _CompiledRows = field(repr=False, compare=False)     # of ``rows``
     # rows of the compiled tables the model keeps, None while it keeps all
-    _keep: np.ndarray | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self, compiled):
-        self.rows = tuple(self.rows)
-        self._compiled = (compiled if compiled is not None
-                          else _CompiledRows(self.grid, self.index, self.rows))
-        self._keep = None
+    _keep: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def drop_row(self, i: int) -> None:
         keep = np.arange(len(self.rows)) if self._keep is None else self._keep
@@ -167,7 +160,7 @@ def _assemble(grid, region, measurements, scope):
         sources=[m.source for _, m in measurements] + [e[2] for e in extra],
         meas_indices=[gidx for gidx, _ in measurements] + [-1] * len(extra),
         measurements=[m for _, m in measurements] + [None] * len(extra),
-        grid=grid, angle_refs=angle_refs, scope=scope, compiled=compiled)
+        angle_refs=angle_refs, scope=scope, _compiled=compiled)
 
 
 def _compile(grid, region, measurements):

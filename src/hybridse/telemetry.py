@@ -411,8 +411,8 @@ class RegionRows:
     ``H``, ``boundary`` and ``boundary_q`` rows (converter id -> row), the
     column ``index`` and ``angle_refs``, and ``square``, True on the rows
     that read U (the V-magnitude readings of an AC region).  ``lps`` keeps
-    the WLAV LP structures built on these rows, by the model's zero rows and
-    converters (``estimation.wlav``)."""
+    the WLAV LP templates built on these rows, by the model's zero rows; the
+    region fixes their converters (``estimation.wlav``)."""
 
     def __init__(self, grid: GridModel, region: Region,
                  measurements: list[tuple[int, Measurement]]):

@@ -207,8 +207,8 @@ def weighted_median(values, weights):
 
 def scalar_wlav(values, weights):
     model = LinearRegionModel(np.ones((len(values), 1)), values, 1.0 / np.asarray(weights))
-    result, sol = solve_wlav_region(model, {}, lp=RegionalLp(model, []))
-    return float(result.x[0]), sol.objective
+    result = solve_wlav_region(RegionalLp(model), {})
+    return float(result.x[0]), result.objective
 
 
 def test_criterion_3_scalar_lav_is_weighted_median():

@@ -3,6 +3,7 @@ import hashlib
 import pickle
 import struct
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,7 @@ from hybridse.estimation import BoundaryTerm, UnobservableError
 from hybridse.grid import AC, load_grid
 from hybridse.powerflow import solve_powerflow
 from hybridse.telemetry import (MeasurementKind, MeasurementSet,
-                                ScheduleConfig, inject_bad_data,
+                                ScheduleConfig, build_region_H, inject_bad_data,
                                 simulate_measurements)
 from oracle import linearize_measurements
 
@@ -191,10 +192,10 @@ class TestDrse:
             cold.append(args)
             return real_crash(*args)
 
-        def spy(model, terms, basis, **kwargs):
-            result, sol = real_solve(model, terms, basis=basis, **kwargs)
-            solves.append((model.region_id, sol.iterations))
-            return result, sol
+        def spy(lp, terms):
+            result = real_solve(lp, terms)
+            solves.append((lp.model.region_id, result.iterations))
+            return result
 
         monkeypatch.setattr(lp_module, "_crash_tableau", crash)
         monkeypatch.setattr(coord, "solve_wlav_region", spy)
@@ -214,9 +215,9 @@ class TestDrse:
         calls = []
         real = coord.solve_wlav_region
 
-        def spy(model, terms, basis, **kwargs):
-            calls.append((model, terms))
-            return real(model, terms, basis=basis, **kwargs)
+        def spy(lp, terms):
+            calls.append((lp.model, terms))
+            return real(lp, terms)
 
         monkeypatch.setattr(coord, "solve_wlav_region", spy)
         run_drse(toy5, ms, PARAMS)
@@ -493,3 +494,54 @@ class TestCwls:
         mae_cwls = max(abs(cwls.v[n] - res.state.v[n]) for n in dc_nodes)
         mae_drse = max(abs(drse.v[n] - res.state.v[n]) for n in dc_nodes)
         assert mae_cwls > mae_drse
+
+
+class TestDcSideConverterReadings:
+    """A converter's P reading on its DC side (direction "dc", the draw
+    p_djc) belongs to the DC region and reads the draw there.  Added to
+    noise-free case33 telemetry (four SCADA lines, t = 3600 s), one per
+    converter, it leaves every estimator at the truth, and it survives a CSV
+    round trip."""
+
+    @pytest.fixture(scope="class")
+    def readings(self, case33, case33_loads):
+        res = solve_powerflow(case33, case33_loads)
+        sched = ScheduleConfig(scada_ac_branches=((1, 2), (2, 19), (3, 23), (6, 26)),
+                               scada_vmag_pct=0.0, scada_power_pct=0.0, smart_meter_pct=0.0)
+        ms = simulate_measurements(case33, res.state, sched, t=3600.0, seed=0)
+        dc = [replace(m, direction="dc", value=res.converters[m.location[0]].p_djc)
+              for m in ms if m.kind is MeasurementKind.CONV_P]
+        assert len(dc) == len(case33.converters)
+        return res, MeasurementSet(list(ms) + dc), dc
+
+    @staticmethod
+    def error(est, res):
+        return max([abs(v - res.state.v[n]) for n, v in est.v.items()]
+                   + [abs(th - res.state.theta[n]) for n, th in est.theta.items()])
+
+    def test_the_dc_region_reads_the_draw(self, case33, readings):
+        _, ms, dc = readings
+        by_region = ms.by_region(case33)
+        for m in dc:
+            conv = case33.converter(m.location[0])
+            region = case33.node(conv.dc_node).region
+            assert ms.region_of(m, case33) == region
+            # its linear row is the region's boundary row of the converter
+            model = build_region_H(case33, case33.region(region), by_region[region])
+            row = model.measurements.index(m)
+            assert model.H[row].tobytes() == model.boundary[conv.id].tobytes()
+
+    def test_estimators_recover_the_truth(self, case33, readings):
+        res, ms, _ = readings
+        assert self.error(run_cwls(case33, ms), res) <= 1e-9
+        assert self.error(run_dwls(case33, ms, PARAMS), res) <= 1e-9
+        lin = linearize_measurements(case33, ms, res.state)
+        assert self.error(run_drse(case33, lin, PARAMS), res) <= 1e-12
+
+    def test_csv_roundtrip(self, tmp_path, readings):
+        _, ms, dc = readings
+        path = tmp_path / "meas.csv"
+        ms.to_csv(path)
+        again = MeasurementSet.from_csv(path)
+        assert again.measurements == ms.measurements
+        assert again.measurements[-len(dc):] == dc

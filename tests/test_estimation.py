@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from hybridse import measmodel
-from hybridse.estimation import (BoundaryTerm, LpError, RegionalLp, UnobservableError,
-                                 build_regional_wlav_lp, lnr_substitute, lnr_test, lp_solve,
-                                 solve_wlav_region, solve_wls)
+from hybridse.estimation import (BoundaryTerm, EstimationResult, LpError, LpProblem,
+                                 RegionalLp, UnobservableError, build_regional_wlav_lp,
+                                 lnr_substitute, lnr_test, lp_solve, solve_wlav_region,
+                                 solve_wls)
 from hybridse.estimation import lp as lp_module
 from hybridse.estimation import wls as wls_module
 from hybridse.powerflow import SystemState
@@ -31,26 +32,25 @@ def lav_objective(x, values, weights):
 
 def own_problem(c, a_eq, b_eq, free_mask):
     """An LP of its own template and solve state, which nothing else shares."""
-    return lp_module.LpTemplate(a_eq, free_mask).problem(
-        np.array(c, dtype=float), np.array(b_eq, dtype=float), lp_module.LpState())
+    return LpProblem(lp_module.LpTemplate(a_eq, free_mask), np.array(c, dtype=float),
+                     np.array(b_eq, dtype=float), lp_module.LpState())
 
 
 def regional_problem(model, terms):
     """The WLAV LP of ``model`` under ``terms``, through a RegionalLp of its own."""
-    return build_regional_wlav_lp(RegionalLp(model, sorted(terms)), terms)
+    return build_regional_wlav_lp(RegionalLp(model), terms)
 
 
 def wlav_region(model, terms=None):
     """One cold solve of the WLAV LP of ``model``, through a RegionalLp of its own."""
-    terms = terms or {}
-    return solve_wlav_region(model, terms, lp=RegionalLp(model, sorted(terms)))
+    return solve_wlav_region(RegionalLp(model), terms or {})
 
 
 def scalar_wlav(values, weights):
     """Solve min sum w|z - x| through the LP kernel."""
     model = LinearRegionModel(np.ones((len(values), 1)), values, 1.0 / np.asarray(weights))
-    result, sol = wlav_region(model)
-    return float(result.x[0]), sol.objective
+    result = wlav_region(model)
+    return float(result.x[0]), result.objective
 
 
 class TestLpKernel:
@@ -213,7 +213,7 @@ class TestRegionalLpReuse:
     def _sequence(self, model, steps, counts, basis=None):
         """Solve each step's terms warm from the previous basis through one
         ``RegionalLp`` of the model, against the cold solve of a fresh copy."""
-        lp = RegionalLp(model, sorted(model.boundary))
+        lp = RegionalLp(model)
         for terms in steps:
             problem = build_regional_wlav_lp(lp, terms)
             cold = counts["cold"]
@@ -327,7 +327,7 @@ class TestLpMovedClaims:
             x_true = rng.normal(size=int(rng.integers(2, 6)))
             x_true[0] = 1.0 + abs(x_true[0])
             model = TestLpOracle._case(rng, x_true)
-            lp = RegionalLp(model, sorted(model.boundary))
+            lp = RegionalLp(model)
             lam = {cid: float(rng.uniform(0.01, 1.0)) for cid in model.boundary}
             basis = lp_solve(lp.problem({cid: BoundaryTerm(lam[cid], float(row @ x_true))
                                          for cid, row in model.boundary.items()})).basis
@@ -350,7 +350,7 @@ class TestLpMovedClaims:
             x_true = rng.normal(size=int(rng.integers(2, 6)))
             x_true[0] = 1.0 + abs(x_true[0])
             model = TestLpOracle._case(rng, x_true)
-            lp = RegionalLp(model, sorted(model.boundary))
+            lp = RegionalLp(model)
             claim = {cid: float(row @ x_true) for cid, row in model.boundary.items()}
             first = lp_solve(lp.problem({cid: BoundaryTerm(1e-3, p - 1.0)
                                          for cid, p in claim.items()}))
@@ -389,9 +389,9 @@ def _cold_starts(monkeypatch, moved=None):
     real_region, real_solve, real_crash = (coord.solve_wlav_region, wlav.lp_solve,
                                            lp_module._crash_tableau)
 
-    def per_region(model, terms, basis, **kwargs):
-        region[0] = model.region_id
-        return real_region(model, terms, basis=basis, **kwargs)
+    def per_region(lp, terms):
+        region[0] = lp.model.region_id
+        return real_region(lp, terms)
 
     def crash(*args):
         crashed.append(1)
@@ -478,9 +478,9 @@ class TestRankDeficientColdStart:
         models = {}
         real = coord.solve_wlav_region
 
-        def spy(model, terms, basis, **kwargs):
-            models[model.region_id] = model
-            return real(model, terms, basis=basis, **kwargs)
+        def spy(lp, terms):
+            models[lp.model.region_id] = lp.model
+            return real(lp, terms)
 
         monkeypatch.setattr(coord, "solve_wlav_region", spy)
         truth = solve_powerflow(case33, case33_loads)
@@ -532,7 +532,7 @@ class TestRankDeficientColdStart:
             sources = ["virtual_zero"] * r + ["scada"] * m
             boundary = {0: rng.normal(size=r) @ mix}
             model = LinearRegionModel(h, z, sigma, sources=sources, boundary=boundary)
-            lp = RegionalLp(model, [0])
+            lp = RegionalLp(model)
             problem = lp.problem({0: BoundaryTerm(0.3, float(boundary[0] @ x_true) + 0.1)})
             starts.clear()
             sol = lp_solve(problem)
@@ -614,6 +614,42 @@ class TestNoPhaseOne:
                               free_mask=[False, False])
         with pytest.raises(LpError, match="phase 1"):
             lp_solve(problem)
+
+    def test_warm_start_that_breaks_an_equality_falls_back_cold_once(self, monkeypatch):
+        # x1 = b0 and x1 = b1: with b1 = 0 the second row's residual stays
+        # basic at zero; moved to b1 = 1 it cannot be met, from the last basis
+        # or from a cold start
+        problem = own_problem(c=[0.0], a_eq=[[1.0], [1.0]], b_eq=[0.0, 0.0],
+                              free_mask=[True])
+        first = lp_solve(problem)
+        calls = []              # (call, warm basis, error) of each failed call, in order
+        real_solve, real_crash = lp_module._lp_solve, lp_module._crash_tableau
+
+        def solve(problem, basis):
+            try:
+                return real_solve(problem, basis)
+            except LpError as exc:
+                calls.append(("solve", basis, str(exc)))
+                raise
+
+        def crash(template, b):
+            try:
+                return real_crash(template, b)
+            except LpError as exc:
+                calls.append(("crash", None, str(exc)))
+                raise
+
+        monkeypatch.setattr(lp_module, "_lp_solve", solve)
+        monkeypatch.setattr(lp_module, "_crash_tableau", crash)
+        moved = LpProblem(problem.template, problem.c, np.array([0.0, 1.0]), problem.state)
+        message = "an equality row the states cannot meet: the LP would need phase 1"
+        with pytest.raises(LpError, match=message):
+            lp_solve(moved, basis=first.basis)
+        # the warm start raises, one cold start follows and raises, and its
+        # error is the one reported
+        assert calls == [("solve", first.basis, message), ("crash", None, message),
+                         ("solve", None, message)]
+        assert problem.state.basis == first.basis
 
 
 def _basis_tableau(template, head, cols, b):
@@ -784,7 +820,7 @@ class TestCrashTableauKept:
             return real(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", solve)
-        lp = RegionalLp(model, sorted(terms))
+        lp = RegionalLp(model)
         problems = [lp.problem(terms)]
         problems.append(lp.problem({cid: BoundaryTerm(t.lam, t.neighbor_p + 0.3)
                                     for cid, t in terms.items()}))
@@ -819,7 +855,7 @@ class TestCrashTableauKept:
             return real(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", singular)
-        lp = RegionalLp(model, sorted(terms))
+        lp = RegionalLp(model)
         problem = lp.problem(terms)
         with pytest.raises(LpError, match="singular crash basis"):
             lp_solve(problem)
@@ -840,9 +876,9 @@ class TestLpRepeat:
         last = {}
         real = coord.solve_wlav_region
 
-        def spy(model, terms, basis, **kwargs):
-            last[model.region_id] = (model, terms)
-            return real(model, terms, basis=basis, **kwargs)
+        def spy(lp, terms):
+            last[lp.model.region_id] = (lp.model, terms)
+            return real(lp, terms)
 
         monkeypatch.setattr(coord, "solve_wlav_region", spy)
         sched = ScheduleConfig(scada_ac_branches=((1, 2), (2, 19), (3, 23), (6, 26)))
@@ -886,17 +922,18 @@ class TestLpRepeat:
             self, case33, case33_loads, monkeypatch):
         answers = set()
         for model, terms in self._final_terms(case33, case33_loads, monkeypatch):
-            regional = RegionalLp(model, sorted(terms))
+            regional = RegionalLp(model)
             problem = build_regional_wlav_lp(regional, terms)
             basis, last = self._settle(problem)
             assert lp_solve(problem, basis=basis).x is last.x
             # the (a, b) pair of each boundary row, after the model's rows
             boundary = np.arange(len(model.z), problem.a_eq.shape[0])
-            ab = np.concatenate([regional.lp.plus[boundary], regional.lp.minus[boundary]])
+            ab = np.concatenate([regional.template.plus[boundary],
+                                 regional.template.minus[boundary]])
             for scale in (1.0 + 1e-12, 1.001, 1.5, 3.0, 10.0, 1e2, 1e4, 1e6, 0.5, 0.0):
                 c = problem.c.copy()
                 c[ab] = c[ab] * scale + (1e-3 if scale == 0.0 else 0.0)
-                moved = regional.lp.problem(c, problem.b_eq, regional.state)
+                moved = LpProblem(regional.template, c, problem.b_eq, regional.state)
                 predicted = self._prices_optimal(moved, basis)
                 sol = lp_solve(moved, basis=basis)
                 assert predicted == (sol.x is last.x)
@@ -914,7 +951,7 @@ class TestLpRepeat:
             assert lp_solve(copy, basis=basis).x is not last.x
             b = problem.b_eq.copy()
             b[-1] += 1e-3
-            assert lp_solve(regional.lp.problem(problem.c, b, regional.state),
+            assert lp_solve(LpProblem(regional.template, problem.c, b, regional.state),
                             basis=basis).x is not last.x
             basis, last = self._settle(problem)
             assert lp_solve(problem, basis=basis[1:] + basis[:1]).x is not last.x
@@ -931,15 +968,16 @@ class TestLpRepeat:
 
     def test_regional_read_out_reused_with_the_x(self, case33, case33_loads, monkeypatch):
         for model, terms in self._final_terms(case33, case33_loads, monkeypatch)[:3]:
-            regional = RegionalLp(model, sorted(terms))
-            first, sol = solve_wlav_region(model, terms, lp=regional)
-            again, repeat = solve_wlav_region(model, terms, basis=sol.basis, lp=regional)
-            assert repeat.x is sol.x
+            regional = RegionalLp(model)
+            first = solve_wlav_region(regional, terms)
+            # the second solve starts warm from the first one's basis
+            again = solve_wlav_region(regional, terms)
+            assert again.x is first.x and again.x.base is regional.state.last[-1]
             assert again.v is first.v and again.residuals is first.residuals
-            assert again.x.base is sol.x and again.iterations == 0
+            assert again.iterations == 0
             with pytest.raises(ValueError):
                 again.x[0] = 0.0
-            fresh, _ = wlav_region(model, terms)
+            fresh = wlav_region(model, terms)
             assert fresh.v is not first.v
             assert fresh.x.tobytes() == first.x.tobytes()
 
@@ -1095,6 +1133,20 @@ class TestLnr:
         out = lnr_test(model, solve_wls(model))
         assert 3 in out.report.untestable
         assert all(i != 3 for i, _ in out.report.flagged)
+
+    def test_singular_r_names_the_scope(self):
+        # the second state has no reading: R is singular at any given x, and
+        # the test's error reads as the solve's does, region included
+        model = LinearRegionModel([[1.0, 0.0], [1.0, 0.0], [2.0, 0.0]], [1.0, 1.1, 2.0],
+                                  np.full(3, 0.02), region_id=4)
+        given = EstimationResult(v={}, theta={}, conv_vars={}, residuals=np.zeros(3),
+                                 objective=0.0, iterations=0, converged=True,
+                                 x=np.array([1.0, 0.0]))
+        message = r"^unobservable in region:4: weighted Jacobian rank 1 < 2$"
+        with pytest.raises(UnobservableError, match=message):
+            lnr_test(model, given)
+        with pytest.raises(UnobservableError, match=message):
+            solve_wls(model)
 
     def test_selection_matches_the_loop(self):
         # the vectorized selection of the largest normalized residual against
@@ -1461,25 +1513,25 @@ class TestWlavRegion:
 
     def test_zero_noise_exact_recovery(self, toy2):
         model, x_true = self._region_model(toy2)
-        result, sol = wlav_region(model)
-        assert sol.objective <= 1e-9
+        result = wlav_region(model)
+        assert result.objective <= 1e-9
         assert np.abs(result.x - x_true).max() <= 1e-9
 
     def test_interpolation_property_with_noise(self, toy2):
         # m >= n noise-free consistent measurements reproduce the state exactly
         model, x_true = self._region_model(toy2, noise=0.0, seed=9)
-        result, _ = wlav_region(model)
+        result = wlav_region(model)
         assert np.abs(result.x - x_true).max() <= 1e-9
 
     def test_case1_doubling_rejected(self, toy2):
         # exact base readings with redundancy >= 2 at the branch
         model, x_true = self._region_model(toy2, noise=0.0, seed=2)
-        clean, _ = wlav_region(model)
+        clean = wlav_region(model)
         doubled = model.clone()
         flow_idx = 2  # AcPFlow fwd row
         doubled.z = doubled.z.copy()
         doubled.z[flow_idx] *= 2.0
-        corrupt, _ = wlav_region(doubled)
+        corrupt = wlav_region(doubled)
         assert np.abs(corrupt.x - clean.x).max() <= 1e-6
         gross = doubled.z[flow_idx] - model.z[flow_idx]
         assert corrupt.residuals[flow_idx] == pytest.approx(gross, rel=1e-3)
@@ -1501,8 +1553,8 @@ class TestWlavRegion:
             meas.append(Measurement(kind, loc, d,
                                     eval_h_nonlinear(toy5, st, probe), 0.004, "scada"))
         model = build_region_H(toy5, toy5.regions[0], list(enumerate(meas)))
-        free, _ = wlav_region(model, {0: BoundaryTerm(lam=0.0, neighbor_p=5.0)})
-        tied, _ = wlav_region(model, {0: BoundaryTerm(lam=0.0, neighbor_p=-5.0)})
+        free = wlav_region(model, {0: BoundaryTerm(lam=0.0, neighbor_p=5.0)})
+        tied = wlav_region(model, {0: BoundaryTerm(lam=0.0, neighbor_p=-5.0)})
         # with lambda = 0 the (absurd) neighbor value cannot move the estimate
         assert np.allclose(free.x, tied.x, atol=1e-9)
         assert free.objective == pytest.approx(tied.objective, abs=1e-12)
@@ -1533,7 +1585,7 @@ class TestRobustnessVsWls:
     def test_region_toy(self, toy2):
         sigma = 0.004
         model, x_true = self._noisy_region(toy2, sigma)
-        clean, _ = wlav_region(model)
+        clean = wlav_region(model)
         w = 1.0 / model.sigma ** 2
         for j in range(len(model.z)):
             wls_clean = solve_wls(model)
@@ -1546,7 +1598,7 @@ class TestRobustnessVsWls:
                 corrupt = model.clone()
                 corrupt.z = corrupt.z.copy()
                 corrupt.z[j] += mag
-                est, _ = wlav_region(corrupt)
+                est = wlav_region(corrupt)
                 assert np.abs(est.x - clean.x).max() <= wls_change + 1e-12
 
     def _noisy_region(self, toy2, sigma):

@@ -184,14 +184,18 @@ class TestScreenDigest:
     CORRECTIONS = 21
     DIGEST = "801a3b6cd6d936b03f014b7aba05a44b045772c6205492c3268440159290ac6c"
 
-    def test_screened_values_digest(self, case33, case33_loads):
-        import hashlib
+    @staticmethod
+    def _stub(case33, case33_loads):
         from types import SimpleNamespace
         from hybridse.injection import injection_components
-        stub = SimpleNamespace(gmm_means={
+        return SimpleNamespace(gmm_means={
             key: (case33_loads.p_at if key[0] == "p" else case33_loads.q_at)(
                 int(key.split(":")[1]))
             for key in injection_components(case33)})
+
+    def test_screened_values_digest(self, case33, case33_loads):
+        import hashlib
+        stub = self._stub(case33, case33_loads)
         profiles = gen_load_profiles(case33, days=2, seed=15, base=case33_loads)
         digest, screens, corrections = hashlib.sha256(), 0, 0
         for tick in self.TICKS:
@@ -207,3 +211,40 @@ class TestScreenDigest:
                     values != np.array([m.value for m in bad])))
         assert screens == 36
         assert (corrections, digest.hexdigest()) == (self.CORRECTIONS, self.DIGEST)
+
+    def test_v_magnitude_corrected_through_u(self, case33, case33_loads, monkeypatch):
+        # the screen substitutes U = V^2 in the linear model and maps it back:
+        # V x 1.1 is corrected to the square root of the substituted U, within
+        # one sigma of the truth; V x 1.05 is kept
+        import dataclasses
+        import math
+        from hybridse.injection import pipeline
+        from hybridse.telemetry import MeasurementSet
+        stub = self._stub(case33, case33_loads)
+        truth = solve_powerflow(case33, case33_loads).state
+        substituted = {}
+        real = pipeline.lnr_substitute
+
+        def spy(model, threshold):
+            out = real(model, threshold)
+            substituted.update(out)
+            return out
+
+        monkeypatch.setattr(pipeline, "lnr_substitute", spy)
+        for seed in range(3):
+            ms = simulate_measurements(case33, truth, self.SCHED, t=900.0, seed=seed)
+            vmag = [i for i, m in enumerate(ms) if m.kind is MeasurementKind.AC_V_MAG]
+            assert sorted(ms[i].location[0] for i in vmag) == [1, 34, 35]
+            for i in vmag:
+                m = ms[i]
+                for factor in (1.1, 1.05):
+                    bad = list(ms.measurements)
+                    bad[i] = dataclasses.replace(m, value=m.value * factor)
+                    substituted.clear()
+                    fixed = sanitize_scada(case33, MeasurementSet(bad), stub)
+                    if factor == 1.05:
+                        assert not substituted and fixed.measurements == bad
+                        continue
+                    assert list(substituted) == [i]
+                    assert fixed[i].value == math.sqrt(substituted[i])
+                    assert abs(fixed[i].value - truth.v[m.location[0]]) <= m.sigma

@@ -180,11 +180,12 @@ class TestParallelBranches:
     def test_h_jac_bytes_match_the_scalar_reference(self, grid):
         model = measmodel.build_region_model(grid, grid.regions[0], self.readings())
         rng = np.random.default_rng(3)
-        states = [model.x0(), signed_zero_state(model)]
+        states = [model.x0(), signed_zero_state(grid, model)]
         states += [model.x0() + rng.normal(0.0, 5e-2, model.n_states) for _ in range(8)]
         for x in states:
             for with_jac in (True, False):
-                assert_bytes_equal(model.h_jac(x, with_jac), reference_h_jac(model, x, with_jac))
+                assert_bytes_equal(model.h_jac(x, with_jac),
+                                   reference_h_jac(grid, model, x, with_jac))
 
     def test_linear_injection_row_sums_both_lines_in_order(self, grid):
         model = build_region_H(grid, grid.regions[0], self.readings())
@@ -583,10 +584,10 @@ class TestNonlinearModelJacobian:
                     assert np.allclose(jac[:, col] / scale, fd / scale, atol=1e-5)
 
 
-def reference_h_jac(model, x, with_jac=True):
-    """A measurement model evaluated row by row in scalars: every branch term
-    from ``ac_branch_flow_partials``, the terms of a row added in row order as
-    ``sum()`` adds them, the converter loss with ``math.hypot``."""
+def reference_h_jac(grid, model, x, with_jac=True):
+    """A measurement model of ``grid`` evaluated row by row in scalars: every
+    branch term from ``ac_branch_flow_partials``, the terms of a row added in
+    row order as ``sum()`` adds them, the converter loss with ``math.hypot``."""
     idx = model.index
     h = np.zeros(len(model.rows))
     jac = np.zeros((len(model.rows), model.n_states))
@@ -630,11 +631,11 @@ def reference_h_jac(model, x, with_jac=True):
             which, cid = op[-1], row[1]
             col = idx[(which + "vsc", cid)]
             jrow[col] -= 1.0
-            spec = converter_spec(model.grid.converter(cid), "ac", which)
+            spec = converter_spec(grid.converter(cid), "ac", which)
             h[i] = flow(jrow, *spec[1:]) - x[col]
         else:
             assert op == "couple_loss"
-            conv = model.grid.converter(row[1])
+            conv = grid.converter(row[1])
             cp, cq = idx[("pvsc", conv.id)], idx[("qvsc", conv.id)]
             cv, cd = idx[("v", conv.aux_node)], idx[("pdjc", conv.id)]
             s = math.hypot(x[cp], x[cq])
@@ -671,11 +672,11 @@ def wls_models(grid, loads, sched, seed=11):
     return res, models
 
 
-def signed_zero_state(model):
+def signed_zero_state(grid, model):
     """Flat AC voltages, every other state -0.0: DC flows evaluate to -0.0."""
     x = model.x0()
     for (tag, key), col in model.index.items():
-        if tag != "v" or model.grid.node(key).kind == DC:
+        if tag != "v" or grid.node(key).kind == DC:
             x[col] = -0.0
     return x
 
@@ -685,39 +686,38 @@ class TestCompiledModelExact:
 
     @pytest.fixture(scope="class")
     def cases(self, case33, case33_loads, toy5, toy5_loads):
-        return [wls_models(case33, case33_loads, case33_schedule()),
-                wls_models(toy5, toy5_loads, ScheduleConfig())]
+        return [(case33, *wls_models(case33, case33_loads, case33_schedule())),
+                (toy5, *wls_models(toy5, toy5_loads, ScheduleConfig()))]
 
     def test_every_row_kind_is_covered(self, cases):
-        ops = {row[0] for _, models in cases for model in models for row in model.rows}
+        ops = {row[0] for *_, models in cases for model in models for row in model.rows}
         assert ops == {"vmag", "var", "ac_flow", "dc_flow", "ac_inj", "dc_inj",
                        "couple_p", "couple_q", "couple_loss"}
 
     def test_bytes_match_the_scalar_reference(self, cases):
         rng = np.random.default_rng(23)
-        for res, models in cases:
+        for grid, res, models in cases:
             for model in models:
                 truth = truth_vector(model, res.state, res.converters)
-                states = [truth, signed_zero_state(model)]
+                states = [truth, signed_zero_state(grid, model)]
                 states += [model.x0() + rng.normal(0.0, 2e-2, model.n_states) for _ in range(4)]
                 states += [truth + rng.normal(0.0, 1e-3, model.n_states) for _ in range(4)]
                 for x in states:
                     for with_jac in (True, False):
                         assert_bytes_equal(model.h_jac(x, with_jac),
-                                           reference_h_jac(model, x, with_jac))
+                                           reference_h_jac(grid, model, x, with_jac))
 
     def test_single_term_rows_keep_negative_zero(self, cases):
-        _, (model, *_) = cases[0]
-        h, _ = model.h_jac(signed_zero_state(model))
+        grid, _, (model, *_) = cases[0]
+        h, _ = model.h_jac(signed_zero_state(grid, model))
         dc_flows = [i for i, row in enumerate(model.rows) if row[0] == "dc_flow"]
         assert dc_flows and all(h[i] == 0.0 and math.copysign(1.0, h[i]) < 0 for i in dc_flows)
 
     def test_truth_matches_eval_h_nonlinear(self, cases):
         # an independent physics path; a DC injection that reads a converter
         # draw variable agrees to the power-flow balance tolerance only
-        for res, models in cases:
+        for grid, res, models in cases:
             for model in models:
-                grid = model.grid
                 h = model.h(truth_vector(model, res.state, res.converters))
                 for i, m in enumerate(model.measurements):
                     row = model.rows[i]
@@ -743,32 +743,33 @@ class TestCompiledModelLifetime:
                  + rng.normal(0.0, 1e-3, m.n_states)) for m in models]
 
     @staticmethod
-    def assert_as_fresh(model, x):
-        fresh = dataclasses.replace(model)     # same fields, compiled anew
+    def assert_as_fresh(grid, model, x):
+        """h and J are the bits of the model's rows compiled anew."""
+        fresh = measmodel._CompiledRows(grid, model.index, model.rows)
         for with_jac in (True, False):
-            assert_bytes_equal(model.h_jac(x, with_jac), fresh.h_jac(x, with_jac))
+            assert_bytes_equal(model.h_jac(x, with_jac), fresh.evaluate(x, with_jac))
 
-    def test_drop_row(self, setup):
+    def test_drop_row(self, setup, case33):
         for model, x in setup:
             model.h_jac(x)
             model.drop_row(len(model.rows) // 2)
-            self.assert_as_fresh(model, x)
+            self.assert_as_fresh(case33, model, x)
 
     def test_row_replaced_in_place(self, setup):
         model, _ = setup[0]
         with pytest.raises(TypeError):
             model.rows[0] = model.rows[1]
 
-    def test_clone_then_edit(self, setup):
+    def test_clone_then_edit(self, setup, case33):
         model, x = setup[0]
         before = model.h_jac(x)
         twin = model.clone()
         twin.drop_row(len(twin.rows) // 2)
-        self.assert_as_fresh(twin, x)
+        self.assert_as_fresh(case33, twin, x)
         assert twin.h(x).size == before[0].size - 1
         assert_bytes_equal(model.h_jac(x), before)
 
-    def test_masked_rows_match_a_fresh_compile(self, setup, monkeypatch):
+    def test_masked_rows_match_a_fresh_compile(self, setup, case33, monkeypatch):
         # h[keep] and J[keep] are the bits of compiling the shorter rows:
         # each row and each cell sums only its own row's terms
         compiles = []
@@ -786,7 +787,7 @@ class TestCompiledModelLifetime:
             for at in (1.0, 0.0, 0.5, 0.3, 0.97):
                 twin.drop_row(min(int(at * len(twin.rows)), len(twin.rows) - 1))
             assert twin._compiled is model._compiled and not compiles
-            self.assert_as_fresh(twin, x)
+            self.assert_as_fresh(case33, twin, x)
             assert len(compiles) == 1
             compiles.clear()
         ops = {row[0] for model, _ in setup for row in model.rows}
