@@ -13,11 +13,20 @@ Per-iteration wall times are recorded as t_l = max over AC regions + max over
 DC regions + algebra time, the parallel-execution accounting of the
 coordination scheme.
 
-Every iteration solves every region.  While the loop stalls only the
-multipliers, that is the LP costs, move, and a region's LP kernel answers
-such a solve from the final tableau of its last one: it prices that tableau
-under the new costs and, when no column enters, returns the same x with 0
-pivots (see :mod:`~.estimation.lp`).
+Once per stall (an iteration t whose packets equal the previous one's),
+DRSE asks whether the loop may skip ahead.  In a stall only the
+multipliers, that is the LP costs, move, each by the same xi * |mismatch|
+per iteration, and a region's LP kernel answers a repeat solve with its
+last x and 0 pivots while no column prices in (see
+:mod:`~.estimation.lp`).  The loop replays the multiplier additions up to
+iteration cap - 2 and asks each region, by cost ranging on its stored
+tableau, whether its basis stays optimal up to those multipliers.  If
+every region's does, iterations t + 1 ... cap - 1 solve nothing: they make
+their additions, repeat the packets and record zero-time rows, so
+``se_time`` counts only work done (the check's own time is in the algebra
+of iteration t).  The cap iteration solves every region as usual, so the
+estimate equals the full loop's bit for bit.  A refused check is not
+retried until the packets change.  DWLS runs every iteration.
 
 What an estimate builds is only what is its own.  Every run of one
 telemetry configuration reads the same rows, so the regional H and boundary
@@ -72,7 +81,8 @@ class CoordinationParams:
 
 @dataclass
 class IterationTiming:
-    """One iteration's times in seconds; its place in ``timing`` is its iteration."""
+    """One iteration's times in seconds; its place in ``timing`` is its
+    iteration.  An iteration that a stall skips solved nothing: all zero."""
 
     t_total: float
     t_region_max: float
@@ -186,7 +196,7 @@ def _boundary_terms(region, lambdas, ac_pkts, dc_pkts):
 
 
 def _coordinate(grid: GridModel, readings: list[Measurement], params: CoordinationParams,
-                solve_region, boundary_power) -> SystemEstimate:
+                solve_region, boundary_power, stays_optimal=None) -> SystemEstimate:
     """Jacobi coordination shared by the distributed estimators, bootstrapped
     from ``readings``.
 
@@ -194,7 +204,9 @@ def _coordinate(grid: GridModel, readings: list[Measurement], params: Coordinati
     BoundaryTerm of each of its converters.  ``boundary_power(conv, ac_result,
     dc_result, p_loss)`` reads the converter's AC-side (p_vsc, q_vsc) and
     DC-side p_vsc off the two regional estimates, given the loss the DC region
-    was told last.
+    was told last.  ``stays_optimal(region, terms, top)``, when given, says
+    whether the region's solves under ``terms`` would repeat its last
+    estimate while each multiplier rises up to ``top`` (module docstring).
     """
     ac_regions = [r.id for r in grid.regions if r.kind == AC]
     dc_regions = [r.id for r in grid.regions if r.kind == DC]
@@ -204,10 +216,13 @@ def _coordinate(grid: GridModel, readings: list[Measurement], params: Coordinati
     timing: list[IterationTiming] = []
     trace: list[list[BoundaryPacket]] = []
     results: dict[int, EstimationResult] = {}
-    converged = not grid.converters
+    converged = False
+    checked = False             # this stall's one cost-ranging check is made
+    cap = params.max_iterations
     iteration = 0
 
-    for iteration in range(1, params.max_iterations + 1):
+    while iteration < cap:
+        iteration += 1
         t_regions: dict[int, float] = {}
         for region in grid.regions:
             terms = _boundary_terms(region, lambdas, ac_pkts, dc_pkts)
@@ -218,7 +233,6 @@ def _coordinate(grid: GridModel, readings: list[Measurement], params: Coordinati
         t0 = time.perf_counter()
         new_ac, new_dc = {}, {}
         pkts: list[BoundaryPacket] = []
-        mismatches: list[float] = []
         for conv in grid.converters:
             ac_res = results[grid.node(conv.aux_node).region]
             dc_res = results[grid.node(conv.dc_node).region]
@@ -231,21 +245,41 @@ def _coordinate(grid: GridModel, readings: list[Measurement], params: Coordinati
                                     dc_res.v[conv.dc_node])
             new_ac[conv.id], new_dc[conv.id] = pkt_ac, pkt_dc
             pkts += [pkt_ac, pkt_dc]
-            mismatch = abs(pkt_ac.p_vsc - pkt_dc.p_vsc)
-            mismatches.append(mismatch)
-            lambdas[conv.id] += params.xi * mismatch
+        mismatches = [abs(ac.p_vsc - dc.p_vsc) for ac, dc in zip(pkts[::2], pkts[1::2])]
+        _raise_multipliers(lambdas, grid.converters, mismatches, params.xi)
         trace.append(pkts)
         prev_ac, prev_dc = ac_pkts, dc_pkts
         ac_pkts, dc_pkts = new_ac, new_dc
+        converged = max(mismatches, default=0.0) <= params.tau
+        skipped = 0
+        if converged or ac_pkts != prev_ac or dc_pkts != prev_dc:
+            checked = False
+        elif stays_optimal is not None and not checked and iteration < cap - 1:
+            # a stall: the skipped iterations' solves would see the multipliers
+            # of iterations iteration + 1 ... cap - 1, the last made by the
+            # additions up to iteration cap - 2
+            checked = True
+            top = dict(lambdas)
+            for _ in range(iteration + 1, cap - 1):
+                _raise_multipliers(top, grid.converters, mismatches, params.xi)
+            if all(stays_optimal(region, _boundary_terms(region, lambdas, ac_pkts, dc_pkts),
+                                 top) for region in grid.regions):
+                skipped = cap - 1 - iteration
         t_algebra = time.perf_counter() - t0
 
         t_ac = max((t_regions[r] for r in ac_regions), default=0.0)
         t_dc = max((t_regions[r] for r in dc_regions), default=0.0)
         timing.append(IterationTiming(t_ac + t_dc + t_algebra, max(t_ac, t_dc), t_algebra))
 
-        if max(mismatches, default=0.0) <= params.tau:
-            converged = True
+        if converged:
             break
+        # each skipped iteration repeats this one's packets and additions
+        # without solving a region, so it takes no time
+        for _ in range(skipped):
+            _raise_multipliers(lambdas, grid.converters, mismatches, params.xi)
+            trace.append(list(pkts))
+            timing.append(IterationTiming(0.0, 0.0, 0.0))
+        iteration += skipped
 
     v, theta = _merge_states(grid, results)
     if converged:
@@ -257,6 +291,12 @@ def _coordinate(grid: GridModel, readings: list[Measurement], params: Coordinati
     return SystemEstimate(v=v, theta=theta, regions=results, lambdas=lambdas,
                           iterations=iteration, timing=timing,
                           stop_reason=stop_reason, packet_trace=trace)
+
+
+def _raise_multipliers(lambdas, converters, mismatches, xi):
+    """One iteration's multiplier additions, in converter order."""
+    for conv, mismatch in zip(converters, mismatches):
+        lambdas[conv.id] += xi * mismatch
 
 
 # -- DRSE ----------------------------------------------------------------------
@@ -284,7 +324,11 @@ def run_drse(grid: GridModel, ms: MeasurementSet,
                 float(ac_model.boundary_q[conv.id] @ ac_res.x),
                 float(dc_model.boundary[conv.id] @ dc_res.x - p_loss))
 
-    estimate = _coordinate(grid, ms.measurements, params, solve_region, boundary_power)
+    def stays_optimal(region, terms, top):
+        return lps[region.id].stays_optimal(terms, top)
+
+    estimate = _coordinate(grid, ms.measurements, params, solve_region, boundary_power,
+                           stays_optimal)
     estimate.wall_time = time.perf_counter() - t_start
     return estimate
 

@@ -52,6 +52,27 @@ prices the stored tableau under the new costs; when no residual enters, it
 returns the stored x itself, read-only, with 0 pivots and no copy.  Any
 other basis, or a warm solve that fails in any way, is solved once more
 from a cold start by :func:`lp_solve`.
+
+A run of repeat solves whose costs only rise can be answered at once by
+:func:`lp_stays_optimal`, cost ranging on the stored tableau (Bertsimas &
+Tsitsiklis, *Introduction to Linear Optimization*, section 5.1).  Given a
+problem with the stored b bytes and an upper bound rise[i] on how far the
+costs of row i's residual pair may rise, it prices the stored tableau once
+under the problem's costs.  A rise moves the cost of a basic residual of
+row i by at most rise[i], so the reduced costs of nonbasic column j fall by
+at most S_j, the sum of rise[i] |T[p, j]| over the rows p whose basic
+variable is one of row i's pair; a nonbasic residual's own costs only rise,
+which adds nothing.  Rounding is allowed for as Higham bounds a dot product
+(*Accuracy and Stability of Numerical Algorithms*, section 3.1): a reduced
+cost is m + 1 products, g T_j and its cost, so a pricing over m rows errs by
+at most gamma_{m+1} (|c| + |g| |T|)_j, and the check's own sum S_j and
+subtraction by at most gamma_{m+2} times the same scale.  The allowance is
+gamma_{m+6} times the largest such scale at the top of the range (the slack
+of m + 6 covers the rounding of the scale itself and of the last line), and
+it counts three times: the check's pricing, the solve's and the check's own
+arithmetic.  The basis stays optimal when every reduced cost, less its S_j,
+and less the allowances, is still >= -_TOL: every solve in the range then
+returns the stored x with 0 pivots.
 """
 
 from __future__ import annotations
@@ -103,6 +124,7 @@ _TOL = 1e-9                 # pricing and ratio-test tolerance
 _RANK_TOL = 1e-9            # elimination pivot, relative to its column's largest entry
 _EQ_TOL = 1e-7              # largest value a basic equality residual may hold
 _MAX_ITER = 20000           # simplex pivots per solve
+_UNIT = 2.0 ** -53          # unit roundoff of a double
 _ZERO_INF = np.array([0.0, np.inf])
 
 
@@ -120,6 +142,29 @@ def lp_solve(problem: LpProblem, basis: tuple[int, ...] | None = None) -> LpSolu
         except LpError:
             pass
     return _lp_solve(problem, None)
+
+
+def lp_stays_optimal(problem: LpProblem, rise: np.ndarray) -> bool:
+    """Whether a warm solve of ``problem`` returns the stored x with 0 pivots
+    at every cost that rises from ``problem``'s by 0 to ``rise[i]`` on each
+    cost of row i's residual pair (module docstring).  False without a
+    stored solve, or when b is not the bytes it solved.
+    """
+    state, template = problem.state, problem.template
+    if state.last is None or state.last[0][1] != problem.b_eq.tobytes():
+        return False
+    _, t, head, cols, _ = state.last
+    c_ext = np.concatenate([problem.c, _ZERO_INF, -problem.c])
+    d, g = _reduced_costs(template, t, head, cols, c_ext)
+    rise = np.append(rise, 0.0)                 # a state's row is -1
+    moves = rise[template.row_of[head]]         # how far each basic cost may move
+    size = np.abs(t[:, :-1])
+    shift = moves @ size                        # how far each reduced cost may fall
+    scale = (np.abs(problem.c).max(initial=0.0) + rise.max()
+             + (np.abs(g) @ size + shift).max(initial=0.0))
+    k = t.shape[0] + 6
+    allowance = k * _UNIT / (1.0 - k * _UNIT) * scale
+    return (d.reshape(2, -1) - shift).min(initial=np.inf) - 3.0 * allowance >= -_TOL
 
 
 class LpTemplate:
@@ -262,14 +307,22 @@ def _start(template, t, head, cols, b):
     return t, head, cols
 
 
+def _reduced_costs(template, t, head, cols, c_ext):
+    """A pricing pass: the reduced costs of the nonbasic residuals, up then
+    down, and the basic variables' costs g."""
+    g = c_ext[template.cost_of[head]]
+    gt = g @ t[:, :-1]
+    return np.concatenate([c_ext[template.up_of[cols]] - gt,
+                           c_ext[template.down_of[cols]] + gt]), g
+
+
 def _entering(template, t, head, cols, c_ext, degenerate):
     """(column, direction +-1, reduced cost) of the entering residual, by
     Dantzig's rule or Bland's after a long run of degenerate pivots; None
     when no reduced cost is below -_TOL."""
     if not cols.size:
         return None
-    gt = c_ext[template.cost_of[head]] @ t[:, :-1]
-    d = np.concatenate([c_ext[template.up_of[cols]] - gt, c_ext[template.down_of[cols]] + gt])
+    d, _ = _reduced_costs(template, t, head, cols, c_ext)
     j = int(d.argmin())
     if d[j] >= -_TOL:
         return None

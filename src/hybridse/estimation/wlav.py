@@ -27,16 +27,23 @@ re-optimizes from the final tableau in the state, or hands back that same x
 object when the basis stays optimal for the same b.  The ``RegionalLp``
 keeps its read-out of the last x it saw (states, converter variables and
 residuals) and reuses it when the kernel hands back that object.
+
+While coordination stalls, only the multipliers move, and they only rise.
+``RegionalLp.stays_optimal(boundary, top)`` asks the kernel's cost ranging
+(:func:`~.lp.lp_stays_optimal`) whether every solve under ``boundary``
+with each converter's multiplier anywhere up to ``top`` would hand back the
+last x with 0 pivots, so that the loop may skip those solves.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..telemetry import SOURCE_VIRTUAL_ZERO
-from .lp import LpProblem, LpState, LpTemplate, lp_solve
+from .lp import LpProblem, LpState, LpTemplate, lp_solve, lp_stays_optimal
 from .result import EstimationResult
 
 
@@ -98,6 +105,15 @@ class RegionalLp:
             b[row] = term.neighbor_p + term.loss_const
             c[plus[row]] = c[minus[row]] = term.lam
         return LpProblem(self.template, c, b, self.state)
+
+    def stays_optimal(self, boundary: dict[int, BoundaryTerm], top: dict[int, float]) -> bool:
+        """Whether the last solve's basis stays optimal under ``boundary``
+        while each converter's multiplier rises from its term's to at most
+        ``top``: each rise rounded up, so that it bounds the exact one."""
+        rise = np.zeros(self.template.a_eq.shape[0])
+        for row, cid in enumerate(self.convs, self.m):
+            rise[row] = math.nextafter(top[cid] - boundary[cid].lam, math.inf)
+        return lp_stays_optimal(self.problem(boundary), rise)
 
 
 def _lp_template(model, convs, zero) -> LpTemplate:

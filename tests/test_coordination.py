@@ -2,6 +2,7 @@ import gc
 import hashlib
 import pickle
 import struct
+import time
 import weakref
 from dataclasses import replace
 
@@ -163,9 +164,11 @@ class TestDrse:
             templates.clear(), eliminations.clear(), problems.clear()
             est = run_drse(grid, ms, PARAMS)
             counts.append((len(templates), len(eliminations)))
-            # one solve per region in every iteration, one LP matrix and one
-            # solve state per region
-            assert len(problems) == n * est.iterations
+            # one solve per region in every iteration that solved (a skipped
+            # one is a zero-time row), one LP matrix and one solve state per
+            # region
+            solved = sum(row.t_total > 0.0 for row in est.timing)
+            assert len(problems) == n * solved
             assert len({a for a, *_ in problems}) == n
             assert len({state for _, state, *_ in problems}) == n
             states.append(problems[:n])
@@ -270,9 +273,9 @@ def estimate_bits(est):
         est.iterations, est.converged, est.stop_reason)
 
 
-def montecarlo_estimates(monkeypatch, method, case, runs=3):
-    """The DRSE estimates of the first ``runs`` case33 Monte-Carlo runs of
-    ``method`` at bad-data ``case``."""
+def montecarlo_runs(monkeypatch, method, case, runs=3):
+    """(grid, readings, estimate) of the DRSE estimate of each of the first
+    ``runs`` case33 Monte-Carlo runs of ``method`` at bad-data ``case``."""
     ctx = prepare_context(Scenario(
         grid=str(data.path(data.CASE33_HYBRID)), method=method, runs=runs,
         seed=20240, base_profile=str(data.path(data.CASE33_HYBRID_LOADS)),
@@ -281,14 +284,20 @@ def montecarlo_estimates(monkeypatch, method, case, runs=3):
     out = []
     real = montecarlo.run_drse
 
-    def keep(*args):
-        out.append(real(*args))
-        return out[-1]
+    def keep(grid, ms, params):
+        out.append((grid, ms, real(grid, ms, params)))
+        return out[-1][-1]
 
     monkeypatch.setattr(montecarlo, "run_drse", keep)
     for i in range(runs):
         assert not run_single(ctx, i).error
     return out
+
+
+def montecarlo_estimates(monkeypatch, method, case, runs=3):
+    """The DRSE estimates of the first ``runs`` case33 Monte-Carlo runs of
+    ``method`` at bad-data ``case``."""
+    return [est for *_, est in montecarlo_runs(monkeypatch, method, case, runs)]
 
 
 class TestEstimateDigest:
@@ -332,6 +341,101 @@ class TestEstimateDigest:
                 for seed in range(6)]
         estimates = [run_drse(case33, ms, CoordinationParams(xi=1e5)) for ms in sets]
         assert self.digest(estimates) == self.DIGESTS["case33_large_xi"]
+
+
+class TestStallSkip:
+    """A stalled DRSE loop skips its repeat iterations once the cost-ranging
+    check vouches for every region, and the estimate keeps every bit: the
+    same estimates with the check answering False run every iteration."""
+
+    @staticmethod
+    def estimates(monkeypatch, inputs, params, skip):
+        """The estimates of ``inputs``, and each one's count of LP solves."""
+        counts = []
+        real = wlav.lp_solve
+
+        def count(*args, **kwargs):
+            counts[-1] += 1
+            return real(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(wlav, "lp_solve", count)
+            if not skip:
+                patch.setattr(wlav, "lp_stays_optimal", lambda problem, rise: False)
+            out = []
+            for grid, ms in inputs:
+                counts.append(0)
+                out.append(run_drse(grid, ms, params))
+        return out, counts
+
+    def assert_exact(self, monkeypatch, inputs):
+        for xi in (1.0, 1e3, 1e5):
+            params = CoordinationParams(xi=xi)
+            skipping, solves = self.estimates(monkeypatch, inputs, params, True)
+            full, _ = self.estimates(monkeypatch, inputs, params, False)
+            assert [estimate_bits(e) for e in skipping] == [estimate_bits(e) for e in full]
+            if xi == 1.0:
+                stalled = [(n, len(grid.regions) * est.iterations)
+                           for (grid, _), est, n in zip(inputs, skipping, solves)
+                           if est.stop_reason == "stalled"]
+                assert stalled and all(n < every for n, every in stalled)
+
+    @pytest.mark.parametrize("method", ["drse", "drse_pseudo"])
+    @pytest.mark.parametrize("case", [0, 2])
+    def test_case33_montecarlo(self, monkeypatch, method, case):
+        runs = montecarlo_runs(monkeypatch, method, case)
+        self.assert_exact(monkeypatch, [(grid, ms) for grid, ms, _ in runs])
+
+    def test_toy5(self, monkeypatch, toy5, toy5_loads):
+        self.assert_exact(monkeypatch, [(toy5, noisy_set(toy5, toy5_loads, seed=seed)[1])
+                                        for seed in range(6)])
+
+    def test_toy5_formed(self, monkeypatch, toy5_formed, toy5_formed_loads):
+        self.assert_exact(monkeypatch, [
+            (toy5_formed, noisy_set(toy5_formed, toy5_formed_loads, seed=seed)[1])
+            for seed in range(6)])
+
+    @staticmethod
+    def stalled_case33(case33, case33_loads):
+        sched = ScheduleConfig(scada_ac_branches=((1, 2), (2, 19), (3, 23), (6, 26)))
+        return noisy_set(case33, case33_loads, seed=3, sched=sched)[1]
+
+    def test_skipped_iterations_take_no_time(self, case33, case33_loads, monkeypatch):
+        spent = []
+        real = wlav.lp_stays_optimal
+
+        def timed(problem, rise):
+            t0 = time.perf_counter()
+            out = real(problem, rise)
+            spent.append(time.perf_counter() - t0)
+            return out
+
+        monkeypatch.setattr(wlav, "lp_stays_optimal", timed)
+        est = run_drse(case33, self.stalled_case33(case33, case33_loads), PARAMS)
+        assert est.stop_reason == "stalled" and len(spent) == len(case33.regions)
+        assert len(est.timing) == len(est.packet_trace) == est.iterations
+        skipped = [i for i, row in enumerate(est.timing) if row.t_total == 0.0]
+        # iterations t + 1 ... cap - 1 are skipped; the check ran in iteration
+        # t and its time is that iteration's algebra
+        first = skipped[0]
+        assert skipped == list(range(first, PARAMS.max_iterations - 1)) and first >= 2
+        assert all(row == coord.IterationTiming(0.0, 0.0, 0.0) for row in est.timing[first:-1])
+        assert est.timing[first - 1].t_algebra >= sum(spent)
+        assert all(row.t_total > 0.0 for row in est.timing[:first] + est.timing[-1:])
+        assert est.se_time == sum(row.t_total for row in est.timing[:first] + est.timing[-1:])
+
+    def test_a_refused_check_is_not_retried_in_the_stall(self, case33, case33_loads,
+                                                         monkeypatch):
+        calls = []
+        monkeypatch.setattr(wlav, "lp_stays_optimal",
+                            lambda problem, rise: calls.append(1) or False)
+        est = run_drse(case33, self.stalled_case33(case33, case33_loads), PARAMS)
+        # one check (the first region refuses) per stall that leaves an
+        # iteration to skip
+        trace = est.packet_trace
+        onsets = [t for t in range(1, len(trace) - 1)
+                  if trace[t] == trace[t - 1] and (t == 1 or trace[t - 1] != trace[t - 2])]
+        assert est.stop_reason == "stalled" and len(onsets) == len(calls) == 1
 
 
 class TestDwls:

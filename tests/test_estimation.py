@@ -982,6 +982,104 @@ class TestLpRepeat:
             assert fresh.x.tobytes() == first.x.tobytes()
 
 
+class TestCostRanging:
+    """``lp.lp_stays_optimal`` against brute force, on the final regional LPs
+    of stalled case33 DRSE estimates: every multiplier cost in a range it
+    accepts is answered by a warm solve with the stored x and 0 pivots, and a
+    range stretched past the first multiplier at which a scan pivots is
+    refused."""
+
+    @staticmethod
+    def _final(case33, case33_loads, monkeypatch):
+        """(RegionalLp, boundary terms) of each region's last solve."""
+        from hybridse import coordination as coord
+        from hybridse.coordination import CoordinationParams, run_drse
+        from hybridse.powerflow import solve_powerflow
+        from hybridse.telemetry import ScheduleConfig, simulate_measurements
+        last = {}
+        real = coord.solve_wlav_region
+
+        def spy(lp, terms):
+            last[lp.model.region_id] = (lp, terms)
+            return real(lp, terms)
+
+        monkeypatch.setattr(coord, "solve_wlav_region", spy)
+        sched = ScheduleConfig(scada_ac_branches=((1, 2), (2, 19), (3, 23), (6, 26)))
+        truth = solve_powerflow(case33, case33_loads)
+        out = []
+        for seed in (3, 7):
+            ms = simulate_measurements(case33, truth.state, sched, t=3600.0, seed=seed)
+            assert run_drse(case33, ms, CoordinationParams()).stop_reason == "stalled"
+            out += last.values()
+        return out
+
+    @staticmethod
+    def _rise(lp, rises):
+        """The rise of each LP row: ``rises`` on the boundary rows."""
+        rise = np.zeros(lp.template.a_eq.shape[0])
+        rise[lp.m:] = rises
+        return rise
+
+    @staticmethod
+    def _probe(lp, terms, rises):
+        """A warm solve with each converter's multiplier raised by ``rises``,
+        on a copy of the LP's state so that a pivot leaves the state as it is."""
+        state = lp_module.LpState()
+        state.last = lp.state.last
+        raised = {cid: BoundaryTerm(terms[cid].lam + r, terms[cid].neighbor_p,
+                                    terms[cid].loss_const)
+                  for cid, r in zip(lp.convs, rises)}
+        problem = lp.problem(raised)
+        return lp_solve(LpProblem(lp.template, problem.c, problem.b_eq, state),
+                        basis=state.basis)
+
+    def test_accepted_ranges_repeat_and_stretched_ones_are_refused(
+            self, case33, case33_loads, monkeypatch):
+        rng = np.random.default_rng(0)
+        final = self._final(case33, case33_loads, monkeypatch)
+        vouched = 0
+        for lp, terms in final:
+            problem, k = lp.problem(terms), len(lp.convs)
+            stored = lp.state.last[-1]
+            assert lp_module.lp_stays_optimal(problem, self._rise(lp, np.zeros(k)))
+
+            # a geometric scan of a common rise, the first step that pivots
+            # bisected down to the first pivot: a range up to it is refused
+            steps = 1e-3 * 2.0 ** np.arange(50)
+            pivots = [i for i, s in enumerate(steps)
+                      if self._probe(lp, terms, np.full(k, s)).iterations]
+            assert pivots
+            low, high = (steps[pivots[0] - 1] if pivots[0] else 0.0), steps[pivots[0]]
+            for _ in range(40):
+                mid = (low + high) / 2.0
+                low, high = (low, mid) if self._probe(lp, terms, np.full(k, mid)).iterations \
+                    else (mid, high)
+            assert not lp_module.lp_stays_optimal(problem, self._rise(lp, np.full(k, high)))
+
+            # inside the largest accepted step (each converter's rise bounded
+            # by it): both ends and random points repeat the stored x.  A
+            # basis with a zero reduced cost may have none.
+            accepted = [s for s in steps
+                        if lp_module.lp_stays_optimal(problem, self._rise(lp, np.full(k, s)))]
+            if accepted:
+                vouched += 1
+                top = max(accepted)
+                assert top < high
+                for rises in [np.full(k, top), *(top * rng.random(k) for _ in range(20))]:
+                    sol = self._probe(lp, terms, rises)
+                    assert sol.iterations == 0 and sol.x is stored
+
+            # other b bytes, or no stored solve, are never vouched for
+            b = problem.b_eq.copy()
+            b[-1] = np.nextafter(b[-1], np.inf)
+            zero = self._rise(lp, np.zeros(k))
+            assert not lp_module.lp_stays_optimal(
+                LpProblem(lp.template, problem.c, b, lp.state), zero)
+            assert not lp_module.lp_stays_optimal(
+                LpProblem(lp.template, problem.c, problem.b_eq, lp_module.LpState()), zero)
+        assert vouched >= len(final) - 1
+
+
 class TestScalarLavIsWeightedMedian:
     def test_randomized_against_oracle(self):
         rng = np.random.default_rng(12345)
