@@ -30,15 +30,24 @@ B^-1 b is a product with the stored tableau: a nonbasic residual's column is
 B^-1 e_i, and a basic residual's is its unit vector.  Every basis is primal
 feasible for an L1 fit, so a cold start and a warm start whose b moved take
 one path: stored tableau, values for b (each residual named by the side of
-its value), primal pivots.  A basic residual's name gives its marginal cost,
-c+ or -c-; with g those of the basic variables, a pricing pass is one product
-g T, and a nonbasic residual's reduced costs up and down are c+ - g T and
-c- + g T.  The ratio test takes the long step of Barrodale and Roberts: it
-passes breakpoints while the slope stays negative, each one moving its
-residual to the other side, and the row where the slope turns non-negative
-leaves.  A basic equality residual with a nonzero entry blocks at step 0.
-Entering is by Dantzig's rule, Bland's after a run of degenerate pivots;
-ties go to the lowest variable, so solves are deterministic.
+its value), primal pivots.  A solve reads c once, into tables by variable
+name: the cost while basic (c+ or -c- for a residual, by its name) and the
+row's costs of a step up and down (c+ and c-; 0 for a state, inf on an
+equality row), whose sum is a breakpoint's weight.  With g the basic costs,
+a pricing pass is one product g T, and a nonbasic residual's reduced costs up
+and down are c+ - g T and c- + g T.  The ratio test takes the long step of
+Barrodale and Roberts: it passes breakpoints while the slope stays negative,
+each one moving its residual to the other side, and the row where the slope
+turns non-negative leaves.  A basic equality residual with a nonzero entry
+blocks at step 0.  Entering is by Dantzig's rule, Bland's after a run of
+degenerate pivots; ties go to the up side, then the lowest column, so solves
+are deterministic.  A solve keeps g and the nonbasic costs, and from its
+first pivot each row's side (its residual's sign, 0 for a state), weight and
+kind, updated at each flip and exchange: states never leave and an equality
+residual never enters, so a row changes kind only when a basic equality
+residual leaves.  The arrays hold what the basis names, and a pivot leaves
+the rows with a zero in its column as they were, so a solve has the bits of
+one that re-derives them from the basis at every step.
 
 Every :class:`LpProblem` is c and b over an :class:`LpTemplate`: A and the
 free columns of a family of problems that differ only in c and b,
@@ -154,8 +163,9 @@ def lp_stays_optimal(problem: LpProblem, rise: np.ndarray) -> bool:
     if state.last is None or state.last[0][1] != problem.b_eq.tobytes():
         return False
     _, t, head, cols, _ = state.last
-    c_ext = np.concatenate([problem.c, _ZERO_INF, -problem.c])
-    d, g = _reduced_costs(template, t, head, cols, c_ext)
+    cost, up, down = _cost_tables(template, problem.c)
+    g = cost[head]
+    d_up, d_down = _prices(t, g, up[cols], down[cols])
     rise = np.append(rise, 0.0)                 # a state's row is -1
     moves = rise[template.row_of[head]]         # how far each basic cost may move
     size = np.abs(t[:, :-1])
@@ -164,7 +174,7 @@ def lp_stays_optimal(problem: LpProblem, rise: np.ndarray) -> bool:
              + (np.abs(g) @ size + shift).max(initial=0.0))
     k = t.shape[0] + 6
     allowance = k * _UNIT / (1.0 - k * _UNIT) * scale
-    return (d.reshape(2, -1) - shift).min(initial=np.inf) - 3.0 * allowance >= -_TOL
+    return (np.minimum(d_up, d_down) - shift).min(initial=np.inf) - 3.0 * allowance >= -_TOL
 
 
 class LpTemplate:
@@ -257,22 +267,23 @@ class LpState:
 
 def _lp_solve(problem: LpProblem, basis) -> LpSolution:
     template, state, b = problem.template, problem.state, problem.b_eq
-    c_ext = np.concatenate([problem.c, _ZERO_INF, -problem.c])
     if basis is None:
         t, head, cols = _crash_tableau(template, b)
+        costs = _cost_tables(template, problem.c)
     else:
         if state.basis != tuple(basis):
             raise LpError("warm basis is not the one of the state's last solve")
         (last_basis, last_b), stored, head, cols, x = state.last
+        costs = cost, up, down = _cost_tables(template, problem.c)
         if last_b != b.tobytes():
             t, head, cols = _start(template, stored, head, cols, b)
-        elif _entering(template, stored, head, cols, c_ext, 0) is None:
+        elif _entering(stored, cost[head], up[cols], down[cols], cols, 0) is None:
             return LpSolution(x=x, objective=float(problem.c @ x), iterations=0,
                               basis=last_basis)
         else:
             t, head, cols = stored.copy(), head.copy(), cols.copy()
 
-    iterations = _optimize(template, t, head, cols, c_ext)
+    iterations = _optimize(template, t, head, cols, *costs)
     n = template.a_eq.shape[1]
     x = np.zeros(n)
     real = head < n                         # not an equality residual
@@ -307,71 +318,92 @@ def _start(template, t, head, cols, b):
     return t, head, cols
 
 
-def _reduced_costs(template, t, head, cols, c_ext):
-    """A pricing pass: the reduced costs of the nonbasic residuals, up then
-    down, and the basic variables' costs g."""
-    g = c_ext[template.cost_of[head]]
+def _cost_tables(template, c):
+    """A solve's costs by variable name: while basic, a unit step up, down."""
+    c_ext = np.concatenate([c, _ZERO_INF, -c])
+    return c_ext[template.cost_of], c_ext[template.up_of], c_ext[template.down_of]
+
+
+def _prices(t, g, up, down):
+    """A pricing pass: the nonbasic residuals' reduced costs up and down."""
     gt = g @ t[:, :-1]
-    return np.concatenate([c_ext[template.up_of[cols]] - gt,
-                           c_ext[template.down_of[cols]] + gt]), g
+    return up - gt, down + gt
 
 
-def _entering(template, t, head, cols, c_ext, degenerate):
+def _entering(t, g, up, down, cols, degenerate):
     """(column, direction +-1, reduced cost) of the entering residual, by
     Dantzig's rule or Bland's after a long run of degenerate pivots; None
     when no reduced cost is below -_TOL."""
     if not cols.size:
         return None
-    d, _ = _reduced_costs(template, t, head, cols, c_ext)
-    j = int(d.argmin())
-    if d[j] >= -_TOL:
+    d_up, d_down = _prices(t, g, up, down)
+    q_up, q_down = int(d_up.argmin()), int(d_down.argmin())
+    if d_up[q_up] <= d_down[q_down]:
+        q, sign, slope = q_up, 1.0, d_up[q_up]
+    else:
+        q, sign, slope = q_down, -1.0, d_down[q_down]
+    if slope >= -_TOL:
         return None
     if degenerate >= _DEGENERATE_STREAK:
-        candidates = (d < -_TOL).nonzero()[0]
-        j = int(candidates[cols[candidates % cols.size].argmin()])
-    return j % cols.size, (1.0 if j < cols.size else -1.0), d[j]
+        below = (d_up < -_TOL) | (d_down < -_TOL)
+        q = int(np.where(below, cols, np.iinfo(cols.dtype).max).argmin())
+        sign, slope = (1.0, d_up[q]) if d_up[q] < -_TOL else (-1.0, d_down[q])
+    return q, sign, slope
 
 
-def _optimize(template, t, head, cols, c_ext) -> int:
-    """Primal simplex with long steps; mutates t, head and cols."""
+def _optimize(template, t, head, cols, cost, up, down) -> int:
+    """Primal simplex with long steps; mutates t, head and cols, and keeps
+    the costs and per-row arrays of the module docstring."""
     n = template.a_eq.shape[1]
-    weight = c_ext[template.up_of] + c_ext[template.down_of]   # slope a breakpoint adds
+    weight = up + down                          # slope a breakpoint adds
     if weight.min() < 0.0:
         raise LpUnbounded("a residual whose two costs sum below zero")
+    g, c_up, c_down = cost[head], up[cols], down[cols]
+    values = t[:, -1]                           # a view: pivots update t in place
+    side = None
     degenerate = 0
     for it in range(_MAX_ITER):
-        entering = _entering(template, t, head, cols, c_ext, degenerate)
+        entering = _entering(t, g, c_up, c_down, cols, degenerate)
         if entering is None:
             return it
         q, sign, slope = entering
+        if side is None:
+            side = np.where(template.flip[head] != head, template.sign_of[head], 0.0)
+            w, eq = weight[head], head >= n
         rate = -sign * t[:, q]                  # d(basic value)/d(step)
-        toward = (template.flip[head] != head) & (template.sign_of[head] * rate < -_TOL)
-        rows = np.flatnonzero(np.where(head >= n, np.abs(rate) > _TOL, toward))
-        steps = np.where(head[rows] >= n, 0.0, -t[rows, -1] / rate[rows])
+        size = np.abs(rate)
+        rows = np.flatnonzero((side * rate < -_TOL) | (eq & (size > _TOL)))
+        steps = -values[rows] / rate[rows]
+        steps[eq[rows]] = 0.0
         by_step = np.lexsort((head[rows], steps))
         order = rows[by_step]
-        turned = slope + np.cumsum(np.abs(rate[order]) * weight[head[order]]) >= 0.0
+        turned = slope + np.cumsum(size[order] * w[order]) >= 0.0
         if not turned.any():
             raise LpUnbounded("no breakpoint turns the slope of the entering residual")
         k = int(turned.argmax())
         degenerate = degenerate + 1 if steps[by_step[k]] <= _TOL else 0
 
-        p, passed = order[k], order[:k]
-        head[passed] = template.flip[head[passed]]
+        p = int(order[k])
+        if k:                                   # the passed rows: residuals, never equalities
+            passed = order[:k]
+            head[passed] = template.flip[head[passed]]
+            side[passed] = -side[passed]
+            g[passed] = cost[head[passed]]
         _pivot(t, p, q)
         entered = (template.up_of if sign > 0 else template.down_of)[cols[q]]
-        cols[q], head[p] = n + template.row_of[head[p]], entered
+        left = n + template.row_of[head[p]]
+        cols[q], c_up[q], c_down[q] = left, up[left], down[left]
+        head[p], g[p], side[p], w[p], eq[p] = entered, cost[entered], sign, weight[entered], False
     raise LpError("simplex iteration limit reached")
 
 
 def _pivot(t, p, q):
-    """Exchange row p's basic variable with column q's nonbasic one."""
+    """Exchange row p's basic variable with column q's; rows zero in q stay."""
     piv = t[p, q]
     col = t[:, q].copy()
     col[p] = 0.0
     t[p] /= piv
-    rows = col.nonzero()[0]
-    t[rows] -= col[rows, None] * t[p]
+    np.subtract(t, np.multiply.outer(col, t[p]), out=t, where=(col != 0.0)[:, None])
     t[:, q] = -col / piv
     t[p, q] = 1.0 / piv
 

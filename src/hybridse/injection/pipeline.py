@@ -347,16 +347,17 @@ def prior_measurements(model: InjectionModel, grid: GridModel, t: float,
 def _injection_rows(grid: GridModel, values: dict[str, float],
                     sigmas: dict[str, float], source: str,
                     t: float) -> list[Measurement]:
+    """A row per component key, its (kind, location) kept by ``GridModel.memo``."""
+    spots = grid.memo("injection_spots", dict)
     rows = []
     for key in values:
-        tag, node = key.split(":")
-        if tag == "q":
-            kind = MeasurementKind.AC_Q_INJ
-        elif grid.node(int(node)).kind == AC:
-            kind = MeasurementKind.AC_P_INJ
-        else:
-            kind = MeasurementKind.DC_P_INJ
-        rows.append(Measurement(kind=kind, location=(int(node),), direction="",
+        spot = spots.get(key)
+        if spot is None:
+            tag, node = key.split(":")
+            kind = (MeasurementKind.AC_Q_INJ if tag == "q" else MeasurementKind.AC_P_INJ
+                    if grid.node(int(node)).kind == AC else MeasurementKind.DC_P_INJ)
+            spot = spots[key] = (kind, (int(node),))
+        rows.append(Measurement(kind=spot[0], location=spot[1], direction="",
                                 value=float(values[key]),
                                 sigma=float(sigmas[key]), source=source,
                                 timestamp=t))

@@ -130,10 +130,16 @@ class MeasurementSet:
         return grid.node(conv.aux_node).region
 
     def by_region(self, grid: GridModel) -> dict[int, list[tuple[int, Measurement]]]:
-        """Stable partition of the set: region id -> [(global index, measurement)]."""
+        """Stable partition of the set: region id -> [(global index, measurement)];
+        ``region_of`` each (kind, location, direction), kept by ``GridModel.memo``."""
+        regions = grid.memo("reading_regions", dict)
         out: dict[int, list[tuple[int, Measurement]]] = {r.id: [] for r in grid.regions}
         for idx, m in enumerate(self.measurements):
-            out[self.region_of(m, grid)].append((idx, m))
+            key = (m.kind, m.location, m.direction)
+            region = regions.get(key)
+            if region is None:
+                region = regions[key] = self.region_of(m, grid)
+            out[region].append((idx, m))
         return out
 
     # -- CSV ----------------------------------------------------------------
@@ -300,15 +306,16 @@ class MeasurementModel:
         v: dict[int, float] = {}
         theta: dict[int, float] = {}
         conv: dict[tuple[str, int], float] = {}
+        x = x.tolist()
         for (tag, key), col in self.index.items():
             if tag == "u":
-                v[key] = math.sqrt(max(float(x[col]), 1e-12))
+                v[key] = math.sqrt(max(x[col], 1e-12))
             elif tag == "v":
-                v[key] = float(x[col])
+                v[key] = x[col]
             elif tag == "th":
-                theta[key] = float(x[col])
+                theta[key] = x[col]
             else:
-                conv[(tag, key)] = float(x[col])
+                conv[(tag, key)] = x[col]
         for ref in self.angle_refs.values():
             theta[ref] = 0.0
         return v, theta, conv

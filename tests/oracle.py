@@ -34,6 +34,12 @@ that solve and ``simulate_measurements``, and ``train_mlp_per_layer`` the
 momentum loop layer by layer on per-layer gradients (``layer_grads``);
 ``injection.pipeline.build_training_set`` and ``injection.mlp.train_mlp``
 must give their bits.
+``lp_solve_gathered`` is the L1 simplex with every pricing pass and ratio
+test re-deriving its costs, signs and weights from the basic variables and
+every pivot updating the rows with a nonzero in the entering column
+(``lp_entering``, ``lp_optimize``, ``lp_pivot``), over the same
+``LpTemplate``, crash and start; ``estimation.lp.lp_solve`` must give its
+x bytes, basis and pivot count.
 """
 
 import math
@@ -45,6 +51,7 @@ from hybridse.grid import AC, DC, MODE_DC_SLACK, MODE_PQ
 from hybridse.injection import GmmModel, daily_shape, solar_shape
 from hybridse.injection.gmm import _EM_MAX_ITER, _EM_TOL, VAR_FLOOR, _seed_means
 from hybridse import powerflow
+from hybridse.estimation import lp
 from hybridse.injection.mlp import init_model
 from hybridse.injection.pipeline import (injection_components, sample_injections,
                                          scada_channels, scada_vector)
@@ -649,3 +656,106 @@ def train_mlp_per_layer(x, y, hidden, lr=0.01, batch=32, epochs=300, seed=0,
                 model.weights[layer] += vel_w[layer]
                 model.biases[layer] += vel_b[layer]
     return model
+
+
+def lp_solve_gathered(problem, basis=None):
+    """``estimation.lp.lp_solve`` through ``lp_optimize``: warm from
+    ``basis`` when it is the state's last one, cold once more on a failure."""
+    if basis is not None:
+        try:
+            return _lp_solve_gathered(problem, basis)
+        except lp.LpError:
+            pass
+    return _lp_solve_gathered(problem, None)
+
+
+def _lp_solve_gathered(problem, basis):
+    template, state, b = problem.template, problem.state, problem.b_eq
+    c_ext = np.concatenate([problem.c, lp._ZERO_INF, -problem.c])
+    if basis is None:
+        t, head, cols = lp._crash_tableau(template, b)
+    else:
+        if state.basis != tuple(basis):
+            raise lp.LpError("warm basis is not the one of the state's last solve")
+        (last_basis, last_b), stored, head, cols, x = state.last
+        if last_b != b.tobytes():
+            t, head, cols = lp._start(template, stored, head, cols, b)
+        elif lp_entering(template, stored, head, cols, c_ext, 0) is None:
+            return lp.LpSolution(x=x, objective=float(problem.c @ x), iterations=0,
+                                 basis=last_basis)
+        else:
+            t, head, cols = stored.copy(), head.copy(), cols.copy()
+    iterations = lp_optimize(template, t, head, cols, c_ext)
+    n = template.a_eq.shape[1]
+    x = np.zeros(n)
+    real = head < n
+    x[head[real]] = template.sign_of[head[real]] * t[real, -1]
+    x.flags.writeable = False
+    result_basis = tuple(head.tolist())
+    state.last = ((result_basis, b.tobytes()), t, head, cols, x)
+    return lp.LpSolution(x=x, objective=float(problem.c @ x), iterations=iterations,
+                         basis=result_basis)
+
+
+def lp_entering(template, t, head, cols, c_ext, degenerate):
+    """(column, direction +-1, reduced cost) of the entering residual from
+    one vector of reduced costs, up half then down half; None when none is
+    below the pricing tolerance."""
+    if not cols.size:
+        return None
+    g = c_ext[template.cost_of[head]]
+    gt = g @ t[:, :-1]
+    d = np.concatenate([c_ext[template.up_of[cols]] - gt,
+                        c_ext[template.down_of[cols]] + gt])
+    j = int(d.argmin())
+    if d[j] >= -lp._TOL:
+        return None
+    if degenerate >= lp._DEGENERATE_STREAK:
+        candidates = (d < -lp._TOL).nonzero()[0]
+        j = int(candidates[cols[candidates % cols.size].argmin()])
+    return j % cols.size, (1.0 if j < cols.size else -1.0), d[j]
+
+
+def lp_optimize(template, t, head, cols, c_ext) -> int:
+    """Primal simplex with long steps, each row's side, weight and kind read
+    off ``head`` at every ratio test; mutates t, head and cols."""
+    n = template.a_eq.shape[1]
+    weight = c_ext[template.up_of] + c_ext[template.down_of]
+    if weight.min() < 0.0:
+        raise lp.LpUnbounded("a residual whose two costs sum below zero")
+    degenerate = 0
+    for it in range(lp._MAX_ITER):
+        entering = lp_entering(template, t, head, cols, c_ext, degenerate)
+        if entering is None:
+            return it
+        q, sign, slope = entering
+        rate = -sign * t[:, q]
+        toward = (template.flip[head] != head) & (template.sign_of[head] * rate < -lp._TOL)
+        rows = np.flatnonzero(np.where(head >= n, np.abs(rate) > lp._TOL, toward))
+        steps = np.where(head[rows] >= n, 0.0, -t[rows, -1] / rate[rows])
+        by_step = np.lexsort((head[rows], steps))
+        order = rows[by_step]
+        turned = slope + np.cumsum(np.abs(rate[order]) * weight[head[order]]) >= 0.0
+        if not turned.any():
+            raise lp.LpUnbounded("no breakpoint turns the slope of the entering residual")
+        k = int(turned.argmax())
+        degenerate = degenerate + 1 if steps[by_step[k]] <= lp._TOL else 0
+        p, passed = order[k], order[:k]
+        head[passed] = template.flip[head[passed]]
+        lp_pivot(t, p, q)
+        entered = (template.up_of if sign > 0 else template.down_of)[cols[q]]
+        cols[q], head[p] = n + template.row_of[head[p]], entered
+    raise lp.LpError("simplex iteration limit reached")
+
+
+def lp_pivot(t, p, q):
+    """Exchange row p's basic variable with column q's nonbasic one, on the
+    rows with a nonzero in column q gathered and scattered back."""
+    piv = t[p, q]
+    col = t[:, q].copy()
+    col[p] = 0.0
+    t[p] /= piv
+    rows = col.nonzero()[0]
+    t[rows] -= col[rows, None] * t[p]
+    t[:, q] = -col / piv
+    t[p, q] = 1.0 / piv

@@ -175,6 +175,31 @@ class TestMonteCarlo:
             assert rec.trace.dtype == float
             assert rec.trace.shape == (2 * n_conv * rec.iterations, 7)
 
+    def test_workers_from_a_grid_with_filled_tables(self, tmp_path, monkeypatch):
+        # the grid reaches the workers after a run in this process filled its
+        # per-grid reading and injection tables, and through pickling; they
+        # write the bytes of one process that started with empty tables
+        import pickle
+        sc = Scenario(grid=str(data.path(data.CASE33_HYBRID)), method="drse_pseudo", runs=4,
+                      seed=20240, base_profile=str(data.path(data.CASE33_HYBRID_LOADS)),
+                      test_days=5, bad_data_case=2)
+        monkeypatch.setenv("HYBRIDSE_WORKERS", "1")
+        run_montecarlo(sc, out_dir=tmp_path / "1")
+        real = montecarlo.prepare_context
+
+        def filled(scenario, model_path=None):
+            ctx = real(scenario, model_path=model_path)
+            montecarlo.run_single(ctx, 0)
+            assert {"reading_regions", "injection_spots"} <= ctx.grid._memo.keys()
+            ctx.grid = pickle.loads(pickle.dumps(ctx.grid))
+            return ctx
+
+        monkeypatch.setattr(montecarlo, "prepare_context", filled)
+        monkeypatch.setenv("HYBRIDSE_WORKERS", "2")
+        run_montecarlo(sc, out_dir=tmp_path / "2")
+        for name in ("runs.csv", "aggregate.csv", "trace_boundary.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
     @staticmethod
     def _failing(monkeypatch, fail):
         """``run_estimator`` raising UnobservableError on the runs in ``fail``

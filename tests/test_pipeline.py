@@ -248,3 +248,34 @@ class TestScreenDigest:
                     assert list(substituted) == [i]
                     assert fixed[i].value == math.sqrt(substituted[i])
                     assert abs(fixed[i].value - truth.v[m.location[0]]) <= m.sigma
+
+
+class TestInjectionSpots:
+    """``_injection_rows`` keeps each component key's (kind, location) per
+    grid; its rows are the ones built key by key, from a filled table too."""
+
+    @pytest.mark.parametrize("grid_name", ["case33", "toy5_formed"])
+    def test_rows_built_key_by_key(self, grid_name, request):
+        from hybridse.grid import AC
+        from hybridse.injection.pipeline import _injection_rows, injection_components
+        from hybridse.telemetry import Measurement
+        grid = request.getfixturevalue(grid_name)
+        keys = injection_components(grid)
+        values = {k: 0.01 * (i + 1) for i, k in enumerate(keys)}
+        sigmas = {k: 0.001 * (i + 1) for i, k in enumerate(keys)}
+        want = []
+        for key in keys:
+            tag, node = key.split(":")
+            node = int(node)
+            kind = (MeasurementKind.AC_Q_INJ if tag == "q" else
+                    MeasurementKind.AC_P_INJ if grid.node(node).kind == AC else
+                    MeasurementKind.DC_P_INJ)
+            want.append(Measurement(kind=kind, location=(node,), direction="",
+                                    value=values[key], sigma=sigmas[key], source="pseudo",
+                                    timestamp=900.0))
+        assert {m.kind for m in want} >= {MeasurementKind.AC_P_INJ, MeasurementKind.AC_Q_INJ,
+                                          MeasurementKind.DC_P_INJ}
+        for _ in range(2):
+            assert _injection_rows(grid, values, sigmas, "pseudo", 900.0) == want
+        reversed_keys = dict(reversed(values.items()))
+        assert _injection_rows(grid, reversed_keys, sigmas, "pseudo", 900.0) == want[::-1]

@@ -854,3 +854,57 @@ class TestGridMemo:
         again_pf = solve_powerflow(grid, case33_loads)
         assert again_pf.state == res.state and again_pf.converters == res.converters
         assert len(grid._memo) == MEMO_ENTRIES
+
+
+def _every_reading(grid):
+    """A reading of every kind at every place it can sit on ``grid``: each
+    node's injections, voltage and zero injections, each line's and
+    converter coupling's flows both ways, each converter's P and Q on its ac
+    and its dc side; every reading twice, the copies apart."""
+    out = []
+    for node in grid.nodes:
+        kinds = ((MeasurementKind.AC_P_INJ, MeasurementKind.AC_Q_INJ, MeasurementKind.AC_V_MAG,
+                  MeasurementKind.ZERO_P_INJ, MeasurementKind.ZERO_Q_INJ)
+                 if node.kind == AC else
+                 (MeasurementKind.DC_P_INJ, MeasurementKind.DC_V_MAG, MeasurementKind.ZERO_P_INJ))
+        out += [_m(kind, (node.id,)) for kind in kinds]
+    ac_pairs = ([(ln.from_node, ln.to_node) for ln in grid.ac_lines]
+                + [(c.aux_node, c.ac_node) for c in grid.converters])
+    for kind, pairs in (((MeasurementKind.AC_P_FLOW, MeasurementKind.AC_Q_FLOW), ac_pairs),
+                        ((MeasurementKind.DC_P_FLOW,),
+                         [(ln.from_node, ln.to_node) for ln in grid.dc_lines])):
+        out += [_m(k, pair, direction) for k in kind for a, b in pairs
+                for pair, direction in (((a, b), "fwd"), ((b, a), "rev"))]
+    out += [_m(kind, (c.id,), side) for c in grid.converters
+            for kind in (MeasurementKind.CONV_P, MeasurementKind.CONV_Q) for side in ("ac", "dc")]
+    return out + out[::-1]
+
+
+class TestReadingRegions:
+    """``by_region`` looks each reading's region up in a table the grid keeps
+    (``GridModel.memo``); it is ``region_of``'s partition for every kind of
+    reading, in the set's order, from a filled table, an evicted one and
+    one that came through pickling."""
+
+    @pytest.mark.parametrize("grid_name", ["case33", "toy5_formed"])
+    def test_partition_is_region_of(self, grid_name, request):
+        import pickle
+        grid = pickle.loads(pickle.dumps(request.getfixturevalue(grid_name)))
+        grid._memo.pop("reading_regions", None)
+        ms = MeasurementSet(_every_reading(grid))
+        want = {r.id: [] for r in grid.regions}
+        for idx, m in enumerate(ms):
+            want[ms.region_of(m, grid)].append((idx, m))
+        for c in grid.converters:
+            sides = {ms.region_of(_m(MeasurementKind.CONV_P, (c.id,), side), grid)
+                     for side in ("ac", "dc")}
+            assert len(sides) == 2
+        assert ms.by_region(grid) == want
+        table = grid._memo["reading_regions"]
+        assert len(table) == len(ms) // 2
+        assert ms.by_region(grid) == want                   # from the filled table
+        copy = pickle.loads(pickle.dumps(grid))
+        assert copy._memo["reading_regions"] == table
+        assert ms.by_region(copy) == want
+        del grid._memo["reading_regions"]                   # evicted: rebuilt
+        assert ms.by_region(grid) == want
