@@ -157,11 +157,8 @@ def run_single(ctx: RunContext, run_idx: int) -> RunRecord:
 def run_estimator(family: str, grid: GridModel, ms: MeasurementSet,
                   params: CoordinationParams) -> SystemEstimate:
     """Run one estimator family ("cwls", "dwls" or "drse") on a measurement set."""
-    if family == "cwls":
-        return run_cwls(grid, ms, nr_test=params.nr_test)
-    if family == "dwls":
-        return run_dwls(grid, ms, params)
-    return run_drse(grid, ms, params)
+    # looked up at call time, so that a patched module attribute is the one run
+    return {"cwls": run_cwls, "dwls": run_dwls, "drse": run_drse}[family](grid, ms, params)
 
 
 _WORKER_CTX: RunContext | None = None

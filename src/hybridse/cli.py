@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -146,9 +147,9 @@ def cmd_estimate(args) -> int:
 
 def cmd_benchmark(args) -> int:
     scenario = load_scenario(args.scenario)
-    if args.runs:
-        scenario.runs = args.runs
-    scenario.seed = args.seed
+    # replace() validates the new run count as the scenario file's is
+    scenario = replace(scenario, seed=args.seed,
+                       runs=scenario.runs if args.runs is None else args.runs)
     out = Path(args.out)
     result = run_montecarlo(scenario, out_dir=out, model_path=args.model)
     agg = result.aggregate

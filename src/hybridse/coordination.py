@@ -7,7 +7,9 @@ Lagrange multipliers grow by xi * |boundary mismatch|.  The loop exits when
 every converter's AC-side and DC-side power claims agree within tau, or after
 the iteration cap; the estimate's ``stop_reason`` says which, and calls a cap
 reached with every packet equal to the previous iteration's "stalled".  Only
-BoundaryPacket fields ever cross a region boundary.
+BoundaryPacket fields ever cross a region boundary, and between iterations
+the loop holds one list of them in trace order.  A DC packet claims the DC
+region's gross converter draw less the loss that region was told.
 
 Per-iteration wall times are recorded as t_l = max over AC regions + max over
 DC regions + algebra time, the parallel-execution accounting of the
@@ -155,8 +157,9 @@ class SystemEstimate:
 # -- bootstrap ----------------------------------------------------------------
 
 
-def _bootstrap_packets(grid: GridModel, readings: list[Measurement]):
-    """Iteration-0 packets from the converters' own telemetry (or defaults)."""
+def _bootstrap_packets(grid: GridModel, readings: list[Measurement]) -> list[BoundaryPacket]:
+    """Iteration-0 packets from the converters' own telemetry (or defaults),
+    in trace order."""
     conv_p: dict[int, float] = {}
     conv_q: dict[int, float] = {}
     v_pcc: dict[int, float] = {}
@@ -167,28 +170,27 @@ def _bootstrap_packets(grid: GridModel, readings: list[Measurement]):
             conv_q[m.location[0]] = m.value
         elif m.kind is MeasurementKind.AC_V_MAG:
             v_pcc[m.location[0]] = m.value
-    ac_pkts, dc_pkts = {}, {}
+    pkts: list[BoundaryPacket] = []
     for conv in grid.converters:
         p = conv_p.get(conv.id, 0.0)
         q = conv_q.get(conv.id, conv.control.q_set)
         v = v_pcc.get(conv.aux_node, 1.0)
         loss, _ = converter_loss(p, q, v, (conv.d1, conv.d2, conv.d3))
-        ac_pkts[conv.id] = BoundaryPacket(conv.id, "ac", p, q, loss, v)
-        dc_pkts[conv.id] = BoundaryPacket(conv.id, "dc", p, q, loss, v)
-    return ac_pkts, dc_pkts
+        pkts += [BoundaryPacket(conv.id, side, p, q, loss, v) for side in ("ac", "dc")]
+    return pkts
 
 
-def _boundary_terms(region, lambdas, ac_pkts, dc_pkts):
-    """BoundaryTerm per converter of a region, from neighbor packets only."""
+def _boundary_terms(region, lambdas, pkts, at):
+    """BoundaryTerm per converter of a region, from neighbor packets only:
+    converter ``cid``'s AC packet is ``pkts[at[cid]]``, its DC packet the next."""
     terms: dict[int, BoundaryTerm] = {}
     for cid, orient in region.boundary:
         if orient == OWNS_AC:
-            terms[cid] = BoundaryTerm(lam=lambdas[cid],
-                                      neighbor_p=dc_pkts[cid].p_vsc)
+            terms[cid] = BoundaryTerm(lam=lambdas[cid], neighbor_p=pkts[at[cid] + 1].p_vsc)
         else:
-            terms[cid] = BoundaryTerm(lam=lambdas[cid],
-                                      neighbor_p=ac_pkts[cid].p_vsc,
-                                      loss_const=ac_pkts[cid].p_loss)
+            ac = pkts[at[cid]]
+            terms[cid] = BoundaryTerm(lam=lambdas[cid], neighbor_p=ac.p_vsc,
+                                      loss_const=ac.p_loss)
     return terms
 
 
@@ -202,57 +204,53 @@ def _coordinate(grid: GridModel, readings: list[Measurement], params: Coordinati
 
     ``solve_region(region, terms)`` estimates one region against the
     BoundaryTerm of each of its converters.  ``boundary_power(conv, ac_result,
-    dc_result, p_loss)`` reads the converter's AC-side (p_vsc, q_vsc) and
-    DC-side p_vsc off the two regional estimates, given the loss the DC region
-    was told last.  ``stays_optimal(region, terms, top)``, when given, says
-    whether the region's solves under ``terms`` would repeat its last
-    estimate while each multiplier rises up to ``top`` (module docstring).
+    dc_result)`` reads the converter's AC-side (p_vsc, q_vsc) and the DC
+    region's gross draw off the two regional estimates; the loop subtracts
+    the loss the DC region was told to make the DC packet's p_vsc.
+    ``stays_optimal(region, terms, top)``, when given, says whether the
+    region's solves under ``terms`` would repeat its last estimate while each
+    multiplier rises up to ``top`` (module docstring).  The terms and the
+    told losses are read from ``last``, the previous iteration's packets.
     """
-    ac_regions = [r.id for r in grid.regions if r.kind == AC]
-    dc_regions = [r.id for r in grid.regions if r.kind == DC]
     lambdas = {c.id: params.lambda0 for c in grid.converters}
-    ac_pkts, dc_pkts = _bootstrap_packets(grid, readings)
-    prev_ac = prev_dc = None
+    at = {conv.id: 2 * k for k, conv in enumerate(grid.converters)}
+    last = _bootstrap_packets(grid, readings)
     timing: list[IterationTiming] = []
     trace: list[list[BoundaryPacket]] = []
     results: dict[int, EstimationResult] = {}
-    converged = False
+    converged = stalled = False
     checked = False             # this stall's one cost-ranging check is made
     cap = params.max_iterations
     iteration = 0
 
     while iteration < cap:
         iteration += 1
-        t_regions: dict[int, float] = {}
+        t_max = {AC: 0.0, DC: 0.0}          # the slowest solve of each kind
         for region in grid.regions:
-            terms = _boundary_terms(region, lambdas, ac_pkts, dc_pkts)
+            terms = _boundary_terms(region, lambdas, last, at)
             t0 = time.perf_counter()
             results[region.id] = solve_region(region, terms)
-            t_regions[region.id] = time.perf_counter() - t0
+            t_max[region.kind] = max(t_max[region.kind], time.perf_counter() - t0)
 
         t0 = time.perf_counter()
-        new_ac, new_dc = {}, {}
         pkts: list[BoundaryPacket] = []
         for conv in grid.converters:
             ac_res = results[grid.node(conv.aux_node).region]
             dc_res = results[grid.node(conv.dc_node).region]
-            p_loss = ac_pkts[conv.id].p_loss
-            p_ac, q_ac, p_dc = boundary_power(conv, ac_res, dc_res, p_loss)
+            p_loss = last[at[conv.id]].p_loss
+            p_ac, q_ac, p_draw = boundary_power(conv, ac_res, dc_res)
             v_ac = ac_res.v[conv.aux_node]
             loss, _ = converter_loss(p_ac, q_ac, v_ac, (conv.d1, conv.d2, conv.d3))
-            pkt_ac = BoundaryPacket(conv.id, "ac", p_ac, q_ac, loss, v_ac)
-            pkt_dc = BoundaryPacket(conv.id, "dc", p_dc, conv.control.q_set, p_loss,
-                                    dc_res.v[conv.dc_node])
-            new_ac[conv.id], new_dc[conv.id] = pkt_ac, pkt_dc
-            pkts += [pkt_ac, pkt_dc]
+            pkts += [BoundaryPacket(conv.id, "ac", p_ac, q_ac, loss, v_ac),
+                     BoundaryPacket(conv.id, "dc", p_draw - p_loss, conv.control.q_set,
+                                    p_loss, dc_res.v[conv.dc_node])]
         mismatches = [abs(ac.p_vsc - dc.p_vsc) for ac, dc in zip(pkts[::2], pkts[1::2])]
         _raise_multipliers(lambdas, grid.converters, mismatches, params.xi)
         trace.append(pkts)
-        prev_ac, prev_dc = ac_pkts, dc_pkts
-        ac_pkts, dc_pkts = new_ac, new_dc
         converged = max(mismatches, default=0.0) <= params.tau
+        stalled, last = pkts == last, pkts
         skipped = 0
-        if converged or ac_pkts != prev_ac or dc_pkts != prev_dc:
+        if converged or not stalled:
             checked = False
         elif stays_optimal is not None and not checked and iteration < cap - 1:
             # a stall: the skipped iterations' solves would see the multipliers
@@ -262,13 +260,12 @@ def _coordinate(grid: GridModel, readings: list[Measurement], params: Coordinati
             top = dict(lambdas)
             for _ in range(iteration + 1, cap - 1):
                 _raise_multipliers(top, grid.converters, mismatches, params.xi)
-            if all(stays_optimal(region, _boundary_terms(region, lambdas, ac_pkts, dc_pkts),
-                                 top) for region in grid.regions):
+            if all(stays_optimal(region, _boundary_terms(region, lambdas, pkts, at), top)
+                   for region in grid.regions):
                 skipped = cap - 1 - iteration
         t_algebra = time.perf_counter() - t0
 
-        t_ac = max((t_regions[r] for r in ac_regions), default=0.0)
-        t_dc = max((t_regions[r] for r in dc_regions), default=0.0)
+        t_ac, t_dc = t_max[AC], t_max[DC]
         timing.append(IterationTiming(t_ac + t_dc + t_algebra, max(t_ac, t_dc), t_algebra))
 
         if converged:
@@ -282,12 +279,7 @@ def _coordinate(grid: GridModel, readings: list[Measurement], params: Coordinati
         iteration += skipped
 
     v, theta = _merge_states(grid, results)
-    if converged:
-        stop_reason = "converged"
-    elif ac_pkts == prev_ac and dc_pkts == prev_dc:
-        stop_reason = "stalled"
-    else:
-        stop_reason = "cap"
+    stop_reason = "converged" if converged else "stalled" if stalled else "cap"
     return SystemEstimate(v=v, theta=theta, regions=results, lambdas=lambdas,
                           iterations=iteration, timing=timing,
                           stop_reason=stop_reason, packet_trace=trace)
@@ -317,12 +309,12 @@ def run_drse(grid: GridModel, ms: MeasurementSet,
         # the regional solve sees only its own model and BoundaryTerm values
         return solve_wlav_region(lps[region.id], terms)
 
-    def boundary_power(conv, ac_res, dc_res, p_loss):
+    def boundary_power(conv, ac_res, dc_res):
         ac_model = lps[grid.node(conv.aux_node).region].model
         dc_model = lps[grid.node(conv.dc_node).region].model
         return (float(ac_model.boundary[conv.id] @ ac_res.x),
                 float(ac_model.boundary_q[conv.id] @ ac_res.x),
-                float(dc_model.boundary[conv.id] @ dc_res.x - p_loss))
+                float(dc_model.boundary[conv.id] @ dc_res.x))
 
     def stays_optimal(region, terms, top):
         return lps[region.id].stays_optimal(terms, top)
@@ -374,12 +366,12 @@ def _dwls_loop(grid, readings, models, params):
         warm[region.id] = result.x
         return result
 
-    def boundary_power(conv, ac_res, dc_res, p_loss):
+    def boundary_power(conv, ac_res, dc_res):
         p_ac, q_ac = ac_branch_flow(
             ac_res.v[conv.aux_node], ac_res.theta[conv.aux_node],
             ac_res.v[conv.ac_node], ac_res.theta[conv.ac_node],
             conv.coupling_r, conv.coupling_x)
-        return p_ac, q_ac, dc_res.conv_vars[("pdjc", conv.id)] - p_loss
+        return p_ac, q_ac, dc_res.conv_vars[("pdjc", conv.id)]
 
     return _coordinate(grid, readings, params, solve_region, boundary_power)
 
@@ -387,29 +379,24 @@ def _dwls_loop(grid, readings, models, params):
 # -- CWLS ----------------------------------------------------------------------
 
 
-def run_cwls(grid: GridModel, ms: MeasurementSet, nr_test: bool = True) -> SystemEstimate:
+def run_cwls(grid: GridModel, ms: MeasurementSet,
+             params: CoordinationParams = CoordinationParams()) -> SystemEstimate:
     """Centralized nonlinear WLS over all regions jointly, with the converter
-    balance enforced by high-weight virtual rows and a global NR test."""
+    balance enforced by high-weight virtual rows and a global NR test (of
+    ``params``, only ``nr_test`` applies)."""
     t_start = time.perf_counter()
     model = build_system_model(grid, list(enumerate(ms.measurements)))
     t0 = time.perf_counter()
     result = solve_wls(model)
-    report = None
-    if nr_test:
+    bad_data = {}
+    if params.nr_test:
         out = lnr_test(model, result)
-        report = out.report
-        result = out.result
+        result, bad_data = out.result, {-1: out.report}
     wall = time.perf_counter() - t0
-
-    v = dict(result.v)
-    theta = dict(result.theta)
     estimate = SystemEstimate(
-        v=v, theta=theta, regions={-1: result},
-        lambdas={}, iterations=result.iterations,
-        timing=[IterationTiming(wall, wall, 0.0)],
-        stop_reason="converged" if result.converged else "cap")
-    if report is not None:
-        estimate.bad_data = {-1: report}
+        v=result.v, theta=result.theta, regions={-1: result}, lambdas={},
+        iterations=result.iterations, timing=[IterationTiming(wall, wall, 0.0)],
+        stop_reason="converged" if result.converged else "cap", bad_data=bad_data)
     estimate.wall_time = time.perf_counter() - t_start
     return estimate
 

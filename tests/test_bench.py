@@ -422,3 +422,16 @@ class TestCli:
                      "--out", str(out)]) == 0
         assert (out / "runs.csv").exists()
         assert (out / "aggregate.csv").exists()
+
+    @pytest.mark.parametrize("runs", ["0", "-3"])
+    def test_benchmark_nonpositive_runs_validation_exit(self, tmp_path, capsys, runs):
+        # --runs goes through the scenario's own check; 0 is not "unset"
+        import json
+        scen = tmp_path / "s.json"
+        scen.write_text(json.dumps({
+            "grid": str(data.path(data.TOY5_HYBRID)), "method": "cwls", "runs": 1, "seed": 1,
+            "base_profile": str(data.path(data.TOY5_HYBRID_LOADS))}))
+        assert main(["benchmark", "--scenario", str(scen), "--seed", "1", "--runs", runs,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "runs must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -5,6 +5,7 @@ import struct
 import time
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,7 +19,7 @@ from hybridse.bench import Scenario, prepare_context, run_single
 from hybridse.coordination import (CoordinationParams, run_cwls, run_drse,
                                    run_dwls)
 from hybridse.estimation import BoundaryTerm, UnobservableError
-from hybridse.grid import AC, load_grid
+from hybridse.grid import AC, DC, load_grid
 from hybridse.powerflow import solve_powerflow
 from hybridse.telemetry import (MeasurementKind, MeasurementSet,
                                 ScheduleConfig, build_region_H, inject_bad_data,
@@ -438,6 +439,63 @@ class TestStallSkip:
         assert est.stop_reason == "stalled" and len(onsets) == len(calls) == 1
 
 
+class TestParallelTiming:
+    """An iteration's ``t_total`` is its slowest AC solve plus its slowest DC
+    solve plus its algebra, on a clock that only the regional solves move:
+    the region at position k of ``grid.regions`` takes ``seconds[k]``, rising
+    or falling with k, so that each maximum is not always the first or the
+    last region of its kind."""
+
+    SOLVERS = {"drse": ("solve_wlav_region", lambda grid, ms: run_drse(grid, ms, PARAMS)),
+               "dwls": ("solve_wls", lambda grid, ms: run_dwls(
+                   grid, ms, CoordinationParams(nr_test=False)))}
+
+    @classmethod
+    def run(cls, monkeypatch, method, grid, ms, seconds):
+        """The estimate, and the number of iterations that solved regions."""
+        clock = SimpleNamespace(now=0.0)
+        monkeypatch.setattr(coord, "time", SimpleNamespace(perf_counter=lambda: clock.now))
+        name, estimate = cls.SOLVERS[method]
+        real, calls = getattr(coord, name), []
+
+        def solve(*args, **kwargs):
+            # an iteration that solves, solves the regions in grid.regions order
+            clock.now += seconds[len(calls) % len(grid.regions)]
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(coord, name, solve)
+        est = estimate(grid, ms)
+        assert len(calls) % len(grid.regions) == 0
+        return est, len(calls) // len(grid.regions)
+
+    def assert_rows(self, monkeypatch, method, grid, ms):
+        kinds = [region.kind for region in grid.regions]
+        for seconds in ([k / 8 for k in range(1, 4)], [k / 8 for k in range(3, 0, -1)]):
+            est, solved = self.run(monkeypatch, method, grid, ms, seconds)
+            t_ac = max(t for t, kind in zip(seconds, kinds) if kind == AC)
+            t_dc = max(t for t, kind in zip(seconds, kinds) if kind == DC)
+            row = coord.IterationTiming(t_ac + t_dc, max(t_ac, t_dc), 0.0)
+            skip = coord.IterationTiming(0.0, 0.0, 0.0)
+            assert est.timing == [row if r.t_total else skip for r in est.timing]
+            assert est.timing.count(row) == solved and len(est.timing) == est.iterations
+            assert est.se_time == solved * (t_ac + t_dc)
+        return est
+
+    @pytest.mark.parametrize("method", ["drse", "dwls"])
+    def test_case33(self, monkeypatch, case33, case33_loads, method):
+        # one AC and two DC regions; DRSE's stall skip leaves zero rows
+        ms = TestStallSkip.stalled_case33(case33, case33_loads)
+        est = self.assert_rows(monkeypatch, method, case33, ms)
+        assert (coord.IterationTiming(0.0, 0.0, 0.0) in est.timing) == (method == "drse")
+
+    @pytest.mark.parametrize("method", ["drse", "dwls"])
+    def test_toy5_formed(self, monkeypatch, toy5_formed, toy5_formed_loads, method):
+        # two AC regions and one DC region
+        ms = noisy_set(toy5_formed, toy5_formed_loads, seed=20240)[1]
+        self.assert_rows(monkeypatch, method, toy5_formed, ms)
+
+
 class TestDwls:
     def test_noise_free_matches_truth_and_drse(self, toy5, toy5_loads):
         res, ms = exact_set(toy5, toy5_loads)
@@ -582,7 +640,7 @@ class TestCwls:
         from hybridse.estimation import solve_wls
         from hybridse.powerflow import InjectionProfile
         res, ms = exact_set(toy2, InjectionProfile(p={2: -0.4}, q={2: -0.1}))
-        est = run_cwls(toy2, ms, nr_test=False)
+        est = run_cwls(toy2, ms, CoordinationParams(nr_test=False))
         model = build_system_model(toy2, list(enumerate(ms.measurements)))
         direct = solve_wls(model)
         assert est.v[2] == pytest.approx(direct.v[2], abs=1e-12)
@@ -592,7 +650,7 @@ class TestCwls:
         sched = ScheduleConfig(scada_ac_branches=((1, 2), (2, 19), (3, 23), (6, 26)))
         res, ms = noisy_set(case33, case33_loads, seed=23, sched=sched)
         bad = inject_bad_data(ms, 2, target=1)
-        cwls = run_cwls(case33, bad, nr_test=False)
+        cwls = run_cwls(case33, bad, CoordinationParams(nr_test=False))
         drse = run_drse(case33, bad, PARAMS)
         dc_nodes = [n.id for n in case33.nodes if n.kind == "dc"]
         mae_cwls = max(abs(cwls.v[n] - res.state.v[n]) for n in dc_nodes)

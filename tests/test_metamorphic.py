@@ -9,6 +9,11 @@ inputs whose estimates are known from each other.
   same estimate: each copy has sigma * sqrt(2) for WLS (1/sigma^2 halved)
   and sigma * 2 for WLAV (1/sigma halved).  WLS's normalized-residual test
   sees the copies as two readings, so CWLS and DWLS run with it off.
+- The grid's regions listed in reverse order give the same estimate.  The
+  distributed estimators solve each region against the previous iteration's
+  packets, so the order is not theirs to see: DRSE and DWLS keep every bit
+  (``test_coordination.estimate_bits``).  CWLS orders its system states by
+  region, and holds within the step tol.
 
 They hold on case33 with the four SCADA lines at t = 3600 s, runs 0-19 of
 master seed 20240, clean and in bad-data case 2.  CWLS and DWLS hold within
@@ -33,6 +38,7 @@ from hybridse.coordination import CoordinationParams, run_cwls, run_drse, run_dw
 from hybridse.powerflow import InjectionProfile, solve_powerflow
 from hybridse.telemetry import (CONV_KINDS, MeasurementSet, ScheduleConfig,
                                 inject_bad_data, simulate_measurements)
+from test_coordination import estimate_bits
 from test_powerflow import _relabelled
 
 MASTER_SEED = 20240
@@ -59,7 +65,8 @@ DRSE_XFAIL = {
 # the estimators of the split relation: the sigma factor of each copy, and the
 # estimator, with the normalized-residual test off
 SPLIT = {
-    "cwls": (math.sqrt(2.0), lambda grid, ms: run_cwls(grid, ms, nr_test=False)),
+    "cwls": (math.sqrt(2.0),
+             lambda grid, ms: run_cwls(grid, ms, CoordinationParams(nr_test=False))),
     "dwls": (math.sqrt(2.0),
              lambda grid, ms: run_dwls(grid, ms, CoordinationParams(nr_test=False))),
     "drse": (2.0, ESTIMATORS["drse"]),
@@ -210,3 +217,32 @@ def test_toy5_formed_permuted_readings(toy5_formed, toy5_formed_runs, method, ca
 def test_toy5_formed_split_reading(toy5_formed, toy5_formed_runs, method, case):
     moves = split_moves(toy5_formed, toy5_formed_runs[case], method)
     assert max(moves) <= GN_TOL, moves
+
+
+def assert_same_in_another_order(grid, sets, method, originals=None):
+    """The estimates of ``sets`` on ``grid`` and on ``grid`` with its regions
+    in reverse order are the same: bit for bit, or for CWLS within the step
+    tol."""
+    estimate = ESTIMATORS[method]
+    other = replace(grid, regions=tuple(reversed(grid.regions)))
+    assert [r.id for r in other.regions] != [r.id for r in grid.regions]
+    originals = originals or [estimate(grid, ms) for ms in sets]
+    pairs = [(est, estimate(other, ms)) for ms, est in zip(sets, originals)]
+    if method == "cwls":
+        moves = [moved(est, again) for est, again in pairs]
+        assert max(moves) <= GN_TOL, moves
+    else:
+        assert all(estimate_bits(est) == estimate_bits(again) for est, again in pairs)
+
+
+@pytest.mark.parametrize("case", [0, 2])
+@pytest.mark.parametrize("method", ["cwls", "dwls", "drse"])
+def test_regions_in_another_order(case33_ctx, case33_runs, original, method, case):
+    assert_same_in_another_order(case33_ctx.grid, case33_runs[case], method,
+                                 original(method, case))
+
+
+@pytest.mark.parametrize("case", [0, 2])
+@pytest.mark.parametrize("method", ["cwls", "dwls", "drse"])
+def test_toy5_formed_regions_in_another_order(toy5_formed, toy5_formed_runs, method, case):
+    assert_same_in_another_order(toy5_formed, toy5_formed_runs[case], method)
