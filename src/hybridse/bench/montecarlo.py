@@ -37,6 +37,10 @@ TEST_PROFILE_OFFSET = 7777   # held-out year: profile seed plus this offset
 SIDES = ("ac", "dc")         # BoundaryPacket.side by its code in RunRecord.trace
 
 
+class RunsFailedError(RuntimeError):
+    """More than 10% of a scenario's runs failed; ``run_montecarlo`` aborts."""
+
+
 @dataclass
 class RunContext:
     """The inputs ``prepare_context`` loads or trains; the schedule and the
@@ -185,7 +189,7 @@ class BenchResult:
 
 def run_montecarlo(scenario: Scenario, out_dir: str | Path | None = None,
                    model_path: str | Path | None = None) -> BenchResult:
-    """Execute the scenario; aborts when more than 10% of runs fail."""
+    """Execute the scenario; aborts (``RunsFailedError``) if over 10% of runs fail."""
     ctx = prepare_context(scenario, model_path=model_path)
     workers = int(os.environ.get("HYBRIDSE_WORKERS", "1"))
     indices = list(range(scenario.runs))
@@ -199,7 +203,7 @@ def run_montecarlo(scenario: Scenario, out_dir: str | Path | None = None,
 
     failures = [r for r in records if r.error]
     if len(failures) > 0.1 * scenario.runs:
-        raise RuntimeError(
+        raise RunsFailedError(
             f"{len(failures)} of {scenario.runs} runs failed; first: "
             f"{failures[0].error}")
 

@@ -3,8 +3,8 @@
 Subcommands: ``pf`` (power flow), ``gen-profiles``, ``simulate`` (telemetry),
 ``train`` (injection model), ``estimate`` (single estimation run) and
 ``benchmark`` (Monte-Carlo suites).  Exit codes: 0 success, 1 usage error,
-2 validation error (bad files/arguments), 3 numerical failure (divergence,
-unobservability).
+2 validation error (bad arguments or files), 3 numerical failure (divergence,
+unobservability, failed training or runs); any other error shows its traceback.
 """
 
 from __future__ import annotations
@@ -16,16 +16,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import METHODS, ScenarioError, load_scenario, run_estimator, run_montecarlo
+from .bench import (METHODS, RunsFailedError, ScenarioError, load_scenario, run_estimator,
+                    run_montecarlo)
 from .coordination import CoordinationParams
 from .estimation import EstimationError, LpError
-from .grid import GridError, load_grid
-from .injection import (InjectionModel, gen_load_profiles, generated_measurements,
-                        prior_measurements, train_injection_model)
+from .grid import load_grid
+from .injection import (InjectionModel, TrainingError, gen_load_profiles,
+                        generated_measurements, prior_measurements, train_injection_model)
 from .powerflow import (PowerFlowError, conservation_residual, load_profile,
                         mismatch_residual, solve_powerflow)
-from .telemetry import (MeasurementSet, ScheduleConfig, TelemetryError,
-                        inject_bad_data, simulate_measurements)
+from .telemetry import MeasurementSet, ScheduleConfig, inject_bad_data, simulate_measurements
 
 USAGE_EXIT = 1
 VALIDATION_EXIT = 2
@@ -239,13 +239,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_EXIT
     try:
         return args.func(args)
-    except (GridError, ScenarioError, TelemetryError, FileNotFoundError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return VALIDATION_EXIT
-    except (PowerFlowError, EstimationError, LpError) as exc:
+    except (PowerFlowError, EstimationError, LpError, TrainingError, RunsFailedError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return VALIDATION_EXIT
 

@@ -59,12 +59,6 @@ class GmmModel:
     def mean(self) -> np.ndarray:
         return self.weights @ self.means
 
-    def overall_variance(self) -> np.ndarray:
-        """Per-dimension variance of the mixture (law of total variance)."""
-        mu = self.mean()
-        second = self.weights @ (self.variances + self.means ** 2)
-        return second - mu ** 2
-
     def component(self, u: float) -> tuple[list[float], list[float]]:
         """Means and standard deviations of the component at the mixture
         quantile ``u``, with the components ranked by their first-dimension

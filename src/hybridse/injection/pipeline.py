@@ -4,11 +4,11 @@ Offline: per-node mixtures are fit on smart-meter history; Monte-Carlo trials
 sample injection scenarios from those mixtures (with a shared regime quantile
 and common factor so cross-node structure survives), run the power flow, and
 read noisy SCADA vectors, producing (z, y) training pairs; a feedforward
-network is fit by empirical risk minimization; the holdout prediction errors
-get their own per-component mixtures whose standard deviations become the
-measurement weights of generated injections.  The trials run a block at a
-time through one stacked power flow, with the bits and the random stream of
-running them one at a time (``build_training_set``).
+network is fit by empirical risk minimization; the standard deviation of each
+component's holdout prediction errors becomes the measurement weight of its
+generated injection (``fit_error_gmm``).  The trials run a block at a time
+through one stacked power flow, with the bits of running them one at a time
+(``build_training_set``).
 
 Online: the trained network maps the current SCADA vector to a full injection
 vector at the SCADA rate.  Gross errors in the SCADA input are screened first:
@@ -35,7 +35,7 @@ from ..telemetry import (Measurement, MeasurementKind, MeasurementSet,
                          ScheduleConfig, SOURCE_DNN, SOURCE_PSEUDO, SOURCE_SCADA,
                          build_region_H, synthesis_plan)
 from .gmm import GmmModel, fit_gmm
-from .mlp import MlpModel, TrainReport, train_mlp
+from .mlp import MlpModel, TrainReport, TrainingError, train_mlp
 from .profiles import LoadProfiles
 
 SIGMA_FLOOR = 1e-4
@@ -147,19 +147,14 @@ def sample_injections(grid: GridModel, gmms: dict[int, GmmModel],
 def build_training_set(grid: GridModel, gmms: dict[int, GmmModel], n_trials: int,
                        schedule: ScheduleConfig, seed: int) -> TrainingSet:
     """Monte-Carlo (y, z) extraction: sample scenarios, solve the power flow,
-    read the SCADA channels with measurement noise.  Aborts when more than 20%
-    of the trials fail to converge (mixtures inconsistent with the grid).
+    read the SCADA channels with measurement noise.  Aborts with
+    ``TrainingError`` when over 20% of the trials diverge.
 
-    The trials run ``_BLOCK`` at a time through one stacked power flow
-    (``solve_powerflows``), with the draws of the trial-by-trial loop: each
-    trial's scenario, then its ``n_noisy`` standard normals, from which the
-    synthesis plan reads the noise (``telemetry.synthesis_plan``; the normals
-    are drawn before the flow is solved, which draws nothing).  A trial whose
-    flow fails draws no noise in that loop, so at the first failure of a
-    block the trials after it are set aside and the generator is set back to
-    where it stood after the failed trial's scenario; the next block starts
-    there.  Each SCADA vector is read from the readings by a precomputed
-    index, the last reading of each channel, as ``scada_vector`` reads it."""
+    Each trial draws its scenario, then the ``n_noisy`` standard normals of
+    its readings' noise (``telemetry.synthesis_plan``), converged or not.
+    The trials run ``_BLOCK`` at a time through one stacked power flow, which
+    draws nothing, with the bits of solving them one at a time.  A SCADA
+    vector is read by a precomputed index, as ``scada_vector`` reads it."""
     rng = np.random.default_rng(seed)
     channels = scada_channels(grid, schedule)
     plan = synthesis_plan(grid, schedule, schedule.scada_period)
@@ -167,23 +162,19 @@ def build_training_set(grid: GridModel, gmms: dict[int, GmmModel], n_trials: int
     components = injection_components(grid)
     keys = [(tag, int(node)) for tag, node in (c.split(":") for c in components)]
     zs, ys = [], []
-    dropped = trial = 0
-    while trial < n_trials:
-        block = []
-        for _ in range(min(_BLOCK, n_trials - trial)):
-            prof = sample_injections(grid, gmms, rng)
-            block.append((prof, rng.bit_generator.state, rng.standard_normal(plan.n_noisy)))
-        results = solve_powerflows(grid, [prof for prof, _, _ in block])
-        for (prof, after_scenario, z), res in zip(block, results):
-            trial += 1
+    dropped = 0
+    for start in range(0, n_trials, _BLOCK):
+        block = [(sample_injections(grid, gmms, rng), rng.standard_normal(plan.n_noisy))
+                 for _ in range(min(_BLOCK, n_trials - start))]
+        results = solve_powerflows(grid, [prof for prof, _ in block])
+        for (prof, z), res in zip(block, results):
             if isinstance(res, PowerFlowError):
                 dropped += 1
                 if dropped > 0.2 * n_trials:
-                    raise RuntimeError(
+                    raise TrainingError(
                         f"{dropped} of {n_trials} trials diverged; injection "
                         "mixtures are inconsistent with grid capacity")
-                rng.bit_generator.state = after_scenario
-                break
+                continue
             zs.append(plan.readings(res.state, z)[0][at])
             ys.append([prof.p[node] if tag == "p" else prof.q[node] for tag, node in keys])
     return TrainingSet(z=np.array(zs), y=np.array(ys), channels=channels,
@@ -240,22 +231,13 @@ class InjectionModel:
                    gmm_means=doc["gmm_means"], meta=doc.get("meta", {}))
 
 
-def fit_error_gmm(residuals: np.ndarray, components: list[str],
-                  seed: int = 0) -> dict[str, float]:
-    """Two-component mixture per injection component over holdout residuals;
-    the weight sigma is the mixture's overall standard deviation, floored."""
-    sigma: dict[str, float] = {}
-    for col, key in enumerate(components):
-        r = residuals[:, col]
-        if np.allclose(r, r[0]):
-            sigma[key] = SIGMA_FLOOR
-        elif r.size < 20:
-            # too few holdout points for a mixture; plain spread
-            sigma[key] = max(float(r.std()), SIGMA_FLOOR)
-        else:
-            model, _ = fit_gmm(r, k=2, seed=seed + col)
-            sigma[key] = max(float(np.sqrt(model.overall_variance()[0])), SIGMA_FLOOR)
-    return sigma
+def fit_error_gmm(residuals: np.ndarray, components: list[str]) -> dict[str, float]:
+    """Each component's weight sigma: its holdout residuals' standard deviation,
+    floored.  It is the spread of an EM mixture fit to them in closed form: an
+    M-step gives the mixture its samples' mean and second moment (Dempster,
+    Laird & Rubin 1977), unless it floors a variance (``gmm.VAR_FLOOR``)."""
+    spread = residuals.std(axis=0)
+    return {key: max(float(spread[col]), SIGMA_FLOOR) for col, key in enumerate(components)}
 
 
 def train_injection_model(grid: GridModel, profiles: LoadProfiles,
@@ -263,21 +245,19 @@ def train_injection_model(grid: GridModel, profiles: LoadProfiles,
                           epochs: int = 400, seed: int = 0
                           ) -> tuple[InjectionModel, TrainReport]:
     """The full offline stage: distribution learning, Monte-Carlo training
-    data, network fit (``train_mlp``'s default layout, rate and batch size),
-    error-mixture weighting."""
+    data, network fit (``train_mlp``'s default layout, rate and batch size)
+    and error weights; ValueError if too few trials leave no holdout rows."""
     gmms = fit_injection_gmms(grid, profiles, seed=seed)
     ts = build_training_set(grid, gmms, n_trials, schedule, seed=seed + 1)
     mlp, report = train_mlp(ts.z, ts.y, epochs=epochs, seed=seed + 2)
     hold = report.holdout_indices
+    if not hold.size:
+        raise ValueError(f"{len(ts.y)} converged trials leave no holdout rows; use more trials")
     residuals = ts.y[hold] - mlp.predict(ts.z[hold])
-    error_sigma = fit_error_gmm(residuals, ts.components, seed=seed + 3)
+    error_sigma = fit_error_gmm(residuals, ts.components)
 
-    gmm_means: dict[str, float] = {}
-    for node in grid.injection_nodes():
-        mean = gmms[node.id].mean()
-        gmm_means[f"p:{node.id}"] = float(mean[0])
-        if gmms[node.id].dim > 1:
-            gmm_means[f"q:{node.id}"] = float(mean[1])
+    gmm_means = {f"{tag}:{node.id}": float(mean) for node in grid.injection_nodes()
+                 for tag, mean in zip("pq", gmms[node.id].mean())}
 
     model = InjectionModel(mlp=mlp, channels=ts.channels, components=ts.components,
                            error_sigma=error_sigma, gmm_means=gmm_means,
@@ -302,7 +282,7 @@ def infer_injections(model: InjectionModel, z_now: np.ndarray) -> dict[str, floa
 def generated_measurements(model: InjectionModel, ms: MeasurementSet,
                            grid: GridModel, t: float) -> list[Measurement]:
     """DNN-generated injection rows for the current tick, weighted by the
-    error-mixture sigmas.  The SCADA input is screened first."""
+    holdout error sigmas.  The SCADA input is screened first."""
     z = scada_vector(sanitize_scada(grid, ms, model), model.channels)
     values = infer_injections(model, z)
     return _injection_rows(grid, values,

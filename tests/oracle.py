@@ -25,6 +25,10 @@ the day.
 ``sample_injections_per_node`` draws a scenario node by node through
 ``sample_coupled``; ``injection.gmm.fit_gmm`` and
 ``injection.pipeline.sample_injections`` must give their bits.
+``error_sigma_by_mixture`` is the error weight of each injection component as
+the overall standard deviation (``mixture_variance``) of a two-component
+mixture fit to its holdout residuals, the reference of
+``injection.pipeline.fit_error_gmm``'s closed form.
 ``solve_powerflow`` is the power flow one profile at a time, its regional
 Newton solves (``newton_ac``, ``newton_dc``) on one spec vector with the
 dense cos/sin of every angle difference; ``powerflow.solve_powerflows``
@@ -48,20 +52,20 @@ from dataclasses import replace
 import numpy as np
 
 from hybridse.grid import AC, DC, MODE_DC_SLACK, MODE_PQ
-from hybridse.injection import GmmModel, daily_shape, solar_shape
+from hybridse.injection import GmmModel, daily_shape, fit_gmm, solar_shape
 from hybridse.injection.gmm import _EM_MAX_ITER, _EM_TOL, VAR_FLOOR, _seed_means
 from hybridse import powerflow
 from hybridse.estimation import lp
 from hybridse.injection.mlp import init_model
-from hybridse.injection.pipeline import (injection_components, sample_injections,
-                                         scada_channels, scada_vector)
+from hybridse.injection.pipeline import (SIGMA_FLOOR, injection_components,
+                                         sample_injections, scada_channels, scada_vector)
 from hybridse.powerflow import (ConverterSolution, InjectionProfile, PowerFlowDivergence,
                                 PowerFlowError, PowerFlowResult, SystemState, _newton,
                                 ac_branch_flow, branch_flow_terms, converter_loss,
                                 dc_branch_flow)
 from hybridse.telemetry import (SOURCE_SCADA, SOURCE_SMART_METER, MeasurementKind,
                                 MeasurementSet, TelemetryError, build_region_H, row_spec,
-                                simulate_measurements)
+                                simulate_measurements, synthesis_plan)
 
 
 def eval_h_nonlinear(grid, state, m) -> float:
@@ -369,6 +373,33 @@ def fit_gmm_broadcast(samples, k, seed=0):
     return GmmModel(weights=weights, means=means, variances=variances), trace
 
 
+def mixture_variance(model):
+    """Per-dimension variance of a mixture (law of total variance)."""
+    mu = model.weights @ model.means
+    return model.weights @ (model.variances + model.means ** 2) - mu ** 2
+
+
+def error_sigma_by_mixture(residuals, components, seed=0):
+    """``(sigma, floored)``: each component's weight sigma as the overall
+    standard deviation of a k = 2 ``fit_gmm`` over its residual column,
+    floored at ``SIGMA_FLOOR`` (a constant column takes the floor, fewer
+    than 20 rows their plain spread), and the keys whose mixture has a
+    component variance at ``VAR_FLOOR``."""
+    sigma, floored = {}, set()
+    for col, key in enumerate(components):
+        r = residuals[:, col]
+        if np.allclose(r, r[0]):
+            sigma[key] = SIGMA_FLOOR
+        elif r.size < 20:
+            sigma[key] = max(float(r.std()), SIGMA_FLOOR)
+        else:
+            model, _ = fit_gmm(r, k=2, seed=seed + col)
+            sigma[key] = max(float(np.sqrt(mixture_variance(model)[0])), SIGMA_FLOOR)
+            if (model.variances <= VAR_FLOOR).any():
+                floored.add(key)
+    return sigma, floored
+
+
 def sample_coupled(model, u, g, g_own, rho):
     """One draw of a mixture with a shared component quantile ``u`` and
     shared standard-normal factor ``g`` (one per dimension); components
@@ -581,7 +612,8 @@ def solve_powerflow(grid, profile):
 def build_training_set(grid, gmms, n_trials, schedule, seed):
     """``(z, y, dropped)`` of the Monte-Carlo loop one trial at a time: a
     scenario, its power flow (``solve_powerflow`` above), its readings
-    through ``simulate_measurements`` and ``scada_vector``."""
+    through ``simulate_measurements`` and ``scada_vector``; a trial whose
+    flow fails draws the noise of its readings all the same."""
     rng = np.random.default_rng(seed)
     channels = scada_channels(grid, schedule)
     components = injection_components(grid)
@@ -592,6 +624,7 @@ def build_training_set(grid, gmms, n_trials, schedule, seed):
         try:
             res = solve_powerflow(grid, prof)
         except PowerFlowError:
+            rng.standard_normal(synthesis_plan(grid, schedule, schedule.scada_period).n_noisy)
             dropped += 1
             if dropped > 0.2 * n_trials:
                 raise RuntimeError(

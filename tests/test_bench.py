@@ -399,6 +399,62 @@ class TestCli:
                      "--out", str(est)]) == 0
         assert est.exists()
 
+    def test_train_without_holdout_validation_exit(self, tmp_path, capsys):
+        # a 10% holdout of 5 trials has no rows to weight the injections by
+        args = ["train", "--grid", str(data.path(data.TOY5_HYBRID)),
+                "--base", str(data.path(data.TOY5_HYBRID_LOADS)), "--days", "2",
+                "--epochs", "5", "--seed", "1"]
+        model = tmp_path / "model.json"
+        assert main(args + ["--trials", "5", "--out", str(model)]) == 2
+        assert "no holdout rows" in capsys.readouterr().err
+        assert not model.exists()
+        assert main(args + ["--trials", "30", "--out", str(model)]) == 0
+        assert model.exists()
+
+    def test_diverged_training_numerical_exit(self, tmp_path, monkeypatch, capsys):
+        from hybridse.injection import pipeline
+        from hybridse.powerflow import PowerFlowDivergence
+        monkeypatch.setattr(pipeline, "solve_powerflows", lambda grid, profiles: [
+            PowerFlowDivergence("diverged", 1.0) for _ in profiles])
+        assert main(["train", "--grid", str(data.path(data.TOY5_HYBRID)),
+                     "--base", str(data.path(data.TOY5_HYBRID_LOADS)), "--days", "2",
+                     "--trials", "30", "--epochs", "5", "--seed", "1",
+                     "--out", str(tmp_path / "model.json")]) == 3
+        assert "7 of 30 trials diverged" in capsys.readouterr().err
+
+    def test_too_many_failed_runs_numerical_exit(self, tmp_path, monkeypatch, capsys):
+        import json
+        TestMonteCarlo._failing(monkeypatch, {4, 7})
+        scen = tmp_path / "s.json"
+        scen.write_text(json.dumps({
+            "grid": str(data.path(data.TOY5_HYBRID)), "method": "drse", "runs": 10,
+            "seed": 1, "base_profile": str(data.path(data.TOY5_HYBRID_LOADS)),
+            "profile_days": 10, "test_days": 5}))
+        assert main(["benchmark", "--scenario", str(scen), "--seed", "4242",
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "2 of 10 runs failed; first: UnobservableError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pf", "estimate"])
+    def test_out_directory_validation_exit(self, tmp_path, capsys, command):
+        grid = str(data.path(data.TOY5_HYBRID))
+        loads = str(data.path(data.TOY5_HYBRID_LOADS))
+        if command == "pf":
+            args = ["pf", "--grid", grid, "--injections", loads]
+        else:
+            meas = tmp_path / "m.csv"
+            assert main(["simulate", "--grid", grid, "--injections", loads,
+                         "--seed", "2", "--out", str(meas)]) == 0
+            args = ["estimate", "--method", "drse", "--grid", grid, "--meas", str(meas)]
+        assert main(args + ["--out", str(tmp_path)]) == 2
+        assert "validation error: [Errno 21] Is a directory" in capsys.readouterr().err
+
+    def test_programming_error_keeps_its_traceback(self, monkeypatch):
+        from hybridse import cli
+        monkeypatch.setattr(cli, "load_grid", lambda path: (_ for _ in ()).throw(
+            RuntimeError("a fault of the program")))
+        with pytest.raises(RuntimeError, match="a fault of the program"):
+            main(["pf", "--grid", "g.json", "--injections", "l.csv"])
+
     def test_gen_profiles_cli(self, tmp_path):
         grid = str(data.path(data.TOY5_HYBRID))
         loads = str(data.path(data.TOY5_HYBRID_LOADS))

@@ -18,7 +18,11 @@ and under Bland's (``lp._DEGENERATE_STREAK`` 0: every pivot by Bland's rule):
 
 - a cold solve's objective is the enumerated optimum;
 - a warm solve at a moved b has the objective of a cold solve at that b;
-- a repeat at the same b and costs returns the stored x itself, 0 pivots.
+- a repeat at the same b and costs returns the stored x itself, 0 pivots;
+- where ``lp_stays_optimal`` accepts a drawn rise per row, a warm solve at
+  the same b with the costs of each row's pair raised by any amounts in
+  [0, rise] returns the stored x itself, 0 pivots;
+- permuting the rows and the columns of a fit keeps its cold objective.
 """
 
 import itertools
@@ -102,3 +106,47 @@ def test_kernel_meets_enumeration(rule, fit):
         assert_same(warm.objective, enumerated(h, moved, sigma, eq))
         repeat = lp_solve(at_moved, basis=at_moved.state.basis)
         assert repeat.x is warm.x and repeat.iterations == 0
+
+
+def problem_of(h, b, sigma, eq):
+    sources = [SOURCE_VIRTUAL_ZERO if i in eq else SOURCE_SCADA for i in range(len(b))]
+    return RegionalLp(LinearRegionModel(h, b, sigma, sources=sources)).problem({})
+
+
+@pytest.mark.parametrize("rule", RULES)
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(fit=fits(), seed=st.integers(0, 2 ** 32 - 1))
+def test_accepted_rises_repeat_the_stored_x(rule, fit, seed):
+    h, b, sigma, eq, _ = fit
+    rng = np.random.default_rng(seed)
+    problem = problem_of(h, b, sigma, eq)
+    template = problem.template
+    rise = 10.0 ** rng.integers(-3, 2) * rng.random(template.a_eq.shape[0])
+    with mock.patch.object(lp, "_DEGENERATE_STREAK", RULES[rule]):
+        cold = lp_solve(problem)
+        if not lp.lp_stays_optimal(problem, rise):
+            return
+        pair = np.flatnonzero(template.pair)
+        for top in (rise, *(rise * rng.random(rise.size) for _ in range(3))):
+            c = problem.c.copy()
+            c[template.plus[pair]] += top[pair] * rng.random(pair.size)
+            c[template.minus[pair]] += top[pair] * rng.random(pair.size)
+            state = lp.LpState()             # a pivot must not move the stored solve
+            state.last = problem.state.last
+            sol = lp_solve(lp.LpProblem(template, c, problem.b_eq, state), basis=state.basis)
+            assert sol.iterations == 0 and sol.x is cold.x
+
+
+@pytest.mark.parametrize("rule", RULES)
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(fit=fits(), seed=st.integers(0, 2 ** 32 - 1))
+def test_permuted_fit_keeps_its_objective(rule, fit, seed):
+    h, b, sigma, eq, _ = fit
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.permutation(len(b)), rng.permutation(h.shape[1])
+    position = np.argsort(rows)              # row i of the fit is row position[i]
+    with mock.patch.object(lp, "_DEGENERATE_STREAK", RULES[rule]):
+        cold = lp_solve(problem_of(h, b, sigma, eq))
+        again = lp_solve(problem_of(h[rows][:, cols], b[rows], sigma[rows],
+                                    tuple(sorted(position[list(eq)].tolist()))))
+    assert again.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-9)

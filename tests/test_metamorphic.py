@@ -19,11 +19,12 @@ They hold on case33 with the four SCADA lines at t = 3600 s, runs 0-19 of
 master seed 20240, clean and in bad-data case 2.  CWLS and DWLS hold within
 the Gauss-Newton step tol; DRSE's vertex path still depends on the order of
 its rows and columns and on ties between them, so its relations are
-expected failures.  The permuted and split relations also run on
+expected failures.  The permuted, relabelled and split relations also run on
 ``toy5_formed`` at its loads (default schedule, t = 3600 s, noise seeds
 20240-20259, clean and in case 2), where every estimator holds them within
 the step tol: DRSE moves by at most 2.2e-16 there, CWLS and DWLS by at most
-2.1e-8.
+2.1e-8 when permuted or split; relabelled (node ids reversed), DRSE moves by
+at most 1.1e-16, CWLS by 3.8e-10 and DWLS by 7.4e-9.
 """
 
 import math
@@ -209,6 +210,18 @@ def test_toy5_formed_permuted_readings(toy5_formed, toy5_formed_runs, method, ca
     estimate = ESTIMATORS[method]
     moves = [moved(estimate(toy5_formed, ms), estimate(toy5_formed, permuted(ms, run)))
              for run, ms in enumerate(toy5_formed_runs[case])]
+    assert max(moves) <= GN_TOL, moves
+
+
+@pytest.mark.parametrize("case", [0, 2])
+@pytest.mark.parametrize("method", ["cwls", "dwls", "drse"])
+def test_toy5_formed_relabelled_nodes(toy5_formed, toy5_formed_runs, method, case):
+    ids = sorted(n.id for n in toy5_formed.nodes)
+    mapping = dict(zip(ids, reversed(ids)))
+    other, _ = _relabelled(toy5_formed, InjectionProfile(), mapping)
+    estimate = ESTIMATORS[method]
+    moves = [moved(estimate(toy5_formed, ms), estimate(other, relabelled(ms, mapping)), mapping)
+             for ms in toy5_formed_runs[case]]
     assert max(moves) <= GN_TOL, moves
 
 
